@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateConditioningError
+from .errors import ConfigurationError, DegenerateConditioningError, HandoptError
 from .harness import (
     _pair_stats,
     _gap_process,
@@ -464,6 +464,9 @@ def main(argv=None) -> int:
         return 2
     except DegenerateConditioningError as e:
         print(json.dumps({"error": {"code": "degenerate", "message": str(e)}}), file=sys.stderr)
+        return 3
+    except HandoptError as e:
+        print(json.dumps({"error": {"code": "numerical", "message": str(e)}}), file=sys.stderr)
         return 3
     except OSError as e:
         print(json.dumps({"error": {"code": "io", "message": str(e)}}), file=sys.stderr)

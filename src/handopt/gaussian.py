@@ -35,6 +35,9 @@ _DEGENERATE_VAR = 1e-30
 _STDERR_CLOSED = 1e-9
 _STDERR_QUAD = 1e-6
 
+# Gauss-Legendre rule of every bvn_cdf_lattice segment.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
 
 def _as_label(label):
     if not isinstance(label, tuple) or len(label) < 2:
@@ -569,7 +572,11 @@ class GapProcess:
     """Bundles the filter tables and channel pair behind y_stats.
 
     Callers hand events around as label sets; this object turns them into
-    the right joint Gaussian on demand.
+    the right joint Gaussian on demand. joint() and prob() are memoized for
+    the life of the object: joint() by its label tuple, prob() by the
+    event's constraints (labels and bounds) and mc_samples, plus the seed
+    for events of dimension >= 3, the only ones whose value can depend on
+    it. Each distinct vector and box is thus built and integrated once.
     """
 
     def __init__(self, table0, table1, channels, distances_m, step_m):
@@ -580,6 +587,8 @@ class GapProcess:
         self.step_m = float(step_m)
         if self.distances_m.ndim != 2 or self.distances_m.shape[0] != 2:
             raise ConfigurationError("distances_m must be [2, N]")
+        self._joints = {}
+        self._probs = {}
 
     @property
     def n_samples(self) -> int:
@@ -599,12 +608,21 @@ class GapProcess:
 
     def joint(self, labels) -> GaussianVector:
         labels = tuple(_as_label(l) for l in labels)
-        y_times = [l[1] for l in labels if l[0] == "y"]
-        p_times = [(l[1], l[2]) for l in labels if l[0] == "p"]
-        return self.stats(y_times, p_times, check=False).vector.subset(labels)
+        gv = self._joints.get(labels)
+        if gv is None:
+            y_times = [l[1] for l in labels if l[0] == "y"]
+            p_times = [(l[1], l[2]) for l in labels if l[0] == "p"]
+            gv = self.stats(y_times, p_times, check=False).vector.subset(labels)
+            self._joints[labels] = gv
+        return gv
 
     def prob(self, ev: EventSpec, mc_samples: int = 1_000_000, seed: int = 0) -> ProbResult:
-        return exact_prob(self.joint(ev.labels), ev, mc_samples, seed)
+        key = (ev.constraints, mc_samples, seed if len(ev) >= 3 else None)
+        r = self._probs.get(key)
+        if r is None:
+            r = exact_prob(self.joint(ev.labels), ev, mc_samples, seed)
+            self._probs[key] = r
+        return r
 
 
 def bvn_cdf_lattice(mu, Sigma, xs, ys):
@@ -615,6 +633,12 @@ def bvn_cdf_lattice(mu, Sigma, xs, ys):
     border, so box probabilities assembled from the returned table carry no
     interpolation error (absolute error well under 1e-10). xs must ascend.
     +-inf entries are allowed in both lattices.
+
+    Segments wider than twice the scale on which the integrand varies, the
+    smaller of sd(X) and the conditional sd of Y measured along X
+    (s_cond / |beta|), are split into equal sub-segments; this resolves the
+    tails outside the lattice at high correlation. The scale is floored at
+    sd(X) / 64 (|rho| near 0.9999), which bounds the node count.
     """
     mu = np.asarray(mu, dtype=float)
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
@@ -625,20 +649,27 @@ def bvn_cdf_lattice(mu, Sigma, xs, ys):
     if np.any(np.diff(xs) < 0):
         raise ConfigurationError("xs must be sorted ascending")
     sx = math.sqrt(max(Sigma[0, 0], _DEGENERATE_VAR))
-    sy = math.sqrt(max(Sigma[1, 1], _DEGENERATE_VAR))
     beta = Sigma[1, 0] / max(Sigma[0, 0], _DEGENERATE_VAR)
     s_cond = math.sqrt(max(Sigma[1, 1] - beta * Sigma[1, 0], 1e-300))
 
     lo_w = mu[0] - _WINDOW_SD * sx
     hi_w = mu[0] + _WINDOW_SD * sx
-    interior = [float(x) for x in xs if lo_w < x < hi_w]
-    borders = np.array([lo_w] + interior + [hi_w])
+    inside = (xs > lo_w) & (xs < hi_w)
+    borders = np.concatenate(([lo_w], xs[inside], [hi_w]))
 
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    half = 0.5 * (borders[1:] - borders[:-1])
-    mid = 0.5 * (borders[1:] + borders[:-1])
-    x_nodes = mid[:, None] + half[:, None] * nodes[None, :]
-    w_nodes = half[:, None] * weights[None, :]
+    scale = sx if abs(beta) * sx <= s_cond else s_cond / abs(beta)
+    width = borders[1:] - borders[:-1]
+    n_sub = np.maximum(np.ceil(width / (2.0 * max(scale, sx / 64.0))), 1.0).astype(int)
+    # first[i]: position of borders[i] among the refined borders
+    first = np.concatenate(([0], np.cumsum(n_sub)))
+    seg = np.repeat(np.arange(width.size), n_sub)
+    frac = (np.arange(first[-1]) - first[seg]) / n_sub[seg]
+    fine = np.append(borders[seg] + width[seg] * frac, borders[-1])
+
+    half = 0.5 * (fine[1:] - fine[:-1])
+    mid = 0.5 * (fine[1:] + fine[:-1])
+    x_nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    w_nodes = half[:, None] * _GL_WEIGHTS[None, :]
 
     flat_x = x_nodes.ravel()
     dens = np.exp(-0.5 * ((flat_x - mu[0]) / sx) ** 2) / (sx * math.sqrt(2 * math.pi))
@@ -646,18 +677,12 @@ def bvn_cdf_lattice(mu, Sigma, xs, ys):
     with np.errstate(invalid="ignore"):
         z = (ys[None, :] - m_cond[:, None]) / s_cond
     inner = ndtr(np.where(np.isnan(z), -np.inf, z))
-    seg = ((dens * w_nodes.ravel())[:, None] * inner).reshape(
-        borders.size - 1, 24, ys.size
+    part = ((dens * w_nodes.ravel())[:, None] * inner).reshape(
+        fine.size - 1, _GL_NODES.size, ys.size
     ).sum(axis=1)
-    cum = np.vstack([np.zeros(ys.size), np.cumsum(seg, axis=0)])
+    cum = np.vstack([np.zeros(ys.size), np.cumsum(part, axis=0)])
 
-    border_pos = {b: i for i, b in enumerate(borders)}
-    out = np.empty((xs.size, ys.size))
-    for i, x in enumerate(xs):
-        if x <= lo_w:
-            out[i] = 0.0
-        elif x >= hi_w:
-            out[i] = cum[-1]
-        else:
-            out[i] = cum[border_pos[float(x)]]
-    return out
+    # rows below the window read cum[0] = 0, rows above it the total
+    row = np.where(xs >= hi_w, first[-1], 0)
+    row[inside] = first[1:-1]
+    return cum[row]

@@ -11,7 +11,9 @@ with L = (-inf, -h], M = (-h, h], N = (h, inf). The expansion is truncated
 to a memory of `depth` samples; the remainder factorizes against the
 connected-state probability at the truncation point (the one approximation
 in the exact method, negligible once the shadowing has decorrelated across
-the window). Within-window terms are evaluated by exact_prob.
+the window). Within-window terms are evaluated by exact_prob through the
+process's memo (GapProcess.prob), so a box shared by several terms or
+series is integrated once.
 
 method="pairwise" replaces every within-window joint by a Markov telescope
 of adjacent-pair conditionals, each evaluated by deterministic bivariate
@@ -39,7 +41,6 @@ from .errors import ConfigurationError, DegenerateConditioningError
 from .gaussian import (
     EventSpec,
     GapProcess,
-    exact_prob,
     gap_above,
     gap_below,
     gap_inside,
@@ -101,14 +102,12 @@ def _pairwise_chain(process: GapProcess, constraints) -> float:
     y_cs = [c for c in constraints if c[0][0] == "y"]
     p_cs = [c for c in constraints if c[0][0] == "p"]
     prev = y_cs[0]
-    prob = exact_prob(process.joint([prev[0]]), EventSpec((prev,))).estimate
+    prob = process.prob(EventSpec((prev,))).estimate
     for c in y_cs[1:] + p_cs:
         if prob <= 0.0:
             return 0.0
-        joint = exact_prob(
-            process.joint([prev[0], c[0]]), EventSpec((prev, c))
-        ).estimate
-        marg = exact_prob(process.joint([prev[0]]), EventSpec((prev,))).estimate
+        joint = process.prob(EventSpec((prev, c))).estimate
+        marg = process.prob(EventSpec((prev,))).estimate
         if marg <= 0.0:
             return 0.0
         prob *= joint / marg
@@ -124,9 +123,7 @@ def _eval_term(process, constraints, method, mc_samples, seed):
     ev = EventSpec(tuple(constraints))
     if method == "pairwise":
         return _pairwise_chain(process, ev.constraints), 0.0
-    r = exact_prob(
-        process.joint(ev.labels), ev, mc_samples, _term_seed(seed, ev.constraints)
-    )
+    r = process.prob(ev, mc_samples, _term_seed(seed, ev.constraints))
     return r.estimate, r.stderr
 
 

@@ -28,14 +28,17 @@ Objectives:
 * pareto: z-weighted sum of the two stage costs, no caps.
 
 Every objective is a sum of per-stage grid vectors indexed by the path's
-from-state, so the margin search is an exact per-stage scan. The
-exhaustive and coordinate-descent searchers remain as fallbacks for
-non-separable costs.
+from-state, so the margin search is an exact per-stage scan.
 
 Probability evaluation method "pairwise" reduces every needed quantity to
 one- and two-dimensional boxes evaluated by deterministic segmented
 quadrature on a margin-value lattice (exact at nominal lattice points, no
-interpolation). Method "exact" computes the same boxes through exact_prob;
+interpolation). The stage switch probabilities condition on the root box
+only, so each stage needs just one root-edge table: the CDF of
+(y_l, y_0) on the margin lattice × the edges of both root states' stay
+boxes (+-root_margin, +-inf), integrated over y_l, whose lattice borders
+lie one grid step apart. One such table per stage serves every problem of
+a solve_group. Method "exact" computes the same boxes through exact_prob;
 it is the slow reference used for verification.
 """
 
@@ -189,7 +192,11 @@ class _StageTables:
 
     The lattice holds every margin value the search can query (plus the
     root margin and +-inf), so each conditional below is an exact ratio of
-    lattice CDF differences.
+    lattice CDF differences. The pair quantities condition only on the
+    root box, so each stage keeps one root-edge table: the joint CDF of
+    (y_l, y_0) on the lattice × the edges of both root states' stay boxes,
+    integrated over y_l, whose lattice borders lie one grid step apart.
+    The tables are shared across a solve_group.
     """
 
     def __init__(self, problem: TrellisProblem, share: "_StageTables" = None):
@@ -201,7 +208,7 @@ class _StageTables:
         g = self.grid
         if share is not None:
             for name in (
-                "lattice", "_pos", "mu_y", "sd_y", "F", "T", "U", "p_marg",
+                "lattice", "_pos", "mu_y", "sd_y", "F", "R", "_rpos", "U", "p_marg",
                 "_exact_cache", "_ineg", "_ipos",
             ):
                 if hasattr(share, name):
@@ -224,27 +231,30 @@ class _StageTables:
                         sd[:, None], 1e-150
                     )
                 self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
-                self.T = {}
-                for i, j in [(0, l) for l in range(1, m + 1)] + [
-                    (l - 1, l) for l in range(2, m + 1)
-                ]:
-                    gv = stats.joint([y_labels[i], y_labels[j]])
-                    self.T[(i, j)] = bvn_cdf_lattice(
-                        gv.mu, gv.Sigma, self.lattice, self.lattice
-                    )
+                root_edges = np.unique(
+                    [-np.inf, -problem.root_margin, problem.root_margin, np.inf]
+                )
+                self._rpos = {v: i for i, v in enumerate(root_edges)}
+                # R[l][x, y] = P(y_l <= lattice[x], y_0 <= root_edges[y])
+                self.R = {}
+                for l in range(1, m + 1):
+                    gv = stats.joint([y_labels[l], y_labels[0]])
+                    self.R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
                 self.U = {}
                 self.p_marg = {}
                 beta = problem.outage_threshold_db
                 for l in range(1, m + 1):
                     for s in (0, 1):
-                        gv = stats.joint([("p", s, times[l]), y_labels[l]])
+                        # U[(l, s)][x] = P(y_l <= lattice[x], p_s(t_l) <= beta),
+                        # integrated over y_l like R
+                        gv = stats.joint([y_labels[l], ("p", s, times[l])])
                         self.U[(l, s)] = bvn_cdf_lattice(
-                            gv.mu, gv.Sigma, np.array([beta]), self.lattice
-                        )[0]
+                            gv.mu, gv.Sigma, self.lattice, np.array([beta])
+                        )[:, 0]
                         self.p_marg[(l, s)] = float(
                             ndtr(
-                                (beta - gv.mu[0])
-                                / max(math.sqrt(gv.Sigma[0, 0]), 1e-150)
+                                (beta - gv.mu[1])
+                                / max(math.sqrt(gv.Sigma[1, 1]), 1e-150)
                             )
                         )
                 self._ineg = np.fromiter((self._pos[-v] for v in g), int, g.size)
@@ -261,33 +271,6 @@ class _StageTables:
         if self.problem.method == "pairwise":
             return float(self.F[l, self._pos[box[1]]] - self.F[l, self._pos[box[0]]])
         return self._exact_single(l, box)
-
-    def _pair(self, i: int, j: int, box_i, box_j) -> float:
-        if self.problem.method == "pairwise":
-            T = self.T[(i, j)]
-            a1, a2 = self._pos[box_i[0]], self._pos[box_i[1]]
-            b1, b2 = self._pos[box_j[0]], self._pos[box_j[1]]
-            return float(T[a2, b2] - T[a1, b2] - T[a2, b1] + T[a1, b1])
-        return self._exact_pair(i, j, box_i, box_j)
-
-    def _pow_joint(self, l: int, s: int, box) -> float:
-        """P(p_s(t_l) <= threshold, y_l in box)."""
-        if self.problem.method == "pairwise":
-            U = self.U[(l, s)]
-            return float(U[self._pos[box[1]]] - U[self._pos[box[0]]])
-        return self._exact_pow(l, s, box)
-
-    def _pow_marg(self, l: int, s: int) -> float:
-        if self.problem.method == "pairwise":
-            return self.p_marg[(l, s)]
-        times = self.problem.times
-        gv = self.problem.stats.joint([("p", s, times[l])])
-        return float(
-            ndtr(
-                (self.problem.outage_threshold_db - gv.mu[0])
-                / max(math.sqrt(gv.Sigma[0, 0]), 1e-150)
-            )
-        )
 
     # exact backend: same boxes through exact_prob (Simpson quadrature)
     def _exact_single(self, l, box):
@@ -314,6 +297,7 @@ class _StageTables:
         return self._exact_cache[key]
 
     def _exact_pow(self, l, s, box):
+        """P(p_s(t_l) <= threshold, y_l in box)."""
         t = self.problem.times[l]
         key = ("u", l, s, box)
         if key not in self._exact_cache:
@@ -338,15 +322,6 @@ class _StageTables:
             return (zeros, self._ineg) if u == 0 else (self._ipos, last)
         return (self._ineg, last) if u == 0 else (zeros, self._ipos)
 
-    @staticmethod
-    def _pair_block(T, a, b):
-        """Vectorized pair-box probabilities; a/b are (lo, hi) index arrays."""
-        a1, a2 = a
-        b1, b2 = b
-        return (
-            T[np.ix_(a2, b2)] - T[np.ix_(a1, b2)] - T[np.ix_(a2, b1)] + T[np.ix_(a1, b1)]
-        )
-
     def _build_grids(self, share=None):
         m = self.problem.horizon
         g = self.grid
@@ -364,12 +339,12 @@ class _StageTables:
                     if self._root_degenerate:
                         self.hc[l, u] = self.F[l, hi] - self.F[l, lo]
                     else:
-                        ra = (
-                            np.array([self._pos[self.root_box[0]]]),
-                            np.array([self._pos[self.root_box[1]]]),
-                        )
-                        T = self.T[(0, l)]
-                        self.hc[l, u] = self._pair_block(T, ra, (lo, hi))[0] / root_p
+                        r1 = self._rpos[self.root_box[0]]
+                        r2 = self._rpos[self.root_box[1]]
+                        R = self.R[l]
+                        self.hc[l, u] = (
+                            R[hi, r2] - R[lo, r2] - R[hi, r1] + R[lo, r1]
+                        ) / root_p
                 else:
                     for i, h in enumerate(g):
                         sw = _switch_box(u, h)
@@ -377,7 +352,7 @@ class _StageTables:
                             self.hc[l, u, i] = self._single(l, sw)
                         else:
                             self.hc[l, u, i] = (
-                                self._pair(0, l, self.root_box, sw) / root_p
+                                self._exact_pair(0, l, self.root_box, sw) / root_p
                             )
 
         if share is not None:
@@ -408,10 +383,12 @@ class _StageTables:
                                 if u_to != u_from
                                 else _stay_box(u_from, h)
                             )
-                            num = self._pow_joint(l, s, box)
+                            num = self._exact_pow(l, s, box)
                             den = self._single(l, box)
                             if den < _COND_FLOOR:
-                                self.oc[l, u_from, u_to, i] = self._pow_marg(l, s)
+                                self.oc[l, u_from, u_to, i] = _outage_marginal(
+                                    self.problem, l, s
+                                )
                             else:
                                 self.oc[l, u_from, u_to, i] = num / den
 
@@ -419,6 +396,17 @@ class _StageTables:
         # conditionals charged (u_to = u_from stays, u_to = 1 - u_from
         # switches, so summing over u_to covers exactly the two branches)
         self.po = self.oc.sum(axis=2)
+
+
+def _outage_marginal(problem: TrellisProblem, l: int, s: int) -> float:
+    """P(p_s(t_l) <= threshold), the fallback of a degenerate stage box."""
+    gv = problem.stats.joint([("p", s, problem.times[l])])
+    return float(
+        ndtr(
+            (problem.outage_threshold_db - gv.mu[0])
+            / max(math.sqrt(gv.Sigma[0, 0]), 1e-150)
+        )
+    )
 
 
 def _get_tables(problem: TrellisProblem) -> _StageTables:
@@ -516,53 +504,11 @@ def _decoupled_argmin(stage_costs, masks, forced):
     return out
 
 
-def _exhaustive_argmin(cost_fn, masks, forced):
-    """Full Cartesian scan; first minimum in lexicographic order."""
-    m = masks.shape[0]
-    axes = []
-    for l in range(m):
-        axes.append(
-            np.array([forced[l]])
-            if forced[l] is not None
-            else np.flatnonzero(masks[l])
-        )
-    mesh = np.stack(
-        np.meshgrid(*axes, indexing="ij"), axis=-1
-    ).reshape(-1, m)
-    costs = cost_fn(mesh)
-    return mesh[int(np.argmin(costs))]
-
-
-def _coordinate_descent(cost_fn, masks, forced, grid):
-    """Cyclic coordinate descent, 3 sweeps from the grid midpoint."""
-    m = masks.shape[0]
-    x = np.empty(m, dtype=int)
-    mid = (grid.size - 1) // 2
-    for l in range(m):
-        if forced[l] is not None:
-            x[l] = forced[l]
-        else:
-            allowed = np.flatnonzero(masks[l])
-            x[l] = allowed[int(np.argmin(np.abs(allowed - mid)))]
-    for _ in range(3):
-        for l in range(m):
-            if forced[l] is not None:
-                continue
-            allowed = np.flatnonzero(masks[l])
-            cand = np.tile(x, (allowed.size, 1))
-            cand[:, l] = allowed
-            costs = cost_fn(cand)
-            x[l] = allowed[int(np.argmin(costs))]
-    return x
-
-
 def optimize_path_hysteresis(path: TrellisPath, problem: TrellisProblem) -> TrellisPath:
     """Fill in the path's optimal margins, cost and feasibility.
 
     Every shipped objective decomposes into per-stage grid vectors, so the
-    search is an exact per-stage scan. Cartesian enumeration (within 41^2
-    combinations) and cyclic coordinate descent beyond that are kept for
-    costs without that structure.
+    search is an exact per-stage scan.
     """
     m = problem.horizon
     if m == 0:
@@ -672,7 +618,9 @@ def verify_solution(problem: TrellisProblem, solution: TrellisSolution, tol_sigm
 
     Returns a dict with per-stage recomputed values and an 'ok' flag: every
     capped quantity must respect its cap within tol_sigma reported standard
-    errors of the exact evaluation.
+    errors of the exact evaluation. A conditioning box without mass is
+    replaced as in the stage tables: by the marginal outage (min_handover)
+    or the unconditional stage switch probability (min_outage).
     """
     if problem.horizon == 0:
         return {"ok": True, "stages": []}
@@ -703,26 +651,36 @@ def verify_solution(problem: TrellisProblem, solution: TrellisSolution, tol_sigm
                 problem.stats.joint([("y", t)]),
                 EventSpec(((("y", t), box[0], box[1]),)),
             ).estimate
-            value = num / den if den > _COND_FLOOR else num
+            # same fallback as the stage tables: the marginal outage
+            value = (
+                _outage_marginal(problem, l, u_to) if den < _COND_FLOOR else num / den
+            )
             cap = problem.p_out_cap
         elif problem.objective == "min_outage":
             sw = _switch_box(u_from, h)
             root_box = _stay_box(problem.root_b, problem.root_margin)
-            gv = problem.stats.joint([("y", times[0]), ("y", t)])
-            num = exact_prob(
-                gv,
-                EventSpec(
-                    (
-                        (("y", times[0]), root_box[0], root_box[1]),
-                        (("y", t), sw[0], sw[1]),
-                    )
-                ),
-            ).estimate
             den = exact_prob(
                 problem.stats.joint([("y", times[0])]),
                 EventSpec(((("y", times[0]), root_box[0], root_box[1]),)),
             ).estimate
-            value = num / den if den > _COND_FLOOR else num
+            if den < _COND_FLOOR:
+                # same fallback as the stage tables: the unconditional
+                # stage switch probability
+                value = exact_prob(
+                    problem.stats.joint([("y", t)]),
+                    EventSpec(((("y", t), sw[0], sw[1]),)),
+                ).estimate
+            else:
+                gv = problem.stats.joint([("y", times[0]), ("y", t)])
+                value = exact_prob(
+                    gv,
+                    EventSpec(
+                        (
+                            (("y", times[0]), root_box[0], root_box[1]),
+                            (("y", t), sw[0], sw[1]),
+                        )
+                    ),
+                ).estimate / den
             cap = problem.p_han_cap
         else:
             stages.append({"stage": l, "value": math.nan, "cap": math.nan})

@@ -194,6 +194,18 @@ def test_usage_errors_exit_2(capsys):
     assert json.loads(err)["error"]["code"] == "config"
 
 
+def test_numerical_failures_exit_3(capsys):
+    # without shadowing the gap covariance is singular, which the
+    # eigenvalue sandwich refuses with a NumericalConsistencyError
+    rc, _, err = run_main(
+        capsys,
+        ["accuracy", "--shadow-sigma-db", "0", "--instances", "2", "--k", "4"],
+    )
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"]["code"] == "numerical"
+
+
 def test_unknown_preset_is_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--preset", "downtown", "--trials", "1",

@@ -158,6 +158,37 @@ def test_bvn_lattice_box_assembly():
     assert box == pytest.approx(want, abs=1e-8)
 
 
+def test_bvn_lattice_resolves_the_tails_at_high_correlation():
+    # outside the lattice a single 24-node segment spans tens of dB while the
+    # conditional CDF steps within ~1 dB; the +inf row is the exact Y marginal
+    mu = np.array([0.722, 0.628])
+    sd = np.array([8.06, 7.90])
+    rho = 0.9888
+    Sigma = np.array(
+        [[sd[0] ** 2, rho * sd[0] * sd[1]], [rho * sd[0] * sd[1], sd[1] ** 2]]
+    )
+    lattice = np.concatenate(([-INF], np.arange(-10.0, 10.0 + 0.125, 0.25), [INF]))
+    T = bvn_cdf_lattice(mu, Sigma, lattice, lattice)
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
+    assert T[-1, -2] == pytest.approx(norm.cdf((10.0 - mu[1]) / sd[1]), abs=1e-10)
+    beta = Sigma[1, 0] / Sigma[0, 0]
+    s_cond = math.sqrt(Sigma[1, 1] - beta * Sigma[1, 0])
+    for i, j in ((1, 1), (1, 81), (40, 40), (81, 1)):
+        x, y = lattice[i], lattice[j]
+        f = lambda t: norm.pdf(t, mu[0], sd[0]) * norm.cdf(
+            (y - mu[1] - beta * (t - mu[0])) / s_cond
+        )
+        step = mu[0] + (y - mu[1]) / beta
+        lo = mu[0] - 12.0 * sd[0]
+        want = quad(
+            f, lo, x, points=[step] if lo < step < x else None,
+            epsabs=1e-15, epsrel=1e-13, limit=400,
+        )[0]
+        assert T[i, j] == pytest.approx(want, abs=1e-10)
+
+
 def test_bvn_lattice_requires_ascending_lattice():
     mu = np.zeros(2)
     Sigma = np.eye(2)

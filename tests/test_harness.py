@@ -1,5 +1,6 @@
 """Simulation harness: reproducibility, aggregation, table emission."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -130,6 +131,20 @@ def test_policy_margin_tables():
     np.testing.assert_allclose(opt[0], cfg.h_fixed_db)
     grid = solve_grid = np.round(np.arange(0.0, cfg.h_max_db + 0.125, 0.25), 10)
     assert np.all(np.isin(opt[1:], solve_grid))
+
+
+def test_opt_margin_tables_are_pinned():
+    # equality gate: the stage tables may change how they integrate, but the
+    # optimized margins of the paper's scenario must stay bit for bit
+    tables = opt_margin_tables(preset("paper-vi"))
+    h = hashlib.sha256()
+    for label in sorted(tables):
+        h.update(label.encode())
+        h.update(tables[label].astype("<f8").tobytes())
+    assert sorted(tables) == ["opt1", "opt2", "opt3"]
+    assert h.hexdigest() == (
+        "566017a87196e109e554473afb63a556bfb7f224fb6d4ee4c03a2aec7d0c6993"
+    )
 
 
 def test_optimal_h_profile_two_cell_only():

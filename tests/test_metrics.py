@@ -150,6 +150,30 @@ def test_pairwise_method_tracks_exact():
         assert pw.p_connected_bs1 == pytest.approx(ex.p_connected_bs1, abs=5e-3)
 
 
+def test_series_reuse_the_process_memo(monkeypatch):
+    import handopt.gaussian as gaussian
+
+    def run(proc):
+        h = handover_series(proc, 12, 2.0, depth=8, method="pairwise")
+        o = outage_series(proc, 12, 2.0, depth=8, threshold_db=THRESH, method="pairwise")
+        return h + o
+
+    proc, _, _, _ = build_process()
+    first = run(proc)
+    calls = []
+    y_stats = gaussian.y_stats
+    monkeypatch.setattr(
+        gaussian, "y_stats", lambda *a, **k: calls.append(a) or y_stats(*a, **k)
+    )
+    second = run(proc)
+    assert calls == []
+    fresh, _, _, _ = build_process()
+    for a, b, c in zip(first, second, run(fresh)):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+    assert calls  # the fresh process builds its own vectors
+
+
 def test_per_sample_margin_series(mc_run):
     proc, d, _, _ = mc_run
     h_series = np.linspace(0.5, 4.0, N)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
 from handopt import (
@@ -19,19 +21,19 @@ from handopt import (
     build_trellis,
     coefficient_table,
     optimize_path_hysteresis,
+    preset,
     problem_from_process,
     solve,
     solve_group,
     stage_profile,
     verify_solution,
 )
+from handopt.harness import _gap_process
 from handopt.metrics import GapProcess
 from handopt.optimizer import (
     TrellisPath,
     TrellisProblem,
-    _coordinate_descent,
     _decoupled_argmin,
-    _exhaustive_argmin,
     _feasible_masks,
     _get_tables,
     _stage_cost_vectors,
@@ -217,6 +219,68 @@ def scipy_stage_tables(problem):
                     num = scipy_box2(gv_py, [-INF, lo], [beta, hi])
                     oc[u_from, u_to, i] = num / den
     return g, hc, oc, oc.sum(axis=1)
+
+
+def quad_box2(gv, lo, hi):
+    """P(lo < X <= hi) for a bivariate law by adaptive quadrature over X.
+
+    The inner conditional CDF steps where the conditional mean crosses a
+    finite Y edge; those points are passed to quad as breakpoints.
+    """
+    mu, S = gv.mu, gv.Sigma
+    s0 = math.sqrt(S[0, 0])
+    beta = S[1, 0] / S[0, 0]
+    s_cond = math.sqrt(S[1, 1] - beta * S[1, 0])
+    a = max(lo[0], mu[0] - 12.0 * s0)
+    b = min(hi[0], mu[0] + 12.0 * s0)
+
+    def f(x):
+        m = mu[1] + beta * (x - mu[0])
+        dens = math.exp(-0.5 * ((x - mu[0]) / s0) ** 2) / (s0 * math.sqrt(2 * math.pi))
+        return dens * (ndtr((hi[1] - m) / s_cond) - ndtr((lo[1] - m) / s_cond))
+
+    steps = [mu[0] + (e - mu[1]) / beta for e in (lo[1], hi[1]) if math.isfinite(e)]
+    steps = sorted(x for x in steps if a < x < b)
+    return quad(f, a, b, points=steps or None, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+
+
+def test_stage_tables_match_adaptive_quadrature_at_high_correlation():
+    # paper-vi at 2 m/s: adjacent gaps correlate at rho ~ 0.988, where a
+    # 24-node rule over a tail segment tens of dB wide errs by ~1e-6
+    config = preset("paper-vi").with_updates(speed_mps=2.0)
+    proc = _gap_process(config)
+    beta = config.resolved_outage_threshold()
+    for root_b in (0, 1):
+        problem = problem_from_process(
+            proc, 40, 1, "min_handover",
+            root_b=root_b, root_margin=2.0, outage_threshold_db=beta,
+        )
+        t0, t1 = problem.times
+        pair = problem.stats.joint([("y", t0), ("y", t1)])
+        rho = pair.Sigma[0, 1] / math.sqrt(pair.Sigma[0, 0] * pair.Sigma[1, 1])
+        assert rho > 0.98
+        tables = _get_tables(problem)
+        y0 = problem.stats.joint([("y", t0)])
+        y1 = problem.stats.joint([("y", t1)])
+        cdf = lambda gv, x: ndtr((x - gv.mu[0]) / math.sqrt(gv.Sigma[0, 0]))
+        r_lo, r_hi = (-2.0, INF) if root_b == 0 else (-INF, 2.0)
+        root_p = cdf(y0, r_hi) - cdf(y0, r_lo)
+        for u in (0, 1):
+            for i, h in enumerate(tables.grid):
+                lo, hi = (-INF, -h) if u == 0 else (h, INF)
+                ref = quad_box2(pair, [r_lo, lo], [r_hi, hi]) / root_p
+                assert abs(tables.hc[1, u, i] - ref) < 1e-9
+    # oc does not depend on the root state: check it once
+    for u_from in (0, 1):
+        for u_to in (0, 1):
+            gv = problem.stats.joint([("p", u_to, t1), ("y", t1)])
+            for i, h in enumerate(tables.grid):
+                if u_to != u_from:
+                    lo, hi = (-INF, -h) if u_from == 0 else (h, INF)
+                else:
+                    lo, hi = (-h, INF) if u_from == 0 else (-INF, h)
+                ref = quad_box2(gv, [-INF, lo], [beta, hi]) / (cdf(y1, hi) - cdf(y1, lo))
+                assert abs(tables.oc[1, u_from, u_to, i] - ref) < 1e-9
 
 
 def test_stage_tables_match_scipy_recomputation():
@@ -518,6 +582,42 @@ def test_verify_solution_confirms_feasible_winners():
             assert all(math.isnan(s["value"]) for s in report["stages"])
 
 
+def test_verify_solution_uses_the_stage_tables_fallbacks():
+    # rooted on BS0 far inside BS1 territory with little shadowing: the root
+    # box (y > 0) and the stay box (y > -h) carry no mass, so both sides
+    # must fall back to the same substitutes (marginal outage for min_handover,
+    # unconditional switch probability for min_outage)
+    x = 1750.0 + STEP * np.arange(10)
+    d = np.stack([x, 2000.0 - x])
+    ch = ChannelParams(shadow_sigma_db=2.0)
+    proc = GapProcess(
+        coefficient_table(d[0], 4, "avg"), coefficient_table(d[1], 4, "avg"),
+        (ch, ch), d, STEP,
+    )
+    for objective, kw in (
+        ("min_handover", {"p_out_cap": 1.0}),
+        ("min_outage", {"p_han_cap": 0.5, "h_max": 40.0}),
+    ):
+        problem = problem_from_process(
+            proc, 4, 1, objective,
+            root_b=0, root_margin=0.0, outage_threshold_db=-113.0, **kw,
+        )
+        sol = solve(problem)
+        tables = _get_tables(problem)
+        i = int(np.argmin(np.abs(tables.grid - sol.h_first)))
+        assert tables._root_degenerate
+        if objective == "min_handover":
+            assert sol.path.states == (0,)
+            assert tables._single(1, (-sol.h_first, INF)) < 1e-12
+            capped = tables.oc[1, 0, 0, i]
+        else:
+            capped = tables.hc[1, 0, i]
+        assert 0.1 < capped < 0.9
+        report = verify_solution(problem, sol)
+        assert report["ok"]
+        assert report["stages"][0]["value"] == pytest.approx(capped, abs=1e-6)
+
+
 def test_stage_profile_reads_the_chosen_cells():
     proc = two_cell_process(start=980.0, n=10)
     problem = problem_from_process(
@@ -556,6 +656,46 @@ def test_min_outage_single_stage_always_stays():
         assert solve(problem).b_next == problem.root_b
 
 
+def exhaustive_argmin(cost_fn, masks, forced):
+    """Full Cartesian scan; first minimum in lexicographic order."""
+    m = masks.shape[0]
+    axes = []
+    for l in range(m):
+        axes.append(
+            np.array([forced[l]])
+            if forced[l] is not None
+            else np.flatnonzero(masks[l])
+        )
+    mesh = np.stack(
+        np.meshgrid(*axes, indexing="ij"), axis=-1
+    ).reshape(-1, m)
+    costs = cost_fn(mesh)
+    return mesh[int(np.argmin(costs))]
+
+
+def coordinate_descent(cost_fn, masks, forced, grid):
+    """Cyclic coordinate descent, 3 sweeps from the grid midpoint."""
+    m = masks.shape[0]
+    x = np.empty(m, dtype=int)
+    mid = (grid.size - 1) // 2
+    for l in range(m):
+        if forced[l] is not None:
+            x[l] = forced[l]
+        else:
+            allowed = np.flatnonzero(masks[l])
+            x[l] = allowed[int(np.argmin(np.abs(allowed - mid)))]
+    for _ in range(3):
+        for l in range(m):
+            if forced[l] is not None:
+                continue
+            allowed = np.flatnonzero(masks[l])
+            cand = np.tile(x, (allowed.size, 1))
+            cand[:, l] = allowed
+            costs = cost_fn(cand)
+            x[l] = allowed[int(np.argmin(costs))]
+    return x
+
+
 def test_search_strategies_agree_on_stage_decomposable_costs():
     proc = two_cell_process(start=970.0, n=10)
     problem = problem_from_process(
@@ -569,8 +709,8 @@ def test_search_strategies_agree_on_stage_decomposable_costs():
         costs = _stage_cost_vectors(problem, tables, path.states)
         fn = _sum_cost_fn(costs)
         a = _decoupled_argmin(costs, masks, forced)
-        b = _exhaustive_argmin(fn, masks, forced)
-        c = _coordinate_descent(fn, masks, forced, tables.grid)
+        b = exhaustive_argmin(fn, masks, forced)
+        c = coordinate_descent(fn, masks, forced, tables.grid)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
 
