@@ -4,9 +4,9 @@ The estimated strength gap y(n) and the received powers p_s(n) are jointly
 Gaussian because both are linear images of the log-normal shadowing. This
 module builds their joint mean/covariance over a set of sample times
 (y_stats) and evaluates rectangle-event probabilities over the resulting
-vectors: exactly (closed form / deterministic quadrature up to dimension 3,
-Monte Carlo above), and through a family of cheaper approximations used when
-the event dimension grows.
+vectors: exactly (closed form in dimension 1, Simpson quadrature in 2, nested
+Gauss-Legendre quadrature in 3, Monte Carlo above), and through a family of
+cheaper approximations used when the event dimension grows.
 
 Coordinates are addressed by labels: ("y", t) for the gap at sample t and
 ("p", s, t) for BS s received power at sample t. Events are conjunctions of
@@ -30,12 +30,15 @@ from .errors import ConfigurationError, NumericalConsistencyError
 _WINDOW_SD = 8.5
 _MC_CHUNK = 200_000
 _DEGENERATE_VAR = 1e-30
+# Points per block of the 3-dim quadrature: its temporaries stay below those
+# of one Monte Carlo chunk (_MC_CHUNK draws of at least 4 coordinates).
+_QUAD_BLOCK = 1 << 18
 
 # Reported absolute-error figures for the deterministic branches.
 _STDERR_CLOSED = 1e-9
 _STDERR_QUAD = 1e-6
 
-# Gauss-Legendre rule of every bvn_cdf_lattice segment.
+# Gauss-Legendre rule of every bvn_cdf_lattice and 3-dim quadrature segment.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
@@ -382,33 +385,106 @@ def _quad_dim2(mu, Sigma, lo, hi):
     return float(simpson(dens * inner, x=x))
 
 
+def _gl_rule(a, b, n_seg):
+    """Nodes and weights, one row per interval [a[i], b[i]], of n_seg equal
+    24-node Gauss-Legendre segments."""
+    edges = a[:, None] + (b - a)[:, None] * (np.arange(n_seg + 1) / n_seg)
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    mid = edges[:, :-1, None] + half
+    nodes = (mid + half * _GL_NODES).reshape(a.size, -1)
+    return nodes, (half * _GL_WEIGHTS).reshape(a.size, -1)
+
+
+def _gl_zoned(a, b, steps):
+    """Gauss-Legendre nodes and weights, one row per interval [a[i], b[i]].
+
+    The integrand is smooth on unit scale except across its steps, given as
+    (center, scale) pairs, center a scalar or an array over rows: within
+    _WINDOW_SD scales of its center a step varies on its scale, beyond that
+    it is flat. Zone borders split each interval into pieces, and each piece
+    into equal 24-node segments no wider than twice the smallest scale of
+    the zones it lies in (1 outside them), so a step of any sharpness costs
+    about nine segments. An empty interval gets zero weights.
+    """
+    b = np.maximum(a, b)
+    zones = [(c - _WINDOW_SD * s, c + _WINDOW_SD * s, s) for c, s in steps if s < 1.0]
+    cuts = [a, b] + [np.broadcast_to(e, a.shape) for z in zones for e in z[:2]]
+    borders = np.sort(np.clip(np.column_stack(cuts), a[:, None], b[:, None]), axis=1)
+    xs, ws = [], []
+    for left, right in zip(borders.T[:-1], borders.T[1:]):
+        if not np.any(right > left):
+            continue
+        mid = 0.5 * (left + right)
+        scale = np.ones_like(mid)
+        for z_lo, z_hi, s in zones:
+            scale = np.where((z_lo <= mid) & (mid <= z_hi), np.minimum(scale, s), scale)
+        x, w = _gl_rule(left, right, math.ceil(np.max((right - left) / (2.0 * scale))))
+        xs.append(x)
+        ws.append(w)
+    if not xs:
+        return np.zeros((a.size, 0)), np.zeros((a.size, 0))
+    return np.hstack(xs), np.hstack(ws)
+
+
+def _std_pdf(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+
 def _quad_dim3(mu, Sigma, lo, hi):
-    s0 = math.sqrt(Sigma[0, 0])
-    a0 = max(lo[0], mu[0] - _WINDOW_SD * s0)
-    b0 = min(hi[0], mu[0] + _WINDOW_SD * s0)
-    s1m = math.sqrt(Sigma[1, 1])
-    a1 = max(lo[1], mu[1] - _WINDOW_SD * s1m)
-    b1 = min(hi[1], mu[1] + _WINDOW_SD * s1m)
-    if not (a0 < b0 and a1 < b1):
+    """Trivariate box probability by nested zoned Gauss-Legendre.
+
+    With the Cholesky factor L, X = mu + L z for standard z. The outer rule
+    runs over z0, the inner over z1 inside its conditional window given z0
+    (the x1 box edges are segment borders), and z2 is integrated in closed
+    form by an ndtr difference. The inner integrand steps where x2's
+    conditional mean crosses an x2 edge. The outer one steps where x1's
+    conditional mean given z0 crosses an x1 edge, where x2's does, and where
+    an x1 edge's border in z1 meets an x2 step. Both rules resolve every
+    step on its own scale (_gl_zoned), which keeps the result exact however
+    close to singular the covariance is.
+    """
+    l00 = math.sqrt(Sigma[0, 0])
+    l10, l20 = Sigma[1, 0] / l00, Sigma[2, 0] / l00
+    v1 = Sigma[1, 1] - l10 * l10
+    l11 = math.sqrt(max(v1, 1e-300))
+    # an x1 with no variance left given x0 carries no information on x2
+    l21 = (Sigma[2, 1] - l20 * l10) / l11 if v1 > 0.0 else 0.0
+    l22 = math.sqrt(max(Sigma[2, 2] - l20 * l20 - l21 * l21, 1e-300))
+
+    a0 = max(-_WINDOW_SD, (lo[0] - mu[0]) / l00)
+    b0 = min(_WINDOW_SD, (hi[0] - mu[0]) / l00)
+    if not a0 < b0:
         return 0.0
-    x0 = _simpson_nodes(a0, b0)
-    x1 = _simpson_nodes(a1, b1)
+    e1 = [e - mu[1] for e in (lo[1], hi[1]) if math.isfinite(e)]
+    e2 = [e - mu[2] for e in (lo[2], hi[2]) if math.isfinite(e)]
+    steps0 = []
+    if l10:
+        steps0 += [(e / l10, l11 / abs(l10)) for e in e1]
+    if l20:
+        steps0 += [(e / l20, math.hypot(l21, l22) / abs(l20)) for e in e2]
+    rel = l10 / l11 - l20 / l21 if l21 else 0.0
+    if rel:
+        steps0 += [((f / l11 - e / l21) / rel, l22 / abs(l21 * rel)) for f in e1 for e in e2]
+    z0, w0 = _gl_zoned(np.array([a0]), np.array([b0]), steps0)
+    z0, w0 = z0[0], w0[0] * _std_pdf(z0[0])
 
-    beta10 = Sigma[1, 0] / Sigma[0, 0]
-    s1c = math.sqrt(max(Sigma[1, 1] - beta10 * Sigma[1, 0], 1e-300))
-    top = np.linalg.inv(Sigma[:2, :2])
-    beta2 = Sigma[2, :2] @ top
-    s2c = math.sqrt(max(Sigma[2, 2] - beta2 @ Sigma[:2, 2], 1e-300))
-
-    dens0 = np.exp(-0.5 * ((x0 - mu[0]) / s0) ** 2) / (s0 * math.sqrt(2 * math.pi))
-    out = np.empty(x0.size)
-    for i, xi in enumerate(x0):
-        m1 = mu[1] + beta10 * (xi - mu[0])
-        dens1 = np.exp(-0.5 * ((x1 - m1) / s1c) ** 2) / (s1c * math.sqrt(2 * math.pi))
-        m2 = mu[2] + beta2[0] * (xi - mu[0]) + beta2[1] * (x1 - mu[1])
-        inner = ndtr((hi[2] - m2) / s2c) - ndtr((lo[2] - m2) / s2c)
-        out[i] = simpson(dens0[i] * dens1 * inner, x=x1)
-    return float(simpson(out, x=x0))
+    m1 = mu[1] + l10 * z0
+    a1 = np.maximum(-_WINDOW_SD, (lo[1] - m1) / l11)
+    b1 = np.minimum(_WINDOW_SD, (hi[1] - m1) / l11)
+    # an inner row has at most 1 + 2 len(e2) pieces, each of at most
+    # ceil(_WINDOW_SD) segments
+    row_nodes = (1 + 2 * len(e2)) * math.ceil(_WINDOW_SD) * _GL_NODES.size
+    rows = max(1, _QUAD_BLOCK // row_nodes)
+    total = 0.0
+    for i in range(0, z0.size, rows):
+        blk = slice(i, i + rows)
+        shift = l20 * z0[blk]
+        steps1 = [((e - shift) / l21, l22 / abs(l21)) for e in e2] if l21 else []
+        z1, w1 = _gl_zoned(a1[blk], b1[blk], steps1)
+        m2 = mu[2] + shift[:, None] + l21 * z1
+        inner = ndtr((hi[2] - m2) / l22) - ndtr((lo[2] - m2) / l22)
+        total += float(w0[blk] @ (w1 * _std_pdf(z1) * inner).sum(axis=1))
+    return total
 
 
 def exact_prob(
@@ -419,10 +495,14 @@ def exact_prob(
 ) -> ProbResult:
     """Probability of the box event under the joint Gaussian law.
 
-    Dimensions 1-3 use closed form / deterministic Simpson quadrature with a
-    reported conservative absolute-error figure; higher dimensions fall back
-    to chunked Monte Carlo with a binomial standard error. Near-zero-variance
-    coordinates are resolved as deterministic memberships first.
+    Dimension 1 is closed form. Dimension 2 runs a 2001-node Simpson rule
+    over x0 with the conditional normal CDF of x1 inside. Dimension 3 runs
+    nested Gauss-Legendre rules over x0 and x1, each segmented at the steps
+    of its integrand, with the conditional normal CDF of x2 inside
+    (_quad_dim3). These report a conservative absolute-error figure; higher
+    dimensions fall back to chunked Monte Carlo with a binomial standard
+    error. Near-zero-variance coordinates are resolved as deterministic
+    memberships first.
     """
     if mc_samples < 10_000:
         raise ConfigurationError("mc_samples must be at least 10000")
@@ -441,10 +521,10 @@ def exact_prob(
         s = math.sqrt(Sigma[0, 0])
         p = float(ndtr((hi[0] - mu[0]) / s) - ndtr((lo[0] - mu[0]) / s))
         return ProbResult(max(p, 0.0), _STDERR_CLOSED, "closed-form")
-    if k == 2:
-        return ProbResult(max(_quad_dim2(mu, Sigma, lo, hi), 0.0), _STDERR_QUAD, "quadrature")
-    if k == 3:
-        return ProbResult(max(_quad_dim3(mu, Sigma, lo, hi), 0.0), _STDERR_QUAD, "quadrature")
+    if k <= 3:
+        # rounding can carry a quadrature sum a few ulps outside [0, 1]
+        p = (_quad_dim2 if k == 2 else _quad_dim3)(mu, Sigma, lo, hi)
+        return ProbResult(min(max(p, 0.0), 1.0), _STDERR_QUAD, "quadrature")
     p, stderr, jittered = _mc_box_prob(mu, Sigma, lo, hi, mc_samples, seed)
     return ProbResult(p, stderr, "mc", jittered)
 

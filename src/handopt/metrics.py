@@ -90,6 +90,20 @@ def _h_lookup(h_series, n_last: int) -> np.ndarray:
     return h[: n_last + 1]
 
 
+def _check_chain_args(process: GapProcess, n_last: int, depth: int, b_init: int, method: str):
+    """Reject bad series arguments before any box probability is evaluated."""
+    if not 0 <= n_last < process.n_samples:
+        raise ConfigurationError(
+            f"n_last {n_last} outside the trace's samples 0..{process.n_samples - 1}"
+        )
+    if depth < 1:
+        raise ConfigurationError("depth must be at least 1")
+    if b_init not in (0, 1):
+        raise ConfigurationError("b_init must be 0 or 1")
+    if method not in ("exact", "pairwise"):
+        raise ConfigurationError(f"unknown method {method!r}")
+
+
 def _term_seed(base_seed: int, constraints) -> int:
     digest = hashlib.blake2b(
         f"{base_seed}|{constraints!r}".encode(), digest_size=8
@@ -202,12 +216,7 @@ def connection_series(
     seed: int = 0,
 ):
     """Arrays (p_bs1, p_bs0, stderr_bs1, stderr_bs0) over samples 0..n_last."""
-    if depth < 1:
-        raise ConfigurationError("depth must be at least 1")
-    if b_init not in (0, 1):
-        raise ConfigurationError("b_init must be 0 or 1")
-    if method not in ("exact", "pairwise"):
-        raise ConfigurationError(f"unknown method {method!r}")
+    _check_chain_args(process, n_last, depth, b_init, method)
     h = _h_lookup(h_series, n_last)
     return _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
 
@@ -244,10 +253,7 @@ def handover_series(
     seed: int = 0,
 ):
     """Arrays (p_h01, p_h10, stderr) of switch probabilities at 0..n_last."""
-    if depth < 1:
-        raise ConfigurationError("depth must be at least 1")
-    if method not in ("exact", "pairwise"):
-        raise ConfigurationError(f"unknown method {method!r}")
+    _check_chain_args(process, n_last, depth, b_init, method)
     h = _h_lookup(h_series, n_last)
     pe, pnot, se_e, se_not = _connection_sweep(
         process, n_last, h, depth, b_init, method, mc_samples, seed
@@ -342,10 +348,7 @@ def outage_series(
     seed: int = 0,
 ):
     """Arrays (p_o0, p_o1, p_o, p_o_mixture, stderr) at samples 0..n_last."""
-    if depth < 1:
-        raise ConfigurationError("depth must be at least 1")
-    if method not in ("exact", "pairwise"):
-        raise ConfigurationError(f"unknown method {method!r}")
+    _check_chain_args(process, n_last, depth, b_init, method)
     if not math.isfinite(threshold_db):
         raise ConfigurationError("threshold_db must be finite")
     h = _h_lookup(h_series, n_last)

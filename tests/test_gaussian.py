@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from handopt import (
@@ -31,7 +33,7 @@ from handopt import (
     sample_power,
     y_stats,
 )
-from handopt.gaussian import check_psd
+from handopt.gaussian import _match_event, _quad_dim3, check_psd
 
 INF = math.inf
 
@@ -115,6 +117,179 @@ def test_exact_prob_complement_sums_to_one():
     lo = exact_prob(gv, box_event(gv.labels, [-INF], [0.0])).estimate
     hi = exact_prob(gv, box_event(gv.labels, [0.0], [INF])).estimate
     assert lo + hi == pytest.approx(1.0, abs=1e-12)
+
+
+# --- trivariate quadrature ---------------------------------------------------
+
+
+def simpson_dim3(mu, Sigma, lo, hi):
+    """The former 2001 x 2001 Simpson rule, an oracle for well-conditioned
+    boxes only: its x1 nodes span the marginal window, which misses the
+    conditional one at high correlation."""
+    from scipy.integrate import simpson
+    from scipy.special import ndtr
+
+    s0 = math.sqrt(Sigma[0, 0])
+    a0 = max(lo[0], mu[0] - 8.5 * s0)
+    b0 = min(hi[0], mu[0] + 8.5 * s0)
+    s1m = math.sqrt(Sigma[1, 1])
+    a1 = max(lo[1], mu[1] - 8.5 * s1m)
+    b1 = min(hi[1], mu[1] + 8.5 * s1m)
+    if not (a0 < b0 and a1 < b1):
+        return 0.0
+    x0 = np.linspace(a0, b0, 2001)
+    x1 = np.linspace(a1, b1, 2001)
+
+    beta10 = Sigma[1, 0] / Sigma[0, 0]
+    s1c = math.sqrt(max(Sigma[1, 1] - beta10 * Sigma[1, 0], 1e-300))
+    beta2 = Sigma[2, :2] @ np.linalg.inv(Sigma[:2, :2])
+    s2c = math.sqrt(max(Sigma[2, 2] - beta2 @ Sigma[:2, 2], 1e-300))
+
+    dens0 = np.exp(-0.5 * ((x0 - mu[0]) / s0) ** 2) / (s0 * math.sqrt(2 * math.pi))
+    out = np.empty(x0.size)
+    for i, xi in enumerate(x0):
+        m1 = mu[1] + beta10 * (xi - mu[0])
+        dens1 = np.exp(-0.5 * ((x1 - m1) / s1c) ** 2) / (s1c * math.sqrt(2 * math.pi))
+        m2 = mu[2] + beta2[0] * (xi - mu[0]) + beta2[1] * (x1 - mu[1])
+        inner = ndtr((hi[2] - m2) / s2c) - ndtr((lo[2] - m2) / s2c)
+        out[i] = simpson(dens0[i] * dens1 * inner, x=x1)
+    return float(simpson(out, x=x0))
+
+
+def adaptive_dim3(mu, Sigma, lo, hi):
+    """Nested adaptive quadrature over the Cholesky coordinates z (x = mu +
+    L z), breaking each level at the steps of the conditional normal CDFs
+    of the next coordinate; z2 is integrated in closed form."""
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    L = np.linalg.cholesky(Sigma)
+    w = 9.0
+
+    def breaks(a, b, pairs):
+        pts = [e / s for e, s in pairs if math.isfinite(e) and s != 0.0]
+        return [p for p in pts if a < p < b] or None
+
+    def inner(z0):
+        m1 = mu[1] + L[1, 0] * z0
+        a = max(-w, (lo[1] - m1) / L[1, 1])
+        b = min(w, (hi[1] - m1) / L[1, 1])
+        if not a < b:
+            return 0.0
+        m2 = mu[2] + L[2, 0] * z0
+
+        def f(z1):
+            m = m2 + L[2, 1] * z1
+            return math.exp(-0.5 * z1 * z1) * (
+                ndtr((hi[2] - m) / L[2, 2]) - ndtr((lo[2] - m) / L[2, 2])
+            )
+
+        pts = breaks(a, b, [(e - m2, L[2, 1]) for e in (lo[2], hi[2])])
+        return quad(f, a, b, points=pts, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+
+    a = max(-w, (lo[0] - mu[0]) / L[0, 0])
+    b = min(w, (hi[0] - mu[0]) / L[0, 0])
+    if not a < b:
+        return 0.0
+    pts = breaks(
+        a, b,
+        [(e - mu[1], L[1, 0]) for e in (lo[1], hi[1])]
+        + [(e - mu[2], L[2, 0]) for e in (lo[2], hi[2])],
+    )
+    g = lambda z0: math.exp(-0.5 * z0 * z0) * inner(z0)
+    return quad(g, a, b, points=pts, epsabs=1e-15, epsrel=1e-13, limit=500)[0] / (2 * math.pi)
+
+
+def quad3(mu, Sigma, lo, hi):
+    return _quad_dim3(*(np.asarray(v, float) for v in (mu, Sigma, lo, hi)))
+
+
+def near_singular(noise):
+    v = np.array([1.0, 0.999, 0.998])
+    return 49.0 * np.outer(v, v) + noise * np.eye(3)
+
+
+def test_quad_dim3_matches_simpson_on_well_conditioned_boxes():
+    rng = np.random.default_rng(40)
+    for _ in range(8):
+        gv, ev = random_instance(rng, 3)
+        mu, Sigma, lo, hi = _match_event(gv, ev)
+        assert quad3(mu, Sigma, lo, hi) == pytest.approx(
+            simpson_dim3(mu, Sigma, lo, hi), abs=1e-9
+        )
+
+
+def test_quad_dim3_matches_simpson_on_accuracy_study_blocks(monkeypatch):
+    import handopt.gaussian as gaussian
+    from handopt.harness import run_accuracy_study
+
+    blocks = {}
+    quad = gaussian._quad_dim3
+
+    def record(mu, Sigma, lo, hi):
+        blocks[b"".join(v.tobytes() for v in (mu, Sigma, lo, hi))] = (mu, Sigma, lo, hi)
+        return quad(mu, Sigma, lo, hi)
+
+    monkeypatch.setattr(gaussian, "_quad_dim3", record)
+    for seed in (0, 1):
+        run_accuracy_study(6, 3, n_instances=2, seed=seed, mc_samples=10_000)
+    assert len(blocks) == 8  # two B1 blocks per instance; UB3's tail repeats one
+    for mu, Sigma, lo, hi in blocks.values():
+        assert quad(mu, Sigma, lo, hi) == pytest.approx(
+            simpson_dim3(mu, Sigma, lo, hi), abs=1e-9
+        )
+
+
+@pytest.mark.parametrize(
+    "Sigma, lo, hi",
+    [
+        # Simpson's marginal x1 grid is off by 1.3e-6 here
+        (near_singular(1e-4), [-2.0, -INF, -2.0], [2.0, 2.0, INF]),
+        # an x1 edge steps inside the x0 box on a 3e-5 sd scale
+        (near_singular(1e-6), [-2.0, -INF, -INF], [2.0, 1.0, INF]),
+        (near_singular(1e-6), [-2.0, -1.0, -INF], [2.0, 1.0, 0.5]),
+        # x2 steps along x0 on a 0.014 sd scale whatever x1 does
+        (
+            [[1.0, 0.0, 0.9999], [0.0, 1.0, 0.0], [0.9999, 0.0, 1.0]],
+            [-2.0, -1.0, -0.3], [2.0, 1.0, INF],
+        ),
+        # corners with one-sided infinite bounds
+        (
+            [[1.5, 0.6, 0.3], [0.6, 2.0, -0.4], [0.3, -0.4, 1.2]],
+            [-INF, -2.0, -INF], [0.5, INF, 1.0],
+        ),
+        (
+            [[1.5, 0.6, 0.3], [0.6, 2.0, -0.4], [0.3, -0.4, 1.2]],
+            [0.5, -INF, -1.0], [INF, 1.0, INF],
+        ),
+    ],
+)
+def test_quad_dim3_matches_adaptive_quadrature(Sigma, lo, hi):
+    mu = np.array([0.3, -0.2, 0.1])
+    Sigma, lo, hi = (np.asarray(v, float) for v in (Sigma, lo, hi))
+    assert quad3(mu, Sigma, lo, hi) == pytest.approx(
+        adaptive_dim3(mu, Sigma, lo, hi), abs=1e-10
+    )
+
+
+def test_quad_dim3_reaches_the_degenerate_limit():
+    # Sigma -> 49 v v^T: x = 7 v Z, and only the x0 box (resp. the x1 upper
+    # edge) binds Z
+    from scipy.stats import norm
+
+    Sigma = near_singular(1e-8)
+    p = quad3(np.zeros(3), Sigma, [-2.0, -INF, -2.0], [2.0, 2.0, INF])
+    assert p == pytest.approx(norm.cdf(2 / 7) - norm.cdf(-2 / 7), abs=1e-9)
+    p = quad3(np.zeros(3), Sigma, [-2.0, -INF, -INF], [2.0, 1.0, INF])
+    assert p == pytest.approx(norm.cdf(1 / 6.993) - norm.cdf(-2 / 7), abs=1e-9)
+
+
+def test_quad_dim3_empty_windows_return_zero():
+    Sigma = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # the x0 box lies beyond the integration window
+    assert quad3(np.zeros(3), Sigma, [9.0, -INF, -INF], [INF, INF, INF]) == 0.0
+    # x1 given x0 in (-1, 1] stays 28 conditional sds under the x1 box
+    assert quad3(np.zeros(3), Sigma, [-1.0, 5.0, -INF], [1.0, INF, INF]) == 0.0
 
 
 # --- bivariate lattice -------------------------------------------------------
@@ -373,3 +548,68 @@ def test_y_stats_rejects_mismatched_tables():
         y_stats(t0[:10], t1, (ch, ch), d, 6.24, y_times=[3])
     with pytest.raises(ConfigurationError):
         y_stats(t0, t1, (ch, ch), d, 6.24, y_times=[40])
+
+
+# --- box-probability invariants ----------------------------------------------
+
+
+@st.composite
+def split_boxes(draw):
+    """A 1-3 dim Gaussian with positive definite covariance, a box, and an
+    interior point c of one coordinate's interval."""
+    k = draw(st.integers(1, 3))
+    unit = st.floats(-2.0, 2.0)
+    A = np.array(draw(st.lists(unit, min_size=k * k, max_size=k * k))).reshape(k, k)
+    mu = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)))
+    centers = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+    half = st.one_of(st.just(INF), st.floats(0.05, 6.0))
+    lows = [c - draw(half) for c in centers]
+    highs = [c + draw(half) for c in centers]
+    gv = make_gv(mu, A @ A.T + 0.25 * np.eye(k))
+    return gv, lows, highs, draw(st.integers(0, k - 1)), centers
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(split_boxes())
+def test_exact_prob_is_a_probability_and_additive_over_a_split(case):
+    gv, lows, highs, j, centers = case
+    whole = exact_prob(gv, box_event(gv.labels, lows, highs)).estimate
+    assert 0.0 <= whole <= 1.0
+    below, above = list(highs), list(lows)
+    below[j] = above[j] = centers[j]
+    left = exact_prob(gv, box_event(gv.labels, lows, below)).estimate
+    right = exact_prob(gv, box_event(gv.labels, above, highs)).estimate
+    assert left + right == pytest.approx(whole, abs=1e-10)
+
+
+@st.composite
+def near_singular_boxes(draw):
+    """A 3-dim Gaussian x = mu + B z, B lower triangular with diagonal down
+    to 1e-3 (condition number up to 1e10), and a box."""
+    entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9))
+    B = np.tril(np.array(entries).reshape(3, 3))
+    B[np.diag_indices(3)] = [10.0 ** draw(st.floats(-3.0, 0.0)) for _ in range(3)]
+    Sigma = B @ B.T
+    eig = np.linalg.eigvalsh(Sigma)
+    assume(eig[0] >= 1e-10 * eig[-1])
+    sd = np.sqrt(np.diag(Sigma))
+    mu = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    lo = mu + sd * np.array(draw(st.lists(st.floats(-3.0, 1.0), min_size=3, max_size=3)))
+    hi = lo + sd * np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3)))
+    for bound, side in ((lo, -INF), (hi, INF)):
+        bound[np.array(draw(st.lists(st.booleans(), min_size=3, max_size=3)))] = side
+    return mu, Sigma, lo, hi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(near_singular_boxes())
+def test_quad_dim3_does_not_depend_on_the_coordinate_order(case):
+    # each order puts the steps of the conditional CDFs in other places
+    import itertools
+
+    mu, Sigma, lo, hi = case
+    values = [
+        quad3(mu[p], Sigma[np.ix_(p, p)], lo[p], hi[p])
+        for p in map(list, itertools.permutations(range(3)))
+    ]
+    assert max(values) - min(values) <= 1e-10

@@ -208,6 +208,21 @@ def test_argument_validation():
         connection_prob(proc, N + 3, 2.0, depth=8)  # beyond the trace
 
 
+@pytest.mark.parametrize("n_last", [-1, N, N + 3])
+def test_series_reject_samples_beyond_the_trace_before_any_box(monkeypatch, n_last):
+    proc, _, _, _ = build_process()
+    calls = []
+    monkeypatch.setattr(proc, "prob", lambda *a, **k: calls.append(a))
+    for series in (
+        lambda: connection_series(proc, n_last, 2.0, depth=8),
+        lambda: handover_series(proc, n_last, 2.0, depth=8),
+        lambda: outage_series(proc, n_last, 2.0, depth=8, threshold_db=THRESH),
+    ):
+        with pytest.raises(ConfigurationError):
+            series()
+    assert calls == []
+
+
 def test_exact_method_is_seed_deterministic():
     proc, _, _, _ = build_process()
     a = handover_prob(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)
