@@ -246,23 +246,31 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
         raise ConfigurationError("distances_m must be 1-D")
     if mode not in ("avg", "ls"):
         raise ConfigurationError("coefficient_table supports modes 'avg' and 'ls'")
+    if n_w < 1:
+        raise ConfigurationError("n_w must be >= 1")
     n_samples = d.size
-    table = np.zeros((n_samples, n_samples))
-    x = np.log10(d)
-    for n in range(n_samples):
-        nb = window_start(n, n_w)
-        cnt = n - nb + 1
-        row = None
-        if mode == "ls" and cnt >= 2:
-            xs = x[nb : n + 1]
-            C = xs.mean()
-            D = (xs * xs).mean()
+    w = min(n_w, n_samples)
+    # idx[n, j] is sample n - w + 1 + j; a row's window is its idx >= 0
+    idx = np.arange(n_samples)[:, None] + np.arange(1 - w, 1)
+    valid = idx >= 0
+    cnt = np.count_nonzero(valid, axis=1)
+    rows = np.where(valid, 1.0 / cnt[:, None], 0.0)
+    if mode == "ls":
+        x = np.log10(d)
+        # windows of one length at a time, so every mean reduces the same
+        # contiguous run of samples as a row-by-row fit would
+        for k in range(2, w + 1):
+            sel = cnt == k
+            xs = x[idx[sel, w - k :]]
+            C = xs.mean(axis=1, keepdims=True)
+            D = (xs * xs).mean(axis=1, keepdims=True)
             denom = D - C * C
-            if denom > EPS_COND * max(D, 1.0):
-                row = ((D - C * xs) - (C - xs) * xs[-1]) / (denom * cnt)
-        if row is None:
-            row = np.full(cnt, 1.0 / cnt)
-        table[n, nb : n + 1] = row
+            ok = denom > EPS_COND * np.maximum(D, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ls = ((D - C * xs) - (C - xs) * xs[:, -1:]) / (denom * k)
+            rows[sel, w - k :] = np.where(ok, ls, rows[sel, w - k :])
+    table = np.zeros((n_samples, n_samples))
+    table[np.nonzero(valid)[0], idx[valid]] = rows[valid]
     return table
 
 

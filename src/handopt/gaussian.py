@@ -442,7 +442,23 @@ def _quad_dim3(mu, Sigma, lo, hi):
     an x1 edge's border in z1 meets an x2 step. Both rules resolve every
     step on its own scale (_gl_zoned), which keeps the result exact however
     close to singular the covariance is.
+
+    The coordinates are first reordered so that the least correlated pair
+    comes first. The last coordinate is then the one whose variance given
+    the other two, relative to its own, is smallest (det R / (1 - rho_jk^2)
+    for correlation matrix R), and the middle one keeps as much variance
+    given the first as any order allows. Without this, a middle coordinate
+    fixed by the first to within roundoff leaves l11 at a few hundred ulps
+    and l21 with a relative error that shows in the result.
     """
+    sd = np.sqrt(np.diag(Sigma))
+    rho2 = (Sigma / np.outer(sd, sd)) ** 2
+    # rho^2 of the pair left when coordinate 2, 1 or 0 goes last; ties keep
+    # the given order
+    last = 2 - int(np.argmin([rho2[0, 1], rho2[0, 2], rho2[1, 2]]))
+    if last != 2:
+        p = [i for i in range(3) if i != last] + [last]
+        mu, Sigma, lo, hi = mu[p], Sigma[np.ix_(p, p)], lo[p], hi[p]
     l00 = math.sqrt(Sigma[0, 0])
     l10, l20 = Sigma[1, 0] / l00, Sigma[2, 0] / l00
     v1 = Sigma[1, 1] - l10 * l10
@@ -458,9 +474,10 @@ def _quad_dim3(mu, Sigma, lo, hi):
     e1 = [e - mu[1] for e in (lo[1], hi[1]) if math.isfinite(e)]
     e2 = [e - mu[2] for e in (lo[2], hi[2]) if math.isfinite(e)]
     steps0 = []
-    if l10:
+    # only steps sharper than unit scale get a zone (see _gl_zoned)
+    if abs(l10) > l11:
         steps0 += [(e / l10, l11 / abs(l10)) for e in e1]
-    if l20:
+    if abs(l20) > math.hypot(l21, l22):
         steps0 += [(e / l20, math.hypot(l21, l22) / abs(l20)) for e in e2]
     rel = l10 / l11 - l20 / l21 if l21 else 0.0
     if rel:

@@ -1,7 +1,8 @@
 """Experiment harness: trial fan-out, margin policies, studies and file output.
 
 Simulation runs draw one received-power trace per trial (seeded per trial,
-so results do not depend on how trials are chunked across workers), run the
+so results do not depend on how trials are chunked across workers; each
+chunk draws all of its traces in one sample_power call), run the
 configured strength estimator, and apply a margin policy sample by sample.
 A policy is either a constant margin in dB or one of the optimizer-driven
 policies "opt1" (handover-count objective), "opt2" (outage objective),
@@ -132,12 +133,8 @@ def _compact_rows(distances_row: np.ndarray, n_w: int, mode: str) -> np.ndarray:
     """Right-aligned [N, n_w] filter rows; est[n] = rows[n] . p[n-n_w+1 .. n]."""
     table = coefficient_table(distances_row, n_w, mode)
     n = distances_row.size
-    out = np.zeros((n, n_w))
-    for i in range(n):
-        nb = max(0, i - n_w + 1)
-        cnt = i - nb + 1
-        out[i, n_w - cnt :] = table[i, nb : i + 1]
-    return out
+    cols = np.arange(n)[:, None] + np.arange(1 - n_w, 1)
+    return np.where(cols >= 0, table[np.arange(n)[:, None], np.maximum(cols, 0)], 0.0)
 
 
 def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, compact):
@@ -458,6 +455,29 @@ def _decide_two_cell(est, powers, h_tables, beta, b_init):
     return out
 
 
+def _strongest_two(est):
+    """Per (trial, sample): the strongest cell and the strongest other cell.
+
+    Ties go to the lower cell index, as np.argmax does, so against any
+    serving cell the strongest candidate is runner-up where the serving cell
+    is the strongest and the strongest otherwise.
+    """
+    best = np.zeros(est.shape[::2], dtype=np.int16)
+    runner = np.zeros_like(best)
+    best_v = est[:, 0, :].copy()
+    runner_v = np.full_like(best_v, -np.inf)
+    for s in range(1, est.shape[1]):
+        v = est[:, s, :]
+        top = v > best_v
+        runner += (v > runner_v) * (s - runner)
+        # a new strongest cell demotes the old one to runner-up
+        runner += top * (best - runner)
+        best += top * (s - best)
+        np.maximum(runner_v, np.minimum(v, best_v), out=runner_v)
+        np.maximum(best_v, v, out=best_v)
+    return best, runner
+
+
 def _decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
     """Serving-cell recursions against the strongest candidate.
 
@@ -468,13 +488,10 @@ def _decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
     """
     c, n_bs, n = est.shape
     rows = np.arange(c)
+    best, runner = _strongest_two(est)
     out = {}
     for label, h_table in h_tables.items():
         serving = np.full(c, near[0], dtype=np.int16)
-        switches = np.zeros(c, dtype=np.int64)
-        outages = np.zeros(c, dtype=np.int64)
-        conn = np.zeros((2, n), dtype=np.int64)
-        outb = np.zeros((2, n), dtype=np.int64)
         series = np.empty((c, n), dtype=np.int16)
         for i in range(n):
             prev = max(0, i - 1)
@@ -483,21 +500,19 @@ def _decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
                 h_table[i, 0],
                 np.where(serving == second[prev], h_table[i, 1], h_fallback),
             )
+            cand = np.where(serving == best[:, i], runner[:, i], best[:, i])
             est_i = est[:, :, i]
-            masked = est_i.copy()
-            masked[rows, serving] = -np.inf
-            cand = np.argmax(masked, axis=1).astype(np.int16)
             y_i = est_i[rows, serving] - est_i[rows, cand]
-            sw = y_i < -h
-            switches += sw
-            serving = np.where(sw, cand, serving).astype(np.int16)
-            low = powers[rows, serving, i] <= beta
-            outages += low
-            branch = (serving != near[i]).astype(np.int8)
-            conn[:, i] = np.bincount(branch, minlength=2)
-            outb[:, i] = np.bincount(branch[low], minlength=2)
+            serving = np.where(y_i < -h, cand, serving)
             series[:, i] = serving
-        out[label] = (switches, outages, series, conn, outb)
+        # the candidate is never the serving cell, so every switch changes it
+        switches = np.count_nonzero(series[:, 1:] != series[:, :-1], axis=1)
+        switches += series[:, 0] != near[0]
+        low = np.take_along_axis(powers, series[:, None, :], axis=1)[:, 0, :] <= beta
+        branch = series != near[None, :]
+        conn = np.stack([c - branch.sum(axis=0), branch.sum(axis=0)])
+        outb = np.stack([(low & ~branch).sum(axis=0), (low & branch).sum(axis=0)])
+        out[label] = (switches, low.sum(axis=1), series, conn, outb)
     return out
 
 
@@ -558,11 +573,11 @@ def _simulate_policies(
         init_state = config.b_init
 
     def run_chunk(t0: int, t1: int):
-        c = t1 - t0
-        powers = np.empty((c, n_bs, n_samples))
-        for i in range(c):
-            rng = np.random.default_rng(np.random.SeedSequence(seed_parts + [t0 + i]))
-            powers[i] = sample_power(chs, d, config.step_m, rng).powers_db
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(seed_parts + [t]))
+            for t in range(t0, t1)
+        ]
+        powers = sample_power(chs, d, config.step_m, rngs).powers_db
         est = _estimate_chunk(config, d, powers, compact)
         if n_bs == 2:
             return _decide_two_cell(est, powers, h_tables, beta, config.b_init)

@@ -125,3 +125,42 @@ def test_sample_power_validates_distance_shape():
     rng = np.random.default_rng(2)
     with pytest.raises(ConfigurationError):
         sample_power((VEHICULAR,), np.ones((2, 4)), STEP, rng)
+
+
+def test_sample_shadowing_matches_an_ar1_filter_bit_for_bit():
+    # the sample-major recursion x[k] += a x[k-1] performs the same two
+    # roundings per sample as lfilter([1], [1, -a])
+    from scipy.signal import lfilter
+
+    for coherence in (3.0, 20.0, 137.0, 1000.0):
+        ch = ChannelParams(shadow_sigma_db=7.5, coherence_m=coherence)
+        a = ch.ar_coeff(STEP)
+        got = sample_shadowing(ch, 300, STEP, np.random.default_rng(9), n_trials=4)
+        w = np.random.default_rng(9).standard_normal((4, 300))
+        x = w * (7.5 * math.sqrt(1.0 - a * a))
+        x[:, 0] = w[:, 0] * 7.5
+        np.testing.assert_array_equal(got, lfilter([1.0], [1.0, -a], x, axis=-1))
+
+
+def test_batched_sample_power_equals_per_trial_calls():
+    channels = (
+        ChannelParams(shadow_sigma_db=6.0, coherence_m=20.0),
+        ChannelParams(shadow_sigma_db=0.0, coherence_m=50.0),
+        ChannelParams(intercept_db=3.0, shadow_sigma_db=8.0, coherence_m=3.0),
+        ChannelParams(shadow_sigma_db=4.0, coherence_m=1000.0),
+    )
+    d = np.stack([np.linspace(50.0 + 100 * s, 1500.0 - 90 * s, 57) for s in range(4)])
+    seeds = [np.random.SeedSequence([17, t]) for t in range(6)]
+    batch = sample_power(channels, d, STEP, [np.random.default_rng(s) for s in seeds])
+    assert batch.powers_db.shape == (6, 4, 57)
+    assert batch.powers_db.flags.c_contiguous
+    for t, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        single = sample_power(channels, d, STEP, rng).powers_db
+        np.testing.assert_array_equal(batch.powers_db[t], single)
+        # the zero-sigma link draws nothing: three links of 57 draws each
+        after = np.random.default_rng(s)
+        after.standard_normal(3 * 57)
+        assert rng.standard_normal() == after.standard_normal()
+    quiet = np.broadcast_to(path_loss(channels[1], d[1]), (6, 57))
+    np.testing.assert_array_equal(batch.powers_db[:, 1], quiet)

@@ -239,3 +239,21 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "avg_handovers" in proc.stdout
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    # both cost most of a second at start-up and nothing in the package
+    # needs them
+    import os
+
+    import handopt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(handopt.__file__)))
+    code = (
+        "import sys, handopt, handopt.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -104,6 +104,47 @@ def test_coefficient_table_ls_matches_ls_fit():
         coefficient_table(d, 4, "els")
 
 
+def coefficient_table_loop(distances_m, n_w, mode):
+    """Row-by-row oracle for coefficient_table."""
+    from handopt.estimators import EPS_COND
+
+    d = np.asarray(distances_m, dtype=float)
+    table = np.zeros((d.size, d.size))
+    x = np.log10(d)
+    for n in range(d.size):
+        nb = window_start(n, n_w)
+        cnt = n - nb + 1
+        row = None
+        if mode == "ls" and cnt >= 2:
+            xs = x[nb : n + 1]
+            C = xs.mean()
+            D = (xs * xs).mean()
+            denom = D - C * C
+            if denom > EPS_COND * max(D, 1.0):
+                row = ((D - C * xs) - (C - xs) * xs[-1]) / (denom * cnt)
+        if row is None:
+            row = np.full(cnt, 1.0 / cnt)
+        table[n, nb : n + 1] = row
+    return table
+
+
+@pytest.mark.parametrize("mode", ["avg", "ls"])
+def test_coefficient_table_equals_the_row_loop(mode):
+    # window lengths below, at and above numpy's 8-element pairwise-sum
+    # block, and longer than the trace; distances with and without spread
+    rng = np.random.default_rng(12)
+    traces = [
+        np.abs(1000.0 - 6.24 * np.arange(130)) + 1.0,
+        np.exp(rng.normal(5.0, 2.0, 40)),
+        np.full(30, 500.0),
+        np.array([700.0]),
+    ]
+    for d in traces:
+        for n_w in (1, 2, 4, 7, 8, 9, 17, 200):
+            got = coefficient_table(d, n_w, mode)
+            assert got.tobytes() == coefficient_table_loop(d, n_w, mode).tobytes()
+
+
 def test_estimate_series_avg_equals_table_product():
     rng = np.random.default_rng(11)
     d = np.stack([np.linspace(700.0, 1200.0, 9), np.linspace(1300.0, 800.0, 9)])

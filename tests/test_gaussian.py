@@ -613,3 +613,27 @@ def test_quad_dim3_does_not_depend_on_the_coordinate_order(case):
         for p in map(list, itertools.permutations(range(3)))
     ]
     assert max(values) - min(values) <= 1e-10
+
+
+def test_quad_dim3_pivots_a_middle_coordinate_fixed_by_the_first():
+    # x1 = mu1 + 1.22 z0 + 2.2e-7 z1: given x0, x1 is fixed to within a few
+    # hundred ulps of its variance. Factored in this order, l21 picks up a
+    # relative error of ~0.5%, and unpivoted orders differed by 1.7e-3.
+    import itertools
+
+    B = np.array([
+        [0.58132516793195799, 0.0, 0.0],
+        [1.2212210127754139, 2.2139939963883098e-07, 0.0],
+        [0.64298729624526574, -0.81998065433033307, 0.015138977989595173],
+    ])
+    Sigma = B @ B.T
+    mu = np.array([0.6322085327513304, 0.16194570514110068, -0.04425327528257564])
+    lo = np.array([-0.10761599795185062, -1.550246477565081, -0.7214816757727838])
+    hi = np.array([2.0671291302605925, 1.0863508296156503, 0.32119711711418486])
+    values = [
+        quad3(mu[p], Sigma[np.ix_(p, p)], lo[p], hi[p])
+        for p in map(list, itertools.permutations(range(3)))
+    ]
+    assert max(values) - min(values) <= 1e-10
+    # nested adaptive quad in z coordinates, where B is exact
+    assert values[0] == pytest.approx(0.296288715889212, abs=1e-10)

@@ -10,15 +10,19 @@ import pytest
 
 from handopt import (
     ConfigurationError,
+    coefficient_table,
     estimate_series,
     preset,
     problem_from_process,
+    sample_power,
     solve,
 )
 from handopt.harness import (
     RunResult,
     SweepSpec,
     _compact_rows,
+    _decide_multicell,
+    _estimate_chunk,
     _gap_process,
     config_fingerprint,
     emit,
@@ -272,3 +276,131 @@ def test_compact_rows_reproduce_estimate_series():
     win = sliding_window_view(padded, 4, axis=-1)
     rebuilt = np.einsum("csnw,snw->csn", win, compact)
     np.testing.assert_allclose(rebuilt, est, atol=1e-12)
+
+
+def compact_rows_loop(distances_row, n_w, mode):
+    """Row-by-row oracle for _compact_rows."""
+    table = coefficient_table(distances_row, n_w, mode)
+    n = distances_row.size
+    out = np.zeros((n, n_w))
+    for i in range(n):
+        nb = max(0, i - n_w + 1)
+        cnt = i - nb + 1
+        out[i, n_w - cnt :] = table[i, nb : i + 1]
+    return out
+
+
+@pytest.mark.parametrize("n_w", [1, 4, 9, 100])
+@pytest.mark.parametrize("mode", ["avg", "ls"])
+def test_compact_rows_equal_the_row_loop(n_w, mode):
+    d = preset("vehicular-two-cell").distances_m()
+    for row in d:
+        got = _compact_rows(row, n_w, mode)
+        assert got.tobytes() == compact_rows_loop(row, n_w, mode).tobytes()
+
+
+def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback):
+    """Per-sample oracle for _decide_multicell: masked argmax, tallies in
+    the loop."""
+    c, n_bs, n = est.shape
+    rows = np.arange(c)
+    out = {}
+    for label, h_table in h_tables.items():
+        serving = np.full(c, near[0], dtype=np.int16)
+        switches = np.zeros(c, dtype=np.int64)
+        outages = np.zeros(c, dtype=np.int64)
+        conn = np.zeros((2, n), dtype=np.int64)
+        outb = np.zeros((2, n), dtype=np.int64)
+        series = np.empty((c, n), dtype=np.int16)
+        for i in range(n):
+            prev = max(0, i - 1)
+            h = np.where(
+                serving == near[prev],
+                h_table[i, 0],
+                np.where(serving == second[prev], h_table[i, 1], h_fallback),
+            )
+            est_i = est[:, :, i]
+            masked = est_i.copy()
+            masked[rows, serving] = -np.inf
+            cand = np.argmax(masked, axis=1).astype(np.int16)
+            y_i = est_i[rows, serving] - est_i[rows, cand]
+            sw = y_i < -h
+            switches += sw
+            serving = np.where(sw, cand, serving).astype(np.int16)
+            low = powers[rows, serving, i] <= beta
+            outages += low
+            branch = (serving != near[i]).astype(np.int8)
+            conn[:, i] = np.bincount(branch, minlength=2)
+            outb[:, i] = np.bincount(branch[low], minlength=2)
+            series[:, i] = serving
+        out[label] = (switches, outages, series, conn, outb)
+    return out
+
+
+def assert_same_decisions(got, want):
+    assert got.keys() == want.keys()
+    for label in want:
+        for g, w in zip(got[label], want[label]):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_decide_multicell_equals_the_masked_argmax_loop():
+    rng = np.random.default_rng(8)
+    c, n_bs, n = 23, 8, 60
+    est = rng.normal(-95.0, 6.0, size=(c, n_bs, n))
+    powers = est + rng.normal(0.0, 2.0, size=est.shape)
+    near = np.minimum(np.arange(n) // 8, n_bs - 1)
+    second = np.minimum(near + 1, n_bs - 1)
+    second[-8:] = n_bs - 2
+    h_tables = {
+        "h=2": np.full((n, 2), 2.0),
+        "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
+    }
+    args = (est, powers, h_tables, -97.0, near, second, 3.0)
+    assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))
+
+
+def test_decide_multicell_breaks_ties_like_the_masked_argmax():
+    # estimates on a 1-dB grid tie often; equal cells tie everywhere
+    rng = np.random.default_rng(4)
+    c, n_bs, n = 17, 6, 80
+    est = np.round(rng.normal(-95.0, 1.5, size=(c, n_bs, n)))
+    est[:, 3] = est[:, 1]
+    est[:5] = -95.0
+    near = np.repeat(np.arange(n_bs), -(-n // n_bs))[:n]
+    second = (near + 1) % n_bs
+    h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2))}
+    args = (est, est, h_tables, -95.0, near, second, 0.0)
+    assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))
+
+    # zero-sigma channels on the cell row: deterministic powers
+    cfg = noiseless(preset("vehicular-cell-row"))
+    d = cfg.distances_m()
+    rngs = [np.random.default_rng(t) for t in range(3)]
+    powers = sample_power(cfg.channels, d, cfg.step_m, rngs).powers_db
+    assert np.all(powers == powers[0])
+    compact = np.stack([_compact_rows(row, cfg.n_w, "avg") for row in d])
+    est = _estimate_chunk(cfg, d, powers, compact)
+    order = np.argsort(d, axis=0, kind="stable")
+    args = (est, powers, {"h=0": np.zeros((d.shape[1], 2))}, -110.0, order[0], order[1], 0.0)
+    assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))
+
+
+def test_multicell_results_do_not_depend_on_chunks_or_workers():
+    base = preset("vehicular-cell-row")
+    channels = tuple(
+        replace(ch, coherence_m=5.0 * (s + 1), shadow_sigma_db=0.0 if s == 2 else 6.0)
+        for s, ch in enumerate(base.channels)
+    )
+    cfg = replace(base, channels=channels)
+    runs = [
+        run_multicell(cfg, 2.0, 5, seed=13, chunk=1),
+        run_multicell(cfg, 2.0, 5, seed=13),
+        run_multicell(cfg, 2.0, 5, seed=13, chunk=2, workers=2),
+    ]
+    for r in runs[1:]:
+        for field in ("switch_counts", "outage_counts", "conn_counts", "outage_branch_counts"):
+            np.testing.assert_array_equal(getattr(r, field), getattr(runs[0], field))
+        for ta, tb in zip(r.switch_times, runs[0].switch_times):
+            np.testing.assert_array_equal(ta, tb)
