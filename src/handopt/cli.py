@@ -31,7 +31,7 @@ from .errors import ConfigurationError, DegenerateConditioningError, HandoptErro
 from .harness import (
     _pair_stats,
     _gap_process,
-    _policy_problem_kwargs,
+    _trellis_problem,
     SweepSpec,
     config_fingerprint,
     emit,
@@ -43,7 +43,7 @@ from .harness import (
     sweep_table,
     trellis_rows,
 )
-from .optimizer import TrellisProblem, solve
+from .optimizer import solve
 from .scenario import ScenarioConfig, cell_row_layout, preset, two_cell_layout
 
 _PRESETS = ("paper-vi", "vehicular-two-cell", "vehicular-cell-row")
@@ -325,16 +325,8 @@ def _cmd_optimize(args) -> int:
     if not 0 <= root_n < n_samples - 1:
         raise ConfigurationError("root sample must leave at least one stage")
     horizon = min(config.horizon, n_samples - 1 - root_n)
-    problem = TrellisProblem(
-        horizon=horizon,
-        root_b=root_b,
-        root_margin=config.h_fixed_db,
-        stats=_pair_stats(process, root_n, horizon),
-        outage_threshold_db=config.resolved_outage_threshold(),
-        h_max=config.h_max_db,
-        h_step=config.h_step_db,
-        method=method,
-        **_policy_problem_kwargs(config, label),
+    problem = _trellis_problem(
+        config, _pair_stats(process, root_n, horizon), horizon, root_b, label, method
     )
     solution = solve(problem)
     fields, rows = trellis_rows(solution)

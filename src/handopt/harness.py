@@ -4,7 +4,9 @@ Simulation runs draw one received-power trace per trial (seeded per trial,
 so results do not depend on how trials are chunked across workers; each
 chunk draws all of its traces in one sample_power call), run the
 configured strength estimator, and apply a margin policy sample by sample.
-A policy is either a constant margin in dB or one of the optimizer-driven
+On two cells the serving states come from hybrid.decide_series, the one
+implementation of the hysteresis rule; a cell row runs its own recursion
+against the strongest candidate cell. A policy is either a constant margin in dB or one of the optimizer-driven
 policies "opt1" (handover-count objective), "opt2" (outage objective),
 "opt3" (weighted blend). Optimizer policies look margins up in a
 precomputed table indexed by sample and by the serving state one sample
@@ -49,6 +51,7 @@ from .gaussian import (
     gap_below,
     gap_inside,
 )
+from .hybrid import count_switches, decide_series
 from .metrics import handover_series, outage_series
 from .optimizer import TrellisProblem, solve_group
 from .scenario import ScenarioConfig, preset
@@ -186,6 +189,23 @@ def _policy_problem_kwargs(config: ScenarioConfig, label: str) -> dict:
     raise ConfigurationError(f"unknown optimizer policy {label!r}")
 
 
+def _trellis_problem(
+    config: ScenarioConfig, stats, horizon: int, root_b: int, label: str, method: str
+):
+    """Receding-horizon problem of one optimizer policy on prepared stats."""
+    return TrellisProblem(
+        horizon=horizon,
+        root_b=root_b,
+        root_margin=config.h_fixed_db,
+        stats=stats,
+        outage_threshold_db=config.resolved_outage_threshold(),
+        h_max=config.h_max_db,
+        h_step=config.h_step_db,
+        method=method,
+        **_policy_problem_kwargs(config, label),
+    )
+
+
 def _pair_stats(process: GapProcess, n: int, horizon: int):
     y_times = list(range(n, n + horizon + 1))
     p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
@@ -212,7 +232,6 @@ def opt_margin_tables(
     d = config.distances_m()
     n_samples = d.shape[1]
     chs = tuple(channels) if channels is not None else config.channels
-    beta = config.resolved_outage_threshold()
     mode = _TABLE_MODE[config.estimator]
     order = np.argsort(d, axis=0, kind="stable")
     near, second = order[0], order[1]
@@ -245,23 +264,11 @@ def opt_margin_tables(
             table_for(a), table_for(b), (chs[a], chs[b]), d[[a, b]], config.step_m
         )
         stats = _pair_stats(process, root_n, m)
-        problems = []
-        for p in policies:
-            kw = _policy_problem_kwargs(config, p)
-            for root_b in (0, 1):
-                problems.append(
-                    TrellisProblem(
-                        horizon=m,
-                        root_b=root_b,
-                        root_margin=config.h_fixed_db,
-                        stats=stats,
-                        outage_threshold_db=beta,
-                        h_max=config.h_max_db,
-                        h_step=config.h_step_db,
-                        method=method,
-                        **kw,
-                    )
-                )
+        problems = [
+            _trellis_problem(config, stats, m, root_b, p, method)
+            for p in policies
+            for root_b in (0, 1)
+        ]
         sols = solve_group(problems)
         vals = {}
         for i, p in enumerate(policies):
@@ -320,23 +327,10 @@ def optimal_h_profile(
     root = config.b_init if root_b is None else int(root_b)
     process = _gap_process(config, channels=channels)
     n_samples = process.n_samples
-    beta = config.resolved_outage_threshold()
-    kw = _policy_problem_kwargs(config, label)
     out = np.empty(n_samples - 1)
     for n in range(n_samples - 1):
         m = min(config.horizon, n_samples - 1 - n)
-        stats = _pair_stats(process, n, m)
-        problem = TrellisProblem(
-            horizon=m,
-            root_b=root,
-            root_margin=config.h_fixed_db,
-            stats=stats,
-            outage_threshold_db=beta,
-            h_max=config.h_max_db,
-            h_step=config.h_step_db,
-            method=method,
-            **kw,
-        )
+        problem = _trellis_problem(config, _pair_stats(process, n, m), m, root, label, method)
         out[n] = solve_group([problem])[0].h_first
     return out
 
@@ -376,6 +370,19 @@ class RunResult:
     analytic_p_o: np.ndarray = None
     analytic_se_h: np.ndarray = None
     analytic_se_o: np.ndarray = None
+
+    @classmethod
+    def from_tallies(cls, tallies, **fields) -> "RunResult":
+        """Result from a (switches, outages, switch times, conn, outb) tuple."""
+        switches, outages, times, conn, outb = tallies
+        return cls(
+            switch_counts=switches,
+            outage_counts=outages,
+            conn_counts=conn,
+            outage_branch_counts=outb,
+            switch_times=times,
+            **fields,
+        )
 
     @property
     def mean_switches(self) -> float:
@@ -427,31 +434,26 @@ class RunResult:
         }
 
 
+def _tally(series, powers, beta, switches, branch):
+    """Per-trial and per-sample counts of one policy's serving series.
+
+    branch marks the samples tallied in branch 1 of conn/outb; outage is
+    the post-decision serving power at or below beta.
+    """
+    low = np.take_along_axis(powers, series[:, None, :], axis=1)[:, 0, :] <= beta
+    on = branch.sum(axis=0)
+    conn = np.stack([series.shape[0] - on, on])
+    outb = np.stack([(low & ~branch).sum(axis=0), (low & branch).sum(axis=0)])
+    return switches, low.sum(axis=1), series, conn, outb
+
+
 def _decide_two_cell(est, powers, h_tables, beta, b_init):
     """Serving-state recursions for every policy on shared traces."""
-    c, _, n = est.shape
     y = est[:, 0, :] - est[:, 1, :]
     out = {}
     for label, h_table in h_tables.items():
-        b = np.full(c, b_init, dtype=np.int8)
-        switches = np.zeros(c, dtype=np.int64)
-        outages = np.zeros(c, dtype=np.int64)
-        conn = np.zeros((2, n), dtype=np.int64)
-        outb = np.zeros((2, n), dtype=np.int64)
-        series = np.empty((c, n), dtype=np.int8)
-        for i in range(n):
-            h = h_table[i][b]
-            yi = y[:, i]
-            b_new = ((yi < -h) | ((yi < h) & (b == 1))).astype(np.int8)
-            switches += b_new != b
-            p_serv = np.where(b_new == 0, powers[:, 0, i], powers[:, 1, i])
-            low = p_serv <= beta
-            outages += low
-            conn[:, i] = np.bincount(b_new, minlength=2)
-            outb[:, i] = np.bincount(b_new[low], minlength=2)
-            series[:, i] = b_new
-            b = b_new
-        out[label] = (switches, outages, series, conn, outb)
+        series = decide_series(y, h_table, b_init)
+        out[label] = _tally(series, powers, beta, count_switches(series, b_init), series == 1)
     return out
 
 
@@ -508,11 +510,7 @@ def _decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
         # the candidate is never the serving cell, so every switch changes it
         switches = np.count_nonzero(series[:, 1:] != series[:, :-1], axis=1)
         switches += series[:, 0] != near[0]
-        low = np.take_along_axis(powers, series[:, None, :], axis=1)[:, 0, :] <= beta
-        branch = series != near[None, :]
-        conn = np.stack([c - branch.sum(axis=0), branch.sum(axis=0)])
-        outb = np.stack([(low & ~branch).sum(axis=0), (low & branch).sum(axis=0)])
-        out[label] = (switches, low.sum(axis=1), series, conn, outb)
+        out[label] = _tally(series, powers, beta, switches, series != near[None, :])
     return out
 
 
@@ -640,7 +638,6 @@ def run_two_cell(
         method=method,
     )
     label = _policy_label(policy)
-    switches, outages, times, conn, outb = results[label]
     extra = {}
     if analytic is not None:
         fixed = _as_fixed_margin(policy)
@@ -668,16 +665,12 @@ def run_two_cell(
             "analytic_se_h": se_h,
             "analytic_se_o": se_o,
         }
-    return RunResult(
+    return RunResult.from_tallies(
+        results[label],
+        margin_table=h_tables[label],
         policy=label,
         speed_mps=config.speed_mps,
         n_trials=n_trials,
-        switch_counts=switches,
-        outage_counts=outages,
-        conn_counts=conn,
-        outage_branch_counts=outb,
-        switch_times=times,
-        margin_table=h_tables[label],
         base_seed=base_seed,
         config=config,
         **extra,
@@ -710,17 +703,12 @@ def run_multicell(
         method=method,
     )
     label = _policy_label(policy)
-    switches, outages, times, conn, outb = results[label]
-    return RunResult(
+    return RunResult.from_tallies(
+        results[label],
+        margin_table=h_tables[label],
         policy=label,
         speed_mps=config.speed_mps,
         n_trials=n_trials,
-        switch_counts=switches,
-        outage_counts=outages,
-        conn_counts=conn,
-        outage_branch_counts=outb,
-        switch_times=times,
-        margin_table=h_tables[label],
         base_seed=base_seed,
         config=config,
     )
@@ -793,17 +781,12 @@ def run_table_sweep(
         )
         for policy in spec.policies:
             label = _policy_label(policy)
-            switches, outages, times, conn, outb = results[label]
-            out[(label, v)] = RunResult(
+            out[(label, v)] = RunResult.from_tallies(
+                results[label],
+                margin_table=h_tables[label],
                 policy=label,
                 speed_mps=v,
                 n_trials=spec.n_trials,
-                switch_counts=switches,
-                outage_counts=outages,
-                conn_counts=conn,
-                outage_branch_counts=outb,
-                switch_times=times,
-                margin_table=h_tables[label],
                 base_seed=base_seed,
                 config=cfg_v,
             )

@@ -1,123 +1,34 @@
-"""Coupled continuous/discrete handover dynamics.
+"""The hysteresis decision rule of the handover hybrid system.
 
-The continuous state S(n) = [p_0, p_1, l_0, l_1] stacks the received powers
-of the serving pair with their filtered estimates; it evolves by the affine
-update S(n+1) = A(n)S(n) - f(d(n+1), d(n)) + W(n). The discrete state is
-the connected-BS indicator b(n), driven by comparing y(n) = l_0(n) - l_1(n)
+The paper models handover as a hybrid system. The continuous state
+S(n) = [p_0, p_1, l_0, l_1] stacks the received powers of the serving pair
+with their filtered estimates and evolves by the affine update
+
+    S(n+1) = A(n) S(n) - f(d(n+1), d(n)) + W(n),
+
+where A(n) is the identity plus the filter weights G_s(n+1) at (2,0) and
+(3,1), f carries the path-loss change between the distances d(n) and
+d(n+1), and W(n) the shadowing increments. The discrete state is the
+connected-BS indicator b(n), driven by comparing y(n) = l_0(n) - l_1(n)
 against the hysteresis margin h(n):
 
     b(n) = 1  iff  y(n) < -h(n),  or  -h(n) <= y(n) < h(n) and b(n-1) = 1.
 
 Ties are fixed: y = h connects to BS0, y = -h keeps the previous BS.
 
-The affine l-row update l_s(n+1) = l_s(n) + G_s(n+1) p_s(n+1) is exact only
-for single-step-consistent coefficient schemes (rows that keep all previous
-weights unchanged when a sample is appended). Sliding-window estimators
-re-weight the whole window each step, so the estimators module remains the
-ground truth for l_s(n); this recursion is the analysis/prediction form.
+Only the discrete rule is code. The affine l-row update
+l_s(n+1) = l_s(n) + G_s(n+1) p_s(n+1) holds only for coefficient schemes
+that keep all previous weights when a sample is appended; the sliding
+windows the package ships re-weight the whole window each step, so the
+estimators module is the ground truth for l_s(n) and the continuous
+recursion stays the paper's formulation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class HybridState:
-    """Continuous 4-vector [p_0, p_1, l_0, l_1] plus the discrete indicator."""
-
-    S: np.ndarray
-    b: int
-    n: int
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        if S.shape != (4,) or not np.all(np.isfinite(S)):
-            raise ConfigurationError("S must be a finite 4-vector")
-        if self.b not in (0, 1):
-            raise ConfigurationError("b must be 0 or 1")
-        object.__setattr__(self, "S", S)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One-step affine update pieces A(n), f(d(n+1), d(n)), W(n)."""
-
-    A: np.ndarray
-    f: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        f = np.asarray(self.f, dtype=float)
-        W = np.asarray(self.W, dtype=float)
-        if A.shape != (4, 4) or f.shape != (4,) or W.shape != (4,):
-            raise ConfigurationError("transition needs A 4x4 and f, W 4-vectors")
-        expected = np.eye(4)
-        expected[2, 0] = A[2, 0]
-        expected[3, 1] = A[3, 1]
-        if not np.array_equal(A, expected):
-            raise ConfigurationError("A must be identity plus entries at (2,0) and (3,1)")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "W", W)
-
-
-@dataclass(frozen=True)
-class DecisionVars:
-    """Decision pair: estimated strength gap y(n) and margin h(n)."""
-
-    y: float
-    h: float
-    h_max: float = 10.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.h <= self.h_max):
-            raise ConfigurationError("h must lie in [0, h_max]")
-        if not math.isfinite(self.y):
-            raise ConfigurationError("y must be finite")
-
-
-def build_transition(
-    g0_next: float,
-    g1_next: float,
-    d_next,
-    d_prev,
-    slopes,
-    shadow_delta,
-) -> Transition:
-    """Assemble A, f, W for the step n -> n+1.
-
-    g*_next are the filter weights the estimators assign to the incoming
-    sample; d_next/d_prev are per-link distances, slopes the path-loss
-    slopes (dB/decade), shadow_delta the shadowing increments u(n+1)-u(n).
-    """
-    d_next = np.asarray(d_next, dtype=float)
-    d_prev = np.asarray(d_prev, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    dw = np.asarray(shadow_delta, dtype=float)
-    if d_next.shape != (2,) or d_prev.shape != (2,) or slopes.shape != (2,) or dw.shape != (2,):
-        raise ConfigurationError("per-link inputs must be 2-vectors")
-    if np.any(d_next <= 0.0) or np.any(d_prev <= 0.0):
-        raise ConfigurationError("distances must be positive")
-    A = np.eye(4)
-    A[2, 0] = g0_next
-    A[3, 1] = g1_next
-    ratio = slopes * np.log10(d_next / d_prev)
-    f = np.array([ratio[0], ratio[1], g0_next * ratio[0], g1_next * ratio[1]])
-    W = np.array([dw[0], dw[1], g0_next * dw[0], g1_next * dw[1]])
-    return Transition(A, f, W)
-
-
-def step(state: HybridState, transition: Transition) -> HybridState:
-    """Advance the continuous state one sample; b is updated by decide()."""
-    S_next = transition.A @ state.S - transition.f + transition.W
-    return HybridState(S_next, state.b, state.n + 1)
 
 
 def decide(b_prev: int, y: float, h: float) -> int:
@@ -136,22 +47,31 @@ def decide(b_prev: int, y: float, h: float) -> int:
 def decide_series(y: np.ndarray, h, b_init: int = 0) -> np.ndarray:
     """Iterate the hysteresis rule along the last axis, vectorized over trials.
 
-    y has shape [..., N]; h is a scalar or an [N] vector. Returns the b(n)
-    sequence with the same shape as y. b_init seeds b(-1).
+    y has shape [..., N]. h is a scalar, an [N] vector, or an [N, 2] table
+    whose row n holds the margin applied at sample n when b(n-1) is 0 or 1
+    (column b(n-1)); a scalar or vector applies the same margin in both
+    states. Returns the int8 b(n) sequence with the same shape as y.
+    b_init seeds b(-1).
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
-    h_vec = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    if np.any(h_vec < 0.0):
+    h = np.asarray(h, dtype=float)
+    try:
+        h_tab = np.broadcast_to(h[:, None] if h.ndim == 1 else h, (n, 2))
+    except ValueError:
+        raise ConfigurationError(
+            f"h must be a scalar, an [{n}] vector or an [{n}, 2] table, not {h.shape}"
+        ) from None
+    if np.any(h_tab < 0.0):
         raise ConfigurationError("h must be nonnegative")
     if b_init not in (0, 1):
         raise ConfigurationError("b_init must be 0 or 1")
     out = np.empty(y.shape, dtype=np.int8)
     prev = np.full(y.shape[:-1], b_init, dtype=np.int8)
     for i in range(n):
+        hi = h_tab[i][prev]
         yi = y[..., i]
-        to_bs1 = (yi < -h_vec[i]) | ((yi < h_vec[i]) & (prev == 1))
-        prev = to_bs1.astype(np.int8)
+        prev = ((yi < -hi) | ((yi < hi) & (prev == 1))).astype(np.int8)
         out[..., i] = prev
     return out
 

@@ -170,38 +170,50 @@ def _exit_chain_terms(h, t, depth, root_side):
     yield None, band
 
 
+def _side_sum(
+    process, h, t, depth, side, extra, carry, b_init, method, mc_samples, seed
+):
+    """Sum of the expansion terms of Pr[b(t) = side], each conjoined with
+    the constraints in extra; (estimate, variance).
+
+    carry = (p_bs1, p_bs0, stderr_bs1, stderr_bs0) holds the connected-state
+    series at least up to the truncation point, whose entry weights the
+    band-carry term.
+    """
+    m = max(0, t - depth)
+    total = 0.0
+    var = 0.0
+    for j, constraints in _exit_chain_terms(h, t, depth, side):
+        if j is None:
+            if m == 0:
+                w, se_w = (1.0, 0.0) if b_init == side else (0.0, 0.0)
+            else:
+                w, se_w = carry[1 - side][m], carry[3 - side][m]
+            if constraints is None or w == 0.0:
+                continue
+            q, se_q = _eval_term(process, constraints + extra, method, mc_samples, seed)
+            total += q * w
+            var += (se_q * w) ** 2 + (q * se_w) ** 2
+        else:
+            q, se_q = _eval_term(process, constraints + extra, method, mc_samples, seed)
+            total += q
+            var += se_q**2
+    return total, var
+
+
 def _connection_sweep(
     process, n_last, h, depth, b_init, method, mc_samples, seed
 ):
     """Connected-state probabilities for both sides at samples 0..n_last."""
-    pe = np.zeros(n_last + 1)
-    pnot = np.zeros(n_last + 1)
-    var_e = np.zeros(n_last + 1)
-    var_not = np.zeros(n_last + 1)
+    conn = tuple(np.zeros(n_last + 1) for _ in range(4))
     for t in range(n_last + 1):
-        m = max(0, t - depth)
-        for side, acc, var_acc in ((1, pe, var_e), (0, pnot, var_not)):
-            total = 0.0
-            var = 0.0
-            for j, constraints in _exit_chain_terms(h, t, depth, side):
-                if j is None:
-                    if m == 0:
-                        w, se_w = (1.0, 0.0) if b_init == side else (0.0, 0.0)
-                    else:
-                        w = pe[m] if side == 1 else pnot[m]
-                        se_w = math.sqrt(var_e[m] if side == 1 else var_not[m])
-                    if constraints is None or w == 0.0:
-                        continue
-                    q, se_q = _eval_term(process, constraints, method, mc_samples, seed)
-                    total += q * w
-                    var += (se_q * w) ** 2 + (q * se_w) ** 2
-                else:
-                    q, se_q = _eval_term(process, constraints, method, mc_samples, seed)
-                    total += q
-                    var += se_q**2
-            acc[t] = total
-            var_acc[t] = var
-    return pe, pnot, np.sqrt(var_e), np.sqrt(var_not)
+        for side in (1, 0):
+            total, var = _side_sum(
+                process, h, t, depth, side, [], conn, b_init, method, mc_samples, seed
+            )
+            conn[1 - side][t] = total
+            conn[3 - side][t] = math.sqrt(var)
+    return conn
 
 
 def connection_series(
@@ -255,9 +267,7 @@ def handover_series(
     """Arrays (p_h01, p_h10, stderr) of switch probabilities at 0..n_last."""
     _check_chain_args(process, n_last, depth, b_init, method)
     h = _h_lookup(h_series, n_last)
-    pe, pnot, se_e, se_not = _connection_sweep(
-        process, n_last, h, depth, b_init, method, mc_samples, seed
-    )
+    conn = _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
     p01 = np.zeros(n_last + 1)
     p10 = np.zeros(n_last + 1)
     var = np.zeros(n_last + 1)
@@ -275,32 +285,12 @@ def handover_series(
                 p10[0] = q
             var[0] = se**2
             continue
-        m = max(0, (n - 1) - depth)
         for side, out in ((1, p01), (0, p10)):
             exit_c = gap_above(n, h[n]) if side == 1 else gap_below(n, h[n])
-            total = 0.0
-            v = 0.0
-            for j, constraints in _exit_chain_terms(h, n - 1, depth, side):
-                if j is None:
-                    if m == 0:
-                        w, se_w = (1.0, 0.0) if b_init == side else (0.0, 0.0)
-                    else:
-                        w = pe[m] if side == 1 else pnot[m]
-                        se_w = se_e[m] if side == 1 else se_not[m]
-                    if constraints is None or w == 0.0:
-                        continue
-                    q, se_q = _eval_term(
-                        process, constraints + [exit_c], method, mc_samples, seed
-                    )
-                    total += q * w
-                    v += (se_q * w) ** 2 + (q * se_w) ** 2
-                else:
-                    q, se_q = _eval_term(
-                        process, constraints + [exit_c], method, mc_samples, seed
-                    )
-                    total += q
-                    v += se_q**2
-            out[n] = total
+            out[n], v = _side_sum(
+                process, h, n - 1, depth, side, [exit_c], conn,
+                b_init, method, mc_samples, seed,
+            )
             var[n] += v
     return p01, p10, np.sqrt(var)
 
@@ -352,44 +342,23 @@ def outage_series(
     if not math.isfinite(threshold_db):
         raise ConfigurationError("threshold_db must be finite")
     h = _h_lookup(h_series, n_last)
-    pe, pnot, se_e, se_not = _connection_sweep(
-        process, n_last, h, depth, b_init, method, mc_samples, seed
-    )
+    conn = _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
     po0 = np.zeros(n_last + 1)
     po1 = np.zeros(n_last + 1)
     mix = np.zeros(n_last + 1)
     var = np.zeros(n_last + 1)
     for n in range(n_last + 1):
-        m = max(0, n - depth)
-        for side, cond_p, out in ((0, pnot[n], po0), (1, pe[n], po1)):
+        for side, out in ((0, po0), (1, po1)):
+            cond_p = conn[1 - side][n]
             if cond_p < _DEGENERATE_FLOOR:
                 raise DegenerateConditioningError(
                     f"connection to BS{side} at sample {n} has probability "
                     f"{cond_p:.3e}; conditional outage undefined"
                 )
-            serving_out = power_below(side, n, threshold_db)
-            total = 0.0
-            v = 0.0
-            for j, constraints in _exit_chain_terms(h, n, depth, side):
-                if j is None:
-                    if m == 0:
-                        w, se_w = (1.0, 0.0) if b_init == side else (0.0, 0.0)
-                    else:
-                        w = pnot[m] if side == 0 else pe[m]
-                        se_w = se_not[m] if side == 0 else se_e[m]
-                    if constraints is None or w == 0.0:
-                        continue
-                    q, se_q = _eval_term(
-                        process, constraints + [serving_out], method, mc_samples, seed
-                    )
-                    total += q * w
-                    v += (se_q * w) ** 2 + (q * se_w) ** 2
-                else:
-                    q, se_q = _eval_term(
-                        process, constraints + [serving_out], method, mc_samples, seed
-                    )
-                    total += q
-                    v += se_q**2
+            total, v = _side_sum(
+                process, h, n, depth, side, [power_below(side, n, threshold_db)],
+                conn, b_init, method, mc_samples, seed,
+            )
             out[n] = total / cond_p
             mix[n] += total
             var[n] += v / cond_p**2

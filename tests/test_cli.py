@@ -257,3 +257,11 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    import handopt
+
+    assert len(set(handopt.__all__)) == len(handopt.__all__)
+    missing = [name for name in handopt.__all__ if not hasattr(handopt, name)]
+    assert missing == []

@@ -22,6 +22,7 @@ from handopt.harness import (
     SweepSpec,
     _compact_rows,
     _decide_multicell,
+    _decide_two_cell,
     _estimate_chunk,
     _gap_process,
     config_fingerprint,
@@ -299,6 +300,35 @@ def test_compact_rows_equal_the_row_loop(n_w, mode):
         assert got.tobytes() == compact_rows_loop(row, n_w, mode).tobytes()
 
 
+def decide_two_cell_loop(est, powers, h_tables, beta, b_init):
+    """Per-sample oracle for _decide_two_cell: the hysteresis rule and every
+    tally inside the sample loop."""
+    c, _, n = est.shape
+    y = est[:, 0, :] - est[:, 1, :]
+    out = {}
+    for label, h_table in h_tables.items():
+        b = np.full(c, b_init, dtype=np.int8)
+        switches = np.zeros(c, dtype=np.int64)
+        outages = np.zeros(c, dtype=np.int64)
+        conn = np.zeros((2, n), dtype=np.int64)
+        outb = np.zeros((2, n), dtype=np.int64)
+        series = np.empty((c, n), dtype=np.int8)
+        for i in range(n):
+            h = h_table[i][b]
+            yi = y[:, i]
+            b_new = ((yi < -h) | ((yi < h) & (b == 1))).astype(np.int8)
+            switches += b_new != b
+            p_serv = np.where(b_new == 0, powers[:, 0, i], powers[:, 1, i])
+            low = p_serv <= beta
+            outages += low
+            conn[:, i] = np.bincount(b_new, minlength=2)
+            outb[:, i] = np.bincount(b_new[low], minlength=2)
+            series[:, i] = b_new
+            b = b_new
+        out[label] = (switches, outages, series, conn, outb)
+    return out
+
+
 def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback):
     """Per-sample oracle for _decide_multicell: masked argmax, tallies in
     the loop."""
@@ -343,6 +373,36 @@ def assert_same_decisions(got, want):
         for g, w in zip(got[label], want[label]):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("b_init", [0, 1])
+def test_decide_two_cell_equals_the_per_sample_loop(b_init):
+    rng = np.random.default_rng(6)
+    c, n = 31, 70
+    est = rng.normal(-95.0, 5.0, size=(c, 2, n))
+    powers = est + rng.normal(0.0, 2.0, size=est.shape)
+    h_tables = {
+        "h=2": np.full((n, 2), 2.0),
+        "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
+    }
+    args = (est, powers, h_tables, -97.0, b_init)
+    assert_same_decisions(_decide_two_cell(*args), decide_two_cell_loop(*args))
+
+
+@pytest.mark.parametrize("b_init", [0, 1])
+def test_decide_two_cell_breaks_ties_like_the_per_sample_loop(b_init):
+    # gaps on a half-dB grid sit exactly on +-h; zero-margin rows and
+    # powers equal to the threshold test every tie
+    rng = np.random.default_rng(9)
+    c, n = 40, 50
+    est = np.zeros((c, 2, n))
+    est[:, 0, :] = rng.integers(-6, 7, size=(c, n)) * 0.5
+    powers = np.round(rng.normal(-95.0, 1.0, size=(c, 2, n)))
+    table = rng.integers(0, 4, size=(n, 2)) * 0.5
+    table[::5] = 0.0
+    h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2)), "opt": table}
+    args = (est, powers, h_tables, -95.0, b_init)
+    assert_same_decisions(_decide_two_cell(*args), decide_two_cell_loop(*args))
 
 
 def test_decide_multicell_equals_the_masked_argmax_loop():
@@ -404,3 +464,27 @@ def test_multicell_results_do_not_depend_on_chunks_or_workers():
             np.testing.assert_array_equal(getattr(r, field), getattr(runs[0], field))
         for ta, tb in zip(r.switch_times, runs[0].switch_times):
             np.testing.assert_array_equal(ta, tb)
+
+
+def sha256_of(arrays):
+    """Digest of dtypes, shapes and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_two_cell_run_is_pinned():
+    # equality gate: the decision rule and its tallies may be restructured,
+    # but a paper-vi run with its pairwise companion must stay bit for bit
+    r = run_two_cell(preset("paper-vi"), 2.0, 200, seed=3, analytic="pairwise")
+    arrays = [
+        r.switch_counts, r.outage_counts, r.conn_counts, r.outage_branch_counts,
+        r.margin_table, r.analytic_p_h, r.analytic_p_o, r.analytic_se_h, r.analytic_se_o,
+        *r.switch_times,
+    ]
+    assert sha256_of(arrays) == (
+        "97c9fa4c56ebde8515bb7202092bf501c90664527d05eb8ad79598492e18633d"
+    )

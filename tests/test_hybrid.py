@@ -1,19 +1,12 @@
-"""Hybrid decision dynamics: hysteresis rule, affine state update."""
+"""The hysteresis decision rule: scalar spec, series form, switch counts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from handopt import ConfigurationError, path_loss, ChannelParams
-from handopt.hybrid import (
-    DecisionVars,
-    HybridState,
-    Transition,
-    build_transition,
-    count_switches,
-    decide,
-    decide_series,
-    step,
-)
+from handopt import ConfigurationError
+from handopt.hybrid import count_switches, decide, decide_series
 
 
 def test_decide_core_regions():
@@ -41,16 +34,45 @@ def test_decide_validation():
         decide(2, 1.0, 0.5)
 
 
+def scalar_loop(y, h_tab, b_init):
+    """b(n) by the scalar rule, margin h_tab[n, b(n-1)]."""
+    out = np.empty(y.shape, dtype=np.int8)
+    for t in range(y.shape[0]):
+        prev = b_init
+        for i in range(y.shape[1]):
+            prev = decide(prev, y[t, i], h_tab[i, prev])
+            out[t, i] = prev
+    return out
+
+
 def test_decide_series_matches_scalar_loop():
     rng = np.random.default_rng(7)
     y = rng.normal(scale=4.0, size=(50, 30))
     h = rng.uniform(0.0, 3.0, size=30)
     got = decide_series(y, h, b_init=1)
-    for t in range(50):
-        prev = 1
-        for i in range(30):
-            prev = decide(prev, y[t, i], h[i])
-            assert got[t, i] == prev
+    np.testing.assert_array_equal(got, scalar_loop(y, np.stack([h, h], axis=1), 1))
+    # a state-dependent table: column b(n-1) holds the margin in force
+    table = rng.uniform(0.0, 3.0, size=(30, 2))
+    table[::7] = 0.0
+    for b_init in (0, 1):
+        got = decide_series(y, table, b_init=b_init)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, scalar_loop(y, table, b_init))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.integers(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_decide_series_equals_the_scalar_rule_on_random_tables(n, trials, b_init, seed):
+    rng = np.random.default_rng(seed)
+    # margins and gaps on a coarse grid so ties y = +-h occur often
+    table = rng.integers(0, 4, size=(n, 2)) * 0.5
+    y = rng.integers(-8, 9, size=(trials, n)) * 0.5
+    np.testing.assert_array_equal(decide_series(y, table, b_init), scalar_loop(y, table, b_init))
 
 
 def test_decide_series_scalar_margin_and_validation():
@@ -62,6 +84,15 @@ def test_decide_series_scalar_margin_and_validation():
         decide_series(y, -1.0)
     with pytest.raises(ConfigurationError):
         decide_series(y, 2.0, b_init=2)
+    # margins of the wrong shape or sign are configuration errors, not
+    # numpy broadcast errors
+    for h in (np.ones((4, 3)), np.ones((5, 2)), np.ones(3), np.ones((2, 4, 2))):
+        with pytest.raises(ConfigurationError):
+            decide_series(y, h)
+    table = np.ones((4, 2))
+    table[2, 1] = -0.5
+    with pytest.raises(ConfigurationError):
+        decide_series(y, table)
 
 
 def test_count_switches_includes_initial_change():
@@ -70,78 +101,3 @@ def test_count_switches_includes_initial_change():
     np.testing.assert_array_equal(count_switches(b, b_init=1), [2, 1])
     assert count_switches(np.array([1]), b_init=0) == 1
 
-
-def test_build_transition_structure():
-    tr = build_transition(
-        0.25,
-        0.5,
-        d_next=[110.0, 1890.0],
-        d_prev=[100.0, 1900.0],
-        slopes=[35.0, 35.0],
-        shadow_delta=[0.3, -0.2],
-    )
-    A = np.eye(4)
-    A[2, 0] = 0.25
-    A[3, 1] = 0.5
-    np.testing.assert_array_equal(tr.A, A)
-    r0 = 35.0 * np.log10(110.0 / 100.0)
-    r1 = 35.0 * np.log10(1890.0 / 1900.0)
-    np.testing.assert_allclose(tr.f, [r0, r1, 0.25 * r0, 0.5 * r1], rtol=1e-12)
-    np.testing.assert_allclose(tr.W, [0.3, -0.2, 0.25 * 0.3, 0.5 * -0.2], rtol=1e-12)
-
-
-def test_build_transition_validation():
-    with pytest.raises(ConfigurationError):
-        build_transition(0.2, 0.2, [100.0], [100.0, 200.0], [35.0, 35.0], [0.0, 0.0])
-    with pytest.raises(ConfigurationError):
-        build_transition(0.2, 0.2, [100.0, -5.0], [100.0, 200.0], [35.0, 35.0], [0.0, 0.0])
-
-
-def test_step_tracks_noiseless_path_loss():
-    # with zero shadowing the p rows follow the path-loss curve exactly and
-    # the l rows accumulate the weighted incoming samples,
-    # l(n+1) = l(n) + g p(n+1)
-    ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=0.0)
-    d = np.stack([100.0 + 10.0 * np.arange(6), 2000.0 - 10.0 * np.arange(6)])
-    p = np.stack([path_loss(ch, d[0]), path_loss(ch, d[1])])
-    weights = [(0.5, 0.25), (1.0, 0.5), (0.2, 0.2), (0.0, 1.0), (0.3, 0.6)]
-    state = HybridState(np.array([p[0, 0], p[1, 0], p[0, 0], p[1, 0]]), b=0, n=0)
-    l0, l1 = p[0, 0], p[1, 0]
-    for i, (g0, g1) in enumerate(weights):
-        tr = build_transition(
-            g0, g1, d[:, i + 1], d[:, i], [35.0, 35.0], [0.0, 0.0]
-        )
-        state = step(state, tr)
-        l0 += g0 * p[0, i + 1]
-        l1 += g1 * p[1, i + 1]
-        np.testing.assert_allclose(
-            state.S, [p[0, i + 1], p[1, i + 1], l0, l1], rtol=1e-12
-        )
-    assert state.n == 5
-    assert state.b == 0
-
-
-def test_step_carries_shadow_increments():
-    state = HybridState(np.zeros(4), b=1, n=3)
-    tr = build_transition(
-        0.5, 0.5, [100.0, 100.0], [100.0, 100.0], [35.0, 35.0], [1.0, -2.0]
-    )
-    nxt = step(state, tr)
-    np.testing.assert_allclose(nxt.S, [1.0, -2.0, 0.5, -1.0], rtol=1e-12)
-    assert nxt.b == 1 and nxt.n == 4
-
-
-def test_state_and_vars_validation():
-    with pytest.raises(ConfigurationError):
-        HybridState(np.zeros(3), b=0, n=0)
-    with pytest.raises(ConfigurationError):
-        HybridState(np.array([np.inf, 0, 0, 0]), b=0, n=0)
-    with pytest.raises(ConfigurationError):
-        HybridState(np.zeros(4), b=5, n=0)
-    with pytest.raises(ConfigurationError):
-        DecisionVars(y=0.0, h=11.0)
-    with pytest.raises(ConfigurationError):
-        DecisionVars(y=np.nan, h=2.0)
-    DecisionVars(y=1.5, h=10.0)
-    with pytest.raises(ConfigurationError):
-        Transition(np.ones((4, 4)), np.zeros(4), np.zeros(4))

@@ -5,6 +5,7 @@ chain directly: sample shadowed powers, filter them with the same
 coefficient tables, run the hysteresis rule, count events.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from handopt import (
     handover_series,
     outage_prob,
     outage_series,
+    preset,
     sample_power,
 )
+from handopt.harness import _gap_process
 from handopt.hybrid import count_switches, decide_series
 from handopt.metrics import GapProcess
 
@@ -229,3 +232,29 @@ def test_exact_method_is_seed_deterministic():
     b = handover_prob(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)
     assert a.p_h == b.p_h
     assert a.p_h01 == b.p_h01
+
+
+@pytest.mark.parametrize(
+    "depth, b_init, digest",
+    [
+        (15, 0, "7990db45f7c6ba4e3aec3834d4d17d40665e23c42486b5b7f6a554d9fc2bbbd9"),
+        (2, 0, "dcae88646e1832db59adecc8fcf878ff972ca0e21b7f9c9762c54af4464fbad7"),
+        (2, 1, "222c8fba204bac94b083633098d595cb2ece865babb917262421764f2a71a775"),
+    ],
+)
+def test_exact_series_are_pinned(depth, b_init, digest):
+    # equality gate: the chain sums may be restructured, but the exact
+    # series on a short paper-vi trace must stay bit for bit
+    cfg = preset("paper-vi").with_updates(start_offset_m=985.0, length_m=30.0)
+    proc = _gap_process(cfg)
+    n_last = proc.n_samples - 1
+    kw = dict(b_init=b_init, method="exact", mc_samples=10_000, seed=7)
+    arrays = [
+        *connection_series(proc, n_last, 2.0, depth, **kw),
+        *handover_series(proc, n_last, 2.0, depth, **kw),
+        *outage_series(proc, n_last, 2.0, depth, cfg.resolved_outage_threshold(), **kw),
+    ]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
