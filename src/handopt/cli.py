@@ -178,7 +178,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     o.add_argument("--workers", type=int)
 
 
-def _load_config_file(path: str):
+def _load_config_file(path: str, run_keys):
+    """(scenario, channel, layout, run) sections; run values stay strings."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ConfigurationError(f"cannot read config file {path!r}")
@@ -193,19 +194,18 @@ def _load_config_file(path: str):
             out[key] = parsers[key](raw)
         return out
 
-    run = dict(cp.items("run")) if "run" in cp else {}
     return (
         section("scenario", _SCENARIO_PARSERS),
         section("channel", _CHANNEL_PARSERS),
         section("layout", _LAYOUT_PARSERS),
-        run,
+        section("run", dict.fromkeys(run_keys, str)),
     )
 
 
 def _build_config(args) -> tuple:
     """Resolve (config, run-section dict) from preset, flags and file."""
     file_scn, file_ch, file_lay, file_run = (
-        _load_config_file(args.config) if args.config else ({}, {}, {}, {})
+        _load_config_file(args.config, args.run_keys) if args.config else ({}, {}, {}, {})
     )
     config = preset(args.preset)
     scn = {
@@ -319,14 +319,16 @@ def _cmd_optimize(args) -> int:
     root_b = _run_value(file_run, args, "root_b", int, config.b_init)
     cell_a = _run_value(file_run, args, "cell_a", int, 0)
     cell_b = _run_value(file_run, args, "cell_b", int, 1)
-    method = _run_value(file_run, args, "method", str, "pairwise")
+    n_bs = config.layout.n_bs
+    if not (0 <= cell_a < n_bs and 0 <= cell_b < n_bs) or cell_a == cell_b:
+        raise ConfigurationError(f"cells must be two distinct indices in 0..{n_bs - 1}")
     process = _gap_process(config, cell_a, cell_b)
     n_samples = process.n_samples
     if not 0 <= root_n < n_samples - 1:
         raise ConfigurationError("root sample must leave at least one stage")
     horizon = min(config.horizon, n_samples - 1 - root_n)
     problem = _trellis_problem(
-        config, _pair_stats(process, root_n, horizon), horizon, root_b, label, method
+        config, _pair_stats(process, root_n, horizon), horizon, root_b, label
     )
     solution = solve(problem)
     fields, rows = trellis_rows(solution)
@@ -338,7 +340,6 @@ def _cmd_optimize(args) -> int:
         "root_b": root_b,
         "cells": [cell_a, cell_b],
         "horizon": horizon,
-        "method": method,
         "b_next": solution.b_next,
         "h_first": solution.h_first,
         "margins": list(solution.margins),
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", type=_parse_policy, help="margin in dB or opt1/opt2/opt3")
     p.add_argument("--trials", type=int)
     p.add_argument("--analytic", choices=("pairwise", "exact"))
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, run_keys=("policy", "trials", "analytic"))
 
     p = sub.add_parser("optimize", help="one trellis solve with a path dump")
     _add_scenario_flags(p)
@@ -421,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root-b", dest="root_b", type=int, choices=(0, 1))
     p.add_argument("--cell-a", dest="cell_a", type=int)
     p.add_argument("--cell-b", dest="cell_b", type=int)
-    p.add_argument("--method", choices=("pairwise", "exact"))
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(
+        func=_cmd_optimize,
+        run_keys=("objective", "root_sample", "root_b", "cell_a", "cell_b"),
+    )
 
     p = sub.add_parser("accuracy", help="probability-method comparison study")
     _add_scenario_flags(p)
@@ -431,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int)
     p.add_argument("--mc-samples", dest="mc_samples", type=int)
     p.add_argument("--study-seed", dest="study_seed", type=int)
-    p.set_defaults(func=_cmd_accuracy)
+    p.set_defaults(
+        func=_cmd_accuracy,
+        run_keys=("k", "m_split", "instances", "mc_samples", "study_seed"),
+    )
 
     p = sub.add_parser("table", help="policy x speed aggregate sweep")
     _add_scenario_flags(p)
@@ -439,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", type=_parse_policies, help="comma-separated margins/opt policies")
     p.add_argument("--trials", type=int)
     p.add_argument("--mode", choices=("fixed-grid", "resampled"))
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_cmd_table, run_keys=("speeds", "policies", "trials", "mode"))
 
     return parser
 

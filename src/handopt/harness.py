@@ -189,9 +189,7 @@ def _policy_problem_kwargs(config: ScenarioConfig, label: str) -> dict:
     raise ConfigurationError(f"unknown optimizer policy {label!r}")
 
 
-def _trellis_problem(
-    config: ScenarioConfig, stats, horizon: int, root_b: int, label: str, method: str
-):
+def _trellis_problem(config: ScenarioConfig, stats, horizon: int, root_b: int, label: str):
     """Receding-horizon problem of one optimizer policy on prepared stats."""
     return TrellisProblem(
         horizon=horizon,
@@ -201,7 +199,6 @@ def _trellis_problem(
         outage_threshold_db=config.resolved_outage_threshold(),
         h_max=config.h_max_db,
         h_step=config.h_step_db,
-        method=method,
         **_policy_problem_kwargs(config, label),
     )
 
@@ -216,7 +213,6 @@ def opt_margin_tables(
     config: ScenarioConfig,
     policies=_OPT_POLICIES,
     *,
-    method: str = "pairwise",
     workers=None,
     channels=None,
 ) -> dict:
@@ -265,7 +261,7 @@ def opt_margin_tables(
         )
         stats = _pair_stats(process, root_n, m)
         problems = [
-            _trellis_problem(config, stats, m, root_b, p, method)
+            _trellis_problem(config, stats, m, root_b, p)
             for p in policies
             for root_b in (0, 1)
         ]
@@ -304,7 +300,6 @@ def optimal_h_profile(
     config: ScenarioConfig,
     objective: str,
     *,
-    method: str = "pairwise",
     root_b=None,
     channels=None,
 ) -> np.ndarray:
@@ -330,7 +325,7 @@ def optimal_h_profile(
     out = np.empty(n_samples - 1)
     for n in range(n_samples - 1):
         m = min(config.horizon, n_samples - 1 - n)
-        problem = _trellis_problem(config, _pair_stats(process, n, m), m, root, label, method)
+        problem = _trellis_problem(config, _pair_stats(process, n, m), m, root, label)
         out[n] = solve_group([problem])[0].h_first
     return out
 
@@ -525,7 +520,6 @@ def _simulate_policies(
     chunk=None,
     log_events=True,
     margin_tables=None,
-    method: str = "pairwise",
 ):
     """Shared-trace simulation of several policies; dict label -> arrays."""
     if n_trials < 1:
@@ -545,7 +539,7 @@ def _simulate_policies(
     if missing:
         margin_tables = dict(margin_tables)
         margin_tables.update(
-            opt_margin_tables(config, missing, method=method, workers=workers, channels=chs)
+            opt_margin_tables(config, missing, workers=workers, channels=chs)
         )
     h_tables = {}
     for policy, label in zip(policies, labels):
@@ -616,7 +610,6 @@ def run_two_cell(
     log_events: bool = True,
     analytic=None,
     mc_samples: int = 1_000_000,
-    method: str = "pairwise",
 ) -> RunResult:
     """Simulate one policy on a two-cell scenario.
 
@@ -635,7 +628,6 @@ def run_two_cell(
         workers=workers,
         chunk=chunk,
         log_events=log_events,
-        method=method,
     )
     label = _policy_label(policy)
     extra = {}
@@ -686,7 +678,6 @@ def run_multicell(
     workers=None,
     chunk=None,
     log_events: bool = True,
-    method: str = "pairwise",
 ) -> RunResult:
     """Simulate one policy on a multi-cell row scenario."""
     if config.layout.n_bs < 3:
@@ -700,7 +691,6 @@ def run_multicell(
         workers=workers,
         chunk=chunk,
         log_events=log_events,
-        method=method,
     )
     label = _policy_label(policy)
     return RunResult.from_tallies(
@@ -757,7 +747,6 @@ def run_table_sweep(
     seed=None,
     workers=None,
     log_events: bool = False,
-    method: str = "pairwise",
 ) -> dict:
     """Simulate every (policy, speed) cell; {(label, speed): RunResult}.
 
@@ -777,7 +766,6 @@ def run_table_sweep(
             channels=channels_v,
             workers=workers,
             log_events=log_events,
-            method=method,
         )
         for policy in spec.policies:
             label = _policy_label(policy)

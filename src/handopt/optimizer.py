@@ -28,18 +28,22 @@ Objectives:
 * pareto: z-weighted sum of the two stage costs, no caps.
 
 Every objective is a sum of per-stage grid vectors indexed by the path's
-from-state, so the margin search is an exact per-stage scan.
+from-state, and every cap is a per-stage mask indexed by the stage's
+(from, to) edge. So a stage's margin choice depends only on the stage and
+its edge: solve() scans each of the 4m edges once (masked argmin, or the
+minimal-excess margin when the cap admits none) and gathers the results
+over the 2^m paths, summing stage costs in stage order.
 
-Probability evaluation method "pairwise" reduces every needed quantity to
-one- and two-dimensional boxes evaluated by deterministic segmented
-quadrature on a margin-value lattice (exact at nominal lattice points, no
-interpolation). The stage switch probabilities condition on the root box
-only, so each stage needs just one root-edge table: the CDF of
-(y_l, y_0) on the margin lattice × the edges of both root states' stay
-boxes (+-root_margin, +-inf), integrated over y_l, whose lattice borders
-lie one grid step apart. One such table per stage serves every problem of
-a solve_group. Method "exact" computes the same boxes through exact_prob;
-it is the slow reference used for verification.
+Every needed quantity reduces to one- and two-dimensional Gaussian boxes,
+which the stage tables evaluate on a margin-value lattice: closed-form
+normal CDFs in one dimension and bvn_cdf_lattice in two, exact at the
+lattice points with no interpolation. The stage switch probabilities
+condition on the root box only, so each stage needs just one root-edge
+table: the CDF of (y_l, y_0) on the margin lattice × the edges of both
+root states' stay boxes (+-root_margin, +-inf), integrated over y_l, whose
+lattice borders lie one grid step apart. One such table per stage serves
+every problem of a solve_group. verify_solution re-checks a winner's capped
+quantities independently through exact_prob.
 """
 
 from __future__ import annotations
@@ -76,9 +80,6 @@ class TrellisProblem:
     p_out_cap: float = 1.0
     p_han_cap: float = 1.0
     pareto_z: float = 0.5
-    method: str = "pairwise"
-    mc_samples: int = 1_000_000
-    seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -97,8 +98,6 @@ class TrellisProblem:
                 raise ConfigurationError("caps must lie in (0, 1]")
         if not 0.0 <= self.pareto_z <= 1.0:
             raise ConfigurationError("pareto_z must lie in [0, 1]")
-        if self.method not in ("pairwise", "exact"):
-            raise ConfigurationError(f"unknown method {self.method!r}")
         if not math.isfinite(self.outage_threshold_db):
             raise ConfigurationError("outage_threshold_db must be finite")
         if self.horizon > 0:
@@ -163,8 +162,6 @@ class TrellisSolution:
 def build_trellis(problem: TrellisProblem):
     """All 2^m serving-state sequences rooted at b(n), with event labels."""
     m = problem.horizon
-    if m > 12:
-        raise ConfigurationError("horizon beyond 12 refused")
     if m == 0:
         return (TrellisPath(states=(), events=(), margins=(), cost=0.0),)
     paths = []
@@ -188,128 +185,81 @@ def _stay_box(u: int, h: float):
 
 
 class _StageTables:
-    """Per-problem lattice tables and stage cost grids.
+    """Per-problem lattice tables and stage grids: the optimizer's one backend.
 
-    The lattice holds every margin value the search can query (plus the
-    root margin and +-inf), so each conditional below is an exact ratio of
-    lattice CDF differences. The pair quantities condition only on the
-    root box, so each stage keeps one root-edge table: the joint CDF of
+    Every stage quantity is a ratio of one- or two-dimensional Gaussian
+    boxes. The lattice holds every margin value the search can query (plus
+    the root margin and +-inf), so each box is an exact difference of
+    lattice CDFs: F holds the marginal normal CDFs of y_0..y_m, and
+    bvn_cdf_lattice the pair CDFs. The pair quantities condition only on
+    the root box, so each stage keeps one root-edge table: the joint CDF of
     (y_l, y_0) on the lattice × the edges of both root states' stay boxes,
     integrated over y_l, whose lattice borders lie one grid step apart.
-    The tables are shared across a solve_group.
+    The lattice tables are shared across a solve_group. The grids hc, oc
+    and po are indexed by stage and edge, which is all solve()'s per-edge
+    scan reads.
     """
+
+    _SHARED = ("lattice", "_pos", "F", "R", "_rpos", "U", "p_marg", "_ineg", "_ipos")
 
     def __init__(self, problem: TrellisProblem, share: "_StageTables" = None):
         self.problem = problem
         self.grid = problem.grid
+        if share is not None:
+            for name in self._SHARED:
+                setattr(self, name, getattr(share, name))
+        else:
+            self._build_lattice_tables()
+        self.root_box = _stay_box(problem.root_b, problem.root_margin)
+        self._build_grids(share)
+
+    def _build_lattice_tables(self):
+        problem = self.problem
         m = problem.horizon
         times = problem.times
         stats = problem.stats
         g = self.grid
-        if share is not None:
-            for name in (
-                "lattice", "_pos", "mu_y", "sd_y", "F", "R", "_rpos", "U", "p_marg",
-                "_exact_cache", "_ineg", "_ipos",
-            ):
-                if hasattr(share, name):
-                    setattr(self, name, getattr(share, name))
-        else:
-            finite = np.unique(
-                np.concatenate([-g, g, [-problem.root_margin, problem.root_margin]])
-            )
-            self.lattice = np.concatenate(([-np.inf], finite, [np.inf]))
-            self._pos = {v: i for i, v in enumerate(self.lattice)}
+        finite = np.unique(
+            np.concatenate([-g, g, [-problem.root_margin, problem.root_margin]])
+        )
+        self.lattice = np.concatenate(([-np.inf], finite, [np.inf]))
+        self._pos = {v: i for i, v in enumerate(self.lattice)}
 
-            y_labels = [("y", t) for t in times]
-            mu = np.array([stats.mean_of(l) for l in y_labels])
-            sd = np.array([stats.sd_of(l) for l in y_labels])
-            self.mu_y, self.sd_y = mu, sd
-
-            if problem.method == "pairwise":
-                with np.errstate(invalid="ignore"):
-                    z = (self.lattice[None, :] - mu[:, None]) / np.maximum(
-                        sd[:, None], 1e-150
-                    )
-                self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
-                root_edges = np.unique(
-                    [-np.inf, -problem.root_margin, problem.root_margin, np.inf]
+        y_labels = [("y", t) for t in times]
+        mu = np.array([stats.mean_of(l) for l in y_labels])
+        sd = np.array([stats.sd_of(l) for l in y_labels])
+        with np.errstate(invalid="ignore"):
+            z = (self.lattice[None, :] - mu[:, None]) / np.maximum(sd[:, None], 1e-150)
+        self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
+        root_edges = np.unique(
+            [-np.inf, -problem.root_margin, problem.root_margin, np.inf]
+        )
+        self._rpos = {v: i for i, v in enumerate(root_edges)}
+        # R[l][x, y] = P(y_l <= lattice[x], y_0 <= root_edges[y])
+        self.R = {}
+        for l in range(1, m + 1):
+            gv = stats.joint([y_labels[l], y_labels[0]])
+            self.R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
+        self.U = {}
+        self.p_marg = {}
+        beta = problem.outage_threshold_db
+        for l in range(1, m + 1):
+            for s in (0, 1):
+                # U[(l, s)][x] = P(y_l <= lattice[x], p_s(t_l) <= beta),
+                # integrated over y_l like R
+                gv = stats.joint([y_labels[l], ("p", s, times[l])])
+                self.U[(l, s)] = bvn_cdf_lattice(
+                    gv.mu, gv.Sigma, self.lattice, np.array([beta])
+                )[:, 0]
+                self.p_marg[(l, s)] = float(
+                    ndtr((beta - gv.mu[1]) / max(math.sqrt(gv.Sigma[1, 1]), 1e-150))
                 )
-                self._rpos = {v: i for i, v in enumerate(root_edges)}
-                # R[l][x, y] = P(y_l <= lattice[x], y_0 <= root_edges[y])
-                self.R = {}
-                for l in range(1, m + 1):
-                    gv = stats.joint([y_labels[l], y_labels[0]])
-                    self.R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
-                self.U = {}
-                self.p_marg = {}
-                beta = problem.outage_threshold_db
-                for l in range(1, m + 1):
-                    for s in (0, 1):
-                        # U[(l, s)][x] = P(y_l <= lattice[x], p_s(t_l) <= beta),
-                        # integrated over y_l like R
-                        gv = stats.joint([y_labels[l], ("p", s, times[l])])
-                        self.U[(l, s)] = bvn_cdf_lattice(
-                            gv.mu, gv.Sigma, self.lattice, np.array([beta])
-                        )[:, 0]
-                        self.p_marg[(l, s)] = float(
-                            ndtr(
-                                (beta - gv.mu[1])
-                                / max(math.sqrt(gv.Sigma[1, 1]), 1e-150)
-                            )
-                        )
-                self._ineg = np.fromiter((self._pos[-v] for v in g), int, g.size)
-                self._ipos = np.fromiter((self._pos[v] for v in g), int, g.size)
-            else:
-                self._exact_cache = {}
-
-        self.root_box = _stay_box(problem.root_b, problem.root_margin)
-        self._build_grids(share)
-
-    # -- box probabilities ------------------------------------------------
+        self._ineg = np.fromiter((self._pos[-v] for v in g), int, g.size)
+        self._ipos = np.fromiter((self._pos[v] for v in g), int, g.size)
 
     def _single(self, l: int, box) -> float:
-        if self.problem.method == "pairwise":
-            return float(self.F[l, self._pos[box[1]]] - self.F[l, self._pos[box[0]]])
-        return self._exact_single(l, box)
-
-    # exact backend: same boxes through exact_prob (Simpson quadrature)
-    def _exact_single(self, l, box):
-        t = self.problem.times[l]
-        ev = EventSpec(((("y", t), box[0], box[1]),))
-        key = ("s", l, box)
-        if key not in self._exact_cache:
-            gv = self.problem.stats.joint([("y", t)])
-            self._exact_cache[key] = exact_prob(gv, ev).estimate
-        return self._exact_cache[key]
-
-    def _exact_pair(self, i, j, box_i, box_j):
-        times = self.problem.times
-        key = ("p", i, j, box_i, box_j)
-        if key not in self._exact_cache:
-            gv = self.problem.stats.joint([("y", times[i]), ("y", times[j])])
-            ev = EventSpec(
-                (
-                    (("y", times[i]), box_i[0], box_i[1]),
-                    (("y", times[j]), box_j[0], box_j[1]),
-                )
-            )
-            self._exact_cache[key] = exact_prob(gv, ev).estimate
-        return self._exact_cache[key]
-
-    def _exact_pow(self, l, s, box):
-        """P(p_s(t_l) <= threshold, y_l in box)."""
-        t = self.problem.times[l]
-        key = ("u", l, s, box)
-        if key not in self._exact_cache:
-            gv = self.problem.stats.joint([("p", s, t), ("y", t)])
-            ev = EventSpec(
-                (
-                    (("p", s, t), -math.inf, self.problem.outage_threshold_db),
-                    (("y", t), box[0], box[1]),
-                )
-            )
-            self._exact_cache[key] = exact_prob(gv, ev).estimate
-        return self._exact_cache[key]
+        """P(y_l in box) for a box with lattice edges."""
+        return float(self.F[l, self._pos[box[1]]] - self.F[l, self._pos[box[0]]])
 
     # -- stage grids -------------------------------------------------------
 
@@ -324,36 +274,22 @@ class _StageTables:
 
     def _build_grids(self, share=None):
         m = self.problem.horizon
-        g = self.grid
-        k = g.size
+        k = self.grid.size
         root_p = self._single(0, self.root_box)
         self._root_degenerate = root_p < _COND_FLOOR
-        fast = self.problem.method == "pairwise"
 
         # hc[l][u, i]: P(stage l switches away from u at margin g[i] | root)
         self.hc = np.zeros((m + 1, 2, k))
+        r1 = self._rpos[self.root_box[0]]
+        r2 = self._rpos[self.root_box[1]]
         for l in range(1, m + 1):
             for u in (0, 1):
-                if fast:
-                    lo, hi = self._box_idx(u, switch=True)
-                    if self._root_degenerate:
-                        self.hc[l, u] = self.F[l, hi] - self.F[l, lo]
-                    else:
-                        r1 = self._rpos[self.root_box[0]]
-                        r2 = self._rpos[self.root_box[1]]
-                        R = self.R[l]
-                        self.hc[l, u] = (
-                            R[hi, r2] - R[lo, r2] - R[hi, r1] + R[lo, r1]
-                        ) / root_p
+                lo, hi = self._box_idx(u, switch=True)
+                if self._root_degenerate:
+                    self.hc[l, u] = self.F[l, hi] - self.F[l, lo]
                 else:
-                    for i, h in enumerate(g):
-                        sw = _switch_box(u, h)
-                        if self._root_degenerate:
-                            self.hc[l, u, i] = self._single(l, sw)
-                        else:
-                            self.hc[l, u, i] = (
-                                self._exact_pair(0, l, self.root_box, sw) / root_p
-                            )
+                    R = self.R[l]
+                    self.hc[l, u] = (R[hi, r2] - R[lo, r2] - R[hi, r1] + R[lo, r1]) / root_p
 
         if share is not None:
             self.oc = share.oc
@@ -367,30 +303,14 @@ class _StageTables:
             for u_from in (0, 1):
                 for u_to in (0, 1):
                     s = u_to
-                    if fast:
-                        lo, hi = self._box_idx(u_from, switch=u_to != u_from)
-                        num = self.U[(l, s)][hi] - self.U[(l, s)][lo]
-                        den = self.F[l, hi] - self.F[l, lo]
-                        self.oc[l, u_from, u_to] = np.where(
-                            den < _COND_FLOOR,
-                            self.p_marg[(l, s)],
-                            num / np.maximum(den, _COND_FLOOR),
-                        )
-                    else:
-                        for i, h in enumerate(g):
-                            box = (
-                                _switch_box(u_from, h)
-                                if u_to != u_from
-                                else _stay_box(u_from, h)
-                            )
-                            num = self._exact_pow(l, s, box)
-                            den = self._single(l, box)
-                            if den < _COND_FLOOR:
-                                self.oc[l, u_from, u_to, i] = _outage_marginal(
-                                    self.problem, l, s
-                                )
-                            else:
-                                self.oc[l, u_from, u_to, i] = num / den
+                    lo, hi = self._box_idx(u_from, switch=u_to != u_from)
+                    num = self.U[(l, s)][hi] - self.U[(l, s)][lo]
+                    den = self.F[l, hi] - self.F[l, lo]
+                    self.oc[l, u_from, u_to] = np.where(
+                        den < _COND_FLOOR,
+                        self.p_marg[(l, s)],
+                        num / np.maximum(den, _COND_FLOOR),
+                    )
 
         # po[l][u_from, i]: stage outage probability, both branch
         # conditionals charged (u_to = u_from stays, u_to = 1 - u_from
@@ -425,119 +345,45 @@ def _stage_chain(problem, states):
     return out
 
 
-def _feasible_masks(problem, tables, states):
-    """Per-stage boolean masks over the grid from the objective's caps.
+def _edge_choices(problem: TrellisProblem, tables: _StageTables):
+    """Per-edge margin choice, cap excess and stage cost, each [m, 2, 2].
 
-    Caps are per-stage, so masks decouple. Stages with an empty mask are
-    pinned at their minimal-violation margin (smallest h on ties) and the
-    path carries the largest stage excess as its violation.
+    Entry [l - 1, u_from, u_to] belongs to stage l taken along the edge
+    u_from -> u_to. The margin index is the cheapest one the stage's cap
+    admits; when the cap admits none, it is the minimal-excess index
+    (smallest margin on ties) and the excess is that minimum, else 0.
     """
     m = problem.horizon
     k = tables.grid.size
-    chain = _stage_chain(problem, states)
-    masks = np.ones((m, k), dtype=bool)
-    forced = [None] * m
-    violation = 0.0
-    for l in range(1, m + 1):
-        u_from, u_to = chain[l - 1]
-        if problem.objective == "min_handover":
-            level = tables.oc[l, u_from, u_to]
-            cap = problem.p_out_cap
-        elif problem.objective == "min_outage":
-            level = tables.hc[l, u_from]
-            cap = problem.p_han_cap
-        else:
-            masks[l - 1] = True
-            continue
-        ok = level <= cap
-        masks[l - 1] = ok
-        if not ok.any():
-            excess = level - cap
-            j = int(np.argmin(excess))
-            forced[l - 1] = j
-            violation = max(violation, float(excess[j]))
-            masks[l - 1, j] = True
-    return masks, forced, violation
-
-
-def _stage_cost_vectors(problem, tables, states):
-    """Per-stage cost grids [k] for the path, indexed by its from-states."""
-    chain = _stage_chain(problem, states)
-    m = problem.horizon
-    out = []
-    for l in range(1, m + 1):
-        u_from = chain[l - 1][0]
-        if problem.objective == "min_handover":
-            vec = tables.hc[l, u_from]
-        elif problem.objective == "min_outage":
-            vec = tables.po[l, u_from]
-        else:
-            z = problem.pareto_z
-            vec = z * tables.hc[l, u_from] + (1.0 - z) * tables.po[l, u_from]
-        out.append(vec)
-    return out
-
-
-def _sum_cost_fn(stage_costs):
-    """Vectorized cost over candidate margin index arrays [..., m]."""
-
-    def cost(h_idx):
-        total = np.zeros(h_idx.shape[:-1])
-        for l, vec in enumerate(stage_costs):
-            total = total + vec[h_idx[..., l]]
-        return total
-
-    return cost
-
-
-def _decoupled_argmin(stage_costs, masks, forced):
-    """Exact per-stage scan; valid whenever the cost is a sum over stages."""
-    m = len(stage_costs)
-    out = np.empty(m, dtype=int)
-    for l in range(m):
-        if forced[l] is not None:
-            out[l] = forced[l]
-            continue
-        vals = stage_costs[l].copy()
-        vals[~masks[l]] = np.inf
-        out[l] = int(np.argmin(vals))
-    return out
-
-
-def optimize_path_hysteresis(path: TrellisPath, problem: TrellisProblem) -> TrellisPath:
-    """Fill in the path's optimal margins, cost and feasibility.
-
-    Every shipped objective decomposes into per-stage grid vectors, so the
-    search is an exact per-stage scan.
-    """
-    m = problem.horizon
-    if m == 0:
-        return TrellisPath(states=(), events=(), margins=(), cost=0.0)
-    if len(path.states) != m:
-        raise ConfigurationError("path length does not match the horizon")
-    tables = _get_tables(problem)
-    if tables.grid.size == 0:
-        raise ConfigurationError("empty hysteresis grid")
-    masks, forced, violation = _feasible_masks(problem, tables, path.states)
-    stage_costs = _stage_cost_vectors(problem, tables, path.states)
-    cost_fn = _sum_cost_fn(stage_costs)
-    h_idx = _decoupled_argmin(stage_costs, masks, forced)
-    cost = float(cost_fn(h_idx[None, :])[0])
-    return TrellisPath(
-        states=path.states,
-        events=path.events,
-        margins=tuple(float(tables.grid[i]) for i in h_idx),
-        cost=cost,
-        feasible=violation == 0.0,
-        violation=violation,
-    )
+    if problem.objective == "min_handover":
+        cost = tables.hc
+        level = tables.oc[1:]
+        cap = problem.p_out_cap
+    elif problem.objective == "min_outage":
+        cost = tables.po
+        level = np.broadcast_to(tables.hc[1:, :, None, :], (m, 2, 2, k))
+        cap = problem.p_han_cap
+    else:
+        z = problem.pareto_z
+        cost = z * tables.hc + (1.0 - z) * tables.po
+        level = np.zeros((m, 2, 2, k))  # uncapped: every margin is admitted
+        cap = 1.0
+    cost = np.broadcast_to(cost[1:, :, None, :], (m, 2, 2, k))
+    ok = level <= cap
+    over = level - cap
+    forced = ~ok.any(axis=-1)
+    least = np.argmin(over, axis=-1)
+    idx = np.where(forced, least, np.argmin(np.where(ok, cost, np.inf), axis=-1))
+    excess = np.where(forced, np.take_along_axis(over, least[..., None], axis=-1)[..., 0], 0.0)
+    return idx, excess, np.take_along_axis(cost, idx[..., None], axis=-1)[..., 0]
 
 
 def solve(problem: TrellisProblem) -> TrellisSolution:
     """Optimize every path and return the winner's first-stage decisions.
 
     Ranking: feasible before infeasible, then smaller violation, then cost,
-    then fewer switches, then lexicographically smaller margin vector.
+    then fewer switches, then lexicographically smaller margin vector; on a
+    full tie the first path in build_trellis order wins.
     """
     if problem.horizon == 0:
         empty = TrellisPath(states=(), events=(), margins=(), cost=0.0)
@@ -552,20 +398,36 @@ def solve(problem: TrellisProblem) -> TrellisSolution:
             paths=(empty,),
             objective=problem.objective,
         )
-    optimized = tuple(
-        optimize_path_hysteresis(p, problem) for p in build_trellis(problem)
+    tables = _get_tables(problem)
+    idx, excess, stage_cost = _edge_choices(problem, tables)
+    skeleton = build_trellis(problem)
+    to = np.array([p.states for p in skeleton])
+    frm = np.concatenate([np.full((len(skeleton), 1), problem.root_b), to[:, :-1]], axis=1)
+    h_idx = idx[np.arange(problem.horizon), frm, to]
+    cost = np.zeros(len(skeleton))
+    violation = np.zeros(len(skeleton))
+    for l in range(problem.horizon):
+        # stage by stage, so every path's total rounds like a scalar sum
+        cost = cost + stage_cost[l, frm[:, l], to[:, l]]
+        e = excess[l, frm[:, l], to[:, l]]
+        violation = np.where(e > violation, e, violation)
+    margins = tables.grid[h_idx]
+    n_switches = np.count_nonzero(frm != to, axis=1)
+    order = np.lexsort(
+        (*margins.T[::-1], n_switches, cost, violation, violation != 0.0)
     )
-
-    def key(p: TrellisPath):
-        return (
-            0 if p.feasible else 1,
-            p.violation,
-            p.cost,
-            p.n_switches,
-            p.margins,
+    paths = tuple(
+        TrellisPath(
+            states=p.states,
+            events=p.events,
+            margins=tuple(margins[j].tolist()),
+            cost=float(cost[j]),
+            feasible=float(violation[j]) == 0.0,
+            violation=float(violation[j]),
         )
-
-    best = min(optimized, key=key)
+        for j, p in enumerate(skeleton)
+    )
+    best = paths[order[0]]
     return TrellisSolution(
         b_next=best.states[0],
         h_first=best.margins[0],
@@ -574,7 +436,7 @@ def solve(problem: TrellisProblem) -> TrellisSolution:
         feasible=best.feasible,
         violation=best.violation,
         path=best,
-        paths=optimized,
+        paths=paths,
         objective=problem.objective,
     )
 
@@ -587,7 +449,6 @@ def _shareable(a: TrellisProblem, b: TrellisProblem) -> bool:
         and a.h_step == b.h_step
         and a.root_margin == b.root_margin
         and a.outage_threshold_db == b.outage_threshold_db
-        and a.method == b.method
     )
 
 
@@ -629,58 +490,30 @@ def verify_solution(problem: TrellisProblem, solution: TrellisSolution, tol_sigm
     stages = []
     ok = True
     stderr = 1e-6  # deterministic quadrature error figure from exact_prob
+
+    def prob(*terms):
+        """P(each (label, lo, hi) term holds), by exact_prob."""
+        gv = problem.stats.joint([term[0] for term in terms])
+        return exact_prob(gv, EventSpec(terms)).estimate
+
     for l in range(1, problem.horizon + 1):
         u_from, u_to = chain[l - 1]
         h = solution.margins[l - 1]
         t = times[l]
         if problem.objective == "min_handover":
-            box = (
-                _switch_box(u_from, h) if u_to != u_from else _stay_box(u_from, h)
-            )
-            gv = problem.stats.joint([("p", u_to, t), ("y", t)])
-            num = exact_prob(
-                gv,
-                EventSpec(
-                    (
-                        (("p", u_to, t), -math.inf, problem.outage_threshold_db),
-                        (("y", t), box[0], box[1]),
-                    )
-                ),
-            ).estimate
-            den = exact_prob(
-                problem.stats.joint([("y", t)]),
-                EventSpec(((("y", t), box[0], box[1]),)),
-            ).estimate
+            box = _switch_box(u_from, h) if u_to != u_from else _stay_box(u_from, h)
+            num = prob((("p", u_to, t), -math.inf, problem.outage_threshold_db), (("y", t), *box))
+            den = prob((("y", t), *box))
             # same fallback as the stage tables: the marginal outage
-            value = (
-                _outage_marginal(problem, l, u_to) if den < _COND_FLOOR else num / den
-            )
+            value = _outage_marginal(problem, l, u_to) if den < _COND_FLOOR else num / den
             cap = problem.p_out_cap
         elif problem.objective == "min_outage":
-            sw = _switch_box(u_from, h)
-            root_box = _stay_box(problem.root_b, problem.root_margin)
-            den = exact_prob(
-                problem.stats.joint([("y", times[0])]),
-                EventSpec(((("y", times[0]), root_box[0], root_box[1]),)),
-            ).estimate
-            if den < _COND_FLOOR:
-                # same fallback as the stage tables: the unconditional
-                # stage switch probability
-                value = exact_prob(
-                    problem.stats.joint([("y", t)]),
-                    EventSpec(((("y", t), sw[0], sw[1]),)),
-                ).estimate
-            else:
-                gv = problem.stats.joint([("y", times[0]), ("y", t)])
-                value = exact_prob(
-                    gv,
-                    EventSpec(
-                        (
-                            (("y", times[0]), root_box[0], root_box[1]),
-                            (("y", t), sw[0], sw[1]),
-                        )
-                    ),
-                ).estimate / den
+            switch = (("y", t), *_switch_box(u_from, h))
+            root = (("y", times[0]), *_stay_box(problem.root_b, problem.root_margin))
+            den = prob(root)
+            # same fallback as the stage tables: the unconditional stage
+            # switch probability
+            value = prob(switch) if den < _COND_FLOOR else prob(root, switch) / den
             cap = problem.p_han_cap
         else:
             stages.append({"stage": l, "value": math.nan, "cap": math.nan})
@@ -712,38 +545,16 @@ def stage_profile(problem: TrellisProblem, solution: TrellisSolution):
 
 
 def problem_from_process(
-    process,
-    n: int,
-    horizon: int,
-    objective: str,
-    *,
-    root_b: int,
-    root_margin: float,
-    outage_threshold_db: float,
-    h_max: float = 10.0,
-    h_step: float = 0.25,
-    p_out_cap: float = 1.0,
-    p_han_cap: float = 1.0,
-    pareto_z: float = 0.5,
-    method: str = "pairwise",
+    process, n: int, horizon: int, objective: str, **settings
 ) -> TrellisProblem:
-    """Assemble a TrellisProblem from a GapProcess at sample n."""
+    """Assemble a TrellisProblem from a GapProcess at sample n.
+
+    settings are the other TrellisProblem fields: root_b, root_margin and
+    outage_threshold_db are required, the grid, caps and pareto_z optional.
+    """
     if n + horizon >= process.n_samples:
         raise ConfigurationError("horizon runs past the end of the trace")
     y_times = list(range(n, n + horizon + 1))
     p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
     stats = process.stats(y_times, p_times)
-    return TrellisProblem(
-        objective=objective,
-        horizon=horizon,
-        root_b=root_b,
-        root_margin=root_margin,
-        stats=stats,
-        outage_threshold_db=outage_threshold_db,
-        h_max=h_max,
-        h_step=h_step,
-        p_out_cap=p_out_cap,
-        p_han_cap=p_han_cap,
-        pareto_z=pareto_z,
-        method=method,
-    )
+    return TrellisProblem(objective=objective, horizon=horizon, stats=stats, **settings)

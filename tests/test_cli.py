@@ -1,5 +1,6 @@
 """Command-line front end: outputs, precedence, error contracts."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -96,6 +97,65 @@ def test_optimize_outputs_trellis(tmp_path, capsys):
     assert len(lines) == 1 + 2**3
 
 
+# sha256 of the optimize CSV and JSON for vehicular-two-cell, recorded when
+# the trellis still optimized each path on its own (JSON without the
+# retired "method" key); the per-edge scan must reproduce them byte for byte
+OPTIMIZE_SHA256 = {
+    (5, "opt1"): ("48b3c398f6a98ee6cbff8b77ccc1f61c9c8596cded07d18dea00b90f384ed8a8",
+                  "703d0278f888ecc35d3ba1675d597fba8bd6de3a066013817cf01b3fb380931c"),
+    (5, "opt2"): ("b1d81501b95236f8e1a8ae1079f188ef5dc8e508c8d9674624972e18d1aca0e6",
+                  "6d5e5d12a72d34dcb13ce47afc6a2fcde3929710465f3ac3aab51982fe3d0b5a"),
+    (5, "opt3"): ("8d775b3d37108261001cad980ac05203412bee8547c4ba145575fa8ebcf3643e",
+                  "e4d674cc493119c57a274b2ed82b558f5c4ba2d96d3234db76d06c5d9a6c1e40"),
+    (38, "opt1"): ("0493dd6b07eb18197f5b106f10820bee248846bc8c993631af2f5fc5fd954480",
+                   "d8a914c931fdaf2a419cc5335cf84f484df0eca19e9e41f34fdf6df2fe256251"),
+    (38, "opt2"): ("08cdf0520b31f7c5e60f8bb2215e093170b993f4f097d52272a52d1ee3c57052",
+                   "742bd7c3077d7f248e4e17a0c89bb1205e548b66cd3b810c11c0438c7cdcb0ec"),
+    (38, "opt3"): ("d93587f92ec298cf9503bdb2efc09d1d86cbecff71fb28090018773878908690",
+                   "11ff9451c989cafb8cc6cbd25f475111288aa99bb585e9a97e356e09aebad7cf"),
+    (70, "opt1"): ("f2d812917be9967e36091773f7f0cb7aa438dd6595275f01634b60c0aebdc709",
+                   "f7dc2fd12856faddb54a0c2e9adabf46dc20142641c1f91f028327e843c846dd"),
+    (70, "opt2"): ("8b3659e749e43d2c5b4a80aa230de9a129bfb86643a664de3203f45e8fdb3655",
+                   "e51f2a62c98b3c011e5809bcffc1ee075b1c5e96527282de3f9034fc814b96f0"),
+    (70, "opt3"): ("111a945404c472add8277cb06210f30f713bb631c4e96b965fb6b86f7e0a7108",
+                   "c342861b5c987649b1d097c129a4555dedce759c30a18a2377bd669ff7394538"),
+}
+
+
+def test_optimize_outputs_are_pinned(tmp_path, capsys):
+    csv_p = tmp_path / "opt.csv"
+    json_p = tmp_path / "opt.json"
+    for (root, objective), want in OPTIMIZE_SHA256.items():
+        rc, _, _ = run_main(
+            capsys,
+            [
+                "optimize", "--preset", "vehicular-two-cell",
+                "--objective", objective, "--root-sample", str(root),
+                "--csv", str(csv_p), "--json", str(json_p),
+            ],
+        )
+        assert rc == 0
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_p, json_p))
+        assert got == want, (root, objective)
+
+
+def test_optimize_has_no_method_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--preset", "vehicular-two-cell", "--method", "exact"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("cells", [("5", "1"), ("-1", "1"), ("0", "0")])
+def test_optimize_rejects_bad_cell_pairs(capsys, cells):
+    rc, _, err = run_main(
+        capsys,
+        ["optimize", "--preset", "vehicular-two-cell", "--cell-a", cells[0], "--cell-b", cells[1]],
+    )
+    assert rc == 2
+    assert json.loads(err)["error"]["code"] == "config"
+
+
 def test_accuracy_study_cli(tmp_path, capsys):
     json_p = tmp_path / "acc.json"
     rc, out, _ = run_main(
@@ -152,6 +212,25 @@ def test_ini_file_overrides_flags(tmp_path, capsys):
     summary = json.loads(json_p.read_text())
     assert summary["seed"] == 99
     assert summary["n_trials"] == 2
+
+
+@pytest.mark.parametrize(
+    "command,run_section",
+    [
+        (["simulate", "--trials", "2"], "polciy = 4"),
+        (["optimize"], "method = exact"),
+    ],
+)
+def test_ini_run_section_rejects_keys_the_command_does_not_read(
+    tmp_path, capsys, command, run_section
+):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\n{run_section}\n")
+    rc, _, err = run_main(
+        capsys, command + ["--preset", "vehicular-two-cell", "--config", str(ini)]
+    )
+    assert rc == 2
+    assert json.loads(err)["error"]["code"] == "config"
 
 
 def test_flags_override_preset(tmp_path, capsys):
