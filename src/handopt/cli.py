@@ -267,11 +267,12 @@ def _cmd_simulate(args) -> int:
     policy = _run_value(file_run, args, "policy", _parse_policy, 2.0)
     trials = _run_value(file_run, args, "trials", int, 1000)
     analytic = _run_value(file_run, args, "analytic", str, None)
-    runner = run_two_cell if config.layout.n_bs == 2 else run_multicell
-    kwargs = {}
-    if runner is run_two_cell and analytic is not None:
-        kwargs["analytic"] = analytic
-    result = runner(config, policy, trials, workers=args.workers, **kwargs)
+    if config.layout.n_bs == 2:
+        result = run_two_cell(config, policy, trials, workers=args.workers, analytic=analytic)
+    elif analytic is not None:
+        raise ConfigurationError("analytic chains are defined on the two-cell layout")
+    else:
+        result = run_multicell(config, policy, trials, workers=args.workers)
     rows = [
         {
             "trial": i,

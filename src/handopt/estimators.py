@@ -10,6 +10,14 @@ are 0-based throughout; a sliding window of length n_w starts at
 n_b = max(0, n - n_w + 1). Distances enter through log10, matching a
 per-decade path-loss slope.
 
+The power-free estimators (AVG, LS) keep their rows in one compact format,
+the [N, n_w] coefficient_table: row n is right-aligned on sample n, so
+column j weights sample n - n_w + 1 + j, and entries before sample 0 are
+zero. apply_coefficients contracts such rows with a batch of power traces;
+the simulator and estimate_series both estimate through it. weight_block
+lays rows out over a span of samples, which is how gaussian.y_stats reads
+them.
+
 Window-level operations (ls_fit, els_select) take the window arrays with
 the current sample last. GELS keeps its own growing window, restarted when
 the normalized one-step residual rejects the fitted model.
@@ -22,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, SingularFitError
 
@@ -234,12 +243,14 @@ def gels_step(
 
 
 def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> np.ndarray:
-    """Dense [N, N] matrix of filter rows for one link; row n holds G(n, i).
+    """Right-aligned [N, n_w] filter rows for one link.
 
-    mode "ls" falls back to the rectangular row on windows that are too
-    short or degenerate (mirroring the ELS fallback), so the table is
-    defined at every n. Data-dependent estimators have no power-free
-    table; use estimate_series for those.
+    Column j of row n weights sample n - n_w + 1 + j, so
+    l(n) = table[n] . p[n - n_w + 1 .. n]; entries whose sample index is
+    negative are zero. mode "ls" falls back to the rectangular row on
+    windows that are too short or degenerate (mirroring the ELS fallback),
+    so the table is defined at every n. Data-dependent estimators have no
+    power-free table; use estimate_series for those.
     """
     d = np.asarray(distances_m, dtype=float)
     if d.ndim != 1:
@@ -249,9 +260,8 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
     if n_w < 1:
         raise ConfigurationError("n_w must be >= 1")
     n_samples = d.size
-    w = min(n_w, n_samples)
-    # idx[n, j] is sample n - w + 1 + j; a row's window is its idx >= 0
-    idx = np.arange(n_samples)[:, None] + np.arange(1 - w, 1)
+    # idx[n, j] is sample n - n_w + 1 + j; a row's window is its idx >= 0
+    idx = np.arange(n_samples)[:, None] + np.arange(1 - n_w, 1)
     valid = idx >= 0
     cnt = np.count_nonzero(valid, axis=1)
     rows = np.where(valid, 1.0 / cnt[:, None], 0.0)
@@ -259,19 +269,44 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
         x = np.log10(d)
         # windows of one length at a time, so every mean reduces the same
         # contiguous run of samples as a row-by-row fit would
-        for k in range(2, w + 1):
+        for k in range(2, min(n_w, n_samples) + 1):
             sel = cnt == k
-            xs = x[idx[sel, w - k :]]
+            xs = x[idx[sel, n_w - k :]]
             C = xs.mean(axis=1, keepdims=True)
             D = (xs * xs).mean(axis=1, keepdims=True)
             denom = D - C * C
             ok = denom > EPS_COND * np.maximum(D, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = ((D - C * xs) - (C - xs) * xs[:, -1:]) / (denom * k)
-            rows[sel, w - k :] = np.where(ok, ls, rows[sel, w - k :])
-    table = np.zeros((n_samples, n_samples))
-    table[np.nonzero(valid)[0], idx[valid]] = rows[valid]
-    return table
+            rows[sel, n_w - k :] = np.where(ok, ls, rows[sel, n_w - k :])
+    return rows
+
+
+def weight_block(table: np.ndarray, rows, first: int, last: int) -> np.ndarray:
+    """Dense [len(rows), last - first + 1] block of a coefficient table:
+    entry [i, c] is the weight row rows[i] gives sample first + c, zero
+    outside that row's window."""
+    n_w = table.shape[1]
+    out = np.zeros((len(rows), last - first + 1))
+    for i, n in enumerate(rows):
+        a, b = max(first, n - n_w + 1), min(last, n)
+        if a <= b:
+            out[i, a - first : b - first + 1] = table[n, a - n + n_w - 1 : b - n + n_w]
+    return out
+
+
+def apply_coefficients(tables: np.ndarray, powers_db: np.ndarray) -> np.ndarray:
+    """Estimates of a batch of traces from per-link coefficient tables.
+
+    tables is [S, N, n_w], one coefficient_table per link, and powers_db
+    [T, S, N]; entry [t, s, n] of the result is
+    tables[s, n] . powers_db[t, s, n - n_w + 1 .. n].
+    """
+    n_w = tables.shape[-1]
+    pad = np.zeros(powers_db.shape[:-1] + (n_w - 1,))
+    padded = np.concatenate([pad, powers_db], axis=-1)
+    win = sliding_window_view(padded, n_w, axis=-1)
+    return np.einsum("csnw,snw->csn", win, tables)
 
 
 def estimate_series(
@@ -307,10 +342,8 @@ def estimate_series(
     n_tr, n_bs, n = p.shape
 
     if estimator in ("avg", "ls"):
-        out = np.empty_like(p)
-        for s in range(n_bs):
-            table = coefficient_table(d[s], n_w, estimator)
-            out[:, s, :] = p[:, s, :] @ table.T
+        tables = np.stack([coefficient_table(row, n_w, estimator) for row in d])
+        out = apply_coefficients(tables, p)
         return (out[0], None) if squeeze else (out, None)
 
     if estimator == "els":

@@ -16,7 +16,7 @@ half-open boxes lo < x <= hi over distinct labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -24,6 +24,7 @@ from scipy.special import ndtr
 
 from .channel import ChannelParams, path_loss
 from .errors import ConfigurationError, NumericalConsistencyError
+from .estimators import weight_block
 
 # Integration window half-width in standard deviations; the neglected tail
 # mass is below 1e-17, far under every reported error figure.
@@ -174,42 +175,6 @@ def check_psd(Sigma: np.ndarray, context: str = "covariance") -> None:
         )
 
 
-@dataclass(frozen=True)
-class YProcessStats:
-    """Joint Gaussian law of selected y(t) and p_s(t) coordinates.
-
-    window_bounds maps each y time to the (first, last) sample index its
-    filter weights touch.
-    """
-
-    vector: GaussianVector
-    window_bounds: dict = field(compare=False)
-
-    @property
-    def labels(self):
-        return self.vector.labels
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.vector.mu
-
-    @property
-    def Sigma(self) -> np.ndarray:
-        return self.vector.Sigma
-
-    def joint(self, labels) -> GaussianVector:
-        return self.vector.subset(labels)
-
-    def mean_of(self, label) -> float:
-        label = _as_label(label)
-        return float(self.vector.mu[self.vector.labels.index(label)])
-
-    def sd_of(self, label) -> float:
-        label = _as_label(label)
-        i = self.vector.labels.index(label)
-        return float(math.sqrt(max(self.vector.Sigma[i, i], 0.0)))
-
-
 def y_stats(
     table0: np.ndarray,
     table1: np.ndarray,
@@ -220,22 +185,23 @@ def y_stats(
     p_times=(),
     *,
     check: bool = True,
-) -> YProcessStats:
+) -> GaussianVector:
     """Exact joint law of the gap process and selected received powers.
 
-    table0/table1 are dense [N, N] filter-coefficient tables for the two
-    links (row t holds the weights producing l_s(t)); channels the per-link
-    ChannelParams pair; distances_m the [2, N] per-link distances. y_times
-    and p_times=(s, t) pairs pick the coordinates.
+    table0/table1 are the two links' [N, n_w] coefficient tables in the
+    estimators.coefficient_table layout (row t right-aligned on sample t,
+    producing l_s(t)); channels the per-link ChannelParams pair;
+    distances_m the [2, N] per-link distances. y_times and p_times=(s, t)
+    pairs pick the coordinates, which label the returned vector in that
+    order: ("y", t) first, then ("p", s, t).
     """
-    table0 = np.asarray(table0, dtype=float)
-    table1 = np.asarray(table1, dtype=float)
+    tables = tuple(np.asarray(t, dtype=float) for t in (table0, table1))
     distances_m = np.asarray(distances_m, dtype=float)
     if distances_m.ndim != 2 or distances_m.shape[0] != 2:
         raise ConfigurationError("distances_m must be [2, N]")
     n_total = distances_m.shape[1]
-    if table0.shape != (n_total, n_total) or table1.shape != (n_total, n_total):
-        raise ConfigurationError("coefficient tables must be [N, N]")
+    if any(t.ndim != 2 or t.shape[0] != n_total for t in tables):
+        raise ConfigurationError("coefficient tables must be [N, n_w]")
     if len(channels) != 2 or not all(isinstance(c, ChannelParams) for c in channels):
         raise ConfigurationError("channels must be a pair of ChannelParams")
     y_times = [int(t) for t in y_times]
@@ -247,22 +213,20 @@ def y_stats(
         if s not in (0, 1) or not 0 <= t < n_total:
             raise ConfigurationError(f"bad p coordinate ({s}, {t})")
 
-    tables = (table0, table1)
     # Support of all requested rows plus the p times: one small slice of the
-    # trace carries every covariance sum.
-    bounds = {}
+    # trace carries every covariance sum. A row ends at its own sample and
+    # spans at most n_w samples, so only its first nonzero weight can widen
+    # the slice.
     lo = min(y_times + [t for _, t in p_times], default=0)
     hi = max(y_times + [t for _, t in p_times], default=0)
-    for t in y_times:
-        nz0 = np.nonzero(table0[t])[0]
-        nz1 = np.nonzero(table1[t])[0]
-        first = int(min(nz0[0] if nz0.size else t, nz1[0] if nz1.size else t))
-        last = int(max(nz0[-1] if nz0.size else t, nz1[-1] if nz1.size else t))
-        bounds[t] = (first, last)
-        lo = min(lo, first)
-        hi = max(hi, last)
+    start = max(0, lo - max(tbl.shape[1] for tbl in tables) + 1)
+    blocks = [weight_block(tbl, y_times, start, hi) for tbl in tables]
+    used = np.flatnonzero(blocks[0].any(axis=0) | blocks[1].any(axis=0))
+    if used.size:
+        lo = min(lo, start + int(used[0]))
     cols = np.arange(lo, hi + 1)
-    w = cols.size
+    # g[s][i, c]: weight of sample cols[c] in link s's row of y_times[i]
+    g = [np.ascontiguousarray(b[:, lo - start :]) for b in blocks]
 
     lag = np.abs(cols[:, None] - cols[None, :]).astype(float)
     autocov = []
@@ -272,11 +236,6 @@ def y_stats(
         a = ch.ar_coeff(step_m)
         autocov.append(ch.shadow_sigma_db**2 * a**lag)
         means_pl.append(path_loss(ch, distances_m[s]))
-
-    g = [tables[s][np.ix_(y_times, cols)] for s in (0, 1)] if y_times else [
-        np.zeros((0, w)),
-        np.zeros((0, w)),
-    ]
 
     ky, kp = len(y_times), len(p_times)
     k = ky + kp
@@ -306,7 +265,7 @@ def y_stats(
     if check:
         check_psd(Sigma, "joint y/p covariance")
     labels = tuple(("y", t) for t in y_times) + tuple(("p", s, t) for s, t in p_times)
-    return YProcessStats(GaussianVector(mu, Sigma, labels), bounds)
+    return GaussianVector(mu, Sigma, labels)
 
 
 def _match_event(gv: GaussianVector, ev: EventSpec):
@@ -668,7 +627,8 @@ def approx3_upper(
 class GapProcess:
     """Bundles the filter tables and channel pair behind y_stats.
 
-    Callers hand events around as label sets; this object turns them into
+    The tables are the two links' [N, n_w] estimators.coefficient_table
+    rows. Callers hand events around as label sets; this object turns them into
     the right joint Gaussian on demand. joint() and prob() are memoized for
     the life of the object: joint() by its label tuple, prob() by the
     event's constraints (labels and bounds) and mc_samples, plus the seed
@@ -691,7 +651,7 @@ class GapProcess:
     def n_samples(self) -> int:
         return self.distances_m.shape[1]
 
-    def stats(self, y_times, p_times=(), *, check: bool = True) -> YProcessStats:
+    def stats(self, y_times, p_times=(), *, check: bool = True) -> GaussianVector:
         return y_stats(
             self.table0,
             self.table1,
@@ -709,7 +669,7 @@ class GapProcess:
         if gv is None:
             y_times = [l[1] for l in labels if l[0] == "y"]
             p_times = [(l[1], l[2]) for l in labels if l[0] == "p"]
-            gv = self.stats(y_times, p_times, check=False).vector.subset(labels)
+            gv = self.stats(y_times, p_times, check=False).subset(labels)
             self._joints[labels] = gv
         return gv
 

@@ -36,11 +36,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import sample_power
 from .errors import ConfigurationError
-from .estimators import coefficient_table, estimate_series
+from .estimators import apply_coefficients, coefficient_table, estimate_series
 from .gaussian import (
     EventSpec,
     GapProcess,
@@ -132,21 +131,11 @@ def _map_chunks(fn, bounds, workers: int):
 # estimation plumbing
 
 
-def _compact_rows(distances_row: np.ndarray, n_w: int, mode: str) -> np.ndarray:
-    """Right-aligned [N, n_w] filter rows; est[n] = rows[n] . p[n-n_w+1 .. n]."""
-    table = coefficient_table(distances_row, n_w, mode)
-    n = distances_row.size
-    cols = np.arange(n)[:, None] + np.arange(1 - n_w, 1)
-    return np.where(cols >= 0, table[np.arange(n)[:, None], np.maximum(cols, 0)], 0.0)
-
-
-def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, compact):
-    if compact is not None:
-        n_w = compact.shape[-1]
-        pad = np.zeros(powers.shape[:-1] + (n_w - 1,))
-        padded = np.concatenate([pad, powers], axis=-1)
-        win = sliding_window_view(padded, n_w, axis=-1)
-        return np.einsum("csnw,snw->csn", win, compact)
+def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, tables):
+    """Estimates of a chunk of traces: through the links' coefficient tables
+    when the estimator has them, else through estimate_series."""
+    if tables is not None:
+        return apply_coefficients(tables, powers)
     est, _ = estimate_series(
         d,
         powers,
@@ -213,7 +202,6 @@ def opt_margin_tables(
     config: ScenarioConfig,
     policies=_OPT_POLICIES,
     *,
-    workers=None,
     channels=None,
 ) -> dict:
     """Precompute margin lookup tables for the optimizer policies.
@@ -235,24 +223,18 @@ def opt_margin_tables(
     cell_tables = {}
 
     def table_for(cell: int) -> np.ndarray:
-        tbl = cell_tables.get(cell)
-        if tbl is None:
-            tbl = coefficient_table(d[cell], config.n_w, mode)
-            if len(cell_tables) > 3:
-                cell_tables.pop(next(iter(cell_tables)), None)
-            cell_tables[cell] = tbl
-        return tbl
+        if cell not in cell_tables:
+            cell_tables[cell] = coefficient_table(d[cell], config.n_w, mode)
+        return cell_tables[cell]
 
     out = {p: np.full((n_samples, 2), config.h_fixed_db) for p in policies}
     if not policies or n_samples < 2:
         return out
 
-    two_cell = d.shape[0] == 2
-
-    def solve_sample(t: int):
+    for t in range(1, n_samples):
         root_n = t - 1
         m = min(config.horizon, n_samples - 1 - root_n)
-        if two_cell:
+        if d.shape[0] == 2:
             a, b = 0, 1
         else:
             a, b = int(near[root_n]), int(second[root_n])
@@ -266,24 +248,8 @@ def opt_margin_tables(
             for root_b in (0, 1)
         ]
         sols = solve_group(problems)
-        vals = {}
         for i, p in enumerate(policies):
-            vals[p] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
-        return t, vals
-
-    workers = _worker_count(workers)
-    ts = list(range(1, n_samples))
-    if workers <= 1 or two_cell:
-        results = [solve_sample(t) for t in ts]
-    else:
-        # thread-parallel across samples; the shared table cache is only an
-        # optimization, so racing on it at worst recomputes a table
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_sample, ts))
-    for t, vals in results:
-        for p, (h0, h1) in vals.items():
-            out[p][t, 0] = h0
-            out[p][t, 1] = h1
+            out[p][t] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
     return out
 
 
@@ -519,7 +485,6 @@ def _simulate_policies(
     workers=None,
     chunk=None,
     log_events=True,
-    margin_tables=None,
 ):
     """Shared-trace simulation of several policies; dict label -> arrays."""
     if n_trials < 1:
@@ -533,29 +498,16 @@ def _simulate_policies(
         raise ConfigurationError("duplicate policies in one run")
 
     opt_needed = [l for l in labels if l in _OPT_POLICIES]
-    if margin_tables is None:
-        margin_tables = {}
-    missing = [l for l in opt_needed if l not in margin_tables]
-    if missing:
-        margin_tables = dict(margin_tables)
-        margin_tables.update(
-            opt_margin_tables(config, missing, workers=workers, channels=chs)
-        )
+    margin_tables = opt_margin_tables(config, opt_needed, channels=chs) if opt_needed else {}
     h_tables = {}
     for policy, label in zip(policies, labels):
         fixed = _as_fixed_margin(policy)
-        if fixed is not None:
-            h_tables[label] = np.full((n_samples, 2), fixed)
-        else:
-            h_tables[label] = np.asarray(margin_tables[label], dtype=float)
-            if h_tables[label].shape != (n_samples, 2):
-                raise ConfigurationError("margin table shape must be [n_samples, 2]")
+        h_tables[label] = margin_tables[label] if fixed is None else np.full((n_samples, 2), fixed)
 
-    mode = _TABLE_MODE[config.estimator]
     if config.estimator in ("avg", "ls"):
-        compact = np.stack([_compact_rows(d[s], config.n_w, mode) for s in range(n_bs)])
+        tables = np.stack([coefficient_table(row, config.n_w, config.estimator) for row in d])
     else:
-        compact = None
+        tables = None
 
     if n_bs > 2:
         order = np.argsort(d, axis=0, kind="stable")
@@ -570,7 +522,7 @@ def _simulate_policies(
             for t in range(t0, t1)
         ]
         powers = sample_power(chs, d, config.step_m, rngs).powers_db
-        est = _estimate_chunk(config, d, powers, compact)
+        est = _estimate_chunk(config, d, powers, tables)
         if n_bs == 2:
             return _decide_two_cell(est, powers, h_tables, beta, config.b_init)
         return _decide_multicell(

@@ -56,7 +56,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError
-from .gaussian import EventSpec, YProcessStats, bvn_cdf_lattice, exact_prob
+from .gaussian import EventSpec, GaussianVector, bvn_cdf_lattice, exact_prob
 
 _COND_FLOOR = 1e-12
 
@@ -73,7 +73,7 @@ class TrellisProblem:
     horizon: int
     root_b: int
     root_margin: float
-    stats: YProcessStats
+    stats: GaussianVector
     outage_threshold_db: float
     h_max: float = 10.0
     h_step: float = 0.25
@@ -226,8 +226,9 @@ class _StageTables:
         self._pos = {v: i for i, v in enumerate(self.lattice)}
 
         y_labels = [("y", t) for t in times]
-        mu = np.array([stats.mean_of(l) for l in y_labels])
-        sd = np.array([stats.sd_of(l) for l in y_labels])
+        ys = stats.subset(y_labels)
+        mu = ys.mu
+        sd = np.sqrt(np.maximum(np.diag(ys.Sigma), 0.0))
         with np.errstate(invalid="ignore"):
             z = (self.lattice[None, :] - mu[:, None]) / np.maximum(sd[:, None], 1e-150)
         self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
@@ -238,7 +239,7 @@ class _StageTables:
         # R[l][x, y] = P(y_l <= lattice[x], y_0 <= root_edges[y])
         self.R = {}
         for l in range(1, m + 1):
-            gv = stats.joint([y_labels[l], y_labels[0]])
+            gv = stats.subset([y_labels[l], y_labels[0]])
             self.R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
         self.U = {}
         self.p_marg = {}
@@ -247,7 +248,7 @@ class _StageTables:
             for s in (0, 1):
                 # U[(l, s)][x] = P(y_l <= lattice[x], p_s(t_l) <= beta),
                 # integrated over y_l like R
-                gv = stats.joint([y_labels[l], ("p", s, times[l])])
+                gv = stats.subset([y_labels[l], ("p", s, times[l])])
                 self.U[(l, s)] = bvn_cdf_lattice(
                     gv.mu, gv.Sigma, self.lattice, np.array([beta])
                 )[:, 0]
@@ -320,7 +321,7 @@ class _StageTables:
 
 def _outage_marginal(problem: TrellisProblem, l: int, s: int) -> float:
     """P(p_s(t_l) <= threshold), the fallback of a degenerate stage box."""
-    gv = problem.stats.joint([("p", s, problem.times[l])])
+    gv = problem.stats.subset([("p", s, problem.times[l])])
     return float(
         ndtr(
             (problem.outage_threshold_db - gv.mu[0])
@@ -493,7 +494,7 @@ def verify_solution(problem: TrellisProblem, solution: TrellisSolution, tol_sigm
 
     def prob(*terms):
         """P(each (label, lo, hi) term holds), by exact_prob."""
-        gv = problem.stats.joint([term[0] for term in terms])
+        gv = problem.stats.subset([term[0] for term in terms])
         return exact_prob(gv, EventSpec(terms)).estimate
 
     for l in range(1, problem.horizon + 1):

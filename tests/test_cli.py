@@ -273,6 +273,19 @@ def test_usage_errors_exit_2(capsys):
     assert json.loads(err)["error"]["code"] == "config"
 
 
+def test_simulate_rejects_analytic_on_a_cell_row(tmp_path, capsys):
+    # the analytic chains are two-cell only; a cell row must not drop the
+    # request without a word
+    argv = ["simulate", "--preset", "vehicular-cell-row", "--trials", "1", "--policy", "2"]
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nanalytic = exact\n")
+    for extra in (["--analytic", "exact"], ["--config", str(ini)]):
+        rc, out, err = run_main(capsys, argv + extra)
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "config"
+
+
 def test_numerical_failures_exit_3(capsys):
     # without shadowing the gap covariance is singular, which the
     # eigenvalue sandwich refuses with a NumericalConsistencyError

@@ -13,6 +13,7 @@ from handopt import (
     estimate_series,
     gels_step,
     ls_fit,
+    preset,
 )
 from handopt.estimators import window_start
 
@@ -85,31 +86,36 @@ def test_ls_fit_degenerate_windows():
 def test_coefficient_table_avg():
     d = np.linspace(100.0, 200.0, 6)
     t = coefficient_table(d, 3, "avg")
-    assert t.shape == (6, 6)
-    np.testing.assert_allclose(t[0], [1, 0, 0, 0, 0, 0])
-    np.testing.assert_allclose(t[4, 2:5], np.full(3, 1 / 3))
-    assert np.all(t[4, :2] == 0.0) and t[4, 5] == 0.0
+    # rows are right-aligned on their own sample: column j weights n - 2 + j
+    assert t.shape == (6, 3)
+    np.testing.assert_allclose(t[0], [0, 0, 1])
+    np.testing.assert_allclose(t[1], [0, 0.5, 0.5])
+    np.testing.assert_allclose(t[4], np.full(3, 1 / 3))
+    assert np.all(t[:2, 0] == 0.0) and t[0, 1] == 0.0
 
 
 def test_coefficient_table_ls_matches_ls_fit():
     d = np.linspace(500.0, 620.0, 7)
     t = coefficient_table(d, 4, "ls")
+    assert t.shape == (7, 4)
     # first row cannot fit a line and falls back to the rectangular row
-    np.testing.assert_allclose(t[0], [1, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_allclose(t[0], [0, 0, 0, 1])
     for n in range(1, 7):
         nb = window_start(n, 4)
-        _, coeffs = ls_fit(np.zeros(n - nb + 1), d[nb : n + 1], nb)
-        np.testing.assert_allclose(t[n, nb : n + 1], coeffs.weights, atol=1e-13)
+        cnt = n - nb + 1
+        _, coeffs = ls_fit(np.zeros(cnt), d[nb : n + 1], nb)
+        np.testing.assert_allclose(t[n, 4 - cnt :], coeffs.weights, atol=1e-13)
+        assert np.all(t[n, : 4 - cnt] == 0.0)
     with pytest.raises(ConfigurationError):
         coefficient_table(d, 4, "els")
 
 
 def coefficient_table_loop(distances_m, n_w, mode):
-    """Row-by-row oracle for coefficient_table."""
+    """Row-by-row oracle for coefficient_table's right-aligned rows."""
     from handopt.estimators import EPS_COND
 
     d = np.asarray(distances_m, dtype=float)
-    table = np.zeros((d.size, d.size))
+    table = np.zeros((d.size, n_w))
     x = np.log10(d)
     for n in range(d.size):
         nb = window_start(n, n_w)
@@ -124,20 +130,22 @@ def coefficient_table_loop(distances_m, n_w, mode):
                 row = ((D - C * xs) - (C - xs) * xs[-1]) / (denom * cnt)
         if row is None:
             row = np.full(cnt, 1.0 / cnt)
-        table[n, nb : n + 1] = row
+        table[n, n_w - cnt :] = row
     return table
 
 
 @pytest.mark.parametrize("mode", ["avg", "ls"])
 def test_coefficient_table_equals_the_row_loop(mode):
     # window lengths below, at and above numpy's 8-element pairwise-sum
-    # block, and longer than the trace; distances with and without spread
+    # block, and longer than the trace; distances with and without spread,
+    # and the rows a two-cell simulation contracts
     rng = np.random.default_rng(12)
     traces = [
         np.abs(1000.0 - 6.24 * np.arange(130)) + 1.0,
         np.exp(rng.normal(5.0, 2.0, 40)),
         np.full(30, 500.0),
         np.array([700.0]),
+        *preset("vehicular-two-cell").distances_m(),
     ]
     for d in traces:
         for n_w in (1, 2, 4, 7, 8, 9, 17, 200):
@@ -145,15 +153,24 @@ def test_coefficient_table_equals_the_row_loop(mode):
             assert got.tobytes() == coefficient_table_loop(d, n_w, mode).tobytes()
 
 
-def test_estimate_series_avg_equals_table_product():
+@pytest.mark.parametrize("n_w", [1, 4, 9, 200])
+@pytest.mark.parametrize("mode", ["avg", "ls"])
+def test_estimate_series_avg_equals_table_product(mode, n_w):
+    # n_w = 9 spans the whole trace and n_w = 200 runs past its start
     rng = np.random.default_rng(11)
     d = np.stack([np.linspace(700.0, 1200.0, 9), np.linspace(1300.0, 800.0, 9)])
     p = rng.normal(-100.0, 6.0, size=(2, 9))
-    est, modes = estimate_series(d, p, "avg", 4)
+    est, modes = estimate_series(d, p, mode, n_w)
     assert modes is None
     for s in range(2):
-        table = coefficient_table(d[s], 4, "avg")
-        np.testing.assert_allclose(est[s], table @ p[s], atol=1e-12)
+        table = coefficient_table(d[s], n_w, mode)
+        assert table.shape == (9, n_w)
+        for n in range(9):
+            nb = window_start(n, n_w)
+            cnt = n - nb + 1
+            assert np.all(table[n, : n_w - cnt] == 0.0)
+            want = np.dot(table[n, n_w - cnt :], p[s, nb : n + 1])
+            assert abs(est[s, n] - want) <= 1e-12
 
 
 def test_estimate_series_batch_shape():

@@ -22,6 +22,7 @@ from handopt import (
     approx1,
     approx2_bounds,
     approx3_upper,
+    apply_coefficients,
     bvn_cdf_lattice,
     coefficient_table,
     exact_prob,
@@ -500,15 +501,15 @@ def two_cell_tables(n=30, n_w=4, mode="avg"):
 
 def test_y_stats_mean_matches_filtered_path_loss():
     ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0)
-    d, t0, t1 = two_cell_tables()
-    stats = y_stats(t0, t1, (ch, ch), d, 6.24, y_times=[5, 12], p_times=[(0, 12)])
-    pl0 = t0 @ path_loss(ch, d[0])
-    pl1 = t1 @ path_loss(ch, d[1])
-    assert stats.mean_of(("y", 5)) == pytest.approx(pl0[5] - pl1[5], rel=1e-12)
-    assert stats.mean_of(("y", 12)) == pytest.approx(pl0[12] - pl1[12], rel=1e-12)
-    assert stats.mean_of(("p", 0, 12)) == pytest.approx(
-        path_loss(ch, d[0, 12]), rel=1e-12
-    )
+    # windows inside the trace, and windows reaching back past sample 0
+    for n_w, mode in ((4, "avg"), (9, "ls"), (200, "ls")):
+        d, t0, t1 = two_cell_tables(n_w=n_w, mode=mode)
+        stats = y_stats(t0, t1, (ch, ch), d, 6.24, y_times=[5, 12], p_times=[(0, 12)])
+        assert stats.labels == (("y", 5), ("y", 12), ("p", 0, 12))
+        pl0, pl1 = apply_coefficients(np.stack([t0, t1]), path_loss(ch, d)[None])[0]
+        assert stats.mu[0] == pytest.approx(pl0[5] - pl1[5], rel=1e-12)
+        assert stats.mu[1] == pytest.approx(pl0[12] - pl1[12], rel=1e-12)
+        assert stats.mu[2] == pytest.approx(path_loss(ch, d[0, 12]), rel=1e-12)
 
 
 def test_y_stats_covariance_matches_simulation():
@@ -518,9 +519,8 @@ def test_y_stats_covariance_matches_simulation():
     rng = np.random.default_rng(41)
     trials = 60_000
     trace = sample_power((ch, ch), d, 6.24, rng, n_trials=trials)
-    est0 = trace.powers_db[:, 0, :] @ t0.T
-    est1 = trace.powers_db[:, 1, :] @ t1.T
-    y = est0 - est1
+    est = apply_coefficients(np.stack([t0, t1]), trace.powers_db)
+    y = est[:, 0, :] - est[:, 1, :]
     cols = np.column_stack([y[:, 8], y[:, 9], trace.powers_db[:, 1, 9]])
     emp_mu = cols.mean(axis=0)
     emp_cov = np.cov(cols.T)

@@ -10,8 +10,11 @@ import pytest
 
 from handopt import (
     ConfigurationError,
+    SingularFitError,
+    avg_coeffs,
     coefficient_table,
     estimate_series,
+    ls_fit,
     preset,
     problem_from_process,
     sample_power,
@@ -20,7 +23,6 @@ from handopt import (
 from handopt.harness import (
     RunResult,
     SweepSpec,
-    _compact_rows,
     _decide_multicell,
     _decide_two_cell,
     _estimate_chunk,
@@ -131,7 +133,7 @@ def test_policy_margin_tables():
     fixed = policy_margin_table(cfg, 3.0)
     assert fixed.shape == (81, 2)
     assert np.all(fixed == 3.0)
-    opt = opt_margin_tables(cfg, ("opt2",), workers=2)["opt2"]
+    opt = opt_margin_tables(cfg, ("opt2",))["opt2"]
     assert opt.shape == (81, 2)
     np.testing.assert_allclose(opt[0], cfg.h_fixed_db)
     grid = solve_grid = np.round(np.arange(0.0, cfg.h_max_db + 0.125, 0.25), 10)
@@ -264,40 +266,49 @@ def test_config_fingerprint_sensitivity():
 
 
 def test_compact_rows_reproduce_estimate_series():
+    # the simulator contracts the links' [N, n_w] coefficient tables once per
+    # chunk; its estimates are estimate_series' bit for bit
     cfg = preset("vehicular-two-cell")
     d = cfg.distances_m()
     rng = np.random.default_rng(31)
     powers = rng.normal(size=(3, 2, 81)) - 100.0
-    est, _ = estimate_series(d, powers, "avg", 4)
-    compact = np.stack([_compact_rows(d[s], 4, "avg") for s in range(2)])
-    pad = np.zeros((3, 2, 3))
-    padded = np.concatenate([pad, powers], axis=-1)
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    win = sliding_window_view(padded, 4, axis=-1)
-    rebuilt = np.einsum("csnw,snw->csn", win, compact)
-    np.testing.assert_allclose(rebuilt, est, atol=1e-12)
+    for mode in ("avg", "ls"):
+        est, _ = estimate_series(d, powers, mode, 4)
+        tables = np.stack([coefficient_table(row, 4, mode) for row in d])
+        assert _estimate_chunk(cfg, d, powers, tables).tobytes() == est.tobytes()
 
 
-def compact_rows_loop(distances_row, n_w, mode):
-    """Row-by-row oracle for _compact_rows."""
-    table = coefficient_table(distances_row, n_w, mode)
-    n = distances_row.size
-    out = np.zeros((n, n_w))
-    for i in range(n):
-        nb = max(0, i - n_w + 1)
-        cnt = i - nb + 1
-        out[i, n_w - cnt :] = table[i, nb : i + 1]
+def window_estimates_loop(d, powers, n_w, mode):
+    """Row-by-row oracle for the simulator's estimates: every sample's window
+    fitted on its own, LS falling back to the window mean where the fit is
+    singular."""
+    out = np.empty_like(powers)
+    for c, s, n in np.ndindex(powers.shape):
+        coeffs = avg_coeffs(n, n_w)
+        nb = coeffs.window_start
+        p = powers[c, s, nb : n + 1]
+        if mode == "ls":
+            try:
+                _, coeffs = ls_fit(p, d[s, nb : n + 1], nb)
+            except SingularFitError:
+                pass
+        out[c, s, n] = coeffs.apply(p)
     return out
 
 
 @pytest.mark.parametrize("n_w", [1, 4, 9, 100])
 @pytest.mark.parametrize("mode", ["avg", "ls"])
 def test_compact_rows_equal_the_row_loop(n_w, mode):
-    d = preset("vehicular-two-cell").distances_m()
-    for row in d:
-        got = _compact_rows(row, n_w, mode)
-        assert got.tobytes() == compact_rows_loop(row, n_w, mode).tobytes()
+    # ls_fit forms the weights in another order; they agree to ~3e-13
+    cfg = preset("vehicular-two-cell")
+    d = cfg.distances_m()
+    powers = np.random.default_rng(5).normal(-100.0, 6.0, size=(3, 2, 81))
+    tables = np.stack([coefficient_table(row, n_w, mode) for row in d])
+    np.testing.assert_allclose(
+        _estimate_chunk(cfg, d, powers, tables),
+        window_estimates_loop(d, powers, n_w, mode),
+        rtol=1e-10,
+    )
 
 
 def decide_two_cell_loop(est, powers, h_tables, beta, b_init):
@@ -440,8 +451,8 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     rngs = [np.random.default_rng(t) for t in range(3)]
     powers = sample_power(cfg.channels, d, cfg.step_m, rngs).powers_db
     assert np.all(powers == powers[0])
-    compact = np.stack([_compact_rows(row, cfg.n_w, "avg") for row in d])
-    est = _estimate_chunk(cfg, d, powers, compact)
+    tables = np.stack([coefficient_table(row, cfg.n_w, "avg") for row in d])
+    est = _estimate_chunk(cfg, d, powers, tables)
     order = np.argsort(d, axis=0, kind="stable")
     args = (est, powers, {"h=0": np.zeros((d.shape[1], 2))}, -110.0, order[0], order[1], 0.0)
     assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))

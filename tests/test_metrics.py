@@ -15,6 +15,7 @@ from handopt import (
     ChannelParams,
     ConfigurationError,
     DegenerateConditioningError,
+    apply_coefficients,
     coefficient_table,
     connection_prob,
     connection_series,
@@ -46,9 +47,8 @@ def build_process(n_w=4, start=950.0):
 def simulate_decisions(d, channels, tables, h, trials, seed, b_init=0):
     rng = np.random.default_rng(seed)
     trace = sample_power(channels, d, STEP, rng, n_trials=trials)
-    est0 = trace.powers_db[:, 0, :] @ tables[0].T
-    est1 = trace.powers_db[:, 1, :] @ tables[1].T
-    b = decide_series(est0 - est1, h, b_init=b_init)
+    est = apply_coefficients(np.stack(tables), trace.powers_db)
+    b = decide_series(est[:, 0, :] - est[:, 1, :], h, b_init=b_init)
     return b, trace.powers_db
 
 

@@ -336,13 +336,13 @@ def scipy_stage_tables(problem):
         if problem.root_b == 0
         else (-INF, problem.root_margin)
     )
-    gv_y0 = stats.joint([("y", t0)])
+    gv_y0 = stats.subset([("y", t0)])
     root_p = float(
         norm.cdf((root_hi - gv_y0.mu[0]) / math.sqrt(gv_y0.Sigma[0, 0]))
         - norm.cdf((root_lo - gv_y0.mu[0]) / math.sqrt(gv_y0.Sigma[0, 0]))
     )
-    gv_pair = stats.joint([("y", t0), ("y", t1)])
-    gv_y1 = stats.joint([("y", t1)])
+    gv_pair = stats.subset([("y", t0), ("y", t1)])
+    gv_y1 = stats.subset([("y", t1)])
     sd1 = math.sqrt(gv_y1.Sigma[0, 0])
     hc = np.zeros((2, g.size))
     for u in (0, 1):
@@ -360,7 +360,7 @@ def scipy_stage_tables(problem):
     oc = np.zeros((2, 2, g.size))
     for u_from in (0, 1):
         for u_to in (0, 1):
-            gv_py = stats.joint([("p", u_to, t1), ("y", t1)])
+            gv_py = stats.subset([("p", u_to, t1), ("y", t1)])
             p_marg = float(
                 norm.cdf((beta - gv_py.mu[0]) / math.sqrt(gv_py.Sigma[0, 0]))
             )
@@ -416,12 +416,12 @@ def test_stage_tables_match_adaptive_quadrature_at_high_correlation():
             root_b=root_b, root_margin=2.0, outage_threshold_db=beta,
         )
         t0, t1 = problem.times
-        pair = problem.stats.joint([("y", t0), ("y", t1)])
+        pair = problem.stats.subset([("y", t0), ("y", t1)])
         rho = pair.Sigma[0, 1] / math.sqrt(pair.Sigma[0, 0] * pair.Sigma[1, 1])
         assert rho > 0.98
         tables = _get_tables(problem)
-        y0 = problem.stats.joint([("y", t0)])
-        y1 = problem.stats.joint([("y", t1)])
+        y0 = problem.stats.subset([("y", t0)])
+        y1 = problem.stats.subset([("y", t1)])
         cdf = lambda gv, x: ndtr((x - gv.mu[0]) / math.sqrt(gv.Sigma[0, 0]))
         r_lo, r_hi = (-2.0, INF) if root_b == 0 else (-INF, 2.0)
         root_p = cdf(y0, r_hi) - cdf(y0, r_lo)
@@ -433,7 +433,7 @@ def test_stage_tables_match_adaptive_quadrature_at_high_correlation():
     # oc does not depend on the root state: check it once
     for u_from in (0, 1):
         for u_to in (0, 1):
-            gv = problem.stats.joint([("p", u_to, t1), ("y", t1)])
+            gv = problem.stats.subset([("p", u_to, t1), ("y", t1)])
             for i, h in enumerate(tables.grid):
                 if u_to != u_from:
                     lo, hi = (-INF, -h) if u_from == 0 else (h, INF)
