@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -453,6 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Objects that predate the run (modules, classes, the parser) outlive it,
+    # so the cyclic collector skips them until it ends: a full collection
+    # during the run scans only what the run allocated. A frozen set the
+    # caller made is left as it is.
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -470,6 +478,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(json.dumps({"error": {"code": "io", "message": str(e)}}), file=sys.stderr)
         return 4
+    finally:
+        if thaw:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

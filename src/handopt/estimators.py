@@ -11,12 +11,12 @@ n_b = max(0, n - n_w + 1). Distances enter through log10, matching a
 per-decade path-loss slope.
 
 The power-free estimators (AVG, LS) keep their rows in one compact format,
-the [N, n_w] coefficient_table: row n is right-aligned on sample n, so
-column j weights sample n - n_w + 1 + j, and entries before sample 0 are
-zero. apply_coefficients contracts such rows with a batch of power traces;
-the simulator and estimate_series both estimate through it. weight_block
-lays rows out over a span of samples, which is how gaussian.y_stats reads
-them.
+the [N, min(n_w, N)] coefficient_table: row n is right-aligned on sample
+n, so the last column weights sample n itself, and entries before sample 0
+are zero. apply_coefficients contracts such rows with a batch of power
+traces; the simulator and estimate_series both estimate through it.
+weight_block lays rows out over a span of samples, which is how
+gaussian.y_stats reads them.
 
 Window-level operations (ls_fit, els_select) take the window arrays with
 the current sample last. GELS keeps its own growing window, restarted when
@@ -243,10 +243,11 @@ def gels_step(
 
 
 def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> np.ndarray:
-    """Right-aligned [N, n_w] filter rows for one link.
+    """Right-aligned [N, min(n_w, N)] filter rows for one link.
 
-    Column j of row n weights sample n - n_w + 1 + j, so
-    l(n) = table[n] . p[n - n_w + 1 .. n]; entries whose sample index is
+    A window never reaches past sample 0, so the table is w = min(n_w, N)
+    columns wide: column j of row n weights sample n - w + 1 + j, so
+    l(n) = table[n] . p[n - w + 1 .. n]; entries whose sample index is
     negative are zero. mode "ls" falls back to the rectangular row on
     windows that are too short or degenerate (mirroring the ELS fallback),
     so the table is defined at every n. Data-dependent estimators have no
@@ -260,6 +261,7 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
     if n_w < 1:
         raise ConfigurationError("n_w must be >= 1")
     n_samples = d.size
+    n_w = min(n_w, n_samples)
     # idx[n, j] is sample n - n_w + 1 + j; a row's window is its idx >= 0
     idx = np.arange(n_samples)[:, None] + np.arange(1 - n_w, 1)
     valid = idx >= 0
@@ -269,7 +271,7 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
         x = np.log10(d)
         # windows of one length at a time, so every mean reduces the same
         # contiguous run of samples as a row-by-row fit would
-        for k in range(2, min(n_w, n_samples) + 1):
+        for k in range(2, n_w + 1):
             sel = cnt == k
             xs = x[idx[sel, n_w - k :]]
             C = xs.mean(axis=1, keepdims=True)

@@ -6,7 +6,10 @@ module builds their joint mean/covariance over a set of sample times
 (y_stats) and evaluates rectangle-event probabilities over the resulting
 vectors: exactly (closed form in dimension 1, Simpson quadrature in 2, nested
 Gauss-Legendre quadrature in 3, Monte Carlo above), and through a family of
-cheaper approximations used when the event dimension grows.
+cheaper approximations used when the event dimension grows. The Simpson rule
+is a local port of scipy's composite rule, bit-identical to it, so that the
+only scipy subpackage the module imports is scipy.special (ndtr); the others
+cost several tenths of a second at every start-up.
 
 Coordinates are addressed by labels: ("y", t) for the gap at sample t and
 ("p", s, t) for BS s received power at sample t. Events are conjunctions of
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import ndtr
 
 from .channel import ChannelParams, path_loss
@@ -188,9 +190,9 @@ def y_stats(
 ) -> GaussianVector:
     """Exact joint law of the gap process and selected received powers.
 
-    table0/table1 are the two links' [N, n_w] coefficient tables in the
-    estimators.coefficient_table layout (row t right-aligned on sample t,
-    producing l_s(t)); channels the per-link ChannelParams pair;
+    table0/table1 are the two links' [N, min(n_w, N)] coefficient tables
+    in the estimators.coefficient_table layout (row t right-aligned on
+    sample t, producing l_s(t)); channels the per-link ChannelParams pair;
     distances_m the [2, N] per-link distances. y_times and p_times=(s, t)
     pairs pick the coordinates, which label the returned vector in that
     order: ("y", t) first, then ("p", s, t).
@@ -201,7 +203,7 @@ def y_stats(
         raise ConfigurationError("distances_m must be [2, N]")
     n_total = distances_m.shape[1]
     if any(t.ndim != 2 or t.shape[0] != n_total for t in tables):
-        raise ConfigurationError("coefficient tables must be [N, n_w]")
+        raise ConfigurationError("coefficient tables must be [N, min(n_w, N)]")
     if len(channels) != 2 or not all(isinstance(c, ChannelParams) for c in channels):
         raise ConfigurationError("channels must be a pair of ChannelParams")
     y_times = [int(t) for t in y_times]
@@ -325,8 +327,24 @@ def _mc_box_prob(mu, Sigma, lo, hi, n_samples, seed):
     return p, stderr, jittered
 
 
-def _simpson_nodes(lo, hi, n=2001):
-    return np.linspace(lo, hi, n)
+def _simpson(y, x):
+    """Composite Simpson rule over an odd number of increasing nodes x.
+
+    Repeats scipy's simpson(y, x=x) operation for operation (its odd-length
+    branch with x given, as of scipy 1.17), so the result is bit-identical;
+    the local copy keeps scipy's integrate subpackage, and everything it
+    imports, off the start-up path. Spacings are positive, so scipy's guards
+    against zero division are left out.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    w0 = 2.0 - 1.0 / h0divh1
+    w1 = hsum * (hsum / hprod)
+    w2 = 2.0 - h0divh1
+    return np.sum(hsum / 6.0 * (y[:-2:2] * w0 + y[1:-1:2] * w1 + y[2::2] * w2))
 
 
 def _quad_dim2(mu, Sigma, lo, hi):
@@ -335,13 +353,13 @@ def _quad_dim2(mu, Sigma, lo, hi):
     b = min(hi[0], mu[0] + _WINDOW_SD * s0)
     if not a < b:
         return 0.0
-    x = _simpson_nodes(a, b)
+    x = np.linspace(a, b, 2001)
     beta = Sigma[1, 0] / Sigma[0, 0]
     m = mu[1] + beta * (x - mu[0])
     s1 = math.sqrt(max(Sigma[1, 1] - beta * Sigma[1, 0], 1e-300))
     dens = np.exp(-0.5 * ((x - mu[0]) / s0) ** 2) / (s0 * math.sqrt(2 * math.pi))
     inner = ndtr((hi[1] - m) / s1) - ndtr((lo[1] - m) / s1)
-    return float(simpson(dens * inner, x=x))
+    return float(_simpson(dens * inner, x))
 
 
 def _gl_rule(a, b, n_seg):
@@ -471,14 +489,15 @@ def exact_prob(
 ) -> ProbResult:
     """Probability of the box event under the joint Gaussian law.
 
-    Dimension 1 is closed form. Dimension 2 runs a 2001-node Simpson rule
-    over x0 with the conditional normal CDF of x1 inside. Dimension 3 runs
-    nested Gauss-Legendre rules over x0 and x1, each segmented at the steps
-    of its integrand, with the conditional normal CDF of x2 inside
-    (_quad_dim3). These report a conservative absolute-error figure; higher
-    dimensions fall back to chunked Monte Carlo with a binomial standard
-    error. Near-zero-variance coordinates are resolved as deterministic
-    memberships first.
+    Dimension 1 is closed form. Dimension 2 runs a 2001-node composite
+    Simpson rule over x0 with the conditional normal CDF of x1 inside; the
+    rule is a bit-identical local port of scipy's (_simpson), kept off the
+    import path for start-up. Dimension 3 runs nested Gauss-Legendre rules
+    over x0 and x1, each segmented at the steps of its integrand, with the
+    conditional normal CDF of x2 inside (_quad_dim3). These report a
+    conservative absolute-error figure; higher dimensions fall back to
+    chunked Monte Carlo with a binomial standard error. Near-zero-variance
+    coordinates are resolved as deterministic memberships first.
     """
     if mc_samples < 10_000:
         raise ConfigurationError("mc_samples must be at least 10000")
@@ -627,13 +646,14 @@ def approx3_upper(
 class GapProcess:
     """Bundles the filter tables and channel pair behind y_stats.
 
-    The tables are the two links' [N, n_w] estimators.coefficient_table
-    rows. Callers hand events around as label sets; this object turns them into
-    the right joint Gaussian on demand. joint() and prob() are memoized for
-    the life of the object: joint() by its label tuple, prob() by the
-    event's constraints (labels and bounds) and mc_samples, plus the seed
-    for events of dimension >= 3, the only ones whose value can depend on
-    it. Each distinct vector and box is thus built and integrated once.
+    The tables are the two links' [N, min(n_w, N)]
+    estimators.coefficient_table rows. Callers hand events around as label
+    sets; this object turns them into the right joint Gaussian on demand.
+    joint() and prob() are memoized for the life of the object: joint() by
+    its label tuple, prob() by the event's constraints (labels and bounds)
+    and mc_samples, plus the seed for events of dimension >= 3, the only
+    ones whose value can depend on it. Each distinct vector and box is thus
+    built and integrated once.
     """
 
     def __init__(self, table0, table1, channels, distances_m, step_m):

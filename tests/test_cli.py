@@ -305,6 +305,26 @@ def test_unknown_preset_is_rejected(capsys):
     capsys.readouterr()
 
 
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # main() freezes the objects that predate the run and thaws them after,
+    # on every exit path, and never thaws a caller's frozen set
+    import gc
+
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["simulate", "--preset", "downtown"])
+    assert main(["simulate", "--preset", "paper-vi", "--policy", "2", "--n-w", "0"]) == 2
+    assert gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["simulate", "--preset", "paper-vi", "--policy", "2", "--n-w", "0"]) == 2
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     rc, _, err = run_main(
         capsys,
@@ -344,6 +364,26 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     code = (
         "import sys, handopt, handopt.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_integrate_and_its_imports_unloaded():
+    # scipy.integrate alone pulled in optimize, sparse, linalg, fft and
+    # spatial, several tenths of a second of every run's start-up; the
+    # package needs only scipy.special (ndtr)
+    import os
+
+    import handopt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(handopt.__file__)))
+    heavy = ("integrate", "optimize", "sparse", "linalg", "fft", "spatial")
+    code = (
+        "import sys, handopt, handopt.cli; print(sorted(m for m in sys.modules "
+        f"if m.startswith('scipy.') and m.split('.')[1] in {heavy!r}))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -278,6 +278,32 @@ def test_compact_rows_reproduce_estimate_series():
         assert _estimate_chunk(cfg, d, powers, tables).tobytes() == est.tobytes()
 
 
+def test_window_longer_than_the_trace_is_clamped_to_it():
+    # a window cannot reach before sample 0, so n_w = 20000 on an 81-sample
+    # trace builds the n_w = 81 table and every estimate and law is the same
+    wide = preset("vehicular-two-cell").with_updates(n_w=20000)
+    d = wide.distances_m()
+    n = d.shape[1]
+    full = wide.with_updates(n_w=n)
+    powers = np.random.default_rng(8).normal(-100.0, 6.0, size=(3, 2, n))
+    for mode in ("avg", "ls"):
+        tables = np.stack([coefficient_table(row, wide.n_w, mode) for row in d])
+        assert tables.shape == (2, n, n)
+        want = np.stack([coefficient_table(row, n, mode) for row in d])
+        assert tables.tobytes() == want.tobytes()
+        est, _ = estimate_series(d, powers, mode, wide.n_w)
+        assert est.tobytes() == estimate_series(d, powers, mode, n)[0].tobytes()
+        assert _estimate_chunk(wide, d, powers, tables).tobytes() == est.tobytes()
+    labels = [("y", 0), ("y", 40), ("y", 80), ("p", 0, 40), ("p", 1, 80)]
+    a, b = _gap_process(wide).joint(labels), _gap_process(full).joint(labels)
+    assert a.mu.tobytes() == b.mu.tobytes()
+    assert a.Sigma.tobytes() == b.Sigma.tobytes()
+    ra, rb = run_two_cell(wide, 2.0, 6, seed=4), run_two_cell(full, 2.0, 6, seed=4)
+    for field in ("switch_counts", "outage_counts", "conn_counts", "outage_branch_counts"):
+        assert getattr(ra, field).tobytes() == getattr(rb, field).tobytes()
+    assert [t.tobytes() for t in ra.switch_times] == [t.tobytes() for t in rb.switch_times]
+
+
 def window_estimates_loop(d, powers, n_w, mode):
     """Row-by-row oracle for the simulator's estimates: every sample's window
     fitted on its own, LS falling back to the window mean where the fit is
