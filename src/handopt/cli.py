@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateConditioningError, HandoptError
 from .harness import (
-    _pair_stats,
+    _OPT_LABELS,
     _gap_process,
     _trellis_problem,
     SweepSpec,
@@ -44,19 +44,10 @@ from .harness import (
     sweep_table,
     trellis_rows,
 )
-from .optimizer import solve
+from .optimizer import solve, _window_stats
 from .scenario import ScenarioConfig, cell_row_layout, preset, two_cell_layout
 
 _PRESETS = ("paper-vi", "vehicular-two-cell", "vehicular-cell-row")
-
-_OBJECTIVES = {
-    "opt1": "opt1",
-    "opt2": "opt2",
-    "opt3": "opt3",
-    "min_handover": "opt1",
-    "min_outage": "opt2",
-    "pareto": "opt3",
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -314,9 +305,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_optimize(args) -> int:
     config, file_run = _build_config(args)
     objective = _run_value(file_run, args, "objective", str, "opt1")
-    if objective not in _OBJECTIVES:
-        raise ConfigurationError(f"objective must be one of {sorted(_OBJECTIVES)}")
-    label = _OBJECTIVES[objective]
+    if objective not in _OPT_LABELS:
+        raise ConfigurationError(f"objective must be one of {sorted(_OPT_LABELS)}")
+    label = _OPT_LABELS[objective]
     root_n = _run_value(file_run, args, "root_sample", int, 0)
     root_b = _run_value(file_run, args, "root_b", int, config.b_init)
     cell_a = _run_value(file_run, args, "cell_a", int, 0)
@@ -330,7 +321,7 @@ def _cmd_optimize(args) -> int:
         raise ConfigurationError("root sample must leave at least one stage")
     horizon = min(config.horizon, n_samples - 1 - root_n)
     problem = _trellis_problem(
-        config, _pair_stats(process, root_n, horizon), horizon, root_b, label
+        config, _window_stats(process, root_n, horizon), horizon, root_b, label
     )
     solution = solve(problem)
     fields, rows = trellis_rows(solution)
@@ -419,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="one trellis solve with a path dump")
     _add_scenario_flags(p)
-    p.add_argument("--objective", choices=sorted(_OBJECTIVES))
+    p.add_argument("--objective", choices=sorted(_OPT_LABELS))
     p.add_argument("--root-sample", dest="root_sample", type=int)
     p.add_argument("--root-b", dest="root_b", type=int, choices=(0, 1))
     p.add_argument("--cell-a", dest="cell_a", type=int)

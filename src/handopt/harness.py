@@ -52,10 +52,17 @@ from .gaussian import (
 )
 from .hybrid import count_switches, decide_series
 from .metrics import handover_series, outage_series
-from .optimizer import TrellisProblem, solve_group
+from .optimizer import TrellisProblem, solve_group, _window_stats
 from .scenario import ScenarioConfig, preset
 
-_OPT_POLICIES = ("opt1", "opt2", "opt3")
+# optimizer policy label -> the trellis objective it solves
+_POLICY_OBJECTIVES = {"opt1": "min_handover", "opt2": "min_outage", "opt3": "pareto"}
+_OPT_POLICIES = tuple(_POLICY_OBJECTIVES)
+# every name of an optimizer policy (its label or its objective) -> label
+_OPT_LABELS = {
+    **{label: label for label in _POLICY_OBJECTIVES},
+    **{objective: label for label, objective in _POLICY_OBJECTIVES.items()},
+}
 
 # Margin tables for the data-driven estimators have no power-free form;
 # the optimizer models those runs with the rectangular-window table.
@@ -164,13 +171,14 @@ def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1, *, ch
 
 
 def _policy_problem_kwargs(config: ScenarioConfig, label: str) -> dict:
-    if label == "opt1":
-        return {"objective": "min_handover", "p_out_cap": config.p_out_cap, "p_han_cap": 1.0}
-    if label == "opt2":
-        return {"objective": "min_outage", "p_out_cap": 1.0, "p_han_cap": config.p_han_cap}
-    if label == "opt3":
+    objective = _POLICY_OBJECTIVES.get(label)
+    if objective == "min_handover":
+        return {"objective": objective, "p_out_cap": config.p_out_cap, "p_han_cap": 1.0}
+    if objective == "min_outage":
+        return {"objective": objective, "p_out_cap": 1.0, "p_han_cap": config.p_han_cap}
+    if objective == "pareto":
         return {
-            "objective": "pareto",
+            "objective": objective,
             "p_out_cap": 1.0,
             "p_han_cap": 1.0,
             "pareto_z": config.pareto_weight,
@@ -190,12 +198,6 @@ def _trellis_problem(config: ScenarioConfig, stats, horizon: int, root_b: int, l
         h_step=config.h_step_db,
         **_policy_problem_kwargs(config, label),
     )
-
-
-def _pair_stats(process: GapProcess, n: int, horizon: int):
-    y_times = list(range(n, n + horizon + 1))
-    p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
-    return process.stats(y_times, p_times)
 
 
 def opt_margin_tables(
@@ -241,7 +243,7 @@ def opt_margin_tables(
         process = GapProcess(
             table_for(a), table_for(b), (chs[a], chs[b]), d[[a, b]], config.step_m
         )
-        stats = _pair_stats(process, root_n, m)
+        stats = _window_stats(process, root_n, m)
         problems = [
             _trellis_problem(config, stats, m, root_b, p)
             for p in policies
@@ -278,11 +280,7 @@ def optimal_h_profile(
     """
     if config.layout.n_bs != 2:
         raise ConfigurationError("margin profiles are defined on the two-cell layout")
-    label = objective if objective in _OPT_POLICIES else {
-        "min_handover": "opt1",
-        "min_outage": "opt2",
-        "pareto": "opt3",
-    }.get(objective)
+    label = _OPT_LABELS.get(objective)
     if label is None:
         raise ConfigurationError(f"unknown objective {objective!r}")
     root = config.b_init if root_b is None else int(root_b)
@@ -291,7 +289,7 @@ def optimal_h_profile(
     out = np.empty(n_samples - 1)
     for n in range(n_samples - 1):
         m = min(config.horizon, n_samples - 1 - n)
-        problem = _trellis_problem(config, _pair_stats(process, n, m), m, root, label)
+        problem = _trellis_problem(config, _window_stats(process, n, m), m, root, label)
         out[n] = solve_group([problem])[0].h_first
     return out
 
@@ -679,6 +677,10 @@ class SweepSpec:
         for v in self.speeds:
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigurationError("speeds must be positive")
+        # equal column labels would overwrite one speed's results with another's
+        columns = [f"v={v:g}" for v in self.speeds]
+        if len(set(columns)) != len(columns):
+            raise ConfigurationError(f"speeds share a column label: {columns}")
 
 
 def _speed_variant(config: ScenarioConfig, v: float, mode: str):

@@ -41,9 +41,11 @@ lattice points with no interpolation. The stage switch probabilities
 condition on the root box only, so each stage needs just one root-edge
 table: the CDF of (y_l, y_0) on the margin lattice × the edges of both
 root states' stay boxes (+-root_margin, +-inf), integrated over y_l, whose
-lattice borders lie one grid step apart. One such table per stage serves
-every problem of a solve_group. verify_solution re-checks a winner's capped
-quantities independently through exact_prob.
+lattice borders lie one grid step apart. The tables read only the stats
+window, the grid, the root margin and the outage threshold, so solve_group
+builds them once per window and shares them across both root states and
+every objective. verify_solution re-checks a winner's capped quantities
+independently through exact_prob.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class TrellisProblem:
             raise ConfigurationError("root_b must be 0 or 1")
         if not (math.isfinite(self.root_margin) and self.root_margin >= 0):
             raise ConfigurationError("root_margin must be finite and nonnegative")
-        if not (self.h_step > 0 and self.h_max >= 0):
-            raise ConfigurationError("grid needs h_step > 0 and h_max >= 0")
+        if not (0 < self.h_step < math.inf and 0 <= self.h_max < math.inf):
+            raise ConfigurationError("grid needs finite h_step > 0 and h_max >= 0")
         for cap in (self.p_out_cap, self.p_han_cap):
             if not 0.0 < cap <= 1.0:
                 raise ConfigurationError("caps must lie in (0, 1]")
@@ -123,9 +125,9 @@ class TrellisProblem:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.round(
-            np.arange(0.0, self.h_max + self.h_step / 2, self.h_step), 10
-        )
+        """The multiples of h_step up to h_max, rounded to 10 decimals."""
+        n = math.floor(self.h_max / self.h_step + 1e-9)
+        return np.round(np.arange(n + 1) * self.h_step, 10)
 
 
 @dataclass(frozen=True)
@@ -185,43 +187,28 @@ def _stay_box(u: int, h: float):
 
 
 class _StageTables:
-    """Per-problem lattice tables and stage grids: the optimizer's one backend.
+    """Lattice tables and stage grids of one stats window: the optimizer's one backend.
 
-    Every stage quantity is a ratio of one- or two-dimensional Gaussian
-    boxes. The lattice holds every margin value the search can query (plus
-    the root margin and +-inf), so each box is an exact difference of
-    lattice CDFs: F holds the marginal normal CDFs of y_0..y_m, and
-    bvn_cdf_lattice the pair CDFs. The pair quantities condition only on
-    the root box, so each stage keeps one root-edge table: the joint CDF of
-    (y_l, y_0) on the lattice × the edges of both root states' stay boxes,
-    integrated over y_l, whose lattice borders lie one grid step apart.
-    The lattice tables are shared across a solve_group. The grids hc, oc
-    and po are indexed by stage and edge, which is all solve()'s per-edge
-    scan reads.
+    The tables read only the stats window and its times, the margin grid,
+    the root margin and the outage threshold, so one object serves both
+    root states and every objective over that window. Every stage quantity
+    is a ratio of one- or two-dimensional Gaussian boxes. The lattice holds
+    every margin value the search can query (plus the root margin and
+    +-inf), so each box is an exact difference of lattice CDFs: F holds the
+    marginal normal CDFs of y_0..y_m, and bvn_cdf_lattice the pair CDFs.
+    The pair quantities condition only on the root box, so each stage keeps
+    one root-edge table: the joint CDF of (y_l, y_0) on the lattice × the
+    edges of both root states' stay boxes, integrated over y_l, whose
+    lattice borders lie one grid step apart. hc is indexed by root state,
+    stage and edge, oc and po by stage and edge, which is all solve()'s
+    per-edge scan reads.
     """
 
-    _SHARED = ("lattice", "_pos", "F", "R", "_rpos", "U", "p_marg", "_ineg", "_ipos")
-
-    def __init__(self, problem: TrellisProblem, share: "_StageTables" = None):
-        self.problem = problem
-        self.grid = problem.grid
-        if share is not None:
-            for name in self._SHARED:
-                setattr(self, name, getattr(share, name))
-        else:
-            self._build_lattice_tables()
-        self.root_box = _stay_box(problem.root_b, problem.root_margin)
-        self._build_grids(share)
-
-    def _build_lattice_tables(self):
-        problem = self.problem
-        m = problem.horizon
-        times = problem.times
-        stats = problem.stats
-        g = self.grid
-        finite = np.unique(
-            np.concatenate([-g, g, [-problem.root_margin, problem.root_margin]])
-        )
+    def __init__(self, stats, times, grid, root_margin, outage_threshold_db):
+        m = len(times) - 1
+        k = grid.size
+        self.grid = grid
+        finite = np.unique(np.concatenate([-grid, grid, [-root_margin, root_margin]]))
         self.lattice = np.concatenate(([-np.inf], finite, [np.inf]))
         self._pos = {v: i for i, v in enumerate(self.lattice)}
 
@@ -232,37 +219,63 @@ class _StageTables:
         with np.errstate(invalid="ignore"):
             z = (self.lattice[None, :] - mu[:, None]) / np.maximum(sd[:, None], 1e-150)
         self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
-        root_edges = np.unique(
-            [-np.inf, -problem.root_margin, problem.root_margin, np.inf]
-        )
-        self._rpos = {v: i for i, v in enumerate(root_edges)}
+        root_edges = np.unique([-np.inf, -root_margin, root_margin, np.inf])
+        rpos = {v: i for i, v in enumerate(root_edges)}
         # R[l][x, y] = P(y_l <= lattice[x], y_0 <= root_edges[y])
-        self.R = {}
+        R = {}
         for l in range(1, m + 1):
             gv = stats.subset([y_labels[l], y_labels[0]])
-            self.R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
-        self.U = {}
-        self.p_marg = {}
-        beta = problem.outage_threshold_db
+            R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
+        self._ineg = np.fromiter((self._pos[-v] for v in grid), int, k)
+        self._ipos = np.fromiter((self._pos[v] for v in grid), int, k)
+
+        # hc[root_b, l, u, i]: P(stage l switches away from u at margin g[i]
+        # | the stay box of root state root_b)
+        self.hc = np.zeros((2, m + 1, 2, k))
+        self.root_degenerate = np.zeros(2, dtype=bool)
+        for root_b in (0, 1):
+            root_box = _stay_box(root_b, root_margin)
+            root_p = self._single(0, root_box)
+            self.root_degenerate[root_b] = root_p < _COND_FLOOR
+            r1, r2 = rpos[root_box[0]], rpos[root_box[1]]
+            for l in range(1, m + 1):
+                for u in (0, 1):
+                    lo, hi = self._box_idx(u, switch=True)
+                    if self.root_degenerate[root_b]:
+                        self.hc[root_b, l, u] = self.F[l, hi] - self.F[l, lo]
+                    else:
+                        box = R[l][hi, r2] - R[l][lo, r2] - R[l][hi, r1] + R[l][lo, r1]
+                        self.hc[root_b, l, u] = box / root_p
+
+        # oc[l][u_from, u_to, i]: outage of the branch's serving BS (u_to)
+        # conditional on the stage's own gap event (same-sample conditioning)
+        self.oc = np.zeros((m + 1, 2, 2, k))
+        beta = outage_threshold_db
         for l in range(1, m + 1):
-            for s in (0, 1):
-                # U[(l, s)][x] = P(y_l <= lattice[x], p_s(t_l) <= beta),
+            for u_to in (0, 1):
+                # U[x] = P(y_l <= lattice[x], p_{u_to}(t_l) <= beta),
                 # integrated over y_l like R
-                gv = stats.subset([y_labels[l], ("p", s, times[l])])
-                self.U[(l, s)] = bvn_cdf_lattice(
-                    gv.mu, gv.Sigma, self.lattice, np.array([beta])
-                )[:, 0]
-                self.p_marg[(l, s)] = float(
+                gv = stats.subset([y_labels[l], ("p", u_to, times[l])])
+                U = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, np.array([beta]))[:, 0]
+                p_marg = float(
                     ndtr((beta - gv.mu[1]) / max(math.sqrt(gv.Sigma[1, 1]), 1e-150))
                 )
-        self._ineg = np.fromiter((self._pos[-v] for v in g), int, g.size)
-        self._ipos = np.fromiter((self._pos[v] for v in g), int, g.size)
+                for u_from in (0, 1):
+                    lo, hi = self._box_idx(u_from, switch=u_to != u_from)
+                    num = U[hi] - U[lo]
+                    den = self.F[l, hi] - self.F[l, lo]
+                    self.oc[l, u_from, u_to] = np.where(
+                        den < _COND_FLOOR, p_marg, num / np.maximum(den, _COND_FLOOR)
+                    )
+
+        # po[l][u_from, i]: stage outage probability, both branch
+        # conditionals charged (u_to = u_from stays, u_to = 1 - u_from
+        # switches, so summing over u_to covers exactly the two branches)
+        self.po = self.oc.sum(axis=2)
 
     def _single(self, l: int, box) -> float:
         """P(y_l in box) for a box with lattice edges."""
         return float(self.F[l, self._pos[box[1]]] - self.F[l, self._pos[box[0]]])
-
-    # -- stage grids -------------------------------------------------------
 
     def _box_idx(self, u: int, switch: bool):
         """(lo, hi) lattice index vectors over the margin grid."""
@@ -272,51 +285,6 @@ class _StageTables:
         if switch:
             return (zeros, self._ineg) if u == 0 else (self._ipos, last)
         return (self._ineg, last) if u == 0 else (zeros, self._ipos)
-
-    def _build_grids(self, share=None):
-        m = self.problem.horizon
-        k = self.grid.size
-        root_p = self._single(0, self.root_box)
-        self._root_degenerate = root_p < _COND_FLOOR
-
-        # hc[l][u, i]: P(stage l switches away from u at margin g[i] | root)
-        self.hc = np.zeros((m + 1, 2, k))
-        r1 = self._rpos[self.root_box[0]]
-        r2 = self._rpos[self.root_box[1]]
-        for l in range(1, m + 1):
-            for u in (0, 1):
-                lo, hi = self._box_idx(u, switch=True)
-                if self._root_degenerate:
-                    self.hc[l, u] = self.F[l, hi] - self.F[l, lo]
-                else:
-                    R = self.R[l]
-                    self.hc[l, u] = (R[hi, r2] - R[lo, r2] - R[hi, r1] + R[lo, r1]) / root_p
-
-        if share is not None:
-            self.oc = share.oc
-            self.po = share.po
-            return
-
-        # oc[l][u_from, u_to, i]: outage of the branch's serving BS (u_to)
-        # conditional on the stage's own gap event (same-sample conditioning)
-        self.oc = np.zeros((m + 1, 2, 2, k))
-        for l in range(1, m + 1):
-            for u_from in (0, 1):
-                for u_to in (0, 1):
-                    s = u_to
-                    lo, hi = self._box_idx(u_from, switch=u_to != u_from)
-                    num = self.U[(l, s)][hi] - self.U[(l, s)][lo]
-                    den = self.F[l, hi] - self.F[l, lo]
-                    self.oc[l, u_from, u_to] = np.where(
-                        den < _COND_FLOOR,
-                        self.p_marg[(l, s)],
-                        num / np.maximum(den, _COND_FLOOR),
-                    )
-
-        # po[l][u_from, i]: stage outage probability, both branch
-        # conditionals charged (u_to = u_from stays, u_to = 1 - u_from
-        # switches, so summing over u_to covers exactly the two branches)
-        self.po = self.oc.sum(axis=2)
 
 
 def _outage_marginal(problem: TrellisProblem, l: int, s: int) -> float:
@@ -330,9 +298,20 @@ def _outage_marginal(problem: TrellisProblem, l: int, s: int) -> float:
     )
 
 
+def _table_inputs(problem: TrellisProblem) -> tuple:
+    """The _StageTables arguments: all the stage tables read of a problem."""
+    return (
+        problem.stats,
+        problem.times,
+        problem.grid,
+        problem.root_margin,
+        problem.outage_threshold_db,
+    )
+
+
 def _get_tables(problem: TrellisProblem) -> _StageTables:
     if "tables" not in problem._cache:
-        problem._cache["tables"] = _StageTables(problem)
+        problem._cache["tables"] = _StageTables(*_table_inputs(problem))
     return problem._cache["tables"]
 
 
@@ -356,17 +335,18 @@ def _edge_choices(problem: TrellisProblem, tables: _StageTables):
     """
     m = problem.horizon
     k = tables.grid.size
+    hc = tables.hc[problem.root_b]
     if problem.objective == "min_handover":
-        cost = tables.hc
+        cost = hc
         level = tables.oc[1:]
         cap = problem.p_out_cap
     elif problem.objective == "min_outage":
         cost = tables.po
-        level = np.broadcast_to(tables.hc[1:, :, None, :], (m, 2, 2, k))
+        level = np.broadcast_to(hc[1:, :, None, :], (m, 2, 2, k))
         cap = problem.p_han_cap
     else:
         z = problem.pareto_z
-        cost = z * tables.hc + (1.0 - z) * tables.po
+        cost = z * hc + (1.0 - z) * tables.po
         level = np.zeros((m, 2, 2, k))  # uncapped: every margin is admitted
         cap = 1.0
     cost = np.broadcast_to(cost[1:, :, None, :], (m, 2, 2, k))
@@ -442,35 +422,23 @@ def solve(problem: TrellisProblem) -> TrellisSolution:
     )
 
 
-def _shareable(a: TrellisProblem, b: TrellisProblem) -> bool:
-    return (
-        a.stats is b.stats
-        and a.horizon == b.horizon
-        and a.h_max == b.h_max
-        and a.h_step == b.h_step
-        and a.root_margin == b.root_margin
-        and a.outage_threshold_db == b.outage_threshold_db
-    )
-
-
 def solve_group(problems):
-    """Solve problems that share stats and grid, building tables once.
+    """Solve problems, building one _StageTables per distinct table input.
 
-    Only the root-dependent stage grids are rebuilt per problem; the
-    lattice CDF tables are shared. Problems that do not match the first
-    one get their own tables, so the call is always safe.
+    Problems over the same stats window object, grid, root margin and
+    outage threshold share one table object, whatever their root state and
+    objective.
     """
-    problems = list(problems)
-    base = None
+    problems = list(problems)  # keeps every stats object, so its id, alive
+    built = {}
     out = []
     for pr in problems:
         if pr.horizon > 0 and "tables" not in pr._cache:
-            if base is not None and _shareable(base.problem, pr):
-                pr._cache["tables"] = _StageTables(pr, share=base)
-            else:
-                pr._cache["tables"] = _StageTables(pr)
-        if pr.horizon > 0 and base is None:
-            base = pr._cache["tables"]
+            stats, times, grid, root_margin, beta = inputs = _table_inputs(pr)
+            key = (id(stats), times, grid.tobytes(), root_margin, beta)
+            if key not in built:
+                built[key] = _StageTables(*inputs)
+            pr._cache["tables"] = built[key]
         out.append(solve(pr))
     return out
 
@@ -536,8 +504,9 @@ def stage_profile(problem: TrellisProblem, solution: TrellisSolution):
     tables = _get_tables(problem)
     chain = _stage_chain(problem, solution.path.states)
     idx = [int(np.argmin(np.abs(tables.grid - h))) for h in solution.margins]
+    hc = tables.hc[problem.root_b]
     han = np.array(
-        [tables.hc[l, chain[l - 1][0], idx[l - 1]] for l in range(1, problem.horizon + 1)]
+        [hc[l, chain[l - 1][0], idx[l - 1]] for l in range(1, problem.horizon + 1)]
     )
     out = np.array(
         [tables.po[l, chain[l - 1][0], idx[l - 1]] for l in range(1, problem.horizon + 1)]
@@ -553,9 +522,16 @@ def problem_from_process(
     settings are the other TrellisProblem fields: root_b, root_margin and
     outage_threshold_db are required, the grid, caps and pareto_z optional.
     """
+    return TrellisProblem(
+        objective=objective, horizon=horizon, stats=_window_stats(process, n, horizon), **settings
+    )
+
+
+def _window_stats(process, n: int, horizon: int):
+    """The stats a trellis rooted at sample n reads: y at n..n+horizon and
+    both received powers at n+1..n+horizon."""
     if n + horizon >= process.n_samples:
         raise ConfigurationError("horizon runs past the end of the trace")
     y_times = list(range(n, n + horizon + 1))
     p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
-    stats = process.stats(y_times, p_times)
-    return TrellisProblem(objective=objective, horizon=horizon, stats=stats, **settings)
+    return process.stats(y_times, p_times)

@@ -186,8 +186,12 @@ class ScenarioConfig:
             raise ConfigurationError("horizon must be >= 1")
         if self.horizon > 12:
             raise ConfigurationError("horizon > 12 enumerates too many trellis paths")
-        if not (self.h_max_db > 0.0 and self.h_step_db > 0.0):
-            raise ConfigurationError("hysteresis grid must have positive extent and step")
+        if not (0.0 < self.speed_mps < math.inf and 0.0 < self.sample_interval_s < math.inf):
+            raise ConfigurationError("speed and sample interval must be finite and positive")
+        if not (0.0 < self.h_max_db < math.inf and 0.0 < self.h_step_db < math.inf):
+            raise ConfigurationError("hysteresis grid must have finite positive extent and step")
+        if self.outage_threshold_db is not None and not math.isfinite(self.outage_threshold_db):
+            raise ConfigurationError("outage_threshold_db must be finite")
         if self.depth is not None and self.depth < 1:
             raise ConfigurationError("depth must be >= 1")
         if not (0.0 < self.p_out_cap <= 1.0 and 0.0 < self.p_han_cap <= 1.0):
@@ -196,8 +200,8 @@ class ScenarioConfig:
             raise ConfigurationError("pareto_weight must lie in [0, 1]")
         if self.b_init not in (0, 1):
             raise ConfigurationError("b_init must be 0 or 1")
-        if self.h_fixed_db < 0.0:
-            raise ConfigurationError("h_fixed_db must be nonnegative")
+        if not 0.0 <= self.h_fixed_db < math.inf:
+            raise ConfigurationError("h_fixed_db must be finite and nonnegative")
 
     def trace(self) -> MobilityTrace:
         return build_linear_trace(

@@ -286,6 +286,52 @@ def test_simulate_rejects_analytic_on_a_cell_row(tmp_path, capsys):
         assert json.loads(err)["error"]["code"] == "config"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--h-max-db", "inf"],
+        ["optimize", "--h-step-db", "inf"],
+        ["optimize", "--h-max-db", "nan"],
+        ["simulate", "--trials", "2", "--h-fixed-db", "inf"],
+        ["simulate", "--trials", "2", "--outage-threshold-db", "inf"],
+        ["simulate", "--trials", "2", "--speed-mps", "inf"],
+        ["simulate", "--trials", "2", "--sample-interval-s", "inf"],
+        ["simulate", "--trials", "2", "--speed-mps", "nan"],
+    ],
+)
+def test_non_finite_inputs_exit_2(capsys, argv):
+    rc, out, err = run_main(capsys, argv + ["--preset", "vehicular-two-cell"])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "config"
+
+
+def test_optimize_margins_stay_within_h_max(tmp_path, capsys):
+    json_p = tmp_path / "o.json"
+    rc, _, _ = run_main(
+        capsys,
+        ["optimize", "--preset", "vehicular-two-cell", "--h-max-db", "1",
+         "--h-step-db", "0.6", "--json", str(json_p)],
+    )
+    assert rc == 0
+    summary = json.loads(json_p.read_text())
+    assert summary["h_first"] in (0.0, 0.6)
+    assert set(summary["margins"]) <= {0.0, 0.6}
+
+
+@pytest.mark.parametrize("speeds", ["5,5", "5,5.0000001"])
+def test_table_rejects_speeds_that_share_a_column(tmp_path, capsys, speeds):
+    rc, out, err = run_main(
+        capsys,
+        ["table", "--preset", "vehicular-two-cell", "--speeds", speeds,
+         "--policies", "0", "--trials", "2", "--csv", str(tmp_path / "t.csv")],
+    )
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "config"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_numerical_failures_exit_3(capsys):
     # without shadowing the gap covariance is singular, which the
     # eigenvalue sandwich refuses with a NumericalConsistencyError

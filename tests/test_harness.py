@@ -20,6 +20,7 @@ from handopt import (
     sample_power,
     solve,
 )
+from handopt import optimizer
 from handopt.harness import (
     RunResult,
     SweepSpec,
@@ -154,6 +155,24 @@ def test_opt_margin_tables_are_pinned():
     )
 
 
+def test_opt_margin_tables_build_one_stage_table_per_root_sample(monkeypatch):
+    # the three policies x two root states of a root sample read one stats
+    # window, grid, root margin and threshold, so they share one table
+    roots = []
+
+    class Counting(optimizer._StageTables):
+        def __init__(self, stats, times, *rest):
+            roots.append(times[0])
+            super().__init__(stats, times, *rest)
+
+    monkeypatch.setattr(optimizer, "_StageTables", Counting)
+    cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
+    n_samples = cfg.trace().n_samples
+    tables = opt_margin_tables(cfg)
+    assert sorted(tables) == ["opt1", "opt2", "opt3"]
+    assert roots == list(range(n_samples - 1))
+
+
 def test_optimal_h_profile_two_cell_only():
     with pytest.raises(ConfigurationError):
         optimal_h_profile(preset("vehicular-cell-row"), "min_handover")
@@ -178,6 +197,13 @@ def test_sweep_table_layout():
     summary = sweep_summary(cfg, spec, results, 2)
     assert summary["schema"] == "table-sweep-v1"
     assert summary["config_hash"] == config_fingerprint(cfg)
+
+
+def test_sweep_spec_rejects_speeds_that_share_a_column():
+    for speeds in ((5.0, 5.0), (5.0, 5.0000001), (20.0, 5.0, 20.0)):
+        with pytest.raises(ConfigurationError):
+            SweepSpec(speeds=speeds)
+    SweepSpec(speeds=(5.0, 5.001))
 
 
 def test_fixed_grid_sweep_rescales_coherence():

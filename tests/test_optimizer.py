@@ -9,9 +9,12 @@ conditional probabilities behind those tables.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
@@ -35,6 +38,7 @@ from handopt.optimizer import (
     TrellisProblem,
     _get_tables,
     _stage_chain,
+    _window_stats,
 )
 
 STEP = 6.24
@@ -90,7 +94,7 @@ def path_masks(problem, tables, states):
             level = tables.oc[l, u_from, u_to]
             cap = problem.p_out_cap
         elif problem.objective == "min_outage":
-            level = tables.hc[l, u_from]
+            level = tables.hc[problem.root_b, l, u_from]
             cap = problem.p_han_cap
         else:
             continue
@@ -110,12 +114,12 @@ def path_stage_costs(problem, tables, states):
     out = []
     for l, (u_from, _) in enumerate(_stage_chain(problem, states), start=1):
         if problem.objective == "min_handover":
-            vec = tables.hc[l, u_from]
+            vec = tables.hc[problem.root_b, l, u_from]
         elif problem.objective == "min_outage":
             vec = tables.po[l, u_from]
         else:
             z = problem.pareto_z
-            vec = z * tables.hc[l, u_from] + (1.0 - z) * tables.po[l, u_from]
+            vec = z * tables.hc[problem.root_b, l, u_from] + (1.0 - z) * tables.po[l, u_from]
         out.append(vec)
     return out
 
@@ -196,7 +200,7 @@ def test_solve_matches_per_path_oracle():
             best.states[0], best.margins[0], best.margins
         )
         seen["infeasible"] += all(not p.feasible for p in paths)
-        seen["degenerate"] += _get_tables(problem)._root_degenerate
+        seen["degenerate"] += _get_tables(problem).root_degenerate[problem.root_b]
     assert seen["infeasible"] >= 8 and seen["degenerate"] >= 8
 
 
@@ -212,11 +216,12 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
     tables = _get_tables(problem)
     tables.hc = np.ones_like(tables.hc)
     tables.oc = np.zeros_like(tables.oc)
-    tables.hc[1, 0] = 0.0
-    tables.hc[2, 0] = 0.0
+    hc = tables.hc[problem.root_b]  # a view: writes reach the tables
+    hc[1, 0] = 0.0
+    hc[2, 0] = 0.0
     tables.oc[1, 0, 0, :4] = 1.0  # stage 1 of (0, 1) needs h >= g[4]
     tables.oc[2, 0, 0] = 1.0  # (0, 0) cannot stay at stage 2
-    tables.hc[2, 1, 6] = 0.0  # (1, 1) is free only at g[6]
+    hc[2, 1, 6] = 0.0  # (1, 1) is free only at g[6]
     g = tables.grid
     sol = solve(problem)
     assert (sol.path, sol.paths) == solve_by_paths(problem)
@@ -227,7 +232,7 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
 
     # equal margin vectors as well: the first path in trellis order wins
     tables.oc[1, 0, 0] = 0.0
-    tables.hc[2, 1] = 0.0
+    hc[2, 1] = 0.0
     sol = solve(problem)
     assert (sol.path, sol.paths) == solve_by_paths(problem)
     assert sol.path.states == (0, 1)
@@ -251,17 +256,17 @@ def brute_force_m1(problem):
             level = tables.oc[1, u_from, u_to]
             cap = problem.p_out_cap
         elif problem.objective == "min_outage":
-            level = tables.hc[1, u_from]
+            level = tables.hc[problem.root_b, 1, u_from]
             cap = problem.p_han_cap
         else:
             level = None
         if problem.objective == "min_handover":
-            cost_vec = tables.hc[1, u_from]
+            cost_vec = tables.hc[problem.root_b, 1, u_from]
         elif problem.objective == "min_outage":
             cost_vec = tables.po[1, u_from]
         else:
             z = problem.pareto_z
-            cost_vec = z * tables.hc[1, u_from] + (1.0 - z) * tables.po[1, u_from]
+            cost_vec = z * tables.hc[problem.root_b, 1, u_from] + (1.0 - z) * tables.po[1, u_from]
         n_sw = 0 if b == u_from else 1
         violation = 0.0
         if level is None:
@@ -429,7 +434,7 @@ def test_stage_tables_match_adaptive_quadrature_at_high_correlation():
             for i, h in enumerate(tables.grid):
                 lo, hi = (-INF, -h) if u == 0 else (h, INF)
                 ref = quad_box2(pair, [r_lo, lo], [r_hi, hi]) / root_p
-                assert abs(tables.hc[1, u, i] - ref) < 1e-9
+                assert abs(tables.hc[root_b, 1, u, i] - ref) < 1e-9
     # oc does not depend on the root state: check it once
     for u_from in (0, 1):
         for u_to in (0, 1):
@@ -450,7 +455,7 @@ def test_stage_tables_match_scipy_recomputation():
             problem = make_problem(rng, objective, root_margin=1.3)
             tables = _get_tables(problem)
             g, hc, oc, po = scipy_stage_tables(problem)
-            np.testing.assert_allclose(tables.hc[1], hc, atol=2e-7)
+            np.testing.assert_allclose(tables.hc[problem.root_b, 1], hc, atol=2e-7)
             np.testing.assert_allclose(tables.oc[1], oc, atol=2e-6)
             np.testing.assert_allclose(tables.po[1], po, atol=2e-6)
 
@@ -657,6 +662,10 @@ def test_problem_validation():
         {"root_margin": -1.0},
         {"root_margin": math.inf},
         {"h_step": 0.0},
+        {"h_step": math.inf},
+        {"h_step": math.nan},
+        {"h_max": math.inf},
+        {"h_max": math.nan},
         {"p_out_cap": 0.0},
         {"p_han_cap": 1.5},
         {"pareto_z": 1.5},
@@ -720,6 +729,70 @@ def test_solve_group_matches_individual_solves():
     assert got_odd.cost == ref_odd.cost
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_solve_group_equals_fresh_individual_solves(data):
+    # few choices per field, so problems often share their table inputs
+    proc = two_cell_process(start=data.draw(st.sampled_from([900.0, 980.0, 1060.0])), n=10)
+    windows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        horizon = data.draw(st.integers(1, 3))
+        windows.append((_window_stats(proc, data.draw(st.integers(0, 8 - horizon)), horizon), horizon))
+    problems = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        stats, horizon = data.draw(st.sampled_from(windows))
+        h_max, h_step = data.draw(st.sampled_from([(10.0, 0.25), (6.0, 0.5), (1.0, 0.6)]))
+        problems.append(
+            TrellisProblem(
+                objective=data.draw(st.sampled_from(["min_handover", "min_outage", "pareto"])),
+                horizon=horizon,
+                root_b=data.draw(st.integers(0, 1)),
+                root_margin=data.draw(st.sampled_from([0.0, 0.6, 2.0])),
+                stats=stats,
+                outage_threshold_db=data.draw(st.sampled_from([-110.0, -104.0, -98.0])),
+                h_max=h_max,
+                h_step=h_step,
+                p_out_cap=data.draw(st.sampled_from([0.05, 0.35, 1.0])),
+                p_han_cap=data.draw(st.sampled_from([0.1, 0.9, 1.0])),
+                pareto_z=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+            )
+        )
+    got = solve_group(problems)
+    for pr, a in zip(problems, got):
+        b = solve(replace(pr, _cache={}))
+        assert a.paths == b.paths
+        assert (a.b_next, a.margins, a.cost, a.violation) == (
+            b.b_next, b.margins, b.cost, b.violation
+        )
+    # problems with equal table inputs share one table object
+    for pa, pb in itertools.combinations(problems, 2):
+        same = (
+            pa.stats is pb.stats and pa.grid.tobytes() == pb.grid.tobytes()
+            and pa.root_margin == pb.root_margin
+            and pa.outage_threshold_db == pb.outage_threshold_db
+        )
+        assert (pa._cache["tables"] is pb._cache["tables"]) == same
+
+
+def test_grid_holds_the_multiples_of_the_step_up_to_h_max():
+    proc = two_cell_process(n=10)
+    stats = proc.stats([2, 3], [(0, 3), (1, 3)])
+    make = lambda h_max, h_step: TrellisProblem(
+        objective="pareto", horizon=1, root_b=0, root_margin=2.0, stats=stats,
+        outage_threshold_db=-105.0, h_max=h_max, h_step=h_step,
+    )
+    assert make(1.0, 0.6).grid.tolist() == [0.0, 0.6]
+    assert make(0.5, 0.6).grid.tolist() == [0.0]
+    assert make(0.3, 0.1).grid.tolist() == [0.0, 0.1, 0.2, 0.3]
+    # the default grid is unchanged, bit for bit
+    default = make(10.0, 0.25).grid
+    assert default.tobytes() == np.round(np.arange(0.0, 10.125, 0.25), 10).tobytes()
+    assert default.size == 41
+    # a margin never exceeds h_max
+    sol = solve(make(1.0, 0.6))
+    assert max(sol.margins) <= 1.0
+
+
 def test_verify_solution_confirms_feasible_winners():
     rng = np.random.default_rng(95)
     for objective in ("min_handover", "min_outage", "pareto"):
@@ -758,13 +831,13 @@ def test_verify_solution_uses_the_stage_tables_fallbacks():
         sol = solve(problem)
         tables = _get_tables(problem)
         i = int(np.argmin(np.abs(tables.grid - sol.h_first)))
-        assert tables._root_degenerate
+        assert tables.root_degenerate[problem.root_b]
         if objective == "min_handover":
             assert sol.path.states == (0,)
             assert tables._single(1, (-sol.h_first, INF)) < 1e-12
             capped = tables.oc[1, 0, 0, i]
         else:
-            capped = tables.hc[1, 0, i]
+            capped = tables.hc[problem.root_b, 1, 0, i]
         assert 0.1 < capped < 0.9
         report = verify_solution(problem, sol)
         assert report["ok"]
@@ -783,7 +856,7 @@ def test_stage_profile_reads_the_chosen_cells():
     chain_from = [problem.root_b, sol.path.states[0]]
     for l in (1, 2):
         i = int(np.argmin(np.abs(tables.grid - sol.margins[l - 1])))
-        assert prof["handover"][l - 1] == tables.hc[l, chain_from[l - 1], i]
+        assert prof["handover"][l - 1] == tables.hc[problem.root_b, l, chain_from[l - 1], i]
         assert prof["outage"][l - 1] == tables.po[l, chain_from[l - 1], i]
 
 

@@ -1,5 +1,7 @@
 """Geometry, traces and scenario configuration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,11 @@ def test_config_validation():
         base.with_updates(h_step_db=0.0)
     with pytest.raises(ConfigurationError):
         base.with_updates(depth=0)
+    for field in ("speed_mps", "sample_interval_s", "h_max_db", "h_step_db", "h_fixed_db",
+                  "outage_threshold_db"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                base.with_updates(**{field: value})
 
 
 def test_resolved_depth_is_capped():
