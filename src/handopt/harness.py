@@ -4,9 +4,10 @@ Simulation runs draw one received-power trace per trial (seeded per trial,
 so results do not depend on how trials are chunked across workers; each
 chunk draws all of its traces in one sample_power call), run the
 configured strength estimator, and apply a margin policy sample by sample.
-On two cells the serving states come from hybrid.decide_series, the one
-implementation of the hysteresis rule; a cell row runs its own recursion
-against the strongest candidate cell. A policy is either a constant margin in dB or one of the optimizer-driven
+Every run decides through hybrid.serving_series, the one implementation of
+the hysteresis rule: on two cells it is the paper's rule between BS0 and
+BS1, on a cell row the serving cell faces the strongest other cell. A
+policy is either a constant margin in dB or one of the optimizer-driven
 policies "opt1" (handover-count objective), "opt2" (outage objective),
 "opt3" (weighted blend). Optimizer policies look margins up in a
 precomputed table indexed by sample and by the serving state one sample
@@ -25,6 +26,7 @@ place, so a failed run never leaves a partial file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -50,7 +52,7 @@ from .gaussian import (
     gap_below,
     gap_inside,
 )
-from .hybrid import count_switches, decide_series
+from .hybrid import count_switches, serving_series
 from .metrics import handover_series, outage_series
 from .optimizer import TrellisProblem, solve_group, _window_stats
 from .scenario import ScenarioConfig, preset
@@ -67,6 +69,9 @@ _OPT_LABELS = {
 # Margin tables for the data-driven estimators have no power-free form;
 # the optimizer models those runs with the rectangular-window table.
 _TABLE_MODE = {"avg": "avg", "ls": "ls", "els": "avg", "gels": "avg"}
+
+# Power samples (trials x cells x samples) one simulation chunk holds at most.
+_CHUNK_SAMPLES = 6_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +124,9 @@ def _as_fixed_margin(policy):
     return h
 
 
-def _chunk_bounds(n_trials: int, workers: int, n_bs: int, n_samples: int, chunk):
-    if chunk is None:
-        budget = max(1, 6_000_000 // max(1, n_bs * n_samples))
-        chunk = max(1, min(budget, -(-n_trials // workers)))
-    chunk = max(1, int(chunk))
+def _chunk_bounds(n_trials: int, workers: int, n_bs: int, n_samples: int):
+    budget = max(1, _CHUNK_SAMPLES // max(1, n_bs * n_samples))
+    chunk = min(budget, -(-n_trials // workers))
     return [(t0, min(t0 + chunk, n_trials)) for t0 in range(0, n_trials, chunk)]
 
 
@@ -154,6 +157,15 @@ def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, t
         h_series=np.full(d.shape[1], config.h_fixed_db),
     )
     return est
+
+
+def _cell_pairs(d: np.ndarray) -> np.ndarray:
+    """[2, N] cell pair of every sample: (0, 1) on two cells, the nearest and
+    second-nearest cell on a row. Margin-table columns 0 and 1 are the
+    margins while serving the first or the second cell of the pair."""
+    if d.shape[0] == 2:
+        return np.repeat([[0], [1]], d.shape[1], axis=1)
+    return np.argsort(d, axis=0, kind="stable")[:2]
 
 
 def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1, *, channels=None):
@@ -209,18 +221,17 @@ def opt_margin_tables(
     """Precompute margin lookup tables for the optimizer policies.
 
     Returns {policy: [N, 2] array}: row t holds the margin applied at
-    sample t when the serving state one sample earlier mapped to pair
-    position 0 or 1 (two-cell: the BS index; multicell: nearest /
-    second-nearest cell at that sample). Row 0 is the base margin. One
-    receding-horizon solve pair per sample is shared across policies.
+    sample t when the serving cell one sample earlier was the first or the
+    second cell of that sample's pair (_cell_pairs). Row 0 is the base
+    margin. One receding-horizon solve pair per sample is shared across
+    policies.
     """
     policies = [p for p in policies if p in _OPT_POLICIES]
     d = config.distances_m()
     n_samples = d.shape[1]
     chs = tuple(channels) if channels is not None else config.channels
     mode = _TABLE_MODE[config.estimator]
-    order = np.argsort(d, axis=0, kind="stable")
-    near, second = order[0], order[1]
+    pair = _cell_pairs(d)
 
     cell_tables = {}
 
@@ -236,10 +247,7 @@ def opt_margin_tables(
     for t in range(1, n_samples):
         root_n = t - 1
         m = min(config.horizon, n_samples - 1 - root_n)
-        if d.shape[0] == 2:
-            a, b = 0, 1
-        else:
-            a, b = int(near[root_n]), int(second[root_n])
+        a, b = pair[:, root_n].tolist()
         process = GapProcess(
             table_for(a), table_for(b), (chs[a], chs[b]), d[[a, b]], config.step_m
         )
@@ -393,83 +401,28 @@ class RunResult:
         }
 
 
-def _tally(series, powers, beta, switches, branch):
+def _tally(series, powers, beta, init, first):
     """Per-trial and per-sample counts of one policy's serving series.
 
-    branch marks the samples tallied in branch 1 of conn/outb; outage is
-    the post-decision serving power at or below beta.
+    Branch 0 of conn/outb tallies the samples served by the first cell of
+    their pair, branch 1 the rest: on two cells the serving states, on a
+    cell row the pairwise reduction (nearest cell versus any other). Outage
+    is the post-decision serving power at or below beta.
     """
     low = np.take_along_axis(powers, series[:, None, :], axis=1)[:, 0, :] <= beta
+    branch = series != first
     on = branch.sum(axis=0)
     conn = np.stack([series.shape[0] - on, on])
     outb = np.stack([(low & ~branch).sum(axis=0), (low & branch).sum(axis=0)])
-    return switches, low.sum(axis=1), series, conn, outb
+    return count_switches(series, init), low.sum(axis=1), series, conn, outb
 
 
-def _decide_two_cell(est, powers, h_tables, beta, b_init):
-    """Serving-state recursions for every policy on shared traces."""
-    y = est[:, 0, :] - est[:, 1, :]
+def _decide(est, powers, h_tables, beta, pair, init, h_fallback):
+    """Serving-cell recursions and tallies for every policy on shared traces."""
     out = {}
     for label, h_table in h_tables.items():
-        series = decide_series(y, h_table, b_init)
-        out[label] = _tally(series, powers, beta, count_switches(series, b_init), series == 1)
-    return out
-
-
-def _strongest_two(est):
-    """Per (trial, sample): the strongest cell and the strongest other cell.
-
-    Ties go to the lower cell index, as np.argmax does, so against any
-    serving cell the strongest candidate is runner-up where the serving cell
-    is the strongest and the strongest otherwise.
-    """
-    best = np.zeros(est.shape[::2], dtype=np.int16)
-    runner = np.zeros_like(best)
-    best_v = est[:, 0, :].copy()
-    runner_v = np.full_like(best_v, -np.inf)
-    for s in range(1, est.shape[1]):
-        v = est[:, s, :]
-        top = v > best_v
-        runner += (v > runner_v) * (s - runner)
-        # a new strongest cell demotes the old one to runner-up
-        runner += top * (best - runner)
-        best += top * (s - best)
-        np.maximum(runner_v, np.minimum(v, best_v), out=runner_v)
-        np.maximum(best_v, v, out=best_v)
-    return best, runner
-
-
-def _decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
-    """Serving-cell recursions against the strongest candidate.
-
-    Branch tallies mirror the two-cell connection states through the
-    pairwise reduction: branch 0 is serving the sample's nearest cell,
-    branch 1 is serving anything else, and the outage of the post-decision
-    serving power is counted within each branch.
-    """
-    c, n_bs, n = est.shape
-    rows = np.arange(c)
-    best, runner = _strongest_two(est)
-    out = {}
-    for label, h_table in h_tables.items():
-        serving = np.full(c, near[0], dtype=np.int16)
-        series = np.empty((c, n), dtype=np.int16)
-        for i in range(n):
-            prev = max(0, i - 1)
-            h = np.where(
-                serving == near[prev],
-                h_table[i, 0],
-                np.where(serving == second[prev], h_table[i, 1], h_fallback),
-            )
-            cand = np.where(serving == best[:, i], runner[:, i], best[:, i])
-            est_i = est[:, :, i]
-            y_i = est_i[rows, serving] - est_i[rows, cand]
-            serving = np.where(y_i < -h, cand, serving)
-            series[:, i] = serving
-        # the candidate is never the serving cell, so every switch changes it
-        switches = np.count_nonzero(series[:, 1:] != series[:, :-1], axis=1)
-        switches += series[:, 0] != near[0]
-        out[label] = _tally(series, powers, beta, switches, series != near[None, :])
+        series = serving_series(est, h_table, pair, init, h_fallback)
+        out[label] = _tally(series, powers, beta, init, pair[0])
     return out
 
 
@@ -481,7 +434,6 @@ def _simulate_policies(
     seed_parts,
     channels=None,
     workers=None,
-    chunk=None,
     log_events=True,
 ):
     """Shared-trace simulation of several policies; dict label -> arrays."""
@@ -507,12 +459,8 @@ def _simulate_policies(
     else:
         tables = None
 
-    if n_bs > 2:
-        order = np.argsort(d, axis=0, kind="stable")
-        near, second = order[0], order[1]
-        init_state = int(near[0])
-    else:
-        init_state = config.b_init
+    pair = _cell_pairs(d)
+    init = config.b_init if n_bs == 2 else int(pair[0, 0])
 
     def run_chunk(t0: int, t1: int):
         rngs = [
@@ -521,14 +469,10 @@ def _simulate_policies(
         ]
         powers = sample_power(chs, d, config.step_m, rngs).powers_db
         est = _estimate_chunk(config, d, powers, tables)
-        if n_bs == 2:
-            return _decide_two_cell(est, powers, h_tables, beta, config.b_init)
-        return _decide_multicell(
-            est, powers, h_tables, beta, near, second, config.h_fixed_db
-        )
+        return _decide(est, powers, h_tables, beta, pair, init, config.h_fixed_db)
 
     workers_n = _worker_count(workers)
-    bounds = _chunk_bounds(n_trials, workers_n, n_bs, n_samples, chunk)
+    bounds = _chunk_bounds(n_trials, workers_n, n_bs, n_samples)
     pieces = _map_chunks(run_chunk, bounds, workers_n)
 
     results = {}
@@ -540,7 +484,7 @@ def _simulate_policies(
         times = None
         if log_events:
             series = np.concatenate([p[label][2] for p in pieces], axis=0)
-            first = series[:, 0] != init_state
+            first = series[:, 0] != init
             changed = np.concatenate(
                 [first[:, None], series[:, 1:] != series[:, :-1]], axis=1
             )
@@ -556,7 +500,6 @@ def run_two_cell(
     *,
     seed=None,
     workers=None,
-    chunk=None,
     log_events: bool = True,
     analytic=None,
     mc_samples: int = 1_000_000,
@@ -576,7 +519,6 @@ def run_two_cell(
         n_trials,
         seed_parts=[base_seed],
         workers=workers,
-        chunk=chunk,
         log_events=log_events,
     )
     label = _policy_label(policy)
@@ -626,7 +568,6 @@ def run_multicell(
     *,
     seed=None,
     workers=None,
-    chunk=None,
     log_events: bool = True,
 ) -> RunResult:
     """Simulate one policy on a multi-cell row scenario."""
@@ -639,7 +580,6 @@ def run_multicell(
         n_trials,
         seed_parts=[base_seed],
         workers=workers,
-        chunk=chunk,
         log_events=log_events,
     )
     label = _policy_label(policy)
@@ -900,9 +840,15 @@ def run_accuracy_study(
 
 def _atomic_write(path, text: str):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    f = open(tmp, "w", newline="")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def emit(csv_path, json_path, fieldnames, rows, summary) -> None:

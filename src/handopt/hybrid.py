@@ -16,6 +16,13 @@ against the hysteresis margin h(n):
 
 Ties are fixed: y = h connects to BS0, y = -h keeps the previous BS.
 
+On S cells the serving cell s faces its rival c, the strongest other cell
+(lower index among equals), and hands over when l_s(n) - l_c(n) < -h(n),
+or when l_s(n) - l_c(n) = -h(n) and c < s: the lower cell index wins every
+tie. On two cells that is the rule above, since l_1 - l_0 is exactly -y in
+floating point. serving_series is the one recursion; decide_series runs it
+on the estimates [y, 0].
+
 Only the discrete rule is code. The affine l-row update
 l_s(n+1) = l_s(n) + G_s(n+1) p_s(n+1) holds only for coefficient schemes
 that keep all previous weights when a sample is appended; the sliding
@@ -66,21 +73,58 @@ def decide_series(y: np.ndarray, h, b_init: int = 0) -> np.ndarray:
         raise ConfigurationError("h must be nonnegative")
     if b_init not in (0, 1):
         raise ConfigurationError("b_init must be 0 or 1")
-    out = np.empty(y.shape, dtype=np.int8)
-    prev = np.full(y.shape[:-1], b_init, dtype=np.int8)
+    est = np.stack([y, np.zeros_like(y)], axis=-2)
+    pair = np.broadcast_to(np.array([[0], [1]]), (2, n))
+    return serving_series(est, h_tab, pair, b_init, 0.0).astype(np.int8)
+
+
+def serving_series(est, h_table, pair, init: int, h_fallback: float) -> np.ndarray:
+    """Serving cell at every sample by the hysteresis rule, as int16.
+
+    est holds the estimates of S cells, shape [..., S, N]; the result has
+    shape [..., N]. init is the serving cell before sample 0. The margin at
+    sample n is h_table[n, k] while serving pair[k, n-1] (pair[k, 0] at
+    n = 0) and h_fallback while serving a cell outside the [2, N] pair;
+    every margin must be nonnegative.
+
+    The rival can only win where it is the strongest cell: serving the
+    strongest cell, the runner-up's gap is >= 0 >= -h, and a zero gap at
+    h = 0 means the runner-up has the higher index. So each sample compares
+    the serving cell with the strongest cell (lowest index among equals),
+    which changes nothing where the two coincide.
+    """
+    n_bs, n = est.shape[-2:]
+    batch = est.shape[:-2]
+    est = est.reshape(-1, n_bs, n)
+    # neg_h[n, s]: minus the margin applied at sample n while serving cell s
+    samples, prev = np.arange(n), np.maximum(np.arange(n) - 1, 0)
+    neg_h = np.full((n, n_bs), -float(h_fallback))
+    neg_h[samples, pair[1][prev]] = -h_table[:, 1]
+    neg_h[samples, pair[0][prev]] = -h_table[:, 0]
+    best = np.zeros(est.shape[::2], dtype=np.int16)
+    best_est = est[:, 0, :].copy()
+    for s in range(1, n_bs):
+        best += (est[:, s, :] > best_est) * (s - best)
+        np.maximum(best_est, est[:, s, :], out=best_est)
+    best, best_est = best.T.copy(), best_est.T.copy()
+    rows = np.arange(est.shape[0])
+    serving = np.full(est.shape[0], init, dtype=np.int16)
+    out = np.empty((est.shape[0], n), dtype=np.int16)
     for i in range(n):
-        hi = h_tab[i][prev]
-        yi = y[..., i]
-        prev = ((yi < -hi) | ((yi < hi) & (prev == 1))).astype(np.int8)
-        out[..., i] = prev
-    return out
+        lim = neg_h[i][serving]
+        gap = est[rows, serving, i] - best_est[i]
+        # ties go to the lower index; "not above" also sends a NaN gap
+        # there, as the scalar rule sends y = NaN to BS0
+        switch = np.where(best[i] < serving, ~(gap > lim), gap < lim)
+        serving = np.where(switch, best[i], serving)
+        out[:, i] = serving
+    return out.reshape(batch + (n,))
 
 
 def count_switches(b_series: np.ndarray, b_init: int = 0) -> np.ndarray:
     """Number of connection changes along the last axis, including the first
-    sample's change away from b_init."""
+    sample's change away from b_init; the series holds BS indicators or
+    serving cells."""
     b = np.asarray(b_series)
     first = (b[..., 0] != b_init).astype(np.int64)
-    if b.shape[-1] == 1:
-        return first
-    return first + np.abs(np.diff(b, axis=-1)).sum(axis=-1)
+    return first + np.count_nonzero(b[..., 1:] != b[..., :-1], axis=-1)

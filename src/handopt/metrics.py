@@ -166,7 +166,7 @@ def _exit_chain_terms(h, t, depth, root_side):
         if band is None:
             continue
         yield j, [root(j, h[j])] + band
-    band = _band_constraints(h, range(j_lo if m == 0 else m + 1, t + 1))
+    band = _band_constraints(h, range(j_lo, t + 1))
     yield None, band
 
 

@@ -257,9 +257,7 @@ class _StageTables:
                 # integrated over y_l like R
                 gv = stats.subset([y_labels[l], ("p", u_to, times[l])])
                 U = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, np.array([beta]))[:, 0]
-                p_marg = float(
-                    ndtr((beta - gv.mu[1]) / max(math.sqrt(gv.Sigma[1, 1]), 1e-150))
-                )
+                p_marg = _outage_marginal(stats, times[l], u_to, beta)
                 for u_from in (0, 1):
                     lo, hi = self._box_idx(u_from, switch=u_to != u_from)
                     num = U[hi] - U[lo]
@@ -287,15 +285,10 @@ class _StageTables:
         return (self._ineg, last) if u == 0 else (zeros, self._ipos)
 
 
-def _outage_marginal(problem: TrellisProblem, l: int, s: int) -> float:
-    """P(p_s(t_l) <= threshold), the fallback of a degenerate stage box."""
-    gv = problem.stats.subset([("p", s, problem.times[l])])
-    return float(
-        ndtr(
-            (problem.outage_threshold_db - gv.mu[0])
-            / max(math.sqrt(gv.Sigma[0, 0]), 1e-150)
-        )
-    )
+def _outage_marginal(stats, t: int, s: int, threshold: float) -> float:
+    """P(p_s(t) <= threshold), the fallback of a degenerate stage box."""
+    i = stats.labels.index(("p", s, t))
+    return float(ndtr((threshold - stats.mu[i]) / max(math.sqrt(stats.Sigma[i, i]), 1e-150)))
 
 
 def _table_inputs(problem: TrellisProblem) -> tuple:
@@ -474,7 +467,11 @@ def verify_solution(problem: TrellisProblem, solution: TrellisSolution, tol_sigm
             num = prob((("p", u_to, t), -math.inf, problem.outage_threshold_db), (("y", t), *box))
             den = prob((("y", t), *box))
             # same fallback as the stage tables: the marginal outage
-            value = _outage_marginal(problem, l, u_to) if den < _COND_FLOOR else num / den
+            value = (
+                _outage_marginal(problem.stats, t, u_to, problem.outage_threshold_db)
+                if den < _COND_FLOOR
+                else num / den
+            )
             cap = problem.p_out_cap
         elif problem.objective == "min_outage":
             switch = (("y", t), *_switch_box(u_from, h))

@@ -384,6 +384,23 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "io"
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # the destination is a directory: the move into place fails
+    target = tmp_path / "out"
+    target.mkdir()
+    rc, _, err = run_main(
+        capsys,
+        [
+            "simulate", "--preset", "vehicular-two-cell",
+            "--trials", "2", "--policy", "2", "--csv", str(target),
+        ],
+    )
+    assert rc == 4
+    assert json.loads(err)["error"]["code"] == "io"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [

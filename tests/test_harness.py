@@ -20,12 +20,11 @@ from handopt import (
     sample_power,
     solve,
 )
-from handopt import optimizer
+from handopt import harness, optimizer
 from handopt.harness import (
     RunResult,
     SweepSpec,
-    _decide_multicell,
-    _decide_two_cell,
+    _decide,
     _estimate_chunk,
     _gap_process,
     config_fingerprint,
@@ -70,9 +69,16 @@ def test_noiseless_cell_row_crosses_each_boundary():
     assert r.outage_branch_counts.shape == (2, 2004)
 
 
-def test_results_do_not_depend_on_worker_count():
+def force_chunk(monkeypatch, config, trials):
+    """Shrink the simulation memory budget to `trials` traces per chunk."""
+    d = config.distances_m()
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", trials * d.size)
+
+
+def test_results_do_not_depend_on_worker_count(monkeypatch):
     cfg = preset("vehicular-two-cell")
-    kw = dict(n_trials=40, seed=11, chunk=7)
+    kw = dict(n_trials=40, seed=11)
+    force_chunk(monkeypatch, cfg, 7)
     a = run_two_cell(cfg, 2.0, workers=1, **kw)
     b = run_two_cell(cfg, 2.0, workers=3, **kw)
     np.testing.assert_array_equal(a.switch_counts, b.switch_counts)
@@ -83,16 +89,19 @@ def test_results_do_not_depend_on_worker_count():
         np.testing.assert_array_equal(ta, tb)
 
     mc = preset("vehicular-cell-row")
-    am = run_multicell(mc, 2.0, 6, seed=11, chunk=2, workers=1)
-    bm = run_multicell(mc, 2.0, 6, seed=11, chunk=2, workers=3)
+    force_chunk(monkeypatch, mc, 2)
+    am = run_multicell(mc, 2.0, 6, seed=11, workers=1)
+    bm = run_multicell(mc, 2.0, 6, seed=11, workers=3)
     np.testing.assert_array_equal(am.switch_counts, bm.switch_counts)
     np.testing.assert_array_equal(am.outage_branch_counts, bm.outage_branch_counts)
 
 
-def test_trial_streams_are_independent_of_chunking():
+def test_trial_streams_are_independent_of_chunking(monkeypatch):
     cfg = preset("vehicular-two-cell")
-    a = run_two_cell(cfg, 2.0, 12, seed=3, chunk=12)
-    b = run_two_cell(cfg, 2.0, 12, seed=3, chunk=1)
+    force_chunk(monkeypatch, cfg, 12)
+    a = run_two_cell(cfg, 2.0, 12, seed=3)
+    force_chunk(monkeypatch, cfg, 1)
+    b = run_two_cell(cfg, 2.0, 12, seed=3)
     np.testing.assert_array_equal(a.switch_counts, b.switch_counts)
 
 
@@ -364,8 +373,8 @@ def test_compact_rows_equal_the_row_loop(n_w, mode):
 
 
 def decide_two_cell_loop(est, powers, h_tables, beta, b_init):
-    """Per-sample oracle for _decide_two_cell: the hysteresis rule and every
-    tally inside the sample loop."""
+    """Per-sample oracle for _decide on two cells: the hysteresis rule and
+    every tally inside the sample loop."""
     c, _, n = est.shape
     y = est[:, 0, :] - est[:, 1, :]
     out = {}
@@ -375,7 +384,7 @@ def decide_two_cell_loop(est, powers, h_tables, beta, b_init):
         outages = np.zeros(c, dtype=np.int64)
         conn = np.zeros((2, n), dtype=np.int64)
         outb = np.zeros((2, n), dtype=np.int64)
-        series = np.empty((c, n), dtype=np.int8)
+        series = np.empty((c, n), dtype=np.int16)
         for i in range(n):
             h = h_table[i][b]
             yi = y[:, i]
@@ -393,8 +402,8 @@ def decide_two_cell_loop(est, powers, h_tables, beta, b_init):
 
 
 def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback):
-    """Per-sample oracle for _decide_multicell: masked argmax, tallies in
-    the loop."""
+    """Per-sample oracle for _decide on a cell row: masked argmax, tallies
+    in the loop."""
     c, n_bs, n = est.shape
     rows = np.arange(c)
     out = {}
@@ -417,7 +426,7 @@ def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback)
             masked[rows, serving] = -np.inf
             cand = np.argmax(masked, axis=1).astype(np.int16)
             y_i = est_i[rows, serving] - est_i[rows, cand]
-            sw = y_i < -h
+            sw = (y_i < -h) | ((y_i == -h) & (cand < serving))
             switches += sw
             serving = np.where(sw, cand, serving).astype(np.int16)
             low = powers[rows, serving, i] <= beta
@@ -428,6 +437,17 @@ def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback)
             series[:, i] = serving
         out[label] = (switches, outages, series, conn, outb)
     return out
+
+
+def decide_two_cell(est, powers, h_tables, beta, b_init):
+    """_decide on two cells: the pair is (0, 1) at every sample."""
+    pair = np.repeat([[0], [1]], est.shape[2], axis=1)
+    return _decide(est, powers, h_tables, beta, pair, b_init, 0.0)
+
+
+def decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
+    """_decide on a cell row, starting on the nearest cell."""
+    return _decide(est, powers, h_tables, beta, np.stack([near, second]), near[0], h_fallback)
 
 
 def assert_same_decisions(got, want):
@@ -449,7 +469,7 @@ def test_decide_two_cell_equals_the_per_sample_loop(b_init):
         "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
     }
     args = (est, powers, h_tables, -97.0, b_init)
-    assert_same_decisions(_decide_two_cell(*args), decide_two_cell_loop(*args))
+    assert_same_decisions(decide_two_cell(*args), decide_two_cell_loop(*args))
 
 
 @pytest.mark.parametrize("b_init", [0, 1])
@@ -465,7 +485,7 @@ def test_decide_two_cell_breaks_ties_like_the_per_sample_loop(b_init):
     table[::5] = 0.0
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2)), "opt": table}
     args = (est, powers, h_tables, -95.0, b_init)
-    assert_same_decisions(_decide_two_cell(*args), decide_two_cell_loop(*args))
+    assert_same_decisions(decide_two_cell(*args), decide_two_cell_loop(*args))
 
 
 def test_decide_multicell_equals_the_masked_argmax_loop():
@@ -481,7 +501,7 @@ def test_decide_multicell_equals_the_masked_argmax_loop():
         "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
     }
     args = (est, powers, h_tables, -97.0, near, second, 3.0)
-    assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))
+    assert_same_decisions(decide_multicell(*args), decide_multicell_loop(*args))
 
 
 def test_decide_multicell_breaks_ties_like_the_masked_argmax():
@@ -495,7 +515,7 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     second = (near + 1) % n_bs
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2))}
     args = (est, est, h_tables, -95.0, near, second, 0.0)
-    assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))
+    assert_same_decisions(decide_multicell(*args), decide_multicell_loop(*args))
 
     # zero-sigma channels on the cell row: deterministic powers
     cfg = noiseless(preset("vehicular-cell-row"))
@@ -507,21 +527,22 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     est = _estimate_chunk(cfg, d, powers, tables)
     order = np.argsort(d, axis=0, kind="stable")
     args = (est, powers, {"h=0": np.zeros((d.shape[1], 2))}, -110.0, order[0], order[1], 0.0)
-    assert_same_decisions(_decide_multicell(*args), decide_multicell_loop(*args))
+    assert_same_decisions(decide_multicell(*args), decide_multicell_loop(*args))
 
 
-def test_multicell_results_do_not_depend_on_chunks_or_workers():
+def test_multicell_results_do_not_depend_on_chunks_or_workers(monkeypatch):
     base = preset("vehicular-cell-row")
     channels = tuple(
         replace(ch, coherence_m=5.0 * (s + 1), shadow_sigma_db=0.0 if s == 2 else 6.0)
         for s, ch in enumerate(base.channels)
     )
     cfg = replace(base, channels=channels)
-    runs = [
-        run_multicell(cfg, 2.0, 5, seed=13, chunk=1),
-        run_multicell(cfg, 2.0, 5, seed=13),
-        run_multicell(cfg, 2.0, 5, seed=13, chunk=2, workers=2),
-    ]
+    force_chunk(monkeypatch, cfg, 1)
+    runs = [run_multicell(cfg, 2.0, 5, seed=13)]
+    monkeypatch.undo()
+    runs.append(run_multicell(cfg, 2.0, 5, seed=13))
+    force_chunk(monkeypatch, cfg, 2)
+    runs.append(run_multicell(cfg, 2.0, 5, seed=13, workers=2))
     for r in runs[1:]:
         for field in ("switch_counts", "outage_counts", "conn_counts", "outage_branch_counts"):
             np.testing.assert_array_equal(getattr(r, field), getattr(runs[0], field))
@@ -550,4 +571,19 @@ def test_two_cell_run_is_pinned():
     ]
     assert sha256_of(arrays) == (
         "97c9fa4c56ebde8515bb7202092bf501c90664527d05eb8ad79598492e18633d"
+    )
+
+
+def test_cell_row_run_is_pinned():
+    # equality gate: the serving-cell recursion and its tallies may be
+    # restructured, but vehicular-cell-row runs must stay bit for bit
+    arrays = []
+    for h in (0.0, 2.0):
+        r = run_multicell(preset("vehicular-cell-row"), h, 200, seed=3)
+        arrays += [
+            r.switch_counts, r.outage_counts, r.conn_counts, r.outage_branch_counts,
+            r.margin_table, *r.switch_times,
+        ]
+    assert sha256_of(arrays) == (
+        "319d76371950b5c79289740c8b80f1bff9d7d9dfe5b34e55397ad5fa578c314b"
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handopt import ConfigurationError
-from handopt.hybrid import count_switches, decide, decide_series
+from handopt.hybrid import count_switches, decide, decide_series, serving_series
 
 
 def test_decide_core_regions():
@@ -75,6 +75,27 @@ def test_decide_series_equals_the_scalar_rule_on_random_tables(n, trials, b_init
     np.testing.assert_array_equal(decide_series(y, table, b_init), scalar_loop(y, table, b_init))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.integers(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_cell_recursion_on_two_cells_is_the_paper_rule(n, trials, b_init, seed):
+    # the cell-row recursion on two cells' estimates, against the paper's
+    # rule on their gap; a half-dB grid puts y on +-h and h on 0 often
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 4, size=(n, 2)) * 0.5
+    est = rng.integers(-6, 7, size=(trials, 2, n)) * 0.5
+    pair = np.repeat([[0], [1]], n, axis=1)
+    # the fallback margin never applies: the serving cell is always in the pair
+    got = serving_series(est, table, pair, b_init, 100.0)
+    y = est[:, 0] - est[:, 1]
+    np.testing.assert_array_equal(got, decide_series(y, table, b_init))
+    np.testing.assert_array_equal(got, scalar_loop(y, table, b_init))
+
+
 def test_decide_series_scalar_margin_and_validation():
     y = np.array([-3.0, 1.0, 3.0, 1.0])
     np.testing.assert_array_equal(decide_series(y, 2.0), [1, 1, 0, 0])
@@ -100,4 +121,6 @@ def test_count_switches_includes_initial_change():
     np.testing.assert_array_equal(count_switches(b, b_init=0), [3, 0])
     np.testing.assert_array_equal(count_switches(b, b_init=1), [2, 1])
     assert count_switches(np.array([1]), b_init=0) == 1
-
+    # serving cells: a jump over several cells is one switch
+    cells = np.array([[3, 3, 5, 2], [4, 4, 4, 4]], dtype=np.int16)
+    np.testing.assert_array_equal(count_switches(cells, b_init=3), [2, 1])
