@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -43,6 +44,11 @@ _STDERR_QUAD = 1e-6
 
 # Gauss-Legendre rule of every bvn_cdf_lattice and 3-dim quadrature segment.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+# Samples per GapProcess block law, and the samples consecutive blocks share:
+# the longest trellis window spans horizon + 1 <= 13 samples.
+_BLOCK_SAMPLES = 64
+_BLOCK_OVERLAP = 12
 
 
 def _as_label(label):
@@ -142,14 +148,30 @@ class GaussianVector:
     def dim(self) -> int:
         return self.mu.shape[0]
 
+    @cached_property
+    def _index(self) -> dict:
+        return {l: i for i, l in enumerate(self.labels)}
+
     def subset(self, labels) -> "GaussianVector":
+        """The marginal law of the given distinct labels, in their order.
+
+        The result indexes this validated vector directly: a sub-block of a
+        finite symmetric covariance is finite and symmetric, so only the
+        labels are checked, and the result is byte-equal to the validated
+        construction from the same mean, covariance and labels.
+        """
         labels = tuple(_as_label(l) for l in labels)
-        pos = {l: i for i, l in enumerate(self.labels)}
         try:
-            idx = np.array([pos[l] for l in labels], dtype=int)
+            idx = np.array([self._index[l] for l in labels], dtype=np.intp)
         except KeyError as exc:
             raise ConfigurationError(f"label {exc.args[0]} not in vector") from exc
-        return GaussianVector(self.mu[idx], self.Sigma[np.ix_(idx, idx)], labels)
+        if len(set(labels)) != len(labels):
+            raise ConfigurationError("labels must be distinct")
+        out = object.__new__(GaussianVector)
+        object.__setattr__(out, "mu", self.mu[idx])
+        object.__setattr__(out, "Sigma", self.Sigma[idx[:, None], idx])
+        object.__setattr__(out, "labels", labels)
+        return out
 
 
 @dataclass(frozen=True)
@@ -654,6 +676,17 @@ class GapProcess:
     and mc_samples, plus the seed for events of dimension >= 3, the only
     ones whose value can depend on it. Each distinct vector and box is thus
     built and integrated once.
+
+    block_stats() reads windows out of aligned sample blocks instead: block
+    j is the law of y and both powers at every sample from j * _BLOCK_SAMPLES
+    to j * _BLOCK_SAMPLES + _BLOCK_SAMPLES + _BLOCK_OVERLAP - 1, formed by one
+    y_stats call, so consecutive blocks overlap by _BLOCK_OVERLAP samples and
+    every span of at most _BLOCK_OVERLAP + 1 samples lies inside the block of
+    its first sample. Windows of one block are index slices of one law, so
+    equal coordinates carry bit-equal moments in every window. The object
+    keeps the block it built last, with a memo dict (block_memo) that lives
+    exactly as long: callers that walk the trace in order build each block
+    and each value they derive from it once.
     """
 
     def __init__(self, table0, table1, channels, distances_m, step_m):
@@ -666,6 +699,7 @@ class GapProcess:
             raise ConfigurationError("distances_m must be [2, N]")
         self._joints = {}
         self._probs = {}
+        self._block = None  # (block index, law, memo) of the last block built
 
     @property
     def n_samples(self) -> int:
@@ -682,6 +716,39 @@ class GapProcess:
             p_times,
             check=check,
         )
+
+    def _block_of(self, n: int):
+        """(index, law, memo) of the block of sample n, built on first use."""
+        j = n // _BLOCK_SAMPLES
+        if self._block is None or self._block[0] != j:
+            t0 = j * _BLOCK_SAMPLES
+            ts = range(t0, min(t0 + _BLOCK_SAMPLES + _BLOCK_OVERLAP, self.n_samples))
+            law = self.stats(ts, [(s, t) for t in ts for s in (0, 1)], check=False)
+            self._block = (j, law, {})
+        return self._block
+
+    def block_stats(self, y_times, p_times=()) -> GaussianVector:
+        """The law of these coordinates, sliced from the block of the earliest sample.
+
+        Labels and order are those of stats(); the slice is PSD-checked like
+        stats() checks its law. Every sample must lie in that block.
+        """
+        labels = [("y", t) for t in y_times] + [("p", s, t) for s, t in p_times]
+        times = [int(l[-1]) for l in labels]
+        if not times or min(times) < 0 or max(times) >= self.n_samples:
+            raise ConfigurationError("block_stats needs samples inside the trace")
+        _, law, _ = self._block_of(min(times))
+        gv = law.subset(labels)
+        check_psd(gv.Sigma, "joint y/p covariance")
+        return gv
+
+    def block_memo(self, n: int) -> dict:
+        """Memo of the block of sample n: it lives as long as that block's law.
+
+        For values a caller derives from windows of the block, so that
+        roots whose windows share coordinates compute them once.
+        """
+        return self._block_of(n)[2]
 
     def joint(self, labels) -> GaussianVector:
         labels = tuple(_as_label(l) for l in labels)

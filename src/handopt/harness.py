@@ -224,9 +224,17 @@ def opt_margin_tables(
     sample t when the serving cell one sample earlier was the first or the
     second cell of that sample's pair (_cell_pairs). Row 0 is the base
     margin. One receding-horizon solve pair per sample is shared across
-    policies.
+    policies. Every policy must be an optimizer policy (opt1-3).
+
+    Each cell pair keeps one GapProcess for the whole call, and every root
+    reads its window from that process's block law (GapProcess.block_stats).
+    The roots of one block share the block's memo, so each outage lattice
+    table of a (pair, block, sample, cell) is built once for all of them.
     """
-    policies = [p for p in policies if p in _OPT_POLICIES]
+    policies = list(policies)
+    for p in policies:
+        if p not in _OPT_POLICIES:
+            raise ConfigurationError(f"unknown optimizer policy {p!r}")
     d = config.distances_m()
     n_samples = d.shape[1]
     chs = tuple(channels) if channels is not None else config.channels
@@ -234,11 +242,17 @@ def opt_margin_tables(
     pair = _cell_pairs(d)
 
     cell_tables = {}
+    processes = {}
 
-    def table_for(cell: int) -> np.ndarray:
-        if cell not in cell_tables:
-            cell_tables[cell] = coefficient_table(d[cell], config.n_w, mode)
-        return cell_tables[cell]
+    def process_for(a: int, b: int) -> GapProcess:
+        if (a, b) not in processes:
+            for cell in (a, b):
+                if cell not in cell_tables:
+                    cell_tables[cell] = coefficient_table(d[cell], config.n_w, mode)
+            processes[a, b] = GapProcess(
+                cell_tables[a], cell_tables[b], (chs[a], chs[b]), d[[a, b]], config.step_m
+            )
+        return processes[a, b]
 
     out = {p: np.full((n_samples, 2), config.h_fixed_db) for p in policies}
     if not policies or n_samples < 2:
@@ -247,17 +261,14 @@ def opt_margin_tables(
     for t in range(1, n_samples):
         root_n = t - 1
         m = min(config.horizon, n_samples - 1 - root_n)
-        a, b = pair[:, root_n].tolist()
-        process = GapProcess(
-            table_for(a), table_for(b), (chs[a], chs[b]), d[[a, b]], config.step_m
-        )
+        process = process_for(*pair[:, root_n].tolist())
         stats = _window_stats(process, root_n, m)
         problems = [
             _trellis_problem(config, stats, m, root_b, p)
             for p in policies
             for root_b in (0, 1)
         ]
-        sols = solve_group(problems)
+        sols = solve_group(problems, process.block_memo(root_n))
         for i, p in enumerate(policies):
             out[p][t] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
     return out
@@ -298,7 +309,7 @@ def optimal_h_profile(
     for n in range(n_samples - 1):
         m = min(config.horizon, n_samples - 1 - n)
         problem = _trellis_problem(config, _window_stats(process, n, m), m, root, label)
-        out[n] = solve_group([problem])[0].h_first
+        out[n] = solve_group([problem], process.block_memo(n))[0].h_first
     return out
 
 

@@ -44,7 +44,9 @@ root states' stay boxes (+-root_margin, +-inf), integrated over y_l, whose
 lattice borders lie one grid step apart. The tables read only the stats
 window, the grid, the root margin and the outage threshold, so solve_group
 builds them once per window and shares them across both root states and
-every objective. verify_solution re-checks a winner's capped quantities
+every objective. The outage tables of a stage do not read the root at all,
+so tables over windows sliced from one GapProcess block share them through
+the block's memo. verify_solution re-checks a winner's capped quantities
 independently through exact_prob.
 """
 
@@ -202,9 +204,16 @@ class _StageTables:
     lattice borders lie one grid step apart. hc is indexed by root state,
     stage and edge, oc and po by stage and edge, which is all solve()'s
     per-edge scan reads.
+
+    The outage lattice tables U (the CDF of (y_l, p_s(t_l)) on the lattice ×
+    the threshold) do not read the root. outage_memo holds them keyed by
+    everything they read: the bivariate law's bytes, the lattice and the
+    threshold. Windows sliced from one GapProcess block carry bit-equal
+    moments for equal coordinates, so tables over the windows of one block
+    that share the block's memo (GapProcess.block_memo) build each U once.
     """
 
-    def __init__(self, stats, times, grid, root_margin, outage_threshold_db):
+    def __init__(self, stats, times, grid, root_margin, outage_threshold_db, outage_memo):
         m = len(times) - 1
         k = grid.size
         self.grid = grid
@@ -226,8 +235,17 @@ class _StageTables:
         for l in range(1, m + 1):
             gv = stats.subset([y_labels[l], y_labels[0]])
             R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
-        self._ineg = np.fromiter((self._pos[-v] for v in grid), int, k)
-        self._ipos = np.fromiter((self._pos[v] for v in grid), int, k)
+        ineg = np.fromiter((self._pos[-v] for v in grid), int, k)
+        ipos = np.fromiter((self._pos[v] for v in grid), int, k)
+        zeros = np.zeros(k, dtype=int)
+        last = np.full(k, self.lattice.size - 1, dtype=int)
+        # box_idx[u, switch]: (lo, hi) lattice index vectors over the margin grid
+        box_idx = {
+            (0, True): (zeros, ineg),
+            (1, True): (ipos, last),
+            (0, False): (ineg, last),
+            (1, False): (zeros, ipos),
+        }
 
         # hc[root_b, l, u, i]: P(stage l switches away from u at margin g[i]
         # | the stay box of root state root_b)
@@ -240,7 +258,7 @@ class _StageTables:
             r1, r2 = rpos[root_box[0]], rpos[root_box[1]]
             for l in range(1, m + 1):
                 for u in (0, 1):
-                    lo, hi = self._box_idx(u, switch=True)
+                    lo, hi = box_idx[u, True]
                     if self.root_degenerate[root_b]:
                         self.hc[root_b, l, u] = self.F[l, hi] - self.F[l, lo]
                     else:
@@ -251,15 +269,20 @@ class _StageTables:
         # conditional on the stage's own gap event (same-sample conditioning)
         self.oc = np.zeros((m + 1, 2, 2, k))
         beta = outage_threshold_db
+        lattice_key = self.lattice.tobytes()
         for l in range(1, m + 1):
             for u_to in (0, 1):
                 # U[x] = P(y_l <= lattice[x], p_{u_to}(t_l) <= beta),
                 # integrated over y_l like R
                 gv = stats.subset([y_labels[l], ("p", u_to, times[l])])
-                U = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, np.array([beta]))[:, 0]
+                key = (gv.mu.tobytes(), gv.Sigma.tobytes(), lattice_key, beta)
+                U = outage_memo.get(key)
+                if U is None:
+                    U = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, np.array([beta]))[:, 0]
+                    outage_memo[key] = U
                 p_marg = _outage_marginal(stats, times[l], u_to, beta)
                 for u_from in (0, 1):
-                    lo, hi = self._box_idx(u_from, switch=u_to != u_from)
+                    lo, hi = box_idx[u_from, u_to != u_from]
                     num = U[hi] - U[lo]
                     den = self.F[l, hi] - self.F[l, lo]
                     self.oc[l, u_from, u_to] = np.where(
@@ -274,15 +297,6 @@ class _StageTables:
     def _single(self, l: int, box) -> float:
         """P(y_l in box) for a box with lattice edges."""
         return float(self.F[l, self._pos[box[1]]] - self.F[l, self._pos[box[0]]])
-
-    def _box_idx(self, u: int, switch: bool):
-        """(lo, hi) lattice index vectors over the margin grid."""
-        k = self.grid.size
-        zeros = np.zeros(k, dtype=int)
-        last = np.full(k, self.lattice.size - 1, dtype=int)
-        if switch:
-            return (zeros, self._ineg) if u == 0 else (self._ipos, last)
-        return (self._ineg, last) if u == 0 else (zeros, self._ipos)
 
 
 def _outage_marginal(stats, t: int, s: int, threshold: float) -> float:
@@ -304,7 +318,7 @@ def _table_inputs(problem: TrellisProblem) -> tuple:
 
 def _get_tables(problem: TrellisProblem) -> _StageTables:
     if "tables" not in problem._cache:
-        problem._cache["tables"] = _StageTables(*_table_inputs(problem))
+        problem._cache["tables"] = _StageTables(*_table_inputs(problem), {})
     return problem._cache["tables"]
 
 
@@ -415,14 +429,17 @@ def solve(problem: TrellisProblem) -> TrellisSolution:
     )
 
 
-def solve_group(problems):
+def solve_group(problems, outage_memo=None):
     """Solve problems, building one _StageTables per distinct table input.
 
     Problems over the same stats window object, grid, root margin and
     outage threshold share one table object, whatever their root state and
-    objective.
+    objective. Every table built here reads and fills outage_memo (a fresh
+    dict when None); pass GapProcess.block_memo of the windows' block to
+    share outage tables with the other roots of that block.
     """
     problems = list(problems)  # keeps every stats object, so its id, alive
+    memo = {} if outage_memo is None else outage_memo
     built = {}
     out = []
     for pr in problems:
@@ -430,7 +447,7 @@ def solve_group(problems):
             stats, times, grid, root_margin, beta = inputs = _table_inputs(pr)
             key = (id(stats), times, grid.tobytes(), root_margin, beta)
             if key not in built:
-                built[key] = _StageTables(*inputs)
+                built[key] = _StageTables(*inputs, memo)
             pr._cache["tables"] = built[key]
         out.append(solve(pr))
     return out
@@ -526,9 +543,10 @@ def problem_from_process(
 
 def _window_stats(process, n: int, horizon: int):
     """The stats a trellis rooted at sample n reads: y at n..n+horizon and
-    both received powers at n+1..n+horizon."""
+    both received powers at n+1..n+horizon, sliced from the block law of
+    sample n (GapProcess.block_stats)."""
     if n + horizon >= process.n_samples:
         raise ConfigurationError("horizon runs past the end of the trace")
     y_times = list(range(n, n + horizon + 1))
     p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
-    return process.stats(y_times, p_times)
+    return process.block_stats(y_times, p_times)

@@ -567,6 +567,30 @@ def test_check_psd_flags_indefinite_matrix():
     check_psd(np.eye(3))
 
 
+def test_subset_checks_labels_and_equals_the_validated_construction():
+    rng = np.random.default_rng(7)
+    labels = [("y", 2), ("y", 3), ("p", 0, 3), ("p", 1, 3), ("y", 4)]
+    a = rng.normal(size=(5, 5))
+    Sigma = a @ a.T
+    Sigma[0, 1] += 1e-15  # the parent symmetrises an off-by-a-bit input
+    gv = GaussianVector(rng.normal(size=5), Sigma, labels)
+    for pick in ([4, 0, 2], [1], [3, 2, 1, 0, 4], []):
+        want = [labels[i] for i in pick]
+        # labels normalise as in the constructor: numpy integers become ints
+        sub = gv.subset([(l[0], *map(np.int64, l[1:])) for l in want])
+        ref = GaussianVector(gv.mu[pick], gv.Sigma[np.ix_(pick, pick)], want)
+        assert sub.labels == ref.labels
+        for got, exp in ((sub.mu, ref.mu), (sub.Sigma, ref.Sigma)):
+            assert (got.dtype, got.shape) == (exp.dtype, exp.shape)
+            assert got.tobytes() == exp.tobytes()
+    with pytest.raises(ConfigurationError, match="not in vector"):
+        gv.subset([("y", 2), ("y", 9)])
+    with pytest.raises(ConfigurationError, match="distinct"):
+        gv.subset([("y", 3), ("p", 0, 3), ("y", 3)])
+    with pytest.raises(ConfigurationError, match="bad coordinate label"):
+        gv.subset([("q", 3)])
+
+
 def test_event_spec_validation():
     with pytest.raises(ConfigurationError):
         EventSpec((((["y"], 2), 0.0, 1.0),))  # unhashable label

@@ -1,5 +1,6 @@
 """Simulation harness: reproducibility, aggregation, table emission."""
 
+import gc
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from handopt import (
     sample_power,
     solve,
 )
-from handopt import harness, optimizer
+from handopt import gaussian, harness, optimizer
 from handopt.harness import (
     RunResult,
     SweepSpec,
@@ -150,16 +151,20 @@ def test_policy_margin_tables():
     assert np.all(np.isin(opt[1:], solve_grid))
 
 
-def test_opt_margin_tables_are_pinned():
-    # equality gate: the stage tables may change how they integrate, but the
-    # optimized margins of the paper's scenario must stay bit for bit
-    tables = opt_margin_tables(preset("paper-vi"))
+def tables_digest(tables) -> str:
     h = hashlib.sha256()
     for label in sorted(tables):
         h.update(label.encode())
         h.update(tables[label].astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_opt_margin_tables_are_pinned():
+    # equality gate: the stage tables may change how they integrate, but the
+    # optimized margins of the paper's scenario must stay bit for bit
+    tables = opt_margin_tables(preset("paper-vi"))
     assert sorted(tables) == ["opt1", "opt2", "opt3"]
-    assert h.hexdigest() == (
+    assert tables_digest(tables) == (
         "566017a87196e109e554473afb63a556bfb7f224fb6d4ee4c03a2aec7d0c6993"
     )
 
@@ -180,6 +185,69 @@ def test_opt_margin_tables_build_one_stage_table_per_root_sample(monkeypatch):
     tables = opt_margin_tables(cfg)
     assert sorted(tables) == ["opt1", "opt2", "opt3"]
     assert roots == list(range(n_samples - 1))
+
+
+def test_opt_margin_tables_reject_non_optimizer_policies():
+    cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
+    for policies, name in ((("opt1", "opt9"), "opt9"), (("min_outage",), "min_outage"), ((2.0,), "2.0")):
+        with pytest.raises(ConfigurationError, match=f"unknown optimizer policy '?{name}"):
+            opt_margin_tables(cfg, policies)
+    with pytest.raises(ConfigurationError, match="opt9"):
+        policy_margin_table(cfg, "opt9")
+
+
+@pytest.mark.parametrize(
+    "updates", [{"start_offset_m": 970.0, "length_m": 60.0}, {}], ids=["table-two-cell", "paper-vi"]
+)
+def test_opt_margin_tables_build_each_block_and_outage_table_once(monkeypatch, updates):
+    # every (block, stage sample, cell) outage table the roots read is built
+    # once, and every block law by one y_stats call
+    outage, laws = [], []
+    real_bvn, real_y_stats = optimizer.bvn_cdf_lattice, gaussian.y_stats
+
+    def counting_bvn(mu, Sigma, xs, ys):
+        if np.size(ys) == 1:  # the root-edge tables carry 3 or 4 edges
+            outage.append(1)
+        return real_bvn(mu, Sigma, xs, ys)
+
+    def counting_y_stats(*args, **kwargs):
+        laws.append(1)
+        return real_y_stats(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "bvn_cdf_lattice", counting_bvn)
+    monkeypatch.setattr(gaussian, "y_stats", counting_y_stats)
+    cfg = preset("paper-vi").with_updates(**updates)
+    n_samples = cfg.trace().n_samples
+    opt_margin_tables(cfg)
+    block = gaussian._BLOCK_SAMPLES
+    stages = {
+        (n // block, t, s)
+        for n in range(n_samples - 1)
+        for t in range(n + 1, n + 1 + min(cfg.horizon, n_samples - 1 - n))
+        for s in (0, 1)
+    }
+    assert len(outage) == len(stages)
+    assert len(laws) == len({n // block for n in range(n_samples - 1)})
+    if updates:
+        assert (len(outage), len(laws)) == (2 * (n_samples - 1), 1)
+
+
+def test_opt_margin_tables_share_nothing_across_calls():
+    # no state outlives a call: alternating channel sets, with collections in
+    # between that free the previous call's blocks, reproduce the digests
+    # each set gives alone in a fresh interpreter (recorded before the
+    # tables read block laws)
+    cfg = preset("paper-vi").with_updates(start_offset_m=970.0, length_m=60.0)
+    base = cfg.channels
+    other = tuple(replace(ch, shadow_sigma_db=ch.shadow_sigma_db + 3.0) for ch in base)
+    want = (
+        "298a78940bf708e71b9105ad4113f0ca771e5c46bd465333ba055138ccbc3128",
+        "dc10072a921e1a42aa0f33916d8e2738e98465ec19ddf3024108d920637193b7",
+    )
+    for k in (0, 1, 0, 1):
+        tables = opt_margin_tables(cfg, channels=(base, other)[k])
+        gc.collect()
+        assert tables_digest(tables) == want[k], k
 
 
 def test_optimal_h_profile_two_cell_only():

@@ -34,10 +34,14 @@ from handopt import (
 from handopt.harness import _gap_process
 from handopt.metrics import GapProcess
 from handopt.optimizer import (
+    _COND_FLOOR,
     TrellisPath,
     TrellisProblem,
+    _StageTables,
     _get_tables,
     _stage_chain,
+    _stay_box,
+    _switch_box,
     _window_stats,
 )
 
@@ -772,6 +776,58 @@ def test_solve_group_equals_fresh_individual_solves(data):
             and pa.outage_threshold_db == pb.outage_threshold_db
         )
         assert (pa._cache["tables"] is pb._cache["tables"]) == same
+
+
+def stage_masses(tables, times, root_margin):
+    """The stage tables with their conditioning undone: hc times the root
+    box mass, oc times the stage box mass, where that mass clears the floor
+    below which the tables fall back to unconditional values."""
+    hc = tables.hc.copy()
+    for root_b in (0, 1):
+        if not tables.root_degenerate[root_b]:
+            hc[root_b] *= tables._single(0, _stay_box(root_b, root_margin))
+    oc = tables.oc.copy()
+    for l in range(1, len(times)):
+        for u_from, u_to in itertools.product((0, 1), repeat=2):
+            box = _switch_box if u_to != u_from else _stay_box
+            for i, h in enumerate(tables.grid):
+                den = tables._single(l, box(u_from, h))
+                if den >= _COND_FLOOR:
+                    oc[l, u_from, u_to, i] *= den
+    return tables.F, hc, oc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(700.0, 1100.0),
+    st.integers(1, 8),
+    st.sampled_from([4.0, 8.0, 12.0]),
+    st.integers(0, 12),
+    st.integers(0, 99),
+    st.sampled_from([0.0, 0.6, 2.0]),
+    st.sampled_from([-110.0, -104.0, -98.0]),
+)
+def test_block_windows_equal_fresh_windows(start, n_w, sigma_db, horizon, root, root_margin, beta):
+    # 100 samples span two blocks; roots on both sides of the block border
+    proc = two_cell_process(start=start, n=100, n_w=n_w, sigma_db=sigma_db)
+    n = min(root, 99 - horizon)
+    y_times = list(range(n, n + horizon + 1))
+    p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
+    sliced = _window_stats(proc, n, horizon)
+    fresh = proc.stats(y_times, p_times)
+    assert sliced.labels == fresh.labels
+    for a, b in ((sliced.mu, fresh.mu), (sliced.Sigma, fresh.Sigma)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+    if horizon == 0:
+        return
+    # the tables divide by box masses that can be small, which magnifies
+    # last-bit differences of the moments; the masses themselves agree
+    grid = np.round(np.arange(41) * 0.25, 10)
+    times = tuple(y_times)
+    built = [_StageTables(gv, times, grid, root_margin, beta, {}) for gv in (sliced, fresh)]
+    assert built[0].root_degenerate.tolist() == built[1].root_degenerate.tolist()
+    for a, b in zip(*(stage_masses(t, times, root_margin) for t in built)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_grid_holds_the_multiples_of_the_step_up_to_h_max():
