@@ -30,12 +30,11 @@ from .scenario import (
     two_cell_layout,
     cell_row_layout,
 )
-from .channel import ChannelParams, PowerTrace, shadow_autocorr, sample_shadowing, path_loss
+from .channel import ChannelParams, PowerTrace, path_loss
 from .estimators import (
     FilterCoeffs,
     LSIntermediates,
     GelsDiagnostics,
-    avg_coeffs,
     ls_fit,
     els_select,
     gels_step,
@@ -45,7 +44,7 @@ from .estimators import (
     estimate_series,
 )
 from .channel import sample_power
-from .hybrid import decide, decide_series, count_switches
+from .hybrid import decide_series, count_switches
 from .gaussian import (
     EventSpec,
     GaussianVector,
@@ -56,34 +55,24 @@ from .gaussian import (
     gap_inside,
     gap_above,
     power_below,
-    power_above,
     exact_prob,
     approx1,
     approx2_bounds,
-    gershgorin_bracket,
     approx3_upper,
     bvn_cdf_lattice,
 )
 from .metrics import (
-    ConnectionProb,
-    HandoverOutageProbs,
-    connection_prob,
     connection_series,
-    handover_prob,
     handover_series,
-    outage_prob,
     outage_series,
 )
 from .optimizer import (
     TrellisProblem,
     TrellisPath,
     TrellisSolution,
-    build_trellis,
     problem_from_process,
     solve,
     solve_group,
-    stage_profile,
-    verify_solution,
 )
 from .harness import (
     AccuracyStudy,
@@ -92,8 +81,6 @@ from .harness import (
     config_fingerprint,
     emit,
     opt_margin_tables,
-    optimal_h_profile,
-    policy_margin_table,
     run_accuracy_study,
     run_multicell,
     run_table_sweep,
@@ -121,14 +108,11 @@ __all__ = [
     "cell_row_layout",
     "ChannelParams",
     "PowerTrace",
-    "shadow_autocorr",
-    "sample_shadowing",
     "sample_power",
     "path_loss",
     "FilterCoeffs",
     "LSIntermediates",
     "GelsDiagnostics",
-    "avg_coeffs",
     "ls_fit",
     "els_select",
     "gels_step",
@@ -136,7 +120,6 @@ __all__ = [
     "coefficient_table",
     "apply_coefficients",
     "estimate_series",
-    "decide",
     "decide_series",
     "count_switches",
     "EventSpec",
@@ -148,38 +131,26 @@ __all__ = [
     "gap_inside",
     "gap_above",
     "power_below",
-    "power_above",
     "exact_prob",
     "approx1",
     "approx2_bounds",
-    "gershgorin_bracket",
     "approx3_upper",
     "bvn_cdf_lattice",
-    "ConnectionProb",
-    "HandoverOutageProbs",
-    "connection_prob",
     "connection_series",
-    "handover_prob",
     "handover_series",
-    "outage_prob",
     "outage_series",
     "TrellisProblem",
     "TrellisPath",
     "TrellisSolution",
-    "build_trellis",
     "problem_from_process",
     "solve",
     "solve_group",
-    "stage_profile",
-    "verify_solution",
     "AccuracyStudy",
     "RunResult",
     "SweepSpec",
     "config_fingerprint",
     "emit",
     "opt_margin_tables",
-    "optimal_h_profile",
-    "policy_margin_table",
     "run_accuracy_study",
     "run_multicell",
     "run_table_sweep",

@@ -67,13 +67,6 @@ def path_loss(params: ChannelParams, distance_m) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def shadow_autocorr(params: ChannelParams, lags, step_m: float) -> np.ndarray:
-    """Shadowing autocovariance at integer sample lags."""
-    a = params.ar_coeff(step_m)
-    lags = np.abs(np.asarray(lags, dtype=float))
-    return params.shadow_sigma_db**2 * a**lags
-
-
 def _shadow_buffer(channels, n_samples: int, trial_shape):
     """Zeroed sample-major buffer [n_samples, *trial_shape, S] and the links
     that carry shadowing (the only ones that draw)."""
@@ -104,22 +97,6 @@ def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
     for k in range(1, x.shape[0]):
         x[k] += a * x[k - 1]
     return x
-
-
-def sample_shadowing(
-    params: ChannelParams,
-    n_samples: int,
-    step_m: float,
-    rng: np.random.Generator,
-    n_trials: Optional[int] = None,
-) -> np.ndarray:
-    """Stationary AR(1) shadowing, shape [n_samples] or [n_trials, n_samples]."""
-    trial_shape = () if n_trials is None else (int(n_trials),)
-    x, active = _shadow_buffer((params,), n_samples, trial_shape)
-    if active:
-        x[..., 0] = np.moveaxis(rng.standard_normal(trial_shape + (n_samples,)), -1, 0)
-    _ar1_filter(x, (params,), active, step_m)
-    return np.ascontiguousarray(np.moveaxis(x[..., 0], 0, -1))
 
 
 @dataclass(frozen=True)

@@ -101,13 +101,6 @@ def window_start(n: int, n_w: int) -> int:
     return max(0, n - n_w + 1)
 
 
-def avg_coeffs(n: int, n_w: int) -> FilterCoeffs:
-    """Rectangular window: every sample in the window weighted 1/count."""
-    nb = window_start(n, n_w)
-    cnt = n - nb + 1
-    return FilterCoeffs(nb, n, np.full(cnt, 1.0 / cnt), "avg")
-
-
 def ls_fit(
     p_window: np.ndarray, d_window: np.ndarray, start_index: int = 0
 ) -> Tuple[LSIntermediates, FilterCoeffs]:

@@ -116,11 +116,6 @@ def power_below(s: int, t: int, threshold: float):
     return (("p", s, t), -math.inf, float(threshold))
 
 
-def power_above(s: int, t: int, threshold: float):
-    """p_s(t) > threshold: link s clear of outage at sample t."""
-    return (("p", s, t), float(threshold), math.inf)
-
-
 @dataclass(frozen=True)
 class GaussianVector:
     """Mean/covariance over labelled coordinates."""
@@ -610,26 +605,6 @@ def approx2_bounds(gv: GaussianVector, ev: EventSpec):
     lower = _eigen_box_factor(mu, lo, hi, float(lam[0]), det)
     upper = _eigen_box_factor(mu, lo, hi, float(lam[-1]), det)
     return lower, upper
-
-
-def gershgorin_bracket(Sigma: np.ndarray, m_mem: int):
-    """Cheap eigenvalue bracket from banded Gershgorin row sums.
-
-    Off-diagonal mass beyond |i - j| > m_mem is ignored, which is how the
-    caller encodes a known correlation memory. m_mem = 0 brackets by the
-    diagonal range alone.
-    """
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    if Sigma.shape[0] != Sigma.shape[1]:
-        raise ConfigurationError("Sigma must be square")
-    if m_mem < 0:
-        raise ConfigurationError("m_mem must be nonnegative")
-    k = Sigma.shape[0]
-    idx = np.arange(k)
-    band = (np.abs(idx[:, None] - idx[None, :]) <= m_mem) & ~np.eye(k, dtype=bool)
-    radius = np.abs(Sigma * band).sum(axis=1)
-    diag = np.diag(Sigma)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
 def approx3_upper(

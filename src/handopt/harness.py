@@ -168,11 +168,11 @@ def _cell_pairs(d: np.ndarray) -> np.ndarray:
     return np.argsort(d, axis=0, kind="stable")[:2]
 
 
-def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1, *, channels=None):
+def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1):
     """Joint Gaussian machinery for one ordered pair of cells."""
     d = config.distances_m()
     mode = _TABLE_MODE[config.estimator]
-    chs = tuple(channels) if channels is not None else config.channels
+    chs = config.channels
     t_a = coefficient_table(d[cell_a], config.n_w, mode)
     t_b = coefficient_table(d[cell_b], config.n_w, mode)
     return GapProcess(t_a, t_b, (chs[cell_a], chs[cell_b]), d[[cell_a, cell_b]], config.step_m)
@@ -271,45 +271,6 @@ def opt_margin_tables(
         sols = solve_group(problems, process.block_memo(root_n))
         for i, p in enumerate(policies):
             out[p][t] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
-    return out
-
-
-def policy_margin_table(config: ScenarioConfig, policy, **kwargs) -> np.ndarray:
-    """[N, 2] margin lookup for one policy (constant tables for fixed h)."""
-    fixed = _as_fixed_margin(policy)
-    n_samples = config.trace().n_samples
-    if fixed is not None:
-        return np.full((n_samples, 2), fixed)
-    return opt_margin_tables(config, (policy,), **kwargs)[policy]
-
-
-def optimal_h_profile(
-    config: ScenarioConfig,
-    objective: str,
-    *,
-    root_b=None,
-    channels=None,
-) -> np.ndarray:
-    """Open-loop margin profile h*(n) on the two-cell pair.
-
-    Entry n is the first-stage margin of a receding-horizon solve rooted at
-    sample n in the given serving state (default: the configured initial
-    state at every n, which reads the profile as "the margin the optimizer
-    would pick if still on the starting BS here").
-    """
-    if config.layout.n_bs != 2:
-        raise ConfigurationError("margin profiles are defined on the two-cell layout")
-    label = _OPT_LABELS.get(objective)
-    if label is None:
-        raise ConfigurationError(f"unknown objective {objective!r}")
-    root = config.b_init if root_b is None else int(root_b)
-    process = _gap_process(config, channels=channels)
-    n_samples = process.n_samples
-    out = np.empty(n_samples - 1)
-    for n in range(n_samples - 1):
-        m = min(config.horizon, n_samples - 1 - n)
-        problem = _trellis_problem(config, _window_stats(process, n, m), m, root, label)
-        out[n] = solve_group([problem], process.block_memo(n))[0].h_first
     return out
 
 

@@ -38,19 +38,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def decide(b_prev: int, y: float, h: float) -> int:
-    """Hysteresis comparison; returns the connected BS indicator b(n)."""
-    if h < 0.0:
-        raise ConfigurationError("h must be nonnegative")
-    if b_prev not in (0, 1):
-        raise ConfigurationError("b_prev must be 0 or 1")
-    if y < -h:
-        return 1
-    if y < h and b_prev == 1:
-        return 1
-    return 0
-
-
 def decide_series(y: np.ndarray, h, b_init: int = 0) -> np.ndarray:
     """Iterate the hysteresis rule along the last axis, vectorized over trials.
 

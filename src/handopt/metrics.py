@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,37 +45,6 @@ from .gaussian import (
     gap_inside,
     power_below,
 )
-
-
-@dataclass(frozen=True)
-class ConnectionProb:
-    """Connected-state probabilities at one sample."""
-
-    n: int
-    p_connected_bs1: float
-    p_connected_bs0: float
-    stderr_bs1: float
-    stderr_bs0: float
-    method: str
-
-
-@dataclass(frozen=True)
-class HandoverOutageProbs:
-    """Handover and/or outage probabilities at one sample.
-
-    Fields of the side not requested are NaN.
-    """
-
-    n: int
-    p_h01: float = math.nan
-    p_h10: float = math.nan
-    p_h: float = math.nan
-    p_o0: float = math.nan
-    p_o1: float = math.nan
-    p_o: float = math.nan
-    p_o_mixture: float = math.nan
-    stderr: float = math.nan
-    method: str = "exact"
 
 
 def _h_lookup(h_series, n_last: int) -> np.ndarray:
@@ -227,30 +195,15 @@ def connection_series(
     mc_samples: int = 1_000_000,
     seed: int = 0,
 ):
-    """Arrays (p_bs1, p_bs0, stderr_bs1, stderr_bs0) over samples 0..n_last."""
+    """Arrays (p_bs1, p_bs0, stderr_bs1, stderr_bs0) over samples 0..n_last.
+
+    Public although no run reads it: the connected-state probabilities are
+    the paper's Pr[b(n) = 1] law, which the handover and outage series
+    condition on.
+    """
     _check_chain_args(process, n_last, depth, b_init, method)
     h = _h_lookup(h_series, n_last)
     return _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
-
-
-def connection_prob(
-    process: GapProcess,
-    n: int,
-    h_series,
-    depth: int,
-    *,
-    b_init: int = 0,
-    method: str = "exact",
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> ConnectionProb:
-    """Connected-state probabilities at sample n (both sides assembled
-    independently; their sum tends to 1 by the event partition)."""
-    pe, pnot, se_e, se_not = connection_series(
-        process, n, h_series, depth,
-        b_init=b_init, method=method, mc_samples=mc_samples, seed=seed,
-    )
-    return ConnectionProb(n, float(pe[n]), float(pnot[n]), float(se_e[n]), float(se_not[n]), method)
 
 
 def handover_series(
@@ -295,33 +248,6 @@ def handover_series(
     return p01, p10, np.sqrt(var)
 
 
-def handover_prob(
-    process: GapProcess,
-    n: int,
-    h_series,
-    depth: int,
-    *,
-    b_init: int = 0,
-    method: str = "exact",
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> HandoverOutageProbs:
-    """Switch probabilities at sample n: upper exit from BS1 (p_h01), lower
-    exit from BS0 (p_h10), and their sum."""
-    p01, p10, se = handover_series(
-        process, n, h_series, depth,
-        b_init=b_init, method=method, mc_samples=mc_samples, seed=seed,
-    )
-    return HandoverOutageProbs(
-        n,
-        p_h01=float(p01[n]),
-        p_h10=float(p10[n]),
-        p_h=float(p01[n] + p10[n]),
-        stderr=float(se[n]),
-        method=method,
-    )
-
-
 _DEGENERATE_FLOOR = 1e-9
 
 
@@ -363,32 +289,3 @@ def outage_series(
             mix[n] += total
             var[n] += v / cond_p**2
     return po0, po1, po0 + po1, mix, np.sqrt(var)
-
-
-def outage_prob(
-    process: GapProcess,
-    n: int,
-    h_series,
-    depth: int,
-    threshold_db: float,
-    *,
-    b_init: int = 0,
-    method: str = "exact",
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> HandoverOutageProbs:
-    """Serving-link outage at sample n, conditioned each way on the serving
-    state, plus the literal conditional sum and the unconditional mixture."""
-    po0, po1, po, mix, se = outage_series(
-        process, n, h_series, depth, threshold_db,
-        b_init=b_init, method=method, mc_samples=mc_samples, seed=seed,
-    )
-    return HandoverOutageProbs(
-        n,
-        p_o0=float(po0[n]),
-        p_o1=float(po1[n]),
-        p_o=float(po[n]),
-        p_o_mixture=float(mix[n]),
-        stderr=float(se[n]),
-        method=method,
-    )

@@ -46,21 +46,20 @@ window, the grid, the root margin and the outage threshold, so solve_group
 builds them once per window and shares them across both root states and
 every objective. The outage tables of a stage do not read the root at all,
 so tables over windows sliced from one GapProcess block share them through
-the block's memo. verify_solution re-checks a winner's capped quantities
-independently through exact_prob.
+the block's memo.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError
-from .gaussian import EventSpec, GaussianVector, bvn_cdf_lattice, exact_prob
+from .gaussian import GaussianVector, bvn_cdf_lattice
 
 _COND_FLOOR = 1e-12
 
@@ -148,40 +147,70 @@ class TrellisPath:
         return sum(1 for e in self.events if e in ("L", "N"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrellisSolution:
-    """solve() output: first-stage decisions plus the full ranking."""
+    """solve() output: every path's optimized margins, cost and violation.
 
-    b_next: int
-    h_first: float
-    margins: tuple
-    cost: float
-    feasible: bool
-    violation: float
-    path: TrellisPath
-    paths: tuple
+    Path j's serving states are row j of states, the m binary digits of j
+    with stage 1 most significant (itertools.product((0, 1), repeat=m)
+    order). Row j of path_margins and entry j of path_costs and
+    path_violations belong to path j; winner is the best path's index.
+    """
+
     objective: str
+    root_b: int
+    states: np.ndarray
+    path_margins: np.ndarray
+    path_costs: np.ndarray
+    path_violations: np.ndarray
+    winner: int
 
+    @cached_property
+    def paths(self) -> tuple:
+        """Every path as a TrellisPath, in path order, built on first read."""
+        return tuple(
+            TrellisPath(
+                states=tuple(to),
+                events=tuple(_EVENT_LABELS[edge] for edge in zip([self.root_b, *to], to)),
+                margins=tuple(h.tolist()),
+                cost=float(c),
+                feasible=float(v) == 0.0,
+                violation=float(v),
+            )
+            for to, h, c, v in zip(
+                self.states.tolist(), self.path_margins, self.path_costs, self.path_violations
+            )
+        )
 
-def build_trellis(problem: TrellisProblem):
-    """All 2^m serving-state sequences rooted at b(n), with event labels."""
-    m = problem.horizon
-    if m == 0:
-        return (TrellisPath(states=(), events=(), margins=(), cost=0.0),)
-    paths = []
-    for states in itertools.product((0, 1), repeat=m):
-        prev = problem.root_b
-        events = []
-        for b in states:
-            events.append(_EVENT_LABELS[(prev, b)])
-            prev = b
-        paths.append(TrellisPath(states=states, events=tuple(events)))
-    return tuple(paths)
+    @property
+    def path(self) -> TrellisPath:
+        return self.paths[self.winner]
 
+    @property
+    def margins(self) -> tuple:
+        return tuple(self.path_margins[self.winner].tolist())
 
-def _switch_box(u: int, h: float):
-    """Gap box that moves service away from state u under margin h."""
-    return (-math.inf, -h) if u == 0 else (h, math.inf)
+    @property
+    def b_next(self) -> int:
+        """The first-stage serving state; the root state when m = 0."""
+        return int(self.states[self.winner, 0]) if self.states.shape[1] else self.root_b
+
+    @property
+    def h_first(self) -> float:
+        """The first-stage margin; NaN when m = 0."""
+        return float(self.path_margins[self.winner, 0]) if self.states.shape[1] else math.nan
+
+    @property
+    def cost(self) -> float:
+        return float(self.path_costs[self.winner])
+
+    @property
+    def violation(self) -> float:
+        return float(self.path_violations[self.winner])
+
+    @property
+    def feasible(self) -> bool:
+        return self.violation == 0.0
 
 
 def _stay_box(u: int, h: float):
@@ -322,16 +351,6 @@ def _get_tables(problem: TrellisProblem) -> _StageTables:
     return problem._cache["tables"]
 
 
-def _stage_chain(problem, states):
-    """(from, to) pairs along the path including the root edge."""
-    prev = problem.root_b
-    out = []
-    for b in states:
-        out.append((prev, b))
-        prev = b
-    return out
-
-
 def _edge_choices(problem: TrellisProblem, tables: _StageTables):
     """Per-edge margin choice, cap excess and stage cost, each [m, 2, 2].
 
@@ -367,65 +386,34 @@ def _edge_choices(problem: TrellisProblem, tables: _StageTables):
 
 
 def solve(problem: TrellisProblem) -> TrellisSolution:
-    """Optimize every path and return the winner's first-stage decisions.
+    """Optimize every path and rank them; the winner's first stage is the decision.
 
     Ranking: feasible before infeasible, then smaller violation, then cost,
     then fewer switches, then lexicographically smaller margin vector; on a
-    full tie the first path in build_trellis order wins.
+    full tie the first path in itertools.product((0, 1), repeat=m) order of
+    the states wins.
     """
-    if problem.horizon == 0:
-        empty = TrellisPath(states=(), events=(), margins=(), cost=0.0)
-        return TrellisSolution(
-            b_next=problem.root_b,
-            h_first=math.nan,
-            margins=(),
-            cost=0.0,
-            feasible=True,
-            violation=0.0,
-            path=empty,
-            paths=(empty,),
-            objective=problem.objective,
-        )
-    tables = _get_tables(problem)
-    idx, excess, stage_cost = _edge_choices(problem, tables)
-    skeleton = build_trellis(problem)
-    to = np.array([p.states for p in skeleton])
-    frm = np.concatenate([np.full((len(skeleton), 1), problem.root_b), to[:, :-1]], axis=1)
-    h_idx = idx[np.arange(problem.horizon), frm, to]
-    cost = np.zeros(len(skeleton))
-    violation = np.zeros(len(skeleton))
-    for l in range(problem.horizon):
-        # stage by stage, so every path's total rounds like a scalar sum
-        cost = cost + stage_cost[l, frm[:, l], to[:, l]]
-        e = excess[l, frm[:, l], to[:, l]]
-        violation = np.where(e > violation, e, violation)
-    margins = tables.grid[h_idx]
+    m = problem.horizon
+    to = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    frm = np.concatenate([np.full((2**m, 1), problem.root_b), to], axis=1)[:, :m]
+    margins = np.zeros(to.shape)
+    cost = np.zeros(2**m)
+    violation = np.zeros(2**m)
+    if m:
+        tables = _get_tables(problem)
+        idx, excess, stage_cost = _edge_choices(problem, tables)
+        margins = tables.grid[idx[np.arange(m), frm, to]]
+        for l in range(m):
+            # stage by stage, so every path's total rounds like a scalar sum
+            cost = cost + stage_cost[l, frm[:, l], to[:, l]]
+            e = excess[l, frm[:, l], to[:, l]]
+            violation = np.where(e > violation, e, violation)
     n_switches = np.count_nonzero(frm != to, axis=1)
     order = np.lexsort(
         (*margins.T[::-1], n_switches, cost, violation, violation != 0.0)
     )
-    paths = tuple(
-        TrellisPath(
-            states=p.states,
-            events=p.events,
-            margins=tuple(margins[j].tolist()),
-            cost=float(cost[j]),
-            feasible=float(violation[j]) == 0.0,
-            violation=float(violation[j]),
-        )
-        for j, p in enumerate(skeleton)
-    )
-    best = paths[order[0]]
     return TrellisSolution(
-        b_next=best.states[0],
-        h_first=best.margins[0],
-        margins=best.margins,
-        cost=best.cost,
-        feasible=best.feasible,
-        violation=best.violation,
-        path=best,
-        paths=paths,
-        objective=problem.objective,
+        problem.objective, problem.root_b, to, margins, cost, violation, int(order[0])
     )
 
 
@@ -451,81 +439,6 @@ def solve_group(problems, outage_memo=None):
             pr._cache["tables"] = built[key]
         out.append(solve(pr))
     return out
-
-
-def verify_solution(problem: TrellisProblem, solution: TrellisSolution, tol_sigma: float = 3.0):
-    """Recheck the winner's cap quantities with the exact method.
-
-    Returns a dict with per-stage recomputed values and an 'ok' flag: every
-    capped quantity must respect its cap within tol_sigma reported standard
-    errors of the exact evaluation. A conditioning box without mass is
-    replaced as in the stage tables: by the marginal outage (min_handover)
-    or the unconditional stage switch probability (min_outage).
-    """
-    if problem.horizon == 0:
-        return {"ok": True, "stages": []}
-    times = problem.times
-    chain = _stage_chain(problem, solution.path.states)
-    stages = []
-    ok = True
-    stderr = 1e-6  # deterministic quadrature error figure from exact_prob
-
-    def prob(*terms):
-        """P(each (label, lo, hi) term holds), by exact_prob."""
-        gv = problem.stats.subset([term[0] for term in terms])
-        return exact_prob(gv, EventSpec(terms)).estimate
-
-    for l in range(1, problem.horizon + 1):
-        u_from, u_to = chain[l - 1]
-        h = solution.margins[l - 1]
-        t = times[l]
-        if problem.objective == "min_handover":
-            box = _switch_box(u_from, h) if u_to != u_from else _stay_box(u_from, h)
-            num = prob((("p", u_to, t), -math.inf, problem.outage_threshold_db), (("y", t), *box))
-            den = prob((("y", t), *box))
-            # same fallback as the stage tables: the marginal outage
-            value = (
-                _outage_marginal(problem.stats, t, u_to, problem.outage_threshold_db)
-                if den < _COND_FLOOR
-                else num / den
-            )
-            cap = problem.p_out_cap
-        elif problem.objective == "min_outage":
-            switch = (("y", t), *_switch_box(u_from, h))
-            root = (("y", times[0]), *_stay_box(problem.root_b, problem.root_margin))
-            den = prob(root)
-            # same fallback as the stage tables: the unconditional stage
-            # switch probability
-            value = prob(switch) if den < _COND_FLOOR else prob(root, switch) / den
-            cap = problem.p_han_cap
-        else:
-            stages.append({"stage": l, "value": math.nan, "cap": math.nan})
-            continue
-        stage_ok = solution.feasible is False or value <= cap + tol_sigma * stderr
-        ok &= stage_ok
-        stages.append({"stage": l, "value": value, "cap": cap, "ok": stage_ok})
-    return {"ok": bool(ok), "stages": stages}
-
-
-def stage_profile(problem: TrellisProblem, solution: TrellisSolution):
-    """Per-stage switch and outage probabilities of the winning path.
-
-    Evaluated at the chosen margins, so pareto sweeps can report both
-    coordinates of a solution without re-running the search.
-    """
-    if problem.horizon == 0:
-        return {"handover": np.zeros(0), "outage": np.zeros(0)}
-    tables = _get_tables(problem)
-    chain = _stage_chain(problem, solution.path.states)
-    idx = [int(np.argmin(np.abs(tables.grid - h))) for h in solution.margins]
-    hc = tables.hc[problem.root_b]
-    han = np.array(
-        [hc[l, chain[l - 1][0], idx[l - 1]] for l in range(1, problem.horizon + 1)]
-    )
-    out = np.array(
-        [tables.po[l, chain[l - 1][0], idx[l - 1]] for l in range(1, problem.horizon + 1)]
-    )
-    return {"handover": han, "outage": out}
 
 
 def problem_from_process(

@@ -5,19 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from handopt import (
-    ChannelParams,
-    ConfigurationError,
-    path_loss,
-    sample_power,
-    sample_shadowing,
-    shadow_autocorr,
-)
+from handopt import ChannelParams, ConfigurationError, path_loss, sample_power
+from handopt.channel import _ar1_filter, _shadow_buffer
 
 VEHICULAR = ChannelParams(
     intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0
 )
 STEP = 6.24
+
+
+def sample_shadowing(params, n_samples, step_m, rng, n_trials=None):
+    """One link's stationary AR(1) shadowing, shape [n_samples] or
+    [n_trials, n_samples], drawn and filtered as sample_power does."""
+    trial_shape = () if n_trials is None else (int(n_trials),)
+    x, active = _shadow_buffer((params,), n_samples, trial_shape)
+    if active:
+        x[..., 0] = np.moveaxis(rng.standard_normal(trial_shape + (n_samples,)), -1, 0)
+    _ar1_filter(x, (params,), active, step_m)
+    return np.ascontiguousarray(np.moveaxis(x[..., 0], 0, -1))
 
 
 def test_path_loss_reference_point():
@@ -60,17 +65,6 @@ def test_channel_params_validation():
 
 def test_ar_coeff_reference_value():
     assert VEHICULAR.ar_coeff(STEP) == pytest.approx(0.7319815282283126, rel=1e-14)
-
-
-def test_shadow_autocorr_closed_form():
-    a = VEHICULAR.ar_coeff(STEP)
-    lags = np.arange(6)
-    cov = shadow_autocorr(VEHICULAR, lags, STEP)
-    np.testing.assert_allclose(cov, 36.0 * a**lags, rtol=1e-13)
-    # symmetric in the lag sign
-    np.testing.assert_allclose(
-        shadow_autocorr(VEHICULAR, [-3], STEP), cov[3:4], rtol=1e-13
-    )
 
 
 def test_sample_shadowing_stationary_moments():

@@ -7,7 +7,6 @@ from handopt import (
     ConfigurationError,
     GelsState,
     SingularFitError,
-    avg_coeffs,
     coefficient_table,
     els_select,
     estimate_series,
@@ -16,6 +15,7 @@ from handopt import (
     preset,
 )
 from handopt.estimators import window_start
+from oracles import avg_coeffs
 
 
 def line_powers(d, intercept, slope):
@@ -92,6 +92,9 @@ def test_coefficient_table_avg():
     np.testing.assert_allclose(t[1], [0, 0.5, 0.5])
     np.testing.assert_allclose(t[4], np.full(3, 1 / 3))
     assert np.all(t[:2, 0] == 0.0) and t[0, 1] == 0.0
+    for n in range(6):
+        row = avg_coeffs(n, 3).weights
+        assert t[n, 3 - row.size :].tobytes() == row.tobytes()
 
 
 def test_coefficient_table_ls_matches_ls_fit():

@@ -28,7 +28,6 @@ from handopt import (
     exact_prob,
     gap_below,
     gap_inside,
-    gershgorin_bracket,
     path_loss,
     power_below,
     sample_power,
@@ -544,20 +543,7 @@ def test_approx3_full_split_is_sqrt_of_exact():
     assert ub.estimate == pytest.approx(math.sqrt(ref.estimate), rel=1e-12)
 
 
-# --- eigenvalue bracket and PSD guard ----------------------------------------
-
-
-def test_gershgorin_bracket_contains_spectrum():
-    rng = np.random.default_rng(34)
-    A = rng.normal(size=(6, 6))
-    Sigma = A @ A.T + np.eye(6)
-    lo, hi = gershgorin_bracket(Sigma, m_mem=6)
-    w = np.linalg.eigvalsh(Sigma)
-    assert lo <= w[0] + 1e-12
-    assert hi >= w[-1] - 1e-12
-    d_lo, d_hi = gershgorin_bracket(Sigma, m_mem=0)
-    assert d_lo == pytest.approx(np.diag(Sigma).min())
-    assert d_hi == pytest.approx(np.diag(Sigma).max())
+# --- PSD guard ---------------------------------------------------------------
 
 
 def test_check_psd_flags_indefinite_matrix():

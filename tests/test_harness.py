@@ -12,7 +12,6 @@ import pytest
 from handopt import (
     ConfigurationError,
     SingularFitError,
-    avg_coeffs,
     coefficient_table,
     estimate_series,
     ls_fit,
@@ -31,8 +30,6 @@ from handopt.harness import (
     config_fingerprint,
     emit,
     opt_margin_tables,
-    optimal_h_profile,
-    policy_margin_table,
     run_accuracy_study,
     run_multicell,
     run_table_sweep,
@@ -41,6 +38,7 @@ from handopt.harness import (
     sweep_table,
     trellis_rows,
 )
+from oracles import avg_coeffs
 
 
 def noiseless(config):
@@ -141,9 +139,6 @@ def test_analytic_companion_tracks_empirical_sums():
 
 def test_policy_margin_tables():
     cfg = preset("vehicular-two-cell")
-    fixed = policy_margin_table(cfg, 3.0)
-    assert fixed.shape == (81, 2)
-    assert np.all(fixed == 3.0)
     opt = opt_margin_tables(cfg, ("opt2",))["opt2"]
     assert opt.shape == (81, 2)
     np.testing.assert_allclose(opt[0], cfg.h_fixed_db)
@@ -192,8 +187,6 @@ def test_opt_margin_tables_reject_non_optimizer_policies():
     for policies, name in ((("opt1", "opt9"), "opt9"), (("min_outage",), "min_outage"), ((2.0,), "2.0")):
         with pytest.raises(ConfigurationError, match=f"unknown optimizer policy '?{name}"):
             opt_margin_tables(cfg, policies)
-    with pytest.raises(ConfigurationError, match="opt9"):
-        policy_margin_table(cfg, "opt9")
 
 
 @pytest.mark.parametrize(
@@ -248,14 +241,6 @@ def test_opt_margin_tables_share_nothing_across_calls():
         tables = opt_margin_tables(cfg, channels=(base, other)[k])
         gc.collect()
         assert tables_digest(tables) == want[k], k
-
-
-def test_optimal_h_profile_two_cell_only():
-    with pytest.raises(ConfigurationError):
-        optimal_h_profile(preset("vehicular-cell-row"), "min_handover")
-    prof = optimal_h_profile(preset("vehicular-two-cell"), "min_outage")
-    assert prof.shape == (80,)  # every sample that still has a stage ahead
-    assert np.all((prof >= 0.0) & (prof <= 10.0))
 
 
 def test_sweep_table_layout():

@@ -6,7 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handopt import ConfigurationError
-from handopt.hybrid import count_switches, decide, decide_series, serving_series
+from handopt.hybrid import count_switches, decide_series, serving_series
+
+
+def decide(b_prev: int, y: float, h: float) -> int:
+    """The paper's scalar hysteresis comparison, the oracle of decide_series:
+    the connected BS indicator b(n) from b(n-1), y(n) and h(n)."""
+    if h < 0.0:
+        raise ConfigurationError("h must be nonnegative")
+    if b_prev not in (0, 1):
+        raise ConfigurationError("b_prev must be 0 or 1")
+    if y < -h:
+        return 1
+    if y < h and b_prev == 1:
+        return 1
+    return 0
 
 
 def test_decide_core_regions():

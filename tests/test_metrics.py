@@ -17,11 +17,8 @@ from handopt import (
     DegenerateConditioningError,
     apply_coefficients,
     coefficient_table,
-    connection_prob,
     connection_series,
-    handover_prob,
     handover_series,
-    outage_prob,
     outage_series,
     preset,
     sample_power,
@@ -65,92 +62,74 @@ def mc_run():
 def test_connection_probs_sum_to_one(mc_run):
     proc = mc_run[0]
     for n in (2, 5, 9):
-        c = connection_prob(proc, n, 2.0, depth=12, mc_samples=200_000)
-        gap = abs(c.p_connected_bs1 + c.p_connected_bs0 - 1.0)
-        assert gap <= 3.0 * (c.stderr_bs1 + c.stderr_bs0) + 1e-9
+        p1, p0, se1, se0 = connection_series(proc, n, 2.0, depth=12, mc_samples=200_000)
+        gap = abs(p1[n] + p0[n] - 1.0)
+        assert gap <= 3.0 * (se1[n] + se0[n]) + 1e-9
 
 
 def test_connection_prob_matches_simulation(mc_run):
     proc, _, b, _ = mc_run
     for n in (3, 8):
-        c = connection_prob(proc, n, 2.0, depth=12, mc_samples=200_000)
+        p1, _, se1, _ = connection_series(proc, n, 2.0, depth=12, mc_samples=200_000)
         emp = float((b[:, n] == 1).mean())
         se = math.sqrt(emp * (1.0 - emp) / TRIALS)
-        assert abs(emp - c.p_connected_bs1) <= 4.0 * se + 3.0 * c.stderr_bs1
+        assert abs(emp - p1[n]) <= 4.0 * se + 3.0 * se1[n]
 
 
 def test_handover_prob_matches_simulation(mc_run):
     proc, _, b, _ = mc_run
     for n in (1, 4, 9):
-        hp = handover_prob(proc, n, 2.0, depth=12, mc_samples=200_000)
+        p01, p10, stderr = handover_series(proc, n, 2.0, depth=12, mc_samples=200_000)
         prev = b[:, n - 1]
         emp10 = float(((prev == 0) & (b[:, n] == 1)).mean())
         emp01 = float(((prev == 1) & (b[:, n] == 0)).mean())
-        for emp, ana in ((emp10, hp.p_h10), (emp01, hp.p_h01)):
+        for emp, ana in ((emp10, p10[n]), (emp01, p01[n])):
             se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / TRIALS)
-            assert abs(emp - ana) <= 4.0 * se + 3.0 * hp.stderr
-        assert hp.p_h == pytest.approx(hp.p_h01 + hp.p_h10, abs=1e-12)
+            assert abs(emp - ana) <= 4.0 * se + 3.0 * stderr[n]
 
 
 def test_handover_prob_at_first_sample(mc_run):
     proc, _, b, _ = mc_run
-    hp = handover_prob(proc, 0, 2.0, depth=12, b_init=0)
-    assert hp.p_h01 == 0.0  # cannot leave BS1 when starting on BS0
+    p01, p10, stderr = handover_series(proc, 0, 2.0, depth=12, b_init=0)
+    assert p01[0] == 0.0  # cannot leave BS1 when starting on BS0
     emp = float((b[:, 0] == 1).mean())
     se = math.sqrt(emp * (1.0 - emp) / TRIALS)
-    assert abs(emp - hp.p_h10) <= 4.0 * se + 3.0 * hp.stderr
+    assert abs(emp - p10[0]) <= 4.0 * se + 3.0 * stderr[0]
 
-    hp1 = handover_prob(proc, 0, 2.0, depth=12, b_init=1)
-    assert hp1.p_h10 == 0.0
+    _, p10_from_bs1, _ = handover_series(proc, 0, 2.0, depth=12, b_init=1)
+    assert p10_from_bs1[0] == 0.0
 
 
 def test_outage_components_match_simulation(mc_run):
     proc, _, b, powers = mc_run
     n = 8
-    op = outage_prob(proc, n, 2.0, depth=12, threshold_db=THRESH, mc_samples=200_000)
+    po0, po1, po, mix, stderr = outage_series(
+        proc, n, 2.0, depth=12, threshold_db=THRESH, mc_samples=200_000
+    )
     on0 = b[:, n] == 0
     on1 = b[:, n] == 1
     out0 = powers[on0, 0, n] <= THRESH
     out1 = powers[on1, 1, n] <= THRESH
-    for emp_mask, count, ana in ((out0, on0.sum(), op.p_o0), (out1, on1.sum(), op.p_o1)):
+    for emp_mask, count, ana in ((out0, on0.sum(), po0[n]), (out1, on1.sum(), po1[n])):
         emp = float(emp_mask.mean())
         se = math.sqrt(emp * (1.0 - emp) / count)
-        assert abs(emp - ana) <= 4.0 * se + 3.0 * op.stderr
-    assert op.p_o == pytest.approx(op.p_o0 + op.p_o1, abs=1e-12)
+        assert abs(emp - ana) <= 4.0 * se + 3.0 * stderr[n]
+    assert po[n] == pytest.approx(po0[n] + po1[n], abs=1e-12)
 
     # the mixture weighs each conditional term by its connection probability
     out_any = np.where(b[:, n] == 1, powers[:, 1, n], powers[:, 0, n]) <= THRESH
     emp_mix = float(out_any.mean())
     se = math.sqrt(emp_mix * (1.0 - emp_mix) / TRIALS)
-    assert abs(emp_mix - op.p_o_mixture) <= 4.0 * se + 3.0 * op.stderr
-
-
-def test_series_agree_with_pointwise_calls():
-    proc, _, _, _ = build_process()
-    p01, p10, _ = handover_series(proc, 4, 2.0, depth=8, mc_samples=100_000)
-    for n in range(5):
-        hp = handover_prob(proc, n, 2.0, depth=8, mc_samples=100_000)
-        assert p01[n] + p10[n] == pytest.approx(hp.p_h, abs=1e-9)
-        assert p01[n] == pytest.approx(hp.p_h01, abs=1e-9)
-        assert p10[n] == pytest.approx(hp.p_h10, abs=1e-9)
-
-    po0, po1, po, mix, se = outage_series(
-        proc, 3, 2.0, depth=8, threshold_db=THRESH, mc_samples=100_000
-    )
-    np.testing.assert_allclose(po, po0 + po1, atol=1e-12)
-    op = outage_prob(proc, 3, 2.0, depth=8, threshold_db=THRESH, mc_samples=100_000)
-    assert po[3] == pytest.approx(op.p_o, abs=1e-9)
-    assert mix[3] == pytest.approx(op.p_o_mixture, abs=1e-9)
-    assert np.all(se >= 0.0)
+    assert abs(emp_mix - mix[n]) <= 4.0 * se + 3.0 * stderr[n]
 
 
 def test_pairwise_method_tracks_exact():
     proc, _, _, _ = build_process()
     for n in (4, 9):
-        ex = connection_prob(proc, n, 2.0, depth=12, method="exact")
-        pw = connection_prob(proc, n, 2.0, depth=12, method="pairwise")
-        assert pw.stderr_bs1 == 0.0  # deterministic chain of pair terms
-        assert pw.p_connected_bs1 == pytest.approx(ex.p_connected_bs1, abs=5e-3)
+        ex_p1, _, _, _ = connection_series(proc, n, 2.0, depth=12, method="exact")
+        pw_p1, _, pw_se1, _ = connection_series(proc, n, 2.0, depth=12, method="pairwise")
+        assert pw_se1[n] == 0.0  # deterministic chain of pair terms
+        assert pw_p1[n] == pytest.approx(ex_p1[n], abs=5e-3)
 
 
 def test_series_reuse_the_process_memo(monkeypatch):
@@ -180,35 +159,35 @@ def test_series_reuse_the_process_memo(monkeypatch):
 def test_per_sample_margin_series(mc_run):
     proc, d, _, _ = mc_run
     h_series = np.linspace(0.5, 4.0, N)
-    c = connection_prob(proc, 6, h_series, depth=10, mc_samples=100_000)
-    c_flat = connection_prob(proc, 6, 2.0, depth=10, mc_samples=100_000)
-    assert c.p_connected_bs1 != pytest.approx(c_flat.p_connected_bs1, abs=1e-4)
+    p1, _, se1, _ = connection_series(proc, 6, h_series, depth=10, mc_samples=100_000)
+    p1_flat, _, _, _ = connection_series(proc, 6, 2.0, depth=10, mc_samples=100_000)
+    assert p1[6] != pytest.approx(p1_flat[6], abs=1e-4)
 
     proc2, d2, channels, tables = build_process()
     b, _ = simulate_decisions(d2, channels, tables, h_series, TRIALS, seed=55)
     emp = float((b[:, 6] == 1).mean())
     se = math.sqrt(emp * (1.0 - emp) / TRIALS)
-    assert abs(emp - c.p_connected_bs1) <= 4.0 * se + 3.0 * c.stderr_bs1
+    assert abs(emp - p1[6]) <= 4.0 * se + 3.0 * se1[6]
 
 
 def test_degenerate_conditioning_is_reported():
     proc, _, _, _ = build_process()
     with pytest.raises(DegenerateConditioningError):
-        outage_prob(proc, 8, 60.0, depth=10, threshold_db=THRESH)
+        outage_series(proc, 8, 60.0, depth=10, threshold_db=THRESH)
 
 
 def test_argument_validation():
     proc, _, _, _ = build_process()
     with pytest.raises(ConfigurationError):
-        connection_prob(proc, 5, 2.0, depth=0)
+        connection_series(proc, 5, 2.0, depth=0)
     with pytest.raises(ConfigurationError):
-        connection_prob(proc, 5, 2.0, depth=8, method="fancy")
+        connection_series(proc, 5, 2.0, depth=8, method="fancy")
     with pytest.raises(ConfigurationError):
-        connection_prob(proc, 5, -1.0, depth=8)
+        connection_series(proc, 5, -1.0, depth=8)
     with pytest.raises(ConfigurationError):
-        connection_prob(proc, 5, np.full(3, 2.0), depth=8)  # too short
+        connection_series(proc, 5, np.full(3, 2.0), depth=8)  # too short
     with pytest.raises(ConfigurationError):
-        connection_prob(proc, N + 3, 2.0, depth=8)  # beyond the trace
+        connection_series(proc, N + 3, 2.0, depth=8)  # beyond the trace
 
 
 @pytest.mark.parametrize("n_last", [-1, N, N + 3])
@@ -228,10 +207,10 @@ def test_series_reject_samples_beyond_the_trace_before_any_box(monkeypatch, n_la
 
 def test_exact_method_is_seed_deterministic():
     proc, _, _, _ = build_process()
-    a = handover_prob(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)
-    b = handover_prob(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)
-    assert a.p_h == b.p_h
-    assert a.p_h01 == b.p_h01
+    a01, a10, _ = handover_series(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)
+    b01, b10, _ = handover_series(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)
+    assert a01[9] + a10[9] == b01[9] + b10[9]
+    assert a01[9] == b01[9]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ Three layers of checking: a per-path scan (solve_by_paths) and an
 exhaustive (state, margin)-grid enumeration that must match solve() bit for
 bit (they consume the same stage tables but reimplement masking, fallback
 and ranking from scratch), and a scipy-based recomputation of the
-conditional probabilities behind those tables.
+conditional probabilities behind those tables. verify_solution re-checks a
+winner's capped quantities through exact_prob, independently of the tables.
 """
 
 import itertools
@@ -22,26 +23,26 @@ from scipy.stats import multivariate_normal, norm
 from handopt import (
     ChannelParams,
     ConfigurationError,
-    build_trellis,
+    EventSpec,
     coefficient_table,
+    exact_prob,
     preset,
     problem_from_process,
     solve,
     solve_group,
-    stage_profile,
-    verify_solution,
 )
+from handopt import optimizer
 from handopt.harness import _gap_process
 from handopt.metrics import GapProcess
 from handopt.optimizer import (
     _COND_FLOOR,
+    _EVENT_LABELS,
     TrellisPath,
     TrellisProblem,
     _StageTables,
     _get_tables,
-    _stage_chain,
+    _outage_marginal,
     _stay_box,
-    _switch_box,
     _window_stats,
 )
 
@@ -80,6 +81,38 @@ def make_problem(rng, objective, horizon=1, start=None, sigma_db=None, **overrid
 # --- per-path oracle: the scan solve() replaced by one scan per edge ----------
 
 
+def build_trellis(problem):
+    """All 2^m serving-state sequences rooted at b(n), with event labels, in
+    itertools.product order."""
+    m = problem.horizon
+    if m == 0:
+        return (TrellisPath(states=(), events=(), margins=(), cost=0.0),)
+    paths = []
+    for states in itertools.product((0, 1), repeat=m):
+        prev = problem.root_b
+        events = []
+        for b in states:
+            events.append(_EVENT_LABELS[(prev, b)])
+            prev = b
+        paths.append(TrellisPath(states=states, events=tuple(events)))
+    return tuple(paths)
+
+
+def stage_chain(problem, states):
+    """(from, to) pairs along the path including the root edge."""
+    prev = problem.root_b
+    out = []
+    for b in states:
+        out.append((prev, b))
+        prev = b
+    return out
+
+
+def switch_box(u: int, h: float):
+    """Gap box that moves service away from state u under margin h."""
+    return (-INF, -h) if u == 0 else (h, INF)
+
+
 def path_masks(problem, tables, states):
     """Per-stage boolean masks over the grid from the objective's caps.
 
@@ -88,7 +121,7 @@ def path_masks(problem, tables, states):
     its violation.
     """
     m = problem.horizon
-    chain = _stage_chain(problem, states)
+    chain = stage_chain(problem, states)
     masks = np.ones((m, tables.grid.size), dtype=bool)
     forced = [None] * m
     violation = 0.0
@@ -116,7 +149,7 @@ def path_masks(problem, tables, states):
 def path_stage_costs(problem, tables, states):
     """Per-stage cost grids [k] for the path, indexed by its from-states."""
     out = []
-    for l, (u_from, _) in enumerate(_stage_chain(problem, states), start=1):
+    for l, (u_from, _) in enumerate(stage_chain(problem, states), start=1):
         if problem.objective == "min_handover":
             vec = tables.hc[problem.root_b, l, u_from]
         elif problem.objective == "min_outage":
@@ -196,7 +229,8 @@ def test_solve_matches_per_path_oracle():
         best, paths = solve_by_paths(problem)
         assert sol.paths == paths
         assert sol.path == best
-        assert sol.path is sol.paths[paths.index(best)]
+        assert sol.path is sol.paths[sol.winner]
+        assert sol.winner == paths.index(best)
         assert (sol.cost, sol.violation, sol.feasible) == (
             best.cost, best.violation, best.feasible
         )
@@ -599,19 +633,21 @@ def test_all_infeasible_reports_minimal_violation():
 def test_build_trellis_enumerates_all_state_sequences():
     proc = two_cell_process(n=10)
     for m, expect in ((1, 2), (2, 4), (4, 16)):
-        problem = problem_from_process(
-            proc, 2, m, "pareto",
-            root_b=0, root_margin=0.0, outage_threshold_db=-105.0,
-        )
-        paths = build_trellis(problem)
-        assert len(paths) == expect
-        assert len({p.states for p in paths}) == expect
+        for root_b in (0, 1):
+            problem = problem_from_process(
+                proc, 2, m, "pareto",
+                root_b=root_b, root_margin=0.0, outage_threshold_db=-105.0,
+            )
+            paths = solve(problem).paths
+            assert len(paths) == expect
+            assert [p.states for p in paths] == list(itertools.product((0, 1), repeat=m))
+            assert [p.events for p in paths] == [p.events for p in build_trellis(problem)]
     # event labels follow the (prev, next) pairs from the root
     problem = problem_from_process(
         proc, 2, 2, "pareto",
         root_b=0, root_margin=0.0, outage_threshold_db=-105.0,
     )
-    by_states = {p.states: p.events for p in build_trellis(problem)}
+    by_states = {p.states: p.events for p in solve(problem).paths}
     assert by_states[(0, 0)] == ("M+N", "M+N")
     assert by_states[(1, 0)] == ("L", "N")
     assert by_states[(1, 1)] == ("L", "L+M")
@@ -646,8 +682,8 @@ def test_zero_horizon_solution_is_trivial():
     assert math.isnan(sol.h_first)
     assert sol.margins == ()
     assert sol.cost == 0.0 and sol.feasible
-    prof = stage_profile(problem, sol)
-    assert prof["handover"].size == 0 and prof["outage"].size == 0
+    assert sol.paths == build_trellis(problem)
+    assert sol.path is sol.paths[0]
 
 
 def test_problem_validation():
@@ -789,7 +825,7 @@ def stage_masses(tables, times, root_margin):
     oc = tables.oc.copy()
     for l in range(1, len(times)):
         for u_from, u_to in itertools.product((0, 1), repeat=2):
-            box = _switch_box if u_to != u_from else _stay_box
+            box = switch_box if u_to != u_from else _stay_box
             for i, h in enumerate(tables.grid):
                 den = tables._single(l, box(u_from, h))
                 if den >= _COND_FLOOR:
@@ -849,6 +885,60 @@ def test_grid_holds_the_multiples_of_the_step_up_to_h_max():
     assert max(sol.margins) <= 1.0
 
 
+def verify_solution(problem, solution, tol_sigma=3.0):
+    """Recheck the winner's cap quantities with the exact method.
+
+    Returns a dict with per-stage recomputed values and an 'ok' flag: every
+    capped quantity must respect its cap within tol_sigma reported standard
+    errors of the exact evaluation. A conditioning box without mass is
+    replaced as in the stage tables: by the marginal outage (min_handover)
+    or the unconditional stage switch probability (min_outage).
+    """
+    if problem.horizon == 0:
+        return {"ok": True, "stages": []}
+    times = problem.times
+    chain = stage_chain(problem, solution.path.states)
+    stages = []
+    ok = True
+    stderr = 1e-6  # deterministic quadrature error figure from exact_prob
+
+    def prob(*terms):
+        """P(each (label, lo, hi) term holds), by exact_prob."""
+        gv = problem.stats.subset([term[0] for term in terms])
+        return exact_prob(gv, EventSpec(terms)).estimate
+
+    for l in range(1, problem.horizon + 1):
+        u_from, u_to = chain[l - 1]
+        h = solution.margins[l - 1]
+        t = times[l]
+        if problem.objective == "min_handover":
+            box = switch_box(u_from, h) if u_to != u_from else _stay_box(u_from, h)
+            num = prob((("p", u_to, t), -INF, problem.outage_threshold_db), (("y", t), *box))
+            den = prob((("y", t), *box))
+            # same fallback as the stage tables: the marginal outage
+            value = (
+                _outage_marginal(problem.stats, t, u_to, problem.outage_threshold_db)
+                if den < _COND_FLOOR
+                else num / den
+            )
+            cap = problem.p_out_cap
+        elif problem.objective == "min_outage":
+            switch = (("y", t), *switch_box(u_from, h))
+            root = (("y", times[0]), *_stay_box(problem.root_b, problem.root_margin))
+            den = prob(root)
+            # same fallback as the stage tables: the unconditional stage
+            # switch probability
+            value = prob(switch) if den < _COND_FLOOR else prob(root, switch) / den
+            cap = problem.p_han_cap
+        else:
+            stages.append({"stage": l, "value": math.nan, "cap": math.nan})
+            continue
+        stage_ok = solution.feasible is False or value <= cap + tol_sigma * stderr
+        ok &= stage_ok
+        stages.append({"stage": l, "value": value, "cap": cap, "ok": stage_ok})
+    return {"ok": bool(ok), "stages": stages}
+
+
 def test_verify_solution_confirms_feasible_winners():
     rng = np.random.default_rng(95)
     for objective in ("min_handover", "min_outage", "pareto"):
@@ -898,22 +988,6 @@ def test_verify_solution_uses_the_stage_tables_fallbacks():
         report = verify_solution(problem, sol)
         assert report["ok"]
         assert report["stages"][0]["value"] == pytest.approx(capped, abs=1e-6)
-
-
-def test_stage_profile_reads_the_chosen_cells():
-    proc = two_cell_process(start=980.0, n=10)
-    problem = problem_from_process(
-        proc, 3, 2, "pareto",
-        root_b=0, root_margin=2.0, outage_threshold_db=-105.0,
-    )
-    sol = solve(problem)
-    prof = stage_profile(problem, sol)
-    tables = _get_tables(problem)
-    chain_from = [problem.root_b, sol.path.states[0]]
-    for l in (1, 2):
-        i = int(np.argmin(np.abs(tables.grid - sol.margins[l - 1])))
-        assert prof["handover"][l - 1] == tables.hc[problem.root_b, l, chain_from[l - 1], i]
-        assert prof["outage"][l - 1] == tables.po[l, chain_from[l - 1], i]
 
 
 def test_degenerate_root_region_falls_back_to_marginals():
@@ -987,9 +1061,9 @@ def test_search_strategies_agree_on_stage_decomposable_costs():
     )
     tables = _get_tables(problem)
     sol = solve(problem)
-    for path, got in zip(build_trellis(problem), sol.paths):
-        masks, forced, _ = path_masks(problem, tables, path.states)
-        costs = path_stage_costs(problem, tables, path.states)
+    for got in sol.paths:
+        masks, forced, _ = path_masks(problem, tables, got.states)
+        costs = path_stage_costs(problem, tables, got.states)
         fn = sum_cost_fn(costs)
         a = decoupled_argmin(costs, masks, forced)
         b = exhaustive_argmin(fn, masks, forced)
@@ -1011,3 +1085,28 @@ def test_solve_is_idempotent_and_cached():
     second = solve(problem)
     assert first.margins == second.margins
     assert first.cost == second.cost
+
+
+def test_solve_builds_trellis_paths_only_when_read(monkeypatch):
+    built = []
+    real = optimizer.TrellisPath
+    monkeypatch.setattr(optimizer, "TrellisPath", lambda **kw: built.append(1) or real(**kw))
+    rng = np.random.default_rng(98)
+    for m in (1, 3, 4):
+        problems = [make_problem(rng, obj, horizon=m) for obj in ("min_handover", "min_outage", "pareto")]
+        sols = solve_group(problems)
+        # the decisions read no path
+        assert all(0 <= s.b_next <= 1 and s.h_first in p.grid for s, p in zip(sols, problems))
+        assert built == []
+        for sol, problem in zip(sols, problems):
+            paths = sol.paths
+            assert len(paths) == 2**m == len(built)
+            assert sol.paths is paths  # built once
+            assert sol.path is paths[sol.winner]
+            assert (sol.margins, sol.cost, sol.violation, sol.feasible) == (
+                sol.path.margins, sol.path.cost, sol.path.violation, sol.path.feasible
+            )
+            assert sol.b_next == sol.path.states[0]
+            assert sol.h_first == sol.path.margins[0]
+            assert paths == solve_by_paths(problem)[1]
+            built.clear()
