@@ -9,25 +9,34 @@ exponentially with traveled distance. Sampled at a constant spatial step
 the shadowing is an AR(1) sequence with coefficient a = exp(-step/d_coh),
 initialized from its stationary distribution.
 
-The recursion runs in numpy over a sample-major buffer x[n, trial, link]:
-the driving sequence (sigma * w[0], then sigma * sqrt(1 - a^2) * w[n]) is
-written in place and turned into shadowing by x[n] += a * x[n-1], one
-vector operation per sample across every trial and link, with a per link.
-Each sample costs one product and one sum, the two roundings of the
-first-order IIR filter y[n] = x[n] + a * y[n-1] (scipy's lfilter with
-b = [1], a = [1, -a] computes exactly these), so the result is bit-identical
-to filtering each link's row separately.
+The recursion runs in numpy over one cell-major buffer x[link, n, trial]
+with the trials innermost, the layout every simulator stage reads. Each
+trial's standard normals are drawn into a small contiguous block of a few
+trials and copied into the buffer while the block is in cache. The driving
+sequence (sigma * w[0], then sigma * sqrt(1 - a^2) * w[n]) is written in
+place and turned into shadowing by x[:, n] += a * x[:, n-1], one vector
+operation per sample across every link and trial, with a per link; the
+mean path loss is then added in place. Each sample costs one product and
+one sum, the two roundings of the first-order IIR filter
+y[n] = x[n] + a * y[n-1] (scipy's lfilter with b = [1], a = [1, -a]
+computes exactly these), so the result is bit-identical to filtering each
+link's row separately.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+# Trials drawn into one contiguous block before they are copied into the
+# trial-innermost buffer.
+_DRAW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -67,19 +76,36 @@ def path_loss(params: ChannelParams, distance_m) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _shadow_buffer(channels, n_samples: int, trial_shape):
-    """Zeroed sample-major buffer [n_samples, *trial_shape, S] and the links
-    that carry shadowing (the only ones that draw)."""
+def _shadow_buffer(channels, n_samples: int, n_trials: int):
+    """Zeroed cell-major buffer [S, n_samples, n_trials] and the links that
+    carry shadowing (the only ones that draw)."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    x = np.zeros((n_samples,) + tuple(trial_shape) + (len(channels),))
+    x = np.zeros((len(channels), n_samples, n_trials))
     return x, [s for s, ch in enumerate(channels) if ch.shadow_sigma_db != 0.0]
 
 
-def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
-    """Turn the standard normal draws in x [N, ..., S] into shadowing, in place.
+def _draw_trials(x, active, rngs) -> None:
+    """Standard normals of trial t from rngs[t] into x[active, :, t].
 
-    Columns outside ``active`` hold zeros and stay zero.
+    Each trial draws one standard_normal((S_active, N)) into a contiguous
+    block of _DRAW_BLOCK trials, which is then copied into the buffer link
+    by link.
+    """
+    n = x.shape[1]
+    block = np.empty((_DRAW_BLOCK, len(active), n))
+    for t0 in range(0, len(rngs), _DRAW_BLOCK):
+        part = rngs[t0 : t0 + _DRAW_BLOCK]
+        for j, g in enumerate(part):
+            g.standard_normal(out=block[j])
+        for i, s in enumerate(active):
+            x[s, :, t0 : t0 + len(part)] = block[: len(part), i].T
+
+
+def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
+    """Turn the standard normal draws in x [S, N, T] into shadowing, in place.
+
+    Rows outside ``active`` hold zeros and stay zero.
     """
     if not active:
         return x
@@ -92,10 +118,11 @@ def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
         sigma[s] = ch.shadow_sigma_db
         scale[s] = ch.shadow_sigma_db * math.sqrt(1.0 - a[s] * a[s])
     # Driving sequence: stationary draw at n=0, scaled innovations after.
-    x[1:] *= scale
-    x[0] *= sigma
-    for k in range(1, x.shape[0]):
-        x[k] += a * x[k - 1]
+    x[:, 1:] *= scale[:, None, None]
+    x[:, 0] *= sigma[:, None]
+    a = a[:, None]
+    for k in range(1, x.shape[1]):
+        x[:, k] += a * x[:, k - 1]
     return x
 
 
@@ -103,17 +130,25 @@ def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
 class PowerTrace:
     """Simulated received powers for every base station along a trace.
 
-    powers_db has shape [S, N] for a single trial or [T, S, N] for a batch.
+    cell_major_db holds them with the trial axis innermost: [S, N] for a
+    single trial or [S, N, T] for a batch, the buffer the simulator works
+    on. powers_db is the same powers as [S, N] or as a C-contiguous
+    [T, S, N] copy, built on first read.
     """
 
-    powers_db: np.ndarray
+    cell_major_db: np.ndarray
     distances_m: np.ndarray  # [S, N]
     step_m: float
     channels: Tuple[ChannelParams, ...]
 
+    @cached_property
+    def powers_db(self) -> np.ndarray:
+        x = self.cell_major_db
+        return x if x.ndim == 2 else np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
     @property
     def n_samples(self) -> int:
-        return self.powers_db.shape[-1]
+        return self.cell_major_db.shape[1]
 
 
 def sample_power(
@@ -140,17 +175,17 @@ def sample_power(
     batched = not isinstance(rng, np.random.Generator)
     if batched:
         rng = list(rng)
-        trial_shape = (len(rng),)
+        n_tr = len(rng)
     else:
-        trial_shape = () if n_trials is None else (int(n_trials),)
-    x, active = _shadow_buffer(channels, n, trial_shape)
+        n_tr = 1 if n_trials is None else int(n_trials)
+    x, active = _shadow_buffer(channels, n, n_tr)
     if batched and active:
-        for t, g in enumerate(rng):
-            x[:, t, active] = g.standard_normal((len(active), n)).T
+        _draw_trials(x, active, rng)
     elif active:
         for s in active:
-            x[..., s] = np.moveaxis(rng.standard_normal(trial_shape + (n,)), -1, 0)
+            x[s] = rng.standard_normal((n_tr, n)).T
     _ar1_filter(x, channels, active, step_m)
-    powers = np.empty(trial_shape + mean.shape)
-    np.add(mean, np.moveaxis(x, 0, -1), out=powers)
-    return PowerTrace(powers, d, step_m, tuple(channels))
+    x += mean[:, :, None]
+    if not batched and n_trials is None:
+        x = x[:, :, 0]
+    return PowerTrace(x, d, step_m, tuple(channels))

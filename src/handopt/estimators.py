@@ -13,8 +13,10 @@ per-decade path-loss slope.
 The power-free estimators (AVG, LS) keep their rows in one compact format,
 the [N, min(n_w, N)] coefficient_table: row n is right-aligned on sample
 n, so the last column weights sample n itself, and entries before sample 0
-are zero. apply_coefficients contracts such rows with a batch of power
-traces; the simulator and estimate_series both estimate through it.
+are zero. window_estimates contracts such rows with a batch of power
+traces stored trials innermost, [S, N, T], which is how the simulator
+holds them; apply_coefficients wraps it for [T, S, N] traces, and
+estimate_series estimates through that wrapper.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, SingularFitError
 
@@ -39,6 +40,10 @@ EPS_COND = 1e-10
 # Below this squared-residual scale the model is treated as exact and the
 # normalized residual is not formed.
 _EMIN_FLOOR = 1e-9
+# Values (links x samples x trials) per block of window_estimates, 512 KB:
+# a block's estimates and the powers its lags read stay in L2 while every
+# lag is added.
+_EST_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -290,18 +295,43 @@ def weight_block(table: np.ndarray, rows, first: int, last: int) -> np.ndarray:
     return out
 
 
+def window_estimates(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Estimates of a batch of traces stored with the trials innermost.
+
+    tables is [S, N, n_w], one coefficient_table per link, and x [S, N, T];
+    entry [s, n, t] of the [S, N, T] result is
+    tables[s, n] . x[s, n - n_w + 1 .. n, t], summed from the oldest sample
+    of the window to sample n. The lags are accumulated over blocks of
+    samples that hold about _EST_BLOCK_VALUES values, so every lag of a
+    block reads its powers from cache.
+    """
+    n_bs, n, n_w = tables.shape
+    n_tr = x.shape[2]
+    block = max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
+    out = np.zeros(x.shape)
+    prod = np.empty((n_bs, block, n_tr))
+    for n0 in range(0, n, block):
+        n1 = min(n0 + block, n)
+        for j in range(n_w):
+            back = n_w - 1 - j  # column j weights sample n - back
+            lo = max(n0, back)  # samples before lo have no sample n - back
+            if lo < n1:
+                p = prod[:, : n1 - lo]
+                np.multiply(tables[:, lo:n1, j, None], x[:, lo - back : n1 - back], out=p)
+                out[:, lo:n1] += p
+    return out
+
+
 def apply_coefficients(tables: np.ndarray, powers_db: np.ndarray) -> np.ndarray:
     """Estimates of a batch of traces from per-link coefficient tables.
 
     tables is [S, N, n_w], one coefficient_table per link, and powers_db
-    [T, S, N]; entry [t, s, n] of the result is
-    tables[s, n] . powers_db[t, s, n - n_w + 1 .. n].
+    [T, S, N]; entry [t, s, n] of the C-contiguous result is
+    tables[s, n] . powers_db[t, s, n - n_w + 1 .. n], as window_estimates
+    sums it.
     """
-    n_w = tables.shape[-1]
-    pad = np.zeros(powers_db.shape[:-1] + (n_w - 1,))
-    padded = np.concatenate([pad, powers_db], axis=-1)
-    win = sliding_window_view(padded, n_w, axis=-1)
-    return np.einsum("csnw,snw->csn", win, tables)
+    x = np.ascontiguousarray(np.moveaxis(np.asarray(powers_db, dtype=float), 0, -1))
+    return np.ascontiguousarray(np.moveaxis(window_estimates(tables, x), -1, 0))
 
 
 def estimate_series(

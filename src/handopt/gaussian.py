@@ -274,12 +274,20 @@ def y_stats(
             r_row = ch.shadow_sigma_db**2 * a ** np.abs(t - cols).astype(float)
             Sigma[ky + j, :ky] = sign * (g[s] @ r_row)
             Sigma[:ky, ky + j] = Sigma[ky + j, :ky]
-        for j2, (s2, t2) in enumerate(p_times[: j + 1]):
-            if s2 == s:
-                a = ch.ar_coeff(step_m)
-                cov = ch.shadow_sigma_db**2 * a ** abs(t - t2)
-                Sigma[ky + j, ky + j2] = cov
-                Sigma[ky + j2, ky + j] = cov
+
+    # power-power block: one link's powers covary by lag, the links' not at
+    # all. Each lag's entry is Python's float pow, which numpy's array pow
+    # need not match bit for bit.
+    for s in (0, 1):
+        idx = [ky + j for j, (s2, _) in enumerate(p_times) if s2 == s]
+        if not idx:
+            continue
+        times = np.array([t for s2, t in p_times if s2 == s])
+        lags = np.abs(times[:, None] - times[None, :])
+        ch = channels[s]
+        a = ch.ar_coeff(step_m)
+        by_lag = np.array([ch.shadow_sigma_db**2 * a**k for k in range(int(lags.max()) + 1)])
+        Sigma[np.ix_(idx, idx)] = by_lag[lags]
 
     if check:
         check_psd(Sigma, "joint y/p covariance")

@@ -1,9 +1,12 @@
 """Experiment harness: trial fan-out, margin policies, studies and file output.
 
 Simulation runs draw one received-power trace per trial (seeded per trial,
-so results do not depend on how trials are chunked across workers; each
-chunk draws all of its traces in one sample_power call), run the
+so results do not depend on how trials are chunked across workers), run the
 configured strength estimator, and apply a margin policy sample by sample.
+Each chunk draws all of its traces in one sample_power call into one
+cell-major buffer with the trials innermost; estimation, the decision
+recursion and the tallies read that buffer in place, and the estimates
+fill one second buffer of the same layout.
 Every run decides through hybrid.serving_series, the one implementation of
 the hysteresis rule: on two cells it is the paper's rule between BS0 and
 BS1, on a cell row the serving cell faces the strongest other cell. A
@@ -41,7 +44,7 @@ import numpy as np
 
 from .channel import sample_power
 from .errors import ConfigurationError
-from .estimators import apply_coefficients, coefficient_table, estimate_series
+from .estimators import coefficient_table, estimate_series, window_estimates
 from .gaussian import (
     EventSpec,
     GapProcess,
@@ -142,10 +145,13 @@ def _map_chunks(fn, bounds, workers: int):
 
 
 def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, tables):
-    """Estimates of a chunk of traces: through the links' coefficient tables
-    when the estimator has them, else through estimate_series."""
+    """[T, S, N] estimates of a chunk of [T, S, N] traces: through the links'
+    coefficient tables when the estimator has them, else through
+    estimate_series. With tables, powers that are a view of a trial-innermost
+    buffer are read in place and the result is such a view too."""
     if tables is not None:
-        return apply_coefficients(tables, powers)
+        x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+        return np.moveaxis(window_estimates(tables, x), -1, 0)
     est, _ = estimate_series(
         d,
         powers,
@@ -376,17 +382,26 @@ class RunResult:
 def _tally(series, powers, beta, init, first):
     """Per-trial and per-sample counts of one policy's serving series.
 
-    Branch 0 of conn/outb tallies the samples served by the first cell of
-    their pair, branch 1 the rest: on two cells the serving states, on a
-    cell row the pairwise reduction (nearest cell versus any other). Outage
-    is the post-decision serving power at or below beta.
+    series is [T, N] and powers [T, S, N]; views of trial-innermost buffers
+    are read in place. Branch 0 of conn/outb tallies the samples served by
+    the first cell of their pair, branch 1 the rest: on two cells the
+    serving states, on a cell row the pairwise reduction (nearest cell
+    versus any other). Outage is the post-decision serving power at or
+    below beta.
     """
-    low = np.take_along_axis(powers, series[:, None, :], axis=1)[:, 0, :] <= beta
-    branch = series != first
-    on = branch.sum(axis=0)
-    conn = np.stack([series.shape[0] - on, on])
-    outb = np.stack([(low & ~branch).sum(axis=0), (low & branch).sum(axis=0)])
-    return count_switches(series, init), low.sum(axis=1), series, conn, outb
+    serving = np.ascontiguousarray(series.T)  # [N, T]
+    n, t = serving.shape
+    # flat index of powers[trial, serving cell, sample] in the [S, N, T] order
+    flat = serving.astype(np.intp) * (n * t)
+    flat += (np.arange(n) * t)[:, None]
+    flat += np.arange(t)
+    low = np.take(np.moveaxis(powers, 0, -1), flat) <= beta
+    branch = serving != first[:, None]
+    on = np.count_nonzero(branch, axis=1)
+    low_on = np.count_nonzero(low & branch, axis=1)
+    conn = np.stack([t - on, on])
+    outb = np.stack([np.count_nonzero(low, axis=1) - low_on, low_on])
+    return count_switches(series, init), np.count_nonzero(low, axis=0), series, conn, outb
 
 
 def _decide(est, powers, h_tables, beta, pair, init, h_fallback):
@@ -439,7 +454,8 @@ def _simulate_policies(
             np.random.default_rng(np.random.SeedSequence(seed_parts + [t]))
             for t in range(t0, t1)
         ]
-        powers = sample_power(chs, d, config.step_m, rngs).powers_db
+        # [T, S, N] view of the trial-innermost buffer every stage reads
+        powers = np.moveaxis(sample_power(chs, d, config.step_m, rngs).cell_major_db, -1, 0)
         est = _estimate_chunk(config, d, powers, tables)
         return _decide(est, powers, h_tables, beta, pair, init, config.h_fixed_db)
 
@@ -456,11 +472,12 @@ def _simulate_policies(
         times = None
         if log_events:
             series = np.concatenate([p[label][2] for p in pieces], axis=0)
-            first = series[:, 0] != init
-            changed = np.concatenate(
-                [first[:, None], series[:, 1:] != series[:, :-1]], axis=1
-            )
-            times = tuple(np.flatnonzero(row) for row in changed)
+            changed = np.empty(series.shape, dtype=bool)
+            changed[:, 0] = series[:, 0] != init
+            np.not_equal(series[:, 1:], series[:, :-1], out=changed[:, 1:])
+            # row-major order lists each trial's changes in sample order
+            samples = np.flatnonzero(changed) % n_samples
+            times = tuple(np.split(samples, np.cumsum(switches)[:-1]))
         results[label] = (switches, outages, times, conn, outb)
     return results, h_tables
 

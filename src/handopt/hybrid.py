@@ -79,33 +79,38 @@ def serving_series(est, h_table, pair, init: int, h_fallback: float) -> np.ndarr
     h = 0 means the runner-up has the higher index. So each sample compares
     the serving cell with the strongest cell (lowest index among equals),
     which changes nothing where the two coincide.
+
+    The recursion runs over trial-innermost [S, N, B] estimates, so every
+    sample reads contiguous [S, B] and [N, B] rows; a [B, S, N] view of such
+    a buffer (the simulator's) is read without a copy, and the result is
+    then a [B, N] view of an [N, B] array.
     """
     n_bs, n = est.shape[-2:]
     batch = est.shape[:-2]
-    est = est.reshape(-1, n_bs, n)
+    est = np.ascontiguousarray(np.moveaxis(est.reshape((-1, n_bs, n)), 0, -1))
+    n_tr = est.shape[-1]
     # neg_h[n, s]: minus the margin applied at sample n while serving cell s
     samples, prev = np.arange(n), np.maximum(np.arange(n) - 1, 0)
     neg_h = np.full((n, n_bs), -float(h_fallback))
     neg_h[samples, pair[1][prev]] = -h_table[:, 1]
     neg_h[samples, pair[0][prev]] = -h_table[:, 0]
-    best = np.zeros(est.shape[::2], dtype=np.int16)
-    best_est = est[:, 0, :].copy()
+    best = np.zeros((n, n_tr), dtype=np.int16)
+    best_est = est[0].copy()
     for s in range(1, n_bs):
-        best += (est[:, s, :] > best_est) * (s - best)
-        np.maximum(best_est, est[:, s, :], out=best_est)
-    best, best_est = best.T.copy(), best_est.T.copy()
-    rows = np.arange(est.shape[0])
-    serving = np.full(est.shape[0], init, dtype=np.int16)
-    out = np.empty((est.shape[0], n), dtype=np.int16)
+        best += (est[s] > best_est) * (s - best)
+        np.maximum(best_est, est[s], out=best_est)
+    trials = np.arange(n_tr)
+    serving = np.full(n_tr, init, dtype=np.int16)
+    out = np.empty((n, n_tr), dtype=np.int16)
     for i in range(n):
         lim = neg_h[i][serving]
-        gap = est[rows, serving, i] - best_est[i]
+        gap = est[serving, i, trials] - best_est[i]
         # ties go to the lower index; "not above" also sends a NaN gap
         # there, as the scalar rule sends y = NaN to BS0
         switch = np.where(best[i] < serving, ~(gap > lim), gap < lim)
         serving = np.where(switch, best[i], serving)
-        out[:, i] = serving
-    return out.reshape(batch + (n,))
+        out[i] = serving
+    return out.T.reshape(batch + (n,))
 
 
 def count_switches(b_series: np.ndarray, b_init: int = 0) -> np.ndarray:

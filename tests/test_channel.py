@@ -17,12 +17,13 @@ STEP = 6.24
 def sample_shadowing(params, n_samples, step_m, rng, n_trials=None):
     """One link's stationary AR(1) shadowing, shape [n_samples] or
     [n_trials, n_samples], drawn and filtered as sample_power does."""
-    trial_shape = () if n_trials is None else (int(n_trials),)
-    x, active = _shadow_buffer((params,), n_samples, trial_shape)
+    n_tr = 1 if n_trials is None else int(n_trials)
+    x, active = _shadow_buffer((params,), n_samples, n_tr)
     if active:
-        x[..., 0] = np.moveaxis(rng.standard_normal(trial_shape + (n_samples,)), -1, 0)
+        x[0] = rng.standard_normal((n_tr, n_samples)).T
     _ar1_filter(x, (params,), active, step_m)
-    return np.ascontiguousarray(np.moveaxis(x[..., 0], 0, -1))
+    out = np.ascontiguousarray(x[0].T)
+    return out[0] if n_trials is None else out
 
 
 def test_path_loss_reference_point():
@@ -122,7 +123,7 @@ def test_sample_power_validates_distance_shape():
 
 
 def test_sample_shadowing_matches_an_ar1_filter_bit_for_bit():
-    # the sample-major recursion x[k] += a x[k-1] performs the same two
+    # the recursion x[:, k] += a x[:, k-1] performs the same two
     # roundings per sample as lfilter([1], [1, -a])
     from scipy.signal import lfilter
 

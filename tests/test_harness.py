@@ -4,10 +4,13 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handopt import (
     ConfigurationError,
@@ -21,6 +24,7 @@ from handopt import (
     solve,
 )
 from handopt import gaussian, harness, optimizer
+from handopt.estimators import window_estimates
 from handopt.harness import (
     RunResult,
     SweepSpec,
@@ -425,6 +429,30 @@ def test_compact_rows_equal_the_row_loop(n_w, mode):
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n_trials=st.integers(1, 5),
+    n_bs=st.integers(1, 3),
+    n=st.integers(1, 40),
+    n_w=st.integers(1, 50),
+    mode=st.sampled_from(["avg", "ls"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_estimates_equal_the_row_loop(n_trials, n_bs, n, n_w, mode, seed):
+    # the trial-innermost kernel sums each window from its oldest sample on;
+    # the row loop fits every window on its own
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(100.0, 900.0, size=(n_bs, 1))
+    step = rng.uniform(3.0, 10.0, size=(n_bs, 1))
+    d = start + step * np.arange(n)
+    powers = rng.normal(-100.0, 6.0, size=(n_trials, n_bs, n))
+    tables = np.stack([coefficient_table(row, n_w, mode) for row in d])
+    got = window_estimates(tables, np.ascontiguousarray(np.moveaxis(powers, 0, -1)))
+    np.testing.assert_allclose(
+        np.moveaxis(got, -1, 0), window_estimates_loop(d, powers, n_w, mode), rtol=1e-10
+    )
+
+
 def decide_two_cell_loop(est, powers, h_tables, beta, b_init):
     """Per-sample oracle for _decide on two cells: the hysteresis rule and
     every tally inside the sample loop."""
@@ -640,3 +668,41 @@ def test_cell_row_run_is_pinned():
     assert sha256_of(arrays) == (
         "319d76371950b5c79289740c8b80f1bff9d7d9dfe5b34e55397ad5fa578c314b"
     )
+
+
+def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
+    # the simulator decides on [T, S, N] views of its trial-innermost buffer;
+    # sample_power's powers_db is the same powers as a C-contiguous copy
+    cfg = preset("vehicular-cell-row")
+    seen = []
+    real = harness._decide
+
+    def spy(est, powers, *rest):
+        seen.append(powers)
+        return real(est, powers, *rest)
+
+    monkeypatch.setattr(harness, "_decide", spy)
+    run_multicell(cfg, 2.0, 5, seed=13, workers=1)
+    (powers,) = seen
+    assert np.moveaxis(powers, 0, -1).flags.c_contiguous
+    rngs = [np.random.default_rng(np.random.SeedSequence([13, t])) for t in range(5)]
+    public = sample_power(cfg.channels, cfg.distances_m(), cfg.step_m, rngs).powers_db
+    assert public.flags.c_contiguous
+    assert public.tobytes() == powers.tobytes()
+
+
+def test_cell_row_chunk_holds_two_power_arrays():
+    # a chunk keeps its powers and its estimates, both trial-innermost; the
+    # decision and tally temporaries are a fraction of one power array each
+    cfg = preset("vehicular-cell-row")
+    d = cfg.distances_m()
+    trials = harness._CHUNK_SAMPLES // d.size
+    assert harness._chunk_bounds(trials, 1, *d.shape) == [(0, trials)]
+    run_multicell(cfg, 2.0, 2, seed=1, workers=1)
+    tracemalloc.start()
+    try:
+        run_multicell(cfg, 2.0, trials, seed=1, workers=1, log_events=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * trials * d.size * 8
