@@ -21,6 +21,15 @@ one sum, the two roundings of the first-order IIR filter
 y[n] = x[n] + a * y[n-1] (scipy's lfilter with b = [1], a = [1, -a]
 computes exactly these), so the result is bit-identical to filtering each
 link's row separately.
+
+Each simulated trial draws from its own PCG64 stream, seeded by
+SeedSequence(seed_parts + [t]) for trial t. trial_generators builds the
+generators of a chunk of trials: it runs SeedSequence's entropy mixing
+and state generation (a 32-bit multiply-xorshift hash over a 4-word pool)
+over vectors indexed by trial, so the seed words of every trial come out
+of one numpy pass, and hands each trial's four words to PCG64's own
+seeding. Every stream is bit-identical to the one a per-trial
+SeedSequence would seed.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 from .errors import ConfigurationError
 
@@ -74,6 +84,86 @@ def path_loss(params: ChannelParams, distance_m) -> np.ndarray | float:
         raise ConfigurationError("distances must be positive")
     out = params.intercept_db - params.slope_db * np.log10(d)
     return float(out) if out.ndim == 0 else out
+
+
+# numpy's SeedSequence constants: pool words, the entropy hash (INIT_A,
+# MULT_A), the state hash (INIT_B, MULT_B), the pool mix and its shift.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+class _SeedWords(ISeedSequence):
+    """Seed source that hands PCG64 the four uint64 state words it asks
+    for, computed in advance."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 vectors: xor with the running
+    constant, advance the constant, multiply by it, xorshift."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value *= np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def trial_generators(seed_parts, t0: int, t1: int) -> list:
+    """Generators of trials t0..t1-1: trial t draws from
+    default_rng(SeedSequence(list(seed_parts) + [t])), bit for bit.
+
+    seed_parts are coerced as SeedSequence coerces its entropy (each a
+    nonnegative int, split into little-endian 32-bit words). Trial indices
+    must stay below 2**32, so that each is one entropy word.
+    """
+    if not 0 <= t0 <= t1 <= 2**32:
+        raise ConfigurationError("trial indices must lie in [0, 2**32)")
+    try:
+        prefix = [int(w) for w in _coerce_to_uint32_array(list(seed_parts))]
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"seeds must be nonnegative integers ({e})") from None
+    trials = np.arange(t0, t1, dtype=np.uint32)
+    entropy = [np.full_like(trials, w) for w in prefix] + [trials]
+
+    # SeedSequence.mix_entropy: hash the first words into the pool (zeros
+    # past the entropy), mix every pool word into every other, then fold in
+    # the words beyond the pool.
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(trials)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+
+    # SeedSequence.generate_state(4, np.uint64): eight 32-bit words cycling
+    # over the pool, paired little-endian into four 64-bit words.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
 
 def _shadow_buffer(channels, n_samples: int, n_trials: int):

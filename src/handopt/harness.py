@@ -3,6 +3,12 @@
 Simulation runs draw one received-power trace per trial (seeded per trial,
 so results do not depend on how trials are chunked across workers), run the
 configured strength estimator, and apply a margin policy sample by sample.
+The trial streams are a contract that the pinned runs and the benchmark
+references hold: trial t of a simulate run draws from PCG64 seeded by
+SeedSequence([seed, t]), and trial t at speed index vi of a table sweep
+from SeedSequence([seed, vi, t]). The seed words of a chunk's trials are
+computed together (channel.trial_generators), never through one
+SeedSequence per trial.
 Each chunk draws all of its traces in one sample_power call into one
 cell-major buffer with the trials innermost; estimation, the decision
 recursion and the tallies read that buffer in place, and the estimates
@@ -42,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import sample_power
+from .channel import sample_power, trial_generators
 from .errors import ConfigurationError
 from .estimators import coefficient_table, estimate_series, window_estimates
 from .gaussian import (
@@ -148,7 +154,11 @@ def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, t
     """[T, S, N] estimates of a chunk of [T, S, N] traces: through the links'
     coefficient tables when the estimator has them, else through
     estimate_series. With tables, powers that are a view of a trial-innermost
-    buffer are read in place and the result is such a view too."""
+    buffer are read in place and the result is such a view too.
+
+    Open question: GELS gets the constant h_series = h_fixed_db, whatever
+    the policy. Under optimizer margin tables its h > h_max restart
+    therefore never sees the margin the decision actually applies."""
     if tables is not None:
         x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
         return np.moveaxis(window_estimates(tables, x), -1, 0)
@@ -450,10 +460,7 @@ def _simulate_policies(
     init = config.b_init if n_bs == 2 else int(pair[0, 0])
 
     def run_chunk(t0: int, t1: int):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(seed_parts + [t]))
-            for t in range(t0, t1)
-        ]
+        rngs = trial_generators(seed_parts, t0, t1)
         # [T, S, N] view of the trial-innermost buffer every stage reads
         powers = np.moveaxis(sample_power(chs, d, config.step_m, rngs).cell_major_db, -1, 0)
         est = _estimate_chunk(config, d, powers, tables)
@@ -744,6 +751,8 @@ def run_accuracy_study(
         raise ConfigurationError("m_split must lie in 1..k")
     if n_instances < 1:
         raise ConfigurationError("n_instances must be >= 1")
+    if seed < 0:
+        raise ConfigurationError("seed must be a nonnegative integer")
     config = config if config is not None else preset("paper-vi")
     if config.layout.n_bs != 2:
         raise ConfigurationError("the accuracy study runs on a two-cell layout")

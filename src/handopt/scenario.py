@@ -202,6 +202,9 @@ class ScenarioConfig:
             raise ConfigurationError("b_init must be 0 or 1")
         if not 0.0 <= self.h_fixed_db < math.inf:
             raise ConfigurationError("h_fixed_db must be finite and nonnegative")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError("seed must be a nonnegative integer")
 
     def trace(self) -> MobilityTrace:
         return build_linear_trace(

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handopt import ChannelParams, ConfigurationError, path_loss, sample_power
-from handopt.channel import _ar1_filter, _shadow_buffer
+from handopt.channel import _ar1_filter, _shadow_buffer, trial_generators
 
 VEHICULAR = ChannelParams(
     intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0
@@ -159,3 +161,34 @@ def test_batched_sample_power_equals_per_trial_calls():
         assert rng.standard_normal() == after.standard_normal()
     quiet = np.broadcast_to(path_loss(channels[1], d[1]), (6, 57))
     np.testing.assert_array_equal(batch.powers_db[:, 1], quiet)
+
+
+@settings(max_examples=60)
+@given(
+    prefix=st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=4),
+    t0=st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)),
+    n=st.integers(0, 6),
+)
+def test_trial_generators_equal_per_trial_seed_sequences(prefix, t0, n):
+    # a prefix int below 2**70 takes up to three 32-bit words, so with the
+    # trial word the entropy often runs past SeedSequence's 4-word pool
+    t1 = min(t0 + n, 2**32)
+    gens = trial_generators(prefix, t0, t1)
+    assert len(gens) == t1 - t0
+    for t, g in zip(range(t0, t1), gens):
+        oracle = np.random.default_rng(np.random.SeedSequence(list(prefix) + [t]))
+        np.testing.assert_array_equal(
+            g.standard_normal((2, 17)), oracle.standard_normal((2, 17))
+        )
+
+
+def test_trial_generators_reject_indices_past_one_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    for t0, t1 in ((2**32 - 1, 2**32 + 1), (2**32, 2**32 + 3), (-1, 2)):
+        with pytest.raises(ConfigurationError):
+            trial_generators([3], t0, t1)
+    with pytest.raises(ConfigurationError):
+        trial_generators([-1], 0, 2)

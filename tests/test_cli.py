@@ -308,6 +308,27 @@ def test_non_finite_inputs_exit_2(capsys, argv):
     assert json.loads(err)["error"]["code"] == "config"
 
 
+@pytest.mark.parametrize(
+    "argv,run_file",
+    [
+        (["simulate", "--trials", "2", "--policy", "2", "--seed", "-1"], None),
+        (["table", "--speeds", "5", "--policies", "0", "--trials", "2", "--seed", "-1"], None),
+        (["accuracy", "--k", "3", "--m-split", "2", "--instances", "1",
+          "--mc-samples", "2000", "--study-seed", "-1"], None),
+        (["simulate", "--trials", "2", "--policy", "2"], "[scenario]\nseed = -3\n"),
+    ],
+)
+def test_negative_seeds_exit_2(tmp_path, capsys, argv, run_file):
+    if run_file is not None:
+        ini = tmp_path / "run.ini"
+        ini.write_text(run_file)
+        argv = argv + ["--config", str(ini)]
+    rc, out, err = run_main(capsys, argv + ["--preset", "vehicular-two-cell"])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "config"
+
+
 def test_optimize_margins_stay_within_h_max(tmp_path, capsys):
     json_p = tmp_path / "o.json"
     rc, _, _ = run_main(

@@ -655,6 +655,30 @@ def test_two_cell_run_is_pinned():
     )
 
 
+def test_table_sweep_builds_no_per_trial_seed_sequence(monkeypatch):
+    # trial streams come from channel.trial_generators; a per-trial
+    # SeedSequence or default_rng in the simulator fails this run, whose
+    # tallies and aggregates must stay those the per-trial streams gave
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-trial SeedSequence in the simulator")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    cfg = replace(preset("paper-vi"), start_offset_m=900.0, length_m=200.0)
+    spec = SweepSpec(speeds=(5.0, 20.0), policies=(0.0, 2.0, "opt2"), n_trials=30)
+    results = run_table_sweep(cfg, spec, seed=4)
+    arrays = []
+    for key in sorted(results):
+        r = results[key]
+        arrays += [
+            r.switch_counts, r.outage_counts, r.conn_counts, r.outage_branch_counts,
+            np.array(list(r.aggregates().values())),
+        ]
+    assert sha256_of(arrays) == (
+        "d13b08da196068d2277a57a77854efe3a317b0a3245fd207854e61014ef5ca1d"
+    )
+
+
 def test_cell_row_run_is_pinned():
     # equality gate: the serving-cell recursion and its tallies may be
     # restructured, but vehicular-cell-row runs must stay bit for bit
