@@ -170,6 +170,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     o.add_argument("--workers", type=int)
 
 
+def _parse_file_value(parse, raw: str, key: str, section: str):
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigurationError(f"bad value {raw!r} for {key!r} in [{section}]") from None
+
+
 def _load_config_file(path: str, run_keys):
     """(scenario, channel, layout, run) sections; run values stay strings."""
     cp = configparser.ConfigParser()
@@ -183,7 +190,7 @@ def _load_config_file(path: str, run_keys):
         for key, raw in cp.items(name):
             if key not in parsers:
                 raise ConfigurationError(f"unknown key {key!r} in [{name}]")
-            out[key] = parsers[key](raw)
+            out[key] = _parse_file_value(parsers[key], raw, key, name)
         return out
 
     return (
@@ -241,7 +248,7 @@ def _build_config(args) -> tuple:
 
 def _run_value(file_run: dict, args, name: str, parse, default):
     if name in file_run:
-        return parse(file_run[name])
+        return _parse_file_value(parse, file_run[name], name, "run")
     v = getattr(args, name, None)
     return default if v is None else v
 

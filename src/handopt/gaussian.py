@@ -9,7 +9,10 @@ Gauss-Legendre quadrature in 3, Monte Carlo above), and through a family of
 cheaper approximations used when the event dimension grows. The Simpson rule
 is a local port of scipy's composite rule, bit-identical to it, so that the
 only scipy subpackage the module imports is scipy.special (ndtr); the others
-cost several tenths of a second at every start-up.
+cost several tenths of a second at every start-up. The Monte Carlo sampler
+visits the coordinates in ascending order of their marginal box probability
+and draws a coordinate only for the samples still inside the box, so a
+sample that has left the box draws nothing more.
 
 Coordinates are addressed by labels: ("y", t) for the gap at sample t and
 ("p", s, t) for BS s received power at sample t. Events are conjunctions of
@@ -34,8 +37,8 @@ from .estimators import weight_block
 _WINDOW_SD = 8.5
 _MC_CHUNK = 200_000
 _DEGENERATE_VAR = 1e-30
-# Points per block of the 3-dim quadrature: its temporaries stay below those
-# of one Monte Carlo chunk (_MC_CHUNK draws of at least 4 coordinates).
+# Points per block of the 3-dim quadrature: each of its temporaries is at
+# most 2 MiB.
 _QUAD_BLOCK = 1 << 18
 
 # Reported absolute-error figures for the deterministic branches.
@@ -332,18 +335,42 @@ def _cholesky_jittered(Sigma):
 
 
 def _mc_box_prob(mu, Sigma, lo, hi, n_samples, seed):
-    L, jittered = _cholesky_jittered(Sigma)
+    """Hit-or-miss Monte Carlo of Pr[lo < x <= hi], x ~ N(mu, Sigma).
+
+    The coordinates are visited in ascending order of their marginal box
+    probability (stable sort, so the order depends only on the box), and
+    x = mu + L z with L the Cholesky factor of the reordered covariance.
+    Because L is lower-triangular, x_j reads only z_0..z_j: each chunk draws
+    z_j only for the samples still inside the box after coordinates
+    0..j-1 and drops the rest. A rejected sample draws nothing more, and
+    the hit count is Binomial(n_samples, p) as if every coordinate were
+    drawn. The reported stderr is the binomial one.
+    """
+    sd = np.sqrt(np.diag(Sigma))
+    order = np.argsort(ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd), kind="stable")
+    mu, lo, hi = mu[order], lo[order], hi[order]
+    L, jittered = _cholesky_jittered(Sigma[np.ix_(order, order)])
     k = mu.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = 0
     done = 0
     while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        z = rng.standard_normal((m, k))
-        x = mu + z @ L.T
-        inside = np.all((lo < x) & (x <= hi), axis=1)
-        hits += int(inside.sum())
-        done += m
+        alive = min(_MC_CHUNK, n_samples - done)
+        done += alive
+        z = []  # z_0..z_j of the samples still inside
+        for j in range(k):
+            z.append(rng.standard_normal(alive))
+            x = L[j, j] * z[j]
+            for i in range(j):
+                x += L[j, i] * z[i]
+            x += mu[j]
+            inside = (lo[j] < x) & (x <= hi[j])
+            alive = int(np.count_nonzero(inside))
+            if alive == 0:
+                break
+            if j + 1 < k:
+                z = [c[inside] for c in z]
+        hits += alive
     p = hits / n_samples
     # Clip only inside the stderr so an empty count still reports a usable
     # scale instead of a zero-width interval.
@@ -506,6 +533,16 @@ def _quad_dim3(mu, Sigma, lo, hi):
     return total
 
 
+def _check_mc_args(mc_samples, seed):
+    """The Monte Carlo arguments, checked whatever the event's dimension."""
+    if isinstance(mc_samples, bool) or not isinstance(mc_samples, (int, np.integer)):
+        raise ConfigurationError(f"mc_samples must be an integer, not {mc_samples!r}")
+    if mc_samples < 10_000:
+        raise ConfigurationError("mc_samples must be at least 10000")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, not {seed!r}")
+
+
 def exact_prob(
     gv: GaussianVector,
     ev: EventSpec,
@@ -521,11 +558,16 @@ def exact_prob(
     over x0 and x1, each segmented at the steps of its integrand, with the
     conditional normal CDF of x2 inside (_quad_dim3). These report a
     conservative absolute-error figure; higher dimensions fall back to
-    chunked Monte Carlo with a binomial standard error. Near-zero-variance
-    coordinates are resolved as deterministic memberships first.
+    chunked hit-or-miss Monte Carlo over mc_samples draws with a binomial
+    standard error (_mc_box_prob). It orders the coordinates by ascending
+    marginal box probability and draws each one only for the samples still
+    inside the box. A fixed seed gives a fixed estimate, which does not
+    depend on the order of the event's labels unless two marginal box
+    probabilities tie. Near-zero-variance coordinates are resolved
+    as deterministic memberships first. mc_samples (an int >= 10000) and
+    seed (a nonnegative int) are checked in every dimension.
     """
-    if mc_samples < 10_000:
-        raise ConfigurationError("mc_samples must be at least 10000")
+    _check_mc_args(mc_samples, seed)
     if len(ev) == 0:
         return ProbResult(1.0, 0.0, "closed-form")
     mu, Sigma, lo, hi = _match_event(gv, ev)
@@ -564,6 +606,7 @@ def approx1(
     """
     if group_size < 1:
         raise ConfigurationError("group_size must be at least 1")
+    _check_mc_args(mc_samples, seed)
     k = len(ev)
     if group_size >= k:
         return exact_prob(gv, ev, mc_samples, seed)

@@ -235,6 +235,30 @@ def test_ini_run_section_rejects_keys_the_command_does_not_read(
     assert json.loads(err)["error"]["code"] == "config"
 
 
+@pytest.mark.parametrize(
+    "command,section,key,value",
+    [
+        (["simulate"], "run", "trials", "12.9"),
+        (["accuracy", "--instances", "1"], "run", "mc_samples", "20000.5"),
+        (["table", "--trials", "2"], "run", "speeds", "5,abc"),
+        (["simulate", "--trials", "2"], "scenario", "n_w", "4.5"),
+    ],
+)
+def test_ini_malformed_values_exit_2_naming_the_key(
+    tmp_path, capsys, command, section, key, value
+):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    rc, out, err = run_main(
+        capsys, command + ["--preset", "vehicular-two-cell", "--config", str(ini)]
+    )
+    assert rc == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "config"
+    assert repr(key) in error["message"]
+
+
 def test_flags_override_preset(tmp_path, capsys):
     from dataclasses import replace
 

@@ -216,9 +216,9 @@ def test_exact_method_is_seed_deterministic():
 @pytest.mark.parametrize(
     "depth, b_init, digest",
     [
-        (15, 0, "7990db45f7c6ba4e3aec3834d4d17d40665e23c42486b5b7f6a554d9fc2bbbd9"),
-        (2, 0, "dcae88646e1832db59adecc8fcf878ff972ca0e21b7f9c9762c54af4464fbad7"),
-        (2, 1, "222c8fba204bac94b083633098d595cb2ece865babb917262421764f2a71a775"),
+        (15, 0, "295e66ebcde07f993f0e9559ec5476796e1426b07c4510a24e54fee19dcdfc60"),
+        (2, 0, "7e627284dc98b588cc6f9c29ddb54ee36ccf1e2d5bf0f38b1361950478ac0369"),
+        (2, 1, "e620a3c984833a9be5c53acc5e3d2b88d391e79d4f4c534f09f138cdbc5e698f"),
     ],
 )
 def test_exact_series_are_pinned(depth, b_init, digest):
