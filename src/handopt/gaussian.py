@@ -47,6 +47,8 @@ _STDERR_QUAD = 1e-6
 
 # Gauss-Legendre rule of every bvn_cdf_lattice and 3-dim quadrature segment.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Node-columns (x nodes times ys entries) per bvn_cdf_lattice chunk.
+_LATTICE_CHUNK = 1 << 14
 
 # Samples per GapProcess block law, and the samples consecutive blocks share:
 # the longest trellis window spans horizon + 1 <= 13 samples.
@@ -150,6 +152,16 @@ class GaussianVector:
     def _index(self) -> dict:
         return {l: i for i, l in enumerate(self.labels)}
 
+    def positions(self, labels) -> np.ndarray:
+        """The coordinate index of each label, in the given order."""
+        return self._lookup([_as_label(l) for l in labels])
+
+    def _lookup(self, labels) -> np.ndarray:
+        try:
+            return np.array([self._index[l] for l in labels], dtype=np.intp)
+        except KeyError as exc:
+            raise ConfigurationError(f"label {exc.args[0]} not in vector") from exc
+
     def subset(self, labels) -> "GaussianVector":
         """The marginal law of the given distinct labels, in their order.
 
@@ -159,10 +171,7 @@ class GaussianVector:
         construction from the same mean, covariance and labels.
         """
         labels = tuple(_as_label(l) for l in labels)
-        try:
-            idx = np.array([self._index[l] for l in labels], dtype=np.intp)
-        except KeyError as exc:
-            raise ConfigurationError(f"label {exc.args[0]} not in vector") from exc
+        idx = self._lookup(labels)
         if len(set(labels)) != len(labels):
             raise ConfigurationError("labels must be distinct")
         out = object.__new__(GaussianVector)
@@ -709,10 +718,10 @@ class GapProcess:
     y_stats call, so consecutive blocks overlap by _BLOCK_OVERLAP samples and
     every span of at most _BLOCK_OVERLAP + 1 samples lies inside the block of
     its first sample. Windows of one block are index slices of one law, so
-    equal coordinates carry bit-equal moments in every window. The object
-    keeps the block it built last, with a memo dict (block_memo) that lives
-    exactly as long: callers that walk the trace in order build each block
-    and each value they derive from it once.
+    equal coordinates carry bit-equal moments in every window, and a caller
+    that stacks the windows of one block can deduplicate what it derives
+    from them by their bytes. The object keeps the block it built last:
+    callers that walk the trace in order build each block once.
     """
 
     def __init__(self, table0, table1, channels, distances_m, step_m):
@@ -725,7 +734,7 @@ class GapProcess:
             raise ConfigurationError("distances_m must be [2, N]")
         self._joints = {}
         self._probs = {}
-        self._block = None  # (block index, law, memo) of the last block built
+        self._block = None  # (block index, law) of the last block built
 
     @property
     def n_samples(self) -> int:
@@ -743,15 +752,14 @@ class GapProcess:
             check=check,
         )
 
-    def _block_of(self, n: int):
-        """(index, law, memo) of the block of sample n, built on first use."""
+    def _block_of(self, n: int) -> GaussianVector:
+        """The law of the block of sample n, built on first use."""
         j = n // _BLOCK_SAMPLES
         if self._block is None or self._block[0] != j:
             t0 = j * _BLOCK_SAMPLES
             ts = range(t0, min(t0 + _BLOCK_SAMPLES + _BLOCK_OVERLAP, self.n_samples))
-            law = self.stats(ts, [(s, t) for t in ts for s in (0, 1)], check=False)
-            self._block = (j, law, {})
-        return self._block
+            self._block = (j, self.stats(ts, [(s, t) for t in ts for s in (0, 1)], check=False))
+        return self._block[1]
 
     def block_stats(self, y_times, p_times=()) -> GaussianVector:
         """The law of these coordinates, sliced from the block of the earliest sample.
@@ -763,18 +771,9 @@ class GapProcess:
         times = [int(l[-1]) for l in labels]
         if not times or min(times) < 0 or max(times) >= self.n_samples:
             raise ConfigurationError("block_stats needs samples inside the trace")
-        _, law, _ = self._block_of(min(times))
-        gv = law.subset(labels)
+        gv = self._block_of(min(times)).subset(labels)
         check_psd(gv.Sigma, "joint y/p covariance")
         return gv
-
-    def block_memo(self, n: int) -> dict:
-        """Memo of the block of sample n: it lives as long as that block's law.
-
-        For values a caller derives from windows of the block, so that
-        roots whose windows share coordinates compute them once.
-        """
-        return self._block_of(n)[2]
 
     def joint(self, labels) -> GaussianVector:
         labels = tuple(_as_label(l) for l in labels)
@@ -796,63 +795,122 @@ class GapProcess:
 
 
 def bvn_cdf_lattice(mu, Sigma, xs, ys):
-    """P(X <= x, Y <= y) on the lattice xs × ys for a bivariate Gaussian.
+    """P(X <= x, Y <= y) on the lattice xs × ys for bivariate Gaussians.
+
+    mu [2] and Sigma [2, 2] give one law and an [nx, ny] table; mu [B, 2]
+    and Sigma [B, 2, 2] give B laws over the same lattice and a [B, nx, ny]
+    stack, each table equal bit for bit to the single-law call. The moments
+    must be finite.
 
     Deterministic segmented Gauss-Legendre integration over X with the exact
     conditional normal CDF inside; every lattice value is an integration
     border, so box probabilities assembled from the returned table carry no
     interpolation error (absolute error well under 1e-10). xs must ascend.
-    +-inf entries are allowed in both lattices.
+    +-inf entries are allowed in both lattices; the conditional CDF of a
+    +-inf column is exactly 1 or 0 and is not evaluated.
 
     Segments wider than twice the scale on which the integrand varies, the
     smaller of sd(X) and the conditional sd of Y measured along X
     (s_cond / |beta|), are split into equal sub-segments; this resolves the
     tails outside the lattice at high correlation. The scale is floored at
-    sd(X) / 64 (|rho| near 0.9999), which bounds the node count.
+    sd(X) / 64 (|rho| near 0.9999), which bounds the node count. A stack is
+    integrated in chunks of whole laws holding at most _LATTICE_CHUNK
+    node-columns (nodes times ys entries) each, or one law where a single
+    law holds more, so the temporaries stay small however many laws come.
     """
     mu = np.asarray(mu, dtype=float)
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
+    Sigma = np.asarray(Sigma, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if mu.shape != (2,) or Sigma.shape != (2, 2):
-        raise ConfigurationError("bvn_cdf_lattice needs a bivariate law")
+    single = mu.shape == (2,) and Sigma.shape == (2, 2)
+    if single:
+        mu, Sigma = mu[None], Sigma[None]
+    elif mu.ndim != 2 or mu.shape[1:] != (2,) or Sigma.shape != (mu.shape[0], 2, 2):
+        raise ConfigurationError("bvn_cdf_lattice needs a bivariate law or a stack of them")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(Sigma))):
+        raise ConfigurationError("bvn_cdf_lattice needs finite moments")
     if np.any(np.diff(xs) < 0):
         raise ConfigurationError("xs must be sorted ascending")
-    sx = math.sqrt(max(Sigma[0, 0], _DEGENERATE_VAR))
-    beta = Sigma[1, 0] / max(Sigma[0, 0], _DEGENERATE_VAR)
-    s_cond = math.sqrt(max(Sigma[1, 1] - beta * Sigma[1, 0], 1e-300))
+    n_law, nx, ny = mu.shape[0], xs.size, ys.size
 
-    lo_w = mu[0] - _WINDOW_SD * sx
-    hi_w = mu[0] + _WINDOW_SD * sx
-    inside = (xs > lo_w) & (xs < hi_w)
-    borders = np.concatenate(([lo_w], xs[inside], [hi_w]))
+    var_x = np.maximum(Sigma[:, 0, 0], _DEGENERATE_VAR)
+    sx = np.sqrt(var_x)
+    beta = Sigma[:, 1, 0] / var_x
+    s_cond = np.sqrt(np.maximum(Sigma[:, 1, 1] - beta * Sigma[:, 1, 0], 1e-300))
+    lo_w = mu[:, 0] - _WINDOW_SD * sx
+    hi_w = mu[:, 0] + _WINDOW_SD * sx
+    inside = (xs > lo_w[:, None]) & (xs < hi_w[:, None])
+    with np.errstate(divide="ignore"):
+        scale = np.where(np.abs(beta) * sx <= s_cond, sx, s_cond / np.abs(beta))
+    step = 2.0 * np.maximum(scale, sx / 64.0)
 
-    scale = sx if abs(beta) * sx <= s_cond else s_cond / abs(beta)
-    width = borders[1:] - borders[:-1]
-    n_sub = np.maximum(np.ceil(width / (2.0 * max(scale, sx / 64.0))), 1.0).astype(int)
-    # first[i]: position of borders[i] among the refined borders
+    # law b's borders are lo_w, its xs inside the window and hi_w; the
+    # segments of every law lie end to end in one flat array
+    n_seg = inside.sum(axis=1) + 1
+    ends_kept = np.ones((n_law, 1), bool)
+    keep = np.concatenate([ends_kept, inside, ends_kept], axis=1)
+    borders = np.concatenate(
+        [lo_w[:, None], np.broadcast_to(xs, (n_law, nx)), hi_w[:, None]], axis=1
+    )[keep]
+    seg_law = np.repeat(np.arange(n_law), n_seg)
+    seg0 = np.concatenate(([0], np.cumsum(n_seg)))  # first segment of each law
+    left_at = np.arange(seg_law.size) + seg_law  # border index of each segment's left end
+    left = borders[left_at]
+    width = borders[left_at + 1] - left
+    n_sub = np.maximum(np.ceil(width / step[seg_law]), 1.0).astype(int)
+    # first[i]: position of segment i's left border among the refined borders
     first = np.concatenate(([0], np.cumsum(n_sub)))
-    seg = np.repeat(np.arange(width.size), n_sub)
-    frac = (np.arange(first[-1]) - first[seg]) / n_sub[seg]
-    fine = np.append(borders[seg] + width[seg] * frac, borders[-1])
+    sub0 = first[seg0]  # first sub-segment of each law
 
-    half = 0.5 * (fine[1:] - fine[:-1])
-    mid = 0.5 * (fine[1:] + fine[:-1])
-    x_nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w_nodes = half[:, None] * _GL_WEIGHTS[None, :]
-
-    flat_x = x_nodes.ravel()
-    dens = np.exp(-0.5 * ((flat_x - mu[0]) / sx) ** 2) / (sx * math.sqrt(2 * math.pi))
-    m_cond = mu[1] + beta * (flat_x - mu[0])
-    with np.errstate(invalid="ignore"):
-        z = (ys[None, :] - m_cond[:, None]) / s_cond
-    inner = ndtr(np.where(np.isnan(z), -np.inf, z))
-    part = ((dens * w_nodes.ravel())[:, None] * inner).reshape(
-        fine.size - 1, _GL_NODES.size, ys.size
-    ).sum(axis=1)
-    cum = np.vstack([np.zeros(ys.size), np.cumsum(part, axis=0)])
-
+    n_fine = sub0[1:] - sub0[:-1]  # sub-segments of each law
     # rows below the window read cum[0] = 0, rows above it the total
-    row = np.where(xs >= hi_w, first[-1], 0)
-    row[inside] = first[1:-1]
-    return cum[row]
+    row = np.where(xs >= hi_w[:, None], n_fine[:, None], 0)
+    rank = np.cumsum(inside, axis=1)
+    row[inside] = (first[seg0[:-1, None] + rank] - sub0[:-1, None])[inside]
+
+    # every sub-segment: its law, its place in the law and its ends; one
+    # ends where the next begins, the last of a law at hi_w
+    seg = np.repeat(np.arange(n_sub.size), n_sub)
+    law = seg_law[seg]
+    place = np.arange(seg.size) - sub0[law]
+    fine = left[seg] + width[seg] * ((np.arange(seg.size) - first[seg]) / n_sub[seg])
+    right = np.append(fine[1:], 0.0)
+    right[sub0[1:] - 1] = hi_w
+    half = 0.5 * (right - fine)
+    mid = 0.5 * (right + fine)
+
+    out = np.empty((n_law, nx, ny))
+    finite = np.isfinite(ys)
+    edge = (ys[~finite] == np.inf).astype(float)
+    size = np.maximum(n_fine * _GL_NODES.size * ny, 1)  # node-columns of each law
+    ends = np.cumsum(size)
+    b0 = 0
+    while b0 < n_law:
+        b1 = int(np.searchsorted(ends, ends[b0] - size[b0] + _LATTICE_CHUNK, "right"))
+        b1 = max(b1, b0 + 1)
+        sub = slice(sub0[b0], sub0[b1])
+        lw = law[sub]
+        x_nodes = mid[sub, None] + half[sub, None] * _GL_NODES[None, :]
+        w_nodes = half[sub, None] * _GL_WEIGHTS[None, :]
+        # law parameters per sub-segment, broadcast over its nodes
+        sxl = sx[lw, None]
+        dx = x_nodes - mu[lw, 0, None]
+        dens = np.exp(-0.5 * (dx / sxl) ** 2) / (sxl * math.sqrt(2 * math.pi))
+        m_cond = mu[lw, 1, None] + beta[lw, None] * dx
+        z = (ys[finite] - m_cond[:, :, None]) / s_cond[lw, None, None]
+        if edge.size:
+            inner = np.empty(z.shape[:2] + (ny,))
+            inner[:, :, finite] = ndtr(z)
+            inner[:, :, ~finite] = edge
+        else:
+            inner = ndtr(z)
+        part = ((dens * w_nodes)[:, :, None] * inner).sum(axis=1)
+
+        # one zero-padded running sum per law: padding after a law's last
+        # sub-segment is never read
+        cum = np.zeros((b1 - b0, int(n_fine[b0:b1].max()) + 1, ny))
+        cum[lw - b0, place[sub] + 1] = part
+        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+        out[b0:b1] = cum[np.arange(b1 - b0)[:, None], row[b0:b1]]
+        b0 = b1
+    return out[0] if single else out

@@ -52,6 +52,7 @@ from .channel import sample_power, trial_generators
 from .errors import ConfigurationError
 from .estimators import coefficient_table, estimate_series, window_estimates
 from .gaussian import (
+    _BLOCK_SAMPLES,
     EventSpec,
     GapProcess,
     approx1,
@@ -244,8 +245,10 @@ def opt_margin_tables(
 
     Each cell pair keeps one GapProcess for the whole call, and every root
     reads its window from that process's block law (GapProcess.block_stats).
-    The roots of one block share the block's memo, so each outage lattice
-    table of a (pair, block, sample, cell) is built once for all of them.
+    The roots are solved in one solve_group call per (cell pair, block), so
+    the stage tables of all their windows take one stacked build, in which
+    each outage lattice table of a (pair, block, sample, cell) is
+    integrated once.
     """
     policies = list(policies)
     for p in policies:
@@ -274,19 +277,24 @@ def opt_margin_tables(
     if not policies or n_samples < 2:
         return out
 
-    for t in range(1, n_samples):
-        root_n = t - 1
-        m = min(config.horizon, n_samples - 1 - root_n)
-        process = process_for(*pair[:, root_n].tolist())
-        stats = _window_stats(process, root_n, m)
-        problems = [
-            _trellis_problem(config, stats, m, root_b, p)
-            for p in policies
-            for root_b in (0, 1)
-        ]
-        sols = solve_group(problems, process.block_memo(root_n))
-        for i, p in enumerate(policies):
-            out[p][t] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
+    roots = {}  # (cell pair, block) -> its root samples, in trace order
+    for n, (a, b) in enumerate(pair[:, :-1].T.tolist()):
+        roots.setdefault((a, b, n // _BLOCK_SAMPLES), []).append(n)
+    for (a, b, _), ns in roots.items():
+        process = process_for(a, b)
+        problems = []
+        for n in ns:
+            m = min(config.horizon, n_samples - 1 - n)
+            stats = _window_stats(process, n, m)
+            problems += [
+                _trellis_problem(config, stats, m, root_b, p)
+                for p in policies
+                for root_b in (0, 1)
+            ]
+        sols = iter(solve_group(problems))
+        for n in ns:
+            for p in policies:
+                out[p][n + 1] = (next(sols).h_first, next(sols).h_first)
     return out
 
 

@@ -40,6 +40,7 @@ from .errors import ConfigurationError, DegenerateConditioningError
 from .gaussian import (
     EventSpec,
     GapProcess,
+    _check_mc_args,
     gap_above,
     gap_below,
     gap_inside,
@@ -58,7 +59,9 @@ def _h_lookup(h_series, n_last: int) -> np.ndarray:
     return h[: n_last + 1]
 
 
-def _check_chain_args(process: GapProcess, n_last: int, depth: int, b_init: int, method: str):
+def _check_chain_args(
+    process: GapProcess, n_last: int, depth: int, b_init: int, method: str, mc_samples, seed
+):
     """Reject bad series arguments before any box probability is evaluated."""
     if not 0 <= n_last < process.n_samples:
         raise ConfigurationError(
@@ -70,6 +73,7 @@ def _check_chain_args(process: GapProcess, n_last: int, depth: int, b_init: int,
         raise ConfigurationError("b_init must be 0 or 1")
     if method not in ("exact", "pairwise"):
         raise ConfigurationError(f"unknown method {method!r}")
+    _check_mc_args(mc_samples, seed)
 
 
 def _term_seed(base_seed: int, constraints) -> int:
@@ -201,7 +205,7 @@ def connection_series(
     the paper's Pr[b(n) = 1] law, which the handover and outage series
     condition on.
     """
-    _check_chain_args(process, n_last, depth, b_init, method)
+    _check_chain_args(process, n_last, depth, b_init, method, mc_samples, seed)
     h = _h_lookup(h_series, n_last)
     return _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
 
@@ -218,7 +222,7 @@ def handover_series(
     seed: int = 0,
 ):
     """Arrays (p_h01, p_h10, stderr) of switch probabilities at 0..n_last."""
-    _check_chain_args(process, n_last, depth, b_init, method)
+    _check_chain_args(process, n_last, depth, b_init, method, mc_samples, seed)
     h = _h_lookup(h_series, n_last)
     conn = _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
     p01 = np.zeros(n_last + 1)
@@ -264,7 +268,7 @@ def outage_series(
     seed: int = 0,
 ):
     """Arrays (p_o0, p_o1, p_o, p_o_mixture, stderr) at samples 0..n_last."""
-    _check_chain_args(process, n_last, depth, b_init, method)
+    _check_chain_args(process, n_last, depth, b_init, method, mc_samples, seed)
     if not math.isfinite(threshold_db):
         raise ConfigurationError("threshold_db must be finite")
     h = _h_lookup(h_series, n_last)

@@ -42,18 +42,22 @@ condition on the root box only, so each stage needs just one root-edge
 table: the CDF of (y_l, y_0) on the margin lattice × the edges of both
 root states' stay boxes (+-root_margin, +-inf), integrated over y_l, whose
 lattice borders lie one grid step apart. The tables read only the stats
-window, the grid, the root margin and the outage threshold, so solve_group
-builds them once per window and shares them across both root states and
-every objective. The outage tables of a stage do not read the root at all,
-so tables over windows sliced from one GapProcess block share them through
-the block's memo.
+window, the grid, the root margin and the outage threshold, so one build
+serves both root states and every objective. solve_group builds the tables
+of all its problems' windows in one stacked pass: one row range per
+window, one stacked bvn_cdf_lattice call per table kind, and one per-edge
+scan per objective setting over every row. The outage tables of a stage
+do not read the root at all, and windows sliced from one GapProcess block
+carry bit-equal moments for equal coordinates, so the stacked pass over
+the roots of one block integrates each distinct outage law once. solve()
+then only ranks its root's paths from the cached per-edge rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -217,172 +221,211 @@ def _stay_box(u: int, h: float):
     return (-h, math.inf) if u == 0 else (-math.inf, h)
 
 
-class _StageTables:
-    """Lattice tables and stage grids of one stats window: the optimizer's one backend.
+class _StackedTables:
+    """Lattice tables and stage grids of many stats windows, stacked by row.
 
-    The tables read only the stats window and its times, the margin grid,
-    the root margin and the outage threshold, so one object serves both
-    root states and every objective over that window. Every stage quantity
-    is a ratio of one- or two-dimensional Gaussian boxes. The lattice holds
-    every margin value the search can query (plus the root margin and
-    +-inf), so each box is an exact difference of lattice CDFs: F holds the
-    marginal normal CDFs of y_0..y_m, and bvn_cdf_lattice the pair CDFs.
-    The pair quantities condition only on the root box, so each stage keeps
-    one root-edge table: the joint CDF of (y_l, y_0) on the lattice × the
-    edges of both root states' stay boxes, integrated over y_l, whose
-    lattice borders lie one grid step apart. hc is indexed by root state,
-    stage and edge, oc and po by stage and edge, which is all solve()'s
-    per-edge scan reads.
+    windows lists (stats, times) pairs, which share the margin grid, the
+    root margin and the outage threshold. Row q holds one sample of one
+    window: window w owns rows row0[w] .. row0[w] + m_w, its root sample
+    first, so its slice has the layout of one window's tables: F[q, x] is the normal CDF of its y at
+    lattice[x], hc[root_b, q, u, i] the stage switch probability from u at
+    margin grid[i] given the root state's stay box, oc[q, u_from, u_to, i]
+    the outage of the branch's serving cell given the stage's own gap
+    event, and po[q, u_from, i] the stage outage with both branches
+    charged. Root rows of hc, oc and po are zero. root_degenerate[w, root_b]
+    marks a root box without mass, where hc falls back to the unconditional
+    stage switch probability.
 
-    The outage lattice tables U (the CDF of (y_l, p_s(t_l)) on the lattice ×
-    the threshold) do not read the root. outage_memo holds them keyed by
-    everything they read: the bivariate law's bytes, the lattice and the
-    threshold. Windows sliced from one GapProcess block carry bit-equal
-    moments for equal coordinates, so tables over the windows of one block
-    that share the block's memo (GapProcess.block_memo) build each U once.
+    Every stage quantity is a ratio of one- or two-dimensional Gaussian
+    boxes whose edges are lattice values, so each is an exact difference of
+    lattice CDFs. The pair laws are read out of each window by index: the
+    root-edge laws (y_l, y_0), whose CDFs on the lattice × the edges of both
+    root states' stay boxes give hc, and the outage laws (y_l, p_s(t_l)),
+    whose CDFs on the lattice × the threshold give oc. Each kind takes one
+    stacked bvn_cdf_lattice call over its distinct laws.
     """
 
-    def __init__(self, stats, times, grid, root_margin, outage_threshold_db, outage_memo):
-        m = len(times) - 1
+    def __init__(self, windows, grid, root_margin, outage_threshold_db):
         k = grid.size
         self.grid = grid
         finite = np.unique(np.concatenate([-grid, grid, [-root_margin, root_margin]]))
         self.lattice = np.concatenate(([-np.inf], finite, [np.inf]))
-        self._pos = {v: i for i, v in enumerate(self.lattice)}
-
-        y_labels = [("y", t) for t in times]
-        ys = stats.subset(y_labels)
-        mu = ys.mu
-        sd = np.sqrt(np.maximum(np.diag(ys.Sigma), 0.0))
-        with np.errstate(invalid="ignore"):
-            z = (self.lattice[None, :] - mu[:, None]) / np.maximum(sd[:, None], 1e-150)
-        self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
         root_edges = np.unique([-np.inf, -root_margin, root_margin, np.inf])
-        rpos = {v: i for i, v in enumerate(root_edges)}
-        # R[l][x, y] = P(y_l <= lattice[x], y_0 <= root_edges[y])
-        R = {}
-        for l in range(1, m + 1):
-            gv = stats.subset([y_labels[l], y_labels[0]])
-            R[l] = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, root_edges)
-        ineg = np.fromiter((self._pos[-v] for v in grid), int, k)
-        ipos = np.fromiter((self._pos[v] for v in grid), int, k)
+        beta = outage_threshold_db
+
+        # per window: its y coordinates, then both powers at each stage
+        n_rows = [len(times) for _, times in windows]
+        self.row0 = np.concatenate(([0], np.cumsum(n_rows)))
+        mu_y, var_y, pair_mu, pair_Sigma = [], [], [], []
+        for (stats, times), n in zip(windows, n_rows):
+            idx = stats.positions(
+                [("y", t) for t in times] + [("p", s, t) for t in times[1:] for s in (0, 1)]
+            )
+            iy, ip = idx[:n], idx[n:].reshape(n - 1, 2)
+            # pairs[l - 1]: (y_l, y_0), (y_l, p_0(t_l)), (y_l, p_1(t_l))
+            partner = np.column_stack([np.full(n - 1, iy[0]), ip])
+            pairs = np.stack(np.broadcast_arrays(iy[1:, None], partner), axis=-1)
+            mu_y.append(stats.mu[iy])
+            var_y.append(stats.Sigma[iy, iy])
+            pair_mu.append(stats.mu[pairs])
+            pair_Sigma.append(stats.Sigma[pairs[..., :, None], pairs[..., None, :]])
+        mu_y = np.concatenate(mu_y)
+        sd = np.sqrt(np.maximum(np.concatenate(var_y), 0.0))
+        with np.errstate(invalid="ignore"):
+            z = (self.lattice[None, :] - mu_y[:, None]) / np.maximum(sd[:, None], 1e-150)
+        self.F = ndtr(np.where(np.isnan(z), -np.inf, z))
+
+        stage = np.setdiff1d(np.arange(self.row0[-1]), self.row0[:-1])
+        pair_mu, pair_Sigma = np.concatenate(pair_mu), np.concatenate(pair_Sigma)
+        # R[j, x, e] = P(y_l <= lattice[x], y_0 <= root_edges[e]) of stage row j
+        R = _lattice_tables(pair_mu[:, 0], pair_Sigma[:, 0], self.lattice, root_edges)
+        # U[j, s, x] = P(y_l <= lattice[x], p_s(t_l) <= beta)
+        U = _lattice_tables(
+            pair_mu[:, 1:].reshape(-1, 2), pair_Sigma[:, 1:].reshape(-1, 2, 2),
+            self.lattice, np.array([beta]),
+        ).reshape(-1, 2, self.lattice.size)
+        Fs = self.F[stage]
+
+        pos = lambda v: np.searchsorted(self.lattice, v)
+        ineg, ipos = pos(-grid), pos(grid)
         zeros = np.zeros(k, dtype=int)
         last = np.full(k, self.lattice.size - 1, dtype=int)
-        # box_idx[u, switch]: (lo, hi) lattice index vectors over the margin grid
-        box_idx = {
-            (0, True): (zeros, ineg),
-            (1, True): (ipos, last),
-            (0, False): (ineg, last),
-            (1, False): (zeros, ipos),
-        }
+        # (lo, hi) lattice index vectors over the grid, [u] of the switch
+        # box leaving u and [u_from, u_to] of the branch box
+        sw_lo, sw_hi = np.stack([zeros, ipos]), np.stack([ineg, last])
+        br_lo = np.stack([np.stack([ineg, zeros]), np.stack([ipos, zeros])])
+        br_hi = np.stack([np.stack([last, ineg]), np.stack([last, ipos])])
 
-        # hc[root_b, l, u, i]: P(stage l switches away from u at margin g[i]
-        # | the stay box of root state root_b)
-        self.hc = np.zeros((2, m + 1, 2, k))
-        self.root_degenerate = np.zeros(2, dtype=bool)
+        self.hc = np.zeros((2, self.row0[-1], 2, k))
+        self.root_degenerate = np.zeros((len(windows), 2), dtype=bool)
+        row_window = np.repeat(np.arange(len(windows)), n_rows)[stage]
         for root_b in (0, 1):
-            root_box = _stay_box(root_b, root_margin)
-            root_p = self._single(0, root_box)
-            self.root_degenerate[root_b] = root_p < _COND_FLOOR
-            r1, r2 = rpos[root_box[0]], rpos[root_box[1]]
-            for l in range(1, m + 1):
-                for u in (0, 1):
-                    lo, hi = box_idx[u, True]
-                    if self.root_degenerate[root_b]:
-                        self.hc[root_b, l, u] = self.F[l, hi] - self.F[l, lo]
-                    else:
-                        box = R[l][hi, r2] - R[l][lo, r2] - R[l][hi, r1] + R[l][lo, r1]
-                        self.hc[root_b, l, u] = box / root_p
+            lo, hi = _stay_box(root_b, root_margin)
+            root_p = self.F[self.row0[:-1], pos(hi)] - self.F[self.row0[:-1], pos(lo)]
+            self.root_degenerate[:, root_b] = degenerate = root_p < _COND_FLOOR
+            r1, r2 = np.searchsorted(root_edges, [lo, hi])
+            box = R[:, sw_hi, r2] - R[:, sw_lo, r2] - R[:, sw_hi, r1] + R[:, sw_lo, r1]
+            marginal = Fs[:, sw_hi] - Fs[:, sw_lo]
+            self.hc[root_b, stage] = np.where(
+                degenerate[row_window, None, None],
+                marginal,
+                box / np.where(degenerate, 1.0, root_p)[row_window, None, None],
+            )
 
-        # oc[l][u_from, u_to, i]: outage of the branch's serving BS (u_to)
-        # conditional on the stage's own gap event (same-sample conditioning)
-        self.oc = np.zeros((m + 1, 2, 2, k))
-        beta = outage_threshold_db
-        lattice_key = self.lattice.tobytes()
-        for l in range(1, m + 1):
-            for u_to in (0, 1):
-                # U[x] = P(y_l <= lattice[x], p_{u_to}(t_l) <= beta),
-                # integrated over y_l like R
-                gv = stats.subset([y_labels[l], ("p", u_to, times[l])])
-                key = (gv.mu.tobytes(), gv.Sigma.tobytes(), lattice_key, beta)
-                U = outage_memo.get(key)
-                if U is None:
-                    U = bvn_cdf_lattice(gv.mu, gv.Sigma, self.lattice, np.array([beta]))[:, 0]
-                    outage_memo[key] = U
-                p_marg = _outage_marginal(stats, times[l], u_to, beta)
-                for u_from in (0, 1):
-                    lo, hi = box_idx[u_from, u_to != u_from]
-                    num = U[hi] - U[lo]
-                    den = self.F[l, hi] - self.F[l, lo]
-                    self.oc[l, u_from, u_to] = np.where(
-                        den < _COND_FLOOR, p_marg, num / np.maximum(den, _COND_FLOOR)
-                    )
-
-        # po[l][u_from, i]: stage outage probability, both branch
-        # conditionals charged (u_to = u_from stays, u_to = 1 - u_from
-        # switches, so summing over u_to covers exactly the two branches)
+        # a branch box without mass falls back to the marginal outage
+        p_marg = _outage_marginal(pair_mu[:, 1:, 1], pair_Sigma[:, 1:, 1, 1], beta)
+        u_to = np.arange(2)[:, None]
+        num = U[:, u_to, br_hi] - U[:, u_to, br_lo]
+        den = Fs[:, br_hi] - Fs[:, br_lo]
+        self.oc = np.zeros((self.row0[-1], 2, 2, k))
+        self.oc[stage] = np.where(
+            den < _COND_FLOOR, p_marg[:, None, :, None], num / np.maximum(den, _COND_FLOOR)
+        )
+        # u_to = u_from stays, u_to = 1 - u_from switches, so summing over
+        # u_to charges exactly the two branches
         self.po = self.oc.sum(axis=2)
 
-    def _single(self, l: int, box) -> float:
-        """P(y_l in box) for a box with lattice edges."""
-        return float(self.F[l, self._pos[box[1]]] - self.F[l, self._pos[box[0]]])
 
-
-def _outage_marginal(stats, t: int, s: int, threshold: float) -> float:
-    """P(p_s(t) <= threshold), the fallback of a degenerate stage box."""
-    i = stats.labels.index(("p", s, t))
-    return float(ndtr((threshold - stats.mu[i]) / max(math.sqrt(stats.Sigma[i, i]), 1e-150)))
-
-
-def _table_inputs(problem: TrellisProblem) -> tuple:
-    """The _StageTables arguments: all the stage tables read of a problem."""
-    return (
-        problem.stats,
-        problem.times,
-        problem.grid,
-        problem.root_margin,
-        problem.outage_threshold_db,
+def _lattice_tables(mu, Sigma, xs, ys):
+    """bvn_cdf_lattice of each stacked law, one integration per distinct law bytes."""
+    moments = np.ascontiguousarray(np.concatenate([mu, Sigma.reshape(-1, 4)], axis=1))
+    _, first, inverse = np.unique(
+        moments.view(np.dtype((np.void, moments.itemsize * 6))).ravel(),
+        return_index=True, return_inverse=True,
     )
+    return bvn_cdf_lattice(mu[first], Sigma[first], xs, ys)[inverse.ravel()]
 
 
-def _get_tables(problem: TrellisProblem) -> _StageTables:
-    if "tables" not in problem._cache:
-        problem._cache["tables"] = _StageTables(*_table_inputs(problem), {})
-    return problem._cache["tables"]
+def _outage_marginal(mu, var, threshold):
+    """P(p <= threshold) of powers with these means and variances: the
+    fallback of a degenerate stage box."""
+    return ndtr((threshold - mu) / np.maximum(np.sqrt(var), 1e-150))
 
 
-def _edge_choices(problem: TrellisProblem, tables: _StageTables):
-    """Per-edge margin choice, cap excess and stage cost, each [m, 2, 2].
+def _edge_choices(problem: TrellisProblem, grid, hc, oc, po):
+    """Per-edge margin, cap excess and stage cost, stacked [..., n, 2, 2, 3].
 
-    Entry [l - 1, u_from, u_to] belongs to stage l taken along the edge
-    u_from -> u_to. The margin index is the cheapest one the stage's cap
-    admits; when the cap admits none, it is the minimal-excess index
+    hc [..., n, 2, k], oc [n, 2, 2, k] and po [n, 2, k] hold n stage rows;
+    entry [..., j, u_from, u_to] belongs to row j's stage taken along the
+    edge u_from -> u_to. The margin is the cheapest grid value the stage's
+    cap admits; when the cap admits none, it is the minimal-excess one
     (smallest margin on ties) and the excess is that minimum, else 0.
     """
-    m = problem.horizon
-    k = tables.grid.size
-    hc = tables.hc[problem.root_b]
+    shape = hc.shape[:-2] + (2, 2, hc.shape[-1])
     if problem.objective == "min_handover":
         cost = hc
-        level = tables.oc[1:]
+        level = oc
         cap = problem.p_out_cap
     elif problem.objective == "min_outage":
-        cost = tables.po
-        level = np.broadcast_to(hc[1:, :, None, :], (m, 2, 2, k))
+        cost = po
+        level = hc[..., None, :]
         cap = problem.p_han_cap
     else:
         z = problem.pareto_z
-        cost = z * hc + (1.0 - z) * tables.po
-        level = np.zeros((m, 2, 2, k))  # uncapped: every margin is admitted
+        cost = z * hc + (1.0 - z) * po
+        level = np.zeros(shape)  # uncapped: every margin is admitted
         cap = 1.0
-    cost = np.broadcast_to(cost[1:, :, None, :], (m, 2, 2, k))
+    cost = np.broadcast_to(cost[..., None, :], shape)
+    level = np.broadcast_to(level, shape)
     ok = level <= cap
     over = level - cap
     forced = ~ok.any(axis=-1)
     least = np.argmin(over, axis=-1)
     idx = np.where(forced, least, np.argmin(np.where(ok, cost, np.inf), axis=-1))
     excess = np.where(forced, np.take_along_axis(over, least[..., None], axis=-1)[..., 0], 0.0)
-    return idx, excess, np.take_along_axis(cost, idx[..., None], axis=-1)[..., 0]
+    stage_cost = np.take_along_axis(cost, idx[..., None], axis=-1)[..., 0]
+    return np.stack([grid[idx], excess, stage_cost], axis=-1)
+
+
+def _build_edges(problems) -> None:
+    """Stack the tables of every problem's window and cache its per-edge choices.
+
+    Problems with equal grid, root margin and outage threshold share one
+    _StackedTables, where each distinct stats window owns a row range, and
+    problems with equal objective settings share one per-edge scan of all
+    its rows for both root states. Each problem's cache receives its
+    tables and window ("tables") and its [4m, 3] edge rows ("edges"): row
+    4(l - 1) + 2 u_from + u_to holds stage l's margin, cap excess and
+    stage cost along that edge.
+    """
+    groups = {}
+    for problem in problems:
+        lattice = (problem.h_max, problem.h_step, problem.root_margin)
+        groups.setdefault((*lattice, problem.outage_threshold_db), []).append(problem)
+    for members in groups.values():
+        window_of = {}  # stats object id -> its window's index
+        windows = []
+        for problem in members:
+            if id(problem.stats) not in window_of:
+                window_of[id(problem.stats)] = len(windows)
+                windows.append((problem.stats, problem.times))
+        head = members[0]
+        tables = _StackedTables(windows, head.grid, head.root_margin, head.outage_threshold_db)
+        scans = {}
+        for problem in members:
+            settings = (problem.objective, problem.p_out_cap, problem.p_han_cap, problem.pareto_z)
+            if settings not in scans:
+                scans[settings] = _edge_choices(
+                    problem, tables.grid, tables.hc, tables.oc, tables.po
+                )
+            w = window_of[id(problem.stats)]
+            q = tables.row0[w] + 1
+            edges = scans[settings][problem.root_b, q : q + problem.horizon]
+            problem._cache["tables"] = (tables, w)
+            problem._cache["edges"] = edges.reshape(-1, 3)
+
+
+@lru_cache(maxsize=None)
+def _skeleton(m: int, root_b: int):
+    """Path states [2^m, m], edge-row index [2^m, m] and switch counts of
+    the trellis of depth m rooted at root_b, read-only and shared."""
+    to = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    frm = np.concatenate([np.full((2**m, 1), root_b), to], axis=1)[:, :m]
+    rows = 4 * np.arange(m) + 2 * frm + to
+    n_switches = np.count_nonzero(frm != to, axis=1)
+    for a in (to, rows, n_switches):
+        a.setflags(write=False)
+    return to, rows, n_switches
 
 
 def solve(problem: TrellisProblem) -> TrellisSolution:
@@ -391,24 +434,27 @@ def solve(problem: TrellisProblem) -> TrellisSolution:
     Ranking: feasible before infeasible, then smaller violation, then cost,
     then fewer switches, then lexicographically smaller margin vector; on a
     full tie the first path in itertools.product((0, 1), repeat=m) order of
-    the states wins.
+    the states wins. Reads the problem's cached edge rows, built here for
+    the problem alone when solve_group has not built them.
     """
     m = problem.horizon
-    to = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    frm = np.concatenate([np.full((2**m, 1), problem.root_b), to], axis=1)[:, :m]
-    margins = np.zeros(to.shape)
+    to, rows, n_switches = _skeleton(m, problem.root_b)
     cost = np.zeros(2**m)
     violation = np.zeros(2**m)
     if m:
-        tables = _get_tables(problem)
-        idx, excess, stage_cost = _edge_choices(problem, tables)
-        margins = tables.grid[idx[np.arange(m), frm, to]]
+        if "edges" not in problem._cache:
+            _build_edges([problem])
+        picked = problem._cache["edges"][rows]
+        margins = picked[:, :, 0]
         for l in range(m):
             # stage by stage, so every path's total rounds like a scalar sum
-            cost = cost + stage_cost[l, frm[:, l], to[:, l]]
-            e = excess[l, frm[:, l], to[:, l]]
-            violation = np.where(e > violation, e, violation)
-    n_switches = np.count_nonzero(frm != to, axis=1)
+            cost = cost + picked[:, l, 2]
+        if picked[:, :, 1].any():  # else no edge is forced: every violation is 0
+            for l in range(m):
+                e = picked[:, l, 1]
+                violation = np.where(e > violation, e, violation)
+    else:
+        margins = np.zeros(to.shape)
     order = np.lexsort(
         (*margins.T[::-1], n_switches, cost, violation, violation != 0.0)
     )
@@ -417,28 +463,16 @@ def solve(problem: TrellisProblem) -> TrellisSolution:
     )
 
 
-def solve_group(problems, outage_memo=None):
-    """Solve problems, building one _StageTables per distinct table input.
+def solve_group(problems):
+    """Solve problems after one stacked table build for all of them.
 
-    Problems over the same stats window object, grid, root margin and
-    outage threshold share one table object, whatever their root state and
-    objective. Every table built here reads and fills outage_memo (a fresh
-    dict when None); pass GapProcess.block_memo of the windows' block to
-    share outage tables with the other roots of that block.
+    opt_margin_tables passes every root problem of one (cell pair, block):
+    the tables of all their windows then take one stacked lattice call per
+    table kind, and every solve only ranks its root's paths.
     """
-    problems = list(problems)  # keeps every stats object, so its id, alive
-    memo = {} if outage_memo is None else outage_memo
-    built = {}
-    out = []
-    for pr in problems:
-        if pr.horizon > 0 and "tables" not in pr._cache:
-            stats, times, grid, root_margin, beta = inputs = _table_inputs(pr)
-            key = (id(stats), times, grid.tobytes(), root_margin, beta)
-            if key not in built:
-                built[key] = _StageTables(*inputs, memo)
-            pr._cache["tables"] = built[key]
-        out.append(solve(pr))
-    return out
+    problems = list(problems)
+    _build_edges([p for p in problems if p.horizon > 0 and "edges" not in p._cache])
+    return [solve(p) for p in problems]
 
 
 def problem_from_process(

@@ -34,6 +34,7 @@ from handopt import (
     sample_power,
     y_stats,
 )
+from handopt import gaussian
 from handopt.gaussian import (
     _match_event,
     _mc_box_prob,
@@ -586,6 +587,66 @@ def test_bvn_lattice_resolves_the_tails_at_high_correlation():
             epsabs=1e-15, epsrel=1e-13, limit=400,
         )[0]
         assert T[i, j] == pytest.approx(want, abs=1e-10)
+
+
+def bivariate_laws(draw, n):
+    """n bivariate laws with |rho| up to 1 - 1e-12 and sd(X) down to 1e-6."""
+    mu = np.array([[draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))] for _ in range(n)])
+    Sigma = np.empty((n, 2, 2))
+    for b in range(n):
+        sx = 10.0 ** draw(st.floats(-6.0, 1.2))
+        sy = 10.0 ** draw(st.floats(-3.0, 1.2))
+        rho = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - 10.0 ** draw(st.floats(-12.0, 0.0)))
+        Sigma[b] = [[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]]
+    return mu, Sigma
+
+
+def lattice_axis(draw, size):
+    """An ascending lattice of finite points, with or without +-inf ends."""
+    pts = sorted(draw(st.lists(st.floats(-30.0, 30.0), min_size=size[0], max_size=size[1])))
+    lo = [-INF] if draw(st.booleans()) else []
+    hi = [INF] if draw(st.booleans()) else []
+    return np.array(lo + pts + hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_bvn_lattice_equals_the_per_law_calls(data):
+    n = data.draw(st.integers(1, 6))
+    mu, Sigma = bivariate_laws(data.draw, n)
+    xs = lattice_axis(data.draw, (0, 40))
+    ys = lattice_axis(data.draw, (0, 5))
+    stacked = bvn_cdf_lattice(mu, Sigma, xs, ys)
+    assert stacked.shape == (n, xs.size, ys.size)
+    for b in range(n):
+        T = bvn_cdf_lattice(mu[b], Sigma[b], xs, ys)
+        assert stacked[b].tobytes() == T.tobytes()
+        # a CDF: nondecreasing along both axes, in [0, 1] up to the
+        # integration error (at most ~1e-12 above 1, where sd(X) is far
+        # below the lattice spacing)
+        assert np.all(np.diff(T, axis=0) >= 0) and np.all(np.diff(T, axis=1) >= 0)
+        assert np.all(T >= 0.0) and np.all(T <= 1.0 + 1e-10)
+        if xs.size and xs[0] == -INF:
+            assert np.all(T[0] == 0.0)
+        if ys.size and ys[0] == -INF:
+            assert np.all(T[:, 0] == 0.0)
+
+
+def test_stacked_bvn_lattice_runs_in_chunks(monkeypatch):
+    # chunks of whole laws, one law where a single law exceeds the budget
+    mu = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]])
+    Sigma = np.array(
+        [[[4.0, 1.9], [1.9, 1.0]], [[1.0, -0.99], [-0.99, 1.0]], [[9.0, 0.0], [0.0, 2.0]]]
+    )
+    xs = np.concatenate(([-INF], np.arange(-10.0, 10.125, 0.25), [INF]))
+    ys = np.array([-INF, -2.0, 2.0, INF])
+    whole = bvn_cdf_lattice(mu, Sigma, xs, ys)
+    for chunk in (1, 10_000, 1 << 30):
+        monkeypatch.setattr(gaussian, "_LATTICE_CHUNK", chunk)
+        assert bvn_cdf_lattice(mu, Sigma, xs, ys).tobytes() == whole.tobytes()
+    assert bvn_cdf_lattice(mu[:0], Sigma[:0], xs, ys).shape == (0, xs.size, ys.size)
+    with pytest.raises(ConfigurationError):
+        bvn_cdf_lattice(mu, Sigma[:2], xs, ys)
 
 
 def test_bvn_lattice_requires_ascending_lattice():

@@ -42,6 +42,7 @@ from handopt.harness import (
     sweep_table,
     trellis_rows,
 )
+import oracles
 from oracles import avg_coeffs
 
 
@@ -168,22 +169,45 @@ def test_opt_margin_tables_are_pinned():
     )
 
 
+def count_lattice_laws(monkeypatch):
+    """Record the moments of every law the optimizer's lattice calls
+    integrate: {"root": [...], "outage": [...]}, per call a list of one
+    bytes key per law."""
+    laws = {"root": [], "outage": []}
+    real = optimizer.bvn_cdf_lattice
+
+    def counting(mu, Sigma, xs, ys):
+        # the root-edge tables carry 3 or 4 edges, the outage tables one
+        kind = "outage" if np.size(ys) == 1 else "root"
+        laws[kind].append([
+            m.tobytes() + S.tobytes()
+            for m, S in zip(np.reshape(mu, (-1, 2)), np.reshape(Sigma, (-1, 2, 2)))
+        ])
+        return real(mu, Sigma, xs, ys)
+
+    monkeypatch.setattr(optimizer, "bvn_cdf_lattice", counting)
+    return laws
+
+
 def test_opt_margin_tables_build_one_stage_table_per_root_sample(monkeypatch):
     # the three policies x two root states of a root sample read one stats
-    # window, grid, root margin and threshold, so they share one table
-    roots = []
-
-    class Counting(optimizer._StageTables):
-        def __init__(self, stats, times, *rest):
-            roots.append(times[0])
-            super().__init__(stats, times, *rest)
-
-    monkeypatch.setattr(optimizer, "_StageTables", Counting)
+    # window, so the stacked build integrates one root-edge table per
+    # (root, stage): the law of (y_l, y_0) of that root's window
+    laws = count_lattice_laws(monkeypatch)
     cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
     n_samples = cfg.trace().n_samples
     tables = opt_margin_tables(cfg)
     assert sorted(tables) == ["opt1", "opt2", "opt3"]
-    assert roots == list(range(n_samples - 1))
+    process = harness._gap_process(cfg)
+    want = []
+    for n in range(n_samples - 1):
+        m = min(cfg.horizon, n_samples - 1 - n)
+        window = optimizer._window_stats(process, n, m)
+        for l in range(1, m + 1):
+            gv = window.subset([("y", n + l), ("y", n)])
+            want.append(gv.mu.tobytes() + gv.Sigma.tobytes())
+    assert len(set(want)) == len(want)
+    assert sorted(key for call in laws["root"] for key in call) == sorted(want)
 
 
 def test_opt_margin_tables_reject_non_optimizer_policies():
@@ -194,39 +218,89 @@ def test_opt_margin_tables_reject_non_optimizer_policies():
 
 
 @pytest.mark.parametrize(
-    "updates", [{"start_offset_m": 970.0, "length_m": 60.0}, {}], ids=["table-two-cell", "paper-vi"]
+    "name, updates",
+    [
+        ("paper-vi", {"start_offset_m": 970.0, "length_m": 60.0}),
+        ("paper-vi", {}),
+        ("vehicular-cell-row", {"start_offset_m": 937.0, "length_m": 1250.0}),
+    ],
+    ids=["table-two-cell", "paper-vi", "cell-row"],
 )
-def test_opt_margin_tables_build_each_block_and_outage_table_once(monkeypatch, updates):
-    # every (block, stage sample, cell) outage table the roots read is built
-    # once, and every block law by one y_stats call
-    outage, laws = [], []
-    real_bvn, real_y_stats = optimizer.bvn_cdf_lattice, gaussian.y_stats
-
-    def counting_bvn(mu, Sigma, xs, ys):
-        if np.size(ys) == 1:  # the root-edge tables carry 3 or 4 edges
-            outage.append(1)
-        return real_bvn(mu, Sigma, xs, ys)
+def test_opt_margin_tables_build_each_block_and_outage_table_once(monkeypatch, name, updates):
+    # the roots of one (cell pair, block) are solved by one solve_group
+    # call, every block law is formed by one y_stats call, and every
+    # (pair, block, stage sample, cell) outage table the roots read is
+    # integrated once
+    laws = count_lattice_laws(monkeypatch)
+    y_stats_calls, groups = [], []
+    real_y_stats, real_group = gaussian.y_stats, harness.solve_group
 
     def counting_y_stats(*args, **kwargs):
-        laws.append(1)
+        y_stats_calls.append(1)
         return real_y_stats(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "bvn_cdf_lattice", counting_bvn)
+    def counting_group(problems):
+        groups.append(len(problems))
+        return real_group(problems)
+
     monkeypatch.setattr(gaussian, "y_stats", counting_y_stats)
-    cfg = preset("paper-vi").with_updates(**updates)
-    n_samples = cfg.trace().n_samples
+    monkeypatch.setattr(harness, "solve_group", counting_group)
+    cfg = preset(name).with_updates(**updates)
+    d = cfg.distances_m()
+    n_samples = d.shape[1]
+    pair = harness._cell_pairs(d)
     opt_margin_tables(cfg)
     block = gaussian._BLOCK_SAMPLES
+    keys = {(*pair[:, n].tolist(), n // block) for n in range(n_samples - 1)}
     stages = {
-        (n // block, t, s)
+        (*pair[:, n].tolist(), n // block, t, s)
         for n in range(n_samples - 1)
         for t in range(n + 1, n + 1 + min(cfg.horizon, n_samples - 1 - n))
         for s in (0, 1)
     }
-    assert len(outage) == len(stages)
-    assert len(laws) == len({n // block for n in range(n_samples - 1)})
-    if updates:
-        assert (len(outage), len(laws)) == (2 * (n_samples - 1), 1)
+    # one stacked call per (pair, block), each law in it distinct
+    assert len(laws["outage"]) == len(groups) == len(keys)
+    assert all(len(set(call)) == len(call) for call in laws["outage"])
+    assert sum(len(call) for call in laws["outage"]) == len(stages)
+    assert len(y_stats_calls) == len(keys)
+    assert sum(groups) == 6 * (n_samples - 1)
+    if name == "vehicular-cell-row":
+        # the slice crosses two cell boundaries and three block borders
+        assert len({k[:2] for k in keys}) == 3 and len({k[2] for k in keys}) == 4
+    elif updates:
+        assert (len(stages), len(keys)) == (2 * (n_samples - 1), 1)
+
+
+@pytest.mark.parametrize(
+    "name, updates, speed",
+    [
+        ("paper-vi", {"start_offset_m": 970.0, "length_m": 60.0}, 5.0),
+        ("paper-vi", {"start_offset_m": 970.0, "length_m": 60.0}, 20.0),
+        ("paper-vi", {"start_offset_m": 970.0, "length_m": 60.0}, 40.0),
+        ("paper-vi", {"start_offset_m": 800.0, "length_m": 450.0}, None),
+        ("vehicular-cell-row", {"start_offset_m": 937.0, "length_m": 1250.0}, None),
+    ],
+    ids=[
+        "table-two-cell-v5", "table-two-cell-v20", "table-two-cell-v40",
+        "paper-vi-block-border", "cell-row",
+    ],
+)
+def test_opt_margin_tables_equal_the_per_root_oracle(name, updates, speed):
+    # the stacked build per (cell pair, block) against one table object per
+    # root window: on the table sweep's speed variants, on a paper-vi slice
+    # that crosses the sample-64 block border and ends in truncated
+    # horizons, and on a cell-row slice across two cell boundaries
+    cfg = preset(name).with_updates(**updates)
+    channels = None
+    if speed is not None:
+        cfg, channels = harness._speed_variant(cfg, speed, SweepSpec().mode)
+    elif name == "paper-vi":
+        assert cfg.trace().n_samples > gaussian._BLOCK_SAMPLES + cfg.horizon
+    got = opt_margin_tables(cfg, channels=channels)
+    want = oracles.opt_margin_tables(cfg, channels=channels)
+    assert sorted(got) == sorted(want) == ["opt1", "opt2", "opt3"]
+    for p in want:
+        assert got[p].tobytes() == want[p].tobytes(), p
 
 
 def test_opt_margin_tables_share_nothing_across_calls():

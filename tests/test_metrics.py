@@ -205,6 +205,28 @@ def test_series_reject_samples_beyond_the_trace_before_any_box(monkeypatch, n_la
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"seed": -1}, {"seed": 1.5}, {"seed": "abc"}, {"seed": True},
+        {"mc_samples": 9_999}, {"mc_samples": 1e6},
+    ],
+)
+def test_series_reject_bad_monte_carlo_arguments_before_any_box(monkeypatch, bad):
+    proc, _, _, _ = build_process()
+    calls = []
+    monkeypatch.setattr(proc, "prob", lambda *a, **k: calls.append(a))
+    for method in ("exact", "pairwise"):
+        for series in (
+            lambda: connection_series(proc, 5, 2.0, depth=8, method=method, **bad),
+            lambda: handover_series(proc, 5, 2.0, depth=8, method=method, **bad),
+            lambda: outage_series(proc, 5, 2.0, depth=8, threshold_db=THRESH, method=method, **bad),
+        ):
+            with pytest.raises(ConfigurationError, match="seed|mc_samples"):
+                series()
+    assert calls == []
+
+
 def test_exact_method_is_seed_deterministic():
     proc, _, _, _ = build_process()
     a01, a10, _ = handover_series(proc, 9, 2.0, depth=12, mc_samples=50_000, seed=5)

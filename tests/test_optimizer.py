@@ -11,6 +11,7 @@ winner's capped quantities through exact_prob, independently of the tables.
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,12 +40,12 @@ from handopt.optimizer import (
     _EVENT_LABELS,
     TrellisPath,
     TrellisProblem,
-    _StageTables,
-    _get_tables,
-    _outage_marginal,
     _stay_box,
     _window_stats,
 )
+
+import oracles
+from oracles import outage_marginal, stage_tables
 
 STEP = 6.24
 INF = math.inf
@@ -57,6 +58,24 @@ def two_cell_process(start=950.0, n=12, n_w=4, sigma_db=None):
     t0 = coefficient_table(d[0], n_w, "avg")
     t1 = coefficient_table(d[1], n_w, "avg")
     return GapProcess(t0, t1, (ch, ch), d, STEP)
+
+
+def package_tables(problem):
+    """The package's stacked tables of the problem's window, sliced to the
+    per-window layout of the oracle's StageTables."""
+    solve(problem)
+    tables, w = problem._cache["tables"]
+    rows = slice(tables.row0[w], tables.row0[w + 1])
+    return SimpleNamespace(
+        grid=tables.grid, lattice=tables.lattice, F=tables.F[rows], hc=tables.hc[:, rows],
+        oc=tables.oc[rows], po=tables.po[rows], root_degenerate=tables.root_degenerate[w],
+    )
+
+
+def box_mass(tables, l, box):
+    """P(y_l in box) for a box with lattice edges, from the tables' F."""
+    lo, hi = np.searchsorted(tables.lattice, box)
+    return float(tables.F[l, hi] - tables.F[l, lo])
 
 
 def make_problem(rng, objective, horizon=1, start=None, sigma_db=None, **overrides):
@@ -184,9 +203,10 @@ def decoupled_argmin(stage_costs, masks, forced):
     return out
 
 
-def solve_by_paths(problem):
-    """(winner, paths) by optimizing each of the 2^m paths on its own."""
-    tables = _get_tables(problem)
+def solve_by_paths(problem, tables=None):
+    """(winner, paths) by optimizing each of the 2^m paths on its own, on
+    the oracle's per-root tables unless tables are given."""
+    tables = stage_tables(problem) if tables is None else tables
     paths = []
     for p in build_trellis(problem):
         masks, forced, violation = path_masks(problem, tables, p.states)
@@ -238,7 +258,7 @@ def test_solve_matches_per_path_oracle():
             best.states[0], best.margins[0], best.margins
         )
         seen["infeasible"] += all(not p.feasible for p in paths)
-        seen["degenerate"] += _get_tables(problem).root_degenerate[problem.root_b]
+        seen["degenerate"] += package_tables(problem).root_degenerate[problem.root_b]
     assert seen["infeasible"] >= 8 and seen["degenerate"] >= 8
 
 
@@ -251,7 +271,18 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
         proc, 2, 2, "min_handover",
         root_b=0, root_margin=2.0, outage_threshold_db=-105.0, p_out_cap=0.5,
     )
-    tables = _get_tables(problem)
+    tables = stage_tables(problem)
+
+    def solve_crafted():
+        # solve() ranks the edge rows cached on the problem: scan the
+        # crafted tables into them
+        problem._cache["edges"] = optimizer._edge_choices(
+            problem, tables.grid, tables.hc[problem.root_b, 1:], tables.oc[1:], tables.po[1:]
+        ).reshape(-1, 3)
+        sol = solve(problem)
+        assert (sol.path, sol.paths) == solve_by_paths(problem, tables)
+        return sol
+
     tables.hc = np.ones_like(tables.hc)
     tables.oc = np.zeros_like(tables.oc)
     hc = tables.hc[problem.root_b]  # a view: writes reach the tables
@@ -261,8 +292,7 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
     tables.oc[2, 0, 0] = 1.0  # (0, 0) cannot stay at stage 2
     hc[2, 1, 6] = 0.0  # (1, 1) is free only at g[6]
     g = tables.grid
-    sol = solve(problem)
-    assert (sol.path, sol.paths) == solve_by_paths(problem)
+    sol = solve_crafted()
     by_states = {p.states: p for p in sol.paths}
     assert by_states[(0, 1)].margins == (g[4], g[0])
     assert by_states[(1, 1)].margins == (g[0], g[6])
@@ -271,8 +301,7 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
     # equal margin vectors as well: the first path in trellis order wins
     tables.oc[1, 0, 0] = 0.0
     hc[2, 1] = 0.0
-    sol = solve(problem)
-    assert (sol.path, sol.paths) == solve_by_paths(problem)
+    sol = solve_crafted()
     assert sol.path.states == (0, 1)
 
 
@@ -282,10 +311,11 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
 def brute_force_m1(problem):
     """Evaluate every (next-state, margin) pair and rank like solve().
 
-    Reads the solver's stage tables (the probability layer is validated
-    separately) but reimplements feasibility, forced fallback and ranking.
+    Reads the oracle's per-root stage tables (the probability layer is
+    validated separately) but reimplements feasibility, forced fallback and
+    ranking.
     """
-    tables = _get_tables(problem)
+    tables = stage_tables(problem)
     g = tables.grid
     candidates = []
     for b in (0, 1):
@@ -462,7 +492,7 @@ def test_stage_tables_match_adaptive_quadrature_at_high_correlation():
         pair = problem.stats.subset([("y", t0), ("y", t1)])
         rho = pair.Sigma[0, 1] / math.sqrt(pair.Sigma[0, 0] * pair.Sigma[1, 1])
         assert rho > 0.98
-        tables = _get_tables(problem)
+        tables = package_tables(problem)
         y0 = problem.stats.subset([("y", t0)])
         y1 = problem.stats.subset([("y", t1)])
         cdf = lambda gv, x: ndtr((x - gv.mu[0]) / math.sqrt(gv.Sigma[0, 0]))
@@ -491,7 +521,7 @@ def test_stage_tables_match_scipy_recomputation():
     for objective in ("min_handover", "min_outage", "pareto"):
         for _ in range(2):
             problem = make_problem(rng, objective, root_margin=1.3)
-            tables = _get_tables(problem)
+            tables = package_tables(problem)
             g, hc, oc, po = scipy_stage_tables(problem)
             np.testing.assert_allclose(tables.hc[problem.root_b, 1], hc, atol=2e-7)
             np.testing.assert_allclose(tables.oc[1], oc, atol=2e-6)
@@ -562,7 +592,7 @@ def test_min_outage_prefers_the_stronger_side_at_depth_two():
     assert sol.b_next == 1
 
     # exhaustive path costing over the same tables agrees
-    tables = _get_tables(problem)
+    tables = package_tables(problem)
     best = None
     for states in itertools.product((0, 1), repeat=2):
         chain_from = (problem.root_b, states[0])
@@ -617,7 +647,7 @@ def test_all_infeasible_reports_minimal_violation():
     assert sol.violation > 0.0
     assert all(not p.feasible for p in sol.paths)
     # the reported violation is the smallest achievable stage excess
-    tables = _get_tables(problem)
+    tables = package_tables(problem)
     floors = []
     for p in sol.paths:
         masks, forced, violation = path_masks(problem, tables, p.states)
@@ -798,20 +828,24 @@ def test_solve_group_equals_fresh_individual_solves(data):
             )
         )
     got = solve_group(problems)
-    for pr, a in zip(problems, got):
-        b = solve(replace(pr, _cache={}))
-        assert a.paths == b.paths
-        assert (a.b_next, a.margins, a.cost, a.violation) == (
-            b.b_next, b.margins, b.cost, b.violation
-        )
-    # problems with equal table inputs share one table object
+    for problem, a in zip(problems, got):
+        # a fresh problem solved alone, and the per-root oracle
+        for b in (solve(replace(problem, _cache={})), oracles.solve(problem)):
+            assert a.paths == b.paths
+            assert (a.b_next, a.margins, a.cost, a.violation) == (
+                b.b_next, b.margins, b.cost, b.violation
+            )
+    # problems with equal grid, root margin and threshold share one stacked
+    # table, and one window of it exactly when they share the stats object
     for pa, pb in itertools.combinations(problems, 2):
-        same = (
-            pa.stats is pb.stats and pa.grid.tobytes() == pb.grid.tobytes()
+        same_lattice = (
+            pa.grid.tobytes() == pb.grid.tobytes()
             and pa.root_margin == pb.root_margin
             and pa.outage_threshold_db == pb.outage_threshold_db
         )
-        assert (pa._cache["tables"] is pb._cache["tables"]) == same
+        (ta, wa), (tb, wb) = pa._cache["tables"], pb._cache["tables"]
+        assert (ta is tb) == same_lattice
+        assert (ta is tb and wa == wb) == (same_lattice and pa.stats is pb.stats)
 
 
 def stage_masses(tables, times, root_margin):
@@ -821,13 +855,13 @@ def stage_masses(tables, times, root_margin):
     hc = tables.hc.copy()
     for root_b in (0, 1):
         if not tables.root_degenerate[root_b]:
-            hc[root_b] *= tables._single(0, _stay_box(root_b, root_margin))
+            hc[root_b] *= box_mass(tables, 0, _stay_box(root_b, root_margin))
     oc = tables.oc.copy()
     for l in range(1, len(times)):
         for u_from, u_to in itertools.product((0, 1), repeat=2):
             box = switch_box if u_to != u_from else _stay_box
             for i, h in enumerate(tables.grid):
-                den = tables._single(l, box(u_from, h))
+                den = box_mass(tables, l, box(u_from, h))
                 if den >= _COND_FLOOR:
                     oc[l, u_from, u_to, i] *= den
     return tables.F, hc, oc
@@ -858,9 +892,16 @@ def test_block_windows_equal_fresh_windows(start, n_w, sigma_db, horizon, root, 
         return
     # the tables divide by box masses that can be small, which magnifies
     # last-bit differences of the moments; the masses themselves agree
-    grid = np.round(np.arange(41) * 0.25, 10)
     times = tuple(y_times)
-    built = [_StageTables(gv, times, grid, root_margin, beta, {}) for gv in (sliced, fresh)]
+    built = [
+        package_tables(
+            TrellisProblem(
+                objective="pareto", horizon=horizon, root_b=0, root_margin=root_margin,
+                stats=gv, outage_threshold_db=beta,
+            )
+        )
+        for gv in (sliced, fresh)
+    ]
     assert built[0].root_degenerate.tolist() == built[1].root_degenerate.tolist()
     for a, b in zip(*(stage_masses(t, times, root_margin) for t in built)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -917,7 +958,7 @@ def verify_solution(problem, solution, tol_sigma=3.0):
             den = prob((("y", t), *box))
             # same fallback as the stage tables: the marginal outage
             value = (
-                _outage_marginal(problem.stats, t, u_to, problem.outage_threshold_db)
+                outage_marginal(problem.stats, t, u_to, problem.outage_threshold_db)
                 if den < _COND_FLOOR
                 else num / den
             )
@@ -975,12 +1016,12 @@ def test_verify_solution_uses_the_stage_tables_fallbacks():
             root_b=0, root_margin=0.0, outage_threshold_db=-113.0, **kw,
         )
         sol = solve(problem)
-        tables = _get_tables(problem)
+        tables = package_tables(problem)
         i = int(np.argmin(np.abs(tables.grid - sol.h_first)))
         assert tables.root_degenerate[problem.root_b]
         if objective == "min_handover":
             assert sol.path.states == (0,)
-            assert tables._single(1, (-sol.h_first, INF)) < 1e-12
+            assert box_mass(tables, 1, (-sol.h_first, INF)) < 1e-12
             capped = tables.oc[1, 0, 0, i]
         else:
             capped = tables.hc[problem.root_b, 1, 0, i]
@@ -1059,7 +1100,7 @@ def test_search_strategies_agree_on_stage_decomposable_costs():
         root_b=0, root_margin=2.0, outage_threshold_db=-103.0,
         p_out_cap=0.25,
     )
-    tables = _get_tables(problem)
+    tables = package_tables(problem)
     sol = solve(problem)
     for got in sol.paths:
         masks, forced, _ = path_masks(problem, tables, got.states)
