@@ -16,7 +16,6 @@ The package is organized as a pipeline:
 from .errors import (
     HandoptError,
     ConfigurationError,
-    SingularFitError,
     NumericalConsistencyError,
     DegenerateConditioningError,
 )
@@ -32,13 +31,6 @@ from .scenario import (
 )
 from .channel import ChannelParams, PowerTrace, path_loss
 from .estimators import (
-    FilterCoeffs,
-    LSIntermediates,
-    GelsDiagnostics,
-    ls_fit,
-    els_select,
-    gels_step,
-    GelsState,
     coefficient_table,
     apply_coefficients,
     estimate_series,
@@ -95,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HandoptError",
     "ConfigurationError",
-    "SingularFitError",
     "NumericalConsistencyError",
     "DegenerateConditioningError",
     "CellLayout",
@@ -110,13 +101,6 @@ __all__ = [
     "PowerTrace",
     "sample_power",
     "path_loss",
-    "FilterCoeffs",
-    "LSIntermediates",
-    "GelsDiagnostics",
-    "ls_fit",
-    "els_select",
-    "gels_step",
-    "GelsState",
     "coefficient_table",
     "apply_coefficients",
     "estimate_series",

@@ -9,10 +9,6 @@ class ConfigurationError(HandoptError):
     """Invalid scenario, channel or problem configuration."""
 
 
-class SingularFitError(HandoptError):
-    """A regression design matrix is singular or numerically unusable."""
-
-
 class NumericalConsistencyError(HandoptError):
     """An internally computed quantity violates a structural invariant.
 

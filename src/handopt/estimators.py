@@ -20,20 +20,41 @@ estimate_series estimates through that wrapper.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
 
-Window-level operations (ls_fit, els_select) take the window arrays with
-the current sample last. GELS keeps its own growing window, restarted when
-the normalized one-step residual rejects the fitted model.
+ELS and GELS pick AVG or LS per window from the powers, so they have no
+power-free table. Both run one moment kernel, _window_rule, on [S, N, T]
+traces, the layout estimate_series moves its input to. It reads each
+window's count and its sums of p, p^2, x, x^2 and p*x, with x = log10 d
+and both measured from a sample of the window, so the line fit does not
+cancel digits far from a cell. From them it forms e1 and e2, the in-window
+mean squared residuals of the window mean and of the fitted line, and
+picks LS when e2 <= e1; a singular fit (one sample, or no distance spread)
+gives AVG.
+
+* ELS fits sliding n_w windows; a lag loop, like window_estimates', sums
+  each window's moments about its current sample. e1 - e2 is the squared
+  cross moment over the x spread, so e2 <= e1 holds in exact arithmetic
+  whenever the LS fit exists: ELS is LS with an AVG fallback on singular
+  windows.
+* GELS ignores n_w. Its window grows from the last restart, and running
+  sums per (link, trial) about the window's first sample advance one
+  sample at a time. With e_min = min(e1, e2), the window restarts when
+  |e_r| > gamma for e_r = (p(n) - l(n)) / sqrt(e_min), or when
+  h(n) > h_max. e_r is not formed when e_min is at the exact-fit floor
+  (_EMIN_FLOOR * max(1, |p(n)|))^2, so noiseless data never triggers.
+  After a restart the window holds only sample n and the estimate is
+  p(n); reinit_all restarts every link of a trial with it.
+
+The per-window references (ls_fit, els_select, gels_step and the sample
+loops over them) live in the tests, which compare the kernel against them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularFitError
+from .errors import ConfigurationError
 
 # Relative conditioning floor for the LS normal equations.
 EPS_COND = 1e-10
@@ -44,200 +65,6 @@ _EMIN_FLOOR = 1e-9
 # a block's estimates and the powers its lags read stay in L2 while every
 # lag is added.
 _EST_BLOCK_VALUES = 1 << 16
-
-
-@dataclass(frozen=True)
-class FilterCoeffs:
-    """One coefficient row G_s(n, i), i = window_start..time_index."""
-
-    window_start: int
-    time_index: int
-    weights: np.ndarray
-    tag: str  # "avg" | "ls"
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != self.time_index - self.window_start + 1:
-            raise ConfigurationError("coefficient count must match the window length")
-        object.__setattr__(self, "weights", w)
-
-    def apply(self, p_window: np.ndarray) -> float:
-        """Contract the row against the window's power samples."""
-        return float(np.dot(self.weights, np.asarray(p_window, dtype=float)))
-
-
-@dataclass(frozen=True)
-class LSIntermediates:
-    """Windowed moments and closed-form line fit for one LS window.
-
-    mean_power (P), mean_cross (Q), mean_logd (C) and mean_logd_sq (D) are
-    the window averages of p, p*x, x and x^2 with x = log10 d. The fitted
-    model is p ~ intercept_hat - slope_hat * x, and the coefficient split
-    l(n) = sum_i [offset_coeffs(i) - slope_coeffs(i) * x_n] * p(i) is kept
-    so callers can recombine rows at any evaluation distance.
-    """
-
-    mean_power: float
-    mean_cross: float
-    mean_logd: float
-    mean_logd_sq: float
-    intercept_hat: float
-    slope_hat: float
-    offset_coeffs: np.ndarray  # A_s(n, i)
-    slope_coeffs: np.ndarray  # B_s(n, i)
-
-
-@dataclass(frozen=True)
-class GelsDiagnostics:
-    """Model-validity diagnostics for ELS selection and the GELS trigger."""
-
-    delta: float
-    e1: float
-    e2: float
-    e_min: float
-    e_r: float
-    reinit_flag: bool
-    tag: str
-
-
-def window_start(n: int, n_w: int) -> int:
-    if n < 0 or n_w < 1:
-        raise ConfigurationError("need n >= 0 and n_w >= 1")
-    return max(0, n - n_w + 1)
-
-
-def ls_fit(
-    p_window: np.ndarray, d_window: np.ndarray, start_index: int = 0
-) -> Tuple[LSIntermediates, FilterCoeffs]:
-    """Closed-form least-squares line through (log10 d, p) over one window.
-
-    Raises SingularFitError when the window has fewer than two samples or
-    the log-distances are (numerically) all equal.
-    """
-    p = np.asarray(p_window, dtype=float)
-    d = np.asarray(d_window, dtype=float)
-    if p.shape != d.shape or p.ndim != 1:
-        raise ConfigurationError("power and distance windows must be equal-length 1-D arrays")
-    cnt = p.size
-    if cnt < 2:
-        raise SingularFitError("LS needs at least two samples in the window")
-    if np.any(d <= 0.0):
-        raise ConfigurationError("distances must be positive")
-    x = np.log10(d)
-    P = p.mean()
-    C = x.mean()
-    Q = (p * x).mean()
-    D = (x * x).mean()
-    denom = D - C * C
-    if denom <= EPS_COND * max(D, 1.0):
-        raise SingularFitError("degenerate window: log-distances carry no spread")
-    intercept = (P * D - Q * C) / denom
-    slope = (P * C - Q) / denom
-    offset = (D - C * x) / (denom * cnt)
-    slope_c = (C - x) / (denom * cnt)
-    inter = LSIntermediates(P, Q, C, D, intercept, slope, offset, slope_c)
-    g = offset - slope_c * x[-1]
-    coeffs = FilterCoeffs(start_index, start_index + cnt - 1, g, "ls")
-    return inter, coeffs
-
-
-def els_select(
-    p_window: np.ndarray, d_window: np.ndarray, start_index: int = 0
-) -> Tuple[FilterCoeffs, GelsDiagnostics]:
-    """Pick AVG or LS for one window by in-window mean squared residual.
-
-    e1 is the residual of the constant model, e2 of the fitted line; the
-    lower error wins and exact ties go to LS. Singular LS windows fall
-    back to AVG with e2 = inf.
-    """
-    p = np.asarray(p_window, dtype=float)
-    cnt = p.size
-    if cnt < 1:
-        raise ConfigurationError("window must contain at least one sample")
-    mean_p = p.mean()
-    e1 = float(np.mean((p - mean_p) ** 2))
-    try:
-        inter, ls_row = ls_fit(p, d_window, start_index)
-    except SingularFitError:
-        inter, ls_row = None, None
-    if inter is None:
-        e2 = math.inf
-    else:
-        x = np.log10(np.asarray(d_window, dtype=float))
-        resid = p - (inter.intercept_hat - inter.slope_hat * x)
-        e2 = float(np.mean(resid**2))
-    if e2 <= e1:
-        coeffs = ls_row
-        l_n = coeffs.apply(p)
-    else:
-        coeffs = FilterCoeffs(start_index, start_index + cnt - 1, np.full(cnt, 1.0 / cnt), "avg")
-        l_n = mean_p
-    delta = float(p[-1] - l_n)
-    e_min = min(e1, e2)
-    diag = GelsDiagnostics(delta, e1, e2, e_min, math.nan, False, coeffs.tag)
-    return coeffs, diag
-
-
-@dataclass
-class GelsState:
-    """Growing estimation window for one link, restarted on reinit."""
-
-    start_index: int = 0
-    log10_d: List[float] = field(default_factory=list)
-    powers: List[float] = field(default_factory=list)
-
-    @property
-    def window_len(self) -> int:
-        return len(self.powers)
-
-    @property
-    def current_index(self) -> int:
-        return self.start_index + self.window_len - 1
-
-    def restart(self):
-        """Keep only the latest sample; the window begins again there."""
-        self.start_index = self.current_index
-        self.log10_d = self.log10_d[-1:]
-        self.powers = self.powers[-1:]
-
-
-def gels_step(
-    state: GelsState,
-    distance_m: float,
-    power_db: float,
-    h_db: float = 0.0,
-    h_max_db: float = 10.0,
-    gamma: float = 3.0,
-) -> Tuple[float, GelsDiagnostics]:
-    """Advance one link's GELS window by one sample, mutating ``state``.
-
-    Runs the ELS selection on the grown window and forms the normalized
-    residual e_r = (p(n) - l(n)) / sqrt(e_min). The window restarts when
-    |e_r| > gamma or when h(n) > h_max_db; after a restart the estimate is
-    the new sample itself. e_r is not formed when e_min is at the exact-fit
-    floor, so noiseless data never triggers.
-    """
-    if gamma <= 0.0:
-        raise ConfigurationError("gamma must be positive")
-    if distance_m <= 0.0:
-        raise ConfigurationError("distances must be positive")
-    state.log10_d.append(math.log10(distance_m))
-    state.powers.append(float(power_db))
-    p = np.asarray(state.powers)
-    d10 = np.asarray(state.log10_d)
-    coeffs, diag = els_select(p, 10.0**d10, state.start_index)
-    l_n = coeffs.apply(p)
-    scale = max(1.0, abs(float(power_db)))
-    if diag.e_min > (_EMIN_FLOOR * scale) ** 2:
-        e_r = diag.delta / math.sqrt(diag.e_min)
-    else:
-        e_r = math.nan
-    reinit = (math.isfinite(e_r) and abs(e_r) > gamma) or (h_db > h_max_db)
-    if reinit:
-        state.restart()
-        l_n = float(power_db)
-    out = GelsDiagnostics(diag.delta, diag.e1, diag.e2, diag.e_min, e_r, reinit, diag.tag)
-    return l_n, out
 
 
 def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> np.ndarray:
@@ -334,6 +161,98 @@ def apply_coefficients(tables: np.ndarray, powers_db: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(window_estimates(tables, x), -1, 0))
 
 
+def _window_rule(m, x0, pn, xn):
+    """The ELS/GELS choice on windows given by their moments.
+
+    m holds each window's count and its sums of p, p^2, x, x^2 and p*x, with
+    p and x measured from an anchor sample of the window whose log10
+    distance is x0; pn and xn are the current sample's coordinates from the
+    same anchor. Returns (l, ls, e_min, delta): the estimate at the current
+    sample, measured from the anchor power, whether LS was picked, the
+    smaller in-window mean squared residual and pn - l. The LS fit exists
+    where the x variance exceeds EPS_COND * max(mean x^2, 1), the test
+    coefficient_table applies.
+    """
+    n, sp, spp, sx, sxx, spx = m
+    mp = sp / n
+    mx = sx / n
+    e1 = spp / n - mp * mp
+    vxx = sxx / n - mx * mx
+    vpx = spx / n - mp * mx
+    c = x0 + mx
+    fit = vxx > EPS_COND * np.maximum(vxx + c * c, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(fit, vpx / vxx, 0.0)
+    e2 = np.where(fit, e1 - slope * vpx, np.inf)
+    ls = e2 <= e1
+    l = mp + np.where(ls, slope * (xn - mx), 0.0)
+    return l, ls, np.minimum(e1, e2), pn - l
+
+
+def _els(x, p, n_w):
+    """ELS estimates and modes over sliding n_w windows of [S, N, T] powers,
+    in blocks of samples that hold about _EST_BLOCK_VALUES values."""
+    n_bs, n, n_tr = p.shape
+    est = np.empty(p.shape)
+    modes = np.empty(p.shape, dtype=np.int8)
+    block = max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
+    for n0 in range(0, n, block):
+        n1 = min(n0 + block, n)
+        sx, sxx = np.zeros((2, n_bs, n1 - n0, 1))
+        sp, spp, spx = np.zeros((3, n_bs, n1 - n0, n_tr))
+        for back in range(1, min(n_w, n1)):
+            # sample j - back measured from sample j, for every j >= lo
+            lo = max(n0, back)
+            pc = p[:, lo - back : n1 - back] - p[:, lo:n1]
+            xc = (x[:, lo - back : n1 - back] - x[:, lo:n1])[:, :, None]
+            k = lo - n0
+            sp[:, k:] += pc
+            spp[:, k:] += pc * pc
+            spx[:, k:] += pc * xc
+            sx[:, k:] += xc
+            sxx[:, k:] += xc * xc
+        cnt = np.minimum(np.arange(n0 + 1.0, n1 + 1), n_w)[:, None]
+        l, ls, _, _ = _window_rule((cnt, sp, spp, sx, sxx, spx), x[:, n0:n1, None], 0.0, 0.0)
+        est[:, n0:n1] = p[:, n0:n1] + l
+        modes[:, n0:n1] = ls
+    return est, modes
+
+
+def _gels(x, p, h, gamma, h_max, reinit_all):
+    """GELS estimates and modes of [S, N, T] powers, one sample at a time."""
+    n_bs, n, n_tr = p.shape
+    est = np.empty(p.shape)
+    modes = np.empty(p.shape, dtype=np.int8)
+    # count and sums of p, p^2, x, x^2, p*x per (link, trial), measured from
+    # the window's first sample, whose power and log-distance are p0 and x0
+    m = np.zeros((6, n_bs, n_tr))
+    p0 = p[:, 0].copy() if n else None
+    x0 = np.repeat(x[:, :1], n_tr, axis=1)
+    for i in range(n):
+        power = p[:, i]
+        pn = power - p0
+        xn = x[:, i, None] - x0
+        m += np.stack((np.ones_like(pn), pn, pn * pn, xn, xn * xn, pn * xn))
+        l, ls, e_min, delta = _window_rule(m, x0, pn, xn)
+        floor = (_EMIN_FLOOR * np.maximum(1.0, np.abs(power))) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_r = delta / np.sqrt(e_min)
+        restart = (e_min > floor) & (np.abs(e_r) > gamma)
+        if h[i] > h_max:
+            restart[:] = True
+        if reinit_all:
+            restart |= restart.any(axis=0)
+        est[:, i] = np.where(restart, power, p0 + l)
+        modes[:, i] = np.where(restart, 2, ls)
+        if restart.any():
+            # the window begins again at sample i, which is its own anchor
+            m[:, restart] = 0.0
+            m[0, restart] = 1.0
+            p0 = np.where(restart, power, p0)
+            x0 = np.where(restart, x[:, i, None], x0)
+    return est, modes
+
+
 def estimate_series(
     distances_m: np.ndarray,
     powers_db: np.ndarray,
@@ -364,48 +283,30 @@ def estimate_series(
         p = p[None]
     if p.ndim != 3 or p.shape[1:] != d.shape:
         raise ConfigurationError("powers_db must be [n_bs, n_samples] or [trials, n_bs, n_samples]")
-    n_tr, n_bs, n = p.shape
+    n = p.shape[2]
 
     if estimator in ("avg", "ls"):
         tables = np.stack([coefficient_table(row, n_w, estimator) for row in d])
         out = apply_coefficients(tables, p)
         return (out[0], None) if squeeze else (out, None)
 
+    if estimator not in ("els", "gels"):
+        raise ConfigurationError(f"unknown estimator {estimator!r}")
+    if not np.all(d > 0.0):
+        raise ConfigurationError("distances must be positive")
+    # the kernel reads [S, N, T]: a [T, S, N] view of such a buffer, as the
+    # simulator passes, is read in place
+    x = np.ascontiguousarray(np.moveaxis(p, 0, -1))
     if estimator == "els":
-        out = np.empty_like(p)
-        modes = np.zeros(p.shape, dtype=np.int8)
-        for t in range(n_tr):
-            for s in range(n_bs):
-                for i in range(n):
-                    nb = window_start(i, n_w)
-                    coeffs, _ = els_select(p[t, s, nb : i + 1], d[s, nb : i + 1], nb)
-                    out[t, s, i] = coeffs.apply(p[t, s, nb : i + 1])
-                    modes[t, s, i] = 1 if coeffs.tag == "ls" else 0
-        return (out[0], modes[0]) if squeeze else (out, modes)
-
-    if estimator == "gels":
+        if n_w < 1:
+            raise ConfigurationError("n_w must be >= 1")
+        est, modes = _els(np.log10(d), x, n_w)
+    else:
         h = np.zeros(n) if h_series is None else np.asarray(h_series, dtype=float)
         if h.shape != (n,):
             raise ConfigurationError("h_series must have one entry per sample")
-        out = np.empty_like(p)
-        modes = np.zeros(p.shape, dtype=np.int8)
-        for t in range(n_tr):
-            states = [GelsState() for _ in range(n_bs)]
-            for i in range(n):
-                triggered = False
-                for s in range(n_bs):
-                    l_n, diag = gels_step(
-                        states[s], d[s, i], p[t, s, i], h[i], gels_h_max, gels_gamma
-                    )
-                    out[t, s, i] = l_n
-                    modes[t, s, i] = 2 if diag.reinit_flag else (1 if diag.tag == "ls" else 0)
-                    triggered = triggered or diag.reinit_flag
-                if reinit_all and triggered:
-                    for s in range(n_bs):
-                        if modes[t, s, i] != 2:
-                            states[s].restart()
-                            out[t, s, i] = p[t, s, i]
-                            modes[t, s, i] = 2
-        return (out[0], modes[0]) if squeeze else (out, modes)
-
-    raise ConfigurationError(f"unknown estimator {estimator!r}")
+        if gels_gamma <= 0.0:
+            raise ConfigurationError("gamma must be positive")
+        est, modes = _gels(np.log10(d), x, h, gels_gamma, gels_h_max, reinit_all)
+    est, modes = np.moveaxis(est, -1, 0), np.moveaxis(modes, -1, 0)
+    return (est[0], modes[0]) if squeeze else (est, modes)

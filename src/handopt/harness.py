@@ -154,8 +154,9 @@ def _map_chunks(fn, bounds, workers: int):
 def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, tables):
     """[T, S, N] estimates of a chunk of [T, S, N] traces: through the links'
     coefficient tables when the estimator has them, else through
-    estimate_series. With tables, powers that are a view of a trial-innermost
-    buffer are read in place and the result is such a view too.
+    estimate_series, whose ELS/GELS kernel works on [S, N, T]. Either way,
+    powers that are a view of a trial-innermost buffer are read in place;
+    with tables the result is such a view too.
 
     Open question: GELS gets the constant h_series = h_fixed_db, whatever
     the policy. Under optimizer margin tables its h > h_max restart

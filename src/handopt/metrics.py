@@ -87,18 +87,16 @@ def _pairwise_chain(process: GapProcess, constraints) -> float:
     """Markov telescope over adjacent constraints, bivariate quadrature."""
     y_cs = [c for c in constraints if c[0][0] == "y"]
     p_cs = [c for c in constraints if c[0][0] == "p"]
+    factors = y_cs[1:] + p_cs
     prev = y_cs[0]
-    prob = process.prob(EventSpec((prev,))).estimate
-    for c in y_cs[1:] + p_cs:
-        if prob <= 0.0:
+    prob = marg = process.prob(EventSpec((prev,))).estimate
+    for k, c in enumerate(factors):
+        if prob <= 0.0 or marg <= 0.0:
             return 0.0
-        joint = process.prob(EventSpec((prev, c))).estimate
-        marg = process.prob(EventSpec((prev,))).estimate
-        if marg <= 0.0:
-            return 0.0
-        prob *= joint / marg
-        if c[0][0] == "y":
+        prob *= process.prob(EventSpec((prev, c))).estimate / marg
+        if c[0][0] == "y" and k + 1 < len(factors):
             prev = c
+            marg = process.prob(EventSpec((prev,))).estimate
     return prob
 
 

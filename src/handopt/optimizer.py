@@ -88,6 +88,8 @@ class TrellisProblem:
     p_han_cap: float = 1.0
     pareto_z: float = 0.5
     _cache: dict = field(default_factory=dict, repr=False)
+    # sample times t_0..t_m carried by the stats, ascending; checked once
+    times: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.objective not in _OBJECTIVES:
@@ -107,26 +109,21 @@ class TrellisProblem:
             raise ConfigurationError("pareto_z must lie in [0, 1]")
         if not math.isfinite(self.outage_threshold_db):
             raise ConfigurationError("outage_threshold_db must be finite")
-        if self.horizon > 0:
-            self.times  # validates label layout
-
-    @property
-    def times(self):
-        """Sample times t_0..t_m carried by the stats, ascending."""
         ys = sorted(l[1] for l in self.stats.labels if l[0] == "y")
-        if len(ys) != self.horizon + 1 or ys != list(
-            range(ys[0], ys[0] + self.horizon + 1)
-        ):
-            raise ConfigurationError(
-                "stats must carry y at m+1 consecutive samples"
-            )
-        have_p = {(l[1], l[2]) for l in self.stats.labels if l[0] == "p"}
-        for t in ys[1:]:
-            if (0, t) not in have_p or (1, t) not in have_p:
+        if self.horizon > 0:
+            if len(ys) != self.horizon + 1 or ys != list(
+                range(ys[0], ys[0] + self.horizon + 1)
+            ):
                 raise ConfigurationError(
-                    "stats must carry both received powers at every stage"
+                    "stats must carry y at m+1 consecutive samples"
                 )
-        return tuple(ys)
+            have_p = {(l[1], l[2]) for l in self.stats.labels if l[0] == "p"}
+            for t in ys[1:]:
+                if (0, t) not in have_p or (1, t) not in have_p:
+                    raise ConfigurationError(
+                        "stats must carry both received powers at every stage"
+                    )
+        object.__setattr__(self, "times", tuple(ys))
 
     @property
     def grid(self) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Reference implementations that tests compare the package against."""
 
 import math
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from handopt.estimators import FilterCoeffs, coefficient_table, window_start
+from handopt.errors import ConfigurationError, HandoptError
+from handopt.estimators import _EMIN_FLOOR, EPS_COND, coefficient_table
 from handopt.gaussian import (
     _BLOCK_SAMPLES,
     _MC_CHUNK,
@@ -15,6 +18,251 @@ from handopt.gaussian import (
 )
 from handopt.harness import _OPT_POLICIES, _TABLE_MODE, _cell_pairs, _trellis_problem
 from handopt.optimizer import _COND_FLOOR, TrellisSolution, _stay_box, _window_stats
+
+
+# --- the per-window estimators: one window object per sample ---------------
+
+
+class SingularFitError(HandoptError):
+    """A regression design matrix is singular or numerically unusable."""
+
+
+@dataclass(frozen=True)
+class FilterCoeffs:
+    """One coefficient row G_s(n, i), i = window_start..time_index."""
+
+    window_start: int
+    time_index: int
+    weights: np.ndarray
+    tag: str  # "avg" | "ls"
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or w.size != self.time_index - self.window_start + 1:
+            raise ConfigurationError("coefficient count must match the window length")
+        object.__setattr__(self, "weights", w)
+
+    def apply(self, p_window: np.ndarray) -> float:
+        """Contract the row against the window's power samples."""
+        return float(np.dot(self.weights, np.asarray(p_window, dtype=float)))
+
+
+@dataclass(frozen=True)
+class LSIntermediates:
+    """Windowed moments and closed-form line fit for one LS window.
+
+    mean_power (P), mean_cross (Q), mean_logd (C) and mean_logd_sq (D) are
+    the window averages of p, p*x, x and x^2 with x = log10 d. The fitted
+    model is p ~ intercept_hat - slope_hat * x, and the coefficient split
+    l(n) = sum_i [offset_coeffs(i) - slope_coeffs(i) * x_n] * p(i) is kept
+    so callers can recombine rows at any evaluation distance.
+    """
+
+    mean_power: float
+    mean_cross: float
+    mean_logd: float
+    mean_logd_sq: float
+    intercept_hat: float
+    slope_hat: float
+    offset_coeffs: np.ndarray  # A_s(n, i)
+    slope_coeffs: np.ndarray  # B_s(n, i)
+
+
+@dataclass(frozen=True)
+class GelsDiagnostics:
+    """Model-validity diagnostics for ELS selection and the GELS trigger."""
+
+    delta: float
+    e1: float
+    e2: float
+    e_min: float
+    e_r: float
+    reinit_flag: bool
+    tag: str
+
+
+def window_start(n: int, n_w: int) -> int:
+    if n < 0 or n_w < 1:
+        raise ConfigurationError("need n >= 0 and n_w >= 1")
+    return max(0, n - n_w + 1)
+
+
+def ls_fit(
+    p_window: np.ndarray, d_window: np.ndarray, start_index: int = 0
+) -> Tuple[LSIntermediates, FilterCoeffs]:
+    """Closed-form least-squares line through (log10 d, p) over one window.
+
+    Raises SingularFitError when the window has fewer than two samples or
+    the log-distances are (numerically) all equal.
+    """
+    p = np.asarray(p_window, dtype=float)
+    d = np.asarray(d_window, dtype=float)
+    if p.shape != d.shape or p.ndim != 1:
+        raise ConfigurationError("power and distance windows must be equal-length 1-D arrays")
+    cnt = p.size
+    if cnt < 2:
+        raise SingularFitError("LS needs at least two samples in the window")
+    if np.any(d <= 0.0):
+        raise ConfigurationError("distances must be positive")
+    x = np.log10(d)
+    P = p.mean()
+    C = x.mean()
+    Q = (p * x).mean()
+    D = (x * x).mean()
+    denom = D - C * C
+    if denom <= EPS_COND * max(D, 1.0):
+        raise SingularFitError("degenerate window: log-distances carry no spread")
+    intercept = (P * D - Q * C) / denom
+    slope = (P * C - Q) / denom
+    offset = (D - C * x) / (denom * cnt)
+    slope_c = (C - x) / (denom * cnt)
+    inter = LSIntermediates(P, Q, C, D, intercept, slope, offset, slope_c)
+    g = offset - slope_c * x[-1]
+    coeffs = FilterCoeffs(start_index, start_index + cnt - 1, g, "ls")
+    return inter, coeffs
+
+
+def els_select(
+    p_window: np.ndarray, d_window: np.ndarray, start_index: int = 0
+) -> Tuple[FilterCoeffs, GelsDiagnostics]:
+    """Pick AVG or LS for one window by in-window mean squared residual.
+
+    e1 is the residual of the constant model, e2 of the fitted line; the
+    lower error wins and exact ties go to LS. Singular LS windows fall
+    back to AVG with e2 = inf.
+    """
+    p = np.asarray(p_window, dtype=float)
+    cnt = p.size
+    if cnt < 1:
+        raise ConfigurationError("window must contain at least one sample")
+    mean_p = p.mean()
+    e1 = float(np.mean((p - mean_p) ** 2))
+    try:
+        inter, ls_row = ls_fit(p, d_window, start_index)
+    except SingularFitError:
+        inter, ls_row = None, None
+    if inter is None:
+        e2 = math.inf
+    else:
+        x = np.log10(np.asarray(d_window, dtype=float))
+        resid = p - (inter.intercept_hat - inter.slope_hat * x)
+        e2 = float(np.mean(resid**2))
+    if e2 <= e1:
+        coeffs = ls_row
+        l_n = coeffs.apply(p)
+    else:
+        coeffs = FilterCoeffs(start_index, start_index + cnt - 1, np.full(cnt, 1.0 / cnt), "avg")
+        l_n = mean_p
+    delta = float(p[-1] - l_n)
+    e_min = min(e1, e2)
+    diag = GelsDiagnostics(delta, e1, e2, e_min, math.nan, False, coeffs.tag)
+    return coeffs, diag
+
+
+@dataclass
+class GelsState:
+    """Growing estimation window for one link, restarted on reinit."""
+
+    start_index: int = 0
+    log10_d: List[float] = field(default_factory=list)
+    powers: List[float] = field(default_factory=list)
+
+    @property
+    def window_len(self) -> int:
+        return len(self.powers)
+
+    @property
+    def current_index(self) -> int:
+        return self.start_index + self.window_len - 1
+
+    def restart(self):
+        """Keep only the latest sample; the window begins again there."""
+        self.start_index = self.current_index
+        self.log10_d = self.log10_d[-1:]
+        self.powers = self.powers[-1:]
+
+
+def gels_step(
+    state: GelsState,
+    distance_m: float,
+    power_db: float,
+    h_db: float = 0.0,
+    h_max_db: float = 10.0,
+    gamma: float = 3.0,
+) -> Tuple[float, GelsDiagnostics]:
+    """Advance one link's GELS window by one sample, mutating ``state``.
+
+    Runs the ELS selection on the grown window and forms the normalized
+    residual e_r = (p(n) - l(n)) / sqrt(e_min). The window restarts when
+    |e_r| > gamma or when h(n) > h_max_db; after a restart the estimate is
+    the new sample itself. e_r is not formed when e_min is at the exact-fit
+    floor, so noiseless data never triggers.
+    """
+    if gamma <= 0.0:
+        raise ConfigurationError("gamma must be positive")
+    if distance_m <= 0.0:
+        raise ConfigurationError("distances must be positive")
+    state.log10_d.append(math.log10(distance_m))
+    state.powers.append(float(power_db))
+    p = np.asarray(state.powers)
+    d10 = np.asarray(state.log10_d)
+    coeffs, diag = els_select(p, 10.0**d10, state.start_index)
+    l_n = coeffs.apply(p)
+    scale = max(1.0, abs(float(power_db)))
+    if diag.e_min > (_EMIN_FLOOR * scale) ** 2:
+        e_r = diag.delta / math.sqrt(diag.e_min)
+    else:
+        e_r = math.nan
+    reinit = (math.isfinite(e_r) and abs(e_r) > gamma) or (h_db > h_max_db)
+    if reinit:
+        state.restart()
+        l_n = float(power_db)
+    out = GelsDiagnostics(diag.delta, diag.e1, diag.e2, diag.e_min, e_r, reinit, diag.tag)
+    return l_n, out
+
+
+
+
+def adaptive_series_loop(
+    d, p, estimator, n_w=4, gels_gamma=3.0, gels_h_max=10.0, reinit_all=False, h_series=None
+):
+    """ELS or GELS estimates and modes of [T, S, N] powers, one els_select or
+    gels_step per trial, link and sample: the reference for the package's
+    window-moment kernel. The third result holds, per entry, the first
+    sample of the window fitted there and its e_min and e_r (NaN for ELS)."""
+    n_tr, n_bs, n = p.shape
+    out = np.empty_like(p)
+    modes = np.zeros(p.shape, dtype=np.int8)
+    diag = np.full(p.shape + (3,), np.nan)
+    if estimator == "els":
+        for t in range(n_tr):
+            for s in range(n_bs):
+                for i in range(n):
+                    nb = window_start(i, n_w)
+                    coeffs, dg = els_select(p[t, s, nb : i + 1], d[s, nb : i + 1], nb)
+                    out[t, s, i] = coeffs.apply(p[t, s, nb : i + 1])
+                    modes[t, s, i] = 1 if coeffs.tag == "ls" else 0
+                    diag[t, s, i, :2] = nb, dg.e_min
+        return out, modes, diag
+    h = np.zeros(n) if h_series is None else np.asarray(h_series, dtype=float)
+    for t in range(n_tr):
+        states = [GelsState() for _ in range(n_bs)]
+        for i in range(n):
+            triggered = False
+            for s in range(n_bs):
+                nb = states[s].start_index
+                l_n, dg = gels_step(states[s], d[s, i], p[t, s, i], h[i], gels_h_max, gels_gamma)
+                out[t, s, i] = l_n
+                modes[t, s, i] = 2 if dg.reinit_flag else (1 if dg.tag == "ls" else 0)
+                diag[t, s, i] = nb, dg.e_min, dg.e_r
+                triggered = triggered or dg.reinit_flag
+            if reinit_all and triggered:
+                for s in range(n_bs):
+                    if modes[t, s, i] != 2:
+                        states[s].restart()
+                        out[t, s, i] = p[t, s, i]
+                        modes[t, s, i] = 2
+    return out, modes, diag
 
 
 def avg_coeffs(n: int, n_w: int) -> FilterCoeffs:

@@ -58,6 +58,40 @@ def test_simulate_opt_policy_and_multicell(tmp_path, capsys):
     assert summary["n_cells"] == 8
 
 
+@pytest.mark.parametrize("estimator", ["els", "gels"])
+def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
+    tmp_path, capsys, monkeypatch, estimator
+):
+    # the window-moment kernel against a run whose estimates come from the
+    # per-window els_select / gels_step loop
+    from handopt import harness
+    from oracles import adaptive_series_loop
+
+    def run(tag):
+        csv_p, json_p = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        rc, _, err = run_main(
+            capsys,
+            [
+                "simulate", "--preset", "paper-vi", "--estimator", estimator,
+                "--trials", "40", "--policy", "2", "--seed", "5",
+                "--csv", str(csv_p), "--json", str(json_p),
+            ],
+        )
+        assert rc == 0
+        assert err == ""
+        return csv_p.read_bytes(), json.loads(json_p.read_text())
+
+    got = run("kernel")
+    monkeypatch.setattr(
+        harness,
+        "estimate_series",
+        lambda d, p, name, n_w, **kw: adaptive_series_loop(d, p, name, n_w, **kw)[:2],
+    )
+    want = run("oracle")
+    assert got[1]["aggregates"] == want[1]["aggregates"]
+    assert got == want
+
+
 def test_same_seed_same_bytes(tmp_path, capsys):
     blobs = []
     for tag in ("x", "y"):

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 from handopt import (
     ConfigurationError,
-    SingularFitError,
     coefficient_table,
     estimate_series,
-    ls_fit,
     preset,
     problem_from_process,
     sample_power,
@@ -43,7 +41,7 @@ from handopt.harness import (
     trellis_rows,
 )
 import oracles
-from oracles import avg_coeffs
+from oracles import SingularFitError, avg_coeffs, ls_fit
 
 
 def noiseless(config):
