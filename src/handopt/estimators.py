@@ -20,32 +20,28 @@ estimate_series estimates through that wrapper.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
 
-ELS and GELS pick AVG or LS per window from the powers, so they have no
-power-free table. Both run one moment kernel, _window_rule, on [S, N, T]
-traces, the layout estimate_series moves its input to. It reads each
-window's count and its sums of p, p^2, x, x^2 and p*x, with x = log10 d
-and both measured from a sample of the window, so the line fit does not
-cancel digits far from a cell. From them it forms e1 and e2, the in-window
-mean squared residuals of the window mean and of the fitted line, and
-picks LS when e2 <= e1; a singular fit (one sample, or no distance spread)
-gives AVG.
+ELS and GELS choose between the window mean (AVG) and the LS line by
+e2 <= e1, the in-window mean squared residuals of the line and of the
+mean. e1 - e2 is the squared cross moment over the x spread, so the
+test holds in exact arithmetic wherever the LS fit exists: both are LS
+with an AVG fallback on windows too short or degenerate for a fit.
 
-* ELS fits sliding n_w windows; a lag loop, like window_estimates', sums
-  each window's moments about its current sample. e1 - e2 is the squared
-  cross moment over the x spread, so e2 <= e1 holds in exact arithmetic
-  whenever the LS fit exists: ELS is LS with an AVG fallback on singular
-  windows.
-* GELS ignores n_w. Its window grows from the last restart, and running
-  sums per (link, trial) about the window's first sample advance one
-  sample at a time. With e_min = min(e1, e2), the window restarts when
-  |e_r| > gamma for e_r = (p(n) - l(n)) / sqrt(e_min), or when
-  h(n) > h_max. e_r is not formed when e_min is at the exact-fit floor
+* ELS fits sliding n_w windows, so its rows are the "ls" coefficient
+  table's and its modes that table's fit mask.
+* GELS ignores n_w. Its window grows from the last restart; _gels keeps
+  each (link, trial) window's count and sums of p, p^2, x, x^2 and p*x,
+  measured from the window's first sample so that the line fit does not
+  cancel digits far from a cell, and loops over samples only. With
+  e_min = min(e1, e2), the window restarts when |e_r| > gamma for
+  e_r = (p(n) - l(n)) / sqrt(e_min), or when h(n) > h_max. e_r is not
+  formed when e_min is at the exact-fit floor
   (_EMIN_FLOOR * max(1, |p(n)|))^2, so noiseless data never triggers.
   After a restart the window holds only sample n and the estimate is
   p(n); reinit_all restarts every link of a trial with it.
 
 The per-window references (ls_fit, els_select, gels_step and the sample
-loops over them) live in the tests, which compare the kernel against them.
+loops over them) live in the tests, which compare the package against
+them.
 """
 
 from __future__ import annotations
@@ -78,6 +74,12 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
     so the table is defined at every n. Data-dependent estimators have no
     power-free table; use estimate_series for those.
     """
+    return _table(distances_m, n_w, mode)[0]
+
+
+def _table(distances_m: np.ndarray, n_w: int, mode: str):
+    """coefficient_table's rows and an [N] mask of the rows that hold the
+    LS fit, which are ELS's LS windows."""
     d = np.asarray(distances_m, dtype=float)
     if d.ndim != 1:
         raise ConfigurationError("distances_m must be 1-D")
@@ -92,6 +94,7 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
     valid = idx >= 0
     cnt = np.count_nonzero(valid, axis=1)
     rows = np.where(valid, 1.0 / cnt[:, None], 0.0)
+    fit = np.zeros(n_samples, dtype=bool)
     if mode == "ls":
         x = np.log10(d)
         # windows of one length at a time, so every mean reduces the same
@@ -106,7 +109,8 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
             with np.errstate(divide="ignore", invalid="ignore"):
                 ls = ((D - C * xs) - (C - xs) * xs[:, -1:]) / (denom * k)
             rows[sel, n_w - k :] = np.where(ok, ls, rows[sel, n_w - k :])
-    return rows
+            fit[sel] = ok[:, 0]
+    return rows, fit
 
 
 def weight_block(table: np.ndarray, rows, first: int, last: int) -> np.ndarray:
@@ -161,63 +165,6 @@ def apply_coefficients(tables: np.ndarray, powers_db: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(window_estimates(tables, x), -1, 0))
 
 
-def _window_rule(m, x0, pn, xn):
-    """The ELS/GELS choice on windows given by their moments.
-
-    m holds each window's count and its sums of p, p^2, x, x^2 and p*x, with
-    p and x measured from an anchor sample of the window whose log10
-    distance is x0; pn and xn are the current sample's coordinates from the
-    same anchor. Returns (l, ls, e_min, delta): the estimate at the current
-    sample, measured from the anchor power, whether LS was picked, the
-    smaller in-window mean squared residual and pn - l. The LS fit exists
-    where the x variance exceeds EPS_COND * max(mean x^2, 1), the test
-    coefficient_table applies.
-    """
-    n, sp, spp, sx, sxx, spx = m
-    mp = sp / n
-    mx = sx / n
-    e1 = spp / n - mp * mp
-    vxx = sxx / n - mx * mx
-    vpx = spx / n - mp * mx
-    c = x0 + mx
-    fit = vxx > EPS_COND * np.maximum(vxx + c * c, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(fit, vpx / vxx, 0.0)
-    e2 = np.where(fit, e1 - slope * vpx, np.inf)
-    ls = e2 <= e1
-    l = mp + np.where(ls, slope * (xn - mx), 0.0)
-    return l, ls, np.minimum(e1, e2), pn - l
-
-
-def _els(x, p, n_w):
-    """ELS estimates and modes over sliding n_w windows of [S, N, T] powers,
-    in blocks of samples that hold about _EST_BLOCK_VALUES values."""
-    n_bs, n, n_tr = p.shape
-    est = np.empty(p.shape)
-    modes = np.empty(p.shape, dtype=np.int8)
-    block = max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
-    for n0 in range(0, n, block):
-        n1 = min(n0 + block, n)
-        sx, sxx = np.zeros((2, n_bs, n1 - n0, 1))
-        sp, spp, spx = np.zeros((3, n_bs, n1 - n0, n_tr))
-        for back in range(1, min(n_w, n1)):
-            # sample j - back measured from sample j, for every j >= lo
-            lo = max(n0, back)
-            pc = p[:, lo - back : n1 - back] - p[:, lo:n1]
-            xc = (x[:, lo - back : n1 - back] - x[:, lo:n1])[:, :, None]
-            k = lo - n0
-            sp[:, k:] += pc
-            spp[:, k:] += pc * pc
-            spx[:, k:] += pc * xc
-            sx[:, k:] += xc
-            sxx[:, k:] += xc * xc
-        cnt = np.minimum(np.arange(n0 + 1.0, n1 + 1), n_w)[:, None]
-        l, ls, _, _ = _window_rule((cnt, sp, spp, sx, sxx, spx), x[:, n0:n1, None], 0.0, 0.0)
-        est[:, n0:n1] = p[:, n0:n1] + l
-        modes[:, n0:n1] = ls
-    return est, modes
-
-
 def _gels(x, p, h, gamma, h_max, reinit_all):
     """GELS estimates and modes of [S, N, T] powers, one sample at a time."""
     n_bs, n, n_tr = p.shape
@@ -233,17 +180,29 @@ def _gels(x, p, h, gamma, h_max, reinit_all):
         pn = power - p0
         xn = x[:, i, None] - x0
         m += np.stack((np.ones_like(pn), pn, pn * pn, xn, xn * xn, pn * xn))
-        l, ls, e_min, delta = _window_rule(m, x0, pn, xn)
+        cnt, sp, spp, sx, sxx, spx = m
+        mp, mx = sp / cnt, sx / cnt
+        e1 = spp / cnt - mp * mp
+        vxx = sxx / cnt - mx * mx
+        vpx = spx / cnt - mp * mx
+        # coefficient_table's fit test; e2 = e1 - slope * vpx <= e1 where
+        # the fit exists, so LS is picked there
+        c = x0 + mx
+        fit = vxx > EPS_COND * np.maximum(vxx + c * c, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(fit, vpx / vxx, 0.0)
+        e_min = e1 - slope * vpx
+        l = mp + slope * (xn - mx)
         floor = (_EMIN_FLOOR * np.maximum(1.0, np.abs(power))) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            e_r = delta / np.sqrt(e_min)
+            e_r = (pn - l) / np.sqrt(e_min)
         restart = (e_min > floor) & (np.abs(e_r) > gamma)
         if h[i] > h_max:
             restart[:] = True
         if reinit_all:
             restart |= restart.any(axis=0)
         est[:, i] = np.where(restart, power, p0 + l)
-        modes[:, i] = np.where(restart, 2, ls)
+        modes[:, i] = np.where(restart, 2, fit)
         if restart.any():
             # the window begins again at sample i, which is its own anchor
             m[:, restart] = 0.0
@@ -294,19 +253,19 @@ def estimate_series(
         raise ConfigurationError(f"unknown estimator {estimator!r}")
     if not np.all(d > 0.0):
         raise ConfigurationError("distances must be positive")
-    # the kernel reads [S, N, T]: a [T, S, N] view of such a buffer, as the
-    # simulator passes, is read in place
-    x = np.ascontiguousarray(np.moveaxis(p, 0, -1))
     if estimator == "els":
-        if n_w < 1:
-            raise ConfigurationError("n_w must be >= 1")
-        est, modes = _els(np.log10(d), x, n_w)
+        tables, fit = map(np.stack, zip(*(_table(row, n_w, "ls") for row in d)))
+        est = apply_coefficients(tables, p)
+        modes = np.broadcast_to(fit.astype(np.int8), est.shape).copy()
     else:
         h = np.zeros(n) if h_series is None else np.asarray(h_series, dtype=float)
         if h.shape != (n,):
             raise ConfigurationError("h_series must have one entry per sample")
         if gels_gamma <= 0.0:
             raise ConfigurationError("gamma must be positive")
-        est, modes = _gels(np.log10(d), x, h, gels_gamma, gels_h_max, reinit_all)
-    est, modes = np.moveaxis(est, -1, 0), np.moveaxis(modes, -1, 0)
+        # the kernel reads [S, N, T]: a [T, S, N] view of such a buffer, as
+        # the simulator passes, is read in place
+        p_snt = np.ascontiguousarray(np.moveaxis(p, 0, -1))
+        est, modes = _gels(np.log10(d), p_snt, h, gels_gamma, gels_h_max, reinit_all)
+        est, modes = np.moveaxis(est, -1, 0), np.moveaxis(modes, -1, 0)
     return (est[0], modes[0]) if squeeze else (est, modes)

@@ -153,10 +153,10 @@ def _map_chunks(fn, bounds, workers: int):
 
 def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, tables):
     """[T, S, N] estimates of a chunk of [T, S, N] traces: through the links'
-    coefficient tables when the estimator has them, else through
-    estimate_series, whose ELS/GELS kernel works on [S, N, T]. Either way,
-    powers that are a view of a trial-innermost buffer are read in place;
-    with tables the result is such a view too.
+    coefficient tables (avg, ls, and els, which estimates with the ls rows),
+    else, for gels, through estimate_series, whose kernel works on
+    [S, N, T]. Either way, powers that are a view of a trial-innermost
+    buffer are read in place; with tables the result is such a view too.
 
     Open question: GELS gets the constant h_series = h_fixed_db, whatever
     the policy. Under optimizer margin tables its h > h_max restart
@@ -460,8 +460,10 @@ def _simulate_policies(
         fixed = _as_fixed_margin(policy)
         h_tables[label] = margin_tables[label] if fixed is None else np.full((n_samples, 2), fixed)
 
-    if config.estimator in ("avg", "ls"):
-        tables = np.stack([coefficient_table(row, config.n_w, config.estimator) for row in d])
+    if config.estimator != "gels":
+        # ELS estimates are the LS rows' (see estimators)
+        mode = "avg" if config.estimator == "avg" else "ls"
+        tables = np.stack([coefficient_table(row, config.n_w, mode) for row in d])
     else:
         tables = None
 

@@ -228,12 +228,12 @@ def adaptive_series_loop(
 ):
     """ELS or GELS estimates and modes of [T, S, N] powers, one els_select or
     gels_step per trial, link and sample: the reference for the package's
-    window-moment kernel. The third result holds, per entry, the first
-    sample of the window fitted there and its e_min and e_r (NaN for ELS)."""
+    ELS and GELS. The third result holds, per entry, the first sample of
+    the window fitted there and its e_min, e_r (NaN for ELS) and e2 - e1."""
     n_tr, n_bs, n = p.shape
     out = np.empty_like(p)
     modes = np.zeros(p.shape, dtype=np.int8)
-    diag = np.full(p.shape + (3,), np.nan)
+    diag = np.full(p.shape + (4,), np.nan)
     if estimator == "els":
         for t in range(n_tr):
             for s in range(n_bs):
@@ -242,7 +242,7 @@ def adaptive_series_loop(
                     coeffs, dg = els_select(p[t, s, nb : i + 1], d[s, nb : i + 1], nb)
                     out[t, s, i] = coeffs.apply(p[t, s, nb : i + 1])
                     modes[t, s, i] = 1 if coeffs.tag == "ls" else 0
-                    diag[t, s, i, :2] = nb, dg.e_min
+                    diag[t, s, i] = nb, dg.e_min, math.nan, dg.e2 - dg.e1
         return out, modes, diag
     h = np.zeros(n) if h_series is None else np.asarray(h_series, dtype=float)
     for t in range(n_tr):
@@ -254,7 +254,7 @@ def adaptive_series_loop(
                 l_n, dg = gels_step(states[s], d[s, i], p[t, s, i], h[i], gels_h_max, gels_gamma)
                 out[t, s, i] = l_n
                 modes[t, s, i] = 2 if dg.reinit_flag else (1 if dg.tag == "ls" else 0)
-                diag[t, s, i] = nb, dg.e_min, dg.e_r
+                diag[t, s, i] = nb, dg.e_min, dg.e_r, dg.e2 - dg.e1
                 triggered = triggered or dg.reinit_flag
             if reinit_all and triggered:
                 for s in range(n_bs):

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from handopt.cli import main
@@ -62,8 +63,9 @@ def test_simulate_opt_policy_and_multicell(tmp_path, capsys):
 def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
     tmp_path, capsys, monkeypatch, estimator
 ):
-    # the window-moment kernel against a run whose estimates come from the
-    # per-window els_select / gels_step loop
+    # the package's ELS (ls rows) and GELS (centred window moments) against
+    # a run whose estimates come from the per-window els_select / gels_step
+    # loop
     from handopt import harness
     from oracles import adaptive_series_loop
 
@@ -82,11 +84,19 @@ def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
         return csv_p.read_bytes(), json.loads(json_p.read_text())
 
     got = run("kernel")
-    monkeypatch.setattr(
-        harness,
-        "estimate_series",
-        lambda d, p, name, n_w, **kw: adaptive_series_loop(d, p, name, n_w, **kw)[:2],
-    )
+    def oracle_chunk(config, d, powers, tables):
+        return adaptive_series_loop(
+            d,
+            powers,
+            config.estimator,
+            config.n_w,
+            gels_gamma=config.gels_gamma,
+            gels_h_max=config.h_max_db,
+            reinit_all=config.gels_reinit_all,
+            h_series=np.full(d.shape[1], config.h_fixed_db),
+        )[0]
+
+    monkeypatch.setattr(harness, "_estimate_chunk", oracle_chunk)
     want = run("oracle")
     assert got[1]["aggregates"] == want[1]["aggregates"]
     assert got == want

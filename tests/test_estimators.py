@@ -1,5 +1,6 @@
 """Windowed strength estimators and their coefficient rows."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,49 @@ def test_estimate_series_validation():
         estimate_series(d, p[:, :4], "avg", 4)
     with pytest.raises(ConfigurationError):
         estimate_series(d, p, "gels", 4, h_series=np.zeros(3))
+    with pytest.raises(ConfigurationError, match="gamma"):
+        estimate_series(d, p, "gels", 4, gels_gamma=0.0)
+    with pytest.raises(ConfigurationError, match="n_w"):
+        estimate_series(d, p, "els", 0)
+    d_zero = d.copy()
+    d_zero[1, 3] = 0.0
+    for estimator in ("els", "gels"):
+        with pytest.raises(ConfigurationError, match="positive"):
+            estimate_series(d_zero, p, estimator, 4)
+
+
+def test_estimate_series_gels_tracks_lines_and_restarts():
+    # the gels_step cases above, through the package's GELS
+    d = np.linspace(200.0, 800.0, 30)[None]
+    clean = line_powers(d, -7.0, 35.0)
+    est, modes = estimate_series(d, clean, "gels", 4)
+    assert modes[0, 0] == 0 and (modes[0, 1:] == 1).all()
+    np.testing.assert_allclose(est, clean, rtol=0, atol=1e-9)
+    broken = clean + np.random.default_rng(14).normal(0.0, 0.5, size=30)
+    broken[0, 18:] += 60.0  # corner: the fitted line breaks down
+    est, modes = estimate_series(d, broken, "gels", 4, gels_gamma=3.0)
+    j = 18 + int(np.flatnonzero(modes[0, 18:21] == 2)[0])
+    assert est[0, j] == broken[0, j]
+    # h > h_max restarts the window whatever the residual
+    h = np.zeros(30)
+    h[1] = 11.0
+    est, modes = estimate_series(d, clean, "gels", 4, gels_h_max=10.0, h_series=h)
+    assert modes[0, 1] == 2 and est[0, 1] == clean[0, 1]
+    assert modes[0, 2] == 1 and (modes[0, 3:] == 1).all()
+
+
+def ls_mean_rule(xs, ps):
+    """The ELS/GELS window rule at the window's last sample in exact
+    arithmetic on the float inputs. e1 - e2 = vpx^2 / vxx, so the line wins
+    wherever the fit exists and the mean elsewhere."""
+    X, P = [Fraction(v) for v in xs], [Fraction(v) for v in ps]
+    k = len(P)
+    mp, mx = sum(P) / k, sum(X) / k
+    vxx = sum((v - mx) ** 2 for v in X) / k
+    if not vxx > Fraction(EPS_COND) * max(vxx + mx * mx, 1):
+        return float(mp)
+    vpx = sum((v - mx) * (q - mp) for v, q in zip(X, P)) / k
+    return float(mp + vpx / vxx * (X[-1] - mx))
 
 
 def test_gels_does_not_restart_on_an_exact_two_sample_fit():
@@ -336,14 +380,14 @@ def test_window_moment_kernel_equals_the_per_window_oracle(
     p[..., n // 2 :] += rng.choice([0.0, 40.0], size=(n_bs, 1))
     h = np.where(rng.random(n) < 0.05, 12.0, 0.0)
 
-    # ELS sums its windows in blocks of samples; 1 and 5 values give blocks
-    # of one sample and of a few, 1 << 16 one block
+    # ELS contracts its rows in blocks of samples; 1 and 5 values give
+    # blocks of one sample and of a few, 1 << 16 one block
     with mock.patch.object(estimators, "_EST_BLOCK_VALUES", block_values):
         est, modes = estimate_series(d, p, estimator, n_w, reinit_all=reinit_all, h_series=h)
     want, want_modes, diag = adaptive_series_loop(
         d, p, estimator, n_w, reinit_all=reinit_all, h_series=h
     )
-    start, e_min, e_r = np.moveaxis(diag, -1, 0)
+    start, e_min, e_r, e2_over_e1 = np.moveaxis(diag, -1, 0)
     # the oracle's uncentred fit loses digits as its window's x spread
     # shrinks against |x|: kappa is max(mean x^2, 1) / var x where it fits
     kappa = np.ones(p.shape)
@@ -359,7 +403,10 @@ def test_window_moment_kernel_equals_the_per_window_oracle(
     with np.errstate(divide="ignore", invalid="ignore"):
         near_gamma = np.abs(np.abs(e_r) - 3.0) <= np.maximum(1e-9, rounding / np.sqrt(e_min))
     near_floor = np.abs(e_min - (_EMIN_FLOOR * scale) ** 2) <= rounding**2
-    unsure = (near_gamma | near_floor) if estimator == "gels" else np.zeros(p.shape, bool)
+    # e2 <= e1 wherever the fit exists, so where the oracle's rounding puts
+    # e2 above e1 its AVG pick may be the package's LS
+    near_tie = e2_over_e1 <= 2 * np.sqrt(e_min) * rounding + rounding**2
+    unsure = near_tie | ((near_gamma | near_floor) if estimator == "gels" else False)
     differ = modes != want_modes
     if reinit_all:  # a restart on one link restarts its whole trial
         unsure = np.broadcast_to(unsure.any(axis=1, keepdims=True), p.shape)
@@ -370,3 +417,14 @@ def test_window_moment_kernel_equals_the_per_window_oracle(
     # estimates where the oracle's rounding is below the tolerance
     spread_ok = checked & (rounding <= 1e-9)
     assert np.abs(est - want)[spread_ok].max(initial=0.0) <= 1e-9
+    if estimator == "els":
+        assert est.tobytes() == estimate_series(d, p, "ls", n_w)[0].tobytes()
+        assert (modes[..., 0] == 0).all() and (modes[..., 1:] <= 1).all()
+    else:
+        # the centred GELS sums keep their digits however small the spread:
+        # every estimate of a window the oracle also fitted equals the exact
+        # rule within 1e-9 dB
+        for t, s, i in zip(*np.nonzero(checked & (modes != 2))):
+            nb = int(start[t, s, i])
+            exact = ls_mean_rule(x[s, nb : i + 1], p[t, s, nb : i + 1])
+            assert abs(est[t, s, i] - exact) <= 1e-9
