@@ -363,15 +363,20 @@ def _cmd_accuracy(args) -> int:
     mc_samples = _run_value(file_run, args, "mc_samples", int, 400_000)
     study_seed = _run_value(file_run, args, "study_seed", int, 0)
     study = run_accuracy_study(
-        k,
-        m_split,
-        instances,
-        study_seed,
-        config=config,
-        mc_samples=mc_samples,
-        csv_path=args.csv,
-        json_path=args.json,
+        k, m_split, instances, study_seed, config=config, mc_samples=mc_samples
     )
+    summary = {
+        "schema": "accuracy-study-v1",
+        "config_hash": config_fingerprint(config),
+        "seed": study_seed,
+        "k": k,
+        "m_split": m_split,
+        "n_instances": instances,
+        "mc_samples": mc_samples,
+        "mae": study.mae,
+        "mre": study.mre,
+    }
+    emit(args.csv, args.json, study.fieldnames, study.rows, summary)
     _print(
         f"accuracy k={k} m_split={m_split}: "
         + " ".join(f"mae[{name}]={study.mae[name]:.2e}" for name in ("b1", "lb2", "ub2", "ub3"))

@@ -243,6 +243,8 @@ def estimate_series(
     if p.ndim != 3 or p.shape[1:] != d.shape:
         raise ConfigurationError("powers_db must be [n_bs, n_samples] or [trials, n_bs, n_samples]")
     n = p.shape[2]
+    if not np.all(d > 0.0):
+        raise ConfigurationError("distances must be positive")
 
     if estimator in ("avg", "ls"):
         tables = np.stack([coefficient_table(row, n_w, estimator) for row in d])
@@ -251,8 +253,6 @@ def estimate_series(
 
     if estimator not in ("els", "gels"):
         raise ConfigurationError(f"unknown estimator {estimator!r}")
-    if not np.all(d > 0.0):
-        raise ConfigurationError("distances must be positive")
     if estimator == "els":
         tables, fit = map(np.stack, zip(*(_table(row, n_w, "ls") for row in d)))
         est = apply_coefficients(tables, p)

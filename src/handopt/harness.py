@@ -23,14 +23,21 @@ precomputed table indexed by sample and by the serving state one sample
 earlier; the receding-horizon solve behind each entry is rooted at that
 state with the configured base margin as the root conditioning width.
 
-Sweeps reuse the same power traces for every policy cell at a given speed,
-so policy comparisons are paired. Speed sweeps default to a fixed spatial
-grid: positions stay at the reference sampling, speed acts through the
-shadowing correlation between consecutive samples. Set mode="resampled" to
-stretch the sample spacing instead.
+Every run becomes results in _simulate_policies, which returns one
+finished RunResult per policy; the runners only choose its config, seeds
+and speed, and run_two_cell adds its analytic series to the result.
 
-All emitted files are written next to their destination and moved into
-place, so a failed run never leaves a partial file.
+Sweeps reuse the same power traces for every policy cell at a given speed,
+so policy comparisons are paired. Each sweep speed is a config
+(_speed_variant), which the simulator and the optimizer tables read alike.
+Speed sweeps default to a fixed spatial grid: positions stay at the
+reference sampling, speed acts through the shadowing correlation between
+consecutive samples (every channel's coherence length is scaled). Set
+mode="resampled" to stretch the sample spacing instead.
+
+Runners and studies return results and write no files; the CLI writes
+them through emit, which writes each file next to its destination and
+moves it into place, so a failed run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -76,9 +83,11 @@ _OPT_LABELS = {
     **{objective: label for label, objective in _POLICY_OBJECTIVES.items()},
 }
 
-# Margin tables for the data-driven estimators have no power-free form;
-# the optimizer models those runs with the rectangular-window table.
-_TABLE_MODE = {"avg": "avg", "ls": "ls", "els": "avg", "gels": "avg"}
+# estimator -> the coefficient rows the simulator estimates with and the
+# optimizer models it by. ELS estimates are the LS rows' (see estimators).
+# GELS has no power-free form; its optimizer model takes the
+# rectangular-window rows and the simulator runs estimate_series.
+_TABLE_MODE = {"avg": "avg", "ls": "ls", "els": "ls", "gels": "avg"}
 
 # Power samples (trials x cells x samples) one simulation chunk holds at most.
 _CHUNK_SAMPLES = 6_000_000
@@ -200,25 +209,14 @@ def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1):
 # optimizer margin tables
 
 
-def _policy_problem_kwargs(config: ScenarioConfig, label: str) -> dict:
-    objective = _POLICY_OBJECTIVES.get(label)
-    if objective == "min_handover":
-        return {"objective": objective, "p_out_cap": config.p_out_cap, "p_han_cap": 1.0}
-    if objective == "min_outage":
-        return {"objective": objective, "p_out_cap": 1.0, "p_han_cap": config.p_han_cap}
-    if objective == "pareto":
-        return {
-            "objective": objective,
-            "p_out_cap": 1.0,
-            "p_han_cap": 1.0,
-            "pareto_z": config.pareto_weight,
-        }
-    raise ConfigurationError(f"unknown optimizer policy {label!r}")
-
-
 def _trellis_problem(config: ScenarioConfig, stats, horizon: int, root_b: int, label: str):
-    """Receding-horizon problem of one optimizer policy on prepared stats."""
+    """Receding-horizon problem of one optimizer policy on prepared stats.
+
+    Every policy gets the config's caps and pareto weight: each objective
+    reads only its own setting (p_out_cap for min_handover, p_han_cap for
+    min_outage, the weight for pareto)."""
     return TrellisProblem(
+        objective=_POLICY_OBJECTIVES[label],
         horizon=horizon,
         root_b=root_b,
         root_margin=config.h_fixed_db,
@@ -226,30 +224,29 @@ def _trellis_problem(config: ScenarioConfig, stats, horizon: int, root_b: int, l
         outage_threshold_db=config.resolved_outage_threshold(),
         h_max=config.h_max_db,
         h_step=config.h_step_db,
-        **_policy_problem_kwargs(config, label),
+        p_out_cap=config.p_out_cap,
+        p_han_cap=config.p_han_cap,
+        pareto_z=config.pareto_weight,
     )
 
 
-def opt_margin_tables(
-    config: ScenarioConfig,
-    policies=_OPT_POLICIES,
-    *,
-    channels=None,
-) -> dict:
+def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
     """Precompute margin lookup tables for the optimizer policies.
 
     Returns {policy: [N, 2] array}: row t holds the margin applied at
     sample t when the serving cell one sample earlier was the first or the
     second cell of that sample's pair (_cell_pairs). Row 0 is the base
     margin. One receding-horizon solve pair per sample is shared across
-    policies. Every policy must be an optimizer policy (opt1-3).
+    policies. Every policy must be an optimizer policy (opt1-3). The
+    config's channels and estimator set the gap law; a sweep passes its
+    speed variant (_speed_variant) as the config.
 
-    Each cell pair keeps one GapProcess for the whole call, and every root
-    reads its window from that process's block law (GapProcess.block_stats).
-    The roots are solved in one solve_group call per (cell pair, block), so
-    the stage tables of all their windows take one stacked build, in which
-    each outage lattice table of a (pair, block, sample, cell) is
-    integrated once.
+    Each cell pair keeps one GapProcess (_gap_process) for the whole call,
+    and every root reads its window from that process's block law
+    (GapProcess.block_stats). The roots are solved in one solve_group call
+    per (cell pair, block), so the stage tables of all their windows take
+    one stacked build, in which each outage lattice table of a (pair,
+    block, sample, cell) is integrated once.
     """
     policies = list(policies)
     for p in policies:
@@ -257,32 +254,18 @@ def opt_margin_tables(
             raise ConfigurationError(f"unknown optimizer policy {p!r}")
     d = config.distances_m()
     n_samples = d.shape[1]
-    chs = tuple(channels) if channels is not None else config.channels
-    mode = _TABLE_MODE[config.estimator]
-    pair = _cell_pairs(d)
-
-    cell_tables = {}
-    processes = {}
-
-    def process_for(a: int, b: int) -> GapProcess:
-        if (a, b) not in processes:
-            for cell in (a, b):
-                if cell not in cell_tables:
-                    cell_tables[cell] = coefficient_table(d[cell], config.n_w, mode)
-            processes[a, b] = GapProcess(
-                cell_tables[a], cell_tables[b], (chs[a], chs[b]), d[[a, b]], config.step_m
-            )
-        return processes[a, b]
-
     out = {p: np.full((n_samples, 2), config.h_fixed_db) for p in policies}
     if not policies or n_samples < 2:
         return out
 
     roots = {}  # (cell pair, block) -> its root samples, in trace order
-    for n, (a, b) in enumerate(pair[:, :-1].T.tolist()):
+    for n, (a, b) in enumerate(_cell_pairs(d)[:, :-1].T.tolist()):
         roots.setdefault((a, b, n // _BLOCK_SAMPLES), []).append(n)
+    processes = {}
     for (a, b, _), ns in roots.items():
-        process = process_for(a, b)
+        if (a, b) not in processes:
+            processes[a, b] = _gap_process(config, a, b)
+        process = processes[a, b]
         problems = []
         for n in ns:
             m = min(config.horizon, n_samples - 1 - n)
@@ -317,6 +300,10 @@ class RunResult:
     counts are kept as the unconditional companion. Analytic side (when
     requested): per-sample switch and outage probability series with
     standard errors, whose sums are the trip aggregates.
+
+    config is the scenario the cell ran: in a table sweep, the speed
+    variant of the sweep's config (_speed_variant), while speed_mps is the
+    cell's speed under either sweep mode.
     """
 
     policy: str
@@ -334,19 +321,6 @@ class RunResult:
     analytic_p_o: np.ndarray = None
     analytic_se_h: np.ndarray = None
     analytic_se_o: np.ndarray = None
-
-    @classmethod
-    def from_tallies(cls, tallies, **fields) -> "RunResult":
-        """Result from a (switches, outages, switch times, conn, outb) tuple."""
-        switches, outages, times, conn, outb = tallies
-        return cls(
-            switch_counts=switches,
-            outage_counts=outages,
-            conn_counts=conn,
-            outage_branch_counts=outb,
-            switch_times=times,
-            **fields,
-        )
 
     @property
     def mean_switches(self) -> float:
@@ -438,31 +412,33 @@ def _simulate_policies(
     n_trials: int,
     *,
     seed_parts,
-    channels=None,
-    workers=None,
-    log_events=True,
-):
-    """Shared-trace simulation of several policies; dict label -> arrays."""
+    speed_mps: float,
+    workers,
+    log_events: bool,
+) -> dict:
+    """Shared-trace simulation of several policies; {label: RunResult}.
+
+    Trial t draws from SeedSequence([*seed_parts, t]); the results carry
+    seed_parts[0] as their base seed and speed_mps as their speed.
+    """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
     d = config.distances_m()
     n_bs, n_samples = d.shape
-    chs = tuple(channels) if channels is not None else config.channels
     beta = config.resolved_outage_threshold()
     labels = [_policy_label(p) for p in policies]
     if len(set(labels)) != len(labels):
         raise ConfigurationError("duplicate policies in one run")
 
     opt_needed = [l for l in labels if l in _OPT_POLICIES]
-    margin_tables = opt_margin_tables(config, opt_needed, channels=chs) if opt_needed else {}
+    margin_tables = opt_margin_tables(config, opt_needed) if opt_needed else {}
     h_tables = {}
     for policy, label in zip(policies, labels):
         fixed = _as_fixed_margin(policy)
         h_tables[label] = margin_tables[label] if fixed is None else np.full((n_samples, 2), fixed)
 
     if config.estimator != "gels":
-        # ELS estimates are the LS rows' (see estimators)
-        mode = "avg" if config.estimator == "avg" else "ls"
+        mode = _TABLE_MODE[config.estimator]
         tables = np.stack([coefficient_table(row, config.n_w, mode) for row in d])
     else:
         tables = None
@@ -473,7 +449,9 @@ def _simulate_policies(
     def run_chunk(t0: int, t1: int):
         rngs = trial_generators(seed_parts, t0, t1)
         # [T, S, N] view of the trial-innermost buffer every stage reads
-        powers = np.moveaxis(sample_power(chs, d, config.step_m, rngs).cell_major_db, -1, 0)
+        powers = np.moveaxis(
+            sample_power(config.channels, d, config.step_m, rngs).cell_major_db, -1, 0
+        )
         est = _estimate_chunk(config, d, powers, tables)
         return _decide(est, powers, h_tables, beta, pair, init, config.h_fixed_db)
 
@@ -496,8 +474,20 @@ def _simulate_policies(
             # row-major order lists each trial's changes in sample order
             samples = np.flatnonzero(changed) % n_samples
             times = tuple(np.split(samples, np.cumsum(switches)[:-1]))
-        results[label] = (switches, outages, times, conn, outb)
-    return results, h_tables
+        results[label] = RunResult(
+            policy=label,
+            speed_mps=speed_mps,
+            n_trials=n_trials,
+            switch_counts=switches,
+            outage_counts=outages,
+            conn_counts=conn,
+            outage_branch_counts=outb,
+            switch_times=times,
+            margin_table=h_tables[label],
+            base_seed=seed_parts[0],
+            config=config,
+        )
+    return results
 
 
 def run_two_cell(
@@ -519,52 +509,37 @@ def run_two_cell(
     """
     if config.layout.n_bs != 2:
         raise ConfigurationError("run_two_cell needs a two-cell layout")
+    fixed = _as_fixed_margin(policy)
+    if analytic is not None and fixed is None:
+        raise ConfigurationError("analytic chains need a constant-margin policy")
     base_seed = config.seed if seed is None else int(seed)
-    results, h_tables = _simulate_policies(
+    (result,) = _simulate_policies(
         config,
         [policy],
         n_trials,
         seed_parts=[base_seed],
+        speed_mps=config.speed_mps,
         workers=workers,
         log_events=log_events,
+    ).values()
+    if analytic is None:
+        return result
+    process = _gap_process(config)
+    n_last = process.n_samples - 1
+    depth = config.resolved_depth()
+    beta = config.resolved_outage_threshold()
+    p01, p10, se_h = handover_series(
+        process, n_last, fixed, depth,
+        b_init=config.b_init, method=analytic, mc_samples=mc_samples,
+        seed=base_seed,
     )
-    label = _policy_label(policy)
-    extra = {}
-    if analytic is not None:
-        fixed = _as_fixed_margin(policy)
-        if fixed is None:
-            raise ConfigurationError(
-                "analytic chains need a constant-margin policy"
-            )
-        process = _gap_process(config)
-        n_last = config.trace().n_samples - 1
-        depth = config.resolved_depth()
-        beta = config.resolved_outage_threshold()
-        p01, p10, se_h = handover_series(
-            process, n_last, fixed, depth,
-            b_init=config.b_init, method=analytic, mc_samples=mc_samples,
-            seed=base_seed,
-        )
-        _, _, po, _, se_o = outage_series(
-            process, n_last, fixed, depth, beta,
-            b_init=config.b_init, method=analytic, mc_samples=mc_samples,
-            seed=base_seed,
-        )
-        extra = {
-            "analytic_p_h": p01 + p10,
-            "analytic_p_o": po,
-            "analytic_se_h": se_h,
-            "analytic_se_o": se_o,
-        }
-    return RunResult.from_tallies(
-        results[label],
-        margin_table=h_tables[label],
-        policy=label,
-        speed_mps=config.speed_mps,
-        n_trials=n_trials,
-        base_seed=base_seed,
-        config=config,
-        **extra,
+    _, _, po, _, se_o = outage_series(
+        process, n_last, fixed, depth, beta,
+        b_init=config.b_init, method=analytic, mc_samples=mc_samples,
+        seed=base_seed,
+    )
+    return replace(
+        result, analytic_p_h=p01 + p10, analytic_p_o=po, analytic_se_h=se_h, analytic_se_o=se_o
     )
 
 
@@ -581,24 +556,16 @@ def run_multicell(
     if config.layout.n_bs < 3:
         raise ConfigurationError("run_multicell needs at least three cells")
     base_seed = config.seed if seed is None else int(seed)
-    results, h_tables = _simulate_policies(
+    (result,) = _simulate_policies(
         config,
         [policy],
         n_trials,
         seed_parts=[base_seed],
+        speed_mps=config.speed_mps,
         workers=workers,
         log_events=log_events,
-    )
-    label = _policy_label(policy)
-    return RunResult.from_tallies(
-        results[label],
-        margin_table=h_tables[label],
-        policy=label,
-        speed_mps=config.speed_mps,
-        n_trials=n_trials,
-        base_seed=base_seed,
-        config=config,
-    )
+    ).values()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +597,19 @@ class SweepSpec:
             raise ConfigurationError(f"speeds share a column label: {columns}")
 
 
-def _speed_variant(config: ScenarioConfig, v: float, mode: str):
-    """(config, channels) pair realizing speed v under the sweep mode."""
+def _speed_variant(config: ScenarioConfig, v: float, mode: str) -> ScenarioConfig:
+    """The config that realizes speed v under the sweep mode.
+
+    resampled: the config at speed_mps = v. fixed-grid: the config at its
+    own speed and sample spacing, with every channel's coherence_m scaled
+    by speed_mps / v, so consecutive samples decorrelate as at speed v.
+    """
     if mode == "resampled":
-        return config.with_updates(speed_mps=v), None
+        return config.with_updates(speed_mps=v)
     scale = config.speed_mps / v
-    channels = tuple(
-        replace(ch, coherence_m=ch.coherence_m * scale) for ch in config.channels
+    return config.with_updates(
+        channels=tuple(replace(ch, coherence_m=ch.coherence_m * scale) for ch in config.channels)
     )
-    return config, channels
 
 
 def run_table_sweep(
@@ -658,27 +629,16 @@ def run_table_sweep(
     base_seed = config.seed if seed is None else int(seed)
     out = {}
     for vi, v in enumerate(spec.speeds):
-        cfg_v, channels_v = _speed_variant(config, v, spec.mode)
-        results, h_tables = _simulate_policies(
-            cfg_v,
+        results = _simulate_policies(
+            _speed_variant(config, v, spec.mode),
             spec.policies,
             spec.n_trials,
             seed_parts=[base_seed, vi],
-            channels=channels_v,
+            speed_mps=v,
             workers=workers,
             log_events=log_events,
         )
-        for policy in spec.policies:
-            label = _policy_label(policy)
-            out[(label, v)] = RunResult.from_tallies(
-                results[label],
-                margin_table=h_tables[label],
-                policy=label,
-                speed_mps=v,
-                n_trials=spec.n_trials,
-                base_seed=base_seed,
-                config=cfg_v,
-            )
+        out.update(((label, v), result) for label, result in results.items())
     return out
 
 
@@ -745,8 +705,6 @@ def run_accuracy_study(
     *,
     config: ScenarioConfig = None,
     mc_samples: int = 400_000,
-    csv_path=None,
-    json_path=None,
 ) -> AccuracyStudy:
     """Compare the approximate evaluators against the exact one.
 
@@ -755,6 +713,8 @@ def run_accuracy_study(
     a k-dimensional box probability. Evaluated series: exact, blockwise B1
     (blocks of m_split), eigenvalue sandwich LB2/UB2 and the split upper
     bound UB3. k up to 10 is accepted; 4, 6 and 8 are the standard sizes.
+    The study writes no files: the CLI's accuracy command emits its rows
+    and summary.
     """
     if not 2 <= k <= 10:
         raise ConfigurationError("k must lie in 2..10")
@@ -824,23 +784,9 @@ def run_accuracy_study(
     mae = {name: float(np.mean(vals)) for name, vals in err.items()}
     mae["sandwich_violations"] = violations
     mre = {name: float(np.mean(vals)) for name, vals in rel.items()}
-    study = AccuracyStudy(
+    return AccuracyStudy(
         k=k, m_split=m_split, fieldnames=fields, rows=tuple(rows), mae=mae, mre=mre
     )
-    if csv_path is not None or json_path is not None:
-        summary = {
-            "schema": "accuracy-study-v1",
-            "config_hash": config_fingerprint(config),
-            "seed": seed,
-            "k": k,
-            "m_split": m_split,
-            "n_instances": n_instances,
-            "mc_samples": mc_samples,
-            "mae": mae,
-            "mre": mre,
-        }
-        emit(csv_path, json_path, fields, rows, summary)
-    return study
 
 
 # ---------------------------------------------------------------------------

@@ -227,19 +227,8 @@ def handover_series(
     p10 = np.zeros(n_last + 1)
     var = np.zeros(n_last + 1)
     for n in range(n_last + 1):
-        if n == 0:
-            if b_init == 1:
-                q, se = _eval_term(
-                    process, [gap_above(0, h[0])], method, mc_samples, seed
-                )
-                p01[0] = q
-            else:
-                q, se = _eval_term(
-                    process, [gap_below(0, h[0])], method, mc_samples, seed
-                )
-                p10[0] = q
-            var[0] = se**2
-            continue
+        # at n = 0, sample -1 expands into the carry term alone, weighted 1
+        # on the b_init side
         for side, out in ((1, p01), (0, p10)):
             exit_c = gap_above(n, h[n]) if side == 1 else gap_below(n, h[n])
             out[n], v = _side_sum(

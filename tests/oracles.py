@@ -521,7 +521,7 @@ def solve_group(problems, outage_memo=None):
     return out
 
 
-def opt_margin_tables(config, policies=_OPT_POLICIES, *, channels=None) -> dict:
+def opt_margin_tables(config, policies=_OPT_POLICIES) -> dict:
     """harness.opt_margin_tables with one StageTables per root window: every
     root's six problems in one solve_group call, the outage tables shared
     through one memo per (cell pair, block)."""
@@ -529,7 +529,7 @@ def opt_margin_tables(config, policies=_OPT_POLICIES, *, channels=None) -> dict:
     n_samples = d.shape[1]
     mode = _TABLE_MODE[config.estimator]
     pair = _cell_pairs(d)
-    chs = tuple(channels) if channels is not None else config.channels
+    chs = config.channels
     processes, memos = {}, {}
     out = {p: np.full((n_samples, 2), config.h_fixed_db) for p in policies}
     for t in range(1, n_samples):

@@ -185,6 +185,47 @@ def test_optimize_outputs_are_pinned(tmp_path, capsys):
         assert got == want, (root, objective)
 
 
+# sha256 of the table (fixed-grid and resampled) and accuracy CSV and JSON,
+# recorded while the runners still built their results one by one and the
+# accuracy study wrote its own files; the CLI must reproduce them
+TABLE_ARGS = [
+    "table", "--preset", "paper-vi", "--start-offset-m", "975", "--length-m", "50",
+    "--trials", "50", "--seed", "3",
+]
+ACCURACY_ARGS = [
+    "accuracy", "--k", "3", "--m-split", "2", "--instances", "2",
+    "--mc-samples", "20000", "--study-seed", "5",
+]
+RUN_SHA256 = {
+    "table-fixed-grid": (
+        TABLE_ARGS,
+        "f3f41606430382b0d44300224a66afc3935b42e72be9e116362d68e333654d44",
+        "2addbd0e4650b5f65af0e008e0de7b0674b9ae19e2dfcc12ba6eb18f02c110ab",
+    ),
+    "table-resampled": (
+        TABLE_ARGS + ["--mode", "resampled"],
+        "e42f10b0073d83ed9160478e81dcd1c2527a01d5b8ad24cd193831f8ed55ade0",
+        "bb3e80d5fbe7341cbcbfd9199f35b6c9c967ef734ebd199374b8c9af168f0a82",
+    ),
+    "accuracy": (
+        ACCURACY_ARGS,
+        "6813218a0ea34dad257d34ca6469e660005689cbedafcdc51541be177a079156",
+        "b4a8ca679e1b501e29fc131ad4985c75ae3268448705e2d7f252bd242c8a7d20",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SHA256))
+def test_table_and_accuracy_outputs_are_pinned(tmp_path, capsys, name):
+    argv, *want = RUN_SHA256[name]
+    csv_p = tmp_path / "run.csv"
+    json_p = tmp_path / "run.json"
+    rc, _, _ = run_main(capsys, argv + ["--csv", str(csv_p), "--json", str(json_p)])
+    assert rc == 0
+    got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_p, json_p)]
+    assert got == want
+
+
 def test_optimize_has_no_method_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--preset", "vehicular-two-cell", "--method", "exact"])

@@ -300,7 +300,7 @@ def test_estimate_series_validation():
         estimate_series(d, p, "els", 0)
     d_zero = d.copy()
     d_zero[1, 3] = 0.0
-    for estimator in ("els", "gels"):
+    for estimator in ("avg", "ls", "els", "gels"):
         with pytest.raises(ConfigurationError, match="positive"):
             estimate_series(d_zero, p, estimator, 4)
 

@@ -289,13 +289,12 @@ def test_opt_margin_tables_equal_the_per_root_oracle(name, updates, speed):
     # that crosses the sample-64 block border and ends in truncated
     # horizons, and on a cell-row slice across two cell boundaries
     cfg = preset(name).with_updates(**updates)
-    channels = None
     if speed is not None:
-        cfg, channels = harness._speed_variant(cfg, speed, SweepSpec().mode)
+        cfg = harness._speed_variant(cfg, speed, SweepSpec().mode)
     elif name == "paper-vi":
         assert cfg.trace().n_samples > gaussian._BLOCK_SAMPLES + cfg.horizon
-    got = opt_margin_tables(cfg, channels=channels)
-    want = oracles.opt_margin_tables(cfg, channels=channels)
+    got = opt_margin_tables(cfg)
+    want = oracles.opt_margin_tables(cfg)
     assert sorted(got) == sorted(want) == ["opt1", "opt2", "opt3"]
     for p in want:
         assert got[p].tobytes() == want[p].tobytes(), p
@@ -314,9 +313,34 @@ def test_opt_margin_tables_share_nothing_across_calls():
         "dc10072a921e1a42aa0f33916d8e2738e98465ec19ddf3024108d920637193b7",
     )
     for k in (0, 1, 0, 1):
-        tables = opt_margin_tables(cfg, channels=(base, other)[k])
+        tables = opt_margin_tables(replace(cfg, channels=(base, other)[k]))
         gc.collect()
         assert tables_digest(tables) == want[k], k
+
+
+def test_els_margin_tables_are_the_ls_ones():
+    # ELS estimates with the LS rows, so the optimizer models it by them
+    cfg = preset("paper-vi").with_updates(start_offset_m=970.0, length_m=60.0)
+    ls = opt_margin_tables(cfg.with_updates(estimator="ls"))
+    els = opt_margin_tables(cfg.with_updates(estimator="els"))
+    assert sorted(els) == sorted(ls) == ["opt1", "opt2", "opt3"]
+    for p in ls:
+        assert els[p].tobytes() == ls[p].tobytes(), p
+
+
+def test_sweep_cells_carry_their_speed_variant():
+    # a fixed-grid cell runs the config with scaled coherence lengths, and
+    # its result names that config: its margin table is that config's
+    cfg = preset("paper-vi").with_updates(start_offset_m=970.0, length_m=60.0)
+    spec = SweepSpec(speeds=(5.0, 40.0), policies=(2.0, "opt1", "opt2", "opt3"), n_trials=3)
+    results = run_table_sweep(cfg, spec, seed=4)
+    for (label, v), result in results.items():
+        if label.startswith("opt"):
+            want = opt_margin_tables(result.config)[label]
+            assert result.margin_table.tobytes() == want.tobytes(), (label, v)
+        variant = harness._speed_variant(cfg, v, spec.mode)
+        assert config_fingerprint(result.config) == config_fingerprint(variant)
+        assert result.speed_mps == v
 
 
 def test_sweep_table_layout():
