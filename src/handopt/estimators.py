@@ -15,8 +15,10 @@ the [N, min(n_w, N)] coefficient_table: row n is right-aligned on sample
 n, so the last column weights sample n itself, and entries before sample 0
 are zero. window_estimates contracts such rows with a batch of power
 traces stored trials innermost, [S, N, T], which is how the simulator
-holds them; apply_coefficients wraps it for [T, S, N] traces, and
-estimate_series estimates through that wrapper.
+holds them, over any range of samples; the simulator asks for one block
+of block_samples(S, T) samples at a time, while apply_coefficients wraps
+the full range for [T, S, N] traces, and estimate_series estimates
+through that wrapper.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
 
@@ -126,30 +128,43 @@ def weight_block(table: np.ndarray, rows, first: int, last: int) -> np.ndarray:
     return out
 
 
-def window_estimates(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+def block_samples(n_bs: int, n_tr: int) -> int:
+    """Samples per block of window_estimates on S = n_bs links and T = n_tr
+    trials: about _EST_BLOCK_VALUES values, at least one sample."""
+    return max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
+
+
+def window_estimates(tables: np.ndarray, x: np.ndarray, n0: int = 0, n1=None, out=None):
     """Estimates of a batch of traces stored with the trials innermost.
 
     tables is [S, N, n_w], one coefficient_table per link, and x [S, N, T];
-    entry [s, n, t] of the [S, N, T] result is
-    tables[s, n] . x[s, n - n_w + 1 .. n, t], summed from the oldest sample
-    of the window to sample n. The lags are accumulated over blocks of
-    samples that hold about _EST_BLOCK_VALUES values, so every lag of a
-    block reads its powers from cache.
+    entry [s, n - n0, t] of the [S, n1 - n0, T] result is
+    tables[s, n] . x[s, n - n_w + 1 .. n, t] for the samples n0 <= n < n1
+    (default: all N), summed from the oldest sample of the window to
+    sample n. The result is written to out when given, an [S, n1 - n0, T]
+    buffer a caller may reuse from block to block. The lags are accumulated
+    over blocks of block_samples(S, T) samples, so every lag of a block
+    reads its powers from cache; every entry sees the same operations
+    whatever the range and the block, so a range is bit for bit the
+    matching slice of the full call.
     """
     n_bs, n, n_w = tables.shape
     n_tr = x.shape[2]
-    block = max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
-    out = np.zeros(x.shape)
-    prod = np.empty((n_bs, block, n_tr))
-    for n0 in range(0, n, block):
-        n1 = min(n0 + block, n)
+    n1 = n if n1 is None else n1
+    block = block_samples(n_bs, n_tr)
+    if out is None:
+        out = np.empty((n_bs, n1 - n0, n_tr))
+    out[...] = 0.0
+    prod = np.empty((n_bs, min(block, n1 - n0), n_tr))
+    for b0 in range(n0, n1, block):
+        b1 = min(b0 + block, n1)
         for j in range(n_w):
             back = n_w - 1 - j  # column j weights sample n - back
-            lo = max(n0, back)  # samples before lo have no sample n - back
-            if lo < n1:
-                p = prod[:, : n1 - lo]
-                np.multiply(tables[:, lo:n1, j, None], x[:, lo - back : n1 - back], out=p)
-                out[:, lo:n1] += p
+            lo = max(b0, back)  # samples before lo have no sample n - back
+            if lo < b1:
+                p = prod[:, : b1 - lo]
+                np.multiply(tables[:, lo:b1, j, None], x[:, lo - back : b1 - back], out=p)
+                out[:, lo - n0 : b1 - n0] += p
     return out
 
 

@@ -10,9 +10,15 @@ from SeedSequence([seed, vi, t]). The seed words of a chunk's trials are
 computed together (channel.trial_generators), never through one
 SeedSequence per trial.
 Each chunk draws all of its traces in one sample_power call into one
-cell-major buffer with the trials innermost; estimation, the decision
-recursion and the tallies read that buffer in place, and the estimates
-fill one second buffer of the same layout.
+cell-major buffer with the trials innermost, the only chunk-sized array it
+holds. Its samples are then walked in blocks of
+estimators.block_samples(S, T) samples (_decide): each block's estimates
+fill one reused block buffer, every policy's serving recursion resumes
+from the serving cells the block before left, and the block's tallies are
+added, all reading the power buffer in place. Every sample sees the same
+operations whatever the block, so results do not depend on it. gels, whose
+estimates are not a linear filter, estimates the whole chunk into a second
+buffer up front, and its blocks are slices of it.
 Every run decides through hybrid.serving_series, the one implementation of
 the hysteresis rule: on two cells it is the paper's rule between BS0 and
 BS1, on a cell row the serving cell faces the strongest other cell. A
@@ -57,7 +63,7 @@ import numpy as np
 
 from .channel import sample_power, trial_generators
 from .errors import ConfigurationError
-from .estimators import coefficient_table, estimate_series, window_estimates
+from .estimators import block_samples, coefficient_table, estimate_series, window_estimates
 from .gaussian import (
     _BLOCK_SAMPLES,
     EventSpec,
@@ -89,7 +95,9 @@ _OPT_LABELS = {
 # rectangular-window rows and the simulator runs estimate_series.
 _TABLE_MODE = {"avg": "avg", "ls": "ls", "els": "ls", "gels": "avg"}
 
-# Power samples (trials x cells x samples) one simulation chunk holds at most.
+# Power samples (trials x cells x samples) one simulation chunk holds at
+# most: 48 MB of float64 powers, beside which the chunk's block-sized
+# estimates and decision temporaries are small (gels adds a second buffer).
 _CHUNK_SAMPLES = 6_000_000
 
 
@@ -160,30 +168,40 @@ def _map_chunks(fn, bounds, workers: int):
 # estimation plumbing
 
 
-def _estimate_chunk(config: ScenarioConfig, d: np.ndarray, powers: np.ndarray, tables):
-    """[T, S, N] estimates of a chunk of [T, S, N] traces: through the links'
-    coefficient tables (avg, ls, and els, which estimates with the ls rows),
-    else, for gels, through estimate_series, whose kernel works on
-    [S, N, T]. Either way, powers that are a view of a trial-innermost
-    buffer are read in place; with tables the result is such a view too.
+def _block_estimates(config: ScenarioConfig, d: np.ndarray, x: np.ndarray, tables, block: int):
+    """Estimates of a chunk's [S, N, T] powers x by sample block: a function
+    (n0, n1) -> [T, S, n1 - n0] estimates of samples n0 .. n1 - 1, for
+    blocks of at most `block` samples.
+
+    With tables (avg, ls, and els, which estimates with the ls rows)
+    window_estimates computes each block into one reused block buffer, so
+    a block is valid until the next call. gels has no power-free form: its
+    estimate_series fills a whole [S, N, T] buffer per chunk up front, and
+    the blocks are slices of it.
 
     Open question: GELS gets the constant h_series = h_fixed_db, whatever
     the policy. Under optimizer margin tables its h > h_max restart
     therefore never sees the margin the decision actually applies."""
+    n_bs, n, n_tr = x.shape
     if tables is not None:
-        x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
-        return np.moveaxis(window_estimates(tables, x), -1, 0)
+        buf = np.empty(n_bs * min(block, n) * n_tr)
+
+        def estimate(n0: int, n1: int):
+            out = buf[: n_bs * (n1 - n0) * n_tr].reshape(n_bs, n1 - n0, n_tr)
+            return np.moveaxis(window_estimates(tables, x, n0, n1, out), -1, 0)
+
+        return estimate
     est, _ = estimate_series(
         d,
-        powers,
+        np.moveaxis(x, -1, 0),
         config.estimator,
         config.n_w,
         gels_gamma=config.gels_gamma,
         gels_h_max=config.h_max_db,
         reinit_all=config.gels_reinit_all,
-        h_series=np.full(d.shape[1], config.h_fixed_db),
+        h_series=np.full(n, config.h_fixed_db),
     )
-    return est
+    return lambda n0, n1: est[..., n0:n1]
 
 
 def _cell_pairs(d: np.ndarray) -> np.ndarray:
@@ -372,38 +390,76 @@ class RunResult:
         }
 
 
-def _tally(series, powers, beta, init, first):
-    """Per-trial and per-sample counts of one policy's serving series.
+class _Tally:
+    """One policy's counts over a chunk of T trials and N samples, added
+    one block of serving cells at a time.
 
-    series is [T, N] and powers [T, S, N]; views of trial-innermost buffers
-    are read in place. Branch 0 of conn/outb tallies the samples served by
-    the first cell of their pair, branch 1 the rest: on two cells the
-    serving states, on a cell row the pairwise reduction (nearest cell
-    versus any other). Outage is the post-decision serving power at or
-    below beta.
+    Branch 0 of conn/outb tallies the samples served by the first cell of
+    their pair, branch 1 the rest: on two cells the serving states, on a
+    cell row the pairwise reduction (nearest cell versus any other).
+    Outage is the post-decision serving power at or below beta.
     """
-    serving = np.ascontiguousarray(series.T)  # [N, T]
-    n, t = serving.shape
-    # flat index of powers[trial, serving cell, sample] in the [S, N, T] order
-    flat = serving.astype(np.intp) * (n * t)
-    flat += (np.arange(n) * t)[:, None]
-    flat += np.arange(t)
-    low = np.take(np.moveaxis(powers, 0, -1), flat) <= beta
-    branch = serving != first[:, None]
-    on = np.count_nonzero(branch, axis=1)
-    low_on = np.count_nonzero(low & branch, axis=1)
-    conn = np.stack([t - on, on])
-    outb = np.stack([np.count_nonzero(low, axis=1) - low_on, low_on])
-    return count_switches(series, init), np.count_nonzero(low, axis=0), series, conn, outb
+
+    def __init__(self, n_tr: int, n: int, init, keep_series: bool):
+        self.serving = np.full(n_tr, init, dtype=np.int16)  # before the next block
+        self.switches = np.zeros(n_tr, dtype=np.int64)
+        self.outages = np.zeros(n_tr, dtype=np.int64)
+        self.conn = np.zeros((2, n), dtype=np.int64)
+        self.outb = np.zeros((2, n), dtype=np.int64)
+        self.series = np.empty((n, n_tr), dtype=np.int16) if keep_series else None
+
+    def add(self, serving, x, n0: int, beta, first):
+        """Count the [K, T] serving cells of samples n0 .. n0 + K - 1; x is
+        the chunk's [S, N, T] powers and first the pair's first cells."""
+        k, t = serving.shape
+        n1 = n0 + k
+        # flat index of x[serving cell, sample, trial]
+        flat = serving.astype(np.intp) * (x.shape[1] * t)
+        flat += (np.arange(n0, n1) * t)[:, None]
+        flat += np.arange(t)
+        low = np.take(x, flat) <= beta
+        branch = serving != first[n0:n1, None]
+        on = np.count_nonzero(branch, axis=1)
+        low_on = np.count_nonzero(low & branch, axis=1)
+        self.conn[:, n0:n1] = t - on, on
+        self.outb[:, n0:n1] = np.count_nonzero(low, axis=1) - low_on, low_on
+        self.switches += count_switches(serving.T, self.serving)
+        self.outages += np.count_nonzero(low, axis=0)
+        if self.series is not None:
+            self.series[n0:n1] = serving
+        self.serving = serving[-1]
+
+    def counts(self):
+        """(switches [T], outage samples [T], the [T, N] serving series or
+        None when not kept, conn [2, N], outb [2, N])."""
+        series = None if self.series is None else self.series.T
+        return self.switches, self.outages, series, self.conn, self.outb
 
 
-def _decide(est, powers, h_tables, beta, pair, init, h_fallback):
-    """Serving-cell recursions and tallies for every policy on shared traces."""
-    out = {}
-    for label, h_table in h_tables.items():
-        series = serving_series(est, h_table, pair, init, h_fallback)
-        out[label] = _tally(series, powers, beta, init, pair[0])
-    return out
+def _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, keep_series):
+    """Serving-cell recursions and tallies for every policy on shared traces,
+    walked in blocks of `block` samples; {label: _Tally.counts()}.
+
+    powers is [T, S, N]; a view of a trial-innermost buffer (the
+    simulator's) is read in place. estimate(n0, n1) gives the [T, S, K]
+    estimates of samples n0 .. n1 - 1, and every policy decides and
+    tallies a block, resuming from the serving cells the block before left,
+    before the next block is estimated. Every sample sees the same
+    operations whatever the block, so the counts do not depend on it; on
+    whole arrays (estimate slicing [T, S, N] estimates, block = N) this is
+    one block.
+    """
+    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+    _, n, n_tr = x.shape
+    tallies = {label: _Tally(n_tr, n, init, keep_series) for label in h_tables}
+    for n0 in range(0, n, block):
+        n1 = min(n0 + block, n)
+        est = estimate(n0, n1)
+        for label, h_table in h_tables.items():
+            tally = tallies[label]
+            serving = serving_series(est, h_table, pair, tally.serving, h_fallback, n0)
+            tally.add(serving.T, x, n0, beta, pair[0])
+    return {label: tally.counts() for label, tally in tallies.items()}
 
 
 def _simulate_policies(
@@ -448,12 +504,14 @@ def _simulate_policies(
 
     def run_chunk(t0: int, t1: int):
         rngs = trial_generators(seed_parts, t0, t1)
-        # [T, S, N] view of the trial-innermost buffer every stage reads
-        powers = np.moveaxis(
-            sample_power(config.channels, d, config.step_m, rngs).cell_major_db, -1, 0
+        # the trial-innermost [S, N, T] buffer every stage reads
+        x = sample_power(config.channels, d, config.step_m, rngs).cell_major_db
+        block = block_samples(n_bs, t1 - t0)
+        estimate = _block_estimates(config, d, x, tables, block)
+        powers = np.moveaxis(x, -1, 0)
+        return _decide(
+            estimate, powers, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
         )
-        est = _estimate_chunk(config, d, powers, tables)
-        return _decide(est, powers, h_tables, beta, pair, init, config.h_fixed_db)
 
     workers_n = _worker_count(workers)
     bounds = _chunk_bounds(n_trials, workers_n, n_bs, n_samples)

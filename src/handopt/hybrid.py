@@ -65,14 +65,21 @@ def decide_series(y: np.ndarray, h, b_init: int = 0) -> np.ndarray:
     return serving_series(est, h_tab, pair, b_init, 0.0).astype(np.int8)
 
 
-def serving_series(est, h_table, pair, init: int, h_fallback: float) -> np.ndarray:
+def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> np.ndarray:
     """Serving cell at every sample by the hysteresis rule, as int16.
 
-    est holds the estimates of S cells, shape [..., S, N]; the result has
-    shape [..., N]. init is the serving cell before sample 0. The margin at
-    sample n is h_table[n, k] while serving pair[k, n-1] (pair[k, 0] at
-    n = 0) and h_fallback while serving a cell outside the [2, N] pair;
-    every margin must be nonnegative.
+    est holds the estimates of S cells at samples n0 .. n0 + K - 1, shape
+    [..., S, K]; the result has shape [..., K]. init is the serving cell
+    before sample n0, one for all trials or one per trial (shape [...]).
+    The margin at sample n is h_table[n, k] while serving pair[k, n-1]
+    (pair[k, 0] at n = 0) and h_fallback while serving a cell outside the
+    [2, N] pair; h_table and pair are indexed by absolute sample, so they
+    cover the whole trace, and every margin must be nonnegative.
+
+    Resuming is exact: a trace split at any samples, each piece decided
+    from the last serving cells of the piece before it (init) at its first
+    sample (n0), gives the one-shot call's series, since every sample sees
+    the same operations.
 
     The rival can only win where it is the strongest cell: serving the
     strongest cell, the runner-up's gap is >= 0 >= -h, and a zero gap at
@@ -80,27 +87,28 @@ def serving_series(est, h_table, pair, init: int, h_fallback: float) -> np.ndarr
     the serving cell with the strongest cell (lowest index among equals),
     which changes nothing where the two coincide.
 
-    The recursion runs over trial-innermost [S, N, B] estimates, so every
-    sample reads contiguous [S, B] and [N, B] rows; a [B, S, N] view of such
+    The recursion runs over trial-innermost [S, K, B] estimates, so every
+    sample reads contiguous [S, B] and [K, B] rows; a [B, S, K] view of such
     a buffer (the simulator's) is read without a copy, and the result is
-    then a [B, N] view of an [N, B] array.
+    then a [B, K] view of a [K, B] array.
     """
     n_bs, n = est.shape[-2:]
     batch = est.shape[:-2]
     est = np.ascontiguousarray(np.moveaxis(est.reshape((-1, n_bs, n)), 0, -1))
     n_tr = est.shape[-1]
-    # neg_h[n, s]: minus the margin applied at sample n while serving cell s
-    samples, prev = np.arange(n), np.maximum(np.arange(n) - 1, 0)
+    # neg_h[i, s]: minus the margin applied at sample n0 + i while serving s
+    rows = np.arange(n)
+    prev = np.maximum(n0 + rows - 1, 0)
     neg_h = np.full((n, n_bs), -float(h_fallback))
-    neg_h[samples, pair[1][prev]] = -h_table[:, 1]
-    neg_h[samples, pair[0][prev]] = -h_table[:, 0]
+    neg_h[rows, pair[1][prev]] = -h_table[n0 : n0 + n, 1]
+    neg_h[rows, pair[0][prev]] = -h_table[n0 : n0 + n, 0]
     best = np.zeros((n, n_tr), dtype=np.int16)
     best_est = est[0].copy()
     for s in range(1, n_bs):
         best += (est[s] > best_est) * (s - best)
         np.maximum(best_est, est[s], out=best_est)
     trials = np.arange(n_tr)
-    serving = np.full(n_tr, init, dtype=np.int16)
+    serving = np.broadcast_to(np.asarray(init, dtype=np.int16), batch).reshape(n_tr)
     out = np.empty((n, n_tr), dtype=np.int16)
     for i in range(n):
         lim = neg_h[i][serving]
@@ -115,8 +123,8 @@ def serving_series(est, h_table, pair, init: int, h_fallback: float) -> np.ndarr
 
 def count_switches(b_series: np.ndarray, b_init: int = 0) -> np.ndarray:
     """Number of connection changes along the last axis, including the first
-    sample's change away from b_init; the series holds BS indicators or
-    serving cells."""
+    sample's change away from b_init (one state for every series, or one
+    per series); the series holds BS indicators or serving cells."""
     b = np.asarray(b_series)
     first = (b[..., 0] != b_init).astype(np.int64)
     return first + np.count_nonzero(b[..., 1:] != b[..., :-1], axis=-1)

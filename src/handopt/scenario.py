@@ -41,6 +41,19 @@ class CellLayout:
             raise ConfigurationError("cell_radius_m must be positive")
         object.__setattr__(self, "bs_xy", xy)
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the coordinate arrays as a
+        # tuple element, whose truth value numpy refuses
+        if not isinstance(other, CellLayout):
+            return NotImplemented
+        return self.cell_radius_m == other.cell_radius_m and np.array_equal(
+            self.bs_xy, other.bs_xy
+        )
+
+    def __hash__(self):
+        # float hashing maps -0.0 and 0.0, which compare equal, together
+        return hash((self.cell_radius_m, tuple(self.bs_xy.ravel().tolist())))
+
     @property
     def n_bs(self) -> int:
         return self.bs_xy.shape[0]

@@ -84,10 +84,10 @@ def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
         return csv_p.read_bytes(), json.loads(json_p.read_text())
 
     got = run("kernel")
-    def oracle_chunk(config, d, powers, tables):
-        return adaptive_series_loop(
+    def oracle_blocks(config, d, x, tables, block):
+        est = adaptive_series_loop(
             d,
-            powers,
+            np.moveaxis(x, -1, 0),
             config.estimator,
             config.n_w,
             gels_gamma=config.gels_gamma,
@@ -95,8 +95,9 @@ def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
             reinit_all=config.gels_reinit_all,
             h_series=np.full(d.shape[1], config.h_fixed_db),
         )[0]
+        return lambda n0, n1: est[..., n0:n1]
 
-    monkeypatch.setattr(harness, "_estimate_chunk", oracle_chunk)
+    monkeypatch.setattr(harness, "_block_estimates", oracle_blocks)
     want = run("oracle")
     assert got[1]["aggregates"] == want[1]["aggregates"]
     assert got == want

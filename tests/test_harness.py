@@ -1,5 +1,6 @@
 """Simulation harness: reproducibility, aggregation, table emission."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -21,13 +22,13 @@ from handopt import (
     sample_power,
     solve,
 )
-from handopt import gaussian, harness, optimizer
+from handopt import estimators, gaussian, harness, optimizer
 from handopt.estimators import window_estimates
 from handopt.harness import (
     RunResult,
     SweepSpec,
+    _block_estimates,
     _decide,
-    _estimate_chunk,
     _gap_process,
     config_fingerprint,
     emit,
@@ -75,6 +76,18 @@ def force_chunk(monkeypatch, config, trials):
     """Shrink the simulation memory budget to `trials` traces per chunk."""
     d = config.distances_m()
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", trials * d.size)
+
+
+def chunk_estimates(config, d, powers, tables, block):
+    """[T, S, N] estimates of [T, S, N] powers as the simulator computes them,
+    `block` samples at a time."""
+    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+    n = d.shape[1]
+    estimate = _block_estimates(config, d, x, tables, block)
+    # the table path reuses one block buffer: copy each block out
+    return np.concatenate(
+        [estimate(n0, min(n0 + block, n)).copy() for n0 in range(0, n, block)], axis=-1
+    )
 
 
 def test_results_do_not_depend_on_worker_count(monkeypatch):
@@ -463,7 +476,9 @@ def test_compact_rows_reproduce_estimate_series():
     for mode in ("avg", "ls"):
         est, _ = estimate_series(d, powers, mode, 4)
         tables = np.stack([coefficient_table(row, 4, mode) for row in d])
-        assert _estimate_chunk(cfg, d, powers, tables).tobytes() == est.tobytes()
+        # any block, one sample or a size that does not divide N included
+        for block in (1, 3, 7, 81):
+            assert chunk_estimates(cfg, d, powers, tables, block).tobytes() == est.tobytes()
 
 
 def test_window_longer_than_the_trace_is_clamped_to_it():
@@ -481,7 +496,7 @@ def test_window_longer_than_the_trace_is_clamped_to_it():
         assert tables.tobytes() == want.tobytes()
         est, _ = estimate_series(d, powers, mode, wide.n_w)
         assert est.tobytes() == estimate_series(d, powers, mode, n)[0].tobytes()
-        assert _estimate_chunk(wide, d, powers, tables).tobytes() == est.tobytes()
+        assert chunk_estimates(wide, d, powers, tables, n).tobytes() == est.tobytes()
     labels = [("y", 0), ("y", 40), ("y", 80), ("p", 0, 40), ("p", 1, 80)]
     a, b = _gap_process(wide).joint(labels), _gap_process(full).joint(labels)
     assert a.mu.tobytes() == b.mu.tobytes()
@@ -519,7 +534,7 @@ def test_compact_rows_equal_the_row_loop(n_w, mode):
     powers = np.random.default_rng(5).normal(-100.0, 6.0, size=(3, 2, 81))
     tables = np.stack([coefficient_table(row, n_w, mode) for row in d])
     np.testing.assert_allclose(
-        _estimate_chunk(cfg, d, powers, tables),
+        chunk_estimates(cfg, d, powers, tables, 81),
         window_estimates_loop(d, powers, n_w, mode),
         rtol=1e-10,
     )
@@ -616,15 +631,25 @@ def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback)
     return out
 
 
-def decide_two_cell(est, powers, h_tables, beta, b_init):
+def decide_blocks(est, powers, h_tables, beta, pair, init, h_fallback, block):
+    """_decide on whole [T, S, N] estimates, `block` samples at a time
+    (block = N is one block), keeping the serving series."""
+    def estimate(n0, n1):
+        return est[..., n0:n1]
+
+    return _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, True)
+
+
+def decide_two_cell(est, powers, h_tables, beta, b_init, block):
     """_decide on two cells: the pair is (0, 1) at every sample."""
     pair = np.repeat([[0], [1]], est.shape[2], axis=1)
-    return _decide(est, powers, h_tables, beta, pair, b_init, 0.0)
+    return decide_blocks(est, powers, h_tables, beta, pair, b_init, 0.0, block)
 
 
-def decide_multicell(est, powers, h_tables, beta, near, second, h_fallback):
+def decide_multicell(est, powers, h_tables, beta, near, second, h_fallback, block):
     """_decide on a cell row, starting on the nearest cell."""
-    return _decide(est, powers, h_tables, beta, np.stack([near, second]), near[0], h_fallback)
+    pair = np.stack([near, second])
+    return decide_blocks(est, powers, h_tables, beta, pair, near[0], h_fallback, block)
 
 
 def assert_same_decisions(got, want):
@@ -633,6 +658,15 @@ def assert_same_decisions(got, want):
         for g, w in zip(got[label], want[label]):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+def assert_decides_like(decide, oracle, args):
+    """decide(*args, block) equals the oracle in one block of all N samples
+    and in blocks of 1, 3 and 7 samples."""
+    want = oracle(*args)
+    n = args[0].shape[-1]
+    for block in (n, 1, 3, 7):
+        assert_same_decisions(decide(*args, block), want)
 
 
 @pytest.mark.parametrize("b_init", [0, 1])
@@ -646,7 +680,7 @@ def test_decide_two_cell_equals_the_per_sample_loop(b_init):
         "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
     }
     args = (est, powers, h_tables, -97.0, b_init)
-    assert_same_decisions(decide_two_cell(*args), decide_two_cell_loop(*args))
+    assert_decides_like(decide_two_cell, decide_two_cell_loop, args)
 
 
 @pytest.mark.parametrize("b_init", [0, 1])
@@ -662,7 +696,7 @@ def test_decide_two_cell_breaks_ties_like_the_per_sample_loop(b_init):
     table[::5] = 0.0
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2)), "opt": table}
     args = (est, powers, h_tables, -95.0, b_init)
-    assert_same_decisions(decide_two_cell(*args), decide_two_cell_loop(*args))
+    assert_decides_like(decide_two_cell, decide_two_cell_loop, args)
 
 
 def test_decide_multicell_equals_the_masked_argmax_loop():
@@ -678,7 +712,7 @@ def test_decide_multicell_equals_the_masked_argmax_loop():
         "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
     }
     args = (est, powers, h_tables, -97.0, near, second, 3.0)
-    assert_same_decisions(decide_multicell(*args), decide_multicell_loop(*args))
+    assert_decides_like(decide_multicell, decide_multicell_loop, args)
 
 
 def test_decide_multicell_breaks_ties_like_the_masked_argmax():
@@ -692,7 +726,7 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     second = (near + 1) % n_bs
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2))}
     args = (est, est, h_tables, -95.0, near, second, 0.0)
-    assert_same_decisions(decide_multicell(*args), decide_multicell_loop(*args))
+    assert_decides_like(decide_multicell, decide_multicell_loop, args)
 
     # zero-sigma channels on the cell row: deterministic powers
     cfg = noiseless(preset("vehicular-cell-row"))
@@ -701,10 +735,30 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     powers = sample_power(cfg.channels, d, cfg.step_m, rngs).powers_db
     assert np.all(powers == powers[0])
     tables = np.stack([coefficient_table(row, cfg.n_w, "avg") for row in d])
-    est = _estimate_chunk(cfg, d, powers, tables)
+    est = chunk_estimates(cfg, d, powers, tables, d.shape[1])
     order = np.argsort(d, axis=0, kind="stable")
     args = (est, powers, {"h=0": np.zeros((d.shape[1], 2))}, -110.0, order[0], order[1], 0.0)
-    assert_same_decisions(decide_multicell(*args), decide_multicell_loop(*args))
+    assert_decides_like(decide_multicell, decide_multicell_loop, args)
+
+
+def force_block(monkeypatch, config, trials, samples):
+    """Blocks of `samples` samples in chunks of `trials` traces."""
+    values = samples * config.layout.n_bs * trials
+    monkeypatch.setattr(estimators, "_EST_BLOCK_VALUES", values)
+
+
+def assert_same_results(got, want):
+    """Every RunResult field equal, arrays in dtype, shape and bytes."""
+    for f in dataclasses.fields(RunResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "switch_times":
+            assert [t.dtype for t in a] == [t.dtype for t in b]
+            assert [t.tobytes() for t in a] == [t.tobytes() for t in b]
+        elif isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
 
 
 def test_multicell_results_do_not_depend_on_chunks_or_workers(monkeypatch):
@@ -714,17 +768,52 @@ def test_multicell_results_do_not_depend_on_chunks_or_workers(monkeypatch):
         for s, ch in enumerate(base.channels)
     )
     cfg = replace(base, channels=channels)
+    want = run_multicell(cfg, 2.0, 5, seed=13)
+    runs = []
     force_chunk(monkeypatch, cfg, 1)
-    runs = [run_multicell(cfg, 2.0, 5, seed=13)]
-    monkeypatch.undo()
     runs.append(run_multicell(cfg, 2.0, 5, seed=13))
     force_chunk(monkeypatch, cfg, 2)
     runs.append(run_multicell(cfg, 2.0, 5, seed=13, workers=2))
-    for r in runs[1:]:
-        for field in ("switch_counts", "outage_counts", "conn_counts", "outage_branch_counts"):
-            np.testing.assert_array_equal(getattr(r, field), getattr(runs[0], field))
-        for ta, tb in zip(r.switch_times, runs[0].switch_times):
-            np.testing.assert_array_equal(ta, tb)
+    monkeypatch.undo()
+    # blocks of 1 and 3 samples, and of 7, which does not divide N = 2004
+    assert cfg.distances_m().shape[1] % 7 != 0
+    for samples in (1, 3, 7):
+        force_block(monkeypatch, cfg, 5, samples)
+        runs.append(run_multicell(cfg, 2.0, 5, seed=13))
+        monkeypatch.undo()
+    for r in runs:
+        assert_same_results(r, want)
+
+    # two cells: a window of 7 samples spans several blocks; gels estimates
+    # the whole chunk before its blocks are sliced; a fixed margin and an
+    # opt2 table decide on shared traces
+    for estimator in ("ls", "gels"):
+        two = replace(
+            preset("paper-vi"), estimator=estimator, n_w=7, start_offset_m=900.0, length_m=200.0
+        )
+        assert two.distances_m().shape[1] % 7 != 0
+
+        def run(workers=1):
+            return harness._simulate_policies(
+                two, [2.0, "opt2"], 12, seed_parts=[13], speed_mps=two.speed_mps,
+                workers=workers, log_events=True,
+            )
+
+        want = run()
+        assert np.any(want["opt2"].margin_table[:, 0] != want["opt2"].margin_table[:, 1])
+        runs = []
+        for samples in (1, 3, 5):
+            force_block(monkeypatch, two, 12, samples)
+            runs.append(run())
+            monkeypatch.undo()
+        force_chunk(monkeypatch, two, 5)
+        force_block(monkeypatch, two, 5, 3)
+        runs.append(run(workers=2))
+        monkeypatch.undo()
+        for r in runs:
+            assert r.keys() == want.keys()
+            for label in want:
+                assert_same_results(r[label], want[label])
 
 
 def sha256_of(arrays):
@@ -797,9 +886,9 @@ def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
     seen = []
     real = harness._decide
 
-    def spy(est, powers, *rest):
+    def spy(estimate, powers, *rest):
         seen.append(powers)
-        return real(est, powers, *rest)
+        return real(estimate, powers, *rest)
 
     monkeypatch.setattr(harness, "_decide", spy)
     run_multicell(cfg, 2.0, 5, seed=13, workers=1)
@@ -811,9 +900,9 @@ def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
     assert public.tobytes() == powers.tobytes()
 
 
-def test_cell_row_chunk_holds_two_power_arrays():
-    # a chunk keeps its powers and its estimates, both trial-innermost; the
-    # decision and tally temporaries are a fraction of one power array each
+def test_cell_row_chunk_holds_one_power_array():
+    # a chunk keeps its trial-innermost powers; estimates, best cells, tally
+    # indices and the rest are block-sized temporaries
     cfg = preset("vehicular-cell-row")
     d = cfg.distances_m()
     trials = harness._CHUNK_SAMPLES // d.size
@@ -825,4 +914,4 @@ def test_cell_row_chunk_holds_two_power_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * trials * d.size * 8
+    assert peak < 1.25 * trials * d.size * 8

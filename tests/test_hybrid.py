@@ -110,6 +110,40 @@ def test_cell_recursion_on_two_cells_is_the_paper_rule(n, trials, b_init, seed):
     np.testing.assert_array_equal(got, scalar_loop(y, table, b_init))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 4),
+    st.integers(2, 5),
+    st.lists(st.integers(1, 29), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_serving_series_resumes_at_any_split(n, trials, n_bs, cuts, seed):
+    # a trace split at random samples, each piece decided from the serving
+    # cells the piece before left, is the one-shot series; half-dB
+    # estimates tie often, zero-margin rows and asymmetric [N, 2] tables
+    # test every tie, and the pair changes along the trace so the margin
+    # at a split reads the pair of the sample before it
+    rng = np.random.default_rng(seed)
+    est = rng.integers(-6, 7, size=(trials, n_bs, n)) * 0.5
+    table = rng.integers(0, 4, size=(n, 2)) * 0.5
+    table[rng.random(n) < 0.3] = 0.0
+    first = rng.integers(0, n_bs, size=n)
+    pair = np.stack([first, (first + rng.integers(1, n_bs, size=n)) % n_bs])
+    init = int(rng.integers(0, n_bs))
+    h_fallback = float(rng.integers(0, 4)) * 0.5
+    want = serving_series(est, table, pair, init, h_fallback)
+    bounds = [0, *sorted({c for c in cuts if c < n}), n]
+    serving, pieces = init, []
+    for n0, n1 in zip(bounds[:-1], bounds[1:]):
+        piece = serving_series(est[..., n0:n1], table, pair, serving, h_fallback, n0)
+        pieces.append(piece)
+        serving = piece[..., -1]
+    got = np.concatenate(pieces, axis=-1)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 def test_decide_series_scalar_margin_and_validation():
     y = np.array([-3.0, 1.0, 3.0, 1.0])
     np.testing.assert_array_equal(decide_series(y, 2.0), [1, 1, 0, 0])

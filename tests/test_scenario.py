@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from handopt import (
+    CellLayout,
     ConfigurationError,
     ScenarioConfig,
     build_linear_trace,
@@ -144,3 +145,26 @@ def test_resolved_depth_is_capped():
     )
     # nearly static terminal: correlation barely decays, cap applies
     assert cfg.resolved_depth() == 20
+
+
+def test_configs_compare_and_hash_by_value():
+    # layouts compare their coordinate arrays by value; two builds of one
+    # preset are equal, hash alike and keep their fingerprint
+    from handopt import config_fingerprint
+
+    a, b = preset("paper-vi"), preset("paper-vi")
+    assert a.layout is not b.layout
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, preset("vehicular-two-cell")}) == 1
+    assert a != preset("vehicular-cell-row")
+    assert a != a.with_updates(n_w=5)
+    assert a != a.with_updates(layout=two_cell_layout(2000.0, 1100.0))
+    assert a != a.with_updates(layout=two_cell_layout(2100.0, 1000.0))
+    moved = np.array([[0.0, 0.0], [2000.0, 0.0]])
+    moved[0, 1] = -0.0
+    assert two_cell_layout() == CellLayout(moved, 1000.0)
+    assert hash(two_cell_layout()) == hash(CellLayout(moved, 1000.0))
+    assert two_cell_layout() != "layout"
+    assert config_fingerprint(a) == "6a8194a1cc444b65"
+    assert config_fingerprint(preset("vehicular-cell-row")) == "f3518f285fe55d46"
