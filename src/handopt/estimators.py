@@ -134,7 +134,9 @@ def block_samples(n_bs: int, n_tr: int) -> int:
     return max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
 
 
-def window_estimates(tables: np.ndarray, x: np.ndarray, n0: int = 0, n1=None, out=None):
+def window_estimates(
+    tables: np.ndarray, x: np.ndarray, n0: int = 0, n1=None, out=None
+) -> np.ndarray:
     """Estimates of a batch of traces stored with the trials innermost.
 
     tables is [S, N, n_w], one coefficient_table per link, and x [S, N, T];
