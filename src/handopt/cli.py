@@ -10,7 +10,9 @@ Scenario settings resolve in three layers: the named preset, then any
 command-line flags, then any INI config file (``--config``), the file
 winning where both are given. Output files are always written atomically;
 runs are reproducible byte for byte for a fixed seed, and the worker count
-(``--workers`` or HANDOPT_WORKERS) never affects results.
+(``--workers`` or HANDOPT_WORKERS) never affects results. ``--workers`` must
+be at least 1; a HANDOPT_WORKERS value that is not an integer, or is below
+1, runs one worker.
 
 Failures print a one-line JSON object to stderr ({"error": {"code", ...,
 "message": ...}}) and exit nonzero: 2 for usage/configuration problems,
@@ -121,6 +123,16 @@ def _parse_policies(text: str):
     return _parse_list(text, _parse_policy)
 
 
+def _worker_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(
@@ -167,7 +179,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     o = p.add_argument_group("output")
     o.add_argument("--csv", metavar="PATH")
     o.add_argument("--json", metavar="PATH")
-    o.add_argument("--workers", type=int)
+    o.add_argument("--workers", type=_worker_arg)
 
 
 def _parse_file_value(parse, raw: str, key: str, section: str):
@@ -328,7 +340,12 @@ def _cmd_optimize(args) -> int:
         raise ConfigurationError("root sample must leave at least one stage")
     horizon = min(config.horizon, n_samples - 1 - root_n)
     problem = _trellis_problem(
-        config, _window_stats(process, root_n, horizon), horizon, root_b, label
+        config,
+        _window_stats(process, root_n, horizon),
+        horizon,
+        root_b,
+        label,
+        config.resolved_outage_threshold(),
     )
     solution = solve(problem)
     fields, rows = trellis_rows(solution)

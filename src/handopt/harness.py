@@ -227,19 +227,23 @@ def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1):
 # optimizer margin tables
 
 
-def _trellis_problem(config: ScenarioConfig, stats, horizon: int, root_b: int, label: str):
+def _trellis_problem(
+    config: ScenarioConfig, stats, horizon: int, root_b: int, label: str, outage_threshold_db: float
+):
     """Receding-horizon problem of one optimizer policy on prepared stats.
 
     Every policy gets the config's caps and pareto weight: each objective
     reads only its own setting (p_out_cap for min_handover, p_han_cap for
-    min_outage, the weight for pareto)."""
+    min_outage, the weight for pareto). The caller resolves the outage
+    threshold (config.resolved_outage_threshold()) once for all its
+    problems."""
     return TrellisProblem(
         objective=_POLICY_OBJECTIVES[label],
         horizon=horizon,
         root_b=root_b,
         root_margin=config.h_fixed_db,
         stats=stats,
-        outage_threshold_db=config.resolved_outage_threshold(),
+        outage_threshold_db=outage_threshold_db,
         h_max=config.h_max_db,
         h_step=config.h_step_db,
         p_out_cap=config.p_out_cap,
@@ -276,6 +280,7 @@ def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
     if not policies or n_samples < 2:
         return out
 
+    beta = config.resolved_outage_threshold()
     roots = {}  # (cell pair, block) -> its root samples, in trace order
     for n, (a, b) in enumerate(_cell_pairs(d)[:, :-1].T.tolist()):
         roots.setdefault((a, b, n // _BLOCK_SAMPLES), []).append(n)
@@ -289,7 +294,7 @@ def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
             m = min(config.horizon, n_samples - 1 - n)
             stats = _window_stats(process, n, m)
             problems += [
-                _trellis_problem(config, stats, m, root_b, p)
+                _trellis_problem(config, stats, m, root_b, p, beta)
                 for p in policies
                 for root_b in (0, 1)
             ]

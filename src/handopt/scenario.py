@@ -199,6 +199,8 @@ class ScenarioConfig:
             raise ConfigurationError("horizon must be >= 1")
         if self.horizon > 12:
             raise ConfigurationError("horizon > 12 enumerates too many trellis paths")
+        if not all(math.isfinite(v) for v in (self.start_offset_m, self.length_m, self.gels_gamma)):
+            raise ConfigurationError("start_offset_m, length_m and gels_gamma must be finite")
         if not (0.0 < self.speed_mps < math.inf and 0.0 < self.sample_interval_s < math.inf):
             raise ConfigurationError("speed and sample interval must be finite and positive")
         if not (0.0 < self.h_max_db < math.inf and 0.0 < self.h_step_db < math.inf):

@@ -5,8 +5,10 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
+import pytest
 from scipy.special import ndtr
 
+from handopt import gaussian
 from handopt.errors import ConfigurationError, HandoptError
 from handopt.estimators import _EMIN_FLOOR, EPS_COND, coefficient_table
 from handopt.gaussian import (
@@ -295,6 +297,14 @@ def mc_box_prob(mu, Sigma, lo, hi, n_samples, seed):
     return p, stderr, jittered
 
 
+def bvn_cdf_lattice_24(mu, Sigma, xs, ys):
+    """gaussian.bvn_cdf_lattice with the 24-node rule of the floored laws for
+    every law: the reference for the 12-node rule of the others."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "_LATTICE_RULE", (gaussian._GL_NODES, gaussian._GL_WEIGHTS))
+        return bvn_cdf_lattice(mu, Sigma, xs, ys)
+
+
 # --- the per-root trellis tables: one table object per root window -----------
 
 
@@ -531,6 +541,7 @@ def opt_margin_tables(config, policies=_OPT_POLICIES) -> dict:
     pair = _cell_pairs(d)
     chs = config.channels
     processes, memos = {}, {}
+    beta = config.resolved_outage_threshold()
     out = {p: np.full((n_samples, 2), config.h_fixed_db) for p in policies}
     for t in range(1, n_samples):
         root_n = t - 1
@@ -544,7 +555,9 @@ def opt_margin_tables(config, policies=_OPT_POLICIES) -> dict:
             )
         stats = _window_stats(processes[a, b], root_n, m)
         problems = [
-            _trellis_problem(config, stats, m, root_b, p) for p in policies for root_b in (0, 1)
+            _trellis_problem(config, stats, m, root_b, p, beta)
+            for p in policies
+            for root_b in (0, 1)
         ]
         sols = solve_group(problems, memos.setdefault((a, b, root_n // _BLOCK_SAMPLES), {}))
         for i, p in enumerate(policies):

@@ -144,28 +144,30 @@ def test_optimize_outputs_trellis(tmp_path, capsys):
     assert len(lines) == 1 + 2**3
 
 
-# sha256 of the optimize CSV and JSON for vehicular-two-cell, recorded when
-# the trellis still optimized each path on its own (JSON without the
-# retired "method" key); the per-edge scan must reproduce them byte for byte
+# sha256 of the optimize CSV and JSON for vehicular-two-cell, re-pinned when
+# bvn_cdf_lattice moved the laws its scale floor does not bind to a 12-node
+# rule: against the 24-node pins every path, state, event, margin, feasible
+# and chosen field stayed byte-equal, and every cost and violation moved by
+# at most 4.2e-15 relative
 OPTIMIZE_SHA256 = {
-    (5, "opt1"): ("48b3c398f6a98ee6cbff8b77ccc1f61c9c8596cded07d18dea00b90f384ed8a8",
+    (5, "opt1"): ("550105a05469d7665d4db8bdbf6a6d2a61b14b0f5c3c7f9ad4f705c2f1fc8953",
                   "703d0278f888ecc35d3ba1675d597fba8bd6de3a066013817cf01b3fb380931c"),
-    (5, "opt2"): ("b1d81501b95236f8e1a8ae1079f188ef5dc8e508c8d9674624972e18d1aca0e6",
-                  "6d5e5d12a72d34dcb13ce47afc6a2fcde3929710465f3ac3aab51982fe3d0b5a"),
-    (5, "opt3"): ("8d775b3d37108261001cad980ac05203412bee8547c4ba145575fa8ebcf3643e",
-                  "e4d674cc493119c57a274b2ed82b558f5c4ba2d96d3234db76d06c5d9a6c1e40"),
-    (38, "opt1"): ("0493dd6b07eb18197f5b106f10820bee248846bc8c993631af2f5fc5fd954480",
+    (5, "opt2"): ("a148885e3f9055d950dba64ca3fa0b6dd32989040ca76cd39253588df3a8be42",
+                  "ccaa8f77538b9d6a99c732700cb5f3f13fcc061f327372441cc5677fcb0c2cc9"),
+    (5, "opt3"): ("0af044a311a008e7cde6e46aed9d9df9de376e8a04eee05b4d451f9a6db400d4",
+                  "758106e1c51bfa534a983ada66e77195520d40875225e86bf23fc5096ad5c02f"),
+    (38, "opt1"): ("7c217747345c32610ebfd0c8616c7c7918eb3004900b85e3bbe94c22c7ad186d",
                    "d8a914c931fdaf2a419cc5335cf84f484df0eca19e9e41f34fdf6df2fe256251"),
-    (38, "opt2"): ("08cdf0520b31f7c5e60f8bb2215e093170b993f4f097d52272a52d1ee3c57052",
+    (38, "opt2"): ("9c33e1e0b126d30a16d42498820f316caebbcac1271202c2f25fd1e0952ea8ff",
                    "742bd7c3077d7f248e4e17a0c89bb1205e548b66cd3b810c11c0438c7cdcb0ec"),
-    (38, "opt3"): ("d93587f92ec298cf9503bdb2efc09d1d86cbecff71fb28090018773878908690",
-                   "11ff9451c989cafb8cc6cbd25f475111288aa99bb585e9a97e356e09aebad7cf"),
-    (70, "opt1"): ("f2d812917be9967e36091773f7f0cb7aa438dd6595275f01634b60c0aebdc709",
+    (38, "opt3"): ("ac3fffe17664623ffe1192ee7f12790d9fb793098cb1b82ce2da0be2a02c282b",
+                   "4ec65e9ff2f853dff17f20a3f0667bb377ab96aaee341601edc2be67930f2007"),
+    (70, "opt1"): ("d7a8a129f72cd11fd5c6bc2486d76bb558ab84203e05d2cf322334a97608303c",
                    "f7dc2fd12856faddb54a0c2e9adabf46dc20142641c1f91f028327e843c846dd"),
-    (70, "opt2"): ("8b3659e749e43d2c5b4a80aa230de9a129bfb86643a664de3203f45e8fdb3655",
-                   "e51f2a62c98b3c011e5809bcffc1ee075b1c5e96527282de3f9034fc814b96f0"),
-    (70, "opt3"): ("111a945404c472add8277cb06210f30f713bb631c4e96b965fb6b86f7e0a7108",
-                   "c342861b5c987649b1d097c129a4555dedce759c30a18a2377bd669ff7394538"),
+    (70, "opt2"): ("e97c122d3787b33ffd2f2799f3ac4f9a3b0af52e3de1c80b43d42b34a3af8103",
+                   "89147a8f4861ebdcb41ae205b0b678b8a4a9222f0767a396e66819a937b46093"),
+    (70, "opt3"): ("9804abf132ffb56c3317da8475e63a3860ae583bac956f66b1704a882c3873a1",
+                   "f1100dbd2b97530d21672d53781ca3287cfbb8af18311ac823c6fe4236b28418"),
 }
 
 
@@ -232,6 +234,19 @@ def test_optimize_has_no_method_option(capsys):
         main(["optimize", "--preset", "vehicular-two-cell", "--method", "exact"])
     assert exc.value.code == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_are_usage_errors(capsys, workers):
+    argv = ["simulate", "--preset", "vehicular-two-cell", "--trials", "2", "--workers", workers]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"]["code"] == "usage"
+    assert "--workers" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("cells", [("5", "1"), ("-1", "1"), ("0", "0")])
@@ -409,6 +424,11 @@ def test_simulate_rejects_analytic_on_a_cell_row(tmp_path, capsys):
         ["simulate", "--trials", "2", "--speed-mps", "inf"],
         ["simulate", "--trials", "2", "--sample-interval-s", "inf"],
         ["simulate", "--trials", "2", "--speed-mps", "nan"],
+        ["simulate", "--trials", "2", "--start-offset-m", "nan"],
+        ["simulate", "--trials", "2", "--length-m", "nan"],
+        ["simulate", "--trials", "2", "--length-m", "inf"],
+        ["simulate", "--trials", "2", "--estimator", "gels", "--gels-gamma", "nan"],
+        ["optimize", "--start-offset-m", "inf"],
     ],
 )
 def test_non_finite_inputs_exit_2(capsys, argv):

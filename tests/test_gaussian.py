@@ -20,6 +20,7 @@ from handopt import (
     EventSpec,
     GapProcess,
     GaussianVector,
+    NumericalConsistencyError,
     approx1,
     approx2_bounds,
     approx3_upper,
@@ -43,7 +44,7 @@ from handopt.gaussian import (
     _simpson,
     check_psd,
 )
-from oracles import mc_box_prob
+from oracles import bvn_cdf_lattice_24, mc_box_prob
 
 INF = math.inf
 
@@ -632,18 +633,57 @@ def test_stacked_bvn_lattice_equals_the_per_law_calls(data):
             assert np.all(T[:, 0] == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bvn_lattice_node_rule_matches_the_24_node_oracle(data):
+    # laws with |rho| up to 1 - 1e-7 and sd 0.3-10: the floor binds for
+    # |rho| above about 0.99988, independent of the sds
+    n = data.draw(st.integers(1, 6))
+    mu = np.array([[data.draw(st.floats(-20.0, 20.0)) for _ in range(2)] for _ in range(n)])
+    Sigma = np.empty((n, 2, 2))
+    floored = np.empty(n, bool)
+    for b in range(n):
+        sx, sy = (data.draw(st.floats(0.3, 10.0)) for _ in range(2))
+        gap = 10.0 ** data.draw(st.floats(-7.0, 0.0))
+        rho = data.draw(st.sampled_from([-1.0, 1.0])) * (1.0 - gap)
+        Sigma[b] = [[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]]
+        floored[b] = gap < 5e-5
+        assume(gap < 5e-5 or gap > 2e-4)  # clear of the floor's border
+    xs = lattice_axis(data.draw, (0, 40))
+    ys = lattice_axis(data.draw, (0, 5))
+    T = bvn_cdf_lattice(mu, Sigma, xs, ys)
+    want = bvn_cdf_lattice_24(mu, Sigma, xs, ys)
+    assert np.all(np.abs(T - want) <= 1e-14)
+    assert T[floored].tobytes() == want[floored].tobytes()
+    assert np.all(np.diff(T, axis=1) >= 0) and np.all(np.diff(T, axis=2) >= 0)
+    assert np.all(T >= 0.0) and np.all(T <= 1.0 + 1e-10)
+
+
 def test_stacked_bvn_lattice_runs_in_chunks(monkeypatch):
-    # chunks of whole laws, one law where a single law exceeds the budget
-    mu = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]])
-    Sigma = np.array(
-        [[[4.0, 1.9], [1.9, 1.0]], [[1.0, -0.99], [-0.99, 1.0]], [[9.0, 0.0], [0.0, 2.0]]]
-    )
+    # chunks of whole laws, one law where a single law exceeds the budget;
+    # the last two laws are floored (|rho| > 0.9999) and keep the 24-node
+    # rule, the others take 12 nodes
+    mu = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5], [0.5, 0.2], [-1.0, 3.0]])
+    Sigma = np.array([
+        [[4.0, 1.9], [1.9, 1.0]],
+        [[1.0, -0.99], [-0.99, 1.0]],
+        [[9.0, 0.0], [0.0, 2.0]],
+        [[4.0, 0.99999 * 6.0], [0.99999 * 6.0, 9.0]],
+        [[0.25, -0.9999999 * 1.5], [-0.9999999 * 1.5, 9.0]],
+    ])
     xs = np.concatenate(([-INF], np.arange(-10.0, 10.125, 0.25), [INF]))
     ys = np.array([-INF, -2.0, 2.0, INF])
     whole = bvn_cdf_lattice(mu, Sigma, xs, ys)
+    oracle = bvn_cdf_lattice_24(mu, Sigma, xs, ys)
+    assert whole[3:].tobytes() == oracle[3:].tobytes()
+    assert np.any(whole[:3] != oracle[:3])
+    assert np.abs(whole - oracle).max() <= 1e-14
     for chunk in (1, 10_000, 1 << 30):
         monkeypatch.setattr(gaussian, "_LATTICE_CHUNK", chunk)
         assert bvn_cdf_lattice(mu, Sigma, xs, ys).tobytes() == whole.tobytes()
+        for order in ([4, 0, 3, 1, 2], [3], [1]):
+            part = bvn_cdf_lattice(mu[order], Sigma[order], xs, ys)
+            assert part.tobytes() == whole[order].tobytes()
     assert bvn_cdf_lattice(mu[:0], Sigma[:0], xs, ys).shape == (0, xs.size, ys.size)
     with pytest.raises(ConfigurationError):
         bvn_cdf_lattice(mu, Sigma[:2], xs, ys)
@@ -834,6 +874,27 @@ def test_gap_process_prob_against_scipy():
     gv = proc.joint(ev.labels)
     want = scipy_box(gv.mu, gv.Sigma, [-INF, -2.0], [-2.0, 2.0])
     assert r.estimate == pytest.approx(want, abs=1e-7)
+
+
+def test_block_stats_rejects_windows_that_are_not_psd(monkeypatch):
+    # the block law is built unchecked; each window sliced from it is
+    # checked, so only the windows that hold its indefinite pair fail
+    real_y_stats = gaussian.y_stats
+
+    def indefinite_y_stats(*args, **kwargs):
+        gv = real_y_stats(*args, **kwargs)
+        i, j = gv.positions([("y", 70), ("y", 71)])
+        Sigma = gv.Sigma.copy()
+        Sigma[i, j] = Sigma[j, i] = 2.0 * math.sqrt(Sigma[i, i] * Sigma[j, j])
+        return GaussianVector(gv.mu, Sigma, gv.labels)
+
+    monkeypatch.setattr(gaussian, "y_stats", indefinite_y_stats)
+    ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0)
+    d, t0, t1 = two_cell_tables(n=100)
+    proc = GapProcess(t0, t1, (ch, ch), d, 6.24)
+    assert proc.block_stats([69, 70], [(0, 71)]).dim == 3
+    with pytest.raises(NumericalConsistencyError, match="not PSD"):
+        proc.block_stats([69, 70, 71])
 
 
 def test_y_stats_rejects_mismatched_tables():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from handopt import (
     ConfigurationError,
+    ScenarioConfig,
     coefficient_table,
     estimate_series,
     preset,
@@ -200,6 +201,22 @@ def count_lattice_laws(monkeypatch):
     return laws
 
 
+def test_preset_lattice_tables_match_the_24_node_oracle(monkeypatch):
+    # every law of the paper's scenario is unfloored and takes 12 nodes;
+    # its tables stay within 1e-14 of the 24-node rule
+    diffs = []
+    real = optimizer.bvn_cdf_lattice
+
+    def comparing(mu, Sigma, xs, ys):
+        got = real(mu, Sigma, xs, ys)
+        diffs.append(np.abs(got - oracles.bvn_cdf_lattice_24(mu, Sigma, xs, ys)).max())
+        return got
+
+    monkeypatch.setattr(optimizer, "bvn_cdf_lattice", comparing)
+    opt_margin_tables(preset("paper-vi"))
+    assert diffs and max(diffs) <= 1e-14
+
+
 def test_opt_margin_tables_build_one_stage_table_per_root_sample(monkeypatch):
     # the three policies x two root states of a root sample read one stats
     # window, so the stacked build integrates one root-edge table per
@@ -256,6 +273,15 @@ def test_opt_margin_tables_build_each_block_and_outage_table_once(monkeypatch, n
 
     monkeypatch.setattr(gaussian, "y_stats", counting_y_stats)
     monkeypatch.setattr(harness, "solve_group", counting_group)
+    # the outage threshold is resolved once per call
+    thresholds = []
+    real_threshold = ScenarioConfig.resolved_outage_threshold
+
+    def counting_threshold(config):
+        thresholds.append(1)
+        return real_threshold(config)
+
+    monkeypatch.setattr(ScenarioConfig, "resolved_outage_threshold", counting_threshold)
     cfg = preset(name).with_updates(**updates)
     d = cfg.distances_m()
     n_samples = d.shape[1]
@@ -275,6 +301,7 @@ def test_opt_margin_tables_build_each_block_and_outage_table_once(monkeypatch, n
     assert sum(len(call) for call in laws["outage"]) == len(stages)
     assert len(y_stats_calls) == len(keys)
     assert sum(groups) == 6 * (n_samples - 1)
+    assert len(thresholds) == 1
     if name == "vehicular-cell-row":
         # the slice crosses two cell boundaries and three block borders
         assert len({k[:2] for k in keys}) == 3 and len({k[2] for k in keys}) == 4

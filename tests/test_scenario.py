@@ -133,8 +133,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         base.with_updates(depth=0)
     for field in ("speed_mps", "sample_interval_s", "h_max_db", "h_step_db", "h_fixed_db",
-                  "outage_threshold_db"):
-        for value in (math.inf, math.nan):
+                  "outage_threshold_db", "start_offset_m", "length_m", "gels_gamma"):
+        for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigurationError):
                 base.with_updates(**{field: value})
 
