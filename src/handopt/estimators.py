@@ -33,7 +33,11 @@ with an AVG fallback on windows too short or degenerate for a fit.
 * GELS ignores n_w. Its window grows from the last restart; _gels keeps
   each (link, trial) window's count and sums of p, p^2, x, x^2 and p*x,
   measured from the window's first sample so that the line fit does not
-  cancel digits far from a cell, and loops over samples only. With
+  cancel digits far from a cell, and loops over samples only. It is a
+  resumable walk: a generator that yields one sample's estimates at a
+  time and carries the sums to the next, so the simulator pulls it block
+  by block like window_estimates and estimate_series pulls every sample
+  of the trace. With
   e_min = min(e1, e2), the window restarts when |e_r| > gamma for
   e_r = (p(n) - l(n)) / sqrt(e_min), or when h(n) > h_max. e_r is not
   formed when e_min is at the exact-fit floor
@@ -183,10 +187,17 @@ def apply_coefficients(tables: np.ndarray, powers_db: np.ndarray) -> np.ndarray:
 
 
 def _gels(x, p, h, gamma, h_max, reinit_all):
-    """GELS estimates and modes of [S, N, T] powers, one sample at a time."""
+    """GELS walk over [S, N, T] powers p, one sample at a time.
+
+    Yields the [S, T] estimates and modes of samples 0, 1, ... in turn.
+    The window moments stay in the generator's frame between samples, so
+    a caller may pull the samples in blocks of any size and every sample
+    sees the same operations. gamma is checked when the first sample is
+    pulled.
+    """
+    if gamma <= 0.0:
+        raise ConfigurationError("gamma must be positive")
     n_bs, n, n_tr = p.shape
-    est = np.empty(p.shape)
-    modes = np.empty(p.shape, dtype=np.int8)
     # count and sums of p, p^2, x, x^2, p*x per (link, trial), measured from
     # the window's first sample, whose power and log-distance are p0 and x0
     m = np.zeros((6, n_bs, n_tr))
@@ -218,15 +229,13 @@ def _gels(x, p, h, gamma, h_max, reinit_all):
             restart[:] = True
         if reinit_all:
             restart |= restart.any(axis=0)
-        est[:, i] = np.where(restart, power, p0 + l)
-        modes[:, i] = np.where(restart, 2, fit)
+        yield np.where(restart, power, p0 + l), np.where(restart, 2, fit)
         if restart.any():
             # the window begins again at sample i, which is its own anchor
             m[:, restart] = 0.0
             m[0, restart] = 1.0
             p0 = np.where(restart, power, p0)
             x0 = np.where(restart, x[:, i, None], x0)
-    return est, modes
 
 
 def estimate_series(
@@ -278,11 +287,11 @@ def estimate_series(
         h = np.zeros(n) if h_series is None else np.asarray(h_series, dtype=float)
         if h.shape != (n,):
             raise ConfigurationError("h_series must have one entry per sample")
-        if gels_gamma <= 0.0:
-            raise ConfigurationError("gamma must be positive")
-        # the kernel reads [S, N, T]: a [T, S, N] view of such a buffer, as
-        # the simulator passes, is read in place
+        # the walk reads and fills [S, N, T] arrays
         p_snt = np.ascontiguousarray(np.moveaxis(p, 0, -1))
-        est, modes = _gels(np.log10(d), p_snt, h, gels_gamma, gels_h_max, reinit_all)
+        est, modes = np.empty(p_snt.shape), np.empty(p_snt.shape, dtype=np.int8)
+        walk = _gels(np.log10(d), p_snt, h, gels_gamma, gels_h_max, reinit_all)
+        for i, (e, mode) in enumerate(walk):
+            est[:, i], modes[:, i] = e, mode
         est, modes = np.moveaxis(est, -1, 0), np.moveaxis(modes, -1, 0)
     return (est[0], modes[0]) if squeeze else (est, modes)

@@ -15,10 +15,12 @@ holds. Its samples are then walked in blocks of
 estimators.block_samples(S, T) samples (_decide): each block's estimates
 fill one reused block buffer, every policy's serving recursion resumes
 from the serving cells the block before left, and the block's tallies are
-added, all reading the power buffer in place. Every sample sees the same
-operations whatever the block, so results do not depend on it. gels, whose
-estimates are not a linear filter, estimates the whole chunk into a second
-buffer up front, and its blocks are slices of it.
+added, all reading the power buffer in place. gels, whose estimates are
+not a linear filter, fills the same block buffer from its resumable walk
+(estimators._gels), which carries its window moments from block to block.
+Every sample sees the same operations whatever the block, so results do
+not depend on it. Switch times are logged per block as (trial, sample)
+pairs, so a logged run holds no serving series either.
 Every run decides through hybrid.serving_series, the one implementation of
 the hysteresis rule: on two cells it is the paper's rule between BS0 and
 BS1, on a cell row the serving cell faces the strongest other cell. A
@@ -63,7 +65,7 @@ import numpy as np
 
 from .channel import sample_power, trial_generators
 from .errors import ConfigurationError
-from .estimators import block_samples, coefficient_table, estimate_series, window_estimates
+from .estimators import _gels, block_samples, coefficient_table, window_estimates
 from .gaussian import (
     _BLOCK_SAMPLES,
     EventSpec,
@@ -92,12 +94,13 @@ _OPT_LABELS = {
 # estimator -> the coefficient rows the simulator estimates with and the
 # optimizer models it by. ELS estimates are the LS rows' (see estimators).
 # GELS has no power-free form; its optimizer model takes the
-# rectangular-window rows and the simulator runs estimate_series.
+# rectangular-window rows and the simulator runs its walk (_block_estimates).
 _TABLE_MODE = {"avg": "avg", "ls": "ls", "els": "ls", "gels": "avg"}
 
 # Power samples (trials x cells x samples) one simulation chunk holds at
 # most: 48 MB of float64 powers, beside which the chunk's block-sized
-# estimates and decision temporaries are small (gels adds a second buffer).
+# estimates, decision temporaries and logged switches are small, whatever
+# the estimator.
 _CHUNK_SAMPLES = 6_000_000
 
 
@@ -106,8 +109,12 @@ _CHUNK_SAMPLES = 6_000_000
 
 
 def _worker_count(workers) -> int:
+    """An explicit count must be >= 1; without one, HANDOPT_WORKERS if it
+    holds an integer (at least 1), else 1."""
     if workers is not None:
-        return max(1, int(workers))
+        if int(workers) < 1:
+            raise ConfigurationError("workers must be >= 1")
+        return int(workers)
     env = os.environ.get("HANDOPT_WORKERS", "")
     try:
         return max(1, int(env))
@@ -171,37 +178,38 @@ def _map_chunks(fn, bounds, workers: int):
 def _block_estimates(config: ScenarioConfig, d: np.ndarray, x: np.ndarray, tables, block: int):
     """Estimates of a chunk's [S, N, T] powers x by sample block: a function
     (n0, n1) -> [T, S, n1 - n0] estimates of samples n0 .. n1 - 1, for
-    blocks of at most `block` samples.
+    consecutive blocks of at most `block` samples.
 
-    With tables (avg, ls, and els, which estimates with the ls rows)
-    window_estimates computes each block into one reused block buffer, so
-    a block is valid until the next call. gels has no power-free form: its
-    estimate_series fills a whole [S, N, T] buffer per chunk up front, and
-    the blocks are slices of it.
+    Every block is written into one reused block buffer, so it is valid
+    until the next call. With tables (avg, ls, and els, which estimates
+    with the ls rows) window_estimates computes it. gels has no power-free
+    form: its walk (estimators._gels) yields the block's samples one by
+    one and keeps its window moments for the next block, so the blocks
+    must come in sample order.
 
-    Open question: GELS gets the constant h_series = h_fixed_db, whatever
-    the policy. Under optimizer margin tables its h > h_max restart
-    therefore never sees the margin the decision actually applies."""
+    GELS gets the constant h_series = h_fixed_db, whatever the policy. So
+    its h > h_max restart fires at every sample when h_fixed_db > h_max_db,
+    and the estimates are then the raw powers, as avg with n_w = 1 gives
+    them; otherwise it never fires. An optimizer margin ends at h_max (the
+    trellis grid does), so an applied margin would not fire it either."""
     n_bs, n, n_tr = x.shape
-    if tables is not None:
-        buf = np.empty(n_bs * min(block, n) * n_tr)
+    buf = np.empty(n_bs * min(block, n) * n_tr)
+    if tables is None:
+        walk = _gels(
+            np.log10(d), x, np.full(n, config.h_fixed_db),
+            config.gels_gamma, config.h_max_db, config.gels_reinit_all,
+        )
 
-        def estimate(n0: int, n1: int):
-            out = buf[: n_bs * (n1 - n0) * n_tr].reshape(n_bs, n1 - n0, n_tr)
-            return np.moveaxis(window_estimates(tables, x, n0, n1, out), -1, 0)
+    def estimate(n0: int, n1: int):
+        out = buf[: n_bs * (n1 - n0) * n_tr].reshape(n_bs, n1 - n0, n_tr)
+        if tables is None:
+            for i in range(n1 - n0):
+                out[:, i] = next(walk)[0]
+        else:
+            window_estimates(tables, x, n0, n1, out)
+        return np.moveaxis(out, -1, 0)
 
-        return estimate
-    est, _ = estimate_series(
-        d,
-        np.moveaxis(x, -1, 0),
-        config.estimator,
-        config.n_w,
-        gels_gamma=config.gels_gamma,
-        gels_h_max=config.h_max_db,
-        reinit_all=config.gels_reinit_all,
-        h_series=np.full(n, config.h_fixed_db),
-    )
-    return lambda n0, n1: est[..., n0:n1]
+    return estimate
 
 
 def _cell_pairs(d: np.ndarray) -> np.ndarray:
@@ -402,16 +410,17 @@ class _Tally:
     Branch 0 of conn/outb tallies the samples served by the first cell of
     their pair, branch 1 the rest: on two cells the serving states, on a
     cell row the pairwise reduction (nearest cell versus any other).
-    Outage is the post-decision serving power at or below beta.
+    Outage is the post-decision serving power at or below beta. With
+    log_events each block's switches are kept as (trial, sample) pairs.
     """
 
-    def __init__(self, n_tr: int, n: int, init, keep_series: bool):
+    def __init__(self, n_tr: int, n: int, init, log_events: bool):
         self.serving = np.full(n_tr, init, dtype=np.int16)  # before the next block
         self.switches = np.zeros(n_tr, dtype=np.int64)
         self.outages = np.zeros(n_tr, dtype=np.int64)
         self.conn = np.zeros((2, n), dtype=np.int64)
         self.outb = np.zeros((2, n), dtype=np.int64)
-        self.series = np.empty((n, n_tr), dtype=np.int16) if keep_series else None
+        self.events = [] if log_events else None
 
     def add(self, serving, x, n0: int, beta, first):
         """Count the [K, T] serving cells of samples n0 .. n0 + K - 1; x is
@@ -430,18 +439,28 @@ class _Tally:
         self.outb[:, n0:n1] = np.count_nonzero(low, axis=1) - low_on, low_on
         self.switches += count_switches(serving.T, self.serving)
         self.outages += np.count_nonzero(low, axis=0)
-        if self.series is not None:
-            self.series[n0:n1] = serving
+        if self.events is not None:
+            changed = np.empty(serving.shape, dtype=bool)
+            np.not_equal(serving[0], self.serving, out=changed[0])
+            np.not_equal(serving[1:], serving[:-1], out=changed[1:])
+            sample, trial = np.nonzero(changed)
+            self.events.append((trial, sample + n0))
         self.serving = serving[-1]
 
     def counts(self):
-        """(switches [T], outage samples [T], the [T, N] serving series or
-        None when not kept, conn [2, N], outb [2, N])."""
-        series = None if self.series is None else self.series.T
-        return self.switches, self.outages, series, self.conn, self.outb
+        """(switches [T], outage samples [T], the switch samples of every
+        trial, trial-major, or None without log_events, conn [2, N],
+        outb [2, N])."""
+        times = None
+        if self.events is not None:
+            trial, sample = (np.concatenate(a) for a in zip(*self.events))
+            # blocks and their pairs come in sample order, so a stable sort
+            # by trial keeps each trial's switches in sample order
+            times = sample[np.argsort(trial, kind="stable")]
+        return self.switches, self.outages, times, self.conn, self.outb
 
 
-def _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, keep_series):
+def _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, log_events):
     """Serving-cell recursions and tallies for every policy on shared traces,
     walked in blocks of `block` samples; {label: _Tally.counts()}.
 
@@ -456,7 +475,7 @@ def _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, kee
     """
     x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
     _, n, n_tr = x.shape
-    tallies = {label: _Tally(n_tr, n, init, keep_series) for label in h_tables}
+    tallies = {label: _Tally(n_tr, n, init, log_events) for label in h_tables}
     for n0 in range(0, n, block):
         n1 = min(n0 + block, n)
         est = estimate(n0, n1)
@@ -484,6 +503,7 @@ def _simulate_policies(
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
+    workers_n = _worker_count(workers)
     d = config.distances_m()
     n_bs, n_samples = d.shape
     beta = config.resolved_outage_threshold()
@@ -508,9 +528,11 @@ def _simulate_policies(
     init = config.b_init if n_bs == 2 else int(pair[0, 0])
 
     def run_chunk(t0: int, t1: int):
+        # the trial-innermost [S, N, T] buffer every stage reads; the
+        # chunk's generators are dropped once they have drawn it
         rngs = trial_generators(seed_parts, t0, t1)
-        # the trial-innermost [S, N, T] buffer every stage reads
         x = sample_power(config.channels, d, config.step_m, rngs).cell_major_db
+        del rngs
         block = block_samples(n_bs, t1 - t0)
         estimate = _block_estimates(config, d, x, tables, block)
         powers = np.moveaxis(x, -1, 0)
@@ -518,7 +540,6 @@ def _simulate_policies(
             estimate, powers, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
         )
 
-    workers_n = _worker_count(workers)
     bounds = _chunk_bounds(n_trials, workers_n, n_bs, n_samples)
     pieces = _map_chunks(run_chunk, bounds, workers_n)
 
@@ -530,12 +551,7 @@ def _simulate_policies(
         outb = sum(p[label][4] for p in pieces)
         times = None
         if log_events:
-            series = np.concatenate([p[label][2] for p in pieces], axis=0)
-            changed = np.empty(series.shape, dtype=bool)
-            changed[:, 0] = series[:, 0] != init
-            np.not_equal(series[:, 1:], series[:, :-1], out=changed[:, 1:])
-            # row-major order lists each trial's changes in sample order
-            samples = np.flatnonzero(changed) % n_samples
+            samples = np.concatenate([p[label][2] for p in pieces])
             times = tuple(np.split(samples, np.cumsum(switches)[:-1]))
         results[label] = RunResult(
             policy=label,

@@ -17,6 +17,13 @@ from .channel import ChannelParams, path_loss
 from .errors import ConfigurationError
 
 _ESTIMATORS = ("avg", "ls", "els", "gels")
+# Work caps, about 25 times the presets' sizes: the cell row's trace holds
+# 2004 samples and both presets' margin grid (h_max 10 dB, step 0.25 dB)
+# 41 points. Past them a run's arrays grow with no use: a trace's memory
+# and time grow with its samples, a trellis block's tables with its grid
+# (about 0.1 MB per point per 64-root block at horizon 4).
+_MAX_SAMPLES = 50_000
+_MAX_GRID_POINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,11 @@ class ScenarioConfig:
     path loss 20% past the cell edge. ``depth = None`` resolves to the
     smallest lag at which the shadowing correlation drops below 1%, capped
     at 20.
+
+    Two work caps are checked before any array is built: the trace holds
+    at most 50,000 samples (floor(length_m / (speed_mps *
+    sample_interval_s)) + 1) and the margin grid at most 1001 points
+    (floor(h_max_db / h_step_db) + 1).
     """
 
     layout: CellLayout
@@ -205,6 +217,15 @@ class ScenarioConfig:
             raise ConfigurationError("speed and sample interval must be finite and positive")
         if not (0.0 < self.h_max_db < math.inf and 0.0 < self.h_step_db < math.inf):
             raise ConfigurationError("hysteresis grid must have finite positive extent and step")
+        # q + 1e-9 < cap <=> floor(q + 1e-9) + 1 <= cap, the count that
+        # build_linear_trace and TrellisProblem.grid take of a quotient q
+        step = self.step_m
+        if not (step > 0.0 and self.length_m / step + 1e-9 < _MAX_SAMPLES):
+            raise ConfigurationError(f"the trace would hold more than {_MAX_SAMPLES} samples")
+        if not self.h_max_db / self.h_step_db + 1e-9 < _MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"the margin grid would hold more than {_MAX_GRID_POINTS} points"
+            )
         if self.outage_threshold_db is not None and not math.isfinite(self.outage_threshold_db):
             raise ConfigurationError("outage_threshold_db must be finite")
         if self.depth is not None and self.depth < 1:

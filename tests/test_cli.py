@@ -439,6 +439,24 @@ def test_non_finite_inputs_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # a zero gamma reaches the GELS walk, which the simulator runs by block
+        ["simulate", "--preset", "paper-vi", "--estimator", "gels", "--gels-gamma", "0",
+         "--trials", "2", "--length-m", "50"],
+        # 3.8e301 samples: the trace cap rejects the config before any array
+        ["simulate", "--preset", "paper-vi", "--trials", "2", "--sample-interval-s", "1e-300"],
+    ],
+)
+def test_config_errors_of_a_run_exit_2_with_one_json_line(capsys, argv):
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["code"] == "config"
+
+
+@pytest.mark.parametrize(
     "argv,run_file",
     [
         (["simulate", "--trials", "2", "--policy", "2", "--seed", "-1"], None),
@@ -624,6 +642,7 @@ def test_every_exported_name_has_a_caller():
         "decide_series": "the paper's two-cell hysteresis rule",
         "connection_series": "the connected-state probabilities Pr[b(n) = 1]",
         "problem_from_process": "the trellis problem of a GapProcess root sample",
+        "estimate_series": "whole-trace estimates and modes; the simulator runs its kernels by block",
     }
     loaded = set()
     for path in pathlib.Path(handopt.__file__).parent.glob("*.py"):

@@ -25,6 +25,7 @@ from handopt import (
 )
 from handopt import estimators, gaussian, harness, optimizer
 from handopt.estimators import window_estimates
+from handopt.hybrid import serving_series
 from handopt.harness import (
     RunResult,
     SweepSpec,
@@ -660,11 +661,17 @@ def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback)
 
 def decide_blocks(est, powers, h_tables, beta, pair, init, h_fallback, block):
     """_decide on whole [T, S, N] estimates, `block` samples at a time
-    (block = N is one block), keeping the serving series."""
+    (block = N is one block), logging switch times; and every policy's
+    serving_series on the same inputs."""
     def estimate(n0, n1):
         return est[..., n0:n1]
 
-    return _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, True)
+    decided = _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, True)
+    series = {
+        label: serving_series(est, h_table, pair, init, h_fallback)
+        for label, h_table in h_tables.items()
+    }
+    return decided, series
 
 
 def decide_two_cell(est, powers, h_tables, beta, b_init, block):
@@ -679,21 +686,32 @@ def decide_multicell(est, powers, h_tables, beta, near, second, h_fallback, bloc
     return decide_blocks(est, powers, h_tables, beta, pair, near[0], h_fallback, block)
 
 
-def assert_same_decisions(got, want):
-    assert got.keys() == want.keys()
-    for label in want:
-        for g, w in zip(got[label], want[label]):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+def switch_samples(series, init):
+    """Trial-major samples at which [T, N] serving series that start from
+    init change cell."""
+    before = np.concatenate([np.full((len(series), 1), init, series.dtype), series[:, :-1]], 1)
+    return np.flatnonzero(series != before) % series.shape[1]
 
 
-def assert_decides_like(decide, oracle, args):
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def assert_decides_like(decide, oracle, args, init):
     """decide(*args, block) equals the oracle in one block of all N samples
-    and in blocks of 1, 3 and 7 samples."""
+    and in blocks of 1, 3 and 7 samples: its tallies and switch times those
+    of the oracle's serving series, which serving_series reproduces."""
     want = oracle(*args)
     n = args[0].shape[-1]
     for block in (n, 1, 3, 7):
-        assert_same_decisions(decide(*args, block), want)
+        got, series = decide(*args, block)
+        assert got.keys() == want.keys() == series.keys()
+        for label, (switches, outages, serving, conn, outb) in want.items():
+            times = switch_samples(serving, init)
+            assert_same_arrays(got[label], (switches, outages, times, conn, outb))
+            assert_same_arrays([series[label]], [serving])
 
 
 @pytest.mark.parametrize("b_init", [0, 1])
@@ -707,7 +725,7 @@ def test_decide_two_cell_equals_the_per_sample_loop(b_init):
         "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
     }
     args = (est, powers, h_tables, -97.0, b_init)
-    assert_decides_like(decide_two_cell, decide_two_cell_loop, args)
+    assert_decides_like(decide_two_cell, decide_two_cell_loop, args, b_init)
 
 
 @pytest.mark.parametrize("b_init", [0, 1])
@@ -723,7 +741,7 @@ def test_decide_two_cell_breaks_ties_like_the_per_sample_loop(b_init):
     table[::5] = 0.0
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2)), "opt": table}
     args = (est, powers, h_tables, -95.0, b_init)
-    assert_decides_like(decide_two_cell, decide_two_cell_loop, args)
+    assert_decides_like(decide_two_cell, decide_two_cell_loop, args, b_init)
 
 
 def test_decide_multicell_equals_the_masked_argmax_loop():
@@ -739,7 +757,7 @@ def test_decide_multicell_equals_the_masked_argmax_loop():
         "opt": rng.choice([0.0, 1.5, 4.0], size=(n, 2)),
     }
     args = (est, powers, h_tables, -97.0, near, second, 3.0)
-    assert_decides_like(decide_multicell, decide_multicell_loop, args)
+    assert_decides_like(decide_multicell, decide_multicell_loop, args, near[0])
 
 
 def test_decide_multicell_breaks_ties_like_the_masked_argmax():
@@ -753,7 +771,7 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     second = (near + 1) % n_bs
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2))}
     args = (est, est, h_tables, -95.0, near, second, 0.0)
-    assert_decides_like(decide_multicell, decide_multicell_loop, args)
+    assert_decides_like(decide_multicell, decide_multicell_loop, args, near[0])
 
     # zero-sigma channels on the cell row: deterministic powers
     cfg = noiseless(preset("vehicular-cell-row"))
@@ -765,7 +783,7 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     est = chunk_estimates(cfg, d, powers, tables, d.shape[1])
     order = np.argsort(d, axis=0, kind="stable")
     args = (est, powers, {"h=0": np.zeros((d.shape[1], 2))}, -110.0, order[0], order[1], 0.0)
-    assert_decides_like(decide_multicell, decide_multicell_loop, args)
+    assert_decides_like(decide_multicell, decide_multicell_loop, args, order[0, 0])
 
 
 def force_block(monkeypatch, config, trials, samples):
@@ -811,8 +829,8 @@ def test_multicell_results_do_not_depend_on_chunks_or_workers(monkeypatch):
     for r in runs:
         assert_same_results(r, want)
 
-    # two cells: a window of 7 samples spans several blocks; gels estimates
-    # the whole chunk before its blocks are sliced; a fixed margin and an
+    # two cells: a window of 7 samples spans several blocks; the gels walk
+    # carries its window moments from block to block; a fixed margin and an
     # opt2 table decide on shared traces
     for estimator in ("ls", "gels"):
         two = replace(
@@ -942,3 +960,61 @@ def test_cell_row_chunk_holds_one_power_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * trials * d.size * 8
+
+
+def test_gels_chunk_holds_its_powers_and_block_sized_state():
+    # the gels walk fills the same reused block buffer as avg/ls/els and
+    # the chunk's generators are dropped once they have drawn: the peak is
+    # the powers and the generators while sample_power draws
+    cfg = replace(preset("paper-vi"), estimator="gels")
+    d = cfg.distances_m()
+    trials = harness._CHUNK_SAMPLES // d.size
+    assert harness._chunk_bounds(trials, 1, *d.shape) == [(0, trials)]
+    run_two_cell(cfg, 2.0, 2, seed=1, workers=1)
+    tracemalloc.start()
+    try:
+        run_two_cell(cfg, 2.0, trials, seed=1, workers=1, log_events=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * trials * d.size * 8
+
+
+def test_logged_switch_times_do_not_grow_the_peak_with_the_trials():
+    # switch times are kept per block as (trial, sample) pairs, not as
+    # serving series: 3000 logged cell-row trials (9 chunks) peak within
+    # 2 MB of 1000 (3 chunks)
+    cfg = preset("vehicular-cell-row")
+    run_multicell(cfg, 2.0, 2, seed=1, workers=1)
+    peaks = []
+    for trials in (1000, 3000):
+        tracemalloc.start()
+        try:
+            run_multicell(cfg, 2.0, trials, seed=1, workers=1, log_events=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2e6
+
+
+def test_gels_above_h_max_estimates_the_raw_powers():
+    # the simulator gives GELS h = h_fixed_db at every sample, so with
+    # h_fixed_db above h_max_db every sample restarts its window and the
+    # run is the avg n_w = 1 run bit for bit
+    base = preset("paper-vi").with_updates(h_fixed_db=12.0)
+    assert base.h_fixed_db > base.h_max_db
+    gels = run_two_cell(base.with_updates(estimator="gels"), 2.0, 300, seed=7)
+    avg = run_two_cell(base.with_updates(estimator="avg", n_w=1), 2.0, 300, seed=7)
+    assert_same_results(replace(gels, config=avg.config), avg)
+
+
+def test_explicit_worker_counts_below_one_are_config_errors(monkeypatch):
+    cfg = preset("vehicular-cell-row")
+    for workers in (0, -1):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_multicell(cfg, 2.0, 10, workers=workers)
+    # HANDOPT_WORKERS keeps its fallback: a count below one runs one worker
+    want = run_multicell(cfg, 2.0, 10, workers=1)
+    for env in ("0", "-3", "x"):
+        monkeypatch.setenv("HANDOPT_WORKERS", env)
+        assert_same_results(run_multicell(cfg, 2.0, 10), want)

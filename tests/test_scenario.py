@@ -139,6 +139,31 @@ def test_config_validation():
                 base.with_updates(**{field: value})
 
 
+def test_trace_samples_are_capped():
+    # the cap counts samples as build_linear_trace does: 50,000 samples
+    # pass, 50,001 and a 1e-300 step are config errors
+    base = preset("paper-vi").with_updates(length_m=2000.0)
+
+    def with_step(step_m):
+        return base.with_updates(sample_interval_s=step_m / base.speed_mps)
+
+    assert with_step(2000.0 / 49_999).distances_m().shape == (2, 50_000)
+    for step_m in (2000.0 / 50_000, 1e-300):
+        with pytest.raises(ConfigurationError, match="50000 samples"):
+            with_step(step_m)
+
+
+def test_margin_grid_points_are_capped():
+    # checked in the config, so no grid is built: 1001 points pass
+    base = preset("paper-vi")
+    assert base.with_updates(h_step_db=0.01).h_step_db == 0.01
+    for h_step_db in (0.00999, 1e-6):
+        with pytest.raises(ConfigurationError, match="1001 points"):
+            base.with_updates(h_step_db=h_step_db)
+    with pytest.raises(ConfigurationError, match="1001 points"):
+        base.with_updates(h_max_db=1e300, h_step_db=1e-300)
+
+
 def test_resolved_depth_is_capped():
     cfg = preset("paper-vi").with_updates(
         channels=(preset("paper-vi").channels[0],), speed_mps=1.0
