@@ -157,7 +157,25 @@ class GaussianVector:
 
     def positions(self, labels) -> np.ndarray:
         """The coordinate index of each label, in the given order."""
-        return self._lookup([_as_label(l) for l in labels])
+        return self._resolve(labels)[1]
+
+    def _resolve(self, labels):
+        """(labels, indices): this vector's own label of each given label,
+        and its coordinate index.
+
+        A label found as given needs no normalising, and its own label is
+        what _as_label would make of it; any other label goes through
+        _as_label, so it resolves or raises as it always has.
+        """
+        labels = tuple(labels)
+        index = self._index
+        try:
+            idx = [index[l] for l in labels]
+        except (KeyError, TypeError):
+            labels = tuple(_as_label(l) for l in labels)
+            return labels, self._lookup(labels)
+        own = self.labels
+        return tuple(own[i] for i in idx), np.array(idx, dtype=np.intp)
 
     def _lookup(self, labels) -> np.ndarray:
         try:
@@ -173,8 +191,7 @@ class GaussianVector:
         labels are checked, and the result is byte-equal to the validated
         construction from the same mean, covariance and labels.
         """
-        labels = tuple(_as_label(l) for l in labels)
-        idx = self._lookup(labels)
+        labels, idx = self._resolve(labels)
         if len(set(labels)) != len(labels):
             raise ConfigurationError("labels must be distinct")
         out = object.__new__(GaussianVector)
@@ -311,8 +328,13 @@ def y_stats(
 
 
 def _match_event(gv: GaussianVector, ev: EventSpec):
-    """Restrict gv to the event's labels, in event order."""
-    sub = gv.subset(ev.labels)
+    """Restrict gv to the event's labels, in event order.
+
+    GapProcess.prob hands over the joint of the event's own labels, which
+    needs no subset.
+    """
+    labels = ev.labels
+    sub = gv if gv.labels == labels else gv.subset(labels)
     lo = np.array([c[1] for c in ev.constraints])
     hi = np.array([c[2] for c in ev.constraints])
     return sub.mu, sub.Sigma, lo, hi
@@ -713,7 +735,9 @@ class GapProcess:
     its label tuple, prob() by the event's constraints (labels and bounds)
     and mc_samples, plus the seed for events of dimension >= 3, the only
     ones whose value can depend on it. Each distinct vector and box is thus
-    built and integrated once.
+    built and integrated once. Beside these, metrics keeps a chain memo per
+    process (its connection sweeps, and the pairwise chains' boxes and
+    telescope values), which is dropped with the process.
 
     block_stats() reads windows out of aligned sample blocks instead: block
     j is the law of y and both powers at every sample from j * _BLOCK_SAMPLES

@@ -18,7 +18,17 @@ series is integrated once.
 method="pairwise" replaces every within-window joint by a Markov telescope
 of adjacent-pair conditionals, each evaluated by deterministic bivariate
 quadrature. It is a documented approximation used where thousands of chain
-evaluations are needed; the exact method is the reference.
+evaluations are needed; the exact method is the reference. A term's
+telescope is its prefix's times one conditional, so each term extends a
+shorter one.
+
+Each GapProcess gets a chain memo here, weakly keyed by the process, so it
+lives exactly as long as the process object. It keeps every connection
+sweep, keyed by all of its arguments (n_last, the margins' bytes, depth,
+b_init, method, mc_samples, seed), so the three series share one sweep;
+and, for the pairwise method, every one- and two-constraint box
+probability and every telescope value by its constraint tuple. Memoized
+arrays are read-only; connection_series returns copies.
 
 Naming: p_h01 is the probability of a margin crossing that lands the MT on
 BS0 (upper exit while previously on BS1); p_h10 the reverse switch onto
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 
@@ -83,68 +94,93 @@ def _term_seed(base_seed: int, constraints) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-def _pairwise_chain(process: GapProcess, constraints) -> float:
-    """Markov telescope over adjacent constraints, bivariate quadrature."""
-    y_cs = [c for c in constraints if c[0][0] == "y"]
-    p_cs = [c for c in constraints if c[0][0] == "p"]
-    factors = y_cs[1:] + p_cs
-    prev = y_cs[0]
-    prob = marg = process.prob(EventSpec((prev,))).estimate
-    for k, c in enumerate(factors):
-        if prob <= 0.0 or marg <= 0.0:
-            return 0.0
-        prob *= process.prob(EventSpec((prev, c))).estimate / marg
-        if c[0][0] == "y" and k + 1 < len(factors):
+class _ChainMemo:
+    """What the chains of one process have derived (see the module docstring)."""
+
+    __slots__ = ("sweeps", "boxes", "values")
+
+    def __init__(self):
+        self.sweeps = {}  # sweep arguments -> read-only connection arrays
+        self.boxes = {}  # one or two constraints -> their box probability
+        self.values = {}  # pairwise constraint tuple -> telescope value
+
+
+# Weak keys: a process's chain memo goes with the process.
+_CHAINS = weakref.WeakKeyDictionary()
+
+
+def _box(process, memo, cs) -> float:
+    """Probability of the box of one or two constraints, validated through
+    EventSpec and integrated on first use."""
+    p = memo.boxes.get(cs)
+    if p is None:
+        p = memo.boxes[cs] = process.prob(EventSpec(cs)).estimate
+    return p
+
+
+def _telescope(process, memo, cs) -> float:
+    """Markov telescope over the constraint tuple cs, y constraints first.
+
+    One constraint is its box probability. A longer tuple is its prefix's
+    value times P(prev, c) / P(prev), with c its last constraint and prev
+    the prefix's last y constraint, or 0.0 where the prefix's value or
+    P(prev) is not positive. Every prefix value is kept, so a chain that
+    extends a known one costs one step.
+    """
+    values = memo.values
+    k = len(cs)
+    while k > 1 and cs[:k] not in values:
+        k -= 1
+    v = values[cs[:k]] if k > 1 else _box(process, memo, cs[:1])
+    prev = next(c for c in reversed(cs[:k]) if c[0][0] == "y")
+    for i in range(k, len(cs)):
+        c = cs[i]
+        if v > 0.0:
+            marg = _box(process, memo, (prev,))
+            v = v * (_box(process, memo, (prev, c)) / marg) if marg > 0.0 else 0.0
+        else:
+            v = 0.0
+        values[cs[: i + 1]] = v
+        if c[0][0] == "y":
             prev = c
-            marg = process.prob(EventSpec((prev,))).estimate
-    return prob
+    return v
 
 
-def _eval_term(process, constraints, method, mc_samples, seed):
+def _eval_term(process, memo, constraints, method, mc_samples, seed):
     """Probability of one chain conjunction; (estimate, stderr)."""
     if not constraints:
         return 1.0, 0.0
-    ev = EventSpec(tuple(constraints))
     if method == "pairwise":
-        return _pairwise_chain(process, ev.constraints), 0.0
+        return _telescope(process, memo, constraints), 0.0
+    ev = EventSpec(constraints)
     r = process.prob(ev, mc_samples, _term_seed(seed, ev.constraints))
     return r.estimate, r.stderr
-
-
-def _band_constraints(h, times):
-    """Inside-band constraints for the given times; None if impossible."""
-    out = []
-    for t in times:
-        if h[t] <= 0.0:
-            return None
-        out.append(gap_inside(t, h[t]))
-    return out
 
 
 def _exit_chain_terms(h, t, depth, root_side):
     """Expansion terms for the connected state at sample t.
 
     root_side 1 expands Pr[b(t) = 1] (lower exits), 0 the complement.
-    Yields (root index j or None for the carry, constraint list). The carry
+    Yields (root index j or None for the carry, constraint tuple). A band
+    over a sample with margin 0 is impossible, so the terms whose band
+    spans one are left out and the carry's tuple is then None. The carry
     entry's weight is supplied by the caller.
     """
     m = max(0, t - depth)
     j_lo = 0 if m == 0 else m + 1
     root = gap_below if root_side == 1 else gap_above
-    for j in range(j_lo, t + 1):
-        band = _band_constraints(h, range(j + 1, t + 1))
-        if band is None:
-            continue
-        yield j, [root(j, h[j])] + band
-    band = _band_constraints(h, range(j_lo, t + 1))
-    yield None, band
+    band = tuple(gap_inside(u, h[u]) for u in range(j_lo, t + 1))
+    cut = max((u for u in range(j_lo, t + 1) if h[u] <= 0.0), default=None)
+    for j in range(j_lo if cut is None else cut, t + 1):
+        yield j, (root(j, h[j]),) + band[j + 1 - j_lo :]
+    yield None, band if cut is None else None
 
 
 def _side_sum(
-    process, h, t, depth, side, extra, carry, b_init, method, mc_samples, seed
+    process, memo, h, t, depth, side, extra, carry, b_init, method, mc_samples, seed
 ):
     """Sum of the expansion terms of Pr[b(t) = side], each conjoined with
-    the constraints in extra; (estimate, variance).
+    the constraint tuple extra; (estimate, variance).
 
     carry = (p_bs1, p_bs0, stderr_bs1, stderr_bs0) holds the connected-state
     series at least up to the truncation point, whose entry weights the
@@ -161,29 +197,47 @@ def _side_sum(
                 w, se_w = carry[1 - side][m], carry[3 - side][m]
             if constraints is None or w == 0.0:
                 continue
-            q, se_q = _eval_term(process, constraints + extra, method, mc_samples, seed)
+            q, se_q = _eval_term(process, memo, constraints + extra, method, mc_samples, seed)
             total += q * w
             var += (se_q * w) ** 2 + (q * se_w) ** 2
         else:
-            q, se_q = _eval_term(process, constraints + extra, method, mc_samples, seed)
+            q, se_q = _eval_term(process, memo, constraints + extra, method, mc_samples, seed)
             total += q
             var += se_q**2
     return total, var
 
 
 def _connection_sweep(
-    process, n_last, h, depth, b_init, method, mc_samples, seed
+    process, memo, n_last, h, depth, b_init, method, mc_samples, seed
 ):
     """Connected-state probabilities for both sides at samples 0..n_last."""
     conn = tuple(np.zeros(n_last + 1) for _ in range(4))
     for t in range(n_last + 1):
         for side in (1, 0):
             total, var = _side_sum(
-                process, h, t, depth, side, [], conn, b_init, method, mc_samples, seed
+                process, memo, h, t, depth, side, (), conn, b_init, method, mc_samples, seed
             )
             conn[1 - side][t] = total
             conn[3 - side][t] = math.sqrt(var)
     return conn
+
+
+def _sweep(process, n_last, h, depth, b_init, method, mc_samples, seed):
+    """The process's chain memo and its connection sweep for these arguments,
+    swept on first use."""
+    memo = _CHAINS.get(process)
+    if memo is None:
+        memo = _CHAINS[process] = _ChainMemo()
+    key = (n_last, h.tobytes(), depth, b_init, method, mc_samples, seed)
+    conn = memo.sweeps.get(key)
+    if conn is None:
+        conn = _connection_sweep(
+            process, memo, n_last, h, depth, b_init, method, mc_samples, seed
+        )
+        for a in conn:
+            a.flags.writeable = False
+        memo.sweeps[key] = conn
+    return memo, conn
 
 
 def connection_series(
@@ -205,7 +259,8 @@ def connection_series(
     """
     _check_chain_args(process, n_last, depth, b_init, method, mc_samples, seed)
     h = _h_lookup(h_series, n_last)
-    return _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
+    _, conn = _sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
+    return tuple(a.copy() for a in conn)
 
 
 def handover_series(
@@ -222,7 +277,7 @@ def handover_series(
     """Arrays (p_h01, p_h10, stderr) of switch probabilities at 0..n_last."""
     _check_chain_args(process, n_last, depth, b_init, method, mc_samples, seed)
     h = _h_lookup(h_series, n_last)
-    conn = _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
+    memo, conn = _sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
     p01 = np.zeros(n_last + 1)
     p10 = np.zeros(n_last + 1)
     var = np.zeros(n_last + 1)
@@ -232,7 +287,7 @@ def handover_series(
         for side, out in ((1, p01), (0, p10)):
             exit_c = gap_above(n, h[n]) if side == 1 else gap_below(n, h[n])
             out[n], v = _side_sum(
-                process, h, n - 1, depth, side, [exit_c], conn,
+                process, memo, h, n - 1, depth, side, (exit_c,), conn,
                 b_init, method, mc_samples, seed,
             )
             var[n] += v
@@ -259,7 +314,7 @@ def outage_series(
     if not math.isfinite(threshold_db):
         raise ConfigurationError("threshold_db must be finite")
     h = _h_lookup(h_series, n_last)
-    conn = _connection_sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
+    memo, conn = _sweep(process, n_last, h, depth, b_init, method, mc_samples, seed)
     po0 = np.zeros(n_last + 1)
     po1 = np.zeros(n_last + 1)
     mix = np.zeros(n_last + 1)
@@ -273,7 +328,7 @@ def outage_series(
                     f"{cond_p:.3e}; conditional outage undefined"
                 )
             total, v = _side_sum(
-                process, h, n, depth, side, [power_below(side, n, threshold_db)],
+                process, memo, h, n, depth, side, (power_below(side, n, threshold_db),),
                 conn, b_init, method, mc_samples, seed,
             )
             out[n] = total / cond_p

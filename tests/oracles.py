@@ -14,9 +14,14 @@ from handopt.estimators import _EMIN_FLOOR, EPS_COND, coefficient_table
 from handopt.gaussian import (
     _BLOCK_SAMPLES,
     _MC_CHUNK,
+    EventSpec,
     GapProcess,
     _cholesky_jittered,
     bvn_cdf_lattice,
+    gap_above,
+    gap_below,
+    gap_inside,
+    power_below,
 )
 from handopt.harness import _OPT_POLICIES, _TABLE_MODE, _cell_pairs, _trellis_problem
 from handopt.optimizer import _COND_FLOOR, TrellisSolution, _stay_box, _window_stats
@@ -563,3 +568,91 @@ def opt_margin_tables(config, policies=_OPT_POLICIES) -> dict:
         for i, p in enumerate(policies):
             out[p][t] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
     return out
+
+
+# --- the pairwise chains term by term, one sweep per series ----------------
+
+
+def pairwise_chain(process, constraints) -> float:
+    """Markov telescope of one chain term, re-derived from its first
+    constraint: the value metrics._telescope must give by extending prefixes."""
+    y_cs = [c for c in constraints if c[0][0] == "y"]
+    p_cs = [c for c in constraints if c[0][0] == "p"]
+    factors = y_cs[1:] + p_cs
+    prev = y_cs[0]
+    prob = marg = process.prob(EventSpec((prev,))).estimate
+    for k, c in enumerate(factors):
+        if prob <= 0.0 or marg <= 0.0:
+            return 0.0
+        prob *= process.prob(EventSpec((prev, c))).estimate / marg
+        if c[0][0] == "y" and k + 1 < len(factors):
+            prev = c
+            marg = process.prob(EventSpec((prev,))).estimate
+    return prob
+
+
+def _band_constraints(h, times):
+    out = []
+    for t in times:
+        if h[t] <= 0.0:
+            return None
+        out.append(gap_inside(t, h[t]))
+    return out
+
+
+def _pairwise_side_sum(process, h, t, depth, side, extra, conn, b_init):
+    """Pr[b(t) = side] expanded term by term, each term conjoined with extra
+    and validated as one EventSpec."""
+    m = max(0, t - depth)
+    j_lo = 0 if m == 0 else m + 1
+    root = gap_below if side == 1 else gap_above
+    total = 0.0
+    for j in range(j_lo, t + 1):
+        band = _band_constraints(h, range(j + 1, t + 1))
+        if band is not None:
+            ev = EventSpec(tuple([root(j, h[j])] + band + extra))
+            total += pairwise_chain(process, ev.constraints)
+    band = _band_constraints(h, range(j_lo, t + 1))
+    w = (1.0 if b_init == side else 0.0) if m == 0 else conn[1 - side][m]
+    if band is not None and w != 0.0:
+        if band + extra:
+            ev = EventSpec(tuple(band + extra))
+            q = pairwise_chain(process, ev.constraints)
+        else:
+            q = 1.0
+        total += q * w
+    return total
+
+
+def pairwise_connection(process, n_last, h, depth, b_init):
+    """(p_bs1, p_bs0) of the pairwise chain at samples 0..n_last."""
+    conn = (np.zeros(n_last + 1), np.zeros(n_last + 1))
+    for t in range(n_last + 1):
+        for side in (1, 0):
+            conn[1 - side][t] = _pairwise_side_sum(process, h, t, depth, side, [], conn, b_init)
+    return conn
+
+
+def pairwise_handover(process, n_last, h, depth, b_init):
+    """(p_h01, p_h10) of the pairwise chain, on a sweep of its own."""
+    conn = pairwise_connection(process, n_last, h, depth, b_init)
+    p01, p10 = np.zeros(n_last + 1), np.zeros(n_last + 1)
+    for n in range(n_last + 1):
+        for side, out in ((1, p01), (0, p10)):
+            exit_c = gap_above(n, h[n]) if side == 1 else gap_below(n, h[n])
+            out[n] = _pairwise_side_sum(process, h, n - 1, depth, side, [exit_c], conn, b_init)
+    return p01, p10
+
+
+def pairwise_outage(process, n_last, h, depth, threshold_db, b_init):
+    """(p_o0, p_o1, p_o, p_o_mixture) of the pairwise chain, on a sweep of its own."""
+    conn = pairwise_connection(process, n_last, h, depth, b_init)
+    po0, po1, mix = np.zeros(n_last + 1), np.zeros(n_last + 1), np.zeros(n_last + 1)
+    for n in range(n_last + 1):
+        for side, out in ((0, po0), (1, po1)):
+            total = _pairwise_side_sum(
+                process, h, n, depth, side, [power_below(side, n, threshold_db)], conn, b_init
+            )
+            out[n] = total / conn[1 - side][n]
+            mix[n] += total
+    return po0, po1, po0 + po1, mix

@@ -812,6 +812,46 @@ def test_subset_checks_labels_and_equals_the_validated_construction():
         gv.subset([("q", 3)])
 
 
+
+def test_known_labels_resolve_without_normalising(monkeypatch):
+    # labels already in the vector are looked up as given; any other label
+    # is normalised as before and resolves or raises as before
+    labels = [("y", 2), ("y", 3), ("p", 0, 3)]
+    gv = GaussianVector(np.arange(3.0), np.eye(3), labels)
+    seen = []
+    as_label = gaussian._as_label
+    monkeypatch.setattr(gaussian, "_as_label", lambda l: seen.append(l) or as_label(l))
+    assert gv.positions([("p", 0, 3), ("y", 2)]).tolist() == [2, 0]
+    assert gv.subset([("y", 3), ("p", 0, 3)]).labels == (("y", 3), ("p", 0, 3))
+    assert seen == []
+    odd = [("y", np.int64(3)), ("p", 0.0, 3), ("y", 2.5)]  # 2.5 truncates to 2
+    assert gv.positions(odd).tolist() == [1, 2, 0]
+    sub = gv.subset(l for l in odd)
+    assert sub.labels == (("y", 3), ("p", 0, 3), ("y", 2))
+    assert all(type(i) is int for l in sub.labels for i in l[1:])
+    assert sub.mu.tolist() == [1.0, 2.0, 0.0]
+    for bad in ([["y", 2]], [("y",)], [("q", 2)], [("y", 9)]):
+        with pytest.raises(ConfigurationError):
+            gv.positions(bad)
+        with pytest.raises(ConfigurationError):
+            gv.subset(bad)
+    with pytest.raises(ConfigurationError, match="distinct"):
+        gv.subset([("y", 2), ("y", 2.0)])
+
+
+def test_match_event_reads_a_joint_in_event_order_as_it_is():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, 3))
+    gv = GaussianVector(rng.normal(size=3), a @ a.T, [("y", 1), ("y", 2), ("p", 1, 2)])
+    ev = EventSpec(((("p", 1, 2), -INF, 0.5), (("y", 1), -1.0, 1.0)))
+    joint = gv.subset(ev.labels)
+    mu, Sigma, lo, hi = _match_event(joint, ev)
+    assert mu is joint.mu and Sigma is joint.Sigma
+    assert lo.tolist() == [-INF, -1.0] and hi.tolist() == [0.5, 1.0]
+    for got, want in zip(_match_event(gv, ev), (mu, Sigma, lo, hi)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_event_spec_validation():
     with pytest.raises(ConfigurationError):
         EventSpec((((["y"], 2), 0.0, 1.0),))  # unhashable label

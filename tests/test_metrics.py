@@ -5,11 +5,15 @@ chain directly: sample shadowed powers, filter them with the same
 coefficient tables, run the hysteresis rule, count events.
 """
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handopt import (
     ChannelParams,
@@ -23,9 +27,11 @@ from handopt import (
     preset,
     sample_power,
 )
+from handopt import metrics
 from handopt.harness import _gap_process
 from handopt.hybrid import count_switches, decide_series
 from handopt.metrics import GapProcess
+from oracles import pairwise_connection, pairwise_handover, pairwise_outage
 
 STEP = 6.24
 THRESH = -107.77
@@ -259,3 +265,138 @@ def test_exact_series_are_pinned(depth, b_init, digest):
     for a in arrays:
         h.update(a.astype("<f8").tobytes())
     assert h.hexdigest() == digest
+
+
+def _pairwise_series(proc, n_last, h, depth, threshold_db, b_init):
+    kw = dict(b_init=b_init, method="pairwise")
+    conn = connection_series(proc, n_last, h, depth, **kw)
+    hand = handover_series(proc, n_last, h, depth, **kw)
+    out = outage_series(proc, n_last, h, depth, threshold_db, **kw)
+    for se in (conn[2], conn[3], hand[2], out[4]):
+        assert not se.any()  # deterministic chain of pair terms
+    return conn[:2] + hand[:2] + out[:4]
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
+def test_pairwise_series_equal_the_per_term_oracle_on_the_full_trace(h):
+    # equality gate: one sweep per process and prefix telescopes must give
+    # the per-term chains with their own sweeps bit for bit; at depth 15
+    # the 81-sample trace moves the carry window
+    cfg = preset("paper-vi")
+    n_last = cfg.distances_m().shape[1] - 1
+    depth, beta, b = cfg.resolved_depth(), cfg.resolved_outage_threshold(), cfg.b_init
+    assert depth < n_last
+    got = _pairwise_series(_gap_process(cfg), n_last, h, depth, beta, b)
+    oracle = _gap_process(cfg)
+    hs = np.full(n_last + 1, h)
+    want = (
+        pairwise_connection(oracle, n_last, hs, depth, b)
+        + pairwise_handover(oracle, n_last, hs, depth, b)
+        + pairwise_outage(oracle, n_last, hs, depth, beta, b)
+    )
+    for a, w in zip(got, want):
+        np.testing.assert_array_equal(a, w)
+
+
+_SLICE = preset("paper-vi").with_updates(start_offset_m=985.0, length_m=30.0)
+_SLICE_N = _SLICE.distances_m().shape[1]
+
+
+@pytest.fixture(scope="module")
+def slice_processes():
+    # one process per side for every example, so the chain memo also
+    # serves margins and depths it has seen before
+    return _gap_process(_SLICE), _gap_process(_SLICE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.5, 2.0, 4.0]), st.floats(0.0, 8.0)),
+        min_size=_SLICE_N, max_size=_SLICE_N,
+    ),
+    depth=st.integers(1, _SLICE_N + 1),
+    b_init=st.sampled_from([0, 1]),
+)
+def test_pairwise_series_equal_the_per_term_oracle_on_random_margins(
+    slice_processes, h, depth, b_init
+):
+    proc, oracle = slice_processes
+    n_last = _SLICE_N - 1
+    h = np.array(h)
+    beta = _SLICE.resolved_outage_threshold()
+    conn = pairwise_connection(oracle, n_last, h, depth, b_init)
+    if min(conn[0].min(), conn[1].min()) < metrics._DEGENERATE_FLOOR:
+        with pytest.raises(DegenerateConditioningError):
+            outage_series(proc, n_last, h, depth, beta, b_init=b_init, method="pairwise")
+        got = connection_series(proc, n_last, h, depth, b_init=b_init, method="pairwise")[:2]
+        got += handover_series(proc, n_last, h, depth, b_init=b_init, method="pairwise")[:2]
+        want = conn + pairwise_handover(oracle, n_last, h, depth, b_init)
+    else:
+        got = _pairwise_series(proc, n_last, h, depth, beta, b_init)
+        want = (
+            conn
+            + pairwise_handover(oracle, n_last, h, depth, b_init)
+            + pairwise_outage(oracle, n_last, h, depth, beta, b_init)
+        )
+    for a, w in zip(got, want):
+        np.testing.assert_array_equal(a, w)
+
+
+def test_pairwise_series_integrate_each_box_once():
+    # the chain-pairwise slice: 117 distinct boxes, each handed to the
+    # process once (the per-term chains asked for them 2445 times)
+    cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
+    proc = _gap_process(cfg)
+    calls = []
+    prob = proc.prob
+    proc.prob = lambda ev, *a, **k: calls.append(ev.constraints) or prob(ev, *a, **k)
+    n_last, depth = proc.n_samples - 1, cfg.resolved_depth()
+    kw = dict(b_init=cfg.b_init, method="pairwise")
+    handover_series(proc, n_last, 2.0, depth, **kw)
+    outage_series(proc, n_last, 2.0, depth, cfg.resolved_outage_threshold(), **kw)
+    assert len(calls) == len(set(calls)) == 117
+
+
+@pytest.mark.parametrize("method", ["pairwise", "exact"])
+def test_returned_series_do_not_alias_the_chain_memo(method):
+    proc, _, _, _ = build_process()
+    kw = dict(method=method, mc_samples=10_000)
+
+    def run():
+        return connection_series(proc, 9, 2.0, 8, **kw) + handover_series(proc, 9, 2.0, 8, **kw)
+
+    first = run()
+    want = [a.copy() for a in first]
+    for a in first:
+        if a.flags.writeable:
+            a[...] = -1.0
+    for a, w in zip(run(), want):
+        np.testing.assert_array_equal(a, w)
+
+
+def test_a_fresh_process_builds_its_own_chains():
+    kw = dict(method="pairwise")
+    proc, _, _, _ = build_process()
+    first = handover_series(proc, 9, 2.0, 8, **kw)
+    other, _, _, _ = build_process(n_w=2)
+    calls = []
+    prob = other.prob
+    other.prob = lambda ev, *a, **k: calls.append(ev) or prob(ev, *a, **k)
+    second = handover_series(other, 9, 2.0, 8, **kw)
+    assert calls
+    assert not np.array_equal(first[1], second[1])
+    reference, _, _, _ = build_process(n_w=2)
+    for a, b in zip(second, handover_series(reference, 9, 2.0, 8, **kw)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_the_chain_memo_does_not_keep_a_process_alive():
+    proc, _, _, _ = build_process()
+    handover_series(proc, 9, 2.0, 8, method="pairwise")
+    assert proc in metrics._CHAINS
+    ref = weakref.ref(proc)
+    del proc
+    gc.collect()
+    assert ref() is None
+    assert all(p is not None for p in metrics._CHAINS)

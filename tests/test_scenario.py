@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handopt import (
     CellLayout,
@@ -193,3 +195,39 @@ def test_configs_compare_and_hash_by_value():
     assert two_cell_layout() != "layout"
     assert config_fingerprint(a) == "6a8194a1cc444b65"
     assert config_fingerprint(preset("vehicular-cell-row")) == "f3518f285fe55d46"
+
+
+
+# extreme floats, each of which some config field must refuse or survive
+EXTREME = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300]
+)
+# a 50-m paper-vi slice, field by field
+SLICE = {
+    "spacing_m": 2000.0, "cell_radius_m": 1000.0, "start_offset_m": 975.0,
+    "length_m": 50.0, "speed_mps": 13.0, "sample_interval_s": 0.48,
+    "gels_gamma": 3.0, "outage_threshold_db": -107.77, "h_max_db": 10.0,
+    "h_step_db": 0.25, "h_fixed_db": 2.0, "p_out_cap": 0.11, "p_han_cap": 0.95,
+    "pareto_weight": 0.5,
+}
+# short traces: a finite length_m stays under 60 m
+VALUES = {k: st.one_of(EXTREME, st.floats(-10.0, 60.0) if k == "length_m" else st.floats())
+          for k in SLICE}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(SLICE)), min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: VALUES[k] for k in keys})
+    )
+)
+def test_extreme_float_configs_raise_or_have_finite_distances(changes):
+    f = {**SLICE, **changes}
+    try:
+        layout = two_cell_layout(f.pop("spacing_m"), f.pop("cell_radius_m"))
+        cfg = ScenarioConfig(layout, channels=preset("paper-vi").channels, **f)
+        d = cfg.distances_m()
+    except ConfigurationError:
+        return
+    assert d.shape[0] == 2 and d.shape[1] >= 1
+    assert np.all(np.isfinite(d))
