@@ -287,11 +287,13 @@ def _cmd_simulate(args) -> int:
     rows = [
         {
             "trial": i,
-            "switches": int(result.switch_counts[i]),
-            "outage_samples": int(result.outage_counts[i]),
-            "switch_times": ";".join(str(t) for t in result.switch_times[i]),
+            "switches": switches,
+            "outage_samples": outage,
+            "switch_times": ";".join(map(str, times.tolist())),
         }
-        for i in range(result.n_trials)
+        for i, (switches, outage, times) in enumerate(
+            zip(result.switch_counts.tolist(), result.outage_counts.tolist(), result.switch_times)
+        )
     ]
     summary = {
         "schema": "simulate-v1",

@@ -215,11 +215,25 @@ class ProbResult:
 
 
 def check_psd(Sigma: np.ndarray, context: str = "covariance") -> None:
-    """Raise unless Sigma is symmetric PSD within tolerance."""
+    """Raise unless Sigma is symmetric PSD within tolerance.
+
+    The test is eigmin(S) >= -1e-8 max(trace S, 0) for the symmetric part S.
+    A 1x1 S is decided exactly (its entry is its eigenvalue) and a 2x2 one
+    in closed form, eigmin = (a + d)/2 - hypot((a - d)/2, b); larger ones
+    go through eigvalsh.
+    """
     Sigma = np.asarray(Sigma, dtype=float)
     sym = 0.5 * (Sigma + Sigma.T)
-    eigmin = float(np.linalg.eigvalsh(sym).min()) if sym.size else 0.0
-    tol = 1e-8 * max(float(np.trace(sym)), 0.0)
+    if sym.shape == (1, 1):
+        eigmin = trace = float(sym[0, 0])
+    elif sym.shape == (2, 2):
+        a, b, d = float(sym[0, 0]), float(sym[1, 0]), float(sym[1, 1])
+        trace = a + d
+        eigmin = 0.5 * trace - math.hypot(0.5 * (a - d), b)
+    else:
+        eigmin = float(np.linalg.eigvalsh(sym).min()) if sym.size else 0.0
+        trace = float(np.trace(sym))
+    tol = 1e-8 * max(trace, 0.0)
     if eigmin < -tol:
         raise NumericalConsistencyError(
             f"{context} is not PSD: min eigenvalue {eigmin:.3e} under tolerance {-tol:.3e}"
@@ -342,9 +356,9 @@ def _match_event(gv: GaussianVector, ev: EventSpec):
 
 def _strip_degenerate(mu, Sigma, lo, hi):
     """Resolve near-zero-variance coordinates deterministically."""
-    var = np.diag(Sigma)
+    var = Sigma.diagonal()
     fixed = var <= _DEGENERATE_VAR
-    if not np.any(fixed):
+    if not fixed.any():
         return mu, Sigma, lo, hi, False
     inside = (lo[fixed] < mu[fixed]) & (mu[fixed] <= hi[fixed])
     if not np.all(inside):
@@ -413,6 +427,20 @@ def _mc_box_prob(mu, Sigma, lo, hi, n_samples, seed):
     return p, stderr, jittered
 
 
+def _interval_prob(lo, hi, m, s):
+    """Pr[lo < X <= hi] for X ~ N(m, s^2), lo < hi scalars, m scalar or array.
+
+    An infinite edge costs no ndtr: ndtr(+inf) is exactly 1.0 and
+    ndtr(-inf) exactly 0.0, and x - 0.0 == x, so the one-sided forms are
+    bit-identical to the two-CDF difference.
+    """
+    if hi == math.inf:
+        return 1.0 if lo == -math.inf else 1.0 - ndtr((lo - m) / s)
+    if lo == -math.inf:
+        return ndtr((hi - m) / s)
+    return ndtr((hi - m) / s) - ndtr((lo - m) / s)
+
+
 def _simpson(y, x):
     """Composite Simpson rule over an odd number of increasing nodes x.
 
@@ -444,8 +472,7 @@ def _quad_dim2(mu, Sigma, lo, hi):
     m = mu[1] + beta * (x - mu[0])
     s1 = math.sqrt(max(Sigma[1, 1] - beta * Sigma[1, 0], 1e-300))
     dens = np.exp(-0.5 * ((x - mu[0]) / s0) ** 2) / (s0 * math.sqrt(2 * math.pi))
-    inner = ndtr((hi[1] - m) / s1) - ndtr((lo[1] - m) / s1)
-    return float(_simpson(dens * inner, x))
+    return float(_simpson(dens * _interval_prob(lo[1], hi[1], m, s1), x))
 
 
 def _gl_rule(a, b, n_seg):
@@ -562,7 +589,7 @@ def _quad_dim3(mu, Sigma, lo, hi):
         steps1 = [((e - shift) / l21, l22 / abs(l21)) for e in e2] if l21 else []
         z1, w1 = _gl_zoned(a1[blk], b1[blk], steps1)
         m2 = mu[2] + shift[:, None] + l21 * z1
-        inner = ndtr((hi[2] - m2) / l22) - ndtr((lo[2] - m2) / l22)
+        inner = _interval_prob(lo[2], hi[2], m2, l22)
         total += float(w0[blk] @ (w1 * _std_pdf(z1) * inner).sum(axis=1))
     return total
 
@@ -590,10 +617,13 @@ def exact_prob(
     rule is a bit-identical local port of scipy's (_simpson), kept off the
     import path for start-up. Dimension 3 runs nested Gauss-Legendre rules
     over x0 and x1, each segmented at the steps of its integrand, with the
-    conditional normal CDF of x2 inside (_quad_dim3). These report a
-    conservative absolute-error figure; higher dimensions fall back to
-    chunked hit-or-miss Monte Carlo over mc_samples draws with a binomial
-    standard error (_mc_box_prob). It orders the coordinates by ascending
+    conditional normal CDF of x2 inside (_quad_dim3). Each of these normal
+    CDF differences is one-sided at an infinite box edge (_interval_prob):
+    an edge at +-inf adds an exact 1 or 0 and costs no ndtr, and the value
+    is bit for bit the two-CDF one. These report a conservative
+    absolute-error figure; higher dimensions fall back to chunked
+    hit-or-miss Monte Carlo over mc_samples draws with a binomial standard
+    error (_mc_box_prob). It orders the coordinates by ascending
     marginal box probability and draws each one only for the samples still
     inside the box. A fixed seed gives a fixed estimate, which does not
     depend on the order of the event's labels unless two marginal box
@@ -614,8 +644,7 @@ def exact_prob(
     if k == 0:
         return ProbResult(1.0, 0.0, "degenerate")
     if k == 1:
-        s = math.sqrt(Sigma[0, 0])
-        p = float(ndtr((hi[0] - mu[0]) / s) - ndtr((lo[0] - mu[0]) / s))
+        p = float(_interval_prob(lo[0], hi[0], mu[0], math.sqrt(Sigma[0, 0])))
         return ProbResult(max(p, 0.0), _STDERR_CLOSED, "closed-form")
     if k <= 3:
         # rounding can carry a quadrature sum a few ulps outside [0, 1]

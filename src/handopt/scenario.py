@@ -24,6 +24,11 @@ _ESTIMATORS = ("avg", "ls", "els", "gels")
 # (about 0.1 MB per point per 64-root block at horizon 4).
 _MAX_SAMPLES = 50_000
 _MAX_GRID_POINTS = 1001
+# Entries N * min(n_w, N) of one link's coefficient table (8 MB of float64
+# at the cap), about 125 times the cell row's 2004 * 4: a window of more
+# than 20 samples on a 50,000-sample trace, or of 500 or more on the cell
+# row, would grow the per-link tables past it.
+_MAX_TABLE_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,18 @@ class CellLayout:
             raise ConfigurationError("layout needs at least two (x, y) base stations")
         if not np.all(np.isfinite(xy)):
             raise ConfigurationError("base station coordinates must be finite")
-        diff = xy[:, None, :] - xy[None, :, :]
-        pair = np.sqrt((diff**2).sum(-1))
-        np.fill_diagonal(pair, np.inf)
-        if pair.min() <= 0.0:
+        # squared pair distances in Python floats, which overflow to inf
+        # without a numpy warning: stations too far apart for their squared
+        # distance to be finite make a config error, not a RuntimeWarning
+        pts = xy.tolist()
+        sq = [
+            (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1)
+            for i, (x0, y0) in enumerate(pts)
+            for x1, y1 in pts[:i]
+        ]
+        if not all(map(math.isfinite, sq)):
+            raise ConfigurationError("base station distances must be finite")
+        if min(sq) <= 0.0:
             raise ConfigurationError("base stations must be at distinct positions")
         if not (self.cell_radius_m > 0.0 and math.isfinite(self.cell_radius_m)):
             raise ConfigurationError("cell_radius_m must be positive")
@@ -168,10 +181,11 @@ class ScenarioConfig:
     smallest lag at which the shadowing correlation drops below 1%, capped
     at 20.
 
-    Two work caps are checked before any array is built: the trace holds
-    at most 50,000 samples (floor(length_m / (speed_mps *
-    sample_interval_s)) + 1) and the margin grid at most 1001 points
-    (floor(h_max_db / h_step_db) + 1).
+    Three work caps are checked before any array is built: the trace holds
+    at most 50,000 samples (N = floor(length_m / (speed_mps *
+    sample_interval_s)) + 1), each link's coefficient table at most
+    1,000,000 entries (N * min(n_w, N)) and the margin grid at most 1001
+    points (floor(h_max_db / h_step_db) + 1).
     """
 
     layout: CellLayout
@@ -222,6 +236,12 @@ class ScenarioConfig:
         step = self.step_m
         if not (step > 0.0 and self.length_m / step + 1e-9 < _MAX_SAMPLES):
             raise ConfigurationError(f"the trace would hold more than {_MAX_SAMPLES} samples")
+        n = max(math.floor(self.length_m / step + 1e-9) + 1, 0)
+        if n * min(self.n_w, n) > _MAX_TABLE_ENTRIES:
+            raise ConfigurationError(
+                f"each link's coefficient table would hold more than {_MAX_TABLE_ENTRIES} "
+                f"entries (N * min(n_w, N) with N = {n} samples)"
+            )
         if not self.h_max_db / self.h_step_db + 1e-9 < _MAX_GRID_POINTS:
             raise ConfigurationError(
                 f"the margin grid would hold more than {_MAX_GRID_POINTS} points"

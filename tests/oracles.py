@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ndtr
 
 from handopt import gaussian
-from handopt.errors import ConfigurationError, HandoptError
+from handopt.errors import ConfigurationError, HandoptError, NumericalConsistencyError
 from handopt.estimators import _EMIN_FLOOR, EPS_COND, coefficient_table
 from handopt.gaussian import (
     _BLOCK_SAMPLES,
@@ -278,6 +278,28 @@ def avg_coeffs(n: int, n_w: int) -> FilterCoeffs:
     nb = window_start(n, n_w)
     cnt = n - nb + 1
     return FilterCoeffs(nb, n, np.full(cnt, 1.0 / cnt), "avg")
+
+
+# --- box-probability pieces before their shortcuts --------------------------
+
+
+def check_psd_eigvalsh(Sigma, context="covariance"):
+    """gaussian.check_psd with eigvalsh at every size: the reference for its
+    1x1 and 2x2 closed forms."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    sym = 0.5 * (Sigma + Sigma.T)
+    eigmin = float(np.linalg.eigvalsh(sym).min()) if sym.size else 0.0
+    tol = 1e-8 * max(float(np.trace(sym)), 0.0)
+    if eigmin < -tol:
+        raise NumericalConsistencyError(
+            f"{context} is not PSD: min eigenvalue {eigmin:.3e} under tolerance {-tol:.3e}"
+        )
+
+
+def interval_prob_two_cdf(lo, hi, m, s):
+    """Pr[lo < X <= hi], X ~ N(m, s^2), as a difference of two CDFs whatever
+    the edges: the reference for gaussian._interval_prob's one-sided forms."""
+    return ndtr((hi - m) / s) - ndtr((lo - m) / s)
 
 
 def mc_box_prob(mu, Sigma, lo, hi, n_samples, seed):

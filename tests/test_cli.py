@@ -216,17 +216,45 @@ RUN_SHA256 = {
         "b4a8ca679e1b501e29fc131ad4985c75ae3268448705e2d7f252bd242c8a7d20",
     ),
 }
+# sha256 of the simulate CSV and JSON (pairwise chains on the paper-vi slice,
+# and the cell row), recorded while every box edge at +-inf still cost an
+# ndtr and emit still wrote through csv.DictWriter
+SIMULATE_SHA256 = {
+    "pairwise": (
+        [
+            "simulate", "--preset", "paper-vi", "--analytic", "pairwise",
+            "--start-offset-m", "975", "--length-m", "50", "--trials", "200", "--seed", "0",
+        ],
+        "dfbbf4432e8e14050534bff4370b79213468e091c4659a7092b962acfb70be89",
+        "9fa4b3296c96a276c50e87fe95ac6050c7501586cd64e7dfbf96093d8e1a777b",
+    ),
+    "cell-row": (
+        ["simulate", "--preset", "vehicular-cell-row", "--trials", "20"],
+        "155386d05410861b5d433d7e5921563d4e2e91e2c4b59d4a628eacc66b76c3fc",
+        "7169f2616185c81c1947dc00d8c0b7c031e8577e285ce9d6f6b1b445b9894be9",
+    ),
+}
 
 
-@pytest.mark.parametrize("name", sorted(RUN_SHA256))
-def test_table_and_accuracy_outputs_are_pinned(tmp_path, capsys, name):
-    argv, *want = RUN_SHA256[name]
+def assert_pinned(tmp_path, capsys, argv, want):
     csv_p = tmp_path / "run.csv"
     json_p = tmp_path / "run.json"
     rc, _, _ = run_main(capsys, argv + ["--csv", str(csv_p), "--json", str(json_p)])
     assert rc == 0
     got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_p, json_p)]
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SHA256))
+def test_table_and_accuracy_outputs_are_pinned(tmp_path, capsys, name):
+    argv, *want = RUN_SHA256[name]
+    assert_pinned(tmp_path, capsys, argv, want)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+def test_simulate_outputs_are_pinned(tmp_path, capsys, name):
+    argv, *want = SIMULATE_SHA256[name]
+    assert_pinned(tmp_path, capsys, argv, want)
 
 
 def test_optimize_has_no_method_option(capsys):
@@ -585,6 +613,26 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "avg_handovers" in proc.stdout
+
+
+def test_layout_out_of_float_range_is_one_json_line_and_nothing_else():
+    # a fresh process, so that no warning filter of the test run hides a
+    # numpy overflow warning printed before the error
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "handopt.cli",
+            "simulate", "--preset", "paper-vi", "--spacing-m", "1e300",
+            "--trials", "2", "--length-m", "10",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        '{"error": {"code": "config", "message": "base station distances must be finite"}}\n'
+    )
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():

@@ -44,7 +44,7 @@ from handopt.gaussian import (
     _simpson,
     check_psd,
 )
-from oracles import bvn_cdf_lattice_24, mc_box_prob
+from oracles import bvn_cdf_lattice_24, check_psd_eigvalsh, interval_prob_two_cdf, mc_box_prob
 
 INF = math.inf
 
@@ -786,6 +786,94 @@ def test_check_psd_flags_indefinite_matrix():
     with pytest.raises(Exception):
         check_psd(bad, "unit test")
     check_psd(np.eye(3))
+
+
+def psd_raises(check, Sigma):
+    try:
+        check(Sigma, "unit test")
+    except NumericalConsistencyError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-30])))
+def test_check_psd_decides_1x1_exactly_as_eigvalsh(a):
+    Sigma = np.array([[a]])
+    assert psd_raises(check_psd, Sigma) == psd_raises(check_psd_eigvalsh, Sigma)
+
+
+def rotated(lam, c, theta):
+    """(a, b, d) of the 2x2 matrix with eigenvalues lam and -c * 1e-8 * lam
+    rotated by theta: for c near 1 its smallest eigenvalue lies next to the
+    tolerance -1e-8 * trace, on either side."""
+    mu = -c * 1e-8 * lam
+    cs, sn = math.cos(theta), math.sin(theta)
+    return lam * cs * cs + mu * sn * sn, (lam - mu) * cs * sn, lam * sn * sn + mu * cs * cs
+
+
+NEAR_TOLERANCE = st.builds(
+    rotated, st.floats(1e-3, 1e3), st.floats(0.0, 2.0), st.floats(0.0, math.pi)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(abd=st.one_of(st.tuples(*[st.floats(-1e3, 1e3)] * 3), NEAR_TOLERANCE))
+def test_check_psd_decides_2x2_in_closed_form_as_eigvalsh(abd):
+    # the closed form and LAPACK round differently; away from a 1e-12 * trace
+    # band around the tolerance they must agree
+    a, b, d = abd
+    Sigma = np.array([[a, b], [b, d]])
+    eigmin = float(np.linalg.eigvalsh(Sigma).min())
+    tol = 1e-8 * max(a + d, 0.0)
+    assume(abs(eigmin + tol) > 1e-12 * abs(a + d))
+    assert psd_raises(check_psd, Sigma) == psd_raises(check_psd_eigvalsh, Sigma)
+
+
+def test_check_psd_keeps_its_error_at_every_size():
+    for Sigma in ([[-1.0]], [[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, 1.0, -1.0])):
+        with pytest.raises(NumericalConsistencyError, match="event covariance is not PSD"):
+            check_psd(np.array(Sigma), "event covariance")
+    for Sigma in (np.zeros((0, 0)), [[0.0]], [[1.0, 1.0], [1.0, 1.0]], np.eye(3)):
+        check_psd(np.array(Sigma))
+
+
+EDGE = st.one_of(st.just(None), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def one_sided_boxes(draw):
+    """A 1-3 dim Gaussian box, each edge infinite (None) or finite in units of
+    its coordinate's sd."""
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(k, k))
+    Sigma = A @ A.T + draw(st.sampled_from([1e-6, 1e-2, 1.0])) * np.eye(k)
+    mu = rng.normal(size=k) * 5.0
+    sd = np.sqrt(np.diag(Sigma))
+    lo, hi = [], []
+    for i in range(k):
+        a, b = draw(EDGE), draw(EDGE)
+        if a is not None and b is not None:
+            a, b = min(a, b), max(a, b) + 0.01
+        lo.append(-INF if a is None else mu[i] + sd[i] * a)
+        hi.append(INF if b is None else mu[i] + sd[i] * b)
+    return mu, Sigma, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=one_sided_boxes())
+def test_one_sided_boxes_equal_the_two_cdf_difference_bit_for_bit(box):
+    mu, Sigma, lo, hi = box
+    gv = make_gv(mu, Sigma)
+    ev = box_event(gv.labels, lo, hi)
+    got = exact_prob(gv, ev)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "_interval_prob", interval_prob_two_cdf)
+        want = exact_prob(gv, ev)
+    assert same_bits(got.estimate, want.estimate)
+    assert (got.method, got.stderr) == (want.method, want.stderr)
 
 
 def test_subset_checks_labels_and_equals_the_validated_construction():

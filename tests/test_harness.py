@@ -1,8 +1,10 @@
 """Simulation harness: reproducibility, aggregation, table emission."""
 
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -441,6 +443,58 @@ def test_emit_is_byte_stable(tmp_path):
     empty_csv = tmp_path / "empty.csv"
     emit(empty_csv, None, ["a", "b"], [], None)
     assert empty_csv.read_text() == "a,b\r\n" or empty_csv.read_text() == "a,b\n"
+
+
+# printable ASCII plus the characters csv must quote
+CSV_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=32, max_codepoint=126), st.sampled_from("\r\n\t")
+    ),
+    max_size=8,
+)
+CSV_VALUE = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), CSV_TEXT)
+
+
+@st.composite
+def csv_tables(draw):
+    """Field names and dict rows of any width, a single field and no rows
+    included."""
+    fields = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(
+        st.lists(st.fixed_dictionaries({f: CSV_VALUE for f in fields}), max_size=5)
+    )
+    return fields, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables())
+def test_emit_writes_the_bytes_of_csv_dictwriter(tmp_path_factory, table):
+    fields, rows = table
+    out = tmp_path_factory.mktemp("emit")
+    emit(out / "got.csv", None, fields, rows, None)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    harness._atomic_write(out / "want.csv", buf.getvalue())
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def test_emit_writes_one_field_and_empty_row_lists(tmp_path):
+    emit(tmp_path / "one.csv", None, ("trial",), [{"trial": 0}, {"trial": "a,b"}], None)
+    assert (tmp_path / "one.csv").read_bytes() == b'trial\r\n0\r\n"a,b"\r\n'
+    emit(tmp_path / "none.csv", None, ("trial",), [], None)
+    assert (tmp_path / "none.csv").read_bytes() == b"trial\r\n"
+
+
+@pytest.mark.parametrize(
+    "row", [{"a": 1}, {"a": 1, "b": 2, "c": 3}, {"a": 1, "c": 3}, {}]
+)
+def test_emit_rejects_rows_whose_keys_are_not_the_fieldnames(tmp_path, row):
+    csv_p, json_p = tmp_path / "out.csv", tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        emit(csv_p, json_p, ("a", "b"), [{"a": 0, "b": 0}, row], {"n": 1})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trellis_rows_structure():

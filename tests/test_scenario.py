@@ -1,6 +1,7 @@
 """Geometry, traces and scenario configuration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def test_layout_validation():
         two_cell_layout(0.0)  # coincident stations
     with pytest.raises(ConfigurationError):
         two_cell_layout(2000.0, 0.0)
+
+
+def test_layout_too_wide_to_square_is_a_config_error_without_warnings():
+    # squared pair distances past the float range were a numpy overflow
+    # warning and an inf that later checks tripped over
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xy in ([[0.0, 0.0], [1e300, 0.0]], [[-1e308, 0.0], [1e308, 0.0]],
+                   [[0.0, 0.0], [1.0, 0.0], [0.0, 2e154]]):
+            with pytest.raises(ConfigurationError, match="distances must be finite"):
+                CellLayout(np.array(xy), 1000.0)
+        wide = two_cell_layout(1e150, 1000.0)
+    assert wide.bs_xy[1, 0] == 1e150
 
 
 def test_linear_trace_sampling():
@@ -153,6 +167,25 @@ def test_trace_samples_are_capped():
     for step_m in (2000.0 / 50_000, 1e-300):
         with pytest.raises(ConfigurationError, match="50000 samples"):
             with_step(step_m)
+
+
+def test_coefficient_tables_are_capped():
+    # N * min(n_w, N) entries per link, checked in the config before any
+    # table is built: 1,000,000 pass
+    row = preset("vehicular-cell-row")
+    assert row.with_updates(n_w=499).n_w == 499  # 2004 * 499 entries
+    with pytest.raises(ConfigurationError, match="1000000 entries"):
+        row.with_updates(n_w=500)
+    with pytest.raises(ConfigurationError, match="1000000 entries"):
+        row.with_updates(n_w=row.trace().n_samples)
+    # a window longer than the trace is clamped to it
+    assert preset("paper-vi").with_updates(n_w=10**9).n_w == 10**9
+    long = preset("paper-vi").with_updates(
+        length_m=2000.0, sample_interval_s=2000.0 / 49_999 / 13.0
+    )
+    assert long.with_updates(n_w=20).n_w == 20  # 50,000 samples
+    with pytest.raises(ConfigurationError, match="1000000 entries"):
+        long.with_updates(n_w=21)
 
 
 def test_margin_grid_points_are_capped():
