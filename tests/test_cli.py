@@ -1,5 +1,6 @@
 """Command-line front end: outputs, precedence, error contracts."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -704,3 +705,269 @@ def test_every_exported_name_has_a_caller():
     assert sorted(set(handopt.__all__) - loaded - set(exempt)) == []
     # an exemption whose name gained a caller is no longer needed
     assert sorted(set(exempt) & loaded) == []
+
+
+# ---------------------------------------------------------------------------
+# equality gate of the option layer: a fixed argv battery, each run pinned by
+# one sha256 over its argv, config file, exit code, stdout, stderr and output
+# bytes, recorded before the options were declared from one table
+
+SLICE = ["--start-offset-m", "975", "--length-m", "50"]
+SCENARIO_FLAGS = [
+    "--start-offset-m", "900", "--length-m", "100", "--speed-mps", "10",
+    "--sample-interval-s", "0.5", "--estimator", "gels", "--n-w", "3",
+    "--gels-gamma", "2.5", "--gels-reinit-all", "--outage-threshold-db", "-100",
+    "--h-max-db", "6", "--h-step-db", "0.5", "--horizon", "3", "--depth", "5",
+    "--h-fixed-db", "3", "--p-out-cap", "0.2", "--p-han-cap", "0.9",
+    "--pareto-weight", "0.4", "--b-init", "1", "--seed", "11",
+]
+INI_ALL_SECTIONS = (
+    "[scenario]\nseed = 21\nn_w = 3\nh_fixed_db = 3.5\noutage_threshold_db = none\n"
+    "depth = none\ngels_reinit_all = no\nestimator = ls\n\n"
+    "[channel]\nshadow_sigma_db = 7\ncoherence_m = 30\n\n"
+    "[layout]\nn_cells = 2\nspacing_m = 1800\ncell_radius_m = 950\n\n"
+    "[run]\npolicy = 3\ntrials = 4\nanalytic = pairwise\n"
+)
+# name -> (argv, config file text or None); "--config" is appended for a file
+BATTERY = {
+    # every subcommand with its run defaults
+    "simulate-defaults": (["simulate"], None),
+    "optimize-defaults": (["optimize"], None),
+    "table-defaults": (["table"] + SLICE, None),
+    "accuracy-defaults": (["accuracy", "--instances", "2"], None),
+    # every run flag of each subcommand
+    "simulate-run-flags": (
+        ["simulate", "--policy", "1.5", "--trials", "5", "--analytic", "pairwise"] + SLICE, None
+    ),
+    "simulate-opt-policy": (["simulate", "--policy", "opt1", "--trials", "3"] + SLICE, None),
+    "optimize-run-flags": (
+        ["optimize", "--objective", "min_outage", "--root-sample", "7", "--root-b", "1",
+         "--cell-a", "1", "--cell-b", "0"],
+        None,
+    ),
+    "accuracy-run-flags": (
+        ["accuracy", "--k", "4", "--m-split", "2", "--instances", "3",
+         "--mc-samples", "10000", "--study-seed", "9"],
+        None,
+    ),
+    "table-run-flags": (
+        ["table", "--speeds", "8,30", "--policies", "1.5,opt2", "--trials", "7",
+         "--mode", "resampled"] + SLICE,
+        None,
+    ),
+    # every flag of each override group
+    "scenario-overrides": (["simulate", "--policy", "opt2", "--trials", "3"] + SCENARIO_FLAGS, None),
+    "channel-overrides": (
+        ["simulate", "--trials", "3", "--intercept-db", "-3", "--slope-db", "30",
+         "--shadow-sigma-db", "5", "--coherence-m", "25"],
+        None,
+    ),
+    "layout-overrides": (
+        ["simulate", "--trials", "3", "--cells", "3", "--spacing-m", "1500",
+         "--cell-radius-m", "900"],
+        None,
+    ),
+    "cell-row-layout-and-channel": (
+        ["simulate", "--preset", "vehicular-cell-row", "--trials", "2", "--cells", "4",
+         "--coherence-m", "30", "--length-m", "3000"],
+        None,
+    ),
+    "cell-row-spacing": (
+        ["simulate", "--preset", "vehicular-cell-row", "--trials", "2", "--spacing-m", "1900",
+         "--length-m", "3000"],
+        None,
+    ),
+    "output-workers": (["simulate", "--trials", "3", "--workers", "1"] + SLICE, None),
+    # --config files, each over flags the file overrides
+    "config-all-sections": (
+        ["simulate", "--trials", "9", "--seed", "3", "--policy", "1", "--n-w", "5",
+         "--spacing-m", "2100"] + SLICE,
+        INI_ALL_SECTIONS,
+    ),
+    "config-optimize-run": (
+        ["optimize", "--root-sample", "1"],
+        "[run]\nobjective = opt2\nroot_sample = 3\nroot_b = 1\ncell_a = 0\ncell_b = 1\n",
+    ),
+    "config-accuracy-run": (
+        ["accuracy", "--k", "5"],
+        "[run]\nk = 3\nm_split = 2\ninstances = 2\nmc_samples = 20000\nstudy_seed = 4\n",
+    ),
+    "config-table-run": (
+        ["table", "--trials", "8"] + SLICE,
+        "[run]\nspeeds = 10,25\npolicies = 0, opt1\ntrials = 4\nmode = resampled\n",
+    ),
+    # usage and configuration errors
+    "no-command": ([], None),
+    "unknown-preset": (["simulate", "--preset", "downtown"], None),
+    "bad-estimator-choice": (["simulate", "--estimator", "kalman"], None),
+    "bad-b-init-choice": (["optimize", "--b-init", "2"], None),
+    "workers-0": (["simulate", "--workers", "0"], None),
+    "n-w-0": (["simulate", "--n-w", "0"], None),
+    "policy-opt9": (["simulate", "--policy", "opt9"], None),
+    "depth-none-flag": (["simulate", "--depth", "none"], None),
+    "ini-malformed-value": (["simulate", "--trials", "2"], "[scenario]\nn_w = 4.5\n"),
+    "ini-malformed-bool": (["simulate", "--trials", "2"], "[scenario]\ngels_reinit_all = maybe\n"),
+    "ini-malformed-run-value": (["simulate"], "[run]\ntrials = 12.9\n"),
+    "ini-key-not-read": (["optimize"], "[run]\nmethod = exact\n"),
+    "ini-unknown-channel-key": (["simulate", "--trials", "2"], "[channel]\nsigma = 3\n"),
+    "ini-bogus-analytic": (["simulate", "--trials", "3"] + SLICE, "[run]\nanalytic = bogus\n"),
+    # error order: file sections, then config validation, then run values
+    "ini-file-error-first": (
+        ["simulate"], "[scenario]\nn_w = 0\n\n[channel]\nslope_db = steep\n\n[run]\ntrials = x\n"
+    ),
+    "ini-config-error-before-run-value": (["simulate"], "[scenario]\nn_w = 0\n\n[run]\ntrials = x\n"),
+}
+BATTERY_SHA256 = {
+    "accuracy-defaults":
+        "35d89cee2431ffa8add4987629b8b3e4fe98008fd6d399651aebcc4c75cedf25",
+    "accuracy-run-flags":
+        "31cd9168d36a80496248af1d412f134cefeec3c2085f8d9015e71f4ec89bc712",
+    "bad-b-init-choice":
+        "ed5956c9003049bf72173bfe6984d18288c3ad7916689b6246d9a1a8a6dce889",
+    "bad-estimator-choice":
+        "b3b1f8c3f834c3506f1ea132657e1e486f8dc39f1834208acab5f75ef8b15acc",
+    "cell-row-layout-and-channel":
+        "689fbebafc9737e6fbb1fbca783a941367b3f74907e1fae575834d0aea32966a",
+    "cell-row-spacing":
+        "47be920d65036ce232cc2a35bf575201b420962282793d2e8dfb0216a5b25347",
+    "channel-overrides":
+        "8e81d52a33cb40083d3eb43313429aa9aa5ee8c19770444970d03a6984b3542b",
+    "config-accuracy-run":
+        "382f7ca521f6d86195d1b42a2f18de774ccf5879346b5a12da5cebeec0bc7c33",
+    "config-all-sections":
+        "cb45bfd764d5860dcaae38dba97ecdfc8f665f76640640383683efcbe0f18b94",
+    "config-optimize-run":
+        "64907e01087369974747ce4a8695efa732e746ff05f878da36b022cb518c148e",
+    "config-table-run":
+        "e9347c4e48fcc44ef0ea9acd4df8bd74fa1e4aaaa0107467b07a1037b0ea9ed9",
+    "depth-none-flag":
+        "8c71f71f52d1be538dbb46dbdf098dc522279b795adebd36e3c05cbb61377cf6",
+    "ini-bogus-analytic":
+        "425a81afcc14c51ca2b9220aa9e824dfd0f24588f25b6e32b62a6f2ba88ca6d8",
+    "ini-config-error-before-run-value":
+        "d1ecef9176a0c72f11af84dc09a69f11e51ea2b05119f1aae6d8c66ffdca8e98",
+    "ini-file-error-first":
+        "0ff701f1f50499afc2fca46f9b21716fa7bd29b40bd4f76035350e37a8712889",
+    "ini-key-not-read":
+        "0828684ac19c02a475156199bcd25ccd8821cc06b9d7ccd224a0371eb8b5cbdb",
+    "ini-malformed-bool":
+        "97dcbe9b4caacad0907b81bef120a66a559d007fbfba58023df66072edaf638e",
+    "ini-malformed-run-value":
+        "3c393637856d13677a5e8a06a6701df7dba22a9a7095b56488bc5325540de69e",
+    "ini-malformed-value":
+        "1b8ad3824e201f8dd93bcb475f6ccf7ab9b378302c74ea0989822611f0b6439b",
+    "ini-unknown-channel-key":
+        "baf87f36e5b0b002b0d9691cbf63003c44a93d6e9cb949f14ecbf3400f01fa43",
+    "layout-overrides":
+        "bf91fc389dd636db9223b3ff24612550d88dac3c1b87ec66ed953c5857a274c9",
+    "n-w-0":
+        "5ee54823eff3063852af918246eafbfdbbfcb5fc30896ff021471617eba9e1f4",
+    "no-command":
+        "fe3aef433c6e1d0f0c7b4c2fb0341b686215314ea2764a8aed89977c96352f7e",
+    "optimize-defaults":
+        "08b90cdd994fa8cd1a6f1bb9953db0be0e16a288938927d907a915494fa0be90",
+    "optimize-run-flags":
+        "8ddd9988802823a54d6ef02822f6912a9ffe97d6f0d3f9aecb7b9c569bb60506",
+    "output-workers":
+        "275d61d40c9b4c61ca6ce9ed02be4f066811b14cfca61a9e4ed67fd8c8380471",
+    "policy-opt9":
+        "eb5041f872d092bfe7057ecc177cd9dec2900b78b78e074344bf8c9090bd31e8",
+    "scenario-overrides":
+        "17c0542ae5728aff3121f9d1106b76029d9340a5e54ecd3b7be7428be47cba34",
+    "simulate-defaults":
+        "b2d6175cc49dfb83afbc9caf352e862672e0fc810195d0ac868ae43eb8a31b45",
+    "simulate-opt-policy":
+        "8fcfe1357a8becdb9fe10df363ad097a08c781ee9a3c69decf8ac7af5b35fcb7",
+    "simulate-run-flags":
+        "8da0ac9e8f93d6030131e0f50d528f4cfabee9f7efd05cc3b48dd6a6abe5b47e",
+    "table-defaults":
+        "90bceb1bfc111d3165235bdb3f50a458a4c914244d7d207268f5222e10cb69a4",
+    "table-run-flags":
+        "de765c6729e67b12587bc4b61033709284260ab91e909ed5dedb0931e5130b04",
+    "unknown-preset":
+        "2606845219d18e067de7ad66fcd8b4ab57bd008c8483a8102700ffa839ef9d9c",
+    "workers-0":
+        "e590046c9e59e811ad4bcf9cb07bb769f30143e160351a4cd2633f59365e7685",
+}
+
+
+def battery_digest(tmp_path, capsys, argv, ini):
+    """sha256 over one in-process run: argv, file, exit code, streams, outputs."""
+    csv_p = tmp_path / "run.csv"
+    json_p = tmp_path / "run.json"
+    for p in (csv_p, json_p):
+        p.unlink(missing_ok=True)
+    full = list(argv)
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        full += ["--config", str(tmp_path / "run.ini")]
+    if argv:
+        full += ["--csv", str(csv_p), "--json", str(json_p)]
+    try:
+        rc = main(full)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    h = hashlib.sha256(json.dumps([argv, ini, rc, captured.out, captured.err]).encode())
+    for p in (csv_p, json_p):
+        h.update(p.read_bytes() if p.exists() else b"<absent>")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_option_battery_is_pinned(tmp_path, capsys, name):
+    argv, ini = BATTERY[name]
+    assert battery_digest(tmp_path, capsys, argv, ini) == BATTERY_SHA256[name]
+
+
+def option_record(parser):
+    """Every subparser's actions: option strings and how each one parses."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    record = {}
+    for name, p in sub.choices.items():
+        groups = {id(a): g.title for g in p._action_groups for a in g._group_actions}
+        record[name] = [
+            [a.option_strings, a.dest, type(a).__name__, groups[id(a)], a.nargs, a.const,
+             repr(a.default), getattr(a.type, "__name__", None),
+             None if a.choices is None else list(a.choices), a.required, a.help, a.metavar]
+            for a in p._actions
+        ]
+    return record
+
+
+COMMON_OPTIONS = [
+    "-h", "--help", "--preset", "--config", "--start-offset-m", "--length-m", "--speed-mps",
+    "--sample-interval-s", "--estimator", "--n-w", "--gels-gamma", "--gels-reinit-all",
+    "--outage-threshold-db", "--h-max-db", "--h-step-db", "--horizon", "--depth",
+    "--h-fixed-db", "--p-out-cap", "--p-han-cap", "--pareto-weight", "--b-init", "--seed",
+    "--intercept-db", "--slope-db", "--shadow-sigma-db", "--coherence-m", "--cells",
+    "--spacing-m", "--cell-radius-m", "--csv", "--json", "--workers",
+]
+RUN_OPTIONS = {
+    "simulate": ["--policy", "--trials", "--analytic"],
+    "optimize": ["--objective", "--root-sample", "--root-b", "--cell-a", "--cell-b"],
+    "accuracy": ["--k", "--m-split", "--instances", "--mc-samples", "--study-seed"],
+    "table": ["--speeds", "--policies", "--trials", "--mode"],
+}
+OPTION_RECORD_SHA256 = {
+    "simulate":
+        "8163e51e7e8f1c4969881a444bc4d2c5b1023c6d4d1b0646b3274a6a62df8fa5",
+    "optimize":
+        "3a9a2234da5d661924efa845f66c8d6044066c213d005773423e71428319b7e8",
+    "accuracy":
+        "fdfc0b9cb41f56e53708b25432c8d388dc6db88cd199104982e061badd15dd51",
+    "table":
+        "e1a99a4b5c23aeadfb0421187cb456056579cbe4dad7c416ea00d57594188fa7",
+}
+
+
+def test_option_strings_of_every_subcommand_are_pinned():
+    from handopt.cli import build_parser
+
+    record = option_record(build_parser())
+    assert list(record) == list(RUN_OPTIONS)
+    for name, actions in record.items():
+        got = [s for a in actions for s in a[0]]
+        assert got == COMMON_OPTIONS + RUN_OPTIONS[name], name
+        digest = hashlib.sha256(json.dumps(actions).encode()).hexdigest()
+        assert digest == OPTION_RECORD_SHA256[name], name
