@@ -14,6 +14,15 @@ runs are reproducible byte for byte for a fixed seed, and the worker count
 be at least 1; a HANDOPT_WORKERS value that is not an integer, or is below
 1, runs one worker.
 
+Each option is declared once: an override in ``_OVERRIDES``, a command's
+run option in ``_RUN_OPTIONS``. Entry ``name`` is the flag
+``--name-with-dashes`` and the INI key ``name`` of its section (``[run]``
+for a run option). Its parser reads the key's value and, unless its flag
+keywords give an action, a type or choices, the flag's. A flag that differs
+from its key says so there: ``--gels-reinit-all`` takes no value,
+``--outage-threshold-db`` and ``--depth`` take no ``none``, ``--cells``
+sets ``n_cells``.
+
 Failures print a one-line JSON object to stderr ({"error": {"code", ...,
 "message": ...}}) and exit nonzero: 2 for usage/configuration problems,
 3 for numerical failures, 4 for I/O.
@@ -28,11 +37,10 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import ConfigurationError, DegenerateConditioningError, HandoptError
 from .harness import (
     _OPT_LABELS,
+    _OPT_POLICIES,
     _gap_process,
     _trellis_problem,
     SweepSpec,
@@ -47,9 +55,7 @@ from .harness import (
     trellis_rows,
 )
 from .optimizer import solve, _window_stats
-from .scenario import ScenarioConfig, cell_row_layout, preset, two_cell_layout
-
-_PRESETS = ("paper-vi", "vehicular-two-cell", "vehicular-cell-row")
+from .scenario import _ESTIMATORS, _PRESETS, cell_row_layout, preset, two_cell_layout
 
 
 def _parse_bool(text: str) -> bool:
@@ -61,66 +67,35 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"not a boolean: {text!r}")
 
 
-def _opt_float(text: str):
-    t = text.strip().lower()
-    return None if t in ("", "none") else float(t)
-
-
-def _opt_int(text: str):
-    t = text.strip().lower()
-    return None if t in ("", "none") else int(t)
-
-
-_SCENARIO_PARSERS = {
-    "start_offset_m": float,
-    "length_m": float,
-    "speed_mps": float,
-    "sample_interval_s": float,
-    "estimator": str,
-    "n_w": int,
-    "gels_gamma": float,
-    "gels_reinit_all": _parse_bool,
-    "outage_threshold_db": _opt_float,
-    "h_max_db": float,
-    "h_step_db": float,
-    "horizon": int,
-    "depth": _opt_int,
-    "h_fixed_db": float,
-    "p_out_cap": float,
-    "p_han_cap": float,
-    "pareto_weight": float,
-    "b_init": int,
-    "seed": int,
-}
-_CHANNEL_PARSERS = {
-    "intercept_db": float,
-    "slope_db": float,
-    "shadow_sigma_db": float,
-    "coherence_m": float,
-}
-_LAYOUT_PARSERS = {"n_cells": int, "spacing_m": float, "cell_radius_m": float}
+def _or_none(parse):
+    """The INI parser that also reads an empty value or "none" as None."""
+    return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
 
 
 def _parse_policy(text: str):
     t = text.strip()
-    if t in ("opt1", "opt2", "opt3"):
+    if t in _OPT_POLICIES:
         return t
     try:
         return float(t)
     except ValueError:
-        raise ConfigurationError(f"policy must be a margin in dB or opt1/opt2/opt3: {text!r}")
-
-
-def _parse_list(text: str, parse):
-    return tuple(parse(part) for part in text.split(",") if part.strip())
+        raise ConfigurationError(
+            f"policy must be a margin in dB or {'/'.join(_OPT_POLICIES)}: {text!r}"
+        ) from None
 
 
 def _parse_speeds(text: str):
-    return _parse_list(text, float)
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 def _parse_policies(text: str):
-    return _parse_list(text, _parse_policy)
+    return tuple(_parse_policy(part) for part in text.split(",") if part.strip())
+
+
+def _parse_objective(text: str) -> str:
+    if text not in _OPT_LABELS:
+        raise ConfigurationError(f"objective must be one of {sorted(_OPT_LABELS)}")
+    return text
 
 
 def _worker_arg(text: str) -> int:
@@ -133,6 +108,91 @@ def _worker_arg(text: str) -> int:
     return n
 
 
+# (INI section, flag group title) -> {field: (INI parser, flag keywords)} of
+# the ScenarioConfig, per-cell ChannelParams and layout overrides
+_OVERRIDES = {
+    ("scenario", "scenario overrides"): {
+        "start_offset_m": (float, {}),
+        "length_m": (float, {}),
+        "speed_mps": (float, {}),
+        "sample_interval_s": (float, {}),
+        "estimator": (str, {"choices": _ESTIMATORS}),
+        "n_w": (int, {}),
+        "gels_gamma": (float, {}),
+        "gels_reinit_all": (_parse_bool, {"action": "store_const", "const": True}),
+        "outage_threshold_db": (_or_none(float), {"type": float}),
+        "h_max_db": (float, {}),
+        "h_step_db": (float, {}),
+        "horizon": (int, {}),
+        "depth": (_or_none(int), {"type": int}),
+        "h_fixed_db": (float, {}),
+        "p_out_cap": (float, {}),
+        "p_han_cap": (float, {}),
+        "pareto_weight": (float, {}),
+        "b_init": (int, {"type": int, "choices": (0, 1)}),
+        "seed": (int, {}),
+    },
+    ("channel", "channel overrides (applied to every cell)"): {
+        "intercept_db": (float, {}),
+        "slope_db": (float, {}),
+        "shadow_sigma_db": (float, {}),
+        "coherence_m": (float, {}),
+    },
+    ("layout", "layout overrides"): {
+        "n_cells": (int, {"option": "--cells"}),
+        "spacing_m": (float, {}),
+        "cell_radius_m": (float, {}),
+    },
+}
+# command -> {run option: (INI parser, default, flag keywords)}; table's
+# None defaults leave the value to SweepSpec, optimize's root_b to the
+# config's b_init
+_RUN_OPTIONS = {
+    "simulate": {
+        "policy": (_parse_policy, 2.0, {"help": f"margin in dB or {'/'.join(_OPT_POLICIES)}"}),
+        "trials": (int, 1000, {}),
+        "analytic": (str, None, {"choices": ("pairwise", "exact")}),
+    },
+    "optimize": {
+        "objective": (_parse_objective, "opt1", {"choices": sorted(_OPT_LABELS)}),
+        "root_sample": (int, 0, {}),
+        "root_b": (int, None, {"type": int, "choices": (0, 1)}),
+        "cell_a": (int, 0, {}),
+        "cell_b": (int, 1, {}),
+    },
+    "accuracy": {
+        "k": (int, 6, {"help": "chain length"}),
+        "m_split": (int, 3, {}),
+        "instances": (int, 100, {}),
+        "mc_samples": (int, 400_000, {}),
+        "study_seed": (int, 0, {}),
+    },
+    "table": {
+        "speeds": (_parse_speeds, None, {"help": "comma-separated speeds in m/s"}),
+        "policies": (_parse_policies, None, {"help": "comma-separated margins/opt policies"}),
+        "trials": (int, None, {}),
+        "mode": (str, None, {"choices": ("fixed-grid", "resampled")}),
+    },
+}
+
+
+def _flag(name: str, parse, flag: dict) -> tuple:
+    """(option, add_argument keywords) of a table entry; see the module doc."""
+    kwargs = dict(flag, dest=name)
+    option = kwargs.pop("option", "--" + name.replace("_", "-"))
+    if not kwargs.keys() & {"action", "type", "choices"}:
+        kwargs["type"] = parse
+    return option, kwargs
+
+
+# built once per process: build_parser adds them to every subcommand
+_OVERRIDE_FLAGS = tuple(
+    (title, [_flag(n, p, f) for n, (p, f) in table.items()])
+    for (_, title), table in _OVERRIDES.items()
+)
+_RUN_FLAGS = {c: [_flag(n, p, f) for n, (p, _, f) in t.items()] for c, t in _RUN_OPTIONS.items()}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(
@@ -142,46 +202,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser):
-    p.add_argument("--preset", choices=_PRESETS, default="paper-vi")
-    p.add_argument("--config", metavar="FILE", help="INI file; overrides flags")
-    g = p.add_argument_group("scenario overrides")
-    g.add_argument("--start-offset-m", dest="start_offset_m", type=float)
-    g.add_argument("--length-m", dest="length_m", type=float)
-    g.add_argument("--speed-mps", dest="speed_mps", type=float)
-    g.add_argument("--sample-interval-s", dest="sample_interval_s", type=float)
-    g.add_argument("--estimator", choices=("avg", "ls", "els", "gels"))
-    g.add_argument("--n-w", dest="n_w", type=int)
-    g.add_argument("--gels-gamma", dest="gels_gamma", type=float)
-    g.add_argument(
-        "--gels-reinit-all", dest="gels_reinit_all", action="store_const", const=True
-    )
-    g.add_argument("--outage-threshold-db", dest="outage_threshold_db", type=float)
-    g.add_argument("--h-max-db", dest="h_max_db", type=float)
-    g.add_argument("--h-step-db", dest="h_step_db", type=float)
-    g.add_argument("--horizon", type=int)
-    g.add_argument("--depth", type=int)
-    g.add_argument("--h-fixed-db", dest="h_fixed_db", type=float)
-    g.add_argument("--p-out-cap", dest="p_out_cap", type=float)
-    g.add_argument("--p-han-cap", dest="p_han_cap", type=float)
-    g.add_argument("--pareto-weight", dest="pareto_weight", type=float)
-    g.add_argument("--b-init", dest="b_init", type=int, choices=(0, 1))
-    g.add_argument("--seed", type=int)
-    c = p.add_argument_group("channel overrides (applied to every cell)")
-    c.add_argument("--intercept-db", dest="intercept_db", type=float)
-    c.add_argument("--slope-db", dest="slope_db", type=float)
-    c.add_argument("--shadow-sigma-db", dest="shadow_sigma_db", type=float)
-    c.add_argument("--coherence-m", dest="coherence_m", type=float)
-    l = p.add_argument_group("layout overrides")
-    l.add_argument("--cells", dest="n_cells", type=int)
-    l.add_argument("--spacing-m", dest="spacing_m", type=float)
-    l.add_argument("--cell-radius-m", dest="cell_radius_m", type=float)
-    o = p.add_argument_group("output")
-    o.add_argument("--csv", metavar="PATH")
-    o.add_argument("--json", metavar="PATH")
-    o.add_argument("--workers", type=_worker_arg)
-
-
 def _parse_file_value(parse, raw: str, key: str, section: str):
     try:
         return parse(raw)
@@ -189,54 +209,36 @@ def _parse_file_value(parse, raw: str, key: str, section: str):
         raise ConfigurationError(f"bad value {raw!r} for {key!r} in [{section}]") from None
 
 
-def _load_config_file(path: str, run_keys):
-    """(scenario, channel, layout, run) sections; run values stay strings."""
+def _load_config_file(path: str, run_options: dict) -> dict:
+    """{section: {key: value}}; [run] values stay strings."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ConfigurationError(f"cannot read config file {path!r}")
-
-    def section(name, parsers):
-        if name not in cp:
-            return {}
-        out = {}
-        for key, raw in cp.items(name):
-            if key not in parsers:
+    sections = {section: table for (section, _), table in _OVERRIDES.items()}
+    sections["run"] = dict.fromkeys(run_options, (str,))
+    out = {}
+    for name, table in sections.items():
+        for key, raw in cp.items(name) if name in cp else ():
+            if key not in table:
                 raise ConfigurationError(f"unknown key {key!r} in [{name}]")
-            out[key] = _parse_file_value(parsers[key], raw, key, name)
-        return out
-
-    return (
-        section("scenario", _SCENARIO_PARSERS),
-        section("channel", _CHANNEL_PARSERS),
-        section("layout", _LAYOUT_PARSERS),
-        section("run", dict.fromkeys(run_keys, str)),
-    )
+            out.setdefault(name, {})[key] = _parse_file_value(table[key][0], raw, key, name)
+    return out
 
 
 def _build_config(args) -> tuple:
-    """Resolve (config, run-section dict) from preset, flags and file."""
-    file_scn, file_ch, file_lay, file_run = (
-        _load_config_file(args.config, args.run_keys) if args.config else ({}, {}, {}, {})
-    )
+    """Resolve the config from preset, flags and file, then the run options.
+
+    An override or run option takes the file's value, else its flag's,
+    else (for a run option) its default.
+    """
+    run_options = _RUN_OPTIONS[args.command]
+    file = _load_config_file(args.config, run_options) if args.config else {}
     config = preset(args.preset)
-    scn = {
-        name: getattr(args, name)
-        for name in _SCENARIO_PARSERS
-        if getattr(args, name, None) is not None
-    }
-    scn.update(file_scn)
-    ch = {
-        name: getattr(args, name)
-        for name in _CHANNEL_PARSERS
-        if getattr(args, name, None) is not None
-    }
-    ch.update(file_ch)
-    lay = {
-        name: getattr(args, name)
-        for name in _LAYOUT_PARSERS
-        if getattr(args, name, None) is not None
-    }
-    lay.update(file_lay)
+    scn, ch, lay = (
+        {name: getattr(args, name) for name in table if getattr(args, name) is not None}
+        | file.get(section, {})
+        for (section, _), table in _OVERRIDES.items()
+    )
     if lay:
         xs = config.layout.bs_xy[:, 0]
         n = lay.get("n_cells", config.layout.n_bs)
@@ -247,26 +249,21 @@ def _build_config(args) -> tuple:
             if n == 2
             else cell_row_layout(n, spacing, radius)
         )
-    if ch:
-        if "layout" in scn:
-            scn["channels"] = (replace(config.channels[0], **ch),)
+    if ch or "layout" in scn:
+        # a new layout takes the first cell's channel: the old per-cell
+        # tuple no longer matches its cell count
+        channels = config.channels[:1] if "layout" in scn else config.channels
+        scn["channels"] = tuple(replace(c, **ch) for c in channels)
+    config = config.with_updates(**scn)
+    file_run = file.get("run", {})
+    run = argparse.Namespace()
+    for name, (parse, default, _) in run_options.items():
+        if name in file_run:
+            value = _parse_file_value(parse, file_run[name], name, "run")
         else:
-            scn["channels"] = tuple(replace(c, **ch) for c in config.channels)
-    elif "layout" in scn:
-        # the old per-cell tuple no longer matches the new cell count
-        scn["channels"] = (config.channels[0],)
-    return config.with_updates(**scn), file_run
-
-
-def _run_value(file_run: dict, args, name: str, parse, default):
-    if name in file_run:
-        return _parse_file_value(parse, file_run[name], name, "run")
-    v = getattr(args, name, None)
-    return default if v is None else v
-
-
-def _print(line: str):
-    sys.stdout.write(line + "\n")
+            value = getattr(args, name)
+        setattr(run, name, default if value is None else value)
+    return config, run
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +271,15 @@ def _print(line: str):
 
 
 def _cmd_simulate(args) -> int:
-    config, file_run = _build_config(args)
-    policy = _run_value(file_run, args, "policy", _parse_policy, 2.0)
-    trials = _run_value(file_run, args, "trials", int, 1000)
-    analytic = _run_value(file_run, args, "analytic", str, None)
+    config, run = _build_config(args)
     if config.layout.n_bs == 2:
-        result = run_two_cell(config, policy, trials, workers=args.workers, analytic=analytic)
-    elif analytic is not None:
+        result = run_two_cell(
+            config, run.policy, run.trials, workers=args.workers, analytic=run.analytic
+        )
+    elif run.analytic is not None:
         raise ConfigurationError("analytic chains are defined on the two-cell layout")
     else:
-        result = run_multicell(config, policy, trials, workers=args.workers)
+        result = run_multicell(config, run.policy, run.trials, workers=args.workers)
     rows = [
         {
             "trial": i,
@@ -306,7 +302,7 @@ def _cmd_simulate(args) -> int:
     }
     if result.analytic_p_h is not None:
         summary["analytic"] = {
-            "method": analytic,
+            "method": run.analytic,
             "sum_p_h": result.analytic_handover_sum,
             "sum_p_o": result.analytic_outage_sum,
             "p_h": result.analytic_p_h,
@@ -316,34 +312,28 @@ def _cmd_simulate(args) -> int:
         }
     emit(args.csv, args.json, ("trial", "switches", "outage_samples", "switch_times"), rows, summary)
     agg = result.aggregates()
-    _print(
+    print(
         f"simulate {result.policy}: avg_handovers={agg['avg_handovers']:.4f} "
-        f"avg_outage={agg['avg_outage']:.4f} over {trials} trials"
+        f"avg_outage={agg['avg_outage']:.4f} over {run.trials} trials"
     )
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    config, file_run = _build_config(args)
-    objective = _run_value(file_run, args, "objective", str, "opt1")
-    if objective not in _OPT_LABELS:
-        raise ConfigurationError(f"objective must be one of {sorted(_OPT_LABELS)}")
-    label = _OPT_LABELS[objective]
-    root_n = _run_value(file_run, args, "root_sample", int, 0)
-    root_b = _run_value(file_run, args, "root_b", int, config.b_init)
-    cell_a = _run_value(file_run, args, "cell_a", int, 0)
-    cell_b = _run_value(file_run, args, "cell_b", int, 1)
+    config, run = _build_config(args)
+    label = _OPT_LABELS[run.objective]
+    root_b = config.b_init if run.root_b is None else run.root_b
     n_bs = config.layout.n_bs
-    if not (0 <= cell_a < n_bs and 0 <= cell_b < n_bs) or cell_a == cell_b:
+    if not (0 <= run.cell_a < n_bs and 0 <= run.cell_b < n_bs) or run.cell_a == run.cell_b:
         raise ConfigurationError(f"cells must be two distinct indices in 0..{n_bs - 1}")
-    process = _gap_process(config, cell_a, cell_b)
+    process = _gap_process(config, run.cell_a, run.cell_b)
     n_samples = process.n_samples
-    if not 0 <= root_n < n_samples - 1:
+    if not 0 <= run.root_sample < n_samples - 1:
         raise ConfigurationError("root sample must leave at least one stage")
-    horizon = min(config.horizon, n_samples - 1 - root_n)
+    horizon = min(config.horizon, n_samples - 1 - run.root_sample)
     problem = _trellis_problem(
         config,
-        _window_stats(process, root_n, horizon),
+        _window_stats(process, run.root_sample, horizon),
         horizon,
         root_b,
         label,
@@ -355,9 +345,9 @@ def _cmd_optimize(args) -> int:
         "schema": "optimize-v1",
         "config_hash": config_fingerprint(config),
         "objective": label,
-        "root_sample": root_n,
+        "root_sample": run.root_sample,
         "root_b": root_b,
-        "cells": [cell_a, cell_b],
+        "cells": [run.cell_a, run.cell_b],
         "horizon": horizon,
         "b_next": solution.b_next,
         "h_first": solution.h_first,
@@ -367,37 +357,32 @@ def _cmd_optimize(args) -> int:
         "violation": solution.violation,
     }
     emit(args.csv, args.json, fields, rows, summary)
-    _print(
-        f"optimize {label} @ sample {root_n} (serving {root_b}): "
+    print(
+        f"optimize {label} @ sample {run.root_sample} (serving {root_b}): "
         f"b_next={solution.b_next} h_first={solution.h_first:g} cost={solution.cost:.6g}"
     )
     return 0
 
 
 def _cmd_accuracy(args) -> int:
-    config, file_run = _build_config(args)
-    k = _run_value(file_run, args, "k", int, 6)
-    m_split = _run_value(file_run, args, "m_split", int, 3)
-    instances = _run_value(file_run, args, "instances", int, 100)
-    mc_samples = _run_value(file_run, args, "mc_samples", int, 400_000)
-    study_seed = _run_value(file_run, args, "study_seed", int, 0)
+    config, run = _build_config(args)
     study = run_accuracy_study(
-        k, m_split, instances, study_seed, config=config, mc_samples=mc_samples
+        run.k, run.m_split, run.instances, run.study_seed, config=config, mc_samples=run.mc_samples
     )
     summary = {
         "schema": "accuracy-study-v1",
         "config_hash": config_fingerprint(config),
-        "seed": study_seed,
-        "k": k,
-        "m_split": m_split,
-        "n_instances": instances,
-        "mc_samples": mc_samples,
+        "seed": run.study_seed,
+        "k": run.k,
+        "m_split": run.m_split,
+        "n_instances": run.instances,
+        "mc_samples": run.mc_samples,
         "mae": study.mae,
         "mre": study.mre,
     }
     emit(args.csv, args.json, study.fieldnames, study.rows, summary)
-    _print(
-        f"accuracy k={k} m_split={m_split}: "
+    print(
+        f"accuracy k={run.k} m_split={run.m_split}: "
         + " ".join(f"mae[{name}]={study.mae[name]:.2e}" for name in ("b1", "lb2", "ub2", "ub3"))
         + f" sandwich_violations={study.mae['sandwich_violations']}"
     )
@@ -405,23 +390,14 @@ def _cmd_accuracy(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    config, file_run = _build_config(args)
-    speeds = _run_value(file_run, args, "speeds", _parse_speeds, (5.0, 20.0, 40.0))
-    policies = _run_value(
-        file_run,
-        args,
-        "policies",
-        _parse_policies,
-        (0.0, 2.0, 4.0, "opt1", "opt2", "opt3"),
-    )
-    trials = _run_value(file_run, args, "trials", int, 1000)
-    mode = _run_value(file_run, args, "mode", str, "fixed-grid")
-    spec = SweepSpec(speeds=speeds, policies=policies, n_trials=trials, mode=mode)
+    config, run = _build_config(args)
+    given = {("n_trials" if k == "trials" else k): v for k, v in vars(run).items()}
+    spec = SweepSpec(**{k: v for k, v in given.items() if v is not None})
     results = run_table_sweep(config, spec, workers=args.workers)
     fields, rows = sweep_table(results, spec)
     summary = sweep_summary(config, spec, results, None)
     emit(args.csv, args.json, fields, rows, summary)
-    _print(f"table: {len(rows)} rows over {len(spec.speeds)} speeds x {len(spec.policies)} policies")
+    print(f"table: {len(rows)} rows over {len(spec.speeds)} speeds x {len(spec.policies)} policies")
     return 0
 
 
@@ -431,47 +407,37 @@ def _cmd_table(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="handopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate one margin policy")
-    _add_scenario_flags(p)
-    p.add_argument("--policy", type=_parse_policy, help="margin in dB or opt1/opt2/opt3")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--analytic", choices=("pairwise", "exact"))
-    p.set_defaults(func=_cmd_simulate, run_keys=("policy", "trials", "analytic"))
-
-    p = sub.add_parser("optimize", help="one trellis solve with a path dump")
-    _add_scenario_flags(p)
-    p.add_argument("--objective", choices=sorted(_OPT_LABELS))
-    p.add_argument("--root-sample", dest="root_sample", type=int)
-    p.add_argument("--root-b", dest="root_b", type=int, choices=(0, 1))
-    p.add_argument("--cell-a", dest="cell_a", type=int)
-    p.add_argument("--cell-b", dest="cell_b", type=int)
-    p.set_defaults(
-        func=_cmd_optimize,
-        run_keys=("objective", "root_sample", "root_b", "cell_a", "cell_b"),
+    commands = (
+        ("simulate", _cmd_simulate, "simulate one margin policy"),
+        ("optimize", _cmd_optimize, "one trellis solve with a path dump"),
+        ("accuracy", _cmd_accuracy, "probability-method comparison study"),
+        ("table", _cmd_table, "policy x speed aggregate sweep"),
     )
-
-    p = sub.add_parser("accuracy", help="probability-method comparison study")
-    _add_scenario_flags(p)
-    p.add_argument("--k", type=int, help="chain length")
-    p.add_argument("--m-split", dest="m_split", type=int)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--study-seed", dest="study_seed", type=int)
-    p.set_defaults(
-        func=_cmd_accuracy,
-        run_keys=("k", "m_split", "instances", "mc_samples", "study_seed"),
-    )
-
-    p = sub.add_parser("table", help="policy x speed aggregate sweep")
-    _add_scenario_flags(p)
-    p.add_argument("--speeds", type=_parse_speeds, help="comma-separated speeds in m/s")
-    p.add_argument("--policies", type=_parse_policies, help="comma-separated margins/opt policies")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=("fixed-grid", "resampled"))
-    p.set_defaults(func=_cmd_table, run_keys=("speeds", "policies", "trials", "mode"))
-
+    for name, func, help in commands:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--preset", choices=_PRESETS, default="paper-vi")
+        p.add_argument("--config", metavar="FILE", help="INI file; overrides flags")
+        for title, flags in _OVERRIDE_FLAGS:
+            g = p.add_argument_group(title)
+            for option, kwargs in flags:
+                g.add_argument(option, **kwargs)
+        o = p.add_argument_group("output")
+        o.add_argument("--csv", metavar="PATH")
+        o.add_argument("--json", metavar="PATH")
+        o.add_argument("--workers", type=_worker_arg)
+        for option, kwargs in _RUN_FLAGS[name]:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+# (exception, JSON error code, exit status), most specific first
+_ERRORS = (
+    (ConfigurationError, "config", 2),
+    (DegenerateConditioningError, "degenerate", 3),
+    (HandoptError, "numerical", 3),
+    (OSError, "io", 4),
+)
 
 
 def main(argv=None) -> int:
@@ -486,20 +452,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
-    except ConfigurationError as e:
-        print(json.dumps({"error": {"code": "config", "message": str(e)}}), file=sys.stderr)
-        return 2
-    except DegenerateConditioningError as e:
-        print(json.dumps({"error": {"code": "degenerate", "message": str(e)}}), file=sys.stderr)
-        return 3
-    except HandoptError as e:
-        print(json.dumps({"error": {"code": "numerical", "message": str(e)}}), file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(json.dumps({"error": {"code": "io", "message": str(e)}}), file=sys.stderr)
-        return 4
+    except (HandoptError, OSError) as e:
+        code, rc = next((code, rc) for kind, code, rc in _ERRORS if isinstance(e, kind))
+        print(json.dumps({"error": {"code": code, "message": str(e)}}), file=sys.stderr)
+        return rc
     finally:
         if thaw:
             gc.unfreeze()

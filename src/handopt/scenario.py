@@ -292,6 +292,51 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
+_VEHICULAR = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0)
+
+
+def _paper_vi() -> ScenarioConfig:
+    return ScenarioConfig(
+        layout=two_cell_layout(2000.0, 1000.0),
+        start_offset_m=750.0,
+        length_m=500.0,
+        speed_mps=13.0,
+        sample_interval_s=0.48,
+        channels=(_VEHICULAR,),
+        estimator="avg",
+        n_w=4,
+        h_fixed_db=2.0,
+        horizon=4,
+    )
+
+
+def _vehicular_cell_row() -> ScenarioConfig:
+    # open-terrain row: shadowing decorrelates more slowly than on the
+    # urban two-cell trace, and the outage budget per stage is looser
+    return ScenarioConfig(
+        layout=cell_row_layout(8, 2000.0, 1000.0),
+        start_offset_m=750.0,
+        length_m=12500.0,
+        speed_mps=13.0,
+        sample_interval_s=0.48,
+        channels=(replace(_VEHICULAR, coherence_m=35.0),),
+        estimator="avg",
+        n_w=4,
+        h_fixed_db=2.0,
+        horizon=4,
+        p_out_cap=0.35,
+    )
+
+
+# preset name -> builder of a fresh config (a layout's coordinate array is
+# mutable, so no two callers share one)
+_PRESETS = {
+    "paper-vi": _paper_vi,
+    "vehicular-two-cell": _paper_vi,
+    "vehicular-cell-row": _vehicular_cell_row,
+}
+
+
 def preset(name: str) -> ScenarioConfig:
     """Named ready-to-run configurations.
 
@@ -299,37 +344,6 @@ def preset(name: str) -> ScenarioConfig:
     apart, vehicular terminal crossing the cell boundary.
     ``vehicular-cell-row``: eight cells in a row, full multi-handover trip.
     """
-    vehicular = ChannelParams(
-        intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0
-    )
-    if name in ("paper-vi", "vehicular-two-cell"):
-        return ScenarioConfig(
-            layout=two_cell_layout(2000.0, 1000.0),
-            start_offset_m=750.0,
-            length_m=500.0,
-            speed_mps=13.0,
-            sample_interval_s=0.48,
-            channels=(vehicular,),
-            estimator="avg",
-            n_w=4,
-            h_fixed_db=2.0,
-            horizon=4,
-        )
-    if name == "vehicular-cell-row":
-        # open-terrain row: shadowing decorrelates more slowly than on the
-        # urban two-cell trace, and the outage budget per stage is looser
-        highway = replace(vehicular, coherence_m=35.0)
-        return ScenarioConfig(
-            layout=cell_row_layout(8, 2000.0, 1000.0),
-            start_offset_m=750.0,
-            length_m=12500.0,
-            speed_mps=13.0,
-            sample_interval_s=0.48,
-            channels=(highway,),
-            estimator="avg",
-            n_w=4,
-            h_fixed_db=2.0,
-            horizon=4,
-            p_out_cap=0.35,
-        )
-    raise ConfigurationError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ConfigurationError(f"unknown preset {name!r}")
+    return _PRESETS[name]()
