@@ -277,6 +277,12 @@ def y_stats(
     for s, t in p_times:
         if s not in (0, 1) or not 0 <= t < n_total:
             raise ConfigurationError(f"bad p coordinate ({s}, {t})")
+    try:
+        var = [ch.shadow_sigma_db**2 for ch in channels]
+    except OverflowError:
+        # Python's float pow raises past the float range, where numpy's
+        # would warn and go on with inf covariances
+        raise ConfigurationError("shadow_sigma_db squared overflows the float range") from None
 
     # Support of all requested rows plus the p times: one small slice of the
     # trace carries every covariance sum. A row ends at its own sample and
@@ -299,7 +305,7 @@ def y_stats(
     for s in (0, 1):
         ch = channels[s]
         a = ch.ar_coeff(step_m)
-        autocov.append(ch.shadow_sigma_db**2 * a**lag)
+        autocov.append(var[s] * a**lag)
         means_pl.append(path_loss(ch, distances_m[s]))
 
     ky, kp = len(y_times), len(p_times)
@@ -317,7 +323,7 @@ def y_stats(
         sign = 1.0 if s == 0 else -1.0
         if ky:
             a = ch.ar_coeff(step_m)
-            r_row = ch.shadow_sigma_db**2 * a ** np.abs(t - cols).astype(float)
+            r_row = var[s] * a ** np.abs(t - cols).astype(float)
             Sigma[ky + j, :ky] = sign * (g[s] @ r_row)
             Sigma[:ky, ky + j] = Sigma[ky + j, :ky]
 
@@ -332,7 +338,7 @@ def y_stats(
         lags = np.abs(times[:, None] - times[None, :])
         ch = channels[s]
         a = ch.ar_coeff(step_m)
-        by_lag = np.array([ch.shadow_sigma_db**2 * a**k for k in range(int(lags.max()) + 1)])
+        by_lag = np.array([var[s] * a**k for k in range(int(lags.max()) + 1)])
         Sigma[np.ix_(idx, idx)] = by_lag[lags]
 
     if check:

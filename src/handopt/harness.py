@@ -78,7 +78,7 @@ from .gaussian import (
     gap_inside,
 )
 from .hybrid import count_switches, serving_series
-from .metrics import handover_series, outage_series
+from .metrics import _check_method_args, handover_series, outage_series
 from .optimizer import TrellisProblem, solve_group, _window_stats
 from .scenario import ScenarioConfig, preset
 
@@ -594,6 +594,9 @@ def run_two_cell(
     if analytic is not None and fixed is None:
         raise ConfigurationError("analytic chains need a constant-margin policy")
     base_seed = config.seed if seed is None else int(seed)
+    if analytic is not None:
+        # checked before any trial is drawn, not after all of them
+        _check_method_args(analytic, mc_samples, base_seed)
     (result,) = _simulate_policies(
         config,
         [policy],

@@ -82,6 +82,11 @@ def _check_chain_args(
         raise ConfigurationError("depth must be at least 1")
     if b_init not in (0, 1):
         raise ConfigurationError("b_init must be 0 or 1")
+    _check_method_args(method, mc_samples, seed)
+
+
+def _check_method_args(method: str, mc_samples, seed):
+    """Reject a bad evaluation method or Monte Carlo argument of the series."""
     if method not in ("exact", "pairwise"):
         raise ConfigurationError(f"unknown method {method!r}")
     _check_mc_args(mc_samples, seed)

@@ -261,6 +261,15 @@ class ScenarioConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
+        # Every trace sample lies within `far` of every station, so the
+        # squared distances distances() sums in numpy stay below far * far,
+        # up to rounding, for which the factor 2 leaves room. Python floats
+        # overflow to inf here without the RuntimeWarning numpy would give.
+        pts = self.layout.bs_xy.tolist()
+        far = max(math.dist(p, pts[0]) for p in pts)
+        far += abs(self.start_offset_m) + abs(self.length_m)
+        if not math.isfinite(2.0 * far * far):
+            raise ConfigurationError("the trace's distances to the base stations must be finite")
 
     def trace(self) -> MobilityTrace:
         return build_linear_trace(

@@ -3,14 +3,22 @@
 import argparse
 import ast
 import hashlib
+import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from handopt import cli
 from handopt.cli import main
 
 
@@ -971,3 +979,67 @@ def test_option_strings_of_every_subcommand_are_pinned():
         assert got == COMMON_OPTIONS + RUN_OPTIONS[name], name
         digest = hashlib.sha256(json.dumps(actions).encode()).hexdigest()
         assert digest == OPTION_RECORD_SHA256[name], name
+
+
+# ---------------------------------------------------------------------------
+# the error contract under extreme floats on every float override flag
+
+EXTREME_FLOATS = [math.nan, math.inf, -math.inf, 0.0, 1e-300, -1e-300, 1e300, -1e300]
+FLOAT_FLAGS = sorted(
+    option for _, flags in cli._OVERRIDE_FLAGS for option, kw in flags if kw.get("type") is float
+)
+TINY = ["--preset", "paper-vi", "--start-offset-m", "995", "--length-m", "10"]
+TINY_RUNS = {
+    "simulate": ["simulate", "--trials", "2"] + TINY,
+    "simulate-pairwise": ["simulate", "--trials", "2", "--analytic", "pairwise"] + TINY,
+    "optimize": ["optimize"] + TINY,
+    "table": ["table", "--trials", "2", "--speeds", "13", "--policies", "2,opt2"] + TINY,
+}
+
+
+def finite_numbers(value):
+    if isinstance(value, dict):
+        return all(finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    run=st.sampled_from(sorted(TINY_RUNS)),
+    flags=st.dictionaries(
+        st.sampled_from(FLOAT_FLAGS), st.sampled_from(EXTREME_FLOATS), min_size=1, max_size=3
+    ),
+)
+# the variance of a 1e300 dB shadowing overflowed y_stats' float pow
+@example(run="optimize", flags={"--shadow-sigma-db": 1e300})
+@example(run="simulate-pairwise", flags={"--shadow-sigma-db": 1e300})
+@example(run="table", flags={"--shadow-sigma-db": 1e300})
+# a trace 1e299 m from the stations had infinite distances and NaN gaps
+@example(
+    run="simulate",
+    flags={"--cell-radius-m": 1e300, "--start-offset-m": 1e299, "--length-m": 0.0},
+)
+def test_extreme_float_overrides_exit_0_with_finite_outputs_or_one_json_line(run, flags):
+    # flags as --flag=value, so that argparse reads -inf as a value; the
+    # drawn flags come last and win over the run's own
+    argv = TINY_RUNS[run] + [f"{flag}={value!r}" for flag, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        json_p = pathlib.Path(tmp) / "run.json"
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                rc = main(argv + ["--json", str(json_p)])
+            except SystemExit as exc:
+                rc = exc.code
+        if rc == 0:
+            assert err.getvalue() == ""
+            summary = json.loads(json_p.read_text())
+            assert finite_numbers(summary), summary
+            return
+    assert rc in (2, 3), (rc, err.getvalue())
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    assert json.loads(line)["error"]["code"] in ("usage", "config", "degenerate", "numerical")

@@ -1072,3 +1072,17 @@ def test_explicit_worker_counts_below_one_are_config_errors(monkeypatch):
     for env in ("0", "-3", "x"):
         monkeypatch.setenv("HANDOPT_WORKERS", env)
         assert_same_results(run_multicell(cfg, 2.0, 10), want)
+
+
+@pytest.mark.parametrize(
+    "analytic,mc_samples", [("bogus", 1_000_000), ("exact", 100), ("pairwise", 2.5)]
+)
+def test_run_two_cell_checks_the_chain_method_before_drawing_a_trial(
+    monkeypatch, analytic, mc_samples
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(harness, "sample_power", no_draws)
+    with pytest.raises(ConfigurationError):
+        run_two_cell(preset("paper-vi"), 2.0, 3, analytic=analytic, mc_samples=mc_samples)

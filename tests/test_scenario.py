@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handopt import (
@@ -254,12 +254,16 @@ VALUES = {k: st.one_of(EXTREME, st.floats(-10.0, 60.0) if k == "length_m" else s
         lambda keys: st.fixed_dictionaries({k: VALUES[k] for k in keys})
     )
 )
+# a trace 1e299 m from the stations: distances() overflowed to inf
+@example({"cell_radius_m": 1e300, "start_offset_m": 1e299, "length_m": 0.0})
 def test_extreme_float_configs_raise_or_have_finite_distances(changes):
     f = {**SLICE, **changes}
     try:
-        layout = two_cell_layout(f.pop("spacing_m"), f.pop("cell_radius_m"))
-        cfg = ScenarioConfig(layout, channels=preset("paper-vi").channels, **f)
-        d = cfg.distances_m()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layout = two_cell_layout(f.pop("spacing_m"), f.pop("cell_radius_m"))
+            cfg = ScenarioConfig(layout, channels=preset("paper-vi").channels, **f)
+            d = cfg.distances_m()
     except ConfigurationError:
         return
     assert d.shape[0] == 2 and d.shape[1] >= 1
