@@ -11,6 +11,14 @@ The package is organized as a pipeline:
 * metrics    connection, handover and outage probability assembly
 * optimizer  receding-horizon trellis search for the hysteresis vector
 * harness    Monte Carlo experiment runners, sweeps and serialization
+* cli        the command-line front end
+
+The package exports what its runs call, and nothing only tests reach: the
+errors, the configuration (ScenarioConfig, preset, and coefficient_table,
+the estimator rows a configuration implies), the runners behind the CLI's
+commands, and the analytic API (GapProcess, EventSpec, GaussianVector,
+exact_prob, the connection, handover and outage series, TrellisProblem and
+solve). Everything else is reached through its module.
 """
 
 from .errors import (
@@ -19,68 +27,12 @@ from .errors import (
     NumericalConsistencyError,
     DegenerateConditioningError,
 )
-from .scenario import (
-    CellLayout,
-    MobilityTrace,
-    ScenarioConfig,
-    build_linear_trace,
-    distances,
-    preset,
-    two_cell_layout,
-    cell_row_layout,
-)
-from .channel import ChannelParams, PowerTrace, path_loss
-from .estimators import (
-    coefficient_table,
-    apply_coefficients,
-    estimate_series,
-)
-from .channel import sample_power
-from .hybrid import decide_series, count_switches
-from .gaussian import (
-    EventSpec,
-    GaussianVector,
-    GapProcess,
-    ProbResult,
-    y_stats,
-    gap_below,
-    gap_inside,
-    gap_above,
-    power_below,
-    exact_prob,
-    approx1,
-    approx2_bounds,
-    approx3_upper,
-    bvn_cdf_lattice,
-)
-from .metrics import (
-    connection_series,
-    handover_series,
-    outage_series,
-)
-from .optimizer import (
-    TrellisProblem,
-    TrellisPath,
-    TrellisSolution,
-    problem_from_process,
-    solve,
-    solve_group,
-)
-from .harness import (
-    AccuracyStudy,
-    RunResult,
-    SweepSpec,
-    config_fingerprint,
-    emit,
-    opt_margin_tables,
-    run_accuracy_study,
-    run_multicell,
-    run_table_sweep,
-    run_two_cell,
-    sweep_summary,
-    sweep_table,
-    trellis_rows,
-)
+from .scenario import ScenarioConfig, preset
+from .estimators import coefficient_table
+from .gaussian import EventSpec, GaussianVector, GapProcess, exact_prob
+from .metrics import connection_series, handover_series, outage_series
+from .optimizer import TrellisProblem, solve
+from .harness import run_accuracy_study, run_multicell, run_table_sweep, run_two_cell
 
 __version__ = "0.1.0"
 
@@ -89,57 +41,20 @@ __all__ = [
     "ConfigurationError",
     "NumericalConsistencyError",
     "DegenerateConditioningError",
-    "CellLayout",
-    "MobilityTrace",
     "ScenarioConfig",
-    "build_linear_trace",
-    "distances",
     "preset",
-    "two_cell_layout",
-    "cell_row_layout",
-    "ChannelParams",
-    "PowerTrace",
-    "sample_power",
-    "path_loss",
     "coefficient_table",
-    "apply_coefficients",
-    "estimate_series",
-    "decide_series",
-    "count_switches",
     "EventSpec",
     "GaussianVector",
     "GapProcess",
-    "ProbResult",
-    "y_stats",
-    "gap_below",
-    "gap_inside",
-    "gap_above",
-    "power_below",
     "exact_prob",
-    "approx1",
-    "approx2_bounds",
-    "approx3_upper",
-    "bvn_cdf_lattice",
     "connection_series",
     "handover_series",
     "outage_series",
     "TrellisProblem",
-    "TrellisPath",
-    "TrellisSolution",
-    "problem_from_process",
     "solve",
-    "solve_group",
-    "AccuracyStudy",
-    "RunResult",
-    "SweepSpec",
-    "config_fingerprint",
-    "emit",
-    "opt_margin_tables",
     "run_accuracy_study",
     "run_multicell",
     "run_table_sweep",
     "run_two_cell",
-    "sweep_summary",
-    "sweep_table",
-    "trellis_rows",
 ]

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
@@ -216,66 +215,26 @@ def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class PowerTrace:
-    """Simulated received powers for every base station along a trace.
-
-    cell_major_db holds them with the trial axis innermost: [S, N] for a
-    single trial or [S, N, T] for a batch, the buffer the simulator works
-    on. powers_db is the same powers as [S, N] or as a C-contiguous
-    [T, S, N] copy, built on first read.
-    """
-
-    cell_major_db: np.ndarray
-    distances_m: np.ndarray  # [S, N]
-    step_m: float
-    channels: Tuple[ChannelParams, ...]
-
-    @cached_property
-    def powers_db(self) -> np.ndarray:
-        x = self.cell_major_db
-        return x if x.ndim == 2 else np.ascontiguousarray(np.moveaxis(x, -1, 0))
-
-    @property
-    def n_samples(self) -> int:
-        return self.cell_major_db.shape[1]
-
-
 def sample_power(
     channels: Sequence[ChannelParams],
     distances_m: np.ndarray,
     step_m: float,
-    rng,
-    n_trials: Optional[int] = None,
-) -> PowerTrace:
-    """Draw received-power traces; shadowing is independent across links.
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Received powers of T traces in the cell-major buffer [S, N, T], with
+    shadowing independent across links.
 
-    rng is one Generator or a sequence of Generators, one per trial. One
-    Generator gives [S, N] powers, or [n_trials, S, N] when n_trials is set,
-    drawn link by link. A sequence of T Generators gives [T, S, N]: trial t
-    draws from rng[t] exactly what a single-trial call on it would draw, one
+    rngs holds one Generator per trial. Trial t draws from rngs[t] one
     standard_normal((S_active, N)), the same stream as S_active consecutive
     (N,) draws in link order. Links with shadow_sigma_db == 0 draw nothing.
     """
     d = np.asarray(distances_m, dtype=float)
     if d.ndim != 2 or d.shape[0] != len(channels):
         raise ConfigurationError("distances_m must be [n_bs, n_samples] matching channels")
-    n = d.shape[1]
     mean = np.stack([path_loss(ch, d[s]) for s, ch in enumerate(channels)])
-    batched = not isinstance(rng, np.random.Generator)
-    if batched:
-        rng = list(rng)
-        n_tr = len(rng)
-    else:
-        n_tr = 1 if n_trials is None else int(n_trials)
-    x, active = _shadow_buffer(channels, n, n_tr)
-    if batched and active:
-        _draw_trials(x, active, rng)
-    elif active:
-        for s in active:
-            x[s] = rng.standard_normal((n_tr, n)).T
+    x, active = _shadow_buffer(channels, d.shape[1], len(rngs))
+    if active:
+        _draw_trials(x, active, rngs)
     _ar1_filter(x, channels, active, step_m)
     x += mean[:, :, None]
-    if not batched and n_trials is None:
-        x = x[:, :, 0]
-    return PowerTrace(x, d, step_m, tuple(channels))
+    return x

@@ -64,7 +64,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigurationError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _or_none(parse):

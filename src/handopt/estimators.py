@@ -16,9 +16,7 @@ n, so the last column weights sample n itself, and entries before sample 0
 are zero. window_estimates contracts such rows with a batch of power
 traces stored trials innermost, [S, N, T], which is how the simulator
 holds them, over any range of samples; the simulator asks for one block
-of block_samples(S, T) samples at a time, while apply_coefficients wraps
-the full range for [T, S, N] traces, and estimate_series estimates
-through that wrapper.
+of block_samples(S, T) samples at a time.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
 
@@ -36,8 +34,7 @@ with an AVG fallback on windows too short or degenerate for a fit.
   cancel digits far from a cell, and loops over samples only. It is a
   resumable walk: a generator that yields one sample's estimates at a
   time and carries the sums to the next, so the simulator pulls it block
-  by block like window_estimates and estimate_series pulls every sample
-  of the trace. With
+  by block as it contracts window_estimates. With
   e_min = min(e1, e2), the window restarts when |e_r| > gamma for
   e_r = (p(n) - l(n)) / sqrt(e_min), or when h(n) > h_max. e_r is not
   formed when e_min is at the exact-fit floor
@@ -51,8 +48,6 @@ them.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -77,8 +72,8 @@ def coefficient_table(distances_m: np.ndarray, n_w: int, mode: str = "avg") -> n
     l(n) = table[n] . p[n - w + 1 .. n]; entries whose sample index is
     negative are zero. mode "ls" falls back to the rectangular row on
     windows that are too short or degenerate (mirroring the ELS fallback),
-    so the table is defined at every n. Data-dependent estimators have no
-    power-free table; use estimate_series for those.
+    so the table is defined at every n. ELS estimates with the "ls" rows;
+    GELS is data dependent, has no power-free table and runs _gels.
     """
     return _table(distances_m, n_w, mode)[0]
 
@@ -174,18 +169,6 @@ def window_estimates(
     return out
 
 
-def apply_coefficients(tables: np.ndarray, powers_db: np.ndarray) -> np.ndarray:
-    """Estimates of a batch of traces from per-link coefficient tables.
-
-    tables is [S, N, n_w], one coefficient_table per link, and powers_db
-    [T, S, N]; entry [t, s, n] of the C-contiguous result is
-    tables[s, n] . powers_db[t, s, n - n_w + 1 .. n], as window_estimates
-    sums it.
-    """
-    x = np.ascontiguousarray(np.moveaxis(np.asarray(powers_db, dtype=float), 0, -1))
-    return np.ascontiguousarray(np.moveaxis(window_estimates(tables, x), -1, 0))
-
-
 def _gels(x, p, h, gamma, h_max, reinit_all):
     """GELS walk over [S, N, T] powers p, one sample at a time.
 
@@ -237,61 +220,3 @@ def _gels(x, p, h, gamma, h_max, reinit_all):
             p0 = np.where(restart, power, p0)
             x0 = np.where(restart, x[:, i, None], x0)
 
-
-def estimate_series(
-    distances_m: np.ndarray,
-    powers_db: np.ndarray,
-    estimator: str = "avg",
-    n_w: int = 4,
-    *,
-    gels_gamma: float = 3.0,
-    gels_h_max: float = 10.0,
-    reinit_all: bool = False,
-    h_series: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Estimate l_s(n) for all links over a whole trace.
-
-    distances_m is [S, N]; powers_db is [S, N] or [T, S, N] for a batch of
-    trials. Returns (estimates, modes) where modes is None for the
-    power-independent estimators and otherwise an int8 array (0 = avg,
-    1 = ls, 2 = window restart) of the same shape as the estimates.
-
-    With ``reinit_all`` a GELS restart on any link restarts every link's
-    window at that sample (default restarts only the triggering link).
-    """
-    d = np.asarray(distances_m, dtype=float)
-    p = np.asarray(powers_db, dtype=float)
-    if d.ndim != 2:
-        raise ConfigurationError("distances_m must be [n_bs, n_samples]")
-    squeeze = p.ndim == 2
-    if squeeze:
-        p = p[None]
-    if p.ndim != 3 or p.shape[1:] != d.shape:
-        raise ConfigurationError("powers_db must be [n_bs, n_samples] or [trials, n_bs, n_samples]")
-    n = p.shape[2]
-    if not np.all(d > 0.0):
-        raise ConfigurationError("distances must be positive")
-
-    if estimator in ("avg", "ls"):
-        tables = np.stack([coefficient_table(row, n_w, estimator) for row in d])
-        out = apply_coefficients(tables, p)
-        return (out[0], None) if squeeze else (out, None)
-
-    if estimator not in ("els", "gels"):
-        raise ConfigurationError(f"unknown estimator {estimator!r}")
-    if estimator == "els":
-        tables, fit = map(np.stack, zip(*(_table(row, n_w, "ls") for row in d)))
-        est = apply_coefficients(tables, p)
-        modes = np.broadcast_to(fit.astype(np.int8), est.shape).copy()
-    else:
-        h = np.zeros(n) if h_series is None else np.asarray(h_series, dtype=float)
-        if h.shape != (n,):
-            raise ConfigurationError("h_series must have one entry per sample")
-        # the walk reads and fills [S, N, T] arrays
-        p_snt = np.ascontiguousarray(np.moveaxis(p, 0, -1))
-        est, modes = np.empty(p_snt.shape), np.empty(p_snt.shape, dtype=np.int8)
-        walk = _gels(np.log10(d), p_snt, h, gels_gamma, gels_h_max, reinit_all)
-        for i, (e, mode) in enumerate(walk):
-            est[:, i], modes[:, i] = e, mode
-        est, modes = np.moveaxis(est, -1, 0), np.moveaxis(modes, -1, 0)
-    return (est[0], modes[0]) if squeeze else (est, modes)

@@ -147,10 +147,6 @@ class GaussianVector:
         object.__setattr__(self, "Sigma", 0.5 * (Sigma + Sigma.T))
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
     @cached_property
     def _index(self) -> dict:
         return {l: i for i, l in enumerate(self.labels)}
@@ -703,7 +699,13 @@ def _eigen_box_factor(mu, lo, hi, lam, det):
     k = mu.shape[0]
     s = math.sqrt(lam)
     factors = ndtr((hi - mu) / s) - ndtr((lo - mu) / s)
-    return float(lam ** (k / 2.0) / math.sqrt(det) * np.prod(factors))
+    try:
+        scale = lam ** (k / 2.0)
+    except OverflowError:
+        raise NumericalConsistencyError(
+            f"eigenvalue sandwich overflows: eigenvalue {lam:.3e} to the power {k}/2"
+        ) from None
+    return float(scale / math.sqrt(det) * np.prod(factors))
 
 
 def approx2_bounds(gv: GaussianVector, ev: EventSpec):
@@ -712,7 +714,8 @@ def approx2_bounds(gv: GaussianVector, ev: EventSpec):
     Replaces the covariance by lambda_min*I / lambda_max*I inside the
     exponent; for isotropic covariance both sides collapse to the exact
     value. Raw bounds: the upper side may exceed 1. Requires a positive
-    definite covariance.
+    definite covariance whose determinant and lambda^(k/2) are finite
+    nonzero floats; NumericalConsistencyError otherwise.
     """
     mu, Sigma, lo, hi = _match_event(gv, ev)
     lam = np.linalg.eigvalsh(0.5 * (Sigma + Sigma.T))
@@ -721,7 +724,12 @@ def approx2_bounds(gv: GaussianVector, ev: EventSpec):
             "eigenvalue sandwich needs a positive definite covariance; "
             f"min eigenvalue {lam[0]:.3e}"
         )
-    det = float(np.prod(lam))
+    with np.errstate(over="ignore"):
+        det = float(np.prod(lam))
+    if not 0.0 < det < math.inf:
+        raise NumericalConsistencyError(
+            f"eigenvalue sandwich: covariance determinant {det:.3e} leaves the float range"
+        )
     lower = _eigen_box_factor(mu, lo, hi, float(lam[0]), det)
     upper = _eigen_box_factor(mu, lo, hi, float(lam[-1]), det)
     return lower, upper

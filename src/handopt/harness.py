@@ -531,7 +531,7 @@ def _simulate_policies(
         # the trial-innermost [S, N, T] buffer every stage reads; the
         # chunk's generators are dropped once they have drawn it
         rngs = trial_generators(seed_parts, t0, t1)
-        x = sample_power(config.channels, d, config.step_m, rngs).cell_major_db
+        x = sample_power(config.channels, d, config.step_m, rngs)
         del rngs
         block = block_samples(n_bs, t1 - t0)
         estimate = _block_estimates(config, d, x, tables, block)

@@ -20,8 +20,8 @@ On S cells the serving cell s faces its rival c, the strongest other cell
 (lower index among equals), and hands over when l_s(n) - l_c(n) < -h(n),
 or when l_s(n) - l_c(n) = -h(n) and c < s: the lower cell index wins every
 tie. On two cells that is the rule above, since l_1 - l_0 is exactly -y in
-floating point. serving_series is the one recursion; decide_series runs it
-on the estimates [y, 0].
+floating point, so serving_series, the one recursion, reads the stacked
+[l_0, l_1] estimates directly.
 
 Only the discrete rule is code. The affine l-row update
 l_s(n+1) = l_s(n) + G_s(n+1) p_s(n+1) holds only for coefficient schemes
@@ -34,35 +34,6 @@ recursion stays the paper's formulation.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConfigurationError
-
-
-def decide_series(y: np.ndarray, h, b_init: int = 0) -> np.ndarray:
-    """Iterate the hysteresis rule along the last axis, vectorized over trials.
-
-    y has shape [..., N]. h is a scalar, an [N] vector, or an [N, 2] table
-    whose row n holds the margin applied at sample n when b(n-1) is 0 or 1
-    (column b(n-1)); a scalar or vector applies the same margin in both
-    states. Returns the int8 b(n) sequence with the same shape as y.
-    b_init seeds b(-1).
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    h = np.asarray(h, dtype=float)
-    try:
-        h_tab = np.broadcast_to(h[:, None] if h.ndim == 1 else h, (n, 2))
-    except ValueError:
-        raise ConfigurationError(
-            f"h must be a scalar, an [{n}] vector or an [{n}, 2] table, not {h.shape}"
-        ) from None
-    if np.any(h_tab < 0.0):
-        raise ConfigurationError("h must be nonnegative")
-    if b_init not in (0, 1):
-        raise ConfigurationError("b_init must be 0 or 1")
-    est = np.stack([y, np.zeros_like(y)], axis=-2)
-    pair = np.broadcast_to(np.array([[0], [1]]), (2, n))
-    return serving_series(est, h_tab, pair, b_init, 0.0).astype(np.int8)
 
 
 def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> np.ndarray:

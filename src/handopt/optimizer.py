@@ -472,19 +472,6 @@ def solve_group(problems):
     return [solve(p) for p in problems]
 
 
-def problem_from_process(
-    process, n: int, horizon: int, objective: str, **settings
-) -> TrellisProblem:
-    """Assemble a TrellisProblem from a GapProcess at sample n.
-
-    settings are the other TrellisProblem fields: root_b, root_margin and
-    outage_threshold_db are required, the grid, caps and pareto_z optional.
-    """
-    return TrellisProblem(
-        objective=objective, horizon=horizon, stats=_window_stats(process, n, horizon), **settings
-    )
-
-
 def _window_stats(process, n: int, horizon: int):
     """The stats a trellis rooted at sample n reads: y at n..n+horizon and
     both received powers at n+1..n+horizon, sliced from the block law of

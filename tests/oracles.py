@@ -1,4 +1,5 @@
-"""Reference implementations that tests compare the package against."""
+"""Reference implementations that tests compare the package against, and
+whole-trace drivers of the kernels the package runs block by block."""
 
 import math
 from dataclasses import dataclass, field
@@ -9,8 +10,16 @@ import pytest
 from scipy.special import ndtr
 
 from handopt import gaussian
+from handopt.channel import _ar1_filter, _shadow_buffer, path_loss
 from handopt.errors import ConfigurationError, HandoptError, NumericalConsistencyError
-from handopt.estimators import _EMIN_FLOOR, EPS_COND, coefficient_table
+from handopt.estimators import (
+    _EMIN_FLOOR,
+    EPS_COND,
+    _gels,
+    _table,
+    coefficient_table,
+    window_estimates,
+)
 from handopt.gaussian import (
     _BLOCK_SAMPLES,
     _MC_CHUNK,
@@ -24,7 +33,8 @@ from handopt.gaussian import (
     power_below,
 )
 from handopt.harness import _OPT_POLICIES, _TABLE_MODE, _cell_pairs, _trellis_problem
-from handopt.optimizer import _COND_FLOOR, TrellisSolution, _stay_box, _window_stats
+from handopt.hybrid import serving_series
+from handopt.optimizer import _COND_FLOOR, TrellisProblem, TrellisSolution, _stay_box, _window_stats
 
 
 # --- the per-window estimators: one window object per sample ---------------
@@ -678,3 +688,67 @@ def pairwise_outage(process, n_last, h, depth, threshold_db, b_init):
             out[n] = total / conn[1 - side][n]
             mix[n] += total
     return po0, po1, po0 + po1, mix
+
+
+# --- whole traces through the kernels the simulator runs by block ----------
+
+
+def draw_powers(channels, d, step_m, rng, n_trials=None):
+    """Received powers [S, N], or C-contiguous [n_trials, S, N], from one
+    Generator drawn link by link: each shadowed link takes one
+    standard_normal((n_trials, N)), filtered as channel.sample_power
+    filters its per-trial draws."""
+    n_tr = 1 if n_trials is None else int(n_trials)
+    x, active = _shadow_buffer(channels, d.shape[1], n_tr)
+    for s in active:
+        x[s] = rng.standard_normal((n_tr, d.shape[1])).T
+    _ar1_filter(x, channels, active, step_m)
+    x += np.stack([path_loss(ch, row) for ch, row in zip(channels, d)])[:, :, None]
+    return x[:, :, 0] if n_trials is None else np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def table_estimates(tables, powers):
+    """[T, S, N] estimates of [T, S, N] powers by window_estimates over the
+    whole trace, on the simulator's trial-innermost layout."""
+    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+    return np.moveaxis(window_estimates(tables, x), -1, 0)
+
+
+def series_estimates(
+    d, powers, estimator, n_w=4, *, gamma=3.0, h_max=10.0, reinit_all=False, h=None
+):
+    """[T, S, N] estimates and int8 modes (0 = avg, 1 = ls, 2 = restart) of
+    [T, S, N] powers on [S, N] distances: the coefficient tables for avg and
+    ls (modes None) and els, whose modes are the ls fit mask, and the _gels
+    walk for gels, with h (default zeros) the margin its restart reads."""
+    if estimator != "gels":
+        mode = "ls" if estimator == "els" else estimator
+        tables, fit = map(np.stack, zip(*(_table(row, n_w, mode) for row in d)))
+        est = table_estimates(tables, powers)
+        if estimator != "els":
+            return est, None
+        return est, np.broadcast_to(fit.astype(np.int8), est.shape).copy()
+    n = d.shape[1]
+    h = np.zeros(n) if h is None else h
+    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+    walk = _gels(np.log10(d), x, h, gamma, h_max, reinit_all)
+    est, modes = map(np.stack, zip(*walk))  # [N, S, T]
+    return est.transpose(2, 1, 0), modes.astype(np.int8).transpose(2, 1, 0)
+
+
+def two_cell_decisions(est, h, b_init):
+    """The BS indicator b(n) by serving_series on [..., 2, N] estimates of
+    two cells, under a scalar, [N] or [N, 2] margin h: the paper's rule on
+    y = est[..., 0, :] - est[..., 1, :]."""
+    n = est.shape[-1]
+    h = np.asarray(h, dtype=float)
+    h_tab = np.broadcast_to(h[:, None] if h.ndim == 1 else h, (n, 2))
+    return serving_series(est, h_tab, np.repeat([[0], [1]], n, axis=1), b_init, 0.0)
+
+
+def window_problem(process, n, horizon, objective, **settings):
+    """The trellis problem rooted at sample n of a GapProcess, on the window
+    stats harness._trellis_problem reads; settings are the other
+    TrellisProblem fields."""
+    stats = _window_stats(process, n, horizon)
+    return TrellisProblem(objective=objective, horizon=horizon, stats=stats, **settings)

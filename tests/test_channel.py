@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handopt import ChannelParams, ConfigurationError, path_loss, sample_power
-from handopt.channel import _ar1_filter, _shadow_buffer, trial_generators
+from handopt.channel import (
+    ChannelParams,
+    _ar1_filter,
+    _shadow_buffer,
+    path_loss,
+    sample_power,
+    trial_generators,
+)
+from handopt.errors import ConfigurationError
+from oracles import draw_powers
 
 VEHICULAR = ChannelParams(
     intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0
@@ -108,20 +116,19 @@ def test_sample_power_mean_and_shapes():
     quiet = ChannelParams(intercept_db=10.0, slope_db=35.0, shadow_sigma_db=0.0)
     d = np.array([[100.0, 200.0, 400.0], [400.0, 200.0, 100.0]])
     rng = np.random.default_rng(1)
-    trace = sample_power((quiet, quiet), d, STEP, rng)
-    assert trace.powers_db.shape == (2, 3)
+    trace = sample_power((quiet, quiet), d, STEP, [rng])
+    assert trace.shape == (2, 3, 1)
     np.testing.assert_allclose(
-        trace.powers_db, np.stack([path_loss(quiet, d[0]), path_loss(quiet, d[1])])
+        trace[:, :, 0], np.stack([path_loss(quiet, d[0]), path_loss(quiet, d[1])])
     )
-    batch = sample_power((quiet, quiet), d, STEP, rng, n_trials=5)
-    assert batch.powers_db.shape == (5, 2, 3)
-    assert batch.n_samples == 3
+    batch = sample_power((quiet, quiet), d, STEP, [rng] * 5)
+    assert batch.shape == (2, 3, 5)
 
 
 def test_sample_power_validates_distance_shape():
     rng = np.random.default_rng(2)
     with pytest.raises(ConfigurationError):
-        sample_power((VEHICULAR,), np.ones((2, 4)), STEP, rng)
+        sample_power((VEHICULAR,), np.ones((2, 4)), STEP, [rng])
 
 
 def test_sample_shadowing_matches_an_ar1_filter_bit_for_bit():
@@ -149,18 +156,19 @@ def test_batched_sample_power_equals_per_trial_calls():
     d = np.stack([np.linspace(50.0 + 100 * s, 1500.0 - 90 * s, 57) for s in range(4)])
     seeds = [np.random.SeedSequence([17, t]) for t in range(6)]
     batch = sample_power(channels, d, STEP, [np.random.default_rng(s) for s in seeds])
-    assert batch.powers_db.shape == (6, 4, 57)
-    assert batch.powers_db.flags.c_contiguous
+    assert batch.shape == (4, 57, 6)
+    assert batch.flags.c_contiguous
+    batch = np.moveaxis(batch, -1, 0)
     for t, s in enumerate(seeds):
         rng = np.random.default_rng(s)
-        single = sample_power(channels, d, STEP, rng).powers_db
-        np.testing.assert_array_equal(batch.powers_db[t], single)
+        single = draw_powers(channels, d, STEP, rng)
+        np.testing.assert_array_equal(batch[t], single)
         # the zero-sigma link draws nothing: three links of 57 draws each
         after = np.random.default_rng(s)
         after.standard_normal(3 * 57)
         assert rng.standard_normal() == after.standard_normal()
     quiet = np.broadcast_to(path_loss(channels[1], d[1]), (6, 57))
-    np.testing.assert_array_equal(batch.powers_db[:, 1], quiet)
+    np.testing.assert_array_equal(batch[:, 1], quiet)
 
 
 @settings(max_examples=60)

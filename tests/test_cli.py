@@ -400,7 +400,8 @@ def test_ini_malformed_values_exit_2_naming_the_key(
 def test_flags_override_preset(tmp_path, capsys):
     from dataclasses import replace
 
-    from handopt import config_fingerprint, preset
+    from handopt.harness import config_fingerprint
+    from handopt.scenario import preset
 
     json_p = tmp_path / "p.json"
     rc, _, _ = run_main(
@@ -691,28 +692,39 @@ def test_every_exported_name_resolves():
 
 
 def test_every_exported_name_has_a_caller():
-    # an exported name that no module of the package loads is surface only
-    # tests reach; docstring mentions do not count
+    # an exported name, top-level function or class, or method that no
+    # module of the package loads is surface only tests reach; docstring
+    # mentions do not count, and the package's own __init__ only re-exports
     import handopt
 
     exempt = {
-        "decide_series": "the paper's two-cell hysteresis rule",
         "connection_series": "the connected-state probabilities Pr[b(n) = 1]",
-        "problem_from_process": "the trellis problem of a GapProcess root sample",
-        "estimate_series": "whole-trace estimates and modes; the simulator runs its kernels by block",
+        "_Parser.error": "argparse calls it on a usage error",
     }
-    loaded = set()
+    loaded, defined = set(), set(handopt.__all__)
     for path in pathlib.Path(handopt.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert sorted(set(handopt.__all__) - loaded - set(exempt)) == []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    uncalled = {name for name in defined if name.rpartition(".")[2] not in loaded}
+    assert sorted(uncalled - set(exempt)) == []
     # an exemption whose name gained a caller is no longer needed
-    assert sorted(set(exempt) & loaded) == []
+    assert sorted(set(exempt) - uncalled) == []
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +871,7 @@ BATTERY_SHA256 = {
     "ini-key-not-read":
         "0828684ac19c02a475156199bcd25ccd8821cc06b9d7ccd224a0371eb8b5cbdb",
     "ini-malformed-bool":
-        "97dcbe9b4caacad0907b81bef120a66a559d007fbfba58023df66072edaf638e",
+        "f11d2cc8134538fc010492823915d0558e58c31eae68b59fa4be5f4172e00b15",
     "ini-malformed-run-value":
         "3c393637856d13677a5e8a06a6701df7dba22a9a7095b56488bc5325540de69e",
     "ini-malformed-value":
@@ -994,6 +1006,10 @@ TINY_RUNS = {
     "simulate-pairwise": ["simulate", "--trials", "2", "--analytic", "pairwise"] + TINY,
     "optimize": ["optimize"] + TINY,
     "table": ["table", "--trials", "2", "--speeds", "13", "--policies", "2,opt2"] + TINY,
+    # a chain of k = 3 samples needs a longer trace than TINY's
+    "accuracy": [
+        "accuracy", "--instances", "1", "--k", "3", "--m-split", "2", "--mc-samples", "10000"
+    ],
 }
 
 
@@ -1016,6 +1032,10 @@ def finite_numbers(value):
 @example(run="optimize", flags={"--shadow-sigma-db": 1e300})
 @example(run="simulate-pairwise", flags={"--shadow-sigma-db": 1e300})
 @example(run="table", flags={"--shadow-sigma-db": 1e300})
+# the eigenvalue sandwich's determinant overflowed at 1e153 dB shadowing
+# (and then its float pow) and underflowed to zero at 1e-52 dB
+@example(run="accuracy", flags={"--shadow-sigma-db": 1e153})
+@example(run="accuracy", flags={"--shadow-sigma-db": 1e-52})
 # a trace 1e299 m from the stations had infinite distances and NaN gaps
 @example(
     run="simulate",

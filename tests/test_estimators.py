@@ -8,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handopt import (
-    ConfigurationError,
-    coefficient_table,
-    estimate_series,
-    preset,
-)
 from handopt import estimators
-from handopt.estimators import _EMIN_FLOOR, EPS_COND
+from handopt.errors import ConfigurationError
+from handopt.estimators import _EMIN_FLOOR, EPS_COND, _gels, coefficient_table
+from handopt.scenario import preset
 from oracles import (
     GelsState,
     SingularFitError,
@@ -24,6 +20,7 @@ from oracles import (
     els_select,
     gels_step,
     ls_fit,
+    series_estimates,
     window_start,
 )
 
@@ -179,7 +176,8 @@ def test_estimate_series_avg_equals_table_product(mode, n_w):
     rng = np.random.default_rng(11)
     d = np.stack([np.linspace(700.0, 1200.0, 9), np.linspace(1300.0, 800.0, 9)])
     p = rng.normal(-100.0, 6.0, size=(2, 9))
-    est, modes = estimate_series(d, p, mode, n_w)
+    est, modes = series_estimates(d, p[None], mode, n_w)
+    est = est[0]
     assert modes is None
     for s in range(2):
         table = coefficient_table(d[s], n_w, mode)
@@ -197,10 +195,10 @@ def test_estimate_series_batch_shape():
     rng = np.random.default_rng(12)
     d = np.stack([np.linspace(700.0, 1200.0, 9), np.linspace(1300.0, 800.0, 9)])
     p = rng.normal(-100.0, 6.0, size=(5, 2, 9))
-    est, _ = estimate_series(d, p, "ls", 4)
+    est, _ = series_estimates(d, p, "ls", 4)
     assert est.shape == (5, 2, 9)
-    one, _ = estimate_series(d, p[3], "ls", 4)
-    np.testing.assert_allclose(est[3], one, atol=1e-12)
+    one, _ = series_estimates(d, p[3:4], "ls", 4)
+    np.testing.assert_allclose(est[3], one[0], atol=1e-12)
 
 
 def test_els_prefers_the_better_model():
@@ -223,7 +221,8 @@ def test_els_prefers_the_better_model():
 def test_els_series_marks_modes():
     d = np.stack([np.linspace(400.0, 520.0, 6)])
     p = line_powers(d, 4.0, 33.0)
-    est, modes = estimate_series(d, p, "els", 4)
+    est, modes = series_estimates(d, p[None], "els", 4)
+    est, modes = est[0], modes[0]
     assert modes.shape == est.shape
     assert np.all((modes == 0) | (modes == 1))
     np.testing.assert_allclose(est[0, 1:], p[0, 1:], atol=1e-9)
@@ -273,54 +272,46 @@ def test_gels_series_reinit_all_propagates():
     p = np.stack([line_powers(d[0], 0.0, 35.0), line_powers(d[1], 0.0, 35.0)])
     p = p + rng.normal(0.0, 0.5, size=p.shape)
     p[0, 15:] += 60.0  # only link 0 breaks
-    _, modes_solo = estimate_series(d, p, "gels", 4)
-    _, modes_all = estimate_series(d, p, "gels", 4, reinit_all=True)
+    _, (modes_solo,) = series_estimates(d, p[None], "gels", 4)
+    _, (modes_all,) = series_estimates(d, p[None], "gels", 4, reinit_all=True)
     t = int(np.flatnonzero(modes_solo[0] == 2)[0])
     assert modes_solo[1, t] != 2
     assert modes_all[1, t] == 2
     # the propagated restart resets the partner estimate to its raw sample
-    est_all, _ = estimate_series(d, p, "gels", 4, reinit_all=True)
+    (est_all,), _ = series_estimates(d, p[None], "gels", 4, reinit_all=True)
     assert est_all[1, t] == pytest.approx(p[1, t])
 
 
 def test_estimate_series_validation():
+    # the estimators' own checks on the run path: the tables' distances and
+    # window, the walk's gamma
     d = np.ones((2, 5)) * 100.0
-    p = np.zeros((2, 5))
-    with pytest.raises(ConfigurationError):
-        estimate_series(d, p, "unknown", 4)
-    with pytest.raises(ConfigurationError):
-        estimate_series(d[0], p, "avg", 4)
-    with pytest.raises(ConfigurationError):
-        estimate_series(d, p[:, :4], "avg", 4)
-    with pytest.raises(ConfigurationError):
-        estimate_series(d, p, "gels", 4, h_series=np.zeros(3))
+    p = np.zeros((2, 5, 1))
+    for mode in ("avg", "ls"):
+        with pytest.raises(ConfigurationError):
+            coefficient_table(d, 4, mode)
+        with pytest.raises(ConfigurationError, match="n_w"):
+            coefficient_table(d[0], 0, mode)
     with pytest.raises(ConfigurationError, match="gamma"):
-        estimate_series(d, p, "gels", 4, gels_gamma=0.0)
-    with pytest.raises(ConfigurationError, match="n_w"):
-        estimate_series(d, p, "els", 0)
-    d_zero = d.copy()
-    d_zero[1, 3] = 0.0
-    for estimator in ("avg", "ls", "els", "gels"):
-        with pytest.raises(ConfigurationError, match="positive"):
-            estimate_series(d_zero, p, estimator, 4)
+        next(_gels(np.log10(d), p, np.zeros(5), 0.0, 10.0, False))
 
 
 def test_estimate_series_gels_tracks_lines_and_restarts():
     # the gels_step cases above, through the package's GELS
     d = np.linspace(200.0, 800.0, 30)[None]
     clean = line_powers(d, -7.0, 35.0)
-    est, modes = estimate_series(d, clean, "gels", 4)
+    (est,), (modes,) = series_estimates(d, clean[None], "gels", 4)
     assert modes[0, 0] == 0 and (modes[0, 1:] == 1).all()
     np.testing.assert_allclose(est, clean, rtol=0, atol=1e-9)
     broken = clean + np.random.default_rng(14).normal(0.0, 0.5, size=30)
     broken[0, 18:] += 60.0  # corner: the fitted line breaks down
-    est, modes = estimate_series(d, broken, "gels", 4, gels_gamma=3.0)
+    (est,), (modes,) = series_estimates(d, broken[None], "gels", 4, gamma=3.0)
     j = 18 + int(np.flatnonzero(modes[0, 18:21] == 2)[0])
     assert est[0, j] == broken[0, j]
     # h > h_max restarts the window whatever the residual
     h = np.zeros(30)
     h[1] = 11.0
-    est, modes = estimate_series(d, clean, "gels", 4, gels_h_max=10.0, h_series=h)
+    (est,), (modes,) = series_estimates(d, clean[None], "gels", 4, h_max=10.0, h=h)
     assert modes[0, 1] == 2 and est[0, 1] == clean[0, 1]
     assert modes[0, 2] == 1 and (modes[0, 3:] == 1).all()
 
@@ -346,7 +337,7 @@ def test_gels_does_not_restart_on_an_exact_two_sample_fit():
     # leaves rounding noise in e2 and restarted about one window in nine.
     d = np.array([[7250.0, 7243.76]])
     p = np.random.default_rng(16).normal(-140.0, 3.0, size=(200, 1, 2))
-    est, modes = estimate_series(d, p, "gels", 4)
+    est, modes = series_estimates(d, p, "gels", 4)
     assert not (modes[:, 0, 1] == 2).any()
     np.testing.assert_allclose(est[:, 0, 1], p[:, 0, 1], rtol=0, atol=1e-9)
 
@@ -383,7 +374,7 @@ def test_window_moment_kernel_equals_the_per_window_oracle(
     # ELS contracts its rows in blocks of samples; 1 and 5 values give
     # blocks of one sample and of a few, 1 << 16 one block
     with mock.patch.object(estimators, "_EST_BLOCK_VALUES", block_values):
-        est, modes = estimate_series(d, p, estimator, n_w, reinit_all=reinit_all, h_series=h)
+        est, modes = series_estimates(d, p, estimator, n_w, reinit_all=reinit_all, h=h)
     want, want_modes, diag = adaptive_series_loop(
         d, p, estimator, n_w, reinit_all=reinit_all, h_series=h
     )
@@ -418,7 +409,7 @@ def test_window_moment_kernel_equals_the_per_window_oracle(
     spread_ok = checked & (rounding <= 1e-9)
     assert np.abs(est - want)[spread_ok].max(initial=0.0) <= 1e-9
     if estimator == "els":
-        assert est.tobytes() == estimate_series(d, p, "ls", n_w)[0].tobytes()
+        assert est.tobytes() == series_estimates(d, p, "ls", n_w)[0].tobytes()
         assert (modes[..., 0] == 0).all() and (modes[..., 1:] <= 1).all()
     else:
         # the centred GELS sums keep their digits however small the spread:

@@ -14,37 +14,38 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from handopt import (
-    ChannelParams,
-    ConfigurationError,
+from handopt import gaussian
+from handopt.channel import ChannelParams, path_loss
+from handopt.errors import ConfigurationError, NumericalConsistencyError
+from handopt.estimators import coefficient_table
+from handopt.gaussian import (
     EventSpec,
     GapProcess,
     GaussianVector,
-    NumericalConsistencyError,
-    approx1,
-    approx2_bounds,
-    approx3_upper,
-    apply_coefficients,
-    bvn_cdf_lattice,
-    coefficient_table,
-    exact_prob,
-    gap_below,
-    gap_inside,
-    path_loss,
-    power_below,
-    sample_power,
-    y_stats,
-)
-from handopt import gaussian
-from handopt.gaussian import (
     _match_event,
     _mc_box_prob,
     _quad_dim2,
     _quad_dim3,
     _simpson,
+    approx1,
+    approx2_bounds,
+    approx3_upper,
+    bvn_cdf_lattice,
     check_psd,
+    exact_prob,
+    gap_below,
+    gap_inside,
+    power_below,
+    y_stats,
 )
-from oracles import bvn_cdf_lattice_24, check_psd_eigvalsh, interval_prob_two_cdf, mc_box_prob
+from oracles import (
+    bvn_cdf_lattice_24,
+    check_psd_eigvalsh,
+    draw_powers,
+    interval_prob_two_cdf,
+    mc_box_prob,
+    table_estimates,
+)
 
 INF = math.inf
 
@@ -969,7 +970,7 @@ def test_y_stats_mean_matches_filtered_path_loss():
         d, t0, t1 = two_cell_tables(n_w=n_w, mode=mode)
         stats = y_stats(t0, t1, (ch, ch), d, 6.24, y_times=[5, 12], p_times=[(0, 12)])
         assert stats.labels == (("y", 5), ("y", 12), ("p", 0, 12))
-        pl0, pl1 = apply_coefficients(np.stack([t0, t1]), path_loss(ch, d)[None])[0]
+        pl0, pl1 = table_estimates(np.stack([t0, t1]), path_loss(ch, d)[None])[0]
         assert stats.mu[0] == pytest.approx(pl0[5] - pl1[5], rel=1e-12)
         assert stats.mu[1] == pytest.approx(pl0[12] - pl1[12], rel=1e-12)
         assert stats.mu[2] == pytest.approx(path_loss(ch, d[0, 12]), rel=1e-12)
@@ -981,10 +982,10 @@ def test_y_stats_covariance_matches_simulation():
     stats = y_stats(t0, t1, (ch, ch), d, 6.24, y_times=[8, 9], p_times=[(1, 9)])
     rng = np.random.default_rng(41)
     trials = 60_000
-    trace = sample_power((ch, ch), d, 6.24, rng, n_trials=trials)
-    est = apply_coefficients(np.stack([t0, t1]), trace.powers_db)
+    powers = draw_powers((ch, ch), d, 6.24, rng, n_trials=trials)
+    est = table_estimates(np.stack([t0, t1]), powers)
     y = est[:, 0, :] - est[:, 1, :]
-    cols = np.column_stack([y[:, 8], y[:, 9], trace.powers_db[:, 1, 9]])
+    cols = np.column_stack([y[:, 8], y[:, 9], powers[:, 1, 9]])
     emp_mu = cols.mean(axis=0)
     emp_cov = np.cov(cols.T)
     np.testing.assert_allclose(emp_mu, stats.mu, atol=0.15)
@@ -1020,7 +1021,7 @@ def test_block_stats_rejects_windows_that_are_not_psd(monkeypatch):
     ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0)
     d, t0, t1 = two_cell_tables(n=100)
     proc = GapProcess(t0, t1, (ch, ch), d, 6.24)
-    assert proc.block_stats([69, 70], [(0, 71)]).dim == 3
+    assert proc.block_stats([69, 70], [(0, 71)]).mu.shape == (3,)
     with pytest.raises(NumericalConsistencyError, match="not PSD"):
         proc.block_stats([69, 70, 71])
 

@@ -15,18 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handopt import (
-    ConfigurationError,
-    ScenarioConfig,
-    coefficient_table,
-    estimate_series,
-    preset,
-    problem_from_process,
-    sample_power,
-    solve,
-)
 from handopt import estimators, gaussian, harness, optimizer
-from handopt.estimators import window_estimates
+from handopt.channel import sample_power
+from handopt.errors import ConfigurationError
+from handopt.estimators import coefficient_table, window_estimates
 from handopt.hybrid import serving_series
 from handopt.harness import (
     RunResult,
@@ -45,8 +37,10 @@ from handopt.harness import (
     sweep_table,
     trellis_rows,
 )
+from handopt.optimizer import solve
+from handopt.scenario import ScenarioConfig, preset
 import oracles
-from oracles import SingularFitError, avg_coeffs, ls_fit
+from oracles import SingularFitError, avg_coeffs, ls_fit, series_estimates, window_problem
 
 
 def noiseless(config):
@@ -500,7 +494,7 @@ def test_emit_rejects_rows_whose_keys_are_not_the_fieldnames(tmp_path, row):
 def test_trellis_rows_structure():
     cfg = preset("vehicular-two-cell")
     proc = _gap_process(cfg)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 38, 2, "pareto",
         root_b=0, root_margin=2.0,
         outage_threshold_db=cfg.resolved_outage_threshold(),
@@ -550,13 +544,13 @@ def test_config_fingerprint_sensitivity():
 
 def test_compact_rows_reproduce_estimate_series():
     # the simulator contracts the links' [N, n_w] coefficient tables once per
-    # chunk; its estimates are estimate_series' bit for bit
+    # chunk; its estimates are the whole trace's bit for bit
     cfg = preset("vehicular-two-cell")
     d = cfg.distances_m()
     rng = np.random.default_rng(31)
     powers = rng.normal(size=(3, 2, 81)) - 100.0
     for mode in ("avg", "ls"):
-        est, _ = estimate_series(d, powers, mode, 4)
+        est, _ = series_estimates(d, powers, mode, 4)
         tables = np.stack([coefficient_table(row, 4, mode) for row in d])
         # any block, one sample or a size that does not divide N included
         for block in (1, 3, 7, 81):
@@ -576,8 +570,8 @@ def test_window_longer_than_the_trace_is_clamped_to_it():
         assert tables.shape == (2, n, n)
         want = np.stack([coefficient_table(row, n, mode) for row in d])
         assert tables.tobytes() == want.tobytes()
-        est, _ = estimate_series(d, powers, mode, wide.n_w)
-        assert est.tobytes() == estimate_series(d, powers, mode, n)[0].tobytes()
+        est, _ = series_estimates(d, powers, mode, wide.n_w)
+        assert est.tobytes() == series_estimates(d, powers, mode, n)[0].tobytes()
         assert chunk_estimates(wide, d, powers, tables, n).tobytes() == est.tobytes()
     labels = [("y", 0), ("y", 40), ("y", 80), ("p", 0, 40), ("p", 1, 80)]
     a, b = _gap_process(wide).joint(labels), _gap_process(full).joint(labels)
@@ -831,7 +825,7 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     cfg = noiseless(preset("vehicular-cell-row"))
     d = cfg.distances_m()
     rngs = [np.random.default_rng(t) for t in range(3)]
-    powers = sample_power(cfg.channels, d, cfg.step_m, rngs).powers_db
+    powers = np.moveaxis(sample_power(cfg.channels, d, cfg.step_m, rngs), -1, 0)
     assert np.all(powers == powers[0])
     tables = np.stack([coefficient_table(row, cfg.n_w, "avg") for row in d])
     est = chunk_estimates(cfg, d, powers, tables, d.shape[1])
@@ -980,7 +974,7 @@ def test_cell_row_run_is_pinned():
 
 def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
     # the simulator decides on [T, S, N] views of its trial-innermost buffer;
-    # sample_power's powers_db is the same powers as a C-contiguous copy
+    # sample_power returns that buffer, C-contiguous
     cfg = preset("vehicular-cell-row")
     seen = []
     real = harness._decide
@@ -994,9 +988,9 @@ def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
     (powers,) = seen
     assert np.moveaxis(powers, 0, -1).flags.c_contiguous
     rngs = [np.random.default_rng(np.random.SeedSequence([13, t])) for t in range(5)]
-    public = sample_power(cfg.channels, cfg.distances_m(), cfg.step_m, rngs).powers_db
+    public = sample_power(cfg.channels, cfg.distances_m(), cfg.step_m, rngs)
     assert public.flags.c_contiguous
-    assert public.tobytes() == powers.tobytes()
+    assert public.tobytes() == np.moveaxis(powers, 0, -1).tobytes()
 
 
 def test_cell_row_chunk_holds_one_power_array():

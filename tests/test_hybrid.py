@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handopt import ConfigurationError
-from handopt.hybrid import count_switches, decide_series, serving_series
+from handopt.errors import ConfigurationError
+from handopt.hybrid import count_switches, serving_series
+from oracles import two_cell_decisions
 
 
 def decide(b_prev: int, y: float, h: float) -> int:
-    """The paper's scalar hysteresis comparison, the oracle of decide_series:
-    the connected BS indicator b(n) from b(n-1), y(n) and h(n)."""
+    """The paper's scalar hysteresis comparison, the oracle of serving_series
+    on two cells: the connected BS indicator b(n) from b(n-1), y(n) and h(n)."""
     if h < 0.0:
         raise ConfigurationError("h must be nonnegative")
     if b_prev not in (0, 1):
@@ -59,18 +60,23 @@ def scalar_loop(y, h_tab, b_init):
     return out
 
 
+def gap_decisions(y, h, b_init=0):
+    """b(n) of the gaps y as serving_series decides the estimates [y, 0]."""
+    return two_cell_decisions(np.stack([y, np.zeros_like(y)], axis=-2), h, b_init)
+
+
 def test_decide_series_matches_scalar_loop():
     rng = np.random.default_rng(7)
     y = rng.normal(scale=4.0, size=(50, 30))
     h = rng.uniform(0.0, 3.0, size=30)
-    got = decide_series(y, h, b_init=1)
+    got = gap_decisions(y, h, b_init=1)
     np.testing.assert_array_equal(got, scalar_loop(y, np.stack([h, h], axis=1), 1))
     # a state-dependent table: column b(n-1) holds the margin in force
     table = rng.uniform(0.0, 3.0, size=(30, 2))
     table[::7] = 0.0
     for b_init in (0, 1):
-        got = decide_series(y, table, b_init=b_init)
-        assert got.dtype == np.int8
+        got = gap_decisions(y, table, b_init=b_init)
+        assert got.dtype == np.int16
         np.testing.assert_array_equal(got, scalar_loop(y, table, b_init))
 
 
@@ -86,7 +92,7 @@ def test_decide_series_equals_the_scalar_rule_on_random_tables(n, trials, b_init
     # margins and gaps on a coarse grid so ties y = +-h occur often
     table = rng.integers(0, 4, size=(n, 2)) * 0.5
     y = rng.integers(-8, 9, size=(trials, n)) * 0.5
-    np.testing.assert_array_equal(decide_series(y, table, b_init), scalar_loop(y, table, b_init))
+    np.testing.assert_array_equal(gap_decisions(y, table, b_init), scalar_loop(y, table, b_init))
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,7 +112,7 @@ def test_cell_recursion_on_two_cells_is_the_paper_rule(n, trials, b_init, seed):
     # the fallback margin never applies: the serving cell is always in the pair
     got = serving_series(est, table, pair, b_init, 100.0)
     y = est[:, 0] - est[:, 1]
-    np.testing.assert_array_equal(got, decide_series(y, table, b_init))
+    np.testing.assert_array_equal(got, gap_decisions(y, table, b_init))
     np.testing.assert_array_equal(got, scalar_loop(y, table, b_init))
 
 
@@ -146,22 +152,9 @@ def test_serving_series_resumes_at_any_split(n, trials, n_bs, cuts, seed):
 
 def test_decide_series_scalar_margin_and_validation():
     y = np.array([-3.0, 1.0, 3.0, 1.0])
-    np.testing.assert_array_equal(decide_series(y, 2.0), [1, 1, 0, 0])
-    np.testing.assert_array_equal(decide_series(y, 2.0, b_init=1), [1, 1, 0, 0])
-    np.testing.assert_array_equal(decide_series(np.array([1.0]), 2.0, b_init=1), [1])
-    with pytest.raises(ConfigurationError):
-        decide_series(y, -1.0)
-    with pytest.raises(ConfigurationError):
-        decide_series(y, 2.0, b_init=2)
-    # margins of the wrong shape or sign are configuration errors, not
-    # numpy broadcast errors
-    for h in (np.ones((4, 3)), np.ones((5, 2)), np.ones(3), np.ones((2, 4, 2))):
-        with pytest.raises(ConfigurationError):
-            decide_series(y, h)
-    table = np.ones((4, 2))
-    table[2, 1] = -0.5
-    with pytest.raises(ConfigurationError):
-        decide_series(y, table)
+    np.testing.assert_array_equal(gap_decisions(y, 2.0), [1, 1, 0, 0])
+    np.testing.assert_array_equal(gap_decisions(y, 2.0, b_init=1), [1, 1, 0, 0])
+    np.testing.assert_array_equal(gap_decisions(np.array([1.0]), 2.0, b_init=1), [1])
 
 
 def test_count_switches_includes_initial_change():

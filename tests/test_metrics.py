@@ -15,23 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handopt import (
-    ChannelParams,
-    ConfigurationError,
-    DegenerateConditioningError,
-    apply_coefficients,
-    coefficient_table,
-    connection_series,
-    handover_series,
-    outage_series,
-    preset,
-    sample_power,
-)
 from handopt import metrics
+from handopt.channel import ChannelParams
+from handopt.errors import ConfigurationError, DegenerateConditioningError
+from handopt.estimators import coefficient_table
 from handopt.harness import _gap_process
-from handopt.hybrid import count_switches, decide_series
-from handopt.metrics import GapProcess
-from oracles import pairwise_connection, pairwise_handover, pairwise_outage
+from handopt.metrics import GapProcess, connection_series, handover_series, outage_series
+from handopt.scenario import preset
+from oracles import (
+    draw_powers,
+    pairwise_connection,
+    pairwise_handover,
+    pairwise_outage,
+    table_estimates,
+    two_cell_decisions,
+)
 
 STEP = 6.24
 THRESH = -107.77
@@ -49,10 +47,9 @@ def build_process(n_w=4, start=950.0):
 
 def simulate_decisions(d, channels, tables, h, trials, seed, b_init=0):
     rng = np.random.default_rng(seed)
-    trace = sample_power(channels, d, STEP, rng, n_trials=trials)
-    est = apply_coefficients(np.stack(tables), trace.powers_db)
-    b = decide_series(est[:, 0, :] - est[:, 1, :], h, b_init=b_init)
-    return b, trace.powers_db
+    powers = draw_powers(channels, d, STEP, rng, n_trials=trials)
+    est = table_estimates(np.stack(tables), powers)
+    return two_cell_decisions(est, h, b_init), powers
 
 
 TRIALS = 40_000

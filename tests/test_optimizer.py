@@ -21,18 +21,11 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
-from handopt import (
-    ChannelParams,
-    ConfigurationError,
-    EventSpec,
-    coefficient_table,
-    exact_prob,
-    preset,
-    problem_from_process,
-    solve,
-    solve_group,
-)
 from handopt import optimizer
+from handopt.channel import ChannelParams
+from handopt.errors import ConfigurationError
+from handopt.estimators import coefficient_table
+from handopt.gaussian import EventSpec, exact_prob
 from handopt.harness import _gap_process
 from handopt.metrics import GapProcess
 from handopt.optimizer import (
@@ -42,10 +35,13 @@ from handopt.optimizer import (
     TrellisProblem,
     _stay_box,
     _window_stats,
+    solve,
+    solve_group,
 )
+from handopt.scenario import preset
 
 import oracles
-from oracles import outage_marginal, stage_tables
+from oracles import outage_marginal, stage_tables, window_problem
 
 STEP = 6.24
 INF = math.inf
@@ -94,7 +90,7 @@ def make_problem(rng, objective, horizon=1, start=None, sigma_db=None, **overrid
         pareto_z=float(rng.uniform(0.0, 1.0)),
     )
     kwargs.update(overrides)
-    return problem_from_process(proc, n_root, horizon, objective, **kwargs)
+    return window_problem(proc, n_root, horizon, objective, **kwargs)
 
 
 # --- per-path oracle: the scan solve() replaced by one scan per edge ----------
@@ -267,7 +263,7 @@ def test_ranking_ties_fall_to_smaller_margins_then_first_path():
     # and (1, 1) are feasible at zero cost with one switch each, so only
     # the margin vectors rank them
     proc = two_cell_process(n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 2, 2, "min_handover",
         root_b=0, root_margin=2.0, outage_threshold_db=-105.0, p_out_cap=0.5,
     )
@@ -484,7 +480,7 @@ def test_stage_tables_match_adaptive_quadrature_at_high_correlation():
     proc = _gap_process(config)
     beta = config.resolved_outage_threshold()
     for root_b in (0, 1):
-        problem = problem_from_process(
+        problem = window_problem(
             proc, 40, 1, "min_handover",
             root_b=root_b, root_margin=2.0, outage_threshold_db=beta,
         )
@@ -569,7 +565,7 @@ def test_min_handover_with_slack_cap_maxes_the_margin():
     # nothing ever drops near a -200 dB threshold, so every margin is
     # feasible and the switch probability is minimized at the grid top
     proc = two_cell_process(start=900.0, n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 4, 1, "min_handover",
         root_b=0, root_margin=2.0, outage_threshold_db=-200.0,
     )
@@ -583,7 +579,7 @@ def test_min_outage_prefers_the_stronger_side_at_depth_two():
     # deep in BS1 territory with the connection still on BS0: the (1, 1)
     # path serves the strong BS at stage 2 and wins on summed outage
     proc = two_cell_process(start=1090.0, n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 5, 2, "min_outage",
         root_b=0, root_margin=2.0, outage_threshold_db=-104.0,
         p_han_cap=1.0,
@@ -637,7 +633,7 @@ def test_all_infeasible_reports_minimal_violation():
     # threshold above the deliverable power: outage is near-certain, so no
     # margin satisfies a 0.5% cap and the solver must degrade gracefully
     proc = two_cell_process(start=950.0, n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 4, 2, "min_handover",
         root_b=0, root_margin=2.0, outage_threshold_db=-95.0,
         p_out_cap=0.005,
@@ -664,7 +660,7 @@ def test_build_trellis_enumerates_all_state_sequences():
     proc = two_cell_process(n=10)
     for m, expect in ((1, 2), (2, 4), (4, 16)):
         for root_b in (0, 1):
-            problem = problem_from_process(
+            problem = window_problem(
                 proc, 2, m, "pareto",
                 root_b=root_b, root_margin=0.0, outage_threshold_db=-105.0,
             )
@@ -673,7 +669,7 @@ def test_build_trellis_enumerates_all_state_sequences():
             assert [p.states for p in paths] == list(itertools.product((0, 1), repeat=m))
             assert [p.events for p in paths] == [p.events for p in build_trellis(problem)]
     # event labels follow the (prev, next) pairs from the root
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 2, 2, "pareto",
         root_b=0, root_margin=0.0, outage_threshold_db=-105.0,
     )
@@ -691,7 +687,7 @@ def test_n_switches_counts_transitions():
 
 def test_grid_covers_zero_to_h_max():
     proc = two_cell_process(n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 2, 1, "pareto",
         root_b=0, root_margin=0.0, outage_threshold_db=-105.0,
     )
@@ -703,7 +699,7 @@ def test_grid_covers_zero_to_h_max():
 
 def test_zero_horizon_solution_is_trivial():
     proc = two_cell_process(n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 2, 0, "min_outage",
         root_b=1, root_margin=2.0, outage_threshold_db=-105.0,
     )
@@ -749,7 +745,7 @@ def test_problem_validation():
     with pytest.raises(ConfigurationError):
         TrellisProblem(**{**good, "stats": proc.stats([2, 3], [(0, 3)])})
     with pytest.raises(ConfigurationError):
-        problem_from_process(
+        window_problem(
             proc, 8, 2, "pareto",
             root_b=0, root_margin=0.0, outage_threshold_db=-105.0,
         )
@@ -1011,7 +1007,7 @@ def test_verify_solution_uses_the_stage_tables_fallbacks():
         ("min_handover", {"p_out_cap": 1.0}),
         ("min_outage", {"p_han_cap": 0.5, "h_max": 40.0}),
     ):
-        problem = problem_from_process(
+        problem = window_problem(
             proc, 4, 1, objective,
             root_b=0, root_margin=0.0, outage_threshold_db=-113.0, **kw,
         )
@@ -1035,7 +1031,7 @@ def test_degenerate_root_region_falls_back_to_marginals():
     # rooted far inside BS1 territory while claiming BS0 with a zero margin:
     # the conditioning event has essentially no mass
     proc = two_cell_process(start=1120.0, n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 5, 1, "min_outage",
         root_b=0, root_margin=0.0, outage_threshold_db=-105.0,
     )
@@ -1095,7 +1091,7 @@ def coordinate_descent(cost_fn, masks, forced, grid):
 
 def test_search_strategies_agree_on_stage_decomposable_costs():
     proc = two_cell_process(start=970.0, n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 3, 2, "min_handover",
         root_b=0, root_margin=2.0, outage_threshold_db=-103.0,
         p_out_cap=0.25,
@@ -1117,7 +1113,7 @@ def test_search_strategies_agree_on_stage_decomposable_costs():
 
 def test_solve_is_idempotent_and_cached():
     proc = two_cell_process(n=10)
-    problem = problem_from_process(
+    problem = window_problem(
         proc, 3, 2, "pareto",
         root_b=0, root_margin=2.0, outage_threshold_db=-105.0,
     )

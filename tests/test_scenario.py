@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from handopt import (
+from handopt.errors import ConfigurationError
+from handopt.scenario import (
     CellLayout,
-    ConfigurationError,
     ScenarioConfig,
     build_linear_trace,
     cell_row_layout,
@@ -95,7 +95,7 @@ def test_two_cell_preset():
         -107.77134361166686, rel=1e-13
     )
     assert cfg.resolved_depth() == 15
-    from handopt import config_fingerprint
+    from handopt.harness import config_fingerprint
 
     assert config_fingerprint(preset("vehicular-two-cell")) == config_fingerprint(cfg)
 
@@ -210,7 +210,7 @@ def test_resolved_depth_is_capped():
 def test_configs_compare_and_hash_by_value():
     # layouts compare their coordinate arrays by value; two builds of one
     # preset are equal, hash alike and keep their fingerprint
-    from handopt import config_fingerprint
+    from handopt.harness import config_fingerprint
 
     a, b = preset("paper-vi"), preset("paper-vi")
     assert a.layout is not b.layout
