@@ -53,10 +53,9 @@ _LATTICE_RULE = np.polynomial.legendre.leggauss(12)
 # Node-columns (x nodes times ys entries) per bvn_cdf_lattice chunk.
 _LATTICE_CHUNK = 1 << 14
 
-# Samples per GapProcess block law, and the samples consecutive blocks share:
-# the longest trellis window spans horizon + 1 <= 13 samples.
+# Samples per GapProcess block law; consecutive blocks share the process's
+# overlap on top of these (GapProcess).
 _BLOCK_SAMPLES = 64
-_BLOCK_OVERLAP = 12
 
 
 def _as_label(label):
@@ -309,19 +308,23 @@ def y_stats(
     mu = np.zeros(k)
     Sigma = np.zeros((k, k))
 
-    if ky:
-        mu[:ky] = g[0] @ means_pl[0][cols] - g[1] @ means_pl[1][cols]
-        Sigma[:ky, :ky] = g[0] @ autocov[0] @ g[0].T + g[1] @ autocov[1] @ g[1].T
-
-    for j, (s, t) in enumerate(p_times):
-        ch = channels[s]
-        mu[ky + j] = means_pl[s][t]
-        sign = 1.0 if s == 0 else -1.0
+    # A shadowing variance near the float range can overflow a sum of the
+    # two links' covariances. The sums run without a warning, and the
+    # finiteness check of the returned vector makes the inf a config error.
+    with np.errstate(over="ignore", invalid="ignore"):
         if ky:
-            a = ch.ar_coeff(step_m)
-            r_row = var[s] * a ** np.abs(t - cols).astype(float)
-            Sigma[ky + j, :ky] = sign * (g[s] @ r_row)
-            Sigma[:ky, ky + j] = Sigma[ky + j, :ky]
+            mu[:ky] = g[0] @ means_pl[0][cols] - g[1] @ means_pl[1][cols]
+            Sigma[:ky, :ky] = g[0] @ autocov[0] @ g[0].T + g[1] @ autocov[1] @ g[1].T
+
+        for j, (s, t) in enumerate(p_times):
+            ch = channels[s]
+            mu[ky + j] = means_pl[s][t]
+            sign = 1.0 if s == 0 else -1.0
+            if ky:
+                a = ch.ar_coeff(step_m)
+                r_row = var[s] * a ** np.abs(t - cols).astype(float)
+                Sigma[ky + j, :ky] = sign * (g[s] @ r_row)
+                Sigma[:ky, ky + j] = Sigma[ky + j, :ky]
 
     # power-power block: one link's powers covary by lag, the links' not at
     # all. Each lag's entry is Python's float pow, which numpy's array pow
@@ -337,10 +340,11 @@ def y_stats(
         by_lag = np.array([var[s] * a**k for k in range(int(lags.max()) + 1)])
         Sigma[np.ix_(idx, idx)] = by_lag[lags]
 
-    if check:
-        check_psd(Sigma, "joint y/p covariance")
     labels = tuple(("y", t) for t in y_times) + tuple(("p", s, t) for s, t in p_times)
-    return GaussianVector(mu, Sigma, labels)
+    gv = GaussianVector(mu, Sigma, labels)
+    if check:
+        check_psd(gv.Sigma, "joint y/p covariance")
+    return gv
 
 
 def _match_event(gv: GaussianVector, ev: EventSpec):
@@ -774,27 +778,30 @@ class GapProcess:
     The tables are the two links' [N, min(n_w, N)]
     estimators.coefficient_table rows. Callers hand events around as label
     sets; this object turns them into the right joint Gaussian on demand.
-    joint() and prob() are memoized for the life of the object: joint() by
-    its label tuple, prob() by the event's constraints (labels and bounds)
-    and mc_samples, plus the seed for events of dimension >= 3, the only
-    ones whose value can depend on it. Each distinct vector and box is thus
-    built and integrated once. Beside these, metrics keeps a chain memo per
-    process (its connection sweeps, and the pairwise chains' boxes and
-    telescope values), which is dropped with the process.
 
-    block_stats() reads windows out of aligned sample blocks instead: block
-    j is the law of y and both powers at every sample from j * _BLOCK_SAMPLES
-    to j * _BLOCK_SAMPLES + _BLOCK_SAMPLES + _BLOCK_OVERLAP - 1, formed by one
-    y_stats call, so consecutive blocks overlap by _BLOCK_OVERLAP samples and
-    every span of at most _BLOCK_OVERLAP + 1 samples lies inside the block of
-    its first sample. Windows of one block are index slices of one law, so
-    equal coordinates carry bit-equal moments in every window, and a caller
-    that stacks the windows of one block can deduplicate what it derives
-    from them by their bytes. The object keeps the block it built last:
-    callers that walk the trace in order build each block once.
+    Every law it hands out is an index slice (GaussianVector.subset) of the
+    block law of the label set's earliest sample. Block j is the law of y
+    and both powers at every sample from j * _BLOCK_SAMPLES to
+    j * _BLOCK_SAMPLES + _BLOCK_SAMPLES + overlap - 1, formed by one y_stats
+    call, so every span of at most overlap + 1 samples lies inside the block
+    of its first sample. The overlap (0 to _BLOCK_SAMPLES) is fixed at
+    construction; a config's process takes max(horizon, resolved depth),
+    which holds a trellis window (horizon + 1 samples) and a chain term
+    (depth + 1 samples). Within a block, equal coordinates carry bit-equal
+    moments in every slice, so a caller that stacks the windows of one
+    block can deduplicate what it derives from them by their bytes.
+
+    The object keeps the two blocks it built last: a walk in trace order
+    builds each block once, although a window or term near a block's start
+    reads the block before. prob() is memoized for the life of the object
+    by the event's constraints (labels and bounds) and mc_samples, plus the
+    seed for events of dimension >= 3, the only ones whose value can depend
+    on it. Beside these, metrics keeps a chain memo per process (its
+    connection sweeps, and the pairwise chains' boxes and telescope
+    values), which is dropped with the process.
     """
 
-    def __init__(self, table0, table1, channels, distances_m, step_m):
+    def __init__(self, table0, table1, channels, distances_m, step_m, *, overlap: int):
         self.table0 = np.asarray(table0, dtype=float)
         self.table1 = np.asarray(table1, dtype=float)
         self.channels = tuple(channels)
@@ -802,57 +809,48 @@ class GapProcess:
         self.step_m = float(step_m)
         if self.distances_m.ndim != 2 or self.distances_m.shape[0] != 2:
             raise ConfigurationError("distances_m must be [2, N]")
-        self._joints = {}
+        if isinstance(overlap, bool) or not isinstance(overlap, (int, np.integer)):
+            raise ConfigurationError(f"overlap must be an integer, not {overlap!r}")
+        if not 0 <= overlap <= _BLOCK_SAMPLES:
+            raise ConfigurationError(f"overlap must lie in 0..{_BLOCK_SAMPLES}")
+        self.overlap = int(overlap)
         self._probs = {}
-        self._block = None  # (block index, law) of the last block built
+        self._blocks = {}  # block index -> law, of the two blocks built last
 
     @property
     def n_samples(self) -> int:
         return self.distances_m.shape[1]
 
-    def stats(self, y_times, p_times=(), *, check: bool = True) -> GaussianVector:
-        return y_stats(
-            self.table0,
-            self.table1,
-            self.channels,
-            self.distances_m,
-            self.step_m,
-            y_times,
-            p_times,
-            check=check,
-        )
-
     def _block_of(self, n: int) -> GaussianVector:
         """The law of the block of sample n, built on first use."""
         j = n // _BLOCK_SAMPLES
-        if self._block is None or self._block[0] != j:
+        law = self._blocks.get(j)
+        if law is None:
             t0 = j * _BLOCK_SAMPLES
-            ts = range(t0, min(t0 + _BLOCK_SAMPLES + _BLOCK_OVERLAP, self.n_samples))
-            self._block = (j, self.stats(ts, [(s, t) for t in ts for s in (0, 1)], check=False))
-        return self._block[1]
-
-    def block_stats(self, y_times, p_times=()) -> GaussianVector:
-        """The law of these coordinates, sliced from the block of the earliest sample.
-
-        Labels and order are those of stats(); the slice is PSD-checked like
-        stats() checks its law. Every sample must lie in that block.
-        """
-        labels = [("y", t) for t in y_times] + [("p", s, t) for s, t in p_times]
-        times = [int(l[-1]) for l in labels]
-        if not times or min(times) < 0 or max(times) >= self.n_samples:
-            raise ConfigurationError("block_stats needs samples inside the trace")
-        gv = self._block_of(min(times)).subset(labels)
-        check_psd(gv.Sigma, "joint y/p covariance")
-        return gv
+            ts = range(t0, min(t0 + _BLOCK_SAMPLES + self.overlap, self.n_samples))
+            law = y_stats(
+                self.table0, self.table1, self.channels, self.distances_m, self.step_m,
+                ts, [(s, t) for t in ts for s in (0, 1)], check=False,
+            )
+            if len(self._blocks) == 2:
+                del self._blocks[next(iter(self._blocks))]
+            self._blocks[j] = law
+        return law
 
     def joint(self, labels) -> GaussianVector:
+        """The law of these distinct labels, in their order, sliced from the
+        block of the earliest sample; a label outside that block raises."""
         labels = tuple(_as_label(l) for l in labels)
-        gv = self._joints.get(labels)
-        if gv is None:
-            y_times = [l[1] for l in labels if l[0] == "y"]
-            p_times = [(l[1], l[2]) for l in labels if l[0] == "p"]
-            gv = self.stats(y_times, p_times, check=False).subset(labels)
-            self._joints[labels] = gv
+        first = min((l[-1] for l in labels), default=-1)
+        if not 0 <= first < self.n_samples:
+            raise ConfigurationError("a joint law needs labels at samples of the trace")
+        return self._block_of(first).subset(labels)
+
+    def block_stats(self, y_times, p_times=()) -> GaussianVector:
+        """The law of ("y", t) for y_times, then ("p", s, t) for p_times,
+        sliced as joint() slices it and PSD-checked."""
+        gv = self.joint([("y", t) for t in y_times] + [("p", s, t) for s, t in p_times])
+        check_psd(gv.Sigma, "joint y/p covariance")
         return gv
 
     def prob(self, ev: EventSpec, mc_samples: int = 1_000_000, seed: int = 0) -> ProbResult:

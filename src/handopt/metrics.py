@@ -13,7 +13,10 @@ connected-state probability at the truncation point (the one approximation
 in the exact method, negligible once the shadowing has decorrelated across
 the window). Within-window terms are evaluated by exact_prob through the
 process's memo (GapProcess.prob), so a box shared by several terms or
-series is integrated once.
+series is integrated once. Every term's law is a slice of the process's
+block law of its earliest sample (GapProcess.joint), one y_stats call per
+block: a term spans at most depth + 1 samples, so the series need depth
+<= the process's block overlap.
 
 method="pairwise" replaces every within-window joint by a Markov telescope
 of adjacent-pair conditionals, each evaluated by deterministic bivariate
@@ -80,6 +83,11 @@ def _check_chain_args(
         )
     if depth < 1:
         raise ConfigurationError("depth must be at least 1")
+    if depth > process.overlap:
+        # a term spans depth + 1 samples, which must fit one block law
+        raise ConfigurationError(
+            f"depth {depth} exceeds the process's block overlap {process.overlap}"
+        )
     if b_init not in (0, 1):
         raise ConfigurationError("b_init must be 0 or 1")
     _check_method_args(method, mc_samples, seed)

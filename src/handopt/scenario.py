@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import ChannelParams, path_loss
 from .errors import ConfigurationError
+from .gaussian import _BLOCK_SAMPLES
 
 _ESTIMATORS = ("avg", "ls", "els", "gels")
 # Work caps, about 25 times the presets' sizes: the cell row's trace holds
@@ -29,6 +30,10 @@ _MAX_GRID_POINTS = 1001
 # than 20 samples on a 50,000-sample trace, or of 500 or more on the cell
 # row, would grow the per-link tables past it.
 _MAX_TABLE_ENTRIES = 1_000_000
+# Chain memory, at most one gap-law block: a process's block overlap is
+# max(horizon, depth), so the cap bounds every block law at 2 * 64 samples
+# (384 coordinates), where the presets resolve depth 15 or 20.
+_MAX_DEPTH = _BLOCK_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -181,11 +186,12 @@ class ScenarioConfig:
     smallest lag at which the shadowing correlation drops below 1%, capped
     at 20.
 
-    Three work caps are checked before any array is built: the trace holds
+    Four work caps are checked before any array is built: the trace holds
     at most 50,000 samples (N = floor(length_m / (speed_mps *
     sample_interval_s)) + 1), each link's coefficient table at most
-    1,000,000 entries (N * min(n_w, N)) and the margin grid at most 1001
-    points (floor(h_max_db / h_step_db) + 1).
+    1,000,000 entries (N * min(n_w, N)), the margin grid at most 1001
+    points (floor(h_max_db / h_step_db) + 1) and an explicit depth at most
+    64 samples, the length of a gap-law block.
     """
 
     layout: CellLayout
@@ -248,8 +254,8 @@ class ScenarioConfig:
             )
         if self.outage_threshold_db is not None and not math.isfinite(self.outage_threshold_db):
             raise ConfigurationError("outage_threshold_db must be finite")
-        if self.depth is not None and self.depth < 1:
-            raise ConfigurationError("depth must be >= 1")
+        if self.depth is not None and not 1 <= self.depth <= _MAX_DEPTH:
+            raise ConfigurationError(f"depth must lie in 1..{_MAX_DEPTH}")
         if not (0.0 < self.p_out_cap <= 1.0 and 0.0 < self.p_han_cap <= 1.0):
             raise ConfigurationError("probability caps must lie in (0, 1]")
         if not (0.0 <= self.pareto_weight <= 1.0):

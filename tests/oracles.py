@@ -589,6 +589,7 @@ def opt_margin_tables(config, policies=_OPT_POLICIES) -> dict:
                 coefficient_table(d[a], config.n_w, mode),
                 coefficient_table(d[b], config.n_w, mode),
                 (chs[a], chs[b]), d[[a, b]], config.step_m,
+                overlap=max(config.horizon, config.resolved_depth()),
             )
         stats = _window_stats(processes[a, b], root_n, m)
         problems = [
@@ -600,6 +601,36 @@ def opt_margin_tables(config, policies=_OPT_POLICIES) -> dict:
         for i, p in enumerate(policies):
             out[p][t] = (sols[2 * i].h_first, sols[2 * i + 1].h_first)
     return out
+
+
+# --- the per-label-set law: one y_stats call on each label set -------------
+
+
+def label_law(process, labels):
+    """The law of the labels from one y_stats call on exactly their samples,
+    in their order: how GapProcess.joint built every law before it sliced
+    them from block laws. Equal to the slice up to the last bits."""
+    labels = tuple(gaussian._as_label(l) for l in labels)
+    y_times = [l[1] for l in labels if l[0] == "y"]
+    p_times = [(l[1], l[2]) for l in labels if l[0] == "p"]
+    return gaussian.y_stats(
+        process.table0, process.table1, process.channels, process.distances_m,
+        process.step_m, y_times, p_times, check=False,
+    ).subset(labels)
+
+
+class LabelLawProcess(GapProcess):
+    """A GapProcess on the tables, channels and trace of another whose joint
+    laws are label_law's, not block slices."""
+
+    def __init__(self, process):
+        super().__init__(
+            process.table0, process.table1, process.channels, process.distances_m,
+            process.step_m, overlap=process.overlap,
+        )
+
+    def joint(self, labels):
+        return label_law(self, labels)
 
 
 # --- the pairwise chains term by term, one sweep per series ----------------

@@ -996,7 +996,7 @@ def test_y_stats_covariance_matches_simulation():
 def test_gap_process_prob_against_scipy():
     ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0)
     d, t0, t1 = two_cell_tables()
-    proc = GapProcess(t0, t1, (ch, ch), d, 6.24)
+    proc = GapProcess(t0, t1, (ch, ch), d, 6.24, overlap=12)
     assert proc.n_samples == 30
     ev = EventSpec((gap_below(10, 2.0), gap_inside(11, 2.0)))
     r = proc.prob(ev)
@@ -1020,10 +1020,49 @@ def test_block_stats_rejects_windows_that_are_not_psd(monkeypatch):
     monkeypatch.setattr(gaussian, "y_stats", indefinite_y_stats)
     ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0)
     d, t0, t1 = two_cell_tables(n=100)
-    proc = GapProcess(t0, t1, (ch, ch), d, 6.24)
+    proc = GapProcess(t0, t1, (ch, ch), d, 6.24, overlap=12)
     assert proc.block_stats([69, 70], [(0, 71)]).mu.shape == (3,)
     with pytest.raises(NumericalConsistencyError, match="not PSD"):
         proc.block_stats([69, 70, 71])
+
+
+def test_joint_laws_are_slices_of_the_two_block_laws_built_last(monkeypatch):
+    # 150 samples hold blocks 0, 1 and 2; at overlap 5 block 1 spans
+    # samples 64..132. A joint is the block law of its earliest sample,
+    # sliced, and the two blocks built last are kept.
+    real_y_stats = gaussian.y_stats
+    built = []
+    monkeypatch.setattr(
+        gaussian, "y_stats", lambda *a, **k: built.append(a[5][0]) or real_y_stats(*a, **k)
+    )
+    ch = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0)
+    d, t0, t1 = two_cell_tables(n=150)
+    proc = GapProcess(t0, t1, (ch, ch), d, 6.24, overlap=5)
+    labels = [("y", 66), ("p", 1, 69), ("y", 64)]
+    gv = proc.joint(labels)
+    ts = range(64, 133)
+    block = real_y_stats(t0, t1, (ch, ch), d, 6.24, ts, [(s, t) for t in ts for s in (0, 1)])
+    want = block.subset(labels)
+    assert gv.labels == want.labels == tuple(labels)
+    assert gv.mu.tobytes() == want.mu.tobytes()
+    assert gv.Sigma.tobytes() == want.Sigma.tobytes()
+    # the per-label-set law differs in the last bits at most
+    fresh = real_y_stats(t0, t1, (ch, ch), d, 6.24, [66, 64], [(1, 69)]).subset(labels)
+    np.testing.assert_allclose(gv.Sigma, fresh.Sigma, rtol=1e-14)
+    assert built == [64]
+    proc.joint([("y", 60), ("p", 0, 68)])  # block 0 reaches sample 68
+    proc.joint([("y", 100)])
+    assert built == [64, 0]
+    proc.joint([("y", 130)])  # block 2 drops block 1, the older of the two
+    proc.joint([("y", 10)])
+    proc.joint([("y", 70)])
+    assert built == [64, 0, 128, 64]
+    for bad in ([("y", 60), ("y", 69)], [("y", 150)], [("y", -1)], [], [("p", 2, 70)]):
+        with pytest.raises(ConfigurationError):
+            proc.joint(bad)
+    for overlap in (-1, 65, 1.5, True, None):
+        with pytest.raises(ConfigurationError, match="overlap"):
+            GapProcess(t0, t1, (ch, ch), d, 6.24, overlap=overlap)
 
 
 def test_y_stats_rejects_mismatched_tables():

@@ -573,10 +573,14 @@ def test_window_longer_than_the_trace_is_clamped_to_it():
         est, _ = series_estimates(d, powers, mode, wide.n_w)
         assert est.tobytes() == series_estimates(d, powers, mode, n)[0].tobytes()
         assert chunk_estimates(wide, d, powers, tables, n).tobytes() == est.tobytes()
-    labels = [("y", 0), ("y", 40), ("y", 80), ("p", 0, 40), ("p", 1, 80)]
-    a, b = _gap_process(wide).joint(labels), _gap_process(full).joint(labels)
-    assert a.mu.tobytes() == b.mu.tobytes()
-    assert a.Sigma.tobytes() == b.Sigma.tobytes()
+    # one label set from each of the trace's two block laws
+    for labels in (
+        [("y", 0), ("y", 40), ("y", 78), ("p", 0, 40), ("p", 1, 78)],
+        [("y", 64), ("y", 80), ("p", 0, 72), ("p", 1, 80)],
+    ):
+        a, b = _gap_process(wide).joint(labels), _gap_process(full).joint(labels)
+        assert a.mu.tobytes() == b.mu.tobytes()
+        assert a.Sigma.tobytes() == b.Sigma.tobytes()
     ra, rb = run_two_cell(wide, 2.0, 6, seed=4), run_two_cell(full, 2.0, 6, seed=4)
     for field in ("switch_counts", "outage_counts", "conn_counts", "outage_branch_counts"):
         assert getattr(ra, field).tobytes() == getattr(rb, field).tobytes()
@@ -921,7 +925,9 @@ def sha256_of(arrays):
 
 def test_two_cell_run_is_pinned():
     # equality gate: the decision rule and its tallies may be restructured,
-    # but a paper-vi run with its pairwise companion must stay bit for bit
+    # but a paper-vi run with its pairwise companion must stay bit for bit.
+    # Re-recorded when the chains' laws became slices of the block laws:
+    # the analytic series moved by at most 2.8e-16, all else is unchanged.
     r = run_two_cell(preset("paper-vi"), 2.0, 200, seed=3, analytic="pairwise")
     arrays = [
         r.switch_counts, r.outage_counts, r.conn_counts, r.outage_branch_counts,
@@ -929,7 +935,7 @@ def test_two_cell_run_is_pinned():
         *r.switch_times,
     ]
     assert sha256_of(arrays) == (
-        "97c9fa4c56ebde8515bb7202092bf501c90664527d05eb8ad79598492e18633d"
+        "710d530a205841d5dfa474f4da929c4c6672f4b6e65554e7778a801888e48553"
     )
 
 

@@ -23,6 +23,7 @@ from handopt.harness import _gap_process
 from handopt.metrics import GapProcess, connection_series, handover_series, outage_series
 from handopt.scenario import preset
 from oracles import (
+    LabelLawProcess,
     draw_powers,
     pairwise_connection,
     pairwise_handover,
@@ -42,7 +43,7 @@ def build_process(n_w=4, start=950.0):
     ch = ChannelParams()
     t0 = coefficient_table(d[0], n_w, "avg")
     t1 = coefficient_table(d[1], n_w, "avg")
-    return GapProcess(t0, t1, (ch, ch), d, STEP), d, (ch, ch), (t0, t1)
+    return GapProcess(t0, t1, (ch, ch), d, STEP, overlap=12), d, (ch, ch), (t0, t1)
 
 
 def simulate_decisions(d, channels, tables, h, trials, seed, b_init=0):
@@ -191,6 +192,10 @@ def test_argument_validation():
         connection_series(proc, 5, np.full(3, 2.0), depth=8)  # too short
     with pytest.raises(ConfigurationError):
         connection_series(proc, N + 3, 2.0, depth=8)  # beyond the trace
+    # a term of depth + 1 samples must fit one block law
+    assert proc.overlap == 12
+    with pytest.raises(ConfigurationError, match="block overlap"):
+        connection_series(proc, 5, 2.0, depth=13)
 
 
 @pytest.mark.parametrize("n_last", [-1, N, N + 3])
@@ -241,14 +246,19 @@ def test_exact_method_is_seed_deterministic():
 @pytest.mark.parametrize(
     "depth, b_init, digest",
     [
-        (15, 0, "295e66ebcde07f993f0e9559ec5476796e1426b07c4510a24e54fee19dcdfc60"),
-        (2, 0, "7e627284dc98b588cc6f9c29ddb54ee36ccf1e2d5bf0f38b1361950478ac0369"),
-        (2, 1, "e620a3c984833a9be5c53acc5e3d2b88d391e79d4f4c534f09f138cdbc5e698f"),
+        (15, 0, "ea5c6b51af7dd528c7ab8f4a119e06ca43d2198b541f637fb7d6232099f449dc"),
+        (2, 0, "4e0d9f54c3ddce95b1a3866df8a56291551b00e669a05ceb818213e22cc8b308"),
+        (2, 1, "2802b63bbe9269908d5ad3ec60bba1984d753742bcf61117684a94d34cca5c0d"),
     ],
+    # ids without the digest, so that a re-pin keeps the test's name
+    ids=["depth15-b0", "depth2-b0", "depth2-b1"],
 )
 def test_exact_series_are_pinned(depth, b_init, digest):
     # equality gate: the chain sums may be restructured, but the exact
-    # series on a short paper-vi trace must stay bit for bit
+    # series on a short paper-vi trace must stay bit for bit. Re-recorded
+    # when the chains' laws became slices of the block laws: one sample of
+    # the connection and outage series moved, by at most 7.8e-16, and no
+    # Monte Carlo hit count changed.
     cfg = preset("paper-vi").with_updates(start_offset_m=985.0, length_m=30.0)
     proc = _gap_process(cfg)
     n_last = proc.n_samples - 1
@@ -293,6 +303,60 @@ def test_pairwise_series_equal_the_per_term_oracle_on_the_full_trace(h):
     )
     for a, w in zip(got, want):
         np.testing.assert_array_equal(a, w)
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("updates", [{}, {"start_offset_m": 975.0, "length_m": 50.0}])
+def test_pairwise_series_on_block_slices_match_the_per_label_set_laws(updates, h):
+    # the chains' laws are slices of one block law; the per-label-set laws
+    # they replaced differ in the last bits only, and so do the series
+    cfg = preset("paper-vi").with_updates(**updates)
+    proc = _gap_process(cfg)
+    n_last, depth = proc.n_samples - 1, cfg.resolved_depth()
+    beta, b = cfg.resolved_outage_threshold(), cfg.b_init
+    got = _pairwise_series(proc, n_last, h, depth, beta, b)
+    want = _pairwise_series(LabelLawProcess(proc), n_last, h, depth, beta, b)
+    for a, w in zip(got[2:], want[2:]):  # handover (2) and outage (4) series
+        assert np.abs(a - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_exact_series_on_block_slices_match_the_per_label_set_laws():
+    cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
+    proc = _gap_process(cfg)
+    oracle = LabelLawProcess(proc)
+    n_last, depth, beta = proc.n_samples - 1, cfg.resolved_depth(), cfg.resolved_outage_threshold()
+    kw = dict(b_init=cfg.b_init, method="exact", mc_samples=10_000, seed=3)
+    got, want = (
+        (
+            handover_series(p, n_last, 2.0, depth, **kw),
+            outage_series(p, n_last, 2.0, depth, beta, **kw),
+        )
+        for p in (proc, oracle)
+    )
+    # handover: p01 + p10 and its stderr; outage: p_o and its stderr
+    for (a, se_a), (w, se_w) in (
+        ((got[0][0] + got[0][1], got[0][2]), (want[0][0] + want[0][1], want[0][2])),
+        ((got[1][2], got[1][4]), (want[1][2], want[1][4])),
+    ):
+        assert np.all(np.abs(a - w) <= 4.0 * np.hypot(se_a, se_w) + 1e-15)
+
+
+@pytest.mark.parametrize("method", ["pairwise", "exact"])
+def test_chains_build_one_law_per_block(monkeypatch, method):
+    # the whole paper-vi trace (81 samples) spans blocks 0 and 1, each
+    # built once by one y_stats call however many terms read it
+    import handopt.gaussian as gaussian
+
+    calls = []
+    y_stats = gaussian.y_stats
+    monkeypatch.setattr(gaussian, "y_stats", lambda *a, **k: calls.append(a[5]) or y_stats(*a, **k))
+    cfg = preset("paper-vi")
+    proc = _gap_process(cfg)
+    # the exact chain's terms stay within 2-dim quadrature at depth 1
+    depth = cfg.resolved_depth() if method == "pairwise" else 1
+    kw = dict(b_init=cfg.b_init, method=method, mc_samples=10_000)
+    handover_series(proc, proc.n_samples - 1, 2.0, depth, **kw)
+    assert [(ts[0], ts[-1]) for ts in calls] == [(0, 78), (64, 80)]
 
 
 _SLICE = preset("paper-vi").with_updates(start_offset_m=985.0, length_m=30.0)

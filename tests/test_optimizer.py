@@ -53,7 +53,7 @@ def two_cell_process(start=950.0, n=12, n_w=4, sigma_db=None):
     ch = ChannelParams() if sigma_db is None else ChannelParams(shadow_sigma_db=sigma_db)
     t0 = coefficient_table(d[0], n_w, "avg")
     t1 = coefficient_table(d[1], n_w, "avg")
-    return GapProcess(t0, t1, (ch, ch), d, STEP)
+    return GapProcess(t0, t1, (ch, ch), d, STEP, overlap=12)
 
 
 def package_tables(problem):
@@ -714,7 +714,7 @@ def test_zero_horizon_solution_is_trivial():
 
 def test_problem_validation():
     proc = two_cell_process(n=10)
-    stats = proc.stats([2, 3], [(0, 3), (1, 3)])
+    stats = proc.block_stats([2, 3], [(0, 3), (1, 3)])
     good = dict(
         objective="min_outage", horizon=1, root_b=0, root_margin=2.0,
         stats=stats, outage_threshold_db=-105.0,
@@ -741,9 +741,9 @@ def test_problem_validation():
             TrellisProblem(**{**good, **bad})
     # stats must carry consecutive gaps and both stage powers
     with pytest.raises(ConfigurationError):
-        TrellisProblem(**{**good, "stats": proc.stats([2, 4], [(0, 4), (1, 4)])})
+        TrellisProblem(**{**good, "stats": proc.block_stats([2, 4], [(0, 4), (1, 4)])})
     with pytest.raises(ConfigurationError):
-        TrellisProblem(**{**good, "stats": proc.stats([2, 3], [(0, 3)])})
+        TrellisProblem(**{**good, "stats": proc.block_stats([2, 3], [(0, 3)])})
     with pytest.raises(ConfigurationError):
         window_problem(
             proc, 8, 2, "pareto",
@@ -753,7 +753,7 @@ def test_problem_validation():
 
 def test_solve_group_matches_individual_solves():
     proc = two_cell_process(start=960.0, n=10)
-    stats = proc.stats([3, 4, 5], [(s, t) for t in (4, 5) for s in (0, 1)])
+    stats = proc.block_stats([3, 4, 5], [(s, t) for t in (4, 5) for s in (0, 1)])
     shared = [
         TrellisProblem(
             objective=obj, horizon=2, root_b=rb, root_margin=2.0,
@@ -880,7 +880,9 @@ def test_block_windows_equal_fresh_windows(start, n_w, sigma_db, horizon, root, 
     y_times = list(range(n, n + horizon + 1))
     p_times = [(s, t) for t in y_times[1:] for s in (0, 1)]
     sliced = _window_stats(proc, n, horizon)
-    fresh = proc.stats(y_times, p_times)
+    fresh = oracles.label_law(
+        proc, [("y", t) for t in y_times] + [("p", s, t) for s, t in p_times]
+    )
     assert sliced.labels == fresh.labels
     for a, b in ((sliced.mu, fresh.mu), (sliced.Sigma, fresh.Sigma)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
@@ -905,7 +907,7 @@ def test_block_windows_equal_fresh_windows(start, n_w, sigma_db, horizon, root, 
 
 def test_grid_holds_the_multiples_of_the_step_up_to_h_max():
     proc = two_cell_process(n=10)
-    stats = proc.stats([2, 3], [(0, 3), (1, 3)])
+    stats = proc.block_stats([2, 3], [(0, 3), (1, 3)])
     make = lambda h_max, h_step: TrellisProblem(
         objective="pareto", horizon=1, root_b=0, root_margin=2.0, stats=stats,
         outage_threshold_db=-105.0, h_max=h_max, h_step=h_step,
@@ -1001,7 +1003,7 @@ def test_verify_solution_uses_the_stage_tables_fallbacks():
     ch = ChannelParams(shadow_sigma_db=2.0)
     proc = GapProcess(
         coefficient_table(d[0], 4, "avg"), coefficient_table(d[1], 4, "avg"),
-        (ch, ch), d, STEP,
+        (ch, ch), d, STEP, overlap=12,
     )
     for objective, kw in (
         ("min_handover", {"p_out_cap": 1.0}),

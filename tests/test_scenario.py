@@ -207,6 +207,17 @@ def test_resolved_depth_is_capped():
     assert cfg.resolved_depth() == 20
 
 
+def test_explicit_depth_is_capped_at_one_block():
+    # the block overlap of a config's gap process grows with its depth, so
+    # a depth past one 64-sample block is a config error, raised before any
+    # trace, table or law is built
+    base = preset("paper-vi")
+    assert base.with_updates(depth=64).resolved_depth() == 64
+    for depth in (65, 10**9):
+        with pytest.raises(ConfigurationError, match=r"depth must lie in 1\.\.64"):
+            base.with_updates(depth=depth)
+
+
 def test_configs_compare_and_hash_by_value():
     # layouts compare their coordinate arrays by value; two builds of one
     # preset are equal, hash alike and keep their fingerprint
