@@ -9,27 +9,29 @@ exponentially with traveled distance. Sampled at a constant spatial step
 the shadowing is an AR(1) sequence with coefficient a = exp(-step/d_coh),
 initialized from its stationary distribution.
 
-The recursion runs in numpy over one cell-major buffer x[link, n, trial]
+The recursion runs in numpy over one sample-major buffer x[n, link, trial]
 with the trials innermost, the layout every simulator stage reads. Each
-trial's standard normals are drawn into a small contiguous block of a few
-trials and copied into the buffer while the block is in cache. The driving
-sequence (sigma * w[0], then sigma * sqrt(1 - a^2) * w[n]) is written in
-place and turned into shadowing by x[:, n] += a * x[:, n-1], one vector
-operation per sample across every link and trial, with a per link; the
-mean path loss is then added in place. Each sample costs one product and
-one sum, the two roundings of the first-order IIR filter
+trial's standard normals are drawn into a small block of a few trials,
+scaled there into the driving sequence (sigma * w[0], then
+sigma * sqrt(1 - a^2) * w[n]) and copied into the buffer while the block
+is in cache. The driving sequence is turned into shadowing by
+x[n] += a * x[n-1], one vector operation per sample across every link and
+trial, with a per link; the mean path loss is added a few rows at a time,
+once the recursion has read them. Each sample costs one product and one
+sum, the two roundings of the first-order IIR filter
 y[n] = x[n] + a * y[n-1] (scipy's lfilter with b = [1], a = [1, -a]
 computes exactly these), so the result is bit-identical to filtering each
 link's row separately.
 
 Each simulated trial draws from its own PCG64 stream, seeded by
-SeedSequence(seed_parts + [t]) for trial t. trial_generators builds the
+SeedSequence(seed_parts + [t]) for trial t. trial_generators hands out the
 generators of a chunk of trials: it runs SeedSequence's entropy mixing
 and state generation (a 32-bit multiply-xorshift hash over a 4-word pool)
 over vectors indexed by trial, so the seed words of every trial come out
-of one numpy pass, and hands each trial's four words to PCG64's own
-seeding. Every stream is bit-identical to the one a per-trial
-SeedSequence would seed.
+of one numpy pass, and builds each trial's Generator from its four words
+through PCG64's own seeding only when the draw loop reaches the trial.
+Every stream is bit-identical to the one a per-trial SeedSequence would
+seed.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 from .errors import ConfigurationError
 
 # Trials drawn into one contiguous block before they are copied into the
-# trial-innermost buffer.
+# trial-innermost buffer; at most this many Generators are alive at once.
 _DRAW_BLOCK = 16
+# Rows of the filtered buffer that receive their mean path loss together.
+_MEAN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,30 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def trial_generators(seed_parts, t0: int, t1: int) -> list:
-    """Generators of trials t0..t1-1: trial t draws from
+class _TrialGenerators:
+    """Generators built one at a time as they are iterated, from [T, 4]
+    seed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def __len__(self):
+        return len(self.words)
+
+    def __iter__(self):
+        for row in self.words:
+            yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
+
+
+def trial_generators(seed_parts, t0: int, t1: int) -> _TrialGenerators:
+    """Generators of trials t0..t1-1, in order: trial t draws from
     default_rng(SeedSequence(list(seed_parts) + [t])), bit for bit.
 
-    seed_parts are coerced as SeedSequence coerces its entropy (each a
-    nonnegative int, split into little-endian 32-bit words). Trial indices
-    must stay below 2**32, so that each is one entropy word.
+    The result is sized and iterable, and builds each Generator when the
+    iteration reaches it. seed_parts are coerced as SeedSequence
+    coerces its entropy (each a nonnegative int, split into little-endian
+    32-bit words). Trial indices must stay below 2**32, so that each is one
+    entropy word.
     """
     if not 0 <= t0 <= t1 <= 2**32:
         raise ConfigurationError("trial indices must lie in [0, 2**32)")
@@ -162,56 +183,50 @@ def trial_generators(seed_parts, t0: int, t1: int) -> list:
     hashmix = _hasher(_INIT_B, _MULT_B)
     state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
     words = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+    return _TrialGenerators(words)
 
 
-def _shadow_buffer(channels, n_samples: int, n_trials: int):
-    """Zeroed cell-major buffer [S, n_samples, n_trials] and the links that
-    carry shadowing (the only ones that draw)."""
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
-    x = np.zeros((len(channels), n_samples, n_trials))
-    return x, [s for s, ch in enumerate(channels) if ch.shadow_sigma_db != 0.0]
+def _draw_trials(x, active, drive, rngs) -> None:
+    """Driving sequences of trial t, from the t-th Generator of rngs, into
+    x[:, active, t].
 
-
-def _draw_trials(x, active, rngs) -> None:
-    """Standard normals of trial t from rngs[t] into x[active, :, t].
-
-    Each trial draws one standard_normal((S_active, N)) into a contiguous
-    block of _DRAW_BLOCK trials, which is then copied into the buffer link
-    by link.
+    Each trial draws one standard_normal((S_active, N)) into a block of
+    _DRAW_BLOCK trials, which is scaled by drive [S_active, N] and copied
+    into the buffer: in one transposed copy when every link draws, else
+    link by link.
     """
-    n = x.shape[1]
+    n, n_bs, n_tr = x.shape
+    every = len(active) == n_bs
     block = np.empty((_DRAW_BLOCK, len(active), n))
-    for t0 in range(0, len(rngs), _DRAW_BLOCK):
-        part = rngs[t0 : t0 + _DRAW_BLOCK]
-        for j, g in enumerate(part):
+    it = iter(rngs)
+    for t0 in range(0, n_tr, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n_tr - t0)
+        for j, g in zip(range(m), it):
             g.standard_normal(out=block[j])
-        for i, s in enumerate(active):
-            x[s, :, t0 : t0 + len(part)] = block[: len(part), i].T
+        part = block[:m]
+        part *= drive
+        if every:
+            x[:, :, t0 : t0 + m] = part.transpose(2, 1, 0)
+        else:
+            for i, s in enumerate(active):
+                x[:, s, t0 : t0 + m] = part[:, i].T
 
 
-def _ar1_filter(x, channels, active, step_m: float) -> np.ndarray:
-    """Turn the standard normal draws in x [S, N, T] into shadowing, in place.
-
-    Rows outside ``active`` hold zeros and stay zero.
-    """
-    if not active:
-        return x
-    a = np.zeros(len(channels))
-    sigma = np.zeros(len(channels))
-    scale = np.zeros(len(channels))
-    for s in active:
-        ch = channels[s]
-        a[s] = ch.ar_coeff(step_m)
-        sigma[s] = ch.shadow_sigma_db
-        scale[s] = ch.shadow_sigma_db * math.sqrt(1.0 - a[s] * a[s])
-    # Driving sequence: stationary draw at n=0, scaled innovations after.
-    x[:, 1:] *= scale[:, None, None]
-    x[:, 0] *= sigma[:, None]
+def _ar1_filter(x, a, mean) -> np.ndarray:
+    """Turn the driving sequences in x [N, S, T] into received powers, in
+    place: x[n] += a * x[n-1] with a [S] per link, then mean [N, S] added
+    to each row after the next row has read it."""
+    n = x.shape[0]
     a = a[:, None]
-    for k in range(1, x.shape[1]):
-        x[:, k] += a * x[:, k - 1]
+    tmp = np.empty(x.shape[1:])
+    done = 0  # rows before done hold their mean
+    for k in range(1, n):
+        np.multiply(a, x[k - 1], out=tmp)
+        x[k] += tmp
+        if k - done >= _MEAN_ROWS:
+            x[done:k] += mean[done:k, :, None]
+            done = k
+    x[done:] += mean[done:, :, None]
     return x
 
 
@@ -219,22 +234,38 @@ def sample_power(
     channels: Sequence[ChannelParams],
     distances_m: np.ndarray,
     step_m: float,
-    rngs: Sequence[np.random.Generator],
+    rngs,
+    out=None,
 ) -> np.ndarray:
-    """Received powers of T traces in the cell-major buffer [S, N, T], with
-    shadowing independent across links.
+    """Received powers of T traces in the sample-major buffer [N, S, T],
+    with shadowing independent across links.
 
-    rngs holds one Generator per trial. Trial t draws from rngs[t] one
+    rngs holds one Generator per trial, as a sequence or as the sized
+    iterable trial_generators returns. Trial t draws from its Generator one
     standard_normal((S_active, N)), the same stream as S_active consecutive
     (N,) draws in link order. Links with shadow_sigma_db == 0 draw nothing.
+    The powers fill the front N * S * T values of out, a flat float64
+    buffer a caller may reuse from call to call, or a new array.
     """
     d = np.asarray(distances_m, dtype=float)
     if d.ndim != 2 or d.shape[0] != len(channels):
         raise ConfigurationError("distances_m must be [n_bs, n_samples] matching channels")
-    mean = np.stack([path_loss(ch, d[s]) for s, ch in enumerate(channels)])
-    x, active = _shadow_buffer(channels, d.shape[1], len(rngs))
+    n_bs, n = d.shape
+    if n < 1:
+        raise ConfigurationError("n_samples must be >= 1")
+    mean = np.stack([path_loss(ch, d[s]) for s, ch in enumerate(channels)], axis=1)
+    size = n * n_bs * len(rngs)
+    x = (np.empty(size) if out is None else out[:size]).reshape(n, n_bs, len(rngs))
+    a = np.zeros(n_bs)
+    active = [s for s, ch in enumerate(channels) if ch.shadow_sigma_db != 0.0]
+    if len(active) < n_bs:
+        x[:, [s for s in range(n_bs) if s not in active]] = 0.0
     if active:
-        _draw_trials(x, active, rngs)
-    _ar1_filter(x, channels, active, step_m)
-    x += mean[:, :, None]
-    return x
+        drive = np.empty((len(active), n))
+        for i, s in enumerate(active):
+            ch = channels[s]
+            a[s] = ch.ar_coeff(step_m)
+            drive[i, 0] = ch.shadow_sigma_db
+            drive[i, 1:] = ch.shadow_sigma_db * math.sqrt(1.0 - a[s] * a[s])
+        _draw_trials(x, active, drive, rngs)
+    return _ar1_filter(x, a, mean)

@@ -12,7 +12,8 @@ winning where both are given. Output files are always written atomically;
 runs are reproducible byte for byte for a fixed seed, and the worker count
 (``--workers`` or HANDOPT_WORKERS) never affects results. ``--workers`` must
 be at least 1; a HANDOPT_WORKERS value that is not an integer, or is below
-1, runs one worker.
+1, runs one worker. A run starts at most one thread per CPU it may use,
+however many workers it is asked for.
 
 Each option is declared once: an override in ``_OVERRIDES``, a command's
 run option in ``_RUN_OPTIONS``. Entry ``name`` is the flag

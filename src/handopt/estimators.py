@@ -14,9 +14,10 @@ The power-free estimators (AVG, LS) keep their rows in one compact format,
 the [N, min(n_w, N)] coefficient_table: row n is right-aligned on sample
 n, so the last column weights sample n itself, and entries before sample 0
 are zero. window_estimates contracts such rows with a batch of power
-traces stored trials innermost, [S, N, T], which is how the simulator
-holds them, over any range of samples; the simulator asks for one block
-of block_samples(S, T) samples at a time.
+traces stored sample-major with the trials innermost, [N, S, T], which is
+how the simulator holds them, over any range of samples; the simulator
+asks for one block of block_samples(S, T) samples at a time, and the
+powers one lag of a block reads form one contiguous slab.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
 
@@ -31,7 +32,8 @@ with an AVG fallback on windows too short or degenerate for a fit.
 * GELS ignores n_w. Its window grows from the last restart; _gels keeps
   each (link, trial) window's count and sums of p, p^2, x, x^2 and p*x,
   measured from the window's first sample so that the line fit does not
-  cancel digits far from a cell, and loops over samples only. It is a
+  cancel digits far from a cell, and loops over samples only, each one
+  contiguous [S, T] row of the sample-major powers. It is a
   resumable walk: a generator that yields one sample's estimates at a
   time and carries the sums to the next, so the simulator pulls it block
   by block as it contracts window_estimates. With
@@ -136,41 +138,51 @@ def block_samples(n_bs: int, n_tr: int) -> int:
 def window_estimates(
     tables: np.ndarray, x: np.ndarray, n0: int = 0, n1=None, out=None
 ) -> np.ndarray:
-    """Estimates of a batch of traces stored with the trials innermost.
+    """Estimates of a batch of traces stored sample-major, trials innermost.
 
-    tables is [S, N, n_w], one coefficient_table per link, and x [S, N, T];
-    entry [s, n - n0, t] of the [S, n1 - n0, T] result is
-    tables[s, n] . x[s, n - n_w + 1 .. n, t] for the samples n0 <= n < n1
+    tables is [S, N, n_w], one coefficient_table per link, and x [N, S, T];
+    entry [n - n0, s, t] of the [n1 - n0, S, T] result is
+    tables[s, n] . x[n - n_w + 1 .. n, s, t] for the samples n0 <= n < n1
     (default: all N), summed from the oldest sample of the window to
-    sample n. The result is written to out when given, an [S, n1 - n0, T]
-    buffer a caller may reuse from block to block. The lags are accumulated
-    over blocks of block_samples(S, T) samples, so every lag of a block
-    reads its powers from cache; every entry sees the same operations
-    whatever the range and the block, so a range is bit for bit the
-    matching slice of the full call.
+    sample n: the oldest lag's product is written, each later one added.
+    The result is written to out when given, an [n1 - n0, S, T] buffer a
+    caller may reuse from block to block. The lags are accumulated over
+    blocks of block_samples(S, T) samples, so every lag of a block reads
+    its powers from cache; every entry sees the same operations whatever
+    the range and the block, so a range is bit for bit the matching slice
+    of the full call.
     """
     n_bs, n, n_w = tables.shape
     n_tr = x.shape[2]
     n1 = n if n1 is None else n1
     block = block_samples(n_bs, n_tr)
     if out is None:
-        out = np.empty((n_bs, n1 - n0, n_tr))
-    out[...] = 0.0
-    prod = np.empty((n_bs, min(block, n1 - n0), n_tr))
+        out = np.empty((n1 - n0, n_bs, n_tr))
+    # weights[k, s, j]: column j of link s's row for sample k
+    weights = tables.transpose(1, 0, 2)
+    prod = np.empty((min(block, n1 - n0), n_bs, n_tr))
     for b0 in range(n0, n1, block):
         b1 = min(b0 + block, n1)
+        filled = b1  # out holds a partial sum for samples filled .. b1 - 1
         for j in range(n_w):
             back = n_w - 1 - j  # column j weights sample n - back
             lo = max(b0, back)  # samples before lo have no sample n - back
             if lo < b1:
-                p = prod[:, : b1 - lo]
-                np.multiply(tables[:, lo:b1, j, None], x[:, lo - back : b1 - back], out=p)
-                out[:, lo - n0 : b1 - n0] += p
+                w = weights[lo:b1, :, j, None]
+                p = x[lo - back : b1 - back]
+                head = filled - lo  # samples lo .. filled - 1 start their sums
+                if head:
+                    np.multiply(w[:head], p[:head], out=out[lo - n0 : filled - n0])
+                if filled < b1:
+                    q = prod[: b1 - filled]
+                    np.multiply(w[head:], p[head:], out=q)
+                    out[filled - n0 : b1 - n0] += q
+                filled = lo
     return out
 
 
 def _gels(x, p, h, gamma, h_max, reinit_all):
-    """GELS walk over [S, N, T] powers p, one sample at a time.
+    """GELS walk over [N, S, T] powers p, one sample at a time.
 
     Yields the [S, T] estimates and modes of samples 0, 1, ... in turn.
     The window moments stay in the generator's frame between samples, so
@@ -180,17 +192,23 @@ def _gels(x, p, h, gamma, h_max, reinit_all):
     """
     if gamma <= 0.0:
         raise ConfigurationError("gamma must be positive")
-    n_bs, n, n_tr = p.shape
+    n, n_bs, n_tr = p.shape
     # count and sums of p, p^2, x, x^2, p*x per (link, trial), measured from
     # the window's first sample, whose power and log-distance are p0 and x0
     m = np.zeros((6, n_bs, n_tr))
-    p0 = p[:, 0].copy() if n else None
+    p0 = p[0].copy() if n else None
     x0 = np.repeat(x[:, :1], n_tr, axis=1)
     for i in range(n):
-        power = p[:, i]
+        power = p[i]
         pn = power - p0
         xn = x[:, i, None] - x0
-        m += np.stack((np.ones_like(pn), pn, pn * pn, xn, xn * xn, pn * xn))
+        # in place, one term at a time: the same sums as adding their stack
+        m[0] += 1.0
+        m[1] += pn
+        m[2] += pn * pn
+        m[3] += xn
+        m[4] += xn * xn
+        m[5] += pn * xn
         cnt, sp, spp, sx, sxx, spx = m
         mp, mx = sp / cnt, sx / cnt
         e1 = spp / cnt - mp * mp

@@ -10,14 +10,18 @@ from SeedSequence([seed, vi, t]). The seed words of a chunk's trials are
 computed together (channel.trial_generators), never through one
 SeedSequence per trial.
 Each chunk draws all of its traces in one sample_power call into one
-cell-major buffer with the trials innermost, the only chunk-sized array it
-holds. Its samples are then walked in blocks of
-estimators.block_samples(S, T) samples (_decide): each block's estimates
-fill one reused block buffer, every policy's serving recursion resumes
-from the serving cells the block before left, and the block's tallies are
-added, all reading the power buffer in place. gels, whose estimates are
-not a linear filter, fills the same block buffer from its resumable walk
-(estimators._gels), which carries its window moments from block to block.
+sample-major [N, S, T] buffer with the trials innermost, the only
+chunk-sized array it holds: power (n, s, t) sits at flat index
+n*S*T + s*T + t. Its samples are then walked in blocks of estimators.block_samples(S, T)
+samples (_decide): each block's [K, S, T] estimates fill one block buffer,
+every policy's serving recursion resumes from the serving cells the block
+before left, and the block's tallies are added, all reading the power
+buffer in place. gels, whose estimates are not a linear filter, fills the
+same block buffer from its resumable walk (estimators._gels), which
+carries its window moments from block to block. Each worker thread
+allocates the power and block buffers once, at its first and largest
+chunk, and every later chunk reuses their front (_Workspace). A run
+starts at most one thread per usable CPU.
 Every sample sees the same operations whatever the block, so results do
 not depend on it. Switch times are logged per block as (trial, sample)
 pairs, so a logged run holds no serving series either.
@@ -159,42 +163,84 @@ def _as_fixed_margin(policy):
     return h
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _thread_count(workers: int, cpus: int) -> int:
+    """Threads a simulation runs its chunks on: the workers asked for, at
+    most one per usable CPU. Results do not depend on it."""
+    return min(workers, cpus)
+
+
 def _chunk_bounds(n_trials: int, workers: int, n_bs: int, n_samples: int):
     budget = max(1, _CHUNK_SAMPLES // max(1, n_bs * n_samples))
     chunk = min(budget, -(-n_trials // workers))
     return [(t0, min(t0 + chunk, n_trials)) for t0 in range(0, n_trials, chunk)]
 
 
-def _map_chunks(fn, bounds, workers: int):
-    if workers <= 1 or len(bounds) <= 1:
-        return [fn(t0, t1) for t0, t1 in bounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), bounds))
+class _Workspace:
+    """One worker's flat float64 buffers by name, reallocated only when a
+    request is larger than the buffer; a caller uses its front."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name: str, size: int) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            self.buffers.pop(name, None)
+            buf = self.buffers[name] = np.empty(size)
+        return buf
+
+
+def _map_chunks(fn, bounds, threads: int):
+    """[fn(t0, t1, workspace) for every chunk], in chunk order. Thread i
+    runs chunks i, i + threads, ... through one _Workspace, so its first
+    chunk is its largest."""
+
+    def stripe(i):
+        workspace = _Workspace()
+        return [fn(t0, t1, workspace) for t0, t1 in bounds[i::threads]]
+
+    if threads <= 1:
+        return stripe(0)
+    out = [None] * len(bounds)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for i, pieces in enumerate(pool.map(stripe, range(threads))):
+            out[i::threads] = pieces
+    return out
 
 
 # ---------------------------------------------------------------------------
 # estimation plumbing
 
 
-def _block_estimates(config: ScenarioConfig, d: np.ndarray, x: np.ndarray, tables, block: int):
-    """Estimates of a chunk's [S, N, T] powers x by sample block: a function
-    (n0, n1) -> [T, S, n1 - n0] estimates of samples n0 .. n1 - 1, for
+def _block_estimates(
+    config: ScenarioConfig, d: np.ndarray, x: np.ndarray, tables, block: int, buf: np.ndarray
+):
+    """Estimates of a chunk's [N, S, T] powers x by sample block: a function
+    (n0, n1) -> [n1 - n0, S, T] estimates of samples n0 .. n1 - 1, for
     consecutive blocks of at most `block` samples.
 
-    Every block is written into one reused block buffer, so it is valid
-    until the next call. With tables (avg, ls, and els, which estimates
-    with the ls rows) window_estimates computes it. gels has no power-free
-    form: its walk (estimators._gels) yields the block's samples one by
-    one and keeps its window moments for the next block, so the blocks
-    must come in sample order.
+    Every block is written into the front of buf, a flat buffer of at least
+    min(block, N) * S * T values, so it is valid until the next call. With
+    tables (avg, ls, and els, which estimates with the ls rows)
+    window_estimates computes it. gels has no power-free form: its walk
+    (estimators._gels) yields the block's samples one by one and keeps its
+    window moments for the next block, so the blocks must come in sample
+    order.
 
     GELS gets the constant h_series = h_fixed_db, whatever the policy. So
     its h > h_max restart fires at every sample when h_fixed_db > h_max_db,
     and the estimates are then the raw powers, as avg with n_w = 1 gives
     them; otherwise it never fires. An optimizer margin ends at h_max (the
     trellis grid does), so an applied margin would not fire it either."""
-    n_bs, n, n_tr = x.shape
-    buf = np.empty(n_bs * min(block, n) * n_tr)
+    n, n_bs, n_tr = x.shape
     if tables is None:
         walk = _gels(
             np.log10(d), x, np.full(n, config.h_fixed_db),
@@ -202,13 +248,13 @@ def _block_estimates(config: ScenarioConfig, d: np.ndarray, x: np.ndarray, table
         )
 
     def estimate(n0: int, n1: int):
-        out = buf[: n_bs * (n1 - n0) * n_tr].reshape(n_bs, n1 - n0, n_tr)
+        out = buf[: (n1 - n0) * n_bs * n_tr].reshape(n1 - n0, n_bs, n_tr)
         if tables is None:
             for i in range(n1 - n0):
-                out[:, i] = next(walk)[0]
+                out[i] = next(walk)[0]
         else:
             window_estimates(tables, x, n0, n1, out)
-        return np.moveaxis(out, -1, 0)
+        return out
 
     return estimate
 
@@ -222,10 +268,11 @@ def _cell_pairs(d: np.ndarray) -> np.ndarray:
     return np.argsort(d, axis=0, kind="stable")[:2]
 
 
-def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1):
+def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1, overlap=None):
     """Joint Gaussian machinery for one ordered pair of cells. Its block
-    overlap, max(horizon, resolved depth), holds every trellis window and
-    every chain term of the config in one block law."""
+    overlap defaults to max(horizon, resolved depth), which holds every
+    trellis window and every chain term of the config in one block law; a
+    caller that reads trellis windows only passes the horizon."""
     d = config.distances_m()
     mode = _TABLE_MODE[config.estimator]
     chs = config.channels
@@ -233,7 +280,7 @@ def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1):
     t_b = coefficient_table(d[cell_b], config.n_w, mode)
     return GapProcess(
         t_a, t_b, (chs[cell_a], chs[cell_b]), d[[cell_a, cell_b]], config.step_m,
-        overlap=max(config.horizon, config.resolved_depth()),
+        overlap=max(config.horizon, config.resolved_depth()) if overlap is None else overlap,
     )
 
 
@@ -279,9 +326,10 @@ def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
 
     Each cell pair keeps one GapProcess (_gap_process) for the whole call,
     and every root reads its window from that process's block law
-    (GapProcess.block_stats). The roots are solved in one solve_group call
-    per (cell pair, block), so the stage tables of all their windows take
-    one stacked build, in which each outage lattice table of a (pair,
+    (GapProcess.block_stats). A window spans horizon + 1 samples, so the
+    block overlap is the horizon. The roots are solved in one solve_group
+    call per (cell pair, block), so the stage tables of all their windows
+    take one stacked build, in which each outage lattice table of a (pair,
     block, sample, cell) is integrated once.
     """
     policies = list(policies)
@@ -301,7 +349,7 @@ def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
     processes = {}
     for (a, b, _), ns in roots.items():
         if (a, b) not in processes:
-            processes[a, b] = _gap_process(config, a, b)
+            processes[a, b] = _gap_process(config, a, b, config.horizon)
         process = processes[a, b]
         problems = []
         for n in ns:
@@ -430,12 +478,12 @@ class _Tally:
 
     def add(self, serving, x, n0: int, beta, first):
         """Count the [K, T] serving cells of samples n0 .. n0 + K - 1; x is
-        the chunk's [S, N, T] powers and first the pair's first cells."""
+        the chunk's [N, S, T] powers and first the pair's first cells."""
         k, t = serving.shape
         n1 = n0 + k
-        # flat index of x[serving cell, sample, trial]
-        flat = serving.astype(np.intp) * (x.shape[1] * t)
-        flat += (np.arange(n0, n1) * t)[:, None]
+        # flat index of x[sample, serving cell, trial]
+        flat = serving.astype(np.intp) * t
+        flat += (np.arange(n0, n1) * (x.shape[1] * t))[:, None]
         flat += np.arange(t)
         low = np.take(x, flat) <= beta
         branch = serving != first[n0:n1, None]
@@ -466,25 +514,24 @@ class _Tally:
         return self.switches, self.outages, times, self.conn, self.outb
 
 
-def _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, log_events):
+def _decide(estimate, x, h_tables, beta, pair, init, h_fallback, block, log_events):
     """Serving-cell recursions and tallies for every policy on shared traces,
     walked in blocks of `block` samples; {label: _Tally.counts()}.
 
-    powers is [T, S, N]; a view of a trial-innermost buffer (the
-    simulator's) is read in place. estimate(n0, n1) gives the [T, S, K]
-    estimates of samples n0 .. n1 - 1, and every policy decides and
-    tallies a block, resuming from the serving cells the block before left,
-    before the next block is estimated. Every sample sees the same
-    operations whatever the block, so the counts do not depend on it; on
-    whole arrays (estimate slicing [T, S, N] estimates, block = N) this is
-    one block.
+    x is the C-contiguous [N, S, T] powers, read in place. estimate(n0, n1)
+    gives the C-contiguous [K, S, T] estimates of samples n0 .. n1 - 1
+    (serving_series reads a [T, S, K] view of them), and every policy
+    decides and tallies a block, resuming from the serving cells the block
+    before left, before the next block is estimated. Every sample sees the
+    same operations whatever the block, so the counts do not depend on it;
+    on whole arrays (estimate slicing [N, S, T] estimates, block = N) this
+    is one block.
     """
-    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
-    _, n, n_tr = x.shape
+    n, _, n_tr = x.shape
     tallies = {label: _Tally(n_tr, n, init, log_events) for label in h_tables}
     for n0 in range(0, n, block):
         n1 = min(n0 + block, n)
-        est = estimate(n0, n1)
+        est = estimate(n0, n1).transpose(2, 1, 0)
         for label, h_table in h_tables.items():
             tally = tallies[label]
             serving = serving_series(est, h_table, pair, tally.serving, h_fallback, n0)
@@ -509,7 +556,7 @@ def _simulate_policies(
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
-    workers_n = _worker_count(workers)
+    threads = _thread_count(_worker_count(workers), _usable_cpus())
     d = config.distances_m()
     n_bs, n_samples = d.shape
     beta = config.resolved_outage_threshold()
@@ -533,21 +580,25 @@ def _simulate_policies(
     pair = _cell_pairs(d)
     init = config.b_init if n_bs == 2 else int(pair[0, 0])
 
-    def run_chunk(t0: int, t1: int):
-        # the trial-innermost [S, N, T] buffer every stage reads; the
-        # chunk's generators are dropped once they have drawn it
+    def run_chunk(t0: int, t1: int, workspace: _Workspace):
+        # the sample-major [N, S, T] powers every stage reads, in the front
+        # of the worker's power buffer; each generator is built as it draws
+        n_tr = t1 - t0
         rngs = trial_generators(seed_parts, t0, t1)
-        x = sample_power(config.channels, d, config.step_m, rngs)
+        x = sample_power(
+            config.channels, d, config.step_m, rngs,
+            workspace.take("power", n_samples * n_bs * n_tr),
+        )
         del rngs
-        block = block_samples(n_bs, t1 - t0)
-        estimate = _block_estimates(config, d, x, tables, block)
-        powers = np.moveaxis(x, -1, 0)
+        block = block_samples(n_bs, n_tr)
+        buf = workspace.take("estimates", min(block, n_samples) * n_bs * n_tr)
+        estimate = _block_estimates(config, d, x, tables, block, buf)
         return _decide(
-            estimate, powers, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
+            estimate, x, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
         )
 
-    bounds = _chunk_bounds(n_trials, workers_n, n_bs, n_samples)
-    pieces = _map_chunks(run_chunk, bounds, workers_n)
+    bounds = _chunk_bounds(n_trials, threads, n_bs, n_samples)
+    pieces = _map_chunks(run_chunk, bounds, min(threads, len(bounds)))
 
     results = {}
     for label in labels:

@@ -58,14 +58,15 @@ def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> 
     the serving cell with the strongest cell (lowest index among equals),
     which changes nothing where the two coincide.
 
-    The recursion runs over trial-innermost [S, K, B] estimates, so every
-    sample reads contiguous [S, B] and [K, B] rows; a [B, S, K] view of such
-    a buffer (the simulator's) is read without a copy, and the result is
-    then a [B, K] view of a [K, B] array.
+    The recursion runs over sample-major, trial-innermost [K, S, B]
+    estimates, so every sample reads one contiguous [S, B] row; a [B, S, K]
+    view of such a buffer (the simulator's estimate blocks, transposed) is
+    read without a copy, and the result is then a [B, K] view of a [K, B]
+    array.
     """
     n_bs, n = est.shape[-2:]
     batch = est.shape[:-2]
-    est = np.ascontiguousarray(np.moveaxis(est.reshape((-1, n_bs, n)), 0, -1))
+    est = np.ascontiguousarray(est.reshape((-1, n_bs, n)).transpose(2, 1, 0))
     n_tr = est.shape[-1]
     # neg_h[i, s]: minus the margin applied at sample n0 + i while serving s
     rows = np.arange(n)
@@ -74,20 +75,21 @@ def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> 
     neg_h[rows, pair[1][prev]] = -h_table[n0 : n0 + n, 1]
     neg_h[rows, pair[0][prev]] = -h_table[n0 : n0 + n, 0]
     best = np.zeros((n, n_tr), dtype=np.int16)
-    best_est = est[0].copy()
+    best_est = est[:, 0].copy()
     for s in range(1, n_bs):
-        best += (est[s] > best_est) * (s - best)
-        np.maximum(best_est, est[s], out=best_est)
+        best += (est[:, s] > best_est) * (s - best)
+        np.maximum(best_est, est[:, s], out=best_est)
     trials = np.arange(n_tr)
-    serving = np.broadcast_to(np.asarray(init, dtype=np.int16), batch).reshape(n_tr)
+    serving = np.broadcast_to(np.asarray(init, dtype=np.int16), batch).reshape(n_tr).copy()
     out = np.empty((n, n_tr), dtype=np.int16)
     for i in range(n):
         lim = neg_h[i][serving]
-        gap = est[serving, i, trials] - best_est[i]
-        # ties go to the lower index; "not above" also sends a NaN gap
-        # there, as the scalar rule sends y = NaN to BS0
-        switch = np.where(best[i] < serving, ~(gap > lim), gap < lim)
-        serving = np.where(switch, best[i], serving)
+        gap = est[i, serving, trials] - best_est[i]
+        # below the margin switches; ties go to the lower index, where "not
+        # above" also sends a NaN gap, as the scalar rule sends y = NaN to BS0
+        switch = gap < lim
+        switch |= (best[i] < serving) & ~(gap > lim)
+        np.copyto(serving, best[i], where=switch)
         out[i] = serving
     return out.T.reshape(batch + (n,))
 

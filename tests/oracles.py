@@ -10,7 +10,7 @@ import pytest
 from scipy.special import ndtr
 
 from handopt import gaussian
-from handopt.channel import _ar1_filter, _shadow_buffer, path_loss
+from handopt.channel import path_loss
 from handopt.errors import ConfigurationError, HandoptError, NumericalConsistencyError
 from handopt.estimators import (
     _EMIN_FLOOR,
@@ -724,25 +724,57 @@ def pairwise_outage(process, n_last, h, depth, threshold_db, b_init):
 # --- whole traces through the kernels the simulator runs by block ----------
 
 
+def ar1_powers(channels, d, step_m, w):
+    """[T, S, N] received powers from standard normals w [T, S, N] (the
+    rows of links without shadowing are not read): each shadowed link runs
+    its own AR(1) recursion u[k] = w[k] * scale + a * u[k-1] from
+    u[0] = sigma * w[0], one sample at a time for every trial at once, and
+    the mean path loss is added last."""
+    out = np.empty(w.shape)
+    for s, ch in enumerate(channels):
+        u = np.zeros(w.shape[::2])
+        sigma = ch.shadow_sigma_db
+        if sigma != 0.0:
+            a = math.exp(-step_m / ch.coherence_m)
+            scale = sigma * math.sqrt(1.0 - a * a)
+            u[:, 0] = w[:, s, 0] * sigma
+            for k in range(1, w.shape[2]):
+                u[:, k] = w[:, s, k] * scale + a * u[:, k - 1]
+        out[:, s] = u + path_loss(ch, d[s])
+    return out
+
+
 def draw_powers(channels, d, step_m, rng, n_trials=None):
-    """Received powers [S, N], or C-contiguous [n_trials, S, N], from one
-    Generator drawn link by link: each shadowed link takes one
-    standard_normal((n_trials, N)), filtered as channel.sample_power
-    filters its per-trial draws."""
+    """Received powers [S, N], or [n_trials, S, N], from one Generator drawn
+    link by link: each shadowed link takes one standard_normal((n_trials,
+    N)), filtered by ar1_powers. With one trial the stream is the one
+    channel.sample_power draws for that trial."""
     n_tr = 1 if n_trials is None else int(n_trials)
-    x, active = _shadow_buffer(channels, d.shape[1], n_tr)
-    for s in active:
-        x[s] = rng.standard_normal((n_tr, d.shape[1])).T
-    _ar1_filter(x, channels, active, step_m)
-    x += np.stack([path_loss(ch, row) for ch, row in zip(channels, d)])[:, :, None]
-    return x[:, :, 0] if n_trials is None else np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    w = np.zeros((n_tr, len(channels), d.shape[1]))
+    for s, ch in enumerate(channels):
+        if ch.shadow_sigma_db != 0.0:
+            w[:, s] = rng.standard_normal((n_tr, d.shape[1]))
+    out = ar1_powers(channels, d, step_m, w)
+    return out[0] if n_trials is None else out
+
+
+def trial_powers(channels, d, step_m, seed_parts, t0, t1):
+    """[t1 - t0, S, N] powers of trials t0 .. t1 - 1 of a simulator run: trial
+    t draws its shadowed links in order from its own Generator, seeded by
+    SeedSequence(seed_parts + [t]), filtered by ar1_powers."""
+    active = [s for s, ch in enumerate(channels) if ch.shadow_sigma_db != 0.0]
+    w = np.zeros((t1 - t0, len(channels), d.shape[1]))
+    for i, t in enumerate(range(t0, t1)):
+        rng = np.random.default_rng(np.random.SeedSequence([*seed_parts, t]))
+        w[i, active] = rng.standard_normal((len(active), d.shape[1]))
+    return ar1_powers(channels, d, step_m, w)
 
 
 def table_estimates(tables, powers):
     """[T, S, N] estimates of [T, S, N] powers by window_estimates over the
-    whole trace, on the simulator's trial-innermost layout."""
-    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
-    return np.moveaxis(window_estimates(tables, x), -1, 0)
+    whole trace, on the simulator's sample-major [N, S, T] layout."""
+    x = np.ascontiguousarray(powers.transpose(2, 1, 0))
+    return window_estimates(tables, x).transpose(2, 1, 0)
 
 
 def series_estimates(
@@ -761,7 +793,7 @@ def series_estimates(
         return est, np.broadcast_to(fit.astype(np.int8), est.shape).copy()
     n = d.shape[1]
     h = np.zeros(n) if h is None else h
-    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+    x = np.ascontiguousarray(powers.transpose(2, 1, 0))
     walk = _gels(np.log10(d), x, h, gamma, h_max, reinit_all)
     est, modes = map(np.stack, zip(*walk))  # [N, S, T]
     return est.transpose(2, 1, 0), modes.astype(np.int8).transpose(2, 1, 0)

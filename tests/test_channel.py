@@ -1,6 +1,8 @@
 """Channel model: log-distance path loss and AR(1) shadowing."""
 
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handopt.channel import (
+    _DRAW_BLOCK,
     ChannelParams,
-    _ar1_filter,
-    _shadow_buffer,
     path_loss,
     sample_power,
     trial_generators,
 )
 from handopt.errors import ConfigurationError
-from oracles import draw_powers
+from oracles import draw_powers, trial_powers
 
 VEHICULAR = ChannelParams(
     intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0
@@ -26,13 +27,12 @@ STEP = 6.24
 
 def sample_shadowing(params, n_samples, step_m, rng, n_trials=None):
     """One link's stationary AR(1) shadowing, shape [n_samples] or
-    [n_trials, n_samples], drawn and filtered as sample_power does."""
+    [n_trials, n_samples], drawn and filtered by sample_power: a zero mean
+    path loss, and every trial drawing from rng in turn."""
     n_tr = 1 if n_trials is None else int(n_trials)
-    x, active = _shadow_buffer((params,), n_samples, n_tr)
-    if active:
-        x[0] = rng.standard_normal((n_tr, n_samples)).T
-    _ar1_filter(x, (params,), active, step_m)
-    out = np.ascontiguousarray(x[0].T)
+    flat = replace(params, intercept_db=0.0, slope_db=0.0)
+    x = sample_power((flat,), np.ones((1, n_samples)), step_m, [rng] * n_tr)
+    out = np.ascontiguousarray(x[:, 0].T)
     return out[0] if n_trials is None else out
 
 
@@ -117,12 +117,12 @@ def test_sample_power_mean_and_shapes():
     d = np.array([[100.0, 200.0, 400.0], [400.0, 200.0, 100.0]])
     rng = np.random.default_rng(1)
     trace = sample_power((quiet, quiet), d, STEP, [rng])
-    assert trace.shape == (2, 3, 1)
+    assert trace.shape == (3, 2, 1)
     np.testing.assert_allclose(
-        trace[:, :, 0], np.stack([path_loss(quiet, d[0]), path_loss(quiet, d[1])])
+        trace[:, :, 0], np.stack([path_loss(quiet, d[0]), path_loss(quiet, d[1])], axis=1)
     )
     batch = sample_power((quiet, quiet), d, STEP, [rng] * 5)
-    assert batch.shape == (2, 3, 5)
+    assert batch.shape == (3, 2, 5)
 
 
 def test_sample_power_validates_distance_shape():
@@ -156,9 +156,9 @@ def test_batched_sample_power_equals_per_trial_calls():
     d = np.stack([np.linspace(50.0 + 100 * s, 1500.0 - 90 * s, 57) for s in range(4)])
     seeds = [np.random.SeedSequence([17, t]) for t in range(6)]
     batch = sample_power(channels, d, STEP, [np.random.default_rng(s) for s in seeds])
-    assert batch.shape == (4, 57, 6)
+    assert batch.shape == (57, 4, 6)
     assert batch.flags.c_contiguous
-    batch = np.moveaxis(batch, -1, 0)
+    batch = batch.transpose(2, 1, 0)
     for t, s in enumerate(seeds):
         rng = np.random.default_rng(s)
         single = draw_powers(channels, d, STEP, rng)
@@ -200,3 +200,48 @@ def test_trial_generators_reject_indices_past_one_word(monkeypatch):
             trial_generators([3], t0, t1)
     with pytest.raises(ConfigurationError):
         trial_generators([-1], 0, 2)
+
+
+def test_a_chunk_holds_at_most_one_draw_block_of_generators(monkeypatch):
+    # trial_generators hashes the seed words of every trial up front and
+    # builds each Generator when sample_power's draw loop reaches its trial
+    class Counted(np.random.PCG64):
+        built = live = peak = 0
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            Counted.built += 1
+            Counted.live += 1
+            Counted.peak = max(Counted.peak, Counted.live)
+            weakref.finalize(self, Counted.release)
+
+        @staticmethod
+        def release():
+            Counted.live -= 1
+
+    monkeypatch.setattr(np.random, "PCG64", Counted)
+    channels = (VEHICULAR, ChannelParams(shadow_sigma_db=0.0), VEHICULAR)
+    d = np.stack([np.linspace(100.0, 900.0, 40), np.full(40, 500.0), np.linspace(900, 100, 40)])
+    gens = trial_generators([7, 1], 3, 103)
+    assert len(gens) == 100
+    assert Counted.built == 0
+    x = sample_power(channels, d, STEP, gens)
+    assert Counted.built == 100
+    assert 1 <= Counted.peak <= _DRAW_BLOCK
+    monkeypatch.undo()
+    want = trial_powers(channels, d, STEP, [7, 1], 3, 103)
+    assert x.transpose(2, 1, 0).tobytes() == want.tobytes()
+
+
+def test_sample_power_fills_the_front_of_a_reused_buffer():
+    # a smaller call after a larger one writes the front of the same buffer;
+    # the rows of a link without shadowing hold its mean, not the values a
+    # shadowed link left there
+    channels = (VEHICULAR, ChannelParams(shadow_sigma_db=0.0))
+    d = np.stack([np.linspace(100.0, 900.0, 30), np.linspace(900.0, 100.0, 30)])
+    buf = np.empty(30 * 2 * 9)
+    sample_power(channels[::-1], d[::-1], STEP, trial_generators([2], 0, 9), buf)
+    x = sample_power(channels, d, STEP, trial_generators([2], 9, 14), buf)
+    assert x.shape == (30, 2, 5)
+    assert np.shares_memory(x, buf[: x.size])
+    assert x.transpose(2, 1, 0).tobytes() == trial_powers(channels, d, STEP, [2], 9, 14).tobytes()

@@ -93,10 +93,10 @@ def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
         return csv_p.read_bytes(), json.loads(json_p.read_text())
 
     got = run("kernel")
-    def oracle_blocks(config, d, x, tables, block):
+    def oracle_blocks(config, d, x, tables, block, buf):
         est = adaptive_series_loop(
             d,
-            np.moveaxis(x, -1, 0),
+            x.transpose(2, 1, 0),
             config.estimator,
             config.n_w,
             gels_gamma=config.gels_gamma,
@@ -104,7 +104,7 @@ def test_simulate_els_and_gels_decide_as_on_oracle_estimates(
             reinit_all=config.gels_reinit_all,
             h_series=np.full(d.shape[1], config.h_fixed_db),
         )[0]
-        return lambda n0, n1: est[..., n0:n1]
+        return lambda n0, n1: np.ascontiguousarray(est[..., n0:n1].transpose(2, 1, 0))
 
     monkeypatch.setattr(harness, "_block_estimates", oracle_blocks)
     want = run("oracle")

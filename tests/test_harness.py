@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -77,15 +78,15 @@ def force_chunk(monkeypatch, config, trials):
 
 
 def chunk_estimates(config, d, powers, tables, block):
-    """[T, S, N] estimates of [T, S, N] powers as the simulator computes them,
-    `block` samples at a time."""
-    x = np.ascontiguousarray(np.moveaxis(powers, 0, -1))
+    """[T, S, N] estimates of [T, S, N] powers as the simulator computes them
+    on its sample-major [N, S, T] layout, `block` samples at a time."""
+    x = np.ascontiguousarray(powers.transpose(2, 1, 0))
     n = d.shape[1]
-    estimate = _block_estimates(config, d, x, tables, block)
-    # the table path reuses one block buffer: copy each block out
-    return np.concatenate(
-        [estimate(n0, min(n0 + block, n)).copy() for n0 in range(0, n, block)], axis=-1
-    )
+    buf = np.empty(min(block, n) * x[0].size)
+    estimate = _block_estimates(config, d, x, tables, block, buf)
+    # every block is written into the front of buf: copy each block out
+    blocks = [estimate(n0, min(n0 + block, n)).copy() for n0 in range(0, n, block)]
+    return np.concatenate(blocks).transpose(2, 1, 0)
 
 
 def test_results_do_not_depend_on_worker_count(monkeypatch):
@@ -630,7 +631,7 @@ def test_compact_rows_equal_the_row_loop(n_w, mode):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_window_estimates_equal_the_row_loop(n_trials, n_bs, n, n_w, mode, seed):
-    # the trial-innermost kernel sums each window from its oldest sample on;
+    # the sample-major kernel sums each window from its oldest sample on;
     # the row loop fits every window on its own
     rng = np.random.default_rng(seed)
     start = rng.uniform(100.0, 900.0, size=(n_bs, 1))
@@ -638,9 +639,9 @@ def test_window_estimates_equal_the_row_loop(n_trials, n_bs, n, n_w, mode, seed)
     d = start + step * np.arange(n)
     powers = rng.normal(-100.0, 6.0, size=(n_trials, n_bs, n))
     tables = np.stack([coefficient_table(row, n_w, mode) for row in d])
-    got = window_estimates(tables, np.ascontiguousarray(np.moveaxis(powers, 0, -1)))
+    got = window_estimates(tables, np.ascontiguousarray(powers.transpose(2, 1, 0)))
     np.testing.assert_allclose(
-        np.moveaxis(got, -1, 0), window_estimates_loop(d, powers, n_w, mode), rtol=1e-10
+        got.transpose(2, 1, 0), window_estimates_loop(d, powers, n_w, mode), rtol=1e-10
     )
 
 
@@ -713,12 +714,14 @@ def decide_multicell_loop(est, powers, h_tables, beta, near, second, h_fallback)
 
 def decide_blocks(est, powers, h_tables, beta, pair, init, h_fallback, block):
     """_decide on whole [T, S, N] estimates, `block` samples at a time
-    (block = N is one block), logging switch times; and every policy's
-    serving_series on the same inputs."""
+    (block = N is one block), logging switch times, on the simulator's
+    sample-major layout; and every policy's serving_series on the same
+    inputs."""
     def estimate(n0, n1):
-        return est[..., n0:n1]
+        return np.ascontiguousarray(est[..., n0:n1].transpose(2, 1, 0))
 
-    decided = _decide(estimate, powers, h_tables, beta, pair, init, h_fallback, block, True)
+    x = np.ascontiguousarray(powers.transpose(2, 1, 0))
+    decided = _decide(estimate, x, h_tables, beta, pair, init, h_fallback, block, True)
     series = {
         label: serving_series(est, h_table, pair, init, h_fallback)
         for label, h_table in h_tables.items()
@@ -829,7 +832,7 @@ def test_decide_multicell_breaks_ties_like_the_masked_argmax():
     cfg = noiseless(preset("vehicular-cell-row"))
     d = cfg.distances_m()
     rngs = [np.random.default_rng(t) for t in range(3)]
-    powers = np.moveaxis(sample_power(cfg.channels, d, cfg.step_m, rngs), -1, 0)
+    powers = sample_power(cfg.channels, d, cfg.step_m, rngs).transpose(2, 1, 0)
     assert np.all(powers == powers[0])
     tables = np.stack([coefficient_table(row, cfg.n_w, "avg") for row in d])
     est = chunk_estimates(cfg, d, powers, tables, d.shape[1])
@@ -979,24 +982,25 @@ def test_cell_row_run_is_pinned():
 
 
 def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
-    # the simulator decides on [T, S, N] views of its trial-innermost buffer;
+    # the simulator decides on its sample-major [N, S, T] buffer in place;
     # sample_power returns that buffer, C-contiguous
     cfg = preset("vehicular-cell-row")
     seen = []
     real = harness._decide
 
-    def spy(estimate, powers, *rest):
-        seen.append(powers)
-        return real(estimate, powers, *rest)
+    def spy(estimate, x, *rest):
+        seen.append((x.flags.c_contiguous, x.copy()))
+        return real(estimate, x, *rest)
 
     monkeypatch.setattr(harness, "_decide", spy)
     run_multicell(cfg, 2.0, 5, seed=13, workers=1)
-    (powers,) = seen
-    assert np.moveaxis(powers, 0, -1).flags.c_contiguous
+    ((contiguous, powers),) = seen
+    assert contiguous
     rngs = [np.random.default_rng(np.random.SeedSequence([13, t])) for t in range(5)]
     public = sample_power(cfg.channels, cfg.distances_m(), cfg.step_m, rngs)
     assert public.flags.c_contiguous
-    assert public.tobytes() == np.moveaxis(powers, 0, -1).tobytes()
+    assert public.shape == powers.shape
+    assert public.tobytes() == powers.tobytes()
 
 
 def test_cell_row_chunk_holds_one_power_array():
@@ -1016,11 +1020,8 @@ def test_cell_row_chunk_holds_one_power_array():
     assert peak < 1.25 * trials * d.size * 8
 
 
-def test_gels_chunk_holds_its_powers_and_block_sized_state():
-    # the gels walk fills the same reused block buffer as avg/ls/els and
-    # the chunk's generators are dropped once they have drawn: the peak is
-    # the powers and the generators while sample_power draws
-    cfg = replace(preset("paper-vi"), estimator="gels")
+def two_cell_chunk_peak(cfg):
+    """tracemalloc peak of one full-size two-cell chunk, in power arrays."""
     d = cfg.distances_m()
     trials = harness._CHUNK_SAMPLES // d.size
     assert harness._chunk_bounds(trials, 1, *d.shape) == [(0, trials)]
@@ -1031,7 +1032,21 @@ def test_gels_chunk_holds_its_powers_and_block_sized_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * trials * d.size * 8
+    return peak / (trials * d.size * 8)
+
+
+def test_paper_vi_avg_chunk_holds_one_power_array():
+    # 37,037 trials in one chunk: the generators are built one draw block at
+    # a time, so beside the powers the chunk holds 32 bytes of seed words
+    # per trial and block-sized temporaries
+    assert two_cell_chunk_peak(preset("paper-vi")) <= 1.15
+
+
+def test_gels_chunk_holds_its_powers_and_block_sized_state():
+    # the gels walk fills the same reused block buffer as avg/ls/els; beside
+    # the powers the peak holds the walk's per-(link, trial) moments and its
+    # per-sample temporaries (1.32 power arrays on paper-vi)
+    assert two_cell_chunk_peak(replace(preset("paper-vi"), estimator="gels")) < 1.35
 
 
 def test_logged_switch_times_do_not_grow_the_peak_with_the_trials():
@@ -1072,6 +1087,89 @@ def test_explicit_worker_counts_below_one_are_config_errors(monkeypatch):
     for env in ("0", "-3", "x"):
         monkeypatch.setenv("HANDOPT_WORKERS", env)
         assert_same_results(run_multicell(cfg, 2.0, 10), want)
+
+
+def test_threads_are_capped_at_the_usable_cpus():
+    # a pure function of the counts: no thread is started here
+    assert harness._thread_count(100_000, 2) == 2
+    assert harness._thread_count(3, 8) == 3
+    assert harness._thread_count(1, 64) == 1
+    assert harness._usable_cpus() >= 1
+
+
+def test_a_huge_worker_count_runs_at_most_one_thread_per_cpu(monkeypatch):
+    # the chunks run in this thread, so no pool is started; the run asks for
+    # at most one thread per usable CPU and sizes its chunks for them
+    cfg = preset("vehicular-two-cell")
+    asked = []
+    real = harness._map_chunks
+
+    def serial(fn, bounds, threads):
+        asked.append((threads, len(bounds)))
+        return real(fn, bounds, 1)
+
+    monkeypatch.setattr(harness, "_map_chunks", serial)
+    want = run_two_cell(cfg, 2.0, 30, seed=2, workers=1)
+    got = run_two_cell(cfg, 2.0, 30, seed=2, workers=100_000)
+    monkeypatch.setenv("HANDOPT_WORKERS", "100000")
+    env = run_two_cell(cfg, 2.0, 30, seed=2)
+    cpus = harness._usable_cpus()
+    assert asked[0] == (1, 1)
+    assert asked[1] == asked[2] == (min(cpus, 30), min(cpus, 30))
+    assert_same_results(got, want)
+    assert_same_results(env, want)
+
+
+def capture_chunks(monkeypatch):
+    """Spy on the simulator's chunks: a list that gains (t0, t1, a copy of
+    the chunk's powers, the address of their buffer, the thread) as each
+    chunk's sample_power call returns."""
+    chunks, pending = [], {}
+    real_generators, real_power = harness.trial_generators, harness.sample_power
+
+    def generators(seed_parts, t0, t1):
+        pending[threading.get_ident()] = (t0, t1)
+        return real_generators(seed_parts, t0, t1)
+
+    def power(*args):
+        x = real_power(*args)
+        t0, t1 = pending.pop(threading.get_ident())
+        address = x.__array_interface__["data"][0]
+        chunks.append((t0, t1, x.copy(), address, threading.get_ident()))
+        return x
+
+    monkeypatch.setattr(harness, "trial_generators", generators)
+    monkeypatch.setattr(harness, "sample_power", power)
+    return chunks
+
+
+@pytest.mark.parametrize("case", ["one-worker", "quiet-link", "two-workers"])
+def test_chunk_buffers_equal_the_per_trial_recursion(monkeypatch, case):
+    # 11 trials in chunks of 4, 4 and 3: every chunk's sample-major buffer
+    # holds, bit for bit, the powers of the oracle's own per-trial, per-link
+    # recursion, and each worker fills the front of one buffer for all its
+    # chunks, the last and smaller one included
+    cfg = preset("vehicular-cell-row").with_updates(start_offset_m=2500.0, length_m=1500.0)
+    if case == "quiet-link":
+        channels = list(cfg.channels)
+        channels[3] = replace(channels[3], shadow_sigma_db=0.0)
+        channels[5] = replace(channels[5], coherence_m=3.0)
+        cfg = cfg.with_updates(channels=tuple(channels))
+    workers = 2 if case == "two-workers" else 1
+    d = cfg.distances_m()
+    force_chunk(monkeypatch, cfg, 4)
+    chunks = capture_chunks(monkeypatch)
+    run_multicell(cfg, 2.0, 11, seed=9, workers=workers)
+    assert sorted(c[:2] for c in chunks) == [(0, 4), (4, 8), (8, 11)]
+    for t0, t1, x, _, _ in chunks:
+        assert x.shape == (d.shape[1], d.shape[0], t1 - t0)
+        want = oracles.trial_powers(cfg.channels, d, cfg.step_m, [9], t0, t1)
+        assert x.transpose(2, 1, 0).tobytes() == want.tobytes()
+    buffers = {}
+    for *_, address, thread in chunks:
+        buffers.setdefault(thread, set()).add(address)
+    assert len(buffers) == min(workers, harness._usable_cpus())
+    assert all(len(addresses) == 1 for addresses in buffers.values())
 
 
 @pytest.mark.parametrize(

@@ -89,10 +89,16 @@ def test_decide_series_matches_scalar_loop():
 )
 def test_decide_series_equals_the_scalar_rule_on_random_tables(n, trials, b_init, seed):
     rng = np.random.default_rng(seed)
-    # margins and gaps on a coarse grid so ties y = +-h occur often
+    # margins and gaps on a coarse grid so ties y = +-h occur often; a few
+    # gaps are NaN or infinite, which the scalar rule sends to BS0 (NaN,
+    # +inf) or BS1 (-inf)
     table = rng.integers(0, 4, size=(n, 2)) * 0.5
     y = rng.integers(-8, 9, size=(trials, n)) * 0.5
-    np.testing.assert_array_equal(gap_decisions(y, table, b_init), scalar_loop(y, table, b_init))
+    odd = rng.random(y.shape)
+    y[odd < 0.15] = rng.choice([np.nan, np.inf, -np.inf], size=np.count_nonzero(odd < 0.15))
+    with np.errstate(invalid="ignore"):
+        got = gap_decisions(y, table, b_init)
+    np.testing.assert_array_equal(got, scalar_loop(y, table, b_init))
 
 
 @settings(max_examples=60, deadline=None)
