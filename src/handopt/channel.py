@@ -16,9 +16,9 @@ scaled there into the driving sequence (sigma * w[0], then
 sigma * sqrt(1 - a^2) * w[n]) and copied into the buffer while the block
 is in cache. The driving sequence is turned into shadowing by
 x[n] += a * x[n-1], one vector operation per sample across every link and
-trial, with a per link; the mean path loss is added a few rows at a time,
-once the recursion has read them. Each sample costs one product and one
-sum, the two roundings of the first-order IIR filter
+trial, with a per link, and the mean path loss is added once the
+recursion is done. Each sample costs one product and one sum, the two
+roundings of the first-order IIR filter
 y[n] = x[n] + a * y[n-1] (scipy's lfilter with b = [1], a = [1, -a]
 computes exactly these), so the result is bit-identical to filtering each
 link's row separately.
@@ -28,8 +28,9 @@ SeedSequence(seed_parts + [t]) for trial t. trial_generators hands out the
 generators of a chunk of trials: it runs SeedSequence's entropy mixing
 and state generation (a 32-bit multiply-xorshift hash over a 4-word pool)
 over vectors indexed by trial, so the seed words of every trial come out
-of one numpy pass, and builds each trial's Generator from its four words
-through PCG64's own seeding only when the draw loop reaches the trial.
+of one numpy pass, and yields each trial's Generator, built from its four
+words through PCG64's own seeding, only when the draw loop reaches the
+trial.
 Every stream is bit-identical to the one a per-trial SeedSequence would
 seed.
 """
@@ -48,8 +49,6 @@ from .errors import ConfigurationError
 # Trials drawn into one contiguous block before they are copied into the
 # trial-innermost buffer; at most this many Generators are alive at once.
 _DRAW_BLOCK = 16
-# Rows of the filtered buffer that receive their mean path loss together.
-_MEAN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -130,26 +129,11 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-class _TrialGenerators:
-    """Generators built one at a time as they are iterated, from [T, 4]
-    seed words."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def __len__(self):
-        return len(self.words)
-
-    def __iter__(self):
-        for row in self.words:
-            yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
-
-
-def trial_generators(seed_parts, t0: int, t1: int) -> _TrialGenerators:
+def trial_generators(seed_parts, t0: int, t1: int):
     """Generators of trials t0..t1-1, in order: trial t draws from
     default_rng(SeedSequence(list(seed_parts) + [t])), bit for bit.
 
-    The result is sized and iterable, and builds each Generator when the
+    The result is an iterator that builds each Generator when the
     iteration reaches it. seed_parts are coerced as SeedSequence
     coerces its entropy (each a nonnegative int, split into little-endian
     32-bit words). Trial indices must stay below 2**32, so that each is one
@@ -183,7 +167,7 @@ def trial_generators(seed_parts, t0: int, t1: int) -> _TrialGenerators:
     hashmix = _hasher(_INIT_B, _MULT_B)
     state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
     words = state.astype("<u4").view("<u8").astype(np.uint64)
-    return _TrialGenerators(words)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
 
 
 def _draw_trials(x, active, drive, rngs) -> None:
@@ -192,41 +176,33 @@ def _draw_trials(x, active, drive, rngs) -> None:
 
     Each trial draws one standard_normal((S_active, N)) into a block of
     _DRAW_BLOCK trials, which is scaled by drive [S_active, N] and copied
-    into the buffer: in one transposed copy when every link draws, else
-    link by link.
+    into the buffer in one transposed copy.
     """
     n, n_bs, n_tr = x.shape
-    every = len(active) == n_bs
+    links = slice(None) if len(active) == n_bs else active
     block = np.empty((_DRAW_BLOCK, len(active), n))
     it = iter(rngs)
     for t0 in range(0, n_tr, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, n_tr - t0)
-        for j, g in zip(range(m), it):
+        for j in range(m):
+            g = next(it, None)
+            if g is None:
+                raise ConfigurationError(f"{n_tr} trials need as many generators")
             g.standard_normal(out=block[j])
         part = block[:m]
         part *= drive
-        if every:
-            x[:, :, t0 : t0 + m] = part.transpose(2, 1, 0)
-        else:
-            for i, s in enumerate(active):
-                x[:, s, t0 : t0 + m] = part[:, i].T
+        x[:, links, t0 : t0 + m] = part.transpose(2, 1, 0)
 
 
 def _ar1_filter(x, a, mean) -> np.ndarray:
     """Turn the driving sequences in x [N, S, T] into received powers, in
-    place: x[n] += a * x[n-1] with a [S] per link, then mean [N, S] added
-    to each row after the next row has read it."""
-    n = x.shape[0]
+    place: x[n] += a * x[n-1] with a [S] per link, then mean [N, S]."""
     a = a[:, None]
     tmp = np.empty(x.shape[1:])
-    done = 0  # rows before done hold their mean
-    for k in range(1, n):
+    for k in range(1, x.shape[0]):
         np.multiply(a, x[k - 1], out=tmp)
         x[k] += tmp
-        if k - done >= _MEAN_ROWS:
-            x[done:k] += mean[done:k, :, None]
-            done = k
-    x[done:] += mean[done:, :, None]
+    x += mean[:, :, None]
     return x
 
 
@@ -237,15 +213,16 @@ def sample_power(
     rngs,
     out=None,
 ) -> np.ndarray:
-    """Received powers of T traces in the sample-major buffer [N, S, T],
+    """Received powers of T traces in the sample-major array [N, S, T],
     with shadowing independent across links.
 
-    rngs holds one Generator per trial, as a sequence or as the sized
-    iterable trial_generators returns. Trial t draws from its Generator one
+    rngs yields one Generator per trial: a sequence, or the iterator
+    trial_generators returns. Trial t draws from its Generator one
     standard_normal((S_active, N)), the same stream as S_active consecutive
     (N,) draws in link order. Links with shadow_sigma_db == 0 draw nothing.
-    The powers fill the front N * S * T values of out, a flat float64
-    buffer a caller may reuse from call to call, or a new array.
+    The powers fill out, an [N, S, T] float64 array a caller may reuse from
+    call to call, whose last axis sets T; without out, T = len(rngs) and
+    the powers fill a new array.
     """
     d = np.asarray(distances_m, dtype=float)
     if d.ndim != 2 or d.shape[0] != len(channels):
@@ -253,9 +230,13 @@ def sample_power(
     n_bs, n = d.shape
     if n < 1:
         raise ConfigurationError("n_samples must be >= 1")
+    if out is None:
+        x = np.empty((n, n_bs, len(rngs)))
+    elif out.ndim == 3 and out.shape[:2] == (n, n_bs):
+        x = out
+    else:
+        raise ConfigurationError("out must be [n_samples, n_bs, n_trials]")
     mean = np.stack([path_loss(ch, d[s]) for s, ch in enumerate(channels)], axis=1)
-    size = n * n_bs * len(rngs)
-    x = (np.empty(size) if out is None else out[:size]).reshape(n, n_bs, len(rngs))
     a = np.zeros(n_bs)
     active = [s for s, ch in enumerate(channels) if ch.shadow_sigma_db != 0.0]
     if len(active) < n_bs:

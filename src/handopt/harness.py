@@ -12,16 +12,17 @@ SeedSequence per trial.
 Each chunk draws all of its traces in one sample_power call into one
 sample-major [N, S, T] buffer with the trials innermost, the only
 chunk-sized array it holds: power (n, s, t) sits at flat index
-n*S*T + s*T + t. Its samples are then walked in blocks of estimators.block_samples(S, T)
-samples (_decide): each block's [K, S, T] estimates fill one block buffer,
-every policy's serving recursion resumes from the serving cells the block
-before left, and the block's tallies are added, all reading the power
-buffer in place. gels, whose estimates are not a linear filter, fills the
-same block buffer from its resumable walk (estimators._gels), which
-carries its window moments from block to block. Each worker thread
-allocates the power and block buffers once, at its first and largest
-chunk, and every later chunk reuses their front (_Workspace). A run
-starts at most one thread per usable CPU.
+n*S*T + s*T + t. Its samples are then walked in blocks of
+estimators.block_samples(S, T) samples (_decide): each block's [K, S, T]
+estimates fill one block buffer, every policy's serving recursion resumes
+from the serving cells the block before left, and the block's tallies are
+added, all reading the power buffer in place. gels, whose estimates are
+not a linear filter, fills the same block buffer from its resumable walk
+(estimators._gels), which carries its window moments from block to
+block. Each worker thread allocates its power buffer once, at its first
+and largest chunk, and every later chunk reuses its front, as it does the
+block buffer's (_map_chunks). A run starts at most one thread per usable
+CPU.
 Every sample sees the same operations whatever the block, so results do
 not depend on it. Switch times are logged per block as (trial, sample)
 pairs, so a logged run holds no serving series either.
@@ -171,41 +172,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_count(workers: int, cpus: int) -> int:
-    """Threads a simulation runs its chunks on: the workers asked for, at
-    most one per usable CPU. Results do not depend on it."""
-    return min(workers, cpus)
-
-
 def _chunk_bounds(n_trials: int, workers: int, n_bs: int, n_samples: int):
     budget = max(1, _CHUNK_SAMPLES // max(1, n_bs * n_samples))
     chunk = min(budget, -(-n_trials // workers))
     return [(t0, min(t0 + chunk, n_trials)) for t0 in range(0, n_trials, chunk)]
 
 
-class _Workspace:
-    """One worker's flat float64 buffers by name, reallocated only when a
-    request is larger than the buffer; a caller uses its front."""
-
-    def __init__(self):
-        self.buffers = {}
-
-    def take(self, name: str, size: int) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            self.buffers.pop(name, None)
-            buf = self.buffers[name] = np.empty(size)
-        return buf
-
-
-def _map_chunks(fn, bounds, threads: int):
-    """[fn(t0, t1, workspace) for every chunk], in chunk order. Thread i
-    runs chunks i, i + threads, ... through one _Workspace, so its first
-    chunk is its largest."""
+def _map_chunks(new_worker, bounds, threads: int):
+    """[run(t0, t1) for every chunk], in chunk order. Thread i runs chunks
+    i, i + threads, ... through one run = new_worker(), so a worker's
+    first chunk is its largest and its buffers can serve every later one."""
 
     def stripe(i):
-        workspace = _Workspace()
-        return [fn(t0, t1, workspace) for t0, t1 in bounds[i::threads]]
+        run = new_worker()
+        return [run(t0, t1) for t0, t1 in bounds[i::threads]]
 
     if threads <= 1:
         return stripe(0)
@@ -268,11 +248,10 @@ def _cell_pairs(d: np.ndarray) -> np.ndarray:
     return np.argsort(d, axis=0, kind="stable")[:2]
 
 
-def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1, overlap=None):
+def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1):
     """Joint Gaussian machinery for one ordered pair of cells. Its block
-    overlap defaults to max(horizon, resolved depth), which holds every
-    trellis window and every chain term of the config in one block law; a
-    caller that reads trellis windows only passes the horizon."""
+    overlap, max(horizon, resolved depth), holds every trellis window and
+    every chain term of the config in one block law."""
     d = config.distances_m()
     mode = _TABLE_MODE[config.estimator]
     chs = config.channels
@@ -280,7 +259,7 @@ def _gap_process(config: ScenarioConfig, cell_a: int = 0, cell_b: int = 1, overl
     t_b = coefficient_table(d[cell_b], config.n_w, mode)
     return GapProcess(
         t_a, t_b, (chs[cell_a], chs[cell_b]), d[[cell_a, cell_b]], config.step_m,
-        overlap=max(config.horizon, config.resolved_depth()) if overlap is None else overlap,
+        overlap=max(config.horizon, config.resolved_depth()),
     )
 
 
@@ -326,10 +305,9 @@ def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
 
     Each cell pair keeps one GapProcess (_gap_process) for the whole call,
     and every root reads its window from that process's block law
-    (GapProcess.block_stats). A window spans horizon + 1 samples, so the
-    block overlap is the horizon. The roots are solved in one solve_group
-    call per (cell pair, block), so the stage tables of all their windows
-    take one stacked build, in which each outage lattice table of a (pair,
+    (GapProcess.block_stats). The roots are solved in one solve_group call
+    per (cell pair, block), so the stage tables of all their windows take
+    one stacked build, in which each outage lattice table of a (pair,
     block, sample, cell) is integrated once.
     """
     policies = list(policies)
@@ -349,7 +327,7 @@ def opt_margin_tables(config: ScenarioConfig, policies=_OPT_POLICIES) -> dict:
     processes = {}
     for (a, b, _), ns in roots.items():
         if (a, b) not in processes:
-            processes[a, b] = _gap_process(config, a, b, config.horizon)
+            processes[a, b] = _gap_process(config, a, b)
         process = processes[a, b]
         problems = []
         for n in ns:
@@ -556,7 +534,7 @@ def _simulate_policies(
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
-    threads = _thread_count(_worker_count(workers), _usable_cpus())
+    threads = min(_worker_count(workers), _usable_cpus())
     d = config.distances_m()
     n_bs, n_samples = d.shape
     beta = config.resolved_outage_threshold()
@@ -580,25 +558,38 @@ def _simulate_policies(
     pair = _cell_pairs(d)
     init = config.b_init if n_bs == 2 else int(pair[0, 0])
 
-    def run_chunk(t0: int, t1: int, workspace: _Workspace):
-        # the sample-major [N, S, T] powers every stage reads, in the front
-        # of the worker's power buffer; each generator is built as it draws
-        n_tr = t1 - t0
-        rngs = trial_generators(seed_parts, t0, t1)
-        x = sample_power(
-            config.channels, d, config.step_m, rngs,
-            workspace.take("power", n_samples * n_bs * n_tr),
-        )
-        del rngs
-        block = block_samples(n_bs, n_tr)
-        buf = workspace.take("estimates", min(block, n_samples) * n_bs * n_tr)
-        estimate = _block_estimates(config, d, x, tables, block, buf)
-        return _decide(
-            estimate, x, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
-        )
+    def new_worker():
+        # one worker's flat power and estimate-block buffers, allocated at its
+        # first (largest) chunk; a chunk uses their fronts, and the block
+        # buffer grows if a smaller chunk's longer blocks need more
+        power = estimates = np.empty(0)
+
+        def run_chunk(t0: int, t1: int):
+            nonlocal power, estimates
+            n_tr = t1 - t0
+            # seed words hashed before the first chunk's buffer exists, and
+            # dropped before its estimates; each generator is built as it draws
+            gens = trial_generators(seed_parts, t0, t1)
+            size = n_samples * n_bs * n_tr
+            if power.size < size:
+                power = np.empty(size)
+            # the sample-major [N, S, T] powers every stage reads
+            x = power[:size].reshape(n_samples, n_bs, n_tr)
+            sample_power(config.channels, d, config.step_m, gens, x)
+            del gens
+            block = block_samples(n_bs, n_tr)
+            size = min(block, n_samples) * n_bs * n_tr
+            if estimates.size < size:
+                estimates = np.empty(size)
+            estimate = _block_estimates(config, d, x, tables, block, estimates)
+            return _decide(
+                estimate, x, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
+            )
+
+        return run_chunk
 
     bounds = _chunk_bounds(n_trials, threads, n_bs, n_samples)
-    pieces = _map_chunks(run_chunk, bounds, min(threads, len(bounds)))
+    pieces = _map_chunks(new_worker, bounds, min(threads, len(bounds)))
 
     results = {}
     for label in labels:

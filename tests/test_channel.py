@@ -181,7 +181,7 @@ def test_trial_generators_equal_per_trial_seed_sequences(prefix, t0, n):
     # a prefix int below 2**70 takes up to three 32-bit words, so with the
     # trial word the entropy often runs past SeedSequence's 4-word pool
     t1 = min(t0 + n, 2**32)
-    gens = trial_generators(prefix, t0, t1)
+    gens = list(trial_generators(prefix, t0, t1))
     assert len(gens) == t1 - t0
     for t, g in zip(range(t0, t1), gens):
         oracle = np.random.default_rng(np.random.SeedSequence(list(prefix) + [t]))
@@ -223,9 +223,8 @@ def test_a_chunk_holds_at_most_one_draw_block_of_generators(monkeypatch):
     channels = (VEHICULAR, ChannelParams(shadow_sigma_db=0.0), VEHICULAR)
     d = np.stack([np.linspace(100.0, 900.0, 40), np.full(40, 500.0), np.linspace(900, 100, 40)])
     gens = trial_generators([7, 1], 3, 103)
-    assert len(gens) == 100
     assert Counted.built == 0
-    x = sample_power(channels, d, STEP, gens)
+    x = sample_power(channels, d, STEP, gens, np.empty((40, 3, 100)))
     assert Counted.built == 100
     assert 1 <= Counted.peak <= _DRAW_BLOCK
     monkeypatch.undo()
@@ -240,8 +239,18 @@ def test_sample_power_fills_the_front_of_a_reused_buffer():
     channels = (VEHICULAR, ChannelParams(shadow_sigma_db=0.0))
     d = np.stack([np.linspace(100.0, 900.0, 30), np.linspace(900.0, 100.0, 30)])
     buf = np.empty(30 * 2 * 9)
-    sample_power(channels[::-1], d[::-1], STEP, trial_generators([2], 0, 9), buf)
-    x = sample_power(channels, d, STEP, trial_generators([2], 9, 14), buf)
-    assert x.shape == (30, 2, 5)
-    assert np.shares_memory(x, buf[: x.size])
+    full = buf.reshape(30, 2, 9)
+    sample_power(channels[::-1], d[::-1], STEP, trial_generators([2], 0, 9), full)
+    front = buf[: 30 * 2 * 5].reshape(30, 2, 5)
+    x = sample_power(channels, d, STEP, trial_generators([2], 9, 14), front)
+    assert x is front
     assert x.transpose(2, 1, 0).tobytes() == trial_powers(channels, d, STEP, [2], 9, 14).tobytes()
+
+
+def test_sample_power_checks_its_generators_and_buffer():
+    channels = (VEHICULAR, VEHICULAR)
+    d = np.full((2, 12), 300.0)
+    with pytest.raises(ConfigurationError):
+        sample_power(channels, d, STEP, trial_generators([2], 0, 3), np.empty((12, 2, 4)))
+    with pytest.raises(ConfigurationError):
+        sample_power(channels, d, STEP, trial_generators([2], 0, 3), np.empty((12, 3, 3)))

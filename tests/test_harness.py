@@ -1089,12 +1089,22 @@ def test_explicit_worker_counts_below_one_are_config_errors(monkeypatch):
         assert_same_results(run_multicell(cfg, 2.0, 10), want)
 
 
-def test_threads_are_capped_at_the_usable_cpus():
-    # a pure function of the counts: no thread is started here
-    assert harness._thread_count(100_000, 2) == 2
-    assert harness._thread_count(3, 8) == 3
-    assert harness._thread_count(1, 64) == 1
-    assert harness._usable_cpus() >= 1
+def test_threads_are_capped_at_the_usable_cpus(monkeypatch):
+    # the chunks run in this thread, so no pool is started: the run asks
+    # _map_chunks for min(workers, usable CPUs) threads
+    cfg = preset("vehicular-two-cell")
+    asked = []
+    real = harness._map_chunks
+
+    def serial(new_worker, bounds, threads):
+        asked.append(threads)
+        return real(new_worker, bounds, 1)
+
+    monkeypatch.setattr(harness, "_map_chunks", serial)
+    for workers, cpus in ((100_000, 2), (3, 8), (1, 64)):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        run_two_cell(cfg, 2.0, 30, seed=2, workers=workers)
+    assert asked == [2, 3, 1]
 
 
 def test_a_huge_worker_count_runs_at_most_one_thread_per_cpu(monkeypatch):
@@ -1104,9 +1114,9 @@ def test_a_huge_worker_count_runs_at_most_one_thread_per_cpu(monkeypatch):
     asked = []
     real = harness._map_chunks
 
-    def serial(fn, bounds, threads):
+    def serial(new_worker, bounds, threads):
         asked.append((threads, len(bounds)))
-        return real(fn, bounds, 1)
+        return real(new_worker, bounds, 1)
 
     monkeypatch.setattr(harness, "_map_chunks", serial)
     want = run_two_cell(cfg, 2.0, 30, seed=2, workers=1)
