@@ -56,7 +56,7 @@ from .harness import (
     trellis_rows,
 )
 from .optimizer import solve, _window_stats
-from .scenario import _ESTIMATORS, _PRESETS, cell_row_layout, preset, two_cell_layout
+from .scenario import _ESTIMATORS, _PRESETS, cell_row_layout, preset
 
 
 def _parse_bool(text: str) -> bool:
@@ -245,11 +245,7 @@ def _build_config(args) -> tuple:
         n = lay.get("n_cells", config.layout.n_bs)
         spacing = lay.get("spacing_m", float(xs[1] - xs[0]))
         radius = lay.get("cell_radius_m", config.layout.cell_radius_m)
-        scn["layout"] = (
-            two_cell_layout(spacing, radius)
-            if n == 2
-            else cell_row_layout(n, spacing, radius)
-        )
+        scn["layout"] = cell_row_layout(n, spacing, radius)
     if ch or "layout" in scn:
         # a new layout takes the first cell's channel: the old per-cell
         # tuple no longer matches its cell count

@@ -350,8 +350,8 @@ def y_stats(
 def _match_event(gv: GaussianVector, ev: EventSpec):
     """Restrict gv to the event's labels, in event order.
 
-    GapProcess.prob hands over the joint of the event's own labels, which
-    needs no subset.
+    A law that is already the joint of the event's own labels, as the
+    chains pass it (GapProcess.joint), needs no subset.
     """
     labels = ev.labels
     sub = gv if gv.labels == labels else gv.subset(labels)
@@ -793,12 +793,9 @@ class GapProcess:
 
     The object keeps the two blocks it built last: a walk in trace order
     builds each block once, although a window or term near a block's start
-    reads the block before. prob() is memoized for the life of the object
-    by the event's constraints (labels and bounds) and mc_samples, plus the
-    seed for events of dimension >= 3, the only ones whose value can depend
-    on it. Beside these, metrics keeps a chain memo per process (its
-    connection sweeps, and the pairwise chains' boxes and telescope
-    values), which is dropped with the process.
+    reads the block before. The object keeps no probabilities: metrics
+    keeps a chain memo per process (its connection sweeps, box
+    probabilities and telescope values), which is dropped with the process.
     """
 
     def __init__(self, table0, table1, channels, distances_m, step_m, *, overlap: int):
@@ -814,7 +811,6 @@ class GapProcess:
         if not 0 <= overlap <= _BLOCK_SAMPLES:
             raise ConfigurationError(f"overlap must lie in 0..{_BLOCK_SAMPLES}")
         self.overlap = int(overlap)
-        self._probs = {}
         self._blocks = {}  # block index -> law, of the two blocks built last
 
     @property
@@ -852,14 +848,6 @@ class GapProcess:
         gv = self.joint([("y", t) for t in y_times] + [("p", s, t) for s, t in p_times])
         check_psd(gv.Sigma, "joint y/p covariance")
         return gv
-
-    def prob(self, ev: EventSpec, mc_samples: int = 1_000_000, seed: int = 0) -> ProbResult:
-        key = (ev.constraints, mc_samples, seed if len(ev) >= 3 else None)
-        r = self._probs.get(key)
-        if r is None:
-            r = exact_prob(self.joint(ev.labels), ev, mc_samples, seed)
-            self._probs[key] = r
-        return r
 
 
 def bvn_cdf_lattice(mu, Sigma, xs, ys):

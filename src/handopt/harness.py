@@ -14,9 +14,10 @@ sample-major [N, S, T] buffer with the trials innermost, the only
 chunk-sized array it holds: power (n, s, t) sits at flat index
 n*S*T + s*T + t. Its samples are then walked in blocks of
 estimators.block_samples(S, T) samples (_decide): each block's [K, S, T]
-estimates fill one block buffer, every policy's serving recursion resumes
-from the serving cells the block before left, and the block's tallies are
-added, all reading the power buffer in place. gels, whose estimates are
+estimates fill one block buffer, every policy's serving recursion
+(hybrid.serving_series, which reads that layout as it is) resumes from the
+serving cells the block before left, and the block's tallies are added,
+all reading the power buffer in place. gels, whose estimates are
 not a linear filter, fills the same block buffer from its resumable walk
 (estimators._gels), which carries its window moments from block to
 block. Each worker thread allocates its power buffer once, at its first
@@ -83,7 +84,7 @@ from .gaussian import (
     gap_inside,
     y_stats,
 )
-from .hybrid import count_switches, serving_series
+from .hybrid import serving_series
 from .metrics import _check_method_args, handover_series, outage_series
 from .optimizer import TrellisProblem, solve_group, _window_stats
 from .scenario import ScenarioConfig, preset
@@ -442,8 +443,10 @@ class _Tally:
     Branch 0 of conn/outb tallies the samples served by the first cell of
     their pair, branch 1 the rest: on two cells the serving states, on a
     cell row the pairwise reduction (nearest cell versus any other).
-    Outage is the post-decision serving power at or below beta. With
-    log_events each block's switches are kept as (trial, sample) pairs.
+    Outage is the post-decision serving power at or below beta. A switch
+    is a change of serving cell, the first sample's counted against the
+    cell served before the block; one change mask per block gives the
+    switch counts and, with log_events, the (trial, sample) pairs kept.
     """
 
     def __init__(self, n_tr: int, n: int, init, log_events: bool):
@@ -469,12 +472,12 @@ class _Tally:
         low_on = np.count_nonzero(low & branch, axis=1)
         self.conn[:, n0:n1] = t - on, on
         self.outb[:, n0:n1] = np.count_nonzero(low, axis=1) - low_on, low_on
-        self.switches += count_switches(serving.T, self.serving)
         self.outages += np.count_nonzero(low, axis=0)
+        changed = np.empty(serving.shape, dtype=bool)
+        np.not_equal(serving[0], self.serving, out=changed[0])
+        np.not_equal(serving[1:], serving[:-1], out=changed[1:])
+        self.switches += np.count_nonzero(changed, axis=0)
         if self.events is not None:
-            changed = np.empty(serving.shape, dtype=bool)
-            np.not_equal(serving[0], self.serving, out=changed[0])
-            np.not_equal(serving[1:], serving[:-1], out=changed[1:])
             sample, trial = np.nonzero(changed)
             self.events.append((trial, sample + n0))
         self.serving = serving[-1]
@@ -497,23 +500,23 @@ def _decide(estimate, x, h_tables, beta, pair, init, h_fallback, block, log_even
     walked in blocks of `block` samples; {label: _Tally.counts()}.
 
     x is the C-contiguous [N, S, T] powers, read in place. estimate(n0, n1)
-    gives the C-contiguous [K, S, T] estimates of samples n0 .. n1 - 1
-    (serving_series reads a [T, S, K] view of them), and every policy
-    decides and tallies a block, resuming from the serving cells the block
-    before left, before the next block is estimated. Every sample sees the
-    same operations whatever the block, so the counts do not depend on it;
-    on whole arrays (estimate slicing [N, S, T] estimates, block = N) this
+    gives the C-contiguous [K, S, T] estimates of samples n0 .. n1 - 1,
+    which serving_series reads as they are, and every policy decides and
+    tallies a block, resuming from the serving cells the block before
+    left, before the next block is estimated. Every sample sees the same
+    operations whatever the block, so the counts do not depend on it; on
+    whole arrays (estimate slicing [N, S, T] estimates, block = N) this
     is one block.
     """
     n, _, n_tr = x.shape
     tallies = {label: _Tally(n_tr, n, init, log_events) for label in h_tables}
     for n0 in range(0, n, block):
         n1 = min(n0 + block, n)
-        est = estimate(n0, n1).transpose(2, 1, 0)
+        est = estimate(n0, n1)
         for label, h_table in h_tables.items():
             tally = tallies[label]
             serving = serving_series(est, h_table, pair, tally.serving, h_fallback, n0)
-            tally.add(serving.T, x, n0, beta, pair[0])
+            tally.add(serving, x, n0, beta, pair[0])
     return {label: tally.counts() for label, tally in tallies.items()}
 
 

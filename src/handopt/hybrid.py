@@ -21,7 +21,9 @@ On S cells the serving cell s faces its rival c, the strongest other cell
 or when l_s(n) - l_c(n) = -h(n) and c < s: the lower cell index wins every
 tie. On two cells that is the rule above, since l_1 - l_0 is exactly -y in
 floating point, so serving_series, the one recursion, reads the stacked
-[l_0, l_1] estimates directly.
+[l_0, l_1] estimates directly. It takes them in the simulator's block
+layout, [K samples, S cells, T trials], and returns the [K, T] serving
+cells, so the simulator hands its blocks over as they are.
 
 Only the discrete rule is code. The affine l-row update
 l_s(n+1) = l_s(n) + G_s(n+1) p_s(n+1) holds only for coefficient schemes
@@ -39,13 +41,16 @@ import numpy as np
 def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> np.ndarray:
     """Serving cell at every sample by the hysteresis rule, as int16.
 
-    est holds the estimates of S cells at samples n0 .. n0 + K - 1, shape
-    [..., S, K]; the result has shape [..., K]. init is the serving cell
-    before sample n0, one for all trials or one per trial (shape [...]).
-    The margin at sample n is h_table[n, k] while serving pair[k, n-1]
-    (pair[k, 0] at n = 0) and h_fallback while serving a cell outside the
-    [2, N] pair; h_table and pair are indexed by absolute sample, so they
-    cover the whole trace, and every margin must be nonnegative.
+    est holds the estimates of S cells in T trials at samples n0 .. n0 +
+    K - 1, sample-major with the trials innermost, shape [K, S, T], as the
+    simulator's estimate blocks are laid out; every sample reads one
+    contiguous [S, T] row of such a buffer. The result has shape [K, T].
+    init is the serving cell before sample n0, one for all trials or one
+    per trial (shape [T]). The margin at sample n is h_table[n, k] while
+    serving pair[k, n-1] (pair[k, 0] at n = 0) and h_fallback while serving
+    a cell outside the [2, N] pair; h_table and pair are indexed by
+    absolute sample, so they cover the whole trace, and every margin must
+    be nonnegative.
 
     Resuming is exact: a trace split at any samples, each piece decided
     from the last serving cells of the piece before it (init) at its first
@@ -57,17 +62,8 @@ def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> 
     h = 0 means the runner-up has the higher index. So each sample compares
     the serving cell with the strongest cell (lowest index among equals),
     which changes nothing where the two coincide.
-
-    The recursion runs over sample-major, trial-innermost [K, S, B]
-    estimates, so every sample reads one contiguous [S, B] row; a [B, S, K]
-    view of such a buffer (the simulator's estimate blocks, transposed) is
-    read without a copy, and the result is then a [B, K] view of a [K, B]
-    array.
     """
-    n_bs, n = est.shape[-2:]
-    batch = est.shape[:-2]
-    est = np.ascontiguousarray(est.reshape((-1, n_bs, n)).transpose(2, 1, 0))
-    n_tr = est.shape[-1]
+    n, n_bs, n_tr = est.shape
     # neg_h[i, s]: minus the margin applied at sample n0 + i while serving s
     rows = np.arange(n)
     prev = np.maximum(n0 + rows - 1, 0)
@@ -80,7 +76,7 @@ def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> 
         best += (est[:, s] > best_est) * (s - best)
         np.maximum(best_est, est[:, s], out=best_est)
     trials = np.arange(n_tr)
-    serving = np.broadcast_to(np.asarray(init, dtype=np.int16), batch).reshape(n_tr).copy()
+    serving = np.full(n_tr, init, dtype=np.int16)
     out = np.empty((n, n_tr), dtype=np.int16)
     for i in range(n):
         lim = neg_h[i][serving]
@@ -91,13 +87,4 @@ def serving_series(est, h_table, pair, init, h_fallback: float, n0: int = 0) -> 
         switch |= (best[i] < serving) & ~(gap > lim)
         np.copyto(serving, best[i], where=switch)
         out[i] = serving
-    return out.T.reshape(batch + (n,))
-
-
-def count_switches(b_series: np.ndarray, b_init: int = 0) -> np.ndarray:
-    """Number of connection changes along the last axis, including the first
-    sample's change away from b_init (one state for every series, or one
-    per series); the series holds BS indicators or serving cells."""
-    b = np.asarray(b_series)
-    first = (b[..., 0] != b_init).astype(np.int64)
-    return first + np.count_nonzero(b[..., 1:] != b[..., :-1], axis=-1)
+    return out

@@ -12,8 +12,8 @@ to a memory of `depth` samples; the remainder factorizes against the
 connected-state probability at the truncation point (the one approximation
 in the exact method, negligible once the shadowing has decorrelated across
 the window). Within-window terms are evaluated by exact_prob through the
-process's memo (GapProcess.prob), so a box shared by several terms or
-series is integrated once. Every term's law is a slice of the process's
+process's chain memo (below), so a box shared by several terms or series
+is integrated once. Every term's law is a slice of the process's
 block law of its earliest sample (GapProcess.joint), one y_stats call per
 block: a term spans at most depth + 1 samples, so the series need depth
 <= the process's block overlap.
@@ -29,9 +29,11 @@ Each GapProcess gets a chain memo here, weakly keyed by the process, so it
 lives exactly as long as the process object. It keeps every connection
 sweep, keyed by all of its arguments (n_last, the margins' bytes, depth,
 b_init, method, mc_samples, seed), so the three series share one sweep;
-and, for the pairwise method, every one- and two-constraint box
-probability and every telescope value by its constraint tuple. Memoized
-arrays are read-only; connection_series returns copies.
+every box probability either method evaluates, keyed by its constraint
+tuple (plus mc_samples and the term's seed for three or more
+constraints), the package's only box memo; and, for the pairwise method,
+every telescope value by its constraint tuple. Memoized arrays are
+read-only; connection_series returns copies.
 
 Naming: p_h01 is the probability of a margin crossing that lands the MT on
 BS0 (upper exit while previously on BS1); p_h10 the reverse switch onto
@@ -55,6 +57,7 @@ from .gaussian import (
     EventSpec,
     GapProcess,
     _check_mc_args,
+    exact_prob,
     gap_above,
     gap_below,
     gap_inside,
@@ -114,7 +117,7 @@ class _ChainMemo:
 
     def __init__(self):
         self.sweeps = {}  # sweep arguments -> read-only connection arrays
-        self.boxes = {}  # one or two constraints -> their box probability
+        self.boxes = {}  # box key (see _box) -> its ProbResult
         self.values = {}  # pairwise constraint tuple -> telescope value
 
 
@@ -122,13 +125,17 @@ class _ChainMemo:
 _CHAINS = weakref.WeakKeyDictionary()
 
 
-def _box(process, memo, cs) -> float:
-    """Probability of the box of one or two constraints, validated through
-    EventSpec and integrated on first use."""
-    p = memo.boxes.get(cs)
-    if p is None:
-        p = memo.boxes[cs] = process.prob(EventSpec(cs)).estimate
-    return p
+def _box(process, memo, cs, mc_samples: int = 1_000_000, seed: int = 0):
+    """The ProbResult of the box of the constraint tuple cs, validated
+    through EventSpec and integrated by exact_prob on first use. The key is
+    cs, plus the Monte Carlo arguments for three or more constraints, the
+    only boxes whose value can depend on them."""
+    key = cs if len(cs) < 3 else (cs, mc_samples, seed)
+    r = memo.boxes.get(key)
+    if r is None:
+        ev = EventSpec(cs)
+        r = memo.boxes[key] = exact_prob(process.joint(ev.labels), ev, mc_samples, seed)
+    return r
 
 
 def _telescope(process, memo, cs) -> float:
@@ -144,13 +151,13 @@ def _telescope(process, memo, cs) -> float:
     k = len(cs)
     while k > 1 and cs[:k] not in values:
         k -= 1
-    v = values[cs[:k]] if k > 1 else _box(process, memo, cs[:1])
+    v = values[cs[:k]] if k > 1 else _box(process, memo, cs[:1]).estimate
     prev = next(c for c in reversed(cs[:k]) if c[0][0] == "y")
     for i in range(k, len(cs)):
         c = cs[i]
         if v > 0.0:
-            marg = _box(process, memo, (prev,))
-            v = v * (_box(process, memo, (prev, c)) / marg) if marg > 0.0 else 0.0
+            marg = _box(process, memo, (prev,)).estimate
+            v = v * (_box(process, memo, (prev, c)).estimate / marg) if marg > 0.0 else 0.0
         else:
             v = 0.0
         values[cs[: i + 1]] = v
@@ -165,8 +172,8 @@ def _eval_term(process, memo, constraints, method, mc_samples, seed):
         return 1.0, 0.0
     if method == "pairwise":
         return _telescope(process, memo, constraints), 0.0
-    ev = EventSpec(constraints)
-    r = process.prob(ev, mc_samples, _term_seed(seed, ev.constraints))
+    cs = EventSpec(constraints).constraints
+    r = _box(process, memo, cs, mc_samples, _term_seed(seed, cs))
     return r.estimate, r.stderr
 
 

@@ -1,15 +1,17 @@
-"""Cell geometry, mobility traces and scenario configuration.
+"""Cell geometry and scenario configuration.
 
 Distances are in meters, powers in dB, speeds in m/s. A scenario couples a
-static cell layout with a sampled straight-line mobility trace and one
-channel parameter set per base station.
+static cell layout with a straight-line trip and one channel parameter set
+per base station; the trip enters the rest of the package only as the
+[S, N] distances from every station to every sample
+(ScenarioConfig.distances_m).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,96 +86,17 @@ class CellLayout:
         return self.bs_xy.shape[0]
 
 
-def two_cell_layout(spacing_m: float = 2000.0, cell_radius_m: float = 1000.0) -> CellLayout:
-    """Two base stations on the x axis, the first at the origin."""
-    return CellLayout(np.array([[0.0, 0.0], [spacing_m, 0.0]]), cell_radius_m)
-
-
 def cell_row_layout(
     n_cells: int = 8, spacing_m: float = 2000.0, cell_radius_m: float = 1000.0
 ) -> CellLayout:
     """A row of equally spaced base stations along the x axis."""
     if n_cells < 2:
         raise ConfigurationError("cell_row_layout needs at least two cells")
-    xs = spacing_m * np.arange(n_cells, dtype=float)
+    # Python float products, which overflow to inf or NaN without the
+    # RuntimeWarning numpy would print: CellLayout rejects them as a config
+    # error
+    xs = [float(spacing_m) * i for i in range(n_cells)]
     return CellLayout(np.column_stack([xs, np.zeros(n_cells)]), cell_radius_m)
-
-
-@dataclass(frozen=True)
-class MobilityTrace:
-    """Positions of the terminal sampled at a constant interval.
-
-    Consecutive samples are exactly ``speed * interval`` meters apart.
-    """
-
-    positions_xy: np.ndarray  # shape [N, 2]
-    speed_mps: float
-    sample_interval_s: float
-
-    def __post_init__(self):
-        xy = np.atleast_2d(np.asarray(self.positions_xy, dtype=float))
-        if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] < 1:
-            raise ConfigurationError("trace needs at least one (x, y) sample")
-        if not (self.speed_mps > 0.0 and self.sample_interval_s > 0.0):
-            raise ConfigurationError("speed and sample interval must be positive")
-        if xy.shape[0] > 1:
-            step = np.sqrt(np.diff(xy, axis=0) ** 2 @ [1.0, 1.0])
-            if np.any(np.abs(step - self.step_m) > 1e-9):
-                raise ConfigurationError("trace samples must be equally spaced at speed*interval")
-        object.__setattr__(self, "positions_xy", xy)
-
-    @property
-    def n_samples(self) -> int:
-        return self.positions_xy.shape[0]
-
-    @property
-    def step_m(self) -> float:
-        return self.speed_mps * self.sample_interval_s
-
-
-def build_linear_trace(
-    layout: CellLayout,
-    start_offset_m: float,
-    length_m: float,
-    speed_mps: float,
-    sample_interval_s: float,
-) -> MobilityTrace:
-    """Straight trace from the first base station toward the second.
-
-    The terminal starts ``start_offset_m`` from the first base station along
-    the line through the first two, and advances ``speed * interval`` meters
-    per sample until ``length_m`` is covered. ``length_m = 0`` yields a single
-    sample. The trace must stay within the area served by the layout.
-    """
-    if speed_mps <= 0.0 or sample_interval_s <= 0.0:
-        raise ConfigurationError("speed and sample interval must be positive")
-    if length_m < 0.0:
-        raise ConfigurationError("length_m must be nonnegative")
-    if start_offset_m < 0.0:
-        raise ConfigurationError("start_offset_m must be nonnegative")
-    direction = layout.bs_xy[1] - layout.bs_xy[0]
-    direction = direction / np.linalg.norm(direction)
-    # Farthest BS projection bounds how far the trace may extend.
-    proj = (layout.bs_xy - layout.bs_xy[0]) @ direction
-    max_reach = proj.max() + layout.cell_radius_m
-    if start_offset_m + length_m > max_reach + 1e-9:
-        raise ConfigurationError(
-            f"trace extends to {start_offset_m + length_m:.1f} m, beyond layout reach {max_reach:.1f} m"
-        )
-    step = speed_mps * sample_interval_s
-    n = int(math.floor(length_m / step + 1e-9)) + 1
-    offsets = start_offset_m + step * np.arange(n)
-    xy = layout.bs_xy[0] + offsets[:, None] * direction[None, :]
-    return MobilityTrace(xy, speed_mps, sample_interval_s)
-
-
-def distances(trace: MobilityTrace, layout: CellLayout) -> np.ndarray:
-    """Euclidean distance from every base station to every trace sample, [S, N]."""
-    diff = layout.bs_xy[:, None, :] - trace.positions_xy[None, :, :]
-    d = np.sqrt((diff**2).sum(-1))
-    if d.min() <= 0.0:
-        raise ConfigurationError("terminal position coincides with a base station")
-    return d
 
 
 @dataclass(frozen=True)
@@ -238,7 +161,7 @@ class ScenarioConfig:
         if not (0.0 < self.h_max_db < math.inf and 0.0 < self.h_step_db < math.inf):
             raise ConfigurationError("hysteresis grid must have finite positive extent and step")
         # q + 1e-9 < cap <=> floor(q + 1e-9) + 1 <= cap, the count that
-        # build_linear_trace and TrellisProblem.grid take of a quotient q
+        # distances_m and TrellisProblem.grid take of a quotient q
         step = self.step_m
         if not (step > 0.0 and self.length_m / step + 1e-9 < _MAX_SAMPLES):
             raise ConfigurationError(f"the trace would hold more than {_MAX_SAMPLES} samples")
@@ -268,7 +191,7 @@ class ScenarioConfig:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
         # Every trace sample lies within `far` of every station, so the
-        # squared distances distances() sums in numpy stay below far * far,
+        # squared distances distances_m sums in numpy stay below far * far,
         # up to rounding, for which the factor 2 leaves room. Python floats
         # overflow to inf here without the RuntimeWarning numpy would give.
         pts = self.layout.bs_xy.tolist()
@@ -277,13 +200,39 @@ class ScenarioConfig:
         if not math.isfinite(2.0 * far * far):
             raise ConfigurationError("the trace's distances to the base stations must be finite")
 
-    def trace(self) -> MobilityTrace:
-        return build_linear_trace(
-            self.layout, self.start_offset_m, self.length_m, self.speed_mps, self.sample_interval_s
-        )
-
     def distances_m(self) -> np.ndarray:
-        return distances(self.trace(), self.layout)
+        """Distance from every base station to every trace sample, [S, N].
+
+        The terminal starts start_offset_m from the first base station on
+        the line through the first two, and advances step_m per sample until
+        length_m is covered; length_m = 0 gives one sample. The trace must
+        stay within the layout's reach (the farthest station's projection
+        on that line plus the cell radius), keep its samples step_m apart
+        in floating point and pass no station.
+        """
+        if self.length_m < 0.0:
+            raise ConfigurationError("length_m must be nonnegative")
+        if self.start_offset_m < 0.0:
+            raise ConfigurationError("start_offset_m must be nonnegative")
+        bs = self.layout.bs_xy
+        direction = bs[1] - bs[0]
+        direction = direction / np.linalg.norm(direction)
+        max_reach = ((bs - bs[0]) @ direction).max() + self.layout.cell_radius_m
+        end = self.start_offset_m + self.length_m
+        if end > max_reach + 1e-9:
+            raise ConfigurationError(
+                f"trace extends to {end:.1f} m, beyond layout reach {max_reach:.1f} m"
+            )
+        step = self.step_m
+        n = int(math.floor(self.length_m / step + 1e-9)) + 1
+        xy = bs[0] + (self.start_offset_m + step * np.arange(n))[:, None] * direction
+        # past offsets of about 1e7 m, float positions round to uneven steps
+        if np.any(np.abs(np.sqrt(np.diff(xy, axis=0) ** 2 @ [1.0, 1.0]) - step) > 1e-9):
+            raise ConfigurationError("trace samples must be equally spaced at speed*interval")
+        d = np.sqrt(((bs[:, None, :] - xy) ** 2).sum(-1))
+        if d.min() <= 0.0:
+            raise ConfigurationError("terminal position coincides with a base station")
+        return d
 
     @property
     def step_m(self) -> float:
@@ -312,7 +261,7 @@ _VEHICULAR = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0,
 
 def _paper_vi() -> ScenarioConfig:
     return ScenarioConfig(
-        layout=two_cell_layout(2000.0, 1000.0),
+        layout=cell_row_layout(2, 2000.0, 1000.0),
         start_offset_m=750.0,
         length_m=500.0,
         speed_mps=13.0,

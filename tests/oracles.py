@@ -2,6 +2,7 @@
 whole-trace drivers of the kernels the package runs block by block."""
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -27,6 +28,7 @@ from handopt.gaussian import (
     GapProcess,
     _cholesky_jittered,
     bvn_cdf_lattice,
+    exact_prob,
     gap_above,
     gap_below,
     gap_inside,
@@ -635,6 +637,20 @@ class LabelLawProcess(GapProcess):
 
 # --- the pairwise chains term by term, one sweep per series ----------------
 
+# process -> {constraint tuple: box probability}, dropped with the process
+_BOXES = weakref.WeakKeyDictionary()
+
+
+def _box(process, *cs) -> float:
+    """exact_prob of the box of these constraints on the process's joint
+    law, integrated once per process."""
+    boxes = _BOXES.setdefault(process, {})
+    p = boxes.get(cs)
+    if p is None:
+        ev = EventSpec(cs)
+        p = boxes[cs] = exact_prob(process.joint(ev.labels), ev).estimate
+    return p
+
 
 def pairwise_chain(process, constraints) -> float:
     """Markov telescope of one chain term, re-derived from its first
@@ -643,14 +659,14 @@ def pairwise_chain(process, constraints) -> float:
     p_cs = [c for c in constraints if c[0][0] == "p"]
     factors = y_cs[1:] + p_cs
     prev = y_cs[0]
-    prob = marg = process.prob(EventSpec((prev,))).estimate
+    prob = marg = _box(process, prev)
     for k, c in enumerate(factors):
         if prob <= 0.0 or marg <= 0.0:
             return 0.0
-        prob *= process.prob(EventSpec((prev, c))).estimate / marg
+        prob *= _box(process, prev, c) / marg
         if c[0][0] == "y" and k + 1 < len(factors):
             prev = c
-            marg = process.prob(EventSpec((prev,))).estimate
+            marg = _box(process, prev)
     return prob
 
 
@@ -800,10 +816,10 @@ def series_estimates(
 
 
 def two_cell_decisions(est, h, b_init):
-    """The BS indicator b(n) by serving_series on [..., 2, N] estimates of
-    two cells, under a scalar, [N] or [N, 2] margin h: the paper's rule on
-    y = est[..., 0, :] - est[..., 1, :]."""
-    n = est.shape[-1]
+    """The [N, T] BS indicators b(n) by serving_series on [N, 2, T]
+    estimates of two cells, under a scalar, [N] or [N, 2] margin h: the
+    paper's rule on y = est[:, 0] - est[:, 1]."""
+    n = est.shape[0]
     h = np.asarray(h, dtype=float)
     h_tab = np.broadcast_to(h[:, None] if h.ndim == 1 else h, (n, 2))
     return serving_series(est, h_tab, np.repeat([[0], [1]], n, axis=1), b_init, 0.0)

@@ -656,6 +656,30 @@ def test_layout_out_of_float_range_is_one_json_line_and_nothing_else():
     )
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        ["--preset", "vehicular-cell-row", "--spacing-m", "inf"],
+        ["--preset", "vehicular-cell-row", "--spacing-m", "1e308"],
+        ["--preset", "paper-vi", "--cells", "3", "--spacing-m", "inf"],
+    ],
+)
+def test_row_coordinates_out_of_float_range_are_one_json_line(layout):
+    # a row's x coordinates inf * 0 or 1e308 * 2 are a config error, with
+    # no numpy warning printed before its line (a fresh process, as above)
+    proc = subprocess.run(
+        [sys.executable, "-m", "handopt.cli", "simulate", "--trials", "2"] + layout,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        '{"error": {"code": "config", "message": "base station coordinates must be finite"}}\n'
+    )
+
+
 def test_import_leaves_scipy_signal_and_stats_unloaded():
     # both cost most of a second at start-up and nothing in the package
     # needs them
@@ -1093,3 +1117,4 @@ def test_gap_covariance_overflow_is_one_json_line(run):
     assert out.getvalue() == ""
     (line,) = err.getvalue().splitlines()
     assert json.loads(line)["error"] == {"code": "config", "message": "mu and Sigma must be finite"}
+

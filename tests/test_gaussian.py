@@ -999,8 +999,8 @@ def test_gap_process_prob_against_scipy():
     proc = GapProcess(t0, t1, (ch, ch), d, 6.24, overlap=12)
     assert proc.n_samples == 30
     ev = EventSpec((gap_below(10, 2.0), gap_inside(11, 2.0)))
-    r = proc.prob(ev)
     gv = proc.joint(ev.labels)
+    r = exact_prob(gv, ev)
     want = scipy_box(gv.mu, gv.Sigma, [-INF, -2.0], [-2.0, 2.0])
     assert r.estimate == pytest.approx(want, abs=1e-7)
 

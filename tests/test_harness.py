@@ -221,7 +221,7 @@ def test_opt_margin_tables_build_one_stage_table_per_root_sample(monkeypatch):
     # (root, stage): the law of (y_l, y_0) of that root's window
     laws = count_lattice_laws(monkeypatch)
     cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
-    n_samples = cfg.trace().n_samples
+    n_samples = cfg.distances_m().shape[1]
     tables = opt_margin_tables(cfg)
     assert sorted(tables) == ["opt1", "opt2", "opt3"]
     process = harness._gap_process(cfg)
@@ -330,7 +330,7 @@ def test_opt_margin_tables_equal_the_per_root_oracle(name, updates, speed):
     if speed is not None:
         cfg = harness._speed_variant(cfg, speed, SweepSpec().mode)
     elif name == "paper-vi":
-        assert cfg.trace().n_samples > gaussian._BLOCK_SAMPLES + cfg.horizon
+        assert cfg.distances_m().shape[1] > gaussian._BLOCK_SAMPLES + cfg.horizon
     got = opt_margin_tables(cfg)
     want = oracles.opt_margin_tables(cfg)
     assert sorted(got) == sorted(want) == ["opt1", "opt2", "opt3"]
@@ -723,7 +723,7 @@ def decide_blocks(est, powers, h_tables, beta, pair, init, h_fallback, block):
     x = np.ascontiguousarray(powers.transpose(2, 1, 0))
     decided = _decide(estimate, x, h_tables, beta, pair, init, h_fallback, block, True)
     series = {
-        label: serving_series(est, h_table, pair, init, h_fallback)
+        label: serving_series(estimate(0, est.shape[2]), h_table, pair, init, h_fallback).T
         for label, h_table in h_tables.items()
     }
     return decided, series
@@ -797,6 +797,35 @@ def test_decide_two_cell_breaks_ties_like_the_per_sample_loop(b_init):
     h_tables = {"h=0": np.zeros((n, 2)), "h=1": np.ones((n, 2)), "opt": table}
     args = (est, powers, h_tables, -95.0, b_init)
     assert_decides_like(decide_two_cell, decide_two_cell_loop, args, b_init)
+
+
+def test_decide_counts_the_first_change_and_a_jump_over_cells_once():
+    # one-hot estimates make the serving cells at zero margin; a change at
+    # the first sample counts against the initial cell, and a jump over
+    # several cells is one switch, in one block or in several
+    def decided(cells, init):
+        cells = np.array(cells)
+        n_bs = cells.max() + 1
+        est = (cells[:, None, :] == np.arange(n_bs)[:, None]).astype(float)
+        pair = np.zeros((2, cells.shape[1]), dtype=np.intp)
+        h_tables = {"h=0": np.zeros((cells.shape[1], 2))}
+        counts = set()
+        for block in (4, 1, 3):
+            got, series = decide_blocks(
+                est, np.zeros_like(est), h_tables, -100.0, pair, init, 0.0, block
+            )
+            np.testing.assert_array_equal(series["h=0"], cells)
+            switches, _, times, _, _ = got["h=0"]
+            counts.add((tuple(switches.tolist()), tuple(times.tolist())))
+        (only,) = counts
+        return only
+
+    b = [[1, 1, 0, 1], [0, 0, 0, 0]]
+    assert decided(b, 0) == ((3, 0), (0, 2, 3))
+    assert decided(b, 1) == ((2, 1), (2, 3, 0))
+    assert decided([[1]], 0) == ((1,), (0,))
+    cells = [[3, 3, 5, 2], [4, 4, 4, 4]]
+    assert decided(cells, 3) == ((2, 1), (2, 3, 0))
 
 
 def test_decide_multicell_equals_the_masked_argmax_loop():

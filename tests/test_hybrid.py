@@ -1,4 +1,4 @@
-"""The hysteresis decision rule: scalar spec, series form, switch counts."""
+"""The hysteresis decision rule: scalar spec and series form."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handopt.errors import ConfigurationError
-from handopt.hybrid import count_switches, serving_series
+from handopt.hybrid import serving_series
 from oracles import two_cell_decisions
 
 
@@ -50,24 +50,25 @@ def test_decide_validation():
 
 
 def scalar_loop(y, h_tab, b_init):
-    """b(n) by the scalar rule, margin h_tab[n, b(n-1)]."""
+    """b(n) of the [N, T] gaps y by the scalar rule, margin h_tab[n, b(n-1)]."""
     out = np.empty(y.shape, dtype=np.int8)
-    for t in range(y.shape[0]):
+    for t in range(y.shape[1]):
         prev = b_init
-        for i in range(y.shape[1]):
-            prev = decide(prev, y[t, i], h_tab[i, prev])
-            out[t, i] = prev
+        for i in range(y.shape[0]):
+            prev = decide(prev, y[i, t], h_tab[i, prev])
+            out[i, t] = prev
     return out
 
 
 def gap_decisions(y, h, b_init=0):
-    """b(n) of the gaps y as serving_series decides the estimates [y, 0]."""
-    return two_cell_decisions(np.stack([y, np.zeros_like(y)], axis=-2), h, b_init)
+    """b(n) of the [N, T] gaps y as serving_series decides the [N, 2, T]
+    estimates [y, 0]."""
+    return two_cell_decisions(np.stack([y, np.zeros_like(y)], axis=1), h, b_init)
 
 
 def test_decide_series_matches_scalar_loop():
     rng = np.random.default_rng(7)
-    y = rng.normal(scale=4.0, size=(50, 30))
+    y = rng.normal(scale=4.0, size=(30, 50))
     h = rng.uniform(0.0, 3.0, size=30)
     got = gap_decisions(y, h, b_init=1)
     np.testing.assert_array_equal(got, scalar_loop(y, np.stack([h, h], axis=1), 1))
@@ -93,7 +94,7 @@ def test_decide_series_equals_the_scalar_rule_on_random_tables(n, trials, b_init
     # gaps are NaN or infinite, which the scalar rule sends to BS0 (NaN,
     # +inf) or BS1 (-inf)
     table = rng.integers(0, 4, size=(n, 2)) * 0.5
-    y = rng.integers(-8, 9, size=(trials, n)) * 0.5
+    y = rng.integers(-8, 9, size=(n, trials)) * 0.5
     odd = rng.random(y.shape)
     y[odd < 0.15] = rng.choice([np.nan, np.inf, -np.inf], size=np.count_nonzero(odd < 0.15))
     with np.errstate(invalid="ignore"):
@@ -113,7 +114,7 @@ def test_cell_recursion_on_two_cells_is_the_paper_rule(n, trials, b_init, seed):
     # rule on their gap; a half-dB grid puts y on +-h and h on 0 often
     rng = np.random.default_rng(seed)
     table = rng.integers(0, 4, size=(n, 2)) * 0.5
-    est = rng.integers(-6, 7, size=(trials, 2, n)) * 0.5
+    est = rng.integers(-6, 7, size=(n, 2, trials)) * 0.5
     pair = np.repeat([[0], [1]], n, axis=1)
     # the fallback margin never applies: the serving cell is always in the pair
     got = serving_series(est, table, pair, b_init, 100.0)
@@ -137,7 +138,7 @@ def test_serving_series_resumes_at_any_split(n, trials, n_bs, cuts, seed):
     # test every tie, and the pair changes along the trace so the margin
     # at a split reads the pair of the sample before it
     rng = np.random.default_rng(seed)
-    est = rng.integers(-6, 7, size=(trials, n_bs, n)) * 0.5
+    est = rng.integers(-6, 7, size=(n, n_bs, trials)) * 0.5
     table = rng.integers(0, 4, size=(n, 2)) * 0.5
     table[rng.random(n) < 0.3] = 0.0
     first = rng.integers(0, n_bs, size=n)
@@ -148,26 +149,16 @@ def test_serving_series_resumes_at_any_split(n, trials, n_bs, cuts, seed):
     bounds = [0, *sorted({c for c in cuts if c < n}), n]
     serving, pieces = init, []
     for n0, n1 in zip(bounds[:-1], bounds[1:]):
-        piece = serving_series(est[..., n0:n1], table, pair, serving, h_fallback, n0)
+        piece = serving_series(est[n0:n1], table, pair, serving, h_fallback, n0)
         pieces.append(piece)
-        serving = piece[..., -1]
-    got = np.concatenate(pieces, axis=-1)
+        serving = piece[-1]
+    got = np.concatenate(pieces)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
 
 def test_decide_series_scalar_margin_and_validation():
-    y = np.array([-3.0, 1.0, 3.0, 1.0])
-    np.testing.assert_array_equal(gap_decisions(y, 2.0), [1, 1, 0, 0])
-    np.testing.assert_array_equal(gap_decisions(y, 2.0, b_init=1), [1, 1, 0, 0])
-    np.testing.assert_array_equal(gap_decisions(np.array([1.0]), 2.0, b_init=1), [1])
-
-
-def test_count_switches_includes_initial_change():
-    b = np.array([[1, 1, 0, 1], [0, 0, 0, 0]])
-    np.testing.assert_array_equal(count_switches(b, b_init=0), [3, 0])
-    np.testing.assert_array_equal(count_switches(b, b_init=1), [2, 1])
-    assert count_switches(np.array([1]), b_init=0) == 1
-    # serving cells: a jump over several cells is one switch
-    cells = np.array([[3, 3, 5, 2], [4, 4, 4, 4]], dtype=np.int16)
-    np.testing.assert_array_equal(count_switches(cells, b_init=3), [2, 1])
+    y = np.array([[-3.0], [1.0], [3.0], [1.0]])
+    np.testing.assert_array_equal(gap_decisions(y, 2.0), [[1], [1], [0], [0]])
+    np.testing.assert_array_equal(gap_decisions(y, 2.0, b_init=1), [[1], [1], [0], [0]])
+    np.testing.assert_array_equal(gap_decisions(np.array([[1.0]]), 2.0, b_init=1), [[1]])

@@ -50,7 +50,7 @@ def simulate_decisions(d, channels, tables, h, trials, seed, b_init=0):
     rng = np.random.default_rng(seed)
     powers = draw_powers(channels, d, STEP, rng, n_trials=trials)
     est = table_estimates(np.stack(tables), powers)
-    return two_cell_decisions(est, h, b_init), powers
+    return two_cell_decisions(est.transpose(2, 1, 0), h, b_init).T, powers
 
 
 TRIALS = 40_000
@@ -202,7 +202,7 @@ def test_argument_validation():
 def test_series_reject_samples_beyond_the_trace_before_any_box(monkeypatch, n_last):
     proc, _, _, _ = build_process()
     calls = []
-    monkeypatch.setattr(proc, "prob", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(metrics, "exact_prob", lambda *a, **k: calls.append(a))
     for series in (
         lambda: connection_series(proc, n_last, 2.0, depth=8),
         lambda: handover_series(proc, n_last, 2.0, depth=8),
@@ -223,7 +223,7 @@ def test_series_reject_samples_beyond_the_trace_before_any_box(monkeypatch, n_la
 def test_series_reject_bad_monte_carlo_arguments_before_any_box(monkeypatch, bad):
     proc, _, _, _ = build_process()
     calls = []
-    monkeypatch.setattr(proc, "prob", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(metrics, "exact_prob", lambda *a, **k: calls.append(a))
     for method in ("exact", "pairwise"):
         for series in (
             lambda: connection_series(proc, 5, 2.0, depth=8, method=method, **bad),
@@ -404,14 +404,25 @@ def test_pairwise_series_equal_the_per_term_oracle_on_random_margins(
         np.testing.assert_array_equal(a, w)
 
 
-def test_pairwise_series_integrate_each_box_once():
-    # the chain-pairwise slice: 117 distinct boxes, each handed to the
-    # process once (the per-term chains asked for them 2445 times)
+def counted_exact_prob(monkeypatch):
+    """The events metrics hands to exact_prob from now on, in call order."""
+    calls = []
+    real = metrics.exact_prob
+
+    def counting(gv, ev, *a, **k):
+        calls.append(ev.constraints)
+        return real(gv, ev, *a, **k)
+
+    monkeypatch.setattr(metrics, "exact_prob", counting)
+    return calls
+
+
+def test_pairwise_series_integrate_each_box_once(monkeypatch):
+    # the chain-pairwise slice: 117 distinct boxes, each integrated once
+    # (the per-term chains asked for them 2445 times)
     cfg = preset("paper-vi").with_updates(start_offset_m=975.0, length_m=50.0)
     proc = _gap_process(cfg)
-    calls = []
-    prob = proc.prob
-    proc.prob = lambda ev, *a, **k: calls.append(ev.constraints) or prob(ev, *a, **k)
+    calls = counted_exact_prob(monkeypatch)
     n_last, depth = proc.n_samples - 1, cfg.resolved_depth()
     kw = dict(b_init=cfg.b_init, method="pairwise")
     handover_series(proc, n_last, 2.0, depth, **kw)
@@ -436,14 +447,32 @@ def test_returned_series_do_not_alias_the_chain_memo(method):
         np.testing.assert_array_equal(a, w)
 
 
-def test_a_fresh_process_builds_its_own_chains():
+def test_exact_series_reintegrate_only_the_seeded_boxes(monkeypatch):
+    # the chain memo keys a box of one or two constraints by its constraints
+    # alone, and one of three or more also by mc_samples and the term seed
+    proc, _, _, _ = build_process()
+    calls = counted_exact_prob(monkeypatch)
+    kw = dict(mc_samples=10_000)
+    first = handover_series(proc, 5, 2.0, 3, seed=1, **kw)
+    assert len(calls) == len(set(calls)) and any(len(c) < 3 for c in calls)
+    calls.clear()
+    handover_series(proc, 5, 2.0, 3, seed=2, **kw)
+    assert calls and all(len(c) >= 3 for c in calls)
+    calls.clear()
+    handover_series(proc, 5, 2.0, 3, seed=1, mc_samples=20_000)
+    assert calls and all(len(c) >= 3 for c in calls)
+    calls.clear()
+    for a, w in zip(handover_series(proc, 5, 2.0, 3, seed=1, **kw), first):
+        np.testing.assert_array_equal(a, w)
+    assert calls == []
+
+
+def test_a_fresh_process_builds_its_own_chains(monkeypatch):
     kw = dict(method="pairwise")
     proc, _, _, _ = build_process()
     first = handover_series(proc, 9, 2.0, 8, **kw)
     other, _, _, _ = build_process(n_w=2)
-    calls = []
-    prob = other.prob
-    other.prob = lambda ev, *a, **k: calls.append(ev) or prob(ev, *a, **k)
+    calls = counted_exact_prob(monkeypatch)
     second = handover_series(other, 9, 2.0, 8, **kw)
     assert calls
     assert not np.array_equal(first[1], second[1])

@@ -1,4 +1,4 @@
-"""Geometry, traces and scenario configuration."""
+"""Geometry, trace distances and scenario configuration."""
 
 import math
 import warnings
@@ -9,21 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handopt.errors import ConfigurationError
-from handopt.scenario import (
-    CellLayout,
-    ScenarioConfig,
-    build_linear_trace,
-    cell_row_layout,
-    distances,
-    preset,
-    two_cell_layout,
-)
+from handopt.scenario import CellLayout, ScenarioConfig, cell_row_layout, preset
 
 
 def test_two_cell_layout_geometry():
-    lay = two_cell_layout(2000.0, 1000.0)
+    lay = cell_row_layout(2, 2000.0, 1000.0)
     assert lay.n_bs == 2
-    np.testing.assert_allclose(lay.bs_xy, [[0.0, 0.0], [2000.0, 0.0]])
+    np.testing.assert_array_equal(lay.bs_xy, [[0.0, 0.0], [2000.0, 0.0]])
 
 
 def test_cell_row_layout_geometry():
@@ -37,9 +29,9 @@ def test_cell_row_layout_geometry():
 
 def test_layout_validation():
     with pytest.raises(ConfigurationError):
-        two_cell_layout(0.0)  # coincident stations
+        cell_row_layout(2, 0.0)  # coincident stations
     with pytest.raises(ConfigurationError):
-        two_cell_layout(2000.0, 0.0)
+        cell_row_layout(2, 2000.0, 0.0)
 
 
 def test_layout_too_wide_to_square_is_a_config_error_without_warnings():
@@ -51,45 +43,71 @@ def test_layout_too_wide_to_square_is_a_config_error_without_warnings():
                    [[0.0, 0.0], [1.0, 0.0], [0.0, 2e154]]):
             with pytest.raises(ConfigurationError, match="distances must be finite"):
                 CellLayout(np.array(xy), 1000.0)
-        wide = two_cell_layout(1e150, 1000.0)
+        wide = cell_row_layout(2, 1e150, 1000.0)
     assert wide.bs_xy[1, 0] == 1e150
 
 
+def two_cell_trip(start_offset_m, length_m, spacing_m=2000.0, cell_radius_m=1000.0):
+    """paper-vi with its two stations spacing_m apart and this trip."""
+    return preset("paper-vi").with_updates(
+        layout=cell_row_layout(2, spacing_m, cell_radius_m),
+        start_offset_m=start_offset_m,
+        length_m=length_m,
+    )
+
+
 def test_linear_trace_sampling():
-    lay = two_cell_layout()
-    tr = build_linear_trace(lay, 750.0, 500.0, 13.0, 0.48)
-    assert tr.step_m == pytest.approx(6.24)
-    assert tr.n_samples == 81
-    np.testing.assert_allclose(tr.positions_xy[0], [750.0, 0.0])
-    np.testing.assert_allclose(tr.positions_xy[-1, 0], 750.0 + 80 * 6.24)
-    single = build_linear_trace(lay, 100.0, 0.0, 13.0, 0.48)
-    assert single.n_samples == 1
+    cfg = two_cell_trip(750.0, 500.0)
+    assert cfg.step_m == pytest.approx(6.24)
+    d = cfg.distances_m()
+    assert d.shape == (2, 81)
+    # the first sample sits start_offset_m from BS0, the last 80 steps on
+    np.testing.assert_allclose(d[:, 0], [750.0, 1250.0])
+    np.testing.assert_allclose(d[0, -1], 750.0 + 80 * 6.24)
+    # a zero length_m is a single sample
+    assert two_cell_trip(100.0, 0.0).distances_m().shape == (2, 1)
+    # 1e16 m out, the float positions lie 6 or 8 m apart, not 6.24 m
+    with pytest.raises(ConfigurationError, match="equally spaced"):
+        two_cell_trip(1e16, 50.0, cell_radius_m=1e17).distances_m()
+    # the trip runs along the line through the first two stations, wherever
+    # they are
+    tilted = cfg.with_updates(layout=CellLayout(np.array([[0.0, 0.0], [0.0, -2000.0]]), 1000.0))
+    np.testing.assert_array_equal(tilted.distances_m(), d)
 
 
 def test_linear_trace_stays_within_reach():
-    lay = two_cell_layout(2000.0, 1000.0)
-    with pytest.raises(ConfigurationError):
-        build_linear_trace(lay, 750.0, 5000.0, 13.0, 0.48)
+    with pytest.raises(ConfigurationError, match="beyond layout reach 3000.0 m"):
+        two_cell_trip(750.0, 5000.0).distances_m()
+    # the reach is the farthest station's projection plus the cell radius,
+    # 3000 m here, with 1e-9 m of slack
+    assert two_cell_trip(750.0, 2250.0).distances_m().shape == (2, 361)
+    assert two_cell_trip(3000.0 + 5e-10, 0.0).distances_m().shape == (2, 1)
+    with pytest.raises(ConfigurationError, match="beyond layout reach"):
+        two_cell_trip(3000.0 + 1e-6, 0.0).distances_m()
+    for field, value in (("length_m", -1.0), ("start_offset_m", -1.0)):
+        with pytest.raises(ConfigurationError, match=f"{field} must be nonnegative"):
+            two_cell_trip(750.0, 500.0).with_updates(**{field: value}).distances_m()
 
 
 def test_distances_matches_hand_formula():
-    lay = two_cell_layout(2000.0, 1000.0)
-    tr = build_linear_trace(lay, 750.0, 500.0, 13.0, 0.48)
-    d = distances(tr, lay)
+    d = two_cell_trip(750.0, 500.0).distances_m()
     assert d.shape == (2, 81)
     x = 750.0 + 6.24 * np.arange(81)
     np.testing.assert_allclose(d[0], x)
     np.testing.assert_allclose(d[1], 2000.0 - x)
+    # a sample on a station is a config error
+    with pytest.raises(ConfigurationError, match="coincides with a base station"):
+        two_cell_trip(0.0, 500.0).distances_m()
 
 
 def test_two_cell_preset():
     cfg = preset("paper-vi")
     assert cfg.layout.n_bs == 2
     assert cfg.step_m == pytest.approx(6.24)
-    assert cfg.trace().n_samples == 81
-    # trace crosses the midpoint between the stations
-    x = cfg.trace().positions_xy[:, 0]
-    assert x[0] < 1000.0 < x[-1]
+    d = cfg.distances_m()
+    assert d.shape[1] == 81
+    # the trace crosses the midpoint between the stations
+    assert d[0, 0] < d[1, 0] and d[0, -1] > d[1, -1]
     # threshold defaults to the mean path loss 20% past the cell edge
     assert cfg.resolved_outage_threshold() == pytest.approx(
         -107.77134361166686, rel=1e-13
@@ -103,7 +121,7 @@ def test_two_cell_preset():
 def test_cell_row_preset():
     cfg = preset("vehicular-cell-row")
     assert cfg.layout.n_bs == 8
-    assert cfg.trace().n_samples == 2004
+    assert cfg.distances_m().shape[1] == 2004
     assert cfg.channels[0].coherence_m == 35.0
     assert cfg.p_out_cap == 0.35
     assert len(cfg.channels) == 8
@@ -156,7 +174,7 @@ def test_config_validation():
 
 
 def test_trace_samples_are_capped():
-    # the cap counts samples as build_linear_trace does: 50,000 samples
+    # the cap counts samples as distances_m does: 50,000 samples
     # pass, 50,001 and a 1e-300 step are config errors
     base = preset("paper-vi").with_updates(length_m=2000.0)
 
@@ -177,7 +195,7 @@ def test_coefficient_tables_are_capped():
     with pytest.raises(ConfigurationError, match="1000000 entries"):
         row.with_updates(n_w=500)
     with pytest.raises(ConfigurationError, match="1000000 entries"):
-        row.with_updates(n_w=row.trace().n_samples)
+        row.with_updates(n_w=row.distances_m().shape[1])
     # a window longer than the trace is clamped to it
     assert preset("paper-vi").with_updates(n_w=10**9).n_w == 10**9
     long = preset("paper-vi").with_updates(
@@ -230,13 +248,13 @@ def test_configs_compare_and_hash_by_value():
     assert len({a, b, preset("vehicular-two-cell")}) == 1
     assert a != preset("vehicular-cell-row")
     assert a != a.with_updates(n_w=5)
-    assert a != a.with_updates(layout=two_cell_layout(2000.0, 1100.0))
-    assert a != a.with_updates(layout=two_cell_layout(2100.0, 1000.0))
+    assert a != a.with_updates(layout=cell_row_layout(2, 2000.0, 1100.0))
+    assert a != a.with_updates(layout=cell_row_layout(2, 2100.0, 1000.0))
     moved = np.array([[0.0, 0.0], [2000.0, 0.0]])
     moved[0, 1] = -0.0
-    assert two_cell_layout() == CellLayout(moved, 1000.0)
-    assert hash(two_cell_layout()) == hash(CellLayout(moved, 1000.0))
-    assert two_cell_layout() != "layout"
+    assert cell_row_layout(2) == CellLayout(moved, 1000.0)
+    assert hash(cell_row_layout(2)) == hash(CellLayout(moved, 1000.0))
+    assert cell_row_layout(2) != "layout"
     assert config_fingerprint(a) == "6a8194a1cc444b65"
     assert config_fingerprint(preset("vehicular-cell-row")) == "f3518f285fe55d46"
 
@@ -265,14 +283,14 @@ VALUES = {k: st.one_of(EXTREME, st.floats(-10.0, 60.0) if k == "length_m" else s
         lambda keys: st.fixed_dictionaries({k: VALUES[k] for k in keys})
     )
 )
-# a trace 1e299 m from the stations: distances() overflowed to inf
+# a trace 1e299 m from the stations: its distances overflowed to inf
 @example({"cell_radius_m": 1e300, "start_offset_m": 1e299, "length_m": 0.0})
 def test_extreme_float_configs_raise_or_have_finite_distances(changes):
     f = {**SLICE, **changes}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            layout = two_cell_layout(f.pop("spacing_m"), f.pop("cell_radius_m"))
+            layout = cell_row_layout(2, f.pop("spacing_m"), f.pop("cell_radius_m"))
             cfg = ScenarioConfig(layout, channels=preset("paper-vi").channels, **f)
             d = cfg.distances_m()
     except ConfigurationError:
