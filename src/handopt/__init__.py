@@ -2,7 +2,7 @@
 
 The package is organized as a pipeline:
 
-* scenario   cell geometry, mobility traces, configuration and presets
+* scenario   cell geometry, the straight trip, configuration and presets
 * channel    log-distance path loss plus exponentially correlated shadowing
 * estimators windowed signal-strength estimators (AVG, LS, ELS, GELS)
 * hybrid     the hysteresis decision rule

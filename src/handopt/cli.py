@@ -241,9 +241,9 @@ def _build_config(args) -> tuple:
         for (section, _), table in _OVERRIDES.items()
     )
     if lay:
-        xs = config.layout.bs_xy[:, 0]
+        (x0, _), (x1, _) = config.layout.bs_xy[:2]
         n = lay.get("n_cells", config.layout.n_bs)
-        spacing = lay.get("spacing_m", float(xs[1] - xs[0]))
+        spacing = lay.get("spacing_m", x1 - x0)
         radius = lay.get("cell_radius_m", config.layout.cell_radius_m)
         scn["layout"] = cell_row_layout(n, spacing, radius)
     if ch or "layout" in scn:
@@ -300,8 +300,8 @@ def _cmd_simulate(args) -> int:
     if result.analytic_p_h is not None:
         summary["analytic"] = {
             "method": run.analytic,
-            "sum_p_h": result.analytic_handover_sum,
-            "sum_p_o": result.analytic_outage_sum,
+            "sum_p_h": float(result.analytic_p_h.sum()),
+            "sum_p_o": float(result.analytic_p_o.sum()),
             "p_h": result.analytic_p_h,
             "p_o": result.analytic_p_o,
             "stderr_h": result.analytic_se_h,
@@ -392,7 +392,7 @@ def _cmd_table(args) -> int:
     spec = SweepSpec(**{k: v for k, v in given.items() if v is not None})
     results = run_table_sweep(config, spec, workers=args.workers)
     fields, rows = sweep_table(results, spec)
-    summary = sweep_summary(config, spec, results, None)
+    summary = sweep_summary(config, spec, results)
     emit(args.csv, args.json, fields, rows, summary)
     print(f"table: {len(rows)} rows over {len(spec.speeds)} speeds x {len(spec.policies)} policies")
     return 0

@@ -15,8 +15,8 @@ the [N, min(n_w, N)] coefficient_table: row n is right-aligned on sample
 n, so the last column weights sample n itself, and entries before sample 0
 are zero. window_estimates contracts such rows with a batch of power
 traces stored sample-major with the trials innermost, [N, S, T], which is
-how the simulator holds them, over any range of samples; the simulator
-asks for one block of block_samples(S, T) samples at a time, and the
+how the simulator holds them, over one range of samples; the caller
+blocks, the simulator by block_samples(S, T) samples at a time, so the
 powers one lag of a block reads form one contiguous slab.
 weight_block lays rows out over a span of samples, which is how
 gaussian.y_stats reads them.
@@ -60,9 +60,9 @@ EPS_COND = 1e-10
 # Below this squared-residual scale the model is treated as exact and the
 # normalized residual is not formed.
 _EMIN_FLOOR = 1e-9
-# Values (links x samples x trials) per block of window_estimates, 512 KB:
-# a block's estimates and the powers its lags read stay in L2 while every
-# lag is added.
+# Values (links x samples x trials) per simulator block, 512 KB: a block's
+# estimates and the powers its lags read stay in L2 while every lag is
+# added.
 _EST_BLOCK_VALUES = 1 << 16
 
 
@@ -130,8 +130,8 @@ def weight_block(table: np.ndarray, rows, first: int, last: int) -> np.ndarray:
 
 
 def block_samples(n_bs: int, n_tr: int) -> int:
-    """Samples per block of window_estimates on S = n_bs links and T = n_tr
-    trials: about _EST_BLOCK_VALUES values, at least one sample."""
+    """Samples per simulator block (one window_estimates call) on S = n_bs
+    links and T = n_tr trials: about _EST_BLOCK_VALUES values, at least one."""
     return max(1, _EST_BLOCK_VALUES // max(1, n_bs * n_tr))
 
 
@@ -146,38 +146,34 @@ def window_estimates(
     (default: all N), summed from the oldest sample of the window to
     sample n: the oldest lag's product is written, each later one added.
     The result is written to out when given, an [n1 - n0, S, T] buffer a
-    caller may reuse from block to block. The lags are accumulated over
-    blocks of block_samples(S, T) samples, so every lag of a block reads
-    its powers from cache; every entry sees the same operations whatever
-    the range and the block, so a range is bit for bit the matching slice
-    of the full call.
+    caller may reuse from block to block. The caller blocks (the simulator
+    by block_samples), so every lag reads its powers from cache; every
+    entry sees the same operations whatever the range, so a range is bit
+    for bit the matching slice of the full call.
     """
     n_bs, n, n_w = tables.shape
     n_tr = x.shape[2]
     n1 = n if n1 is None else n1
-    block = block_samples(n_bs, n_tr)
     if out is None:
         out = np.empty((n1 - n0, n_bs, n_tr))
     # weights[k, s, j]: column j of link s's row for sample k
     weights = tables.transpose(1, 0, 2)
-    prod = np.empty((min(block, n1 - n0), n_bs, n_tr))
-    for b0 in range(n0, n1, block):
-        b1 = min(b0 + block, n1)
-        filled = b1  # out holds a partial sum for samples filled .. b1 - 1
-        for j in range(n_w):
-            back = n_w - 1 - j  # column j weights sample n - back
-            lo = max(b0, back)  # samples before lo have no sample n - back
-            if lo < b1:
-                w = weights[lo:b1, :, j, None]
-                p = x[lo - back : b1 - back]
-                head = filled - lo  # samples lo .. filled - 1 start their sums
-                if head:
-                    np.multiply(w[:head], p[:head], out=out[lo - n0 : filled - n0])
-                if filled < b1:
-                    q = prod[: b1 - filled]
-                    np.multiply(w[head:], p[head:], out=q)
-                    out[filled - n0 : b1 - n0] += q
-                filled = lo
+    prod = np.empty_like(out)
+    filled = n1  # out holds a partial sum for samples filled .. n1 - 1
+    for j in range(n_w):
+        back = n_w - 1 - j  # column j weights sample n - back
+        lo = max(n0, back)  # samples before lo have no sample n - back
+        if lo < n1:
+            w = weights[lo:n1, :, j, None]
+            p = x[lo - back : n1 - back]
+            head = filled - lo  # samples lo .. filled - 1 start their sums
+            if head:
+                np.multiply(w[:head], p[:head], out=out[lo - n0 : filled - n0])
+            if filled < n1:
+                q = prod[: n1 - filled]
+                np.multiply(w[head:], p[head:], out=q)
+                out[filled - n0 : n1 - n0] += q
+            filled = lo
     return out
 
 

@@ -243,8 +243,6 @@ def y_stats(
     step_m: float,
     y_times,
     p_times=(),
-    *,
-    check: bool = True,
 ) -> GaussianVector:
     """Exact joint law of the gap process and selected received powers.
 
@@ -253,7 +251,8 @@ def y_stats(
     sample t, producing l_s(t)); channels the per-link ChannelParams pair;
     distances_m the [2, N] per-link distances. y_times and p_times=(s, t)
     pairs pick the coordinates, which label the returned vector in that
-    order: ("y", t) first, then ("p", s, t).
+    order: ("y", t) first, then ("p", s, t). Callers PSD-check the laws
+    they use (GapProcess.block_stats, exact_prob).
     """
     tables = tuple(np.asarray(t, dtype=float) for t in (table0, table1))
     distances_m = np.asarray(distances_m, dtype=float)
@@ -341,10 +340,7 @@ def y_stats(
         Sigma[np.ix_(idx, idx)] = by_lag[lags]
 
     labels = tuple(("y", t) for t in y_times) + tuple(("p", s, t) for s, t in p_times)
-    gv = GaussianVector(mu, Sigma, labels)
-    if check:
-        check_psd(gv.Sigma, "joint y/p covariance")
-    return gv
+    return GaussianVector(mu, Sigma, labels)
 
 
 def _match_event(gv: GaussianVector, ev: EventSpec):
@@ -826,7 +822,7 @@ class GapProcess:
             ts = range(t0, min(t0 + _BLOCK_SAMPLES + self.overlap, self.n_samples))
             law = y_stats(
                 self.table0, self.table1, self.channels, self.distances_m, self.step_m,
-                ts, [(s, t) for t in ts for s in (0, 1)], check=False,
+                ts, [(s, t) for t in ts for s in (0, 1)],
             )
             if len(self._blocks) == 2:
                 del self._blocks[next(iter(self._blocks))]

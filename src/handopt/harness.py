@@ -202,14 +202,14 @@ def _map_chunks(new_worker, bounds, threads: int):
 
 
 def _block_estimates(
-    config: ScenarioConfig, d: np.ndarray, x: np.ndarray, tables, block: int, buf: np.ndarray
+    config: ScenarioConfig, d: np.ndarray, x: np.ndarray, tables, buf: np.ndarray
 ):
     """Estimates of a chunk's [N, S, T] powers x by sample block: a function
     (n0, n1) -> [n1 - n0, S, T] estimates of samples n0 .. n1 - 1, for
-    consecutive blocks of at most `block` samples.
+    consecutive blocks whose size the caller chooses.
 
     Every block is written into the front of buf, a flat buffer of at least
-    min(block, N) * S * T values, so it is valid until the next call. With
+    (n1 - n0) * S * T values, so it is valid until the next call. With
     tables (avg, ls, and els, which estimates with the ls rows)
     window_estimates computes it. gels has no power-free form: its walk
     (estimators._gels) yields the block's samples one by one and keeps its
@@ -358,11 +358,11 @@ class RunResult:
     per-sample occupancy/outage tallies split by connection branch. On two
     cells the branches are the serving states; on a cell row they are
     serving-the-nearest-cell versus serving-any-other. The trip outage
-    aggregate sums branch-conditional outage frequencies, matching the
-    definition of the per-sample outage probability (conditioned on the
-    connection state, both branches charged). Per-trial outage-sample
-    counts are kept as the unconditional companion. Analytic side (when
-    requested): per-sample switch and outage probability series with
+    aggregate (aggregates()) sums branch-conditional outage frequencies,
+    matching the definition of the per-sample outage probability
+    (conditioned on the connection state, both branches charged). Per-trial
+    outage-sample counts are its unconditional companion. Analytic side
+    (when requested): per-sample switch and outage probability series with
     standard errors, whose sums are the trip aggregates.
 
     config is the scenario the cell ran: in a table sweep, the speed
@@ -386,53 +386,25 @@ class RunResult:
     analytic_se_h: np.ndarray = None
     analytic_se_o: np.ndarray = None
 
-    @property
-    def mean_switches(self) -> float:
-        return float(np.mean(self.switch_counts))
-
-    @property
-    def se_switches(self) -> float:
-        if self.n_trials < 2:
-            return 0.0
-        return float(np.std(self.switch_counts, ddof=1) / math.sqrt(self.n_trials))
-
-    @property
-    def outage_sum(self) -> float:
-        """Sum over samples of serving-branch-conditional outage frequencies.
-
-        Branches a sample never visited contribute nothing; a visited
-        branch contributes its conditional frequency at full weight however
-        rarely it is occupied, mirroring the analytic conditional sum.
-        """
+    def aggregates(self) -> dict:
+        """The trip aggregates. avg_outage sums over samples the
+        serving-branch-conditional outage frequencies: a branch a sample
+        never visited contributes nothing, a visited branch its conditional
+        frequency at full weight however rarely it is occupied, mirroring
+        the analytic conditional sum."""
+        n = self.n_trials
         conn = self.conn_counts
         frac = self.outage_branch_counts / np.maximum(conn, 1)
-        return float(frac[conn > 0].sum())
 
-    @property
-    def mean_outage_samples(self) -> float:
-        return float(np.mean(self.outage_counts))
+        def se(counts):
+            return 0.0 if n < 2 else float(np.std(counts, ddof=1) / math.sqrt(n))
 
-    @property
-    def se_outage_samples(self) -> float:
-        if self.n_trials < 2:
-            return 0.0
-        return float(np.std(self.outage_counts, ddof=1) / math.sqrt(self.n_trials))
-
-    @property
-    def analytic_handover_sum(self):
-        return None if self.analytic_p_h is None else float(self.analytic_p_h.sum())
-
-    @property
-    def analytic_outage_sum(self):
-        return None if self.analytic_p_o is None else float(self.analytic_p_o.sum())
-
-    def aggregates(self) -> dict:
         return {
-            "avg_handovers": self.mean_switches,
-            "se_handovers": self.se_switches,
-            "avg_outage": self.outage_sum,
-            "avg_outage_samples": self.mean_outage_samples,
-            "se_outage_samples": self.se_outage_samples,
+            "avg_handovers": float(np.mean(self.switch_counts)),
+            "se_handovers": se(self.switch_counts),
+            "avg_outage": float(frac[conn > 0].sum()),
+            "avg_outage_samples": float(np.mean(self.outage_counts)),
+            "se_outage_samples": se(self.outage_counts),
         }
 
 
@@ -584,7 +556,7 @@ def _simulate_policies(
             size = min(block, n_samples) * n_bs * n_tr
             if estimates.size < size:
                 estimates = np.empty(size)
-            estimate = _block_estimates(config, d, x, tables, block, estimates)
+            estimate = _block_estimates(config, d, x, tables, estimates)
             return _decide(
                 estimate, x, h_tables, beta, pair, init, config.h_fixed_db, block, log_events
             )
@@ -791,7 +763,7 @@ def sweep_table(results: dict, spec: SweepSpec):
     return fields, rows
 
 
-def sweep_summary(config: ScenarioConfig, spec: SweepSpec, results: dict, seed) -> dict:
+def sweep_summary(config: ScenarioConfig, spec: SweepSpec, results: dict) -> dict:
     cells = {}
     for policy in spec.policies:
         label = _policy_label(policy)
@@ -801,7 +773,7 @@ def sweep_summary(config: ScenarioConfig, spec: SweepSpec, results: dict, seed) 
     return {
         "schema": "table-sweep-v1",
         "config_hash": config_fingerprint(config),
-        "base_seed": config.seed if seed is None else int(seed),
+        "base_seed": config.seed,
         "mode": spec.mode,
         "n_trials": spec.n_trials,
         "speeds": list(spec.speeds),
@@ -890,7 +862,7 @@ def run_accuracy_study(
         ev = EventSpec(tuple(constraints))
         gv = y_stats(
             process.table0, process.table1, process.channels, process.distances_m,
-            process.step_m, range(j, j + k), check=False,
+            process.step_m, range(j, j + k),
         )
         s_ex, s_b1, s_u3 = (
             int(x) for x in np.random.SeedSequence([seed, 2, i]).generate_state(3)

@@ -143,10 +143,6 @@ class TrellisPath:
     feasible: bool = True
     violation: float = 0.0
 
-    @property
-    def n_switches(self) -> int:
-        return sum(1 for e in self.events if e in ("L", "N"))
-
 
 @dataclass(frozen=True, eq=False)
 class TrellisSolution:

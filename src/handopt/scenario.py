@@ -40,9 +40,11 @@ _MAX_DEPTH = _BLOCK_SAMPLES
 
 @dataclass(frozen=True)
 class CellLayout:
-    """Base station positions and a common nominal cell radius."""
+    """Base station positions and a common nominal cell radius. bs_xy holds
+    S (x, y) float pairs, each coordinate plus 0.0 (so -0.0 becomes 0.0):
+    equal layouts hash and print alike, and share one config fingerprint."""
 
-    bs_xy: np.ndarray  # shape [S, 2]
+    bs_xy: tuple  # S (x, y) pairs
     cell_radius_m: float
 
     def __post_init__(self):
@@ -51,10 +53,10 @@ class CellLayout:
             raise ConfigurationError("layout needs at least two (x, y) base stations")
         if not np.all(np.isfinite(xy)):
             raise ConfigurationError("base station coordinates must be finite")
+        pts = tuple((x + 0.0, y + 0.0) for x, y in xy.tolist())
         # squared pair distances in Python floats, which overflow to inf
         # without a numpy warning: stations too far apart for their squared
         # distance to be finite make a config error, not a RuntimeWarning
-        pts = xy.tolist()
         sq = [
             (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1)
             for i, (x0, y0) in enumerate(pts)
@@ -66,24 +68,11 @@ class CellLayout:
             raise ConfigurationError("base stations must be at distinct positions")
         if not (self.cell_radius_m > 0.0 and math.isfinite(self.cell_radius_m)):
             raise ConfigurationError("cell_radius_m must be positive")
-        object.__setattr__(self, "bs_xy", xy)
-
-    def __eq__(self, other):
-        # the generated __eq__ would compare the coordinate arrays as a
-        # tuple element, whose truth value numpy refuses
-        if not isinstance(other, CellLayout):
-            return NotImplemented
-        return self.cell_radius_m == other.cell_radius_m and np.array_equal(
-            self.bs_xy, other.bs_xy
-        )
-
-    def __hash__(self):
-        # float hashing maps -0.0 and 0.0, which compare equal, together
-        return hash((self.cell_radius_m, tuple(self.bs_xy.ravel().tolist())))
+        object.__setattr__(self, "bs_xy", pts)
 
     @property
     def n_bs(self) -> int:
-        return self.bs_xy.shape[0]
+        return len(self.bs_xy)
 
 
 def cell_row_layout(
@@ -96,7 +85,7 @@ def cell_row_layout(
     # RuntimeWarning numpy would print: CellLayout rejects them as a config
     # error
     xs = [float(spacing_m) * i for i in range(n_cells)]
-    return CellLayout(np.column_stack([xs, np.zeros(n_cells)]), cell_radius_m)
+    return CellLayout([(x, 0.0) for x in xs], cell_radius_m)
 
 
 @dataclass(frozen=True)
@@ -194,7 +183,7 @@ class ScenarioConfig:
         # squared distances distances_m sums in numpy stay below far * far,
         # up to rounding, for which the factor 2 leaves room. Python floats
         # overflow to inf here without the RuntimeWarning numpy would give.
-        pts = self.layout.bs_xy.tolist()
+        pts = self.layout.bs_xy
         far = max(math.dist(p, pts[0]) for p in pts)
         far += abs(self.start_offset_m) + abs(self.length_m)
         if not math.isfinite(2.0 * far * far):
@@ -214,7 +203,7 @@ class ScenarioConfig:
             raise ConfigurationError("length_m must be nonnegative")
         if self.start_offset_m < 0.0:
             raise ConfigurationError("start_offset_m must be nonnegative")
-        bs = self.layout.bs_xy
+        bs = np.array(self.layout.bs_xy)
         direction = bs[1] - bs[0]
         direction = direction / np.linalg.norm(direction)
         max_reach = ((bs - bs[0]) @ direction).max() + self.layout.cell_radius_m
@@ -259,25 +248,27 @@ class ScenarioConfig:
 _VEHICULAR = ChannelParams(intercept_db=0.0, slope_db=35.0, shadow_sigma_db=6.0, coherence_m=20.0)
 
 
-def _paper_vi() -> ScenarioConfig:
-    return ScenarioConfig(
-        layout=cell_row_layout(2, 2000.0, 1000.0),
-        start_offset_m=750.0,
-        length_m=500.0,
-        speed_mps=13.0,
-        sample_interval_s=0.48,
-        channels=(_VEHICULAR,),
-        estimator="avg",
-        n_w=4,
-        h_fixed_db=2.0,
-        horizon=4,
-    )
+_PAPER_VI = ScenarioConfig(
+    layout=cell_row_layout(2, 2000.0, 1000.0),
+    start_offset_m=750.0,
+    length_m=500.0,
+    speed_mps=13.0,
+    sample_interval_s=0.48,
+    channels=(_VEHICULAR,),
+    estimator="avg",
+    n_w=4,
+    h_fixed_db=2.0,
+    horizon=4,
+)
 
-
-def _vehicular_cell_row() -> ScenarioConfig:
+# preset name -> its config, shared by every caller: a config, its layout
+# and its channels are frozen and hold no array
+_PRESETS = {
+    "paper-vi": _PAPER_VI,
+    "vehicular-two-cell": _PAPER_VI,
     # open-terrain row: shadowing decorrelates more slowly than on the
     # urban two-cell trace, and the outage budget per stage is looser
-    return ScenarioConfig(
+    "vehicular-cell-row": ScenarioConfig(
         layout=cell_row_layout(8, 2000.0, 1000.0),
         start_offset_m=750.0,
         length_m=12500.0,
@@ -289,15 +280,7 @@ def _vehicular_cell_row() -> ScenarioConfig:
         h_fixed_db=2.0,
         horizon=4,
         p_out_cap=0.35,
-    )
-
-
-# preset name -> builder of a fresh config (a layout's coordinate array is
-# mutable, so no two callers share one)
-_PRESETS = {
-    "paper-vi": _paper_vi,
-    "vehicular-two-cell": _paper_vi,
-    "vehicular-cell-row": _vehicular_cell_row,
+    ),
 }
 
 
@@ -310,4 +293,4 @@ def preset(name: str) -> ScenarioConfig:
     """
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}")
-    return _PRESETS[name]()
+    return _PRESETS[name]

@@ -617,7 +617,7 @@ def label_law(process, labels):
     p_times = [(l[1], l[2]) for l in labels if l[0] == "p"]
     return gaussian.y_stats(
         process.table0, process.table1, process.channels, process.distances_m,
-        process.step_m, y_times, p_times, check=False,
+        process.step_m, y_times, p_times,
     ).subset(labels)
 
 

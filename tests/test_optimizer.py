@@ -218,9 +218,13 @@ def solve_by_paths(problem, tables=None):
                 violation=violation,
             )
         )
+    # then fewer switches, the L and N edges
     best = min(
         paths,
-        key=lambda p: (0 if p.feasible else 1, p.violation, p.cost, p.n_switches, p.margins),
+        key=lambda p: (
+            0 if p.feasible else 1, p.violation, p.cost,
+            sum(e in ("L", "N") for e in p.events), p.margins,
+        ),
     )
     return best, tuple(paths)
 
@@ -678,11 +682,6 @@ def test_build_trellis_enumerates_all_state_sequences():
     assert by_states[(1, 0)] == ("L", "N")
     assert by_states[(1, 1)] == ("L", "L+M")
     assert by_states[(0, 1)] == ("M+N", "L")
-
-
-def test_n_switches_counts_transitions():
-    assert TrellisPath(states=(1, 0), events=("L", "N")).n_switches == 2
-    assert TrellisPath(states=(0, 0), events=("M+N", "M+N")).n_switches == 0
 
 
 def test_grid_covers_zero_to_h_max():

@@ -21,8 +21,9 @@ def test_two_cell_layout_geometry():
 def test_cell_row_layout_geometry():
     lay = cell_row_layout(5, 1500.0, 800.0)
     assert lay.n_bs == 5
-    np.testing.assert_allclose(lay.bs_xy[:, 0], 1500.0 * np.arange(5))
-    assert np.all(lay.bs_xy[:, 1] == 0.0)
+    xs, ys = zip(*lay.bs_xy)
+    np.testing.assert_allclose(xs, 1500.0 * np.arange(5))
+    assert ys == (0.0,) * 5
     with pytest.raises(ConfigurationError):
         cell_row_layout(1)
 
@@ -44,7 +45,7 @@ def test_layout_too_wide_to_square_is_a_config_error_without_warnings():
             with pytest.raises(ConfigurationError, match="distances must be finite"):
                 CellLayout(np.array(xy), 1000.0)
         wide = cell_row_layout(2, 1e150, 1000.0)
-    assert wide.bs_xy[1, 0] == 1e150
+    assert wide.bs_xy[1][0] == 1e150
 
 
 def two_cell_trip(start_offset_m, length_m, spacing_m=2000.0, cell_radius_m=1000.0):
@@ -237,11 +238,13 @@ def test_explicit_depth_is_capped_at_one_block():
 
 
 def test_configs_compare_and_hash_by_value():
-    # layouts compare their coordinate arrays by value; two builds of one
-    # preset are equal, hash alike and keep their fingerprint
+    # layouts compare their coordinates by value; a preset and a copy on a
+    # fresh build of its layout are equal, hash alike and keep their
+    # fingerprint
     from handopt.harness import config_fingerprint
 
-    a, b = preset("paper-vi"), preset("paper-vi")
+    a = preset("paper-vi")
+    b = a.with_updates(layout=cell_row_layout(2, 2000.0, 1000.0))
     assert a.layout is not b.layout
     assert a == b
     assert hash(a) == hash(b)
@@ -258,6 +261,47 @@ def test_configs_compare_and_hash_by_value():
     assert config_fingerprint(a) == "6a8194a1cc444b65"
     assert config_fingerprint(preset("vehicular-cell-row")) == "f3518f285fe55d46"
 
+
+def test_a_negative_zero_station_keeps_the_fingerprint():
+    # -0.0 and 0.0 compare and hash equal; a layout stores 0.0 for both, so
+    # the configs also print alike and share one fingerprint
+    from handopt.harness import config_fingerprint
+
+    base = preset("paper-vi")
+    a = base.with_updates(layout=CellLayout([[-0.0, 0.0], [-2000.0, 0.0]], 1000.0))
+    b = base.with_updates(layout=CellLayout([[0.0, 0.0], [-2000.0, 0.0]], 1000.0))
+    assert a == b and hash(a) == hash(b)
+    assert config_fingerprint(a) == config_fingerprint(b)
+
+
+COORD = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2000.0])
+
+
+@st.composite
+def layout_pairs(draw):
+    """Two-station layouts (a, b): each coordinate of b is a's, a's negated
+    (equal again only where a's is zero) or a fresh draw."""
+    a = [draw(COORD) for _ in range(4)]
+    b = [draw(st.sampled_from([c, -c]) | COORD) for c in a]
+    return np.array(a).reshape(2, 2), [b[:2], b[2:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_pairs())
+def test_equal_layouts_give_equal_config_hashes_and_fingerprints(pair):
+    from handopt.harness import config_fingerprint
+
+    try:
+        la, lb = (CellLayout(xy, 1000.0) for xy in pair)
+    except ConfigurationError:  # coincident stations
+        return
+    base = preset("paper-vi")
+    a, b = base.with_updates(layout=la), base.with_updates(layout=lb)
+    if la == lb:
+        assert hash(la) == hash(lb) and a == b and hash(a) == hash(b)
+        assert config_fingerprint(a) == config_fingerprint(b)
+    else:
+        assert a != b and config_fingerprint(a) != config_fingerprint(b)
 
 
 # extreme floats, each of which some config field must refuse or survive
