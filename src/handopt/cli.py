@@ -291,7 +291,7 @@ def _cmd_simulate(args) -> int:
     summary = {
         "schema": "simulate-v1",
         "config_hash": config_fingerprint(config),
-        "seed": result.base_seed,
+        "seed": config.seed,
         "policy": result.policy,
         "n_trials": result.n_trials,
         "n_cells": config.layout.n_bs,

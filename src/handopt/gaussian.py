@@ -95,9 +95,6 @@ class EventSpec:
     def __len__(self):
         return len(self.constraints)
 
-    def __and__(self, other: "EventSpec") -> "EventSpec":
-        return EventSpec(self.constraints + other.constraints)
-
     @property
     def labels(self):
         return tuple(c[0] for c in self.constraints)

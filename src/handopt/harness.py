@@ -5,9 +5,9 @@ so results do not depend on how trials are chunked across workers), run the
 configured strength estimator, and apply a margin policy sample by sample.
 The trial streams are a contract that the pinned runs and the benchmark
 references hold: trial t of a simulate run draws from PCG64 seeded by
-SeedSequence([seed, t]), and trial t at speed index vi of a table sweep
-from SeedSequence([seed, vi, t]). The seed words of a chunk's trials are
-computed together (channel.trial_generators), never through one
+SeedSequence([config.seed, t]), and trial t at speed index vi of a table
+sweep from SeedSequence([config.seed, vi, t]). The seed words of a chunk's
+trials are computed together (channel.trial_generators), never through one
 SeedSequence per trial.
 Each chunk draws all of its traces in one sample_power call into one
 sample-major [N, S, T] buffer with the trials innermost, the only
@@ -38,8 +38,11 @@ earlier; the receding-horizon solve behind each entry is rooted at that
 state with the configured base margin as the root conditioning width.
 
 Every run becomes results in _simulate_policies, which returns one
-finished RunResult per policy; the runners only choose its config, seeds
-and speed, and run_two_cell adds its analytic series to the result.
+finished RunResult per policy. The runners take the trial seed from the
+config (config.seed, followed by the speed index in a sweep) and choose
+only which configs run; run_two_cell adds its analytic series, whose Monte
+Carlo terms draw _CHAIN_MC_SAMPLES samples seeded by config.seed. A
+simulate run logs its switch times; a sweep does not.
 
 Sweeps reuse the same power traces for every policy cell at a given speed,
 so policy comparisons are paired. Each sweep speed is a config
@@ -63,6 +66,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -110,6 +114,9 @@ _TABLE_MODE = {"avg": "avg", "ls": "ls", "els": "ls", "gels": "avg"}
 # the estimator.
 _CHUNK_SAMPLES = 6_000_000
 
+# Monte Carlo samples of every chain term of dimension three or more
+_CHAIN_MC_SAMPLES = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # small utilities
@@ -127,6 +134,16 @@ def _worker_count(workers) -> int:
         return max(1, int(env))
     except ValueError:
         return 1
+
+
+def _check_count(name: str, value, message: str, low: int, high=math.inf) -> None:
+    """Refuse a count or seed outside low..high, with message, or one that
+    is not an integer (a bool included); a number out of range gets message
+    whether or not it is an integer."""
+    if isinstance(value, numbers.Real) and not low <= value <= high:
+        raise ConfigurationError(message)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, not {value!r}")
 
 
 def _json_default(obj):
@@ -365,13 +382,12 @@ class RunResult:
     (when requested): per-sample switch and outage probability series with
     standard errors, whose sums are the trip aggregates.
 
-    config is the scenario the cell ran: in a table sweep, the speed
-    variant of the sweep's config (_speed_variant), while speed_mps is the
-    cell's speed under either sweep mode.
+    A result does not name its scenario, seed or speed: the caller holds
+    the config it ran (in a table sweep, keyed by policy label and speed).
+    margin_table is the [N, 2] table the policy applied.
     """
 
     policy: str
-    speed_mps: float
     n_trials: int
     switch_counts: np.ndarray
     outage_counts: np.ndarray
@@ -379,8 +395,6 @@ class RunResult:
     outage_branch_counts: np.ndarray
     switch_times: tuple
     margin_table: np.ndarray
-    base_seed: int
-    config: ScenarioConfig
     analytic_p_h: np.ndarray = None
     analytic_p_o: np.ndarray = None
     analytic_se_h: np.ndarray = None
@@ -498,17 +512,15 @@ def _simulate_policies(
     n_trials: int,
     *,
     seed_parts,
-    speed_mps: float,
     workers,
     log_events: bool,
 ) -> dict:
     """Shared-trace simulation of several policies; {label: RunResult}.
 
-    Trial t draws from SeedSequence([*seed_parts, t]); the results carry
-    seed_parts[0] as their base seed and speed_mps as their speed.
+    Trial t draws from SeedSequence([*seed_parts, t]). Switch times are
+    kept only with log_events; without it, switch_times is None.
     """
-    if n_trials < 1:
-        raise ConfigurationError("n_trials must be >= 1")
+    _check_count("n_trials", n_trials, "n_trials must be >= 1", 1)
     threads = min(_worker_count(workers), _usable_cpus())
     d = config.distances_m()
     n_bs, n_samples = d.shape
@@ -580,7 +592,6 @@ def _simulate_policies(
             times = tuple(samples[b:e] for b, e in zip([0] + ends[:-1], ends))
         results[label] = RunResult(
             policy=label,
-            speed_mps=speed_mps,
             n_trials=n_trials,
             switch_counts=switches,
             outage_counts=outages,
@@ -588,22 +599,12 @@ def _simulate_policies(
             outage_branch_counts=outb,
             switch_times=times,
             margin_table=h_tables[label],
-            base_seed=seed_parts[0],
-            config=config,
         )
     return results
 
 
 def run_two_cell(
-    config: ScenarioConfig,
-    policy,
-    n_trials: int,
-    *,
-    seed=None,
-    workers=None,
-    log_events: bool = True,
-    analytic=None,
-    mc_samples: int = 1_000_000,
+    config: ScenarioConfig, policy, n_trials: int, *, workers=None, analytic=None
 ) -> RunResult:
     """Simulate one policy on a two-cell scenario.
 
@@ -616,18 +617,11 @@ def run_two_cell(
     fixed = _as_fixed_margin(policy)
     if analytic is not None and fixed is None:
         raise ConfigurationError("analytic chains need a constant-margin policy")
-    base_seed = config.seed if seed is None else int(seed)
     if analytic is not None:
         # checked before any trial is drawn, not after all of them
-        _check_method_args(analytic, mc_samples, base_seed)
+        _check_method_args(analytic, _CHAIN_MC_SAMPLES, config.seed)
     (result,) = _simulate_policies(
-        config,
-        [policy],
-        n_trials,
-        seed_parts=[base_seed],
-        speed_mps=config.speed_mps,
-        workers=workers,
-        log_events=log_events,
+        config, [policy], n_trials, seed_parts=[config.seed], workers=workers, log_events=True
     ).values()
     if analytic is None:
         return result
@@ -637,40 +631,25 @@ def run_two_cell(
     beta = config.resolved_outage_threshold()
     p01, p10, se_h = handover_series(
         process, n_last, fixed, depth,
-        b_init=config.b_init, method=analytic, mc_samples=mc_samples,
-        seed=base_seed,
+        b_init=config.b_init, method=analytic, mc_samples=_CHAIN_MC_SAMPLES,
+        seed=config.seed,
     )
     _, _, po, _, se_o = outage_series(
         process, n_last, fixed, depth, beta,
-        b_init=config.b_init, method=analytic, mc_samples=mc_samples,
-        seed=base_seed,
+        b_init=config.b_init, method=analytic, mc_samples=_CHAIN_MC_SAMPLES,
+        seed=config.seed,
     )
     return replace(
         result, analytic_p_h=p01 + p10, analytic_p_o=po, analytic_se_h=se_h, analytic_se_o=se_o
     )
 
 
-def run_multicell(
-    config: ScenarioConfig,
-    policy,
-    n_trials: int,
-    *,
-    seed=None,
-    workers=None,
-    log_events: bool = True,
-) -> RunResult:
+def run_multicell(config: ScenarioConfig, policy, n_trials: int, *, workers=None) -> RunResult:
     """Simulate one policy on a multi-cell row scenario."""
     if config.layout.n_bs < 3:
         raise ConfigurationError("run_multicell needs at least three cells")
-    base_seed = config.seed if seed is None else int(seed)
     (result,) = _simulate_policies(
-        config,
-        [policy],
-        n_trials,
-        seed_parts=[base_seed],
-        speed_mps=config.speed_mps,
-        workers=workers,
-        log_events=log_events,
+        config, [policy], n_trials, seed_parts=[config.seed], workers=workers, log_events=True
     ).values()
     return result
 
@@ -693,8 +672,7 @@ class SweepSpec:
         object.__setattr__(self, "policies", tuple(self.policies))
         if self.mode not in ("fixed-grid", "resampled"):
             raise ConfigurationError("sweep mode must be 'fixed-grid' or 'resampled'")
-        if self.n_trials < 1:
-            raise ConfigurationError("n_trials must be >= 1")
+        _check_count("n_trials", self.n_trials, "n_trials must be >= 1", 1)
         for v in self.speeds:
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigurationError("speeds must be positive")
@@ -723,9 +701,7 @@ def run_table_sweep(
     config: ScenarioConfig,
     spec: SweepSpec = None,
     *,
-    seed=None,
     workers=None,
-    log_events: bool = False,
 ) -> dict:
     """Simulate every (policy, speed) cell; {(label, speed): RunResult}.
 
@@ -733,17 +709,15 @@ def run_table_sweep(
     policies, so policy orderings are paired comparisons.
     """
     spec = spec if spec is not None else SweepSpec()
-    base_seed = config.seed if seed is None else int(seed)
     out = {}
     for vi, v in enumerate(spec.speeds):
         results = _simulate_policies(
             _speed_variant(config, v, spec.mode),
             spec.policies,
             spec.n_trials,
-            seed_parts=[base_seed, vi],
-            speed_mps=v,
+            seed_parts=[config.seed, vi],
             workers=workers,
-            log_events=log_events,
+            log_events=False,
         )
         out.update(((label, v), result) for label, result in results.items())
     return out
@@ -828,14 +802,10 @@ def run_accuracy_study(
     are few and scattered over the trace, and a k-label y_stats call costs
     a small part of the block law it would be sliced from.
     """
-    if not 2 <= k <= 10:
-        raise ConfigurationError("k must lie in 2..10")
-    if not 1 <= m_split <= k:
-        raise ConfigurationError("m_split must lie in 1..k")
-    if n_instances < 1:
-        raise ConfigurationError("n_instances must be >= 1")
-    if seed < 0:
-        raise ConfigurationError("seed must be a nonnegative integer")
+    _check_count("k", k, "k must lie in 2..10", 2, 10)
+    _check_count("m_split", m_split, "m_split must lie in 1..k", 1, k)
+    _check_count("n_instances", n_instances, "n_instances must be >= 1", 1)
+    _check_count("seed", seed, "seed must be a nonnegative integer", 0)
     config = config if config is not None else preset("paper-vi")
     if config.layout.n_bs != 2:
         raise ConfigurationError("the accuracy study runs on a two-cell layout")

@@ -769,6 +769,61 @@ def test_every_exported_name_has_a_caller():
     assert sorted(set(exempt) - uncalled) == []
 
 
+def test_every_parameter_is_passed_by_a_package_call():
+    # a parameter of a module-level function that none of the package's
+    # direct calls of it passes, by position or by name, serves only tests.
+    # A call resolves to the function its name is bound to in the calling
+    # module: defined there, or imported with `from .module import name`.
+    # A call with *args or **kwargs passes every parameter it could fill.
+    import handopt
+
+    exempt = {"cli.main(argv)": "the console script calls main() with no argument"}
+    modules = {}
+    for path in pathlib.Path(handopt.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            modules[path.stem] = ast.parse(path.read_text())
+    defs = {
+        (mod, node.name): node
+        for mod, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    passed = {}  # function with a direct package call -> the parameters passed
+    for mod, tree in modules.items():
+        bound = {name: (mod, name) for m, name in defs if m == mod}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                bound.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                continue
+            key = bound.get(call.func.id)
+            if key not in defs:
+                continue
+            args = defs[key].args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            seen = passed.setdefault(key, set())
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                seen.update(positional)
+            seen.update(positional[: len(call.args)])
+            for kw in call.keywords:
+                if kw.arg is None:
+                    seen.update(positional + [a.arg for a in args.kwonlyargs])
+                else:
+                    seen.add(kw.arg)
+    unpassed = set()
+    for (mod, name), seen in passed.items():
+        args = defs[mod, name].args
+        unpassed.update(
+            f"{mod}.{name}({a.arg})"
+            for a in args.posonlyargs + args.args + args.kwonlyargs
+            if a.arg not in seen
+        )
+    assert sorted(unpassed - set(exempt)) == []
+    # an exemption whose parameter gained a caller is no longer needed
+    assert sorted(set(exempt) - unpassed) == []
+
+
 # ---------------------------------------------------------------------------
 # equality gate of the option layer: a fixed argv battery, each run pinned by
 # one sha256 over its argv, config file, exit code, stdout, stderr and output

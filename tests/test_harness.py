@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -51,7 +52,7 @@ def noiseless(config):
 
 def test_noiseless_two_cell_crosses_once():
     cfg = noiseless(preset("vehicular-two-cell"))
-    r = run_two_cell(cfg, 0.0, 4, seed=5)
+    r = run_two_cell(cfg.with_updates(seed=5), 0.0, 4)
     np.testing.assert_array_equal(r.switch_counts, [1, 1, 1, 1])
     # the averaging window trails the geometric midpoint by a couple samples
     for times in r.switch_times:
@@ -65,7 +66,7 @@ def test_noiseless_two_cell_crosses_once():
 
 def test_noiseless_cell_row_crosses_each_boundary():
     cfg = noiseless(preset("vehicular-cell-row"))
-    r = run_multicell(cfg, 0.0, 2, seed=5)
+    r = run_multicell(cfg.with_updates(seed=5), 0.0, 2)
     np.testing.assert_array_equal(r.switch_counts, [7, 7])
     assert r.conn_counts.shape == (2, 2004)
     assert r.outage_branch_counts.shape == (2, 2004)
@@ -90,11 +91,10 @@ def chunk_estimates(config, d, powers, tables, block):
 
 
 def test_results_do_not_depend_on_worker_count(monkeypatch):
-    cfg = preset("vehicular-two-cell")
-    kw = dict(n_trials=40, seed=11)
+    cfg = preset("vehicular-two-cell").with_updates(seed=11)
     force_chunk(monkeypatch, cfg, 7)
-    a = run_two_cell(cfg, 2.0, workers=1, **kw)
-    b = run_two_cell(cfg, 2.0, workers=3, **kw)
+    a = run_two_cell(cfg, 2.0, 40, workers=1)
+    b = run_two_cell(cfg, 2.0, 40, workers=3)
     np.testing.assert_array_equal(a.switch_counts, b.switch_counts)
     np.testing.assert_array_equal(a.conn_counts, b.conn_counts)
     np.testing.assert_array_equal(a.outage_branch_counts, b.outage_branch_counts)
@@ -102,26 +102,26 @@ def test_results_do_not_depend_on_worker_count(monkeypatch):
     for ta, tb in zip(a.switch_times, b.switch_times):
         np.testing.assert_array_equal(ta, tb)
 
-    mc = preset("vehicular-cell-row")
+    mc = preset("vehicular-cell-row").with_updates(seed=11)
     force_chunk(monkeypatch, mc, 2)
-    am = run_multicell(mc, 2.0, 6, seed=11, workers=1)
-    bm = run_multicell(mc, 2.0, 6, seed=11, workers=3)
+    am = run_multicell(mc, 2.0, 6, workers=1)
+    bm = run_multicell(mc, 2.0, 6, workers=3)
     np.testing.assert_array_equal(am.switch_counts, bm.switch_counts)
     np.testing.assert_array_equal(am.outage_branch_counts, bm.outage_branch_counts)
 
 
 def test_trial_streams_are_independent_of_chunking(monkeypatch):
-    cfg = preset("vehicular-two-cell")
+    cfg = preset("vehicular-two-cell").with_updates(seed=3)
     force_chunk(monkeypatch, cfg, 12)
-    a = run_two_cell(cfg, 2.0, 12, seed=3)
+    a = run_two_cell(cfg, 2.0, 12)
     force_chunk(monkeypatch, cfg, 1)
-    b = run_two_cell(cfg, 2.0, 12, seed=3)
+    b = run_two_cell(cfg, 2.0, 12)
     np.testing.assert_array_equal(a.switch_counts, b.switch_counts)
 
 
 def test_outage_sum_definition():
-    cfg = preset("vehicular-two-cell")
-    r = run_two_cell(cfg, 2.0, 25, seed=21)
+    cfg = preset("vehicular-two-cell").with_updates(seed=21)
+    r = run_two_cell(cfg, 2.0, 25)
     frac = r.outage_branch_counts / np.maximum(r.conn_counts, 1)
     want = float(frac[r.conn_counts > 0].sum())
     agg = r.aggregates()
@@ -139,8 +139,8 @@ def test_outage_sum_definition():
 
 
 def test_analytic_companion_tracks_empirical_sums():
-    cfg = preset("vehicular-two-cell")
-    r = run_two_cell(cfg, 2.0, 300, seed=9, analytic="pairwise", workers=4)
+    cfg = preset("vehicular-two-cell").with_updates(seed=9)
+    r = run_two_cell(cfg, 2.0, 300, analytic="pairwise", workers=4)
     assert r.analytic_p_h.shape == (81,)
     assert r.analytic_p_o.shape == (81,)
     assert np.all(np.isfinite(r.analytic_p_h))
@@ -366,24 +366,24 @@ def test_els_margin_tables_are_the_ls_ones():
 
 
 def test_sweep_cells_carry_their_speed_variant():
-    # a fixed-grid cell runs the config with scaled coherence lengths, and
-    # its result names that config: its margin table is that config's
-    cfg = preset("paper-vi").with_updates(start_offset_m=970.0, length_m=60.0)
+    # a fixed-grid cell runs the config with scaled coherence lengths: its
+    # margin table is that config's
+    cfg = preset("paper-vi").with_updates(start_offset_m=970.0, length_m=60.0, seed=4)
     spec = SweepSpec(speeds=(5.0, 40.0), policies=(2.0, "opt1", "opt2", "opt3"), n_trials=3)
-    results = run_table_sweep(cfg, spec, seed=4)
+    results = run_table_sweep(cfg, spec)
+    assert sorted(results) == sorted(
+        (label, v) for label in ("h=2", "opt1", "opt2", "opt3") for v in spec.speeds
+    )
     for (label, v), result in results.items():
         if label.startswith("opt"):
-            want = opt_margin_tables(result.config)[label]
+            want = opt_margin_tables(harness._speed_variant(cfg, v, spec.mode))[label]
             assert result.margin_table.tobytes() == want.tobytes(), (label, v)
-        variant = harness._speed_variant(cfg, v, spec.mode)
-        assert config_fingerprint(result.config) == config_fingerprint(variant)
-        assert result.speed_mps == v
 
 
 def test_sweep_table_layout():
-    cfg = preset("vehicular-two-cell")
+    cfg = preset("vehicular-two-cell").with_updates(seed=2)
     spec = SweepSpec(speeds=(5.0, 20.0), policies=(0.0, "opt3"), n_trials=3)
-    results = run_table_sweep(cfg, spec, seed=2)
+    results = run_table_sweep(cfg, spec)
     assert set(results) == {
         ("h=0", 5.0), ("h=0", 20.0), ("opt3", 5.0), ("opt3", 20.0),
     }
@@ -408,9 +408,9 @@ def test_sweep_spec_rejects_speeds_that_share_a_column():
 def test_fixed_grid_sweep_rescales_coherence():
     # the fixed-grid mode reuses one trace and speeds only rescale the
     # shadowing coherence, so faster runs decorrelate faster
-    cfg = preset("vehicular-two-cell")
+    cfg = preset("vehicular-two-cell").with_updates(seed=7)
     spec = SweepSpec(speeds=(5.0, 40.0), policies=(0.0,), n_trials=20)
-    results = run_table_sweep(cfg, spec, seed=7)
+    results = run_table_sweep(cfg, spec)
     slow = results[("h=0", 5.0)].aggregates()["avg_handovers"]
     fast = results[("h=0", 40.0)].aggregates()["avg_handovers"]
     assert fast > slow
@@ -581,7 +581,8 @@ def test_window_longer_than_the_trace_is_clamped_to_it():
         a, b = _gap_process(wide).joint(labels), _gap_process(full).joint(labels)
         assert a.mu.tobytes() == b.mu.tobytes()
         assert a.Sigma.tobytes() == b.Sigma.tobytes()
-    ra, rb = run_two_cell(wide, 2.0, 6, seed=4), run_two_cell(full, 2.0, 6, seed=4)
+    ra = run_two_cell(wide.with_updates(seed=4), 2.0, 6)
+    rb = run_two_cell(full.with_updates(seed=4), 2.0, 6)
     for field in ("switch_counts", "outage_counts", "conn_counts", "outage_branch_counts"):
         assert getattr(ra, field).tobytes() == getattr(rb, field).tobytes()
     assert [t.tobytes() for t in ra.switch_times] == [t.tobytes() for t in rb.switch_times]
@@ -895,19 +896,19 @@ def test_multicell_results_do_not_depend_on_chunks_or_workers(monkeypatch):
         replace(ch, coherence_m=5.0 * (s + 1), shadow_sigma_db=0.0 if s == 2 else 6.0)
         for s, ch in enumerate(base.channels)
     )
-    cfg = replace(base, channels=channels)
-    want = run_multicell(cfg, 2.0, 5, seed=13)
+    cfg = replace(base, channels=channels, seed=13)
+    want = run_multicell(cfg, 2.0, 5)
     runs = []
     force_chunk(monkeypatch, cfg, 1)
-    runs.append(run_multicell(cfg, 2.0, 5, seed=13))
+    runs.append(run_multicell(cfg, 2.0, 5))
     force_chunk(monkeypatch, cfg, 2)
-    runs.append(run_multicell(cfg, 2.0, 5, seed=13, workers=2))
+    runs.append(run_multicell(cfg, 2.0, 5, workers=2))
     monkeypatch.undo()
     # blocks of 1 and 3 samples, and of 7, which does not divide N = 2004
     assert cfg.distances_m().shape[1] % 7 != 0
     for samples in (1, 3, 7):
         force_block(monkeypatch, cfg, 5, samples)
-        runs.append(run_multicell(cfg, 2.0, 5, seed=13))
+        runs.append(run_multicell(cfg, 2.0, 5))
         monkeypatch.undo()
     for r in runs:
         assert_same_results(r, want)
@@ -923,8 +924,7 @@ def test_multicell_results_do_not_depend_on_chunks_or_workers(monkeypatch):
 
         def run(workers=1):
             return harness._simulate_policies(
-                two, [2.0, "opt2"], 12, seed_parts=[13], speed_mps=two.speed_mps,
-                workers=workers, log_events=True,
+                two, [2.0, "opt2"], 12, seed_parts=[13], workers=workers, log_events=True
             )
 
         want = run()
@@ -959,7 +959,7 @@ def test_two_cell_run_is_pinned():
     # but a paper-vi run with its pairwise companion must stay bit for bit.
     # Re-recorded when the chains' laws became slices of the block laws:
     # the analytic series moved by at most 2.8e-16, all else is unchanged.
-    r = run_two_cell(preset("paper-vi"), 2.0, 200, seed=3, analytic="pairwise")
+    r = run_two_cell(preset("paper-vi").with_updates(seed=3), 2.0, 200, analytic="pairwise")
     arrays = [
         r.switch_counts, r.outage_counts, r.conn_counts, r.outage_branch_counts,
         r.margin_table, r.analytic_p_h, r.analytic_p_o, r.analytic_se_h, r.analytic_se_o,
@@ -979,9 +979,9 @@ def test_table_sweep_builds_no_per_trial_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    cfg = replace(preset("paper-vi"), start_offset_m=900.0, length_m=200.0)
+    cfg = replace(preset("paper-vi"), start_offset_m=900.0, length_m=200.0, seed=4)
     spec = SweepSpec(speeds=(5.0, 20.0), policies=(0.0, 2.0, "opt2"), n_trials=30)
-    results = run_table_sweep(cfg, spec, seed=4)
+    results = run_table_sweep(cfg, spec)
     arrays = []
     for key in sorted(results):
         r = results[key]
@@ -999,7 +999,7 @@ def test_cell_row_run_is_pinned():
     # restructured, but vehicular-cell-row runs must stay bit for bit
     arrays = []
     for h in (0.0, 2.0):
-        r = run_multicell(preset("vehicular-cell-row"), h, 200, seed=3)
+        r = run_multicell(preset("vehicular-cell-row").with_updates(seed=3), h, 200)
         arrays += [
             r.switch_counts, r.outage_counts, r.conn_counts, r.outage_branch_counts,
             r.margin_table, *r.switch_times,
@@ -1012,7 +1012,7 @@ def test_cell_row_run_is_pinned():
 def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
     # the simulator decides on its sample-major [N, S, T] buffer in place;
     # sample_power returns that buffer, C-contiguous
-    cfg = preset("vehicular-cell-row")
+    cfg = preset("vehicular-cell-row").with_updates(seed=13)
     seen = []
     real = harness._decide
 
@@ -1021,7 +1021,7 @@ def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
         return real(estimate, x, *rest)
 
     monkeypatch.setattr(harness, "_decide", spy)
-    run_multicell(cfg, 2.0, 5, seed=13, workers=1)
+    run_multicell(cfg, 2.0, 5, workers=1)
     ((contiguous, powers),) = seen
     assert contiguous
     rngs = [np.random.default_rng(np.random.SeedSequence([13, t])) for t in range(5)]
@@ -1031,6 +1031,11 @@ def test_public_sample_power_equals_the_harness_buffer(monkeypatch):
     assert public.tobytes() == powers.tobytes()
 
 
+def unlogged(cfg, trials):
+    """A one-worker h=2 run of cfg that logs no switch times, as a sweep's."""
+    harness._simulate_policies(cfg, [2.0], trials, seed_parts=[1], workers=1, log_events=False)
+
+
 def test_cell_row_chunk_holds_one_power_array():
     # a chunk keeps its trial-innermost powers; estimates, best cells, tally
     # indices and the rest are block-sized temporaries
@@ -1038,10 +1043,10 @@ def test_cell_row_chunk_holds_one_power_array():
     d = cfg.distances_m()
     trials = harness._CHUNK_SAMPLES // d.size
     assert harness._chunk_bounds(trials, 1, *d.shape) == [(0, trials)]
-    run_multicell(cfg, 2.0, 2, seed=1, workers=1)
+    unlogged(cfg, 2)
     tracemalloc.start()
     try:
-        run_multicell(cfg, 2.0, trials, seed=1, workers=1, log_events=False)
+        unlogged(cfg, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1053,10 +1058,10 @@ def two_cell_chunk_peak(cfg):
     d = cfg.distances_m()
     trials = harness._CHUNK_SAMPLES // d.size
     assert harness._chunk_bounds(trials, 1, *d.shape) == [(0, trials)]
-    run_two_cell(cfg, 2.0, 2, seed=1, workers=1)
+    unlogged(cfg, 2)
     tracemalloc.start()
     try:
-        run_two_cell(cfg, 2.0, trials, seed=1, workers=1, log_events=False)
+        unlogged(cfg, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1081,13 +1086,13 @@ def test_logged_switch_times_do_not_grow_the_peak_with_the_trials():
     # switch times are kept per block as (trial, sample) pairs, not as
     # serving series: 3000 logged cell-row trials (9 chunks) peak within
     # 2 MB of 1000 (3 chunks)
-    cfg = preset("vehicular-cell-row")
-    run_multicell(cfg, 2.0, 2, seed=1, workers=1)
+    cfg = preset("vehicular-cell-row").with_updates(seed=1)
+    run_multicell(cfg, 2.0, 2, workers=1)
     peaks = []
     for trials in (1000, 3000):
         tracemalloc.start()
         try:
-            run_multicell(cfg, 2.0, trials, seed=1, workers=1, log_events=True)
+            run_multicell(cfg, 2.0, trials, workers=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1098,11 +1103,11 @@ def test_gels_above_h_max_estimates_the_raw_powers():
     # the simulator gives GELS h = h_fixed_db at every sample, so with
     # h_fixed_db above h_max_db every sample restarts its window and the
     # run is the avg n_w = 1 run bit for bit
-    base = preset("paper-vi").with_updates(h_fixed_db=12.0)
+    base = preset("paper-vi").with_updates(h_fixed_db=12.0, seed=7)
     assert base.h_fixed_db > base.h_max_db
-    gels = run_two_cell(base.with_updates(estimator="gels"), 2.0, 300, seed=7)
-    avg = run_two_cell(base.with_updates(estimator="avg", n_w=1), 2.0, 300, seed=7)
-    assert_same_results(replace(gels, config=avg.config), avg)
+    gels = run_two_cell(base.with_updates(estimator="gels"), 2.0, 300)
+    avg = run_two_cell(base.with_updates(estimator="avg", n_w=1), 2.0, 300)
+    assert_same_results(gels, avg)
 
 
 def test_explicit_worker_counts_below_one_are_config_errors(monkeypatch):
@@ -1120,7 +1125,7 @@ def test_explicit_worker_counts_below_one_are_config_errors(monkeypatch):
 def test_threads_are_capped_at_the_usable_cpus(monkeypatch):
     # the chunks run in this thread, so no pool is started: the run asks
     # _map_chunks for min(workers, usable CPUs) threads
-    cfg = preset("vehicular-two-cell")
+    cfg = preset("vehicular-two-cell").with_updates(seed=2)
     asked = []
     real = harness._map_chunks
 
@@ -1131,14 +1136,14 @@ def test_threads_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(harness, "_map_chunks", serial)
     for workers, cpus in ((100_000, 2), (3, 8), (1, 64)):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-        run_two_cell(cfg, 2.0, 30, seed=2, workers=workers)
+        run_two_cell(cfg, 2.0, 30, workers=workers)
     assert asked == [2, 3, 1]
 
 
 def test_a_huge_worker_count_runs_at_most_one_thread_per_cpu(monkeypatch):
     # the chunks run in this thread, so no pool is started; the run asks for
     # at most one thread per usable CPU and sizes its chunks for them
-    cfg = preset("vehicular-two-cell")
+    cfg = preset("vehicular-two-cell").with_updates(seed=2)
     asked = []
     real = harness._map_chunks
 
@@ -1147,10 +1152,10 @@ def test_a_huge_worker_count_runs_at_most_one_thread_per_cpu(monkeypatch):
         return real(new_worker, bounds, 1)
 
     monkeypatch.setattr(harness, "_map_chunks", serial)
-    want = run_two_cell(cfg, 2.0, 30, seed=2, workers=1)
-    got = run_two_cell(cfg, 2.0, 30, seed=2, workers=100_000)
+    want = run_two_cell(cfg, 2.0, 30, workers=1)
+    got = run_two_cell(cfg, 2.0, 30, workers=100_000)
     monkeypatch.setenv("HANDOPT_WORKERS", "100000")
-    env = run_two_cell(cfg, 2.0, 30, seed=2)
+    env = run_two_cell(cfg, 2.0, 30)
     cpus = harness._usable_cpus()
     assert asked[0] == (1, 1)
     assert asked[1] == asked[2] == (min(cpus, 30), min(cpus, 30))
@@ -1197,7 +1202,7 @@ def test_chunk_buffers_equal_the_per_trial_recursion(monkeypatch, case):
     d = cfg.distances_m()
     force_chunk(monkeypatch, cfg, 4)
     chunks = capture_chunks(monkeypatch)
-    run_multicell(cfg, 2.0, 11, seed=9, workers=workers)
+    run_multicell(cfg.with_updates(seed=9), 2.0, 11, workers=workers)
     assert sorted(c[:2] for c in chunks) == [(0, 4), (4, 8), (8, 11)]
     for t0, t1, x, _, _ in chunks:
         assert x.shape == (d.shape[1], d.shape[0], t1 - t0)
@@ -1210,15 +1215,92 @@ def test_chunk_buffers_equal_the_per_trial_recursion(monkeypatch, case):
     assert all(len(addresses) == 1 for addresses in buffers.values())
 
 
-@pytest.mark.parametrize(
-    "analytic,mc_samples", [("bogus", 1_000_000), ("exact", 100), ("pairwise", 2.5)]
-)
-def test_run_two_cell_checks_the_chain_method_before_drawing_a_trial(
-    monkeypatch, analytic, mc_samples
-):
-    def no_draws(*args, **kwargs):
+def no_draws(monkeypatch):
+    """Make drawing any trial fail the test."""
+
+    def draw(*args, **kwargs):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(harness, "sample_power", no_draws)
-    with pytest.raises(ConfigurationError):
-        run_two_cell(preset("paper-vi"), 2.0, 3, analytic=analytic, mc_samples=mc_samples)
+    monkeypatch.setattr(harness, "sample_power", draw)
+
+
+def test_run_two_cell_checks_the_chain_method_before_drawing_a_trial(monkeypatch):
+    no_draws(monkeypatch)
+    with pytest.raises(ConfigurationError, match="unknown method 'bogus'"):
+        run_two_cell(preset("paper-vi"), 2.0, 3, analytic="bogus")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "two-cell-on-a-row",
+        "multicell-on-two-cells",
+        "analytic-opt1",
+        "trials-2.5",
+        "trials-true",
+        "trials-0",
+        "trials-false",
+        "sweep-trials-2.5",
+        "sweep-trials-true",
+    ],
+)
+def test_runners_refuse_before_drawing_a_trial(monkeypatch, case):
+    # a non-integer count raised a bare TypeError once its trials were
+    # chunked, and n_trials=True ran one trial; a count refused before keeps
+    # its message
+    no_draws(monkeypatch)
+    two, row = preset("paper-vi"), preset("vehicular-cell-row")
+    message, run = {
+        "two-cell-on-a-row": (
+            "run_two_cell needs a two-cell layout", lambda: run_two_cell(row, 2.0, 3)
+        ),
+        "multicell-on-two-cells": (
+            "run_multicell needs at least three cells", lambda: run_multicell(two, 2.0, 3)
+        ),
+        "analytic-opt1": (
+            "analytic chains need a constant-margin policy",
+            lambda: run_two_cell(two, "opt1", 3, analytic="pairwise"),
+        ),
+        "trials-2.5": ("n_trials must be an integer, not 2.5", lambda: run_two_cell(two, 2.0, 2.5)),
+        "trials-true": (
+            "n_trials must be an integer, not True", lambda: run_multicell(row, 2.0, True)
+        ),
+        "trials-0": ("n_trials must be >= 1", lambda: run_two_cell(two, 2.0, 0)),
+        "trials-false": ("n_trials must be >= 1", lambda: run_two_cell(two, 2.0, False)),
+        "sweep-trials-2.5": (
+            "n_trials must be an integer, not 2.5",
+            lambda: run_table_sweep(two, SweepSpec(n_trials=2.5)),
+        ),
+        "sweep-trials-true": (
+            "n_trials must be an integer, not True",
+            lambda: run_table_sweep(two, SweepSpec(n_trials=True)),
+        ),
+    }[case]
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        run()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2.5, 1, 1, 0), "k must be an integer, not 2.5"),
+        ((4, 1.5, 1, 0), "m_split must be an integer, not 1.5"),
+        ((4, 2, 1.5, 0), "n_instances must be an integer, not 1.5"),
+        ((4, 2, 1, 1.5), "seed must be an integer, not 1.5"),
+        ((4, True, 1, 0), "m_split must be an integer, not True"),
+        ((4, 2, 1, "0"), "seed must be an integer, not '0'"),
+        ((1.5, 1, 1, 0), "k must lie in 2..10"),
+        ((4, 4.5, 1, 0), "m_split must lie in 1..k"),
+        ((4, 2, 0.5, 0), "n_instances must be >= 1"),
+        ((4, 2, 1, -1.5), "seed must be a nonnegative integer"),
+    ],
+)
+def test_accuracy_study_refuses_non_integer_counts_before_any_instance(
+    monkeypatch, args, message
+):
+    def no_process(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(harness, "_gap_process", no_process)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        run_accuracy_study(*args)
